@@ -21,13 +21,15 @@ Lifecycle:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from ...dmtcp.costs import CostModel, DEFAULT_COSTS
 from ...dmtcp.events import DmtcpEvent
 from ...dmtcp.plugin import Plugin
-from ...ibverbs.enums import AccessFlags, QpAttrMask, QpType, WcOpcode
-from ...ibverbs.structs import ibv_qp_init_attr, ibv_sge, ibv_wc
+from ...ibverbs.enums import (AccessFlags, QpAttrMask, QpType, WcOpcode,
+                              WrOpcode)
+from ...ibverbs.structs import (ibv_qp_init_attr, ibv_recv_wr, ibv_send_wr,
+                                ibv_sge, ibv_wc)
 from .errors import (
     HeterogeneousDriverError,
     NoInfinibandError,
@@ -46,6 +48,8 @@ from .shadow import (
 from .wrappers import WrappedVerbs
 
 _RECV_OPCODES = (WcOpcode.RECV, WcOpcode.RECV_RDMA_WITH_IMM)
+_RDMA_OPCODES = (WrOpcode.RDMA_WRITE, WrOpcode.RDMA_WRITE_WITH_IMM,
+                 WrOpcode.RDMA_READ)
 
 __all__ = ["InfinibandPlugin"]
 
@@ -95,8 +99,9 @@ class InfinibandPlugin(Plugin):
         self.vqp_by_vqpn: Dict[int, VirtualQp] = {}
         self.vqp_by_real_qpn: Dict[int, VirtualQp] = {}
         self.vmr_by_vlkey: Dict[int, VirtualMr] = {}
-        self.db: Dict[str, Any] = {}      # published ids after restart
-        self._remote_real_to_vqpn: Dict[int, int] = {}
+        #: published ids after restart: the coordinator's read-only view,
+        #: shared with every other rank — never mutated here
+        self.db: Mapping[str, Any] = {}
         self.restarted = False
         self._pd_counter = 0
         self._vid_counter = 0
@@ -111,9 +116,11 @@ class InfinibandPlugin(Plugin):
         self.real_lib = appctx.proc.libs["ibverbs"]
         appctx.proc.libs["ibverbs"] = self.wrapped
 
-    def charge_wrapper(self, nbytes: float = 0.0) -> None:
+    def charge_wrapper(self) -> None:
+        """One intercepted call that moves no bytes (the post entries,
+        which may, charge inline)."""
         self.stats["wrapper_calls"] += 1
-        self.appctx.proc.overhead_debt += self.costs.wrapper_cost(nbytes)
+        self.appctx.proc.overhead_debt += self.costs.wrapper_cost()
 
     def charge_ib2tcp_copy(self, nbytes: float) -> None:
         """Extra in-memory copy the IB2TCP plugin performs on every post
@@ -223,10 +230,29 @@ class InfinibandPlugin(Plugin):
 
     # -- id translation (§3.2) ------------------------------------------------------
 
-    def translate_sge(self, sge: ibv_sge) -> ibv_sge:
-        vmr = self.vmr_by_vlkey.get(sge.lkey)
-        real_lkey = vmr.real.lkey if vmr is not None else sge.lkey
-        return ibv_sge(addr=sge.addr, length=sge.length, lkey=real_lkey)
+    def _real_sg_list(self, sg_list: List[ibv_sge]) -> List[ibv_sge]:
+        """A fresh list with real lkeys.  An element whose lkey maps to
+        itself (every one, before the first restart) is shared rather
+        than copied: scatter/gather elements are values nobody writes."""
+        by_vlkey = self.vmr_by_vlkey
+        return [sge if (vmr := by_vlkey.get(sge.lkey)) is None
+                or vmr.real.lkey == sge.lkey
+                else ibv_sge(sge.addr, sge.length, vmr.real.lkey)
+                for sge in sg_list]
+
+    def translate_send_wr(self, vqp: VirtualQp,
+                          wr: ibv_send_wr) -> ibv_send_wr:
+        """The WR the driver is handed, built once — for the first post
+        and for the Principle-6 re-post alike.  Remote addresses are
+        virtual addresses restored 1:1, so only keys change."""
+        rkey = self.translate_rkey(vqp, wr.rkey) \
+            if wr.opcode in _RDMA_OPCODES else wr.rkey
+        return ibv_send_wr(wr.wr_id, self._real_sg_list(wr.sg_list),
+                           wr.opcode, wr.send_flags, wr.imm_data,
+                           wr.remote_addr, rkey, wr._inline_data)
+
+    def translate_recv_wr(self, wr: ibv_recv_wr) -> ibv_recv_wr:
+        return ibv_recv_wr(wr.wr_id, self._real_sg_list(wr.sg_list))
 
     def translate_rkey(self, vqp: VirtualQp, vrkey: int) -> int:
         """(virtual qp, vrkey) → real rkey via the remote pd (§3.2.2):
@@ -258,25 +284,18 @@ class InfinibandPlugin(Plugin):
                     real_attr.dlid = real_lid
         return real_attr
 
-    def translate_wc(self, wc: ibv_wc) -> ibv_wc:
-        """Real completion → what the application is allowed to see."""
-        vqp = self.vqp_by_real_qpn.get(wc.qp_num)
-        vqpn = vqp.qp_num if vqp is not None else wc.qp_num
-        src = wc.src_qp
-        if self.restarted and src:
-            src = self._remote_real_to_vqpn.get(src, src)
-        return ibv_wc(wr_id=wc.wr_id, status=wc.status, opcode=wc.opcode,
-                      byte_len=wc.byte_len, imm_data=wc.imm_data,
-                      qp_num=vqpn, src_qp=src, wc_flags=wc.wc_flags)
-
     # -- Principle 3 bookkeeping -------------------------------------------------------
 
-    def bookkeep_completion(self, wc: ibv_wc) -> None:
-        """A polled completion destroys its logged WQE — O(1) against the
-        wr_id-indexed :class:`~.shadow.WqeLog`."""
+    def take_completion(self, wc: ibv_wc) -> ibv_wc:
+        """A completion leaves the real CQ: destroy its logged WQE — O(1)
+        against the wr_id-indexed :class:`~.shadow.WqeLog` — and return
+        what the application is allowed to see.  On an RC queue pair the
+        sender is the connected peer, so ``src_qp`` is the virtual number
+        the application itself passed to ``modify_qp`` (real qp numbers
+        are unique per HCA only, and are not looked up)."""
         vqp = self.vqp_by_real_qpn.get(wc.qp_num)
         if vqp is None:
-            return
+            return wc
         try:
             if wc.opcode in _RECV_OPCODES:
                 log = vqp.vsrq.recv_log if vqp.vsrq is not None \
@@ -293,6 +312,11 @@ class InfinibandPlugin(Plugin):
             raise
         if self.monitor is not None:
             self.monitor.on_completion(vqp, wc)
+        src = wc.src_qp
+        if src and vqp.remote_vqpn is not None:
+            src = vqp.remote_vqpn
+        return ibv_wc(wc.wr_id, wc.status, wc.opcode, wc.byte_len,
+                      wc.imm_data, vqp.qp_num, src, wc.wc_flags)
 
     # -- Principles 4/5: drain and refill ----------------------------------------------
 
@@ -301,13 +325,8 @@ class InfinibandPlugin(Plugin):
             return self.fallback.drain_round()
         drained = 0
         for vcq in self.cqs:
-            while True:
-                wcs = vcq.context.real_ops.poll_cq(vcq.real, 64)
-                if not wcs:
-                    break
-                for wc in wcs:
-                    self.bookkeep_completion(wc)
-                    vcq.private_queue.append(self.translate_wc(wc))
+            while wcs := vcq.vcontext.real_ops.poll_cq(vcq.real, 64):
+                vcq.private_queue.extend(map(self.take_completion, wcs))
                 drained += len(wcs)
         self.stats["drained_completions"] += drained
         if self.tracer is not None:
@@ -460,19 +479,21 @@ class InfinibandPlugin(Plugin):
                              self.appctx.env.now, entries=len(entries))
         return entries
 
-    def ns_receive(self, db: Dict[str, Any]) -> None:
+    def ns_receive(self, db: Mapping[str, Any]) -> None:
         if self.delegated:
             self.fallback.ns_receive(db)
             return
         self.db = db
-        self._remote_real_to_vqpn = {
-            info["qpn"]: int(key.split("/", 1)[1])
-            for key, info in db.items() if key.startswith("qp:")}
         if self.tracer is not None:
             self.tracer.emit("ns.receive", self.appctx.name,
                              self.appctx.env.now, entries=len(db))
 
     # -- restart phase 2: replay (Principles 3 and 6) ------------------------------------------
+
+    def _logged_wqes(self) -> int:
+        """The surviving logged set a replay must re-post exactly."""
+        return sum(len(vsrq.recv_log) for vsrq in self.srqs) \
+            + sum(len(vqp.recv_log) + len(vqp.send_log) for vqp in self.qps)
 
     def _restart_replay(self) -> None:
         if self.delegated:
@@ -486,13 +507,9 @@ class InfinibandPlugin(Plugin):
         reposted_before = (self.stats["reposted_recvs"]
                            + self.stats["reposted_sends"])
         if tracer is not None:
-            # the surviving logged set this replay must re-post exactly
-            expected = sum(len(vsrq.recv_log) for vsrq in self.srqs) \
-                + sum(len(vqp.recv_log) + len(vqp.send_log)
-                      for vqp in self.qps)
             replay_span = tracer.begin(
                 "replay", self.appctx.name, self.appctx.env.now,
-                expected=expected,
+                expected=self._logged_wqes(),
                 modifies=sum(len(vqp.modify_log) for vqp in self.qps))
         for vqp in self.qps:
             for attr, mask in vqp.modify_log:
@@ -501,36 +518,29 @@ class InfinibandPlugin(Plugin):
                 self.real_lib.modify_qp(
                     vqp.real, self.translate_qp_attr(attr, mask, vqp), mask)
                 self.stats["replayed_modifies"] += 1
-        for vsrq in self.srqs:
-            for entry in vsrq.recv_log:
-                self.real_lib.post_srq_recv(
-                    vsrq.real, self.wrapped._translate_recv_wr(entry.wr))
+        # receives first (shared queues, then per-QP), then sends: every
+        # re-post goes through the translation the first post went through
+        recv_owners = [(vsrq, self.real_lib.post_srq_recv)
+                       for vsrq in self.srqs] \
+            + [(vqp, vqp.vpd.vcontext.real_ops.post_recv) for vqp in self.qps]
+        for owner, post in recv_owners:
+            for entry in owner.recv_log:
+                post(owner.real, self.translate_recv_wr(entry.wr))
                 self.stats["reposted_recvs"] += 1
                 if m is not None:
-                    m.on_repost(vsrq, "recv")
-        for vqp in self.qps:
-            for entry in vqp.recv_log:
-                vqp.context.real_ops.post_recv(
-                    vqp.real, self.wrapped._translate_recv_wr(entry.wr))
-                self.stats["reposted_recvs"] += 1
-                if m is not None:
-                    m.on_repost(vqp, "recv")
+                    m.on_repost(owner, "recv")
         for vqp in self.qps:
             for entry in vqp.send_log:
-                vqp.context.real_ops.post_send(
-                    vqp.real,
-                    self.wrapped._translate_send_wr(vqp, entry.wr))
+                vqp.vpd.vcontext.real_ops.post_send(
+                    vqp.real, self.translate_send_wr(vqp, entry.wr))
                 self.stats["reposted_sends"] += 1
                 if m is not None:
                     m.on_repost(vqp, "send")
         if m is not None:
             m.on_replay_done(self)
         if tracer is not None:
-            expected_now = sum(len(vsrq.recv_log) for vsrq in self.srqs) \
-                + sum(len(vqp.recv_log) + len(vqp.send_log)
-                      for vqp in self.qps)
             tracer.end(replay_span, self.appctx.env.now,
-                       expected=expected_now,
+                       expected=self._logged_wqes(),
                        reposts=(self.stats["reposted_recvs"]
                                 + self.stats["reposted_sends"]
                                 - reposted_before))

@@ -88,7 +88,7 @@ class VirtualCq:
     cqe: int
     # Principles 4/5: completions drained from the real CQ at checkpoint
     # time, served back to the application before any real poll
-    private_queue: List[Any] = field(default_factory=list)
+    private_queue: Deque[Any] = field(default_factory=deque)
     # a pending blocking-wait event (wrapped ibv_get_cq_event) to re-arm
     pending_notify: Any = None
 
@@ -97,7 +97,7 @@ class VirtualCq:
         return self.vcontext
 
 
-@dataclass
+@dataclass(slots=True)
 class SendLogEntry:
     """A posted send WQE not yet known to be complete (Principle 3)."""
 
@@ -108,7 +108,7 @@ class SendLogEntry:
     assume_complete_on_drain: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class RecvLogEntry:
     wr: ibv_recv_wr          # with VIRTUAL lkeys
 

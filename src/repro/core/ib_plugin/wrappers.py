@@ -17,23 +17,14 @@ LD_PRELOAD analogue).  Every entry:
 
 from __future__ import annotations
 
-import dataclasses
-from typing import TYPE_CHECKING, Any, List, Optional
+from typing import TYPE_CHECKING, List
 
-from ...ibverbs.enums import (
-    QpAttrMask,
-    QpType,
-    SendFlags,
-    WcOpcode,
-    WrOpcode,
-)
+from ...ibverbs.enums import QpAttrMask, QpType, SendFlags, WrOpcode
 from ...ibverbs.structs import (
-    VerbsError,
     ibv_port_attr,
     ibv_qp_init_attr,
     ibv_recv_wr,
     ibv_send_wr,
-    ibv_sge,
     ibv_wc,
 )
 from .errors import UnsupportedQpTypeError
@@ -51,7 +42,9 @@ from .shadow import (
 if TYPE_CHECKING:  # pragma: no cover
     from .plugin import InfinibandPlugin
 
-_RECV_OPCODES = (WcOpcode.RECV, WcOpcode.RECV_RDMA_WITH_IMM)
+# raw flag bits: IntFlag ``&`` builds a new flag instance per use
+_F_INLINE = SendFlags.INLINE._value_
+_F_SIGNALED = SendFlags.SIGNALED._value_
 
 __all__ = ["WrappedVerbs"]
 
@@ -64,8 +57,8 @@ class WrappedVerbs:
 
     # -- helpers -------------------------------------------------------------
 
-    def _charge(self, nbytes: float = 0.0) -> None:
-        self.plugin.charge_wrapper(nbytes)
+    def _charge(self) -> None:
+        self.plugin.charge_wrapper()
 
     @property
     def _real(self):
@@ -135,7 +128,7 @@ class WrappedVerbs:
 
     def poll_cq(self, vcq: VirtualCq, num_entries: int) -> List[ibv_wc]:
         """Inline function → dispatch through the (plugin's) ops table."""
-        return vcq.context.ops.poll_cq(vcq, num_entries)
+        return vcq.vcontext.ops.poll_cq(vcq, num_entries)
 
     def req_notify_cq(self, vcq: VirtualCq, solicited_only: bool = False):
         return vcq.context.ops.req_notify_cq(vcq, solicited_only)
@@ -164,7 +157,7 @@ class WrappedVerbs:
         self.plugin.registry_remove(vsrq)
 
     def post_srq_recv(self, vsrq: VirtualSrq, wr: ibv_recv_wr) -> None:
-        return vsrq.context.ops.post_srq_recv(vsrq, wr)
+        return vsrq.vpd.vcontext.ops.post_srq_recv(vsrq, wr)
 
     # -- qps ------------------------------------------------------------------------------
 
@@ -199,98 +192,91 @@ class WrappedVerbs:
 
     def post_send(self, vqp: VirtualQp, wr: ibv_send_wr) -> None:
         """Inline function → dispatch through the (plugin's) ops table."""
-        return vqp.context.ops.post_send(vqp, wr)
+        return vqp.vpd.vcontext.ops.post_send(vqp, wr)
 
     def post_recv(self, vqp: VirtualQp, wr: ibv_recv_wr) -> None:
-        return vqp.context.ops.post_recv(vqp, wr)
+        return vqp.vpd.vcontext.ops.post_recv(vqp, wr)
 
     # -- ops-table entries (installed into VirtualContext.ops) ------------------------
+    #
+    # The per-message path (DESIGN.md §15): a post charges the wrapper
+    # inline and makes exactly one private copy of the WR for the log plus
+    # one translated WR for the driver.  ``overhead_debt`` is a float sum,
+    # so the operand order — wrapper cost first, then the IB2TCP copy — is
+    # part of the simulated clock.
 
     def ops_post_send(self, vqp: VirtualQp, wr: ibv_send_wr) -> None:
+        plugin = self.plugin
         logical = sum(s.length for s in wr.sg_list)
-        self._charge(logical)
-        self.plugin.charge_ib2tcp_copy(logical)
+        plugin.stats["wrapper_calls"] += 1
+        plugin.appctx.proc.overhead_debt += plugin.costs.wrapper_cost(logical)
+        plugin.charge_ib2tcp_copy(logical)
         if vqp.qp_type is QpType.UD:
             raise UnsupportedQpTypeError(
                 "UD queue pairs are not supported (§4)")
-        if self.plugin.delegated:
-            self.plugin.fallback.post_send(vqp, wr)
+        if plugin.delegated:
+            plugin.fallback.post_send(vqp, wr)
             return
-        is_inline = bool(wr.send_flags & SendFlags.INLINE)
-        rdma = wr.opcode in (WrOpcode.RDMA_WRITE, WrOpcode.RDMA_WRITE_WITH_IMM)
-        assume = (wr.opcode is WrOpcode.RDMA_WRITE_WITH_IMM
-                  or (rdma and is_inline))
-        signaled = vqp.sq_sig_all or bool(wr.send_flags & SendFlags.SIGNALED)
-        entry = SendLogEntry(wr=wr.copy(), signaled=signaled,
-                             assume_complete_on_drain=assume)
-        vqp.send_log.append(entry)
-        real_wr = self._translate_send_wr(vqp, wr)
-        vqp.context.real_ops.post_send(vqp.real, real_wr)
+        flags = wr.send_flags._value_
+        assume = wr.opcode is WrOpcode.RDMA_WRITE_WITH_IMM or (
+            wr.opcode is WrOpcode.RDMA_WRITE and bool(flags & _F_INLINE))
+        vqp.send_log.append(SendLogEntry(
+            wr=wr.copy(),
+            signaled=vqp.sq_sig_all or bool(flags & _F_SIGNALED),
+            assume_complete_on_drain=assume))
+        vqp.vpd.vcontext.real_ops.post_send(
+            vqp.real, plugin.translate_send_wr(vqp, wr))
 
     def ops_post_recv(self, vqp: VirtualQp, wr: ibv_recv_wr) -> None:
-        self._charge()
-        self.plugin.charge_ib2tcp_copy(0.0)
+        plugin = self.plugin
+        plugin.stats["wrapper_calls"] += 1
+        plugin.appctx.proc.overhead_debt += plugin.costs.wrapper_cost()
+        plugin.charge_ib2tcp_copy(0.0)
         vqp.recv_log.append(RecvLogEntry(wr=wr.copy()))
-        if self.plugin.delegated:
-            self.plugin.fallback.post_recv(vqp, wr.copy())
+        if plugin.delegated:
+            plugin.fallback.post_recv(vqp, wr.copy())
             return
-        vqp.context.real_ops.post_recv(vqp.real,
-                                       self._translate_recv_wr(wr))
+        vqp.vpd.vcontext.real_ops.post_recv(
+            vqp.real, plugin.translate_recv_wr(wr))
 
     def ops_post_srq_recv(self, vsrq: VirtualSrq, wr: ibv_recv_wr) -> None:
-        self._charge()
+        plugin = self.plugin
+        plugin.stats["wrapper_calls"] += 1
+        plugin.appctx.proc.overhead_debt += plugin.costs.wrapper_cost()
         vsrq.recv_log.append(RecvLogEntry(wr=wr.copy()))
-        if self.plugin.delegated:
-            self.plugin.fallback.post_srq_recv(vsrq, wr.copy())
+        if plugin.delegated:
+            plugin.fallback.post_srq_recv(vsrq, wr.copy())
             return
-        vsrq.context.real_ops.post_srq_recv(vsrq.real,
-                                            self._translate_recv_wr(wr))
+        vsrq.vpd.vcontext.real_ops.post_srq_recv(
+            vsrq.real, plugin.translate_recv_wr(wr))
 
     def ops_poll_cq(self, vcq: VirtualCq, num_entries: int) -> List[ibv_wc]:
         """Principle 5: refill from the plugin's private queue first; the
         real CQ is only polled once the private queue is empty."""
-        self._charge()
-        private_before = len(vcq.private_queue)
+        plugin = self.plugin
+        plugin.charge_wrapper()
+        private = vcq.private_queue
+        private_before = len(private)
         out: List[ibv_wc] = []
-        while vcq.private_queue and len(out) < num_entries:
-            out.append(vcq.private_queue.pop(0))
+        while private and len(out) < num_entries:
+            out.append(private.popleft())
         served_private = len(out)
-        if len(out) < num_entries and not self.plugin.delegated:
-            real_wcs = vcq.context.real_ops.poll_cq(
-                vcq.real, num_entries - len(out))
-            for wc in real_wcs:
-                self.plugin.bookkeep_completion(wc)
-                out.append(self.plugin.translate_wc(wc))
-        tracer = self.plugin.tracer
-        if tracer is not None and (private_before > 0 or len(out)
-                                   > served_private):
+        if served_private < num_entries and not plugin.delegated:
+            out.extend(map(plugin.take_completion,
+                           vcq.vcontext.real_ops.poll_cq(
+                               vcq.real, num_entries - served_private)))
+        tracer = plugin.tracer
+        if tracer is not None and (out or private_before):
             # empty polls are not recorded — only refill activity and
             # real-CQ hits carry Principle-5 evidence
-            tracer.emit("refill.poll", self.plugin.appctx.name,
-                        self.plugin.appctx.env.now,
+            tracer.emit("refill.poll", plugin.appctx.name,
+                        plugin.appctx.env.now,
                         private_before=private_before,
                         served_private=served_private,
                         served_real=len(out) - served_private,
-                        restarted=self.plugin.restarted)
+                        restarted=plugin.restarted)
         return out
 
     def ops_req_notify_cq(self, vcq: VirtualCq, solicited_only: bool = False):
         self._charge()
         return self.plugin.arm_notify(vcq)
-
-    # -- wr translation --------------------------------------------------------------
-
-    def _translate_send_wr(self, vqp: VirtualQp,
-                           wr: ibv_send_wr) -> ibv_send_wr:
-        real_wr = wr.copy()
-        real_wr.sg_list = [self.plugin.translate_sge(s) for s in wr.sg_list]
-        if wr.opcode in (WrOpcode.RDMA_WRITE, WrOpcode.RDMA_WRITE_WITH_IMM,
-                         WrOpcode.RDMA_READ):
-            real_wr.rkey = self.plugin.translate_rkey(vqp, wr.rkey)
-            real_wr.remote_addr = wr.remote_addr  # virtual addrs restored 1:1
-        return real_wr
-
-    def _translate_recv_wr(self, wr: ibv_recv_wr) -> ibv_recv_wr:
-        real_wr = wr.copy()
-        real_wr.sg_list = [self.plugin.translate_sge(s) for s in wr.sg_list]
-        return real_wr

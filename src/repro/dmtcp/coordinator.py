@@ -9,15 +9,49 @@ key-value database used to exchange new real ids at restart (§3.2.1).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from types import MappingProxyType
+from typing import Any, Dict, Generator, List, Mapping, Optional
 
 from ..hardware.node import Node
 from ..net.tcp import Connection, TcpStack
 from ..sim import Environment, Event, Store
 
-__all__ = ["Coordinator", "CoordinatorClient"]
+__all__ = ["Coordinator", "CoordinatorClient", "NsView"]
 
 COORD_PORT = 7779
+
+
+class NsView(Mapping):
+    """A read-only snapshot of the name-service database (§3.2.1).
+
+    The coordinator builds one per published db and answers every
+    ``query-all`` with the same object, so the restart exchange costs
+    O(|db|) host work in total rather than per rank.  The split by
+    ``"<plugin>:"`` namespace is made here too, once: :meth:`section` is
+    what a plugin is handed, likewise shared — nobody may mutate it.
+    """
+
+    def __init__(self, db: Dict[str, Any], prefix: str):
+        self._data = {k: v for k, v in db.items() if k.startswith(prefix)}
+        sections: Dict[str, Dict[str, Any]] = {}
+        for key, value in self._data.items():
+            name, _, rest = key.partition(":")
+            sections.setdefault(name, {})[rest] = value
+        self._sections = {name: MappingProxyType(entries)
+                          for name, entries in sections.items()}
+
+    def __getitem__(self, key: str) -> Any:
+        return self._data[key]
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def section(self, name: str) -> Mapping[str, Any]:
+        """The entries published as ``"<name>:<key>"``, keyed by ``key``."""
+        return self._sections.get(name, MappingProxyType({}))
 
 
 class _ClientHandle:
@@ -54,6 +88,8 @@ class Coordinator:
         self.clients: List[_ClientHandle] = []
         self.expected = expected_clients
         self.db: Dict[str, Any] = {}
+        #: per-prefix :class:`NsView` of ``db``, dropped on every publish
+        self._ns_views: Dict[str, NsView] = {}
         #: barrier accounting is a single int counter per live barrier id
         #: (one dict slot, O(1) per arrival, O(ranks) per round)
         self._barriers: Dict[str, int] = {}
@@ -117,11 +153,13 @@ class Coordinator:
             if op == "barrier":
                 yield from self._barrier(msg["id"])
             elif op == "publish":
-                for key, value in msg["entries"].items():
-                    self.db[key] = value
+                self.db.update(msg["entries"])
+                self._ns_views.clear()
             elif op == "query-all":
-                data = {k: v for k, v in self.db.items()
-                        if k.startswith(msg["prefix"])}
+                prefix = msg["prefix"]
+                data = self._ns_views.get(prefix)
+                if data is None:
+                    data = self._ns_views[prefix] = NsView(self.db, prefix)
                 yield from client.conn.send(
                     {"op": "query-result", "data": data},
                     size=128.0 + 64.0 * len(data))
@@ -252,6 +290,7 @@ class CoordinatorClient:
                                   size=128.0 + 64.0 * len(entries))
 
     def query_all(self, prefix: str) -> Generator:
+        """Returns the coordinator's shared, read-only :class:`NsView`."""
         yield from self.conn.send({"op": "query-all", "prefix": prefix})
         msg = yield self.conn.recv()
         assert msg["op"] == "query-result", msg

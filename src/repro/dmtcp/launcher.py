@@ -93,7 +93,8 @@ class CheckpointSet:
             dst_index = (node_map or {}).get(src_node,
                                              src_node % len(cluster.nodes))
             dst_disk = cluster.nodes[dst_index].disk(disk_kind)
-            data = record.image.to_bytes()
+            data = record.blob if record.blob is not None \
+                else record.image.to_bytes()
             dst_disk.fs.store(record.path, data, record.image.logical_size)
 
 

@@ -15,7 +15,7 @@ Plugins get exactly the three core features the paper lists:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict
+from typing import TYPE_CHECKING, Any, Dict, Mapping
 
 from .events import DmtcpEvent
 
@@ -62,8 +62,10 @@ class Plugin:
         """Key/value pairs to publish at restart (namespaced by plugin)."""
         return {}
 
-    def ns_receive(self, db: Dict[str, Any]) -> None:
-        """Receive the merged published database after the restart barrier."""
+    def ns_receive(self, db: Mapping[str, Any]) -> None:
+        """Receive the merged published database after the restart
+        barrier.  The mapping is shared by every rank: keep it, read it,
+        never mutate it."""
 
     # -- metadata ----------------------------------------------------------------
 

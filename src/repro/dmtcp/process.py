@@ -103,6 +103,10 @@ class CheckpointRecord:
     #: absolute store epoch when the image landed in a CheckpointStore
     #: (0 = monolithic file write, the non-store path)
     epoch: int = 0
+    #: the serialised image exactly as the monolithic write put it on
+    #: disk, so staging never serialises twice (``None`` when nothing was
+    #: written as one file: store and migrate captures)
+    blob: Optional[bytes] = None
 
 
 class DmtcpProcess:
@@ -320,6 +324,7 @@ class DmtcpProcess:
             if self.gzip else 1.0
         abs_epoch = epoch
         put = None
+        data = None
         if intent == "migrate":
             # stop-and-copy capture of a live migration: the image stays
             # in memory and the migration manager ships the final dirty
@@ -413,7 +418,7 @@ class DmtcpProcess:
                     plugins=self.plugins,
                     memory=self.host.memory),
                 ckpt_seconds=ckpt_seconds,
-                epoch=abs_epoch if put is not None else 0)
+                epoch=abs_epoch if put is not None else 0, blob=data)
         cstats = image.capture_stats
         stats = {"name": self.name, "node": self.host.node.name,
                  "epoch": epoch,
@@ -524,12 +529,11 @@ class DmtcpProcess:
         entries[f"__host:{self.name}"] = self.host.node.name
         yield from self.client.publish(entries)
         yield from self.client.barrier("restart-ns")
+        # one read-only view, shared by every rank of the job
         db = yield from self.client.query_all("")
         self.appctx.restart_db = db
         for plugin in self.plugins:
-            prefix = f"{plugin.name}:"
-            plugin.ns_receive({k[len(prefix):]: v for k, v in db.items()
-                               if k.startswith(prefix)})
+            plugin.ns_receive(db.section(plugin.name))
         # phase 2: replay logs against the re-created resources
         for plugin in self.plugins:
             plugin.event(DmtcpEvent.RESTART_REPLAY)

@@ -106,7 +106,7 @@ def test_orphan_completion_raises_and_is_recorded(protocol_monitor):
     plugin.vqp_by_real_qpn[42] = vqp
     wc = SimpleNamespace(qp_num=42, wr_id=0x7, opcode=WcOpcode.RECV)
     with pytest.raises(WqeLogError, match="orphan"):
-        plugin.bookkeep_completion(wc)
+        plugin.take_completion(wc)
     assert any("wqe-balance" in v for v in protocol_monitor.violations)
 
 

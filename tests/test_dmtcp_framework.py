@@ -261,6 +261,98 @@ def test_checkpoint_restart_twice(env_cluster):
     assert env.run(until=env.process(scenario())) == [10.0, 10.0]
 
 
+class _NsPlugin(Plugin):
+    """Publishes one id per rank and keeps whatever view it is handed."""
+
+    name = "nsprobe"
+
+    def ns_publish(self):
+        return {f"id:{self.appctx.name}": self.appctx.rank}
+
+    def ns_receive(self, db):
+        self.db = db
+
+
+def _checkpoint_then_restart(ranks):
+    env = Environment()
+    cluster = Cluster(env, BUFFALO_CCR, n_nodes=4, name=f"lin{ranks}")
+    session = _launch(env, cluster, n=ranks,
+                      plugin_factory=lambda: [_NsPlugin()])
+
+    def scenario():
+        yield env.timeout(1.2)
+        ckpt = yield from session.checkpoint(intent="restart")
+        cluster.teardown()
+        spare = Cluster(env, BUFFALO_CCR, n_nodes=4, name=f"lin{ranks}-b")
+        return (yield from dmtcp_restart(spare, ckpt))
+
+    return env.run(until=env.process(scenario()))
+
+
+def test_restart_host_work_is_linear_in_ranks(monkeypatch):
+    """By count, not by clock: every image is serialised exactly once on
+    the way from checkpoint to restart, and the name-service db is walked
+    the same number of times whatever the number of ranks — all of them
+    read one shared, read-only view."""
+    serialised = []
+    to_bytes = CheckpointImage.to_bytes
+    monkeypatch.setattr(
+        CheckpointImage, "to_bytes",
+        lambda self: serialised.append(self.proc_name) or to_bytes(self))
+    from repro.dmtcp.coordinator import NsView
+
+    walked = []      # one entry per walk over a published db
+    build = NsView.__init__
+    monkeypatch.setattr(
+        NsView, "__init__",
+        lambda self, db, prefix: walked.append(len(db))
+        or build(self, db, prefix))
+    for ranks in (8, 16):
+        del serialised[:], walked[:]
+        session = _checkpoint_then_restart(ranks)
+        assert sorted(serialised) == sorted(p.name for p in session.procs)
+        views = {id(p.appctx.restart_db) for p in session.procs}
+        sections = {id(p.plugins[0].db) for p in session.procs}
+        assert len(views) == len(sections) == 1
+        view = session.procs[0].appctx.restart_db
+        section = session.procs[0].plugins[0].db
+        assert len(section) == ranks and section["id:r3"] == 3
+        assert view["nsprobe:id:r3"] == 3 and len(view) == 2 * ranks
+        with pytest.raises(TypeError):
+            section["id:r3"] = 0
+        with pytest.raises(TypeError):
+            view["nsprobe:id:r3"] = 0
+        assert walked == [2 * ranks]    # built once, for every rank
+
+
+@pytest.mark.parametrize("use_store", [False, True])
+def test_staged_blob_equals_a_fresh_serialisation(use_store):
+    """What ``stage_to`` copies is the image as it stands at staging time
+    — also in store mode, where the put fills ``chunk_hashes`` holes in
+    ``region_meta`` after capture and no monolithic blob was kept."""
+    from repro.store import CheckpointStore
+
+    env = Environment()
+    cluster = Cluster(env, BUFFALO_CCR, n_nodes=2, name=f"blob{use_store}")
+    store = CheckpointStore(cluster) if use_store else None
+    session = _launch(env, cluster, n=2, store=store, incremental=True)
+
+    def scenario():
+        yield env.timeout(1.2)
+        yield from session.checkpoint(intent="resume")
+        yield env.timeout(1.0)      # dirty some chunks, keep others clean
+        return (yield from session.checkpoint(intent="restart"))
+
+    ckpt = env.run(until=env.process(scenario()))
+    target = Cluster(env, BUFFALO_CCR, n_nodes=2, name=f"blob{use_store}-b")
+    ckpt.stage_to(target, "local")
+    for i, record in enumerate(ckpt.records):
+        assert (record.blob is None) == use_store
+        staged = target.nodes[i].local_disk.fs.load(record.path)
+        assert CheckpointImage.from_bytes(staged) == \
+            CheckpointImage.from_bytes(record.image.to_bytes())
+
+
 def test_image_roundtrip_and_bad_magic():
     from repro.memory import AddressSpace
     from repro.dmtcp.image import ImageError

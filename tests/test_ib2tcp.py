@@ -151,7 +151,12 @@ def test_ethernet_execution_much_slower_than_ib():
 
 
 def test_ib2tcp_copy_overhead_charged_pre_restart():
-    """DMTCP/IB2TCP/IB (no migration) is slower than DMTCP/IB (Table 8)."""
+    """DMTCP/IB2TCP/IB (no migration) is slower than DMTCP/IB (Table 8).
+
+    Clocks and call counts are pinned to the last bit, with and without
+    the fallback loaded: the post wrappers charge inline, and whatever
+    they add to ``overhead_debt`` (a float sum: wrapper cost first, then
+    the IB2TCP copy) must stay exactly what the seed charged."""
     iters = 150
 
     def run(factory):
@@ -161,8 +166,15 @@ def test_ib2tcp_copy_overhead_charged_pre_restart():
             cluster, _pp_specs(cluster, iters=iters),
             plugin_factory=factory)))
         results = env.run(until=env.process(session.wait()))
-        return max(r["elapsed"] for r in results)
+        calls = sum(p.plugins[0].stats["wrapper_calls"]
+                    for p in session.procs)
+        return max(r["elapsed"] for r in results), env.now, calls
 
-    t_plain = run(lambda: [InfinibandPlugin()])
-    t_ib2tcp = run(_with_ib2tcp)
+    t_plain, now_plain, calls_plain = run(lambda: [InfinibandPlugin()])
+    t_ib2tcp, now_ib2tcp, calls_ib2tcp = run(_with_ib2tcp)
     assert t_ib2tcp > t_plain
+    assert (t_plain, now_plain) == (0.0013027099999728398,
+                                    0.746404972807056)
+    assert (t_ib2tcp, now_ib2tcp) == (0.0016065019999789154,
+                                      0.746708764807062)
+    assert calls_plain == calls_ib2tcp == 1523

@@ -486,6 +486,70 @@ def test_translate_rkey_identity_before_restart():
     assert plugin.translate_rkey(vqp, 4242) == 4242
 
 
+def test_src_qp_survives_two_hcas_reusing_one_real_qpn():
+    """Real qp numbers are unique per HCA only.  When both restart nodes
+    hand out the same real number, each side must still see its own
+    peer's *virtual* number in ``wc.src_qp`` — a job-wide table keyed by
+    bare real qpn cannot tell the two apart."""
+    env = Environment()
+    cluster = Cluster(env, BUFFALO_CCR, n_nodes=2, name="alias-prod")
+    state = {}
+
+    def peer(me, other):
+        def app(ctx):
+            ibv = ctx.ibv
+            ibctx = ibv.open_device(ibv.get_device_list()[0])
+            pd = ibv.alloc_pd(ibctx)
+            cq = ibv.create_cq(ibctx)
+            buf = ctx.memory.mmap(f"{me}.buf", 64)
+            mr = ibv.reg_mr(pd, buf.addr, 64, FULL)
+            qp = ibv.create_qp(pd, ibv_qp_init_attr(send_cq=cq, recv_cq=cq))
+            state[me] = {"lid": ibv.query_port(ibctx).lid, "qpn": qp.qp_num}
+            while other not in state:
+                yield ctx.sleep(1e-5)
+            qp_to_init(ibv, qp)
+            qp_to_rtr(ibv, qp, state[other]["qpn"], state[other]["lid"])
+            qp_to_rts(ibv, qp)
+            ibv.post_recv(qp, ibv_recv_wr(
+                7, [ibv_sge(buf.addr + 32, 32, mr.lkey)]))
+            state[me]["ready"] = True
+            while not state.get("restarted"):
+                yield ctx.sleep(1e-4)
+            ibv.post_send(qp, ibv_send_wr(
+                1, [ibv_sge(buf.addr, 8, mr.lkey)], opcode=WrOpcode.SEND))
+            src = None
+            while src is None:
+                for wc in ibv.poll_cq(cq, 4):
+                    if wc.wr_id == 7:
+                        src = wc.src_qp
+                yield ctx.sleep(1e-4)
+            return src
+        return app
+
+    def scenario():
+        session = yield from dmtcp_launch(
+            cluster,
+            [AppSpec(0, "a", peer("a", "b")), AppSpec(1, "b", peer("b", "a"))],
+            plugin_factory=lambda: [InfinibandPlugin()])
+        while not all(state.get(k, {}).get("ready") for k in "ab"):
+            yield env.timeout(1e-4)
+        ckpt = yield from session.checkpoint(intent="restart")
+        cluster.teardown()
+        cluster2 = Cluster(env, BUFFALO_CCR, n_nodes=2, name="alias-spare")
+        for node in cluster2.nodes:
+            node.hca._next_qpn = 0x4242     # force the collision
+        session2 = yield from dmtcp_restart(cluster2, ckpt)
+        reals = {vqp.real.qp_num for proc in session2.procs
+                 for vqp in proc.plugins[0].qps}
+        state["restarted"] = True
+        return reals, (yield from session2.wait())
+
+    reals, results = env.run(until=env.process(scenario()))
+    assert reals == {0x4242}
+    assert state["a"]["qpn"] != state["b"]["qpn"]
+    assert results == [state["b"]["qpn"], state["a"]["qpn"]]
+
+
 # -- restart under injected failure (the chaos path) -------------------------------
 # The graceful _restart_scenario above tears the old cluster down politely;
 # these variants crash a node out from under the frozen job first — the

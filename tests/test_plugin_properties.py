@@ -185,3 +185,174 @@ def test_injected_crash_at_arbitrary_instant_restart_survives(ckpt_at,
             assert vqp.qp_num != vqp.real.qp_num
         for vmr in plugin.mrs:
             assert vmr.rkey != vmr.real.rkey
+
+
+# -- Principle 3: the log holds a copy, the driver a translation -----------------
+
+import dataclasses  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
+
+from repro.core.ib_plugin import (  # noqa: E402
+    VirtualContext,
+    VirtualMr,
+    VirtualPd,
+    VirtualQp,
+    VirtualSrq,
+)
+from repro.ibverbs import (  # noqa: E402
+    QpType,
+    SendFlags,
+    WrOpcode,
+    ibv_recv_wr,
+    ibv_send_wr,
+    ibv_sge,
+)
+from repro.ibverbs.structs import ibv_context_ops  # noqa: E402
+
+_VLKEYS = (0x1000, 0x1010, 0x1020)     # registered; 0x9999 never is
+_RDMA = (WrOpcode.RDMA_WRITE, WrOpcode.RDMA_WRITE_WITH_IMM,
+         WrOpcode.RDMA_READ)
+
+
+def _ref_translate_sge(plugin, sge):
+    """The translation as the copy-heavy seed wrote it: the reference the
+    single-copy path must stay field-equal to."""
+    vmr = plugin.vmr_by_vlkey.get(sge.lkey)
+    return ibv_sge(addr=sge.addr, length=sge.length,
+                   lkey=vmr.real.lkey if vmr is not None else sge.lkey)
+
+
+def _ref_translate_recv_wr(plugin, wr):
+    real_wr = wr.copy()
+    real_wr.sg_list = [_ref_translate_sge(plugin, s) for s in wr.sg_list]
+    return real_wr
+
+
+def _ref_translate_send_wr(plugin, vqp, wr):
+    real_wr = wr.copy()
+    real_wr.sg_list = [_ref_translate_sge(plugin, s) for s in wr.sg_list]
+    if wr.opcode in _RDMA:
+        real_wr.rkey = plugin.translate_rkey(vqp, wr.rkey)
+    return real_wr
+
+
+def _rig():
+    """A plugin wired to a recording driver: one context, pd, srq and RC
+    queue pair, three memory regions whose real lkeys equal the virtual
+    ones until :func:`_fake_restart`."""
+    seen = []
+    plugin = InfinibandPlugin()
+    plugin.appctx = SimpleNamespace(
+        name="p", proc=SimpleNamespace(overhead_debt=0.0),
+        env=SimpleNamespace(now=0.0))
+    record = lambda kind: lambda real, wr: seen.append((kind, real, wr))
+    plugin.real_lib = SimpleNamespace(post_srq_recv=record("srq"))
+    vctx = VirtualContext(real=None, device_name="d", vendor="mlx4",
+                          real_ops=ibv_context_ops(
+                              post_send=record("send"),
+                              post_recv=record("recv"),
+                              post_srq_recv=record("srq")))
+    vpd = VirtualPd(real=None, vcontext=vctx, guid=("p", 0))
+    for vlkey in _VLKEYS:
+        plugin.vmr_by_vlkey[vlkey] = VirtualMr(
+            real=SimpleNamespace(lkey=vlkey, rkey=vlkey + 1), vpd=vpd,
+            addr=0, length=1 << 20, access=None, lkey=vlkey,
+            rkey=vlkey + 1)
+    vsrq = VirtualSrq(real="real-srq", vpd=vpd, max_wr=64)
+    vqp = VirtualQp(real="real-qp", vpd=vpd, qp_num=5, qp_type=QpType.RC,
+                    vsend_cq=None, vrecv_cq=None, vsrq=None,
+                    sq_sig_all=False, remote_vqpn=6, remote_vlid=3)
+    plugin.qps, plugin.srqs = [vqp], [vsrq]
+    return plugin, vqp, vsrq, seen
+
+
+def _fake_restart(plugin):
+    """New real lkeys everywhere and a published db that moves rkeys."""
+    plugin.restarted = True
+    for vmr in plugin.vmr_by_vlkey.values():
+        vmr.real = SimpleNamespace(lkey=vmr.lkey + 0x500000,
+                                   rkey=vmr.rkey + 0x500000)
+    plugin.db = {"qp:3/6": {"pd": "peer/0", "qpn": 77},
+                 "mr:peer/0:4242": 0xBEEF}
+
+
+_sges = st.lists(
+    st.builds(ibv_sge, st.integers(0, 1 << 30), st.integers(0, 4096),
+              st.sampled_from(_VLKEYS + (0x9999,))),
+    min_size=1, max_size=4)
+_send_wrs = st.builds(
+    ibv_send_wr, wr_id=st.integers(0, 50), sg_list=_sges,
+    opcode=st.sampled_from(list(WrOpcode)),
+    send_flags=st.sampled_from([SendFlags(0), SendFlags.SIGNALED,
+                                SendFlags.INLINE,
+                                SendFlags.SIGNALED | SendFlags.INLINE]),
+    imm_data=st.one_of(st.none(), st.integers(0, 1 << 31)),
+    remote_addr=st.integers(0, 1 << 40),
+    rkey=st.sampled_from([0, 4242, 31337]))
+_recv_wrs = st.builds(ibv_recv_wr, wr_id=st.integers(0, 50), sg_list=_sges)
+
+
+def _scribble(wr):
+    """What a careless application may do to its WR once post returned."""
+    wr.wr_id += 1000
+    wr.sg_list.reverse()
+    wr.sg_list.append(ibv_sge(1, 2, 3))
+    if isinstance(wr, ibv_send_wr):
+        wr.rkey ^= 0xFFFF
+        wr.opcode = WrOpcode.SEND
+        wr.send_flags = SendFlags(0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(_send_wrs, _recv_wrs, _recv_wrs.map(
+    lambda wr: ("srq", wr))), min_size=1, max_size=8))
+def test_log_holds_a_copy_and_driver_sees_the_seed_translation(posts):
+    plugin, vqp, vsrq, seen = _rig()
+    ops = plugin.wrapped
+    posted = []     # (kind, field snapshot of the WR as posted)
+    for item in posts:
+        kind, wr = item if isinstance(item, tuple) else (
+            "send" if isinstance(item, ibv_send_wr) else "recv", item)
+        want = (_ref_translate_send_wr(plugin, vqp, wr) if kind == "send"
+                else _ref_translate_recv_wr(plugin, wr))
+        if kind == "send":
+            ops.ops_post_send(vqp, wr)
+        elif kind == "recv":
+            ops.ops_post_recv(vqp, wr)
+        else:
+            ops.ops_post_srq_recv(vsrq, wr)
+        got_kind, _real, got = seen.pop()
+        assert got_kind == kind and not seen
+        assert got is not wr
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
+        posted.append((kind, wr.copy()))
+        _scribble(wr)
+
+    # what Principle 3 logged is what was posted, not what the app holds
+    logged = {"send": list(vqp.send_log), "recv": list(vqp.recv_log),
+              "srq": list(vsrq.recv_log)}
+    for kind in logged:
+        want = [snap for k, snap in posted if k == kind]
+        assert [dataclasses.astuple(e.wr) for e in logged[kind]] == \
+            [dataclasses.astuple(snap) for snap in want]
+    for entry, (_k, snap) in zip(
+            logged["send"], [p for p in posted if p[0] == "send"]):
+        flags = snap.send_flags
+        assert entry.signaled == bool(flags & SendFlags.SIGNALED)
+        assert entry.assume_complete_on_drain == (
+            snap.opcode is WrOpcode.RDMA_WRITE_WITH_IMM
+            or (snap.opcode is WrOpcode.RDMA_WRITE
+                and bool(flags & SendFlags.INLINE)))
+
+    # ... and replay re-posts exactly that, translated against the new ids
+    _fake_restart(plugin)
+    plugin._restart_replay()
+    for kind in ("srq", "recv", "send"):        # replay order
+        for _k, snap in (p for p in posted if p[0] == kind):
+            got_kind, _real, got = seen.pop(0)
+            want = (_ref_translate_send_wr(plugin, vqp, snap)
+                    if kind == "send"
+                    else _ref_translate_recv_wr(plugin, snap))
+            assert got_kind == kind
+            assert dataclasses.astuple(got) == dataclasses.astuple(want)
+    assert not seen
