@@ -4,9 +4,10 @@
 Three measurements land in BENCH_sim.json:
 
 * **kernel storm** — the same timeout-storm generator program raced on
-  the vendored pre-PR kernel (``_seed_core.py``, byte-identical to the
-  seed commit) and on ``repro.sim.core``, in the same interpreter.
-  This isolates the event-core speedup from full-stack protocol cost.
+  ``repro.sim.ReferenceEnvironment`` (the pure ``(time, seq)`` heap the
+  seed kernel was, kept in-tree as the one oracle) and on the production
+  ``Environment``, in the same interpreter.  This isolates the
+  event-core speedup from full-stack protocol cost.
 * **pingpong** — N ranks of paired rendezvous exchanges over the full
   MPI/verbs stack (pure fabric + kernel load).
 * **lu** — NAS LU under DMTCP with one global checkpoint (adds
@@ -31,6 +32,10 @@ Gates (any failure exits non-zero):
 * **floor** — absolute events/sec floors, set far below healthy numbers
   so they only trip on a catastrophic kernel regression, not on a slow
   CI runner.
+* **kernel speedup** (``--smoke``) — reference wall ÷ production wall on
+  the storm, both taken inside one interpreter run so the machine
+  cancels out; the pair runs three times and the median is gated, so
+  one preempted run cannot fail CI.
 
 ``--smoke`` runs the 512-rank column only (the CI ``sim-scale`` job).
 """
@@ -43,9 +48,9 @@ import os
 import subprocess
 import sys
 import time
+from statistics import median
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "baseline_sim_seed.json")
@@ -55,6 +60,9 @@ DEFAULT_OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 #: conservative events/sec floors (see module docstring)
 FLOORS = {"pingpong": 15_000.0, "lu": 10_000.0, "storm_new": 150_000.0}
 
+#: reference wall / production wall on the storm (measured 2.0-2.3)
+MIN_KERNEL_SPEEDUP = 1.4
+
 #: per-rank timeout rounds of the kernel storm
 STORM_ROUNDS = 120
 
@@ -62,10 +70,10 @@ STORM_ROUNDS = 120
 def _storm_program(environment_cls, ranks: int, rounds: int):
     """Run the storm on one kernel class; returns (wall, env).
 
-    Every rank interleaves zero-delay timeouts (the ready-lane / same-
-    timestamp drain path) with small staggered delays (the heap path) —
-    the same mix the MPI wire-up storm produces.  Identical generator
-    code runs on both kernels, so the wall-clock ratio is a pure kernel
+    Every rank interleaves zero-delay timeouts (the bucket at ``now``)
+    with small staggered delays (a few distinct future buckets) — the
+    same mix the MPI wire-up storm produces.  Identical generator code
+    runs on both kernels, so the wall-clock ratio is a pure kernel
     comparison."""
     env = environment_cls()
 
@@ -85,18 +93,29 @@ def _storm_program(environment_cls, ranks: int, rounds: int):
 
 
 def bench_storm(ranks: int, rounds: int = STORM_ROUNDS) -> dict:
-    import _seed_core
-    from repro.sim import core as new_core
+    from repro.sim import Environment, ReferenceEnvironment
 
-    seed_wall, _ = _storm_program(_seed_core.Environment, ranks, rounds)
-    new_wall, env = _storm_program(new_core.Environment, ranks, rounds)
+    ref_walls, new_walls = [], []
+    for _ in range(3):
+        ref_wall, ref = _storm_program(ReferenceEnvironment, ranks, rounds)
+        new_wall, env = _storm_program(Environment, ranks, rounds)
+        if (ref.now, ref.stats.snapshot()) != (env.now, env.stats.snapshot()):
+            raise RuntimeError(
+                f"storm@{ranks}: kernel disagrees with ReferenceEnvironment: "
+                f"{env.stats.snapshot()} at {env.now!r} vs "
+                f"{ref.stats.snapshot()} at {ref.now!r}")
+        ref_walls.append(ref_wall)
+        new_walls.append(new_wall)
+    speedups = [r / n for r, n in zip(ref_walls, new_walls)]
+    ref_wall, new_wall = median(ref_walls), median(new_walls)
     events = env.stats.events
     return {
         "ranks": ranks, "rounds": rounds, "events": events,
-        "seed_wall": seed_wall, "new_wall": new_wall,
-        "seed_events_per_sec": events / seed_wall if seed_wall else 0.0,
-        "new_events_per_sec": events / new_wall if new_wall else 0.0,
-        "kernel_speedup": seed_wall / new_wall if new_wall else 0.0,
+        "ref_wall": ref_wall, "new_wall": new_wall,
+        "ref_events_per_sec": events / ref_wall,
+        "new_events_per_sec": events / new_wall,
+        "speedups": speedups,
+        "kernel_speedup": median(speedups),
         "heap_peak": env.stats.heap_peak,
         "max_batch": env.stats.max_batch,
     }
@@ -158,6 +177,7 @@ def main(argv=None) -> int:
     ladder = (512,) if args.smoke else RANK_LADDER
     failures: list = []
     floor_failures: list = []
+    speedup_failures: list = []
     report = {
         "bench": "sim_scale",
         "mode": "smoke" if args.smoke else "full",
@@ -168,7 +188,7 @@ def main(argv=None) -> int:
 
     for ranks in ladder:
         storm = _run_fresh("storm", ranks)
-        print(f"storm    {ranks:>5}: seed {storm['seed_wall']:.3f}s, "
+        print(f"storm    {ranks:>5}: reference {storm['ref_wall']:.3f}s, "
               f"new {storm['new_wall']:.3f}s "
               f"({storm['kernel_speedup']:.2f}x, "
               f"{storm['new_events_per_sec']:,.0f} ev/s)")
@@ -176,6 +196,10 @@ def main(argv=None) -> int:
             floor_failures.append(
                 f"storm@{ranks}: {storm['new_events_per_sec']:.0f} ev/s "
                 f"< floor {FLOORS['storm_new']:.0f}")
+        if args.smoke and storm["kernel_speedup"] < MIN_KERNEL_SPEEDUP:
+            speedup_failures.append(
+                f"storm@{ranks}: {storm['kernel_speedup']:.2f}x the "
+                f"reference kernel < {MIN_KERNEL_SPEEDUP}x")
         report["kernel_storm"].append(storm)
 
     for scenario, sim_key in (("pingpong", "sim_seconds"),
@@ -204,8 +228,11 @@ def main(argv=None) -> int:
         "determinism": {"pass": not failures, "failures": failures},
         "floor": {"pass": not floor_failures, "floors": FLOORS,
                   "failures": floor_failures},
+        "kernel_speedup": {"pass": not speedup_failures,
+                           "min": MIN_KERNEL_SPEEDUP,
+                           "failures": speedup_failures},
     }
-    report["pass"] = not failures and not floor_failures
+    report["pass"] = not (failures or floor_failures or speedup_failures)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
@@ -214,6 +241,8 @@ def main(argv=None) -> int:
         print("# DETERMINISM FAILURES:", *failures, sep="\n#   ")
     if floor_failures:
         print("# FLOOR FAILURES:", *floor_failures, sep="\n#   ")
+    if speedup_failures:
+        print("# KERNEL SPEEDUP FAILURES:", *speedup_failures, sep="\n#   ")
     return 0 if report["pass"] else 1
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional,
+                    Tuple, Union)
 
 from ...ibverbs.enums import AccessFlags, QpState, QpType
 from .errors import WqeLogError
@@ -119,7 +120,9 @@ class WqeLog:
     Entries live in an insertion-ordered dict keyed by a monotonic
     sequence number, with a per-``wr_id`` FIFO of sequence numbers on the
     side (wr_ids are application-chosen and may repeat, so they cannot
-    key the log directly).  Iteration yields entries in post order —
+    key the log directly).  A wr_id with one outstanding WQE — nearly all
+    of them — maps to the bare sequence number; it holds a deque only
+    while it has two or more.  Iteration yields entries in post order —
     Principle 3/6 replay re-posts in exactly the order the application
     posted.  :meth:`complete_recv` removes the oldest entry with a given
     wr_id in O(1); :meth:`complete_send_upto` removes the whole prefix
@@ -132,14 +135,21 @@ class WqeLog:
 
     def __init__(self) -> None:
         self._entries: Dict[int, Any] = {}
-        self._by_wr_id: Dict[int, Deque[int]] = {}
+        self._by_wr_id: Dict[int, Union[int, Deque[int]]] = {}
         self._seq = 0
 
     def append(self, entry: Any) -> None:
         seq = self._seq
         self._seq += 1
         self._entries[seq] = entry
-        self._by_wr_id.setdefault(entry.wr.wr_id, deque()).append(seq)
+        wr_id = entry.wr.wr_id
+        seqs = self._by_wr_id.get(wr_id)
+        if seqs is None:
+            self._by_wr_id[wr_id] = seq
+        elif seqs.__class__ is int:
+            self._by_wr_id[wr_id] = deque((seqs, seq))
+        else:
+            seqs.append(seq)
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self._entries.values())
@@ -151,12 +161,14 @@ class WqeLog:
         return bool(self._entries)
 
     def _drop_seq(self, seq: int) -> None:
-        entry = self._entries.pop(seq)
-        seqs = self._by_wr_id.get(entry.wr.wr_id)
-        if seqs is not None:
+        wr_id = self._entries.pop(seq).wr.wr_id
+        seqs = self._by_wr_id[wr_id]
+        if seqs.__class__ is int:
+            del self._by_wr_id[wr_id]
+        else:
             seqs.remove(seq)
-            if not seqs:
-                del self._by_wr_id[entry.wr.wr_id]
+            if len(seqs) == 1:
+                self._by_wr_id[wr_id] = seqs[0]
 
     def complete_recv(self, wr_id: int) -> bool:
         """Destroy the oldest logged WQE with ``wr_id``.
@@ -165,14 +177,18 @@ class WqeLog:
         completion without a matching log entry violates Principle 3.
         """
         seqs = self._by_wr_id.get(wr_id)
-        if not seqs:
+        if seqs is None:
             raise WqeLogError(
                 f"orphan completion: wr_id {wr_id:#x} matches no logged "
                 "recv WQE (Principle 3: every post stays logged until "
                 "its completion is polled)")
-        seq = seqs.popleft()
-        if not seqs:
+        if seqs.__class__ is int:
+            seq = seqs
             del self._by_wr_id[wr_id]
+        else:
+            seq = seqs.popleft()
+            if len(seqs) == 1:
+                self._by_wr_id[wr_id] = seqs[0]
         del self._entries[seq]
         return True
 
@@ -185,11 +201,11 @@ class WqeLog:
         would silently desynchronize the log from the hardware.
         """
         seqs = self._by_wr_id.get(wr_id)
-        if not seqs:
+        if seqs is None:
             raise WqeLogError(
                 f"orphan completion: wr_id {wr_id:#x} matches no logged "
                 "send WQE (already retired, or never posted)")
-        target = seqs[0]
+        target = seqs if seqs.__class__ is int else seqs[0]
         # the prefix is exactly the dict's leading keys (seqs are
         # monotonic): stop at the first key past the target, so the walk
         # touches only what it removes — amortized O(1) per post

@@ -7,40 +7,47 @@ clock for everything in this package — network transfers, disk writes,
 checkpoint barriers — so that the paper's reported times can be reproduced
 as simulated seconds.
 
-The kernel is deliberately deterministic: ties in the event heap are broken
-by an insertion sequence number, never by object identity.
+The kernel is deliberately deterministic: events pop in (time, insertion
+order), never by object identity.
 
-Scaling notes (DESIGN.md §15).  At Table-1 rank counts (2048 processes)
-the kernel pops millions of events per run, so the hot structures are
-tuned without changing the event order:
+The queue is one structure (DESIGN.md §15): ``_buckets`` maps each
+pending timestamp to the FIFO list of events scheduled for it and
+``_times`` is a heap of those *distinct* timestamps.  Most events share
+their timestamp with others, so the O(log n) heap work is paid once per
+distinct float and the rest is a dict lookup and a list append.  FIFO
+inside a bucket is insertion order and float equality of ``now + delay``
+is the tie condition, so the pop order is exactly that of a ``(time,
+seq)`` heap — which :class:`ReferenceEnvironment` still is, as the
+oracle that tests, ``bench_sim_scale`` and the ledger race against.
 
-* every event class uses ``__slots__`` — no per-event ``__dict__``, which
-  roughly halves the allocator/GC traffic of a large run;
-* zero-delay schedules (event triggers, ``timeout(0)``) go to a FIFO
-  *ready lane* (a deque) instead of the time heap.  Entries keep their
-  global sequence number, and :meth:`Environment.step` pops whichever of
-  heap-front/lane-front has the smaller ``(time, seq)`` — the drain order
-  is exactly the order a pure heap would produce, the lane just avoids
-  ``heappush``/``heappop`` for the ~60% of schedules that fire "now";
-* the kernel's *internal* one-shot control events (process bootstrap,
-  already-processed-target wake-ups, interrupt kicks) come from a
-  pre-allocated free list and are recycled as soon as their callbacks
-  ran.  Only events the kernel provably owns are pooled — user-visible
-  events (timeouts, process events, conditions) are never recycled
-  because callers may hold them after they fire;
-* :class:`SimStats` counts events, peak queue length, and same-timestamp
-  batch sizes for ``repro.obs`` (``report --sim``) and BENCH_sim.
+Two invariants carry it:
 
-:class:`ReferenceEnvironment` keeps the pre-batching behaviour (pure
-heap, no pooling) so property tests can assert the optimized drain is
-order-identical.
+* the bucket being drained stays in ``_buckets`` until the drain moves
+  on, so anything scheduled for ``now`` lands on its tail, and its cursor
+  lives on the environment across ``run()`` calls — ``run(until=event)``
+  returns mid-bucket and callers schedule at ``now`` before running on;
+* a consumed slot is cleared as it is popped: event values hold chunk
+  bytes, and a long zero-delay chain would otherwise pin every event of
+  its timestamp until the bucket is dropped.
+
+The drain is inlined where frames were the cost: no per-event ``step``,
+``Timeout.__init__`` inserts itself, ``Process._resume`` drives the
+generator.  Measured and rejected: caching the bound ``_resume`` on the
+process (every finished process becomes cyclic garbage; with gen 0
+widened below, ``peak_rss_mb`` +36% on ``ckpt_store_churn``, +20% on
+``service_stream``) and ``env.timeout = partial(Timeout, env)`` (no
+gain, one more cycle).  Also: ``__slots__`` on every event class; the
+kernel's *internal* one-shot control events (bootstrap, wake-up,
+interrupt kick) recycle through a free list — only those, callers may
+hold user-visible events after they fire; :class:`SimStats` counts
+events, peak population and same-timestamp batches for ``repro.obs``.
 """
 
 from __future__ import annotations
 
 import gc
-import heapq
-from collections import deque
+from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -80,7 +87,7 @@ class Event:
     """A one-shot occurrence at a point in simulated time.
 
     An event moves through three states: *pending* (created), *triggered*
-    (value decided, scheduled on the heap), and *processed* (callbacks run).
+    (value decided, queued), and *processed* (callbacks run).
     Processes wait on events by yielding them.
     """
 
@@ -152,9 +159,9 @@ class Event:
 class _Control(Event):
     """Kernel-internal one-shot event (bootstrap / wake / interrupt kick).
 
-    Only the kernel ever holds a reference once it is scheduled, so
-    :meth:`Environment.step` returns it to the environment's free list
-    right after its callbacks ran.
+    Only the kernel ever holds a reference once it is scheduled, so the
+    drain returns it to the environment's free list right after its
+    callbacks ran.
     """
 
     __slots__ = ()
@@ -168,10 +175,23 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        Event.__init__(self, env)
+        # Event.__init__ and the bucket insert, inlined: this constructor
+        # runs once per simulated wait
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self.delay = delay
-        self._delayed_value = value  # applied when the heap pops us
-        env._schedule(self, delay)
+        self._delayed_value = value  # applied when the drain pops us
+        env._queued += 1
+        when = env._now + delay
+        bucket = env._buckets.get(when)
+        if bucket is None:
+            env._buckets[when] = [self]
+            heappush(env._times, when)
+        else:
+            bucket.append(self)
 
 
 class Process(Event):
@@ -221,7 +241,7 @@ class Process(Event):
         env = self.env
         proc = self
 
-        def _do_interrupt(_evt: Event) -> None:
+        def _do_interrupt(kick: Event) -> None:
             if proc.triggered:
                 return
             # Detach from whatever we were waiting on; if the abandoned
@@ -235,13 +255,16 @@ class Process(Event):
                     except ValueError:
                         pass
                 target._defused = True
-            proc._target = None
             proc._stash = None
             proc._suspended = False
-            proc._step(Interrupt(cause), throw=True)
+            proc._resume(kick)
 
+        # the interrupt travels as a failed wake-up the kernel owns (so a
+        # dropped one is nobody's unhandled failure)
         kick = env._control()
-        kick._value = None
+        kick._ok = False
+        kick._value = Interrupt(cause)
+        kick._defused = True
         kick.callbacks.append(_do_interrupt)
         env._schedule(kick)
 
@@ -294,50 +317,48 @@ class Process(Event):
     # -- internal driving ------------------------------------------------
 
     def _resume(self, event: Event) -> None:
+        """Callback on the awaited event: drive the generator to its next
+        yield (or its end) and wait on what it yielded."""
+        ok = event._ok
+        if not ok:
+            event._defused = True
         if self._suspended:
-            if not event._ok:
-                event._defused = True
-            self._stash = (event._ok, event._value)
+            self._stash = (ok, event._value)
             self._target = None
             return
         self._target = None
-        if event._ok:
-            self._step(event._value, throw=False)
-        else:
-            event._defused = True
-            self._step(event._value, throw=True)
-
-    def _step(self, value: Any, throw: bool) -> None:
         env = self.env
-        env._active_process = self
-        try:
-            if throw:
-                target = self._generator.throw(value)
-            else:
-                target = self._generator.send(value)
-        except StopIteration as stop:
-            self._ok = True
-            self._value = stop.value
-            env._schedule(self)
-            return
-        except BaseException as exc:
-            self._ok = False
-            self._value = exc
-            self._defused = False
-            env._schedule(self)
-            return
-        finally:
-            env._active_process = None
-
-        if target.__class__ is Timeout or isinstance(target, Event):
-            if target.env is not env:
-                raise SimulationError(
-                    "yielded event from a foreign environment")
-        else:
-            err = SimulationError(
+        value = event._value
+        while True:
+            env._active_process = self
+            try:
+                if ok:
+                    target = self._generator.send(value)
+                else:
+                    target = self._generator.throw(value)
+            except StopIteration as stop:
+                self._ok = True
+                self._value = stop.value
+                env._schedule(self)
+                return
+            except BaseException as exc:
+                self._ok = False
+                self._value = exc
+                self._defused = False
+                env._schedule(self)
+                return
+            finally:
+                env._active_process = None
+            if target.__class__ is Timeout or isinstance(target, Event):
+                break
+            # give the generator a chance to handle it; what it yields
+            # next (or how it ends) is treated like any other step
+            ok = False
+            value = SimulationError(
                 f"process {self.name!r} yielded non-event {target!r}")
-            self._generator.throw(err)  # give it a chance; likely propagates
-            return
+
+        if target.env is not env:
+            raise SimulationError("yielded event from a foreign environment")
         if target.callbacks is None:
             # already processed: wake immediately (same timestamp).  The
             # wake (not the processed target) is what we are waiting on,
@@ -416,12 +437,11 @@ class AllOf(_Condition):
 
 class SimStats:
     """Kernel counters, fed to ``repro.obs`` (``sim.events`` /
-    ``sim.heap_peak`` / ``sim.batch_size``) and BENCH_sim.
+    ``sim.heap_peak`` / ``sim.batch_size``) and the benches.
 
-    ``events`` counts every :meth:`Environment.step` pop; ``heap_peak``
-    is the largest combined heap+ready-lane population observed at a
-    pop; a *batch* is a maximal run of events processed at one simulated
-    timestamp (the drain the ready lane accelerates).
+    ``events`` counts every pop; ``heap_peak`` is the largest queued
+    population observed at a pop; a *batch* is a maximal run of events
+    processed at one simulated timestamp.
     """
 
     __slots__ = ("events", "heap_peak", "batches", "_max_batch",
@@ -433,7 +453,7 @@ class SimStats:
         self.batches = 0
         self._max_batch = 0
         self._cur_batch = 0
-        self._last_when = None
+        self._last_when = None  # ReferenceEnvironment's batch detector
 
     @property
     def max_batch(self) -> int:
@@ -457,18 +477,20 @@ _POOL_MAX = 4096
 
 
 class Environment:
-    """Holds the simulated clock, the time heap, and the ready lane."""
+    """Holds the simulated clock and the timestamp-bucketed event queue."""
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._heap: list[tuple[float, int, Event]] = []
-        #: zero-delay schedules, FIFO == seq order; every entry's time is
-        #: the clock value when it was appended, and the clock cannot pass
-        #: that value while the entry is queued (the entry itself bounds
-        #: the global minimum), so the lane never holds mixed timestamps
-        #: that a heap would order differently
-        self._ready: deque[tuple[float, int, Event]] = deque()
-        self._seq = 0
+        #: timestamp -> FIFO of the events scheduled for it (a consumed
+        #: slot is None).  The bucket being drained is ``_buckets[_when]``,
+        #: consumed up to ``_pos``; it is the one key not in ``_times``.
+        #: Before the first pop that is an empty placeholder under None.
+        self._buckets: dict[Optional[float], list[Optional[Event]]] = {
+            None: []}
+        self._times: list[float] = []  # heap of the distinct pending keys
+        self._when: Optional[float] = None
+        self._pos = 0
+        self._queued = 0  # events scheduled and not yet popped
         self._active_process: Optional[Process] = None
         self._pool: list[_Control] = []
         self.stats = SimStats()
@@ -512,91 +534,89 @@ class Environment:
             return evt
         return _Control(self)
 
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        self._seq = seq = self._seq + 1
-        if delay == 0.0:
-            self._ready.append((self._now, seq, event))
+    def _schedule(self, event: Event) -> None:
+        """Queue a triggered event at the current time (timeouts, the
+        only delayed events, insert themselves)."""
+        self._queued += 1
+        bucket = self._buckets.get(self._now)
+        if bucket is None:
+            self._buckets[self._now] = [event]
+            heappush(self._times, self._now)
         else:
-            heapq.heappush(self._heap, (self._now + delay, seq, event))
+            bucket.append(event)
 
-    def _pending(self) -> int:
-        """Queued event count (heap + ready lane)."""
-        return len(self._heap) + len(self._ready)
-
-    def step(self) -> None:
-        """Process the single next event (min ``(time, seq)`` across the
-        heap and the ready lane)."""
-        heap = self._heap
-        ready = self._ready
-        if ready:
-            when, seq, event = ready[0]
-            if heap:
-                h0 = heap[0]
-                if h0[0] < when or (h0[0] == when and h0[1] < seq):
-                    when, seq, event = heapq.heappop(heap)
-                else:
-                    ready.popleft()
-            else:
-                ready.popleft()
-        else:
-            when, seq, event = heapq.heappop(heap)
-        if when < self._now:  # pragma: no cover - defensive
-            raise SimulationError("time went backwards")
-
+    def _drain(self, stop: Optional[Event], deadline: float) -> None:
+        """Pop events in (time, insertion) order until the queue is empty,
+        the next timestamp is past ``deadline``, or ``stop`` is processed."""
+        buckets = self._buckets
+        times = self._times
         stats = self.stats
-        stats.events += 1
-        n = len(heap) + len(ready) + 1
-        if n > stats.heap_peak:
-            stats.heap_peak = n
-        if when == stats._last_when:
-            stats._cur_batch += 1
-        else:
-            stats._last_when = when
-            stats.batches += 1
-            if stats._cur_batch > stats._max_batch:
-                stats._max_batch = stats._cur_batch
-            stats._cur_batch = 1
+        pool = self._pool
+        when = self._when
+        pos = self._pos
+        bucket = buckets[when]
+        try:
+            while stop is None or stop.callbacks is not None:
+                if pos == len(bucket):
+                    if not times or times[0] > deadline:
+                        break
+                    # this timestamp is spent: on to the next distinct one
+                    del buckets[when]
+                    when = self._now = heappop(times)
+                    bucket = buckets[when]
+                    pos = 0
+                    stats.batches += 1
+                    if stats._cur_batch > stats._max_batch:
+                        stats._max_batch = stats._cur_batch
+                event = bucket[pos]
+                bucket[pos] = None
+                pos += 1
+                stats._cur_batch = pos
+                stats.events += 1
+                n = self._queued
+                self._queued = n - 1
+                if n > stats.heap_peak:
+                    stats.heap_peak = n
 
-        self._now = when
-        if event._value is PENDING:
-            # a delay-scheduled event (Timeout) triggers as it is popped
-            event._ok = True
-            event._value = event._delayed_value
-        callbacks = event.callbacks
-        if callbacks is None:
-            return  # killed process already finalized
-        event.callbacks = None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            raise event._value
-        if event.__class__ is _Control and len(self._pool) < _POOL_MAX:
-            # nothing outside the kernel can still reference it: recycle
-            self._pool.append(event)
+                if event._value is PENDING:
+                    # a delay-scheduled event (Timeout) triggers as it pops
+                    event._ok = True
+                    event._value = event._delayed_value
+                callbacks = event.callbacks
+                if callbacks is None:
+                    continue  # killed process already finalized
+                event.callbacks = None
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    raise event._value
+                if event.__class__ is _Control and len(pool) < _POOL_MAX:
+                    # nothing outside the kernel can still reference it
+                    pool.append(event)
+        finally:
+            self._when = when
+            self._pos = pos
 
     def run(self, until: Optional[float | Event] = None) -> Any:
-        """Run until the queues drain, a deadline passes, or an event fires.
+        """Run until the queue drains, a deadline passes, or an event fires.
 
         If ``until`` is an event, returns that event's value (raising if the
         event failed).  If it is a number, simulated time advances exactly to
         it.  If ``None``, runs until no events remain.
         """
-        stop_event: Optional[Event] = None
-        deadline: Optional[float] = None
+        stop: Optional[Event] = None
+        deadline = inf
         if isinstance(until, Event):
-            stop_event = until
-            if stop_event.callbacks is None:
-                if not stop_event._ok:
-                    raise stop_event._value
-                return stop_event._value
+            stop = until
+            if stop.callbacks is None:
+                if not stop._ok:
+                    raise stop._value
+                return stop._value
         elif until is not None:
             deadline = float(until)
             if deadline < self._now:
                 raise SimulationError("deadline is in the past")
 
-        heap = self._heap
-        ready = self._ready
-        step = self.step
         # An event-loop turn allocates ~30 short-lived objects (frames,
         # packets, WRs); CPython's default gen-0 threshold (700) makes
         # the collector walk the young generation every ~25 events, which
@@ -606,60 +626,71 @@ class Environment:
         if gc_thresholds[0]:
             gc.set_threshold(200_000, gc_thresholds[1], gc_thresholds[2])
         try:
-            if stop_event is not None:
-                while (heap or ready) and stop_event.callbacks is not None:
-                    step()
-            elif deadline is not None:
-                while heap or ready:
-                    t = ready[0][0] if ready else heap[0][0]
-                    if heap and heap[0][0] < t:
-                        t = heap[0][0]
-                    if t > deadline:
-                        break
-                    step()
-                self._now = deadline
-                return None
-            else:
-                while heap or ready:
-                    step()
+            self._drain(stop, deadline)
         finally:
             gc.set_threshold(*gc_thresholds)
 
-        if stop_event is not None:
-            if stop_event._value is PENDING:
-                raise SimulationError(
-                    "run(until=event) exhausted the heap before the event fired")
-            if not stop_event._ok:
-                stop_event._defused = True
-                raise stop_event._value
-            return stop_event._value
-        return None
+        if stop is None:
+            if until is not None:
+                self._now = deadline
+            return None
+        if stop._value is PENDING:
+            raise SimulationError(
+                "run(until=event) exhausted the queue before the event fired")
+        if not stop._ok:
+            stop._defused = True
+            raise stop._value
+        return stop._value
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
-        if self._ready:
-            t = self._ready[0][0]
-            return min(t, self._heap[0][0]) if self._heap else t
-        return self._heap[0][0] if self._heap else float("inf")
+        if self._pos < len(self._buckets[self._when]):
+            return self._when
+        return self._times[0] if self._times else inf
 
 
 class ReferenceEnvironment(Environment):
-    """The pre-optimization drain: one pure heap, no free list.
+    """The oracle: one pure ``(time, seq)`` heap, one ``step`` per event,
+    no free list.
 
-    Property tests run random programs through this and the batched
-    :class:`Environment` and assert the pop order and results are
-    identical — the proof obligation for the ready-lane design.
+    Property tests, ``bench_sim_scale`` and the ledger's ``kernel_storm``
+    run the same program through this and :class:`Environment` and
+    require identical pop order, clock and :class:`SimStats`.
     """
+
+    def __init__(self, initial_time: float = 0.0):
+        super().__init__(initial_time)
+        self._heap: list[tuple[float, int, Event]] = []
+        self._seq = 0
+
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay}")
+        evt = Timeout.__new__(Timeout)  # its __init__ fills buckets
+        Event.__init__(evt, self)
+        evt.delay = delay
+        evt._delayed_value = value
+        self._schedule(evt, delay)
+        return evt
 
     def _control(self) -> _Control:
         return _Control(self)  # never pooled
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, self._seq, event))
+        heappush(self._heap, (self._now + delay, self._seq, event))
+
+    def _drain(self, stop: Optional[Event], deadline: float) -> None:
+        heap = self._heap
+        while (heap and heap[0][0] <= deadline
+               and (stop is None or stop.callbacks is not None)):
+            self.step()
+
+    def peek(self) -> float:
+        return self._heap[0][0] if self._heap else inf
 
     def step(self) -> None:
-        when, seq, event = heapq.heappop(self._heap)
+        when, seq, event = heappop(self._heap)
         if when < self._now:  # pragma: no cover - defensive
             raise SimulationError("time went backwards")
         stats = self.stats

@@ -7,6 +7,7 @@ identically to a full capture of the same memory — including across the
 fault harness's injected-crash restart path.
 """
 
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -232,21 +233,44 @@ def test_wqelog_retain_filters_in_order():
     assert list(log) == [keep]
 
 
-@settings(max_examples=80, deadline=None)
+def _assert_index_shape(log):
+    """A wr_id maps to a bare seq while exactly one of its WQEs is
+    outstanding and to a deque only while two or more are."""
+    want = {}
+    for seq, e in log._entries.items():
+        want.setdefault(e.wr.wr_id, []).append(seq)
+    assert set(log._by_wr_id) == set(want)
+    for wr_id, seqs in want.items():
+        got = log._by_wr_id[wr_id]
+        if len(seqs) == 1:
+            assert type(got) is int and got == seqs[0]
+        else:
+            assert type(got) is deque and list(got) == seqs
+
+
+@settings(max_examples=120, deadline=None)
 @given(st.lists(st.one_of(
-    st.tuples(st.just("post"), st.integers(0, 5)),
-    st.tuples(st.just("recv"), st.integers(0, 5)),
-    st.tuples(st.just("send_upto"), st.integers(0, 5))),
-    max_size=40))
+    st.tuples(st.just("post"), st.integers(0, 3)),
+    st.tuples(st.just("post"), st.integers(0, 3)),
+    st.tuples(st.just("recv"), st.integers(0, 3)),
+    st.tuples(st.just("send_upto"), st.integers(0, 3)),
+    st.tuples(st.just("retain"), st.integers(0, 3))),
+    max_size=60))
 def test_wqelog_matches_linear_scan_reference(ops):
     """The indexed log agrees with the seed's linear-scan semantics for
-    arbitrary post/complete interleavings with duplicate wr_ids."""
+    arbitrary post/complete/retain interleavings; posts outnumber each
+    kind of completion and draw from four wr_ids, so ids repeat while
+    outstanding and the index crosses int -> deque -> int, with orphan
+    completions arriving in every state."""
     log, ref = WqeLog(), []
     for kind, wr_id in ops:
         if kind == "post":
             e = _entry(wr_id)
             log.append(e)
             ref.append(e)
+        elif kind == "retain":
+            log.retain(lambda e: e.wr.wr_id != wr_id)
+            ref = [e for e in ref if e.wr.wr_id != wr_id]
         elif kind == "recv":
             known = any(e.wr.wr_id == wr_id for e in ref)
             if known:
@@ -270,3 +294,44 @@ def test_wqelog_matches_linear_scan_reference(ops):
                     del ref[: i + 1]
                     break
         assert list(log) == ref
+        _assert_index_shape(log)
+
+
+def test_wqelog_index_crosses_int_deque_int_with_orphans_at_each_state():
+    """wr_id 7 goes absent -> int -> deque -> int -> absent; at every
+    state a completion for a wr_id that is *not* outstanding is an
+    orphan and leaves log and index untouched.  wr_id 0 rides along so
+    seq 0 (falsy) is the bare int under test."""
+    log = WqeLog()
+
+    def orphans():
+        before = list(log)
+        for complete in (log.complete_recv, log.complete_send_upto):
+            with pytest.raises(WqeLogError, match="orphan"):
+                complete(99)
+        assert list(log) == before
+        _assert_index_shape(log)
+
+    orphans()                                   # absent
+    zero, a, b, c = _entry(0), _entry(7), _entry(7), _entry(7)
+    log.append(zero)
+    log.append(a)
+    assert type(log._by_wr_id[0]) is int and log._by_wr_id[0] == 0
+    orphans()                                   # int
+    log.append(b)
+    log.append(c)
+    assert type(log._by_wr_id[7]) is deque
+    orphans()                                   # deque of 3
+    log.retain(lambda e: e is not b)            # drop from the middle
+    assert list(log) == [zero, a, c]
+    orphans()                                   # deque of 2
+    assert log.complete_recv(7)                 # oldest first
+    assert list(log) == [zero, c] and type(log._by_wr_id[7]) is int
+    orphans()                                   # back to int
+    assert log.complete_send_upto(7)            # retires seq 0 on the way
+    assert not log and not log._by_wr_id
+    for complete in (log.complete_recv, log.complete_send_upto):
+        with pytest.raises(WqeLogError, match="orphan"):
+            complete(7)                         # retired is an orphan too
+        with pytest.raises(WqeLogError, match="orphan"):
+            complete(0)

@@ -263,6 +263,48 @@ def test_yield_non_event_is_an_error():
         env.run()
 
 
+def test_process_that_survives_its_non_event_yield_keeps_running():
+    """The error thrown for a non-event yield is an ordinary resume: what
+    the generator yields next is waited on, and how it ends is how the
+    process ends (it used to be stranded alive, never resumed)."""
+    env = Environment()
+    trace = []
+
+    def survivor():
+        try:
+            yield 42
+        except SimulationError:
+            trace.append("caught")
+        try:
+            yield "still not an event"      # twice in a row
+        except SimulationError:
+            trace.append("caught again")
+        yield env.timeout(2.0)
+        trace.append(env.now)
+        return "done"
+
+    def returns_from_handler():
+        try:
+            yield None
+        except SimulationError:
+            return "bailed"
+
+    def raises_from_handler():
+        try:
+            yield None
+        except SimulationError:
+            raise KeyError("own error")
+
+    p, q, r = (env.process(g()) for g in
+               (survivor, returns_from_handler, raises_from_handler))
+    with pytest.raises(KeyError, match="own error"):
+        env.run()                  # r's failure has no waiter
+    assert q.value == "bailed" and not r.ok
+    env.run()
+    assert trace == ["caught", "caught again", 2.0]
+    assert not p.is_alive and p.value == "done" and env.now == 2.0
+
+
 def test_run_until_event_exhausted_heap():
     env = Environment()
     never = env.event()
