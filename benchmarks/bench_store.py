@@ -124,11 +124,13 @@ def tier_bench(quick: bool) -> dict:
     store = CheckpointStore(cluster)
     memory, _rng = _build_space("p0", n_regions, region_bytes, seed=7)
     image = _capture(memory, "p0")
-    reference = image.to_bytes()
     _run(env, store.put_image(rank=0, node_index=0, epoch=1, image=image))
     store.schedule_replication(1)
     _run(env, store.drain_replication())
     manifest = store.manifest("p0", 1)
+    # taken after the put, which back-fills the image's per-chunk digests
+    # (region_meta[*]["chunk_hashes"]) — the fetched image carries them too
+    reference = image.to_bytes()
 
     passes = {}
 
@@ -175,6 +177,33 @@ def tier_bench(quick: bool) -> dict:
     return passes
 
 
+def tier_checks(tiers: dict) -> dict:
+    """The tier bench's acceptance gates (also asserted in tier-1 by
+    ``tests/test_bench_gates.py``)."""
+    expected = {"healthy": "local", "node_crash": "partner",
+                "partner_crash": "lustre"}
+    tier_hits_ok = True
+    prev_hits = {"local": 0, "partner": 0, "lustre": 0}
+    for label, tier in expected.items():
+        gained = {k: tiers[label]["hits"][k] - prev_hits[k]
+                  for k in prev_hits}
+        tier_hits_ok &= gained[tier] > 0 and all(
+            v == 0 for k, v in gained.items() if k != tier)
+        prev_hits = tiers[label]["hits"]
+    rot = tiers["corrupt_heal"]
+    return {
+        "every fetch path bit-identical": all(
+            tiers[k]["bit_identical"]
+            for k in ("healthy", "node_crash", "partner_crash",
+                      "corrupt_heal")),
+        "fetches route to the expected tier": tier_hits_ok,
+        "corruption detected and healed":
+            rot["corrupt_detected"] >= 1
+            and rot["healed"] == rot["corrupt_detected"]
+            and rot["local_verifies_again"],
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="content-addressed multi-tier checkpoint store "
@@ -209,28 +238,10 @@ def main(argv=None) -> int:
           f"{rot['healed']}, local verifies again: "
           f"{rot['local_verifies_again']}")
 
-    expected = {"healthy": "local", "node_crash": "partner",
-                "partner_crash": "lustre"}
-    tier_hits_ok = True
-    prev_hits = {"local": 0, "partner": 0, "lustre": 0}
-    for label, tier in expected.items():
-        gained = {k: tiers[label]["hits"][k] - prev_hits[k]
-                  for k in prev_hits}
-        tier_hits_ok &= gained[tier] > 0 and all(
-            v == 0 for k, v in gained.items() if k != tier)
-        prev_hits = tiers[label]["hits"]
     checks = {
         f"incremental bytes <= {MAX_INCR_FRACTION}x full baseline":
             dedup["incr_fraction_worst"] <= MAX_INCR_FRACTION,
-        "every fetch path bit-identical": all(
-            tiers[k]["bit_identical"]
-            for k in ("healthy", "node_crash", "partner_crash",
-                      "corrupt_heal")),
-        "fetches route to the expected tier": tier_hits_ok,
-        "corruption detected and healed":
-            rot["corrupt_detected"] >= 1
-            and rot["healed"] == rot["corrupt_detected"]
-            and rot["local_verifies_again"],
+        **tier_checks(tiers),
     }
     ok = all(checks.values())
     for name, passed in checks.items():

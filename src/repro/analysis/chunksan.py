@@ -167,6 +167,20 @@ class ChunkSan:
                         context=context, regions=regions,
                         chunks_checked=chunks, stale=self.stale_caught)
 
+    def check_ratio(self, proc_name: str, region, reused: float,
+                    measured: float) -> None:
+        """A capture answered ``region``'s gzip ratio from the
+        generation-keyed memo (:attr:`Region.gzip_ratio`) and, because
+        this oracle is installed, measured it again anyway: the two must
+        be the same number."""
+        if reused != measured:
+            self.stale_caught += 1
+            raise ChunkSanError(
+                f"stale gzip ratio: {proc_name}/{region.name} reused "
+                f"{reused!r} at generation {region.generation} but its "
+                f"bytes now measure {measured!r} — they changed without "
+                "a touch()")
+
     def summary(self) -> dict:
         return {"checks": self.checks,
                 "regions_checked": self.regions_checked,

@@ -23,9 +23,12 @@ mask, and only the dirty chunks count toward the incremental write-back
 delta — clean chunks also keep their known store digests so a later store
 put never re-hashes them.  Dirty regions are snapshotted fresh and their
 ratios measured over fixed-size chunks, optionally fanned out across a
-``concurrent.futures`` thread pool (zlib releases the GIL).  Whatever the
-mode, the resulting ``memory_snapshot`` restores bit-identically to a full
-capture of the same memory.
+``concurrent.futures`` thread pool (zlib releases the GIL) — unless the
+region still carries the ratio an earlier capture measured on these very
+bytes (:attr:`~repro.memory.Region.gzip_ratio`, keyed by generation like
+its content hash), which any capture, full or incremental, reuses instead.
+Whatever the mode, the resulting ``memory_snapshot`` restores
+bit-identically to a full capture of the same memory.
 """
 
 from __future__ import annotations
@@ -173,7 +176,8 @@ class CheckpointImage:
                  "regions_clean_gen": 0, "regions_clean_hash": 0,
                  "regions_dirty": 0, "bytes_clean": 0, "bytes_dirty": 0,
                  "bytes_hashed": 0, "logical_hashed": 0.0,
-                 "compress_skipped": 0, "chunks_total": 0,
+                 "compress_skipped": 0, "compress_reused": 0,
+                 "chunks_total": 0,
                  "chunks_clean": 0, "chunks_dirty": 0,
                  "chunks_hash_skipped": 0}
         snap_regions = []
@@ -182,7 +186,7 @@ class CheckpointImage:
         total_logical = 0.0
         delta_logical = 0.0
         rows = []           # (logical, meta_entry, clean, dirty_frac)
-        measure_jobs = []   # (meta_entry, data)
+        measure_jobs = []   # (meta_entry, data, region, reused ratio)
 
         for region in memory:
             stats["regions_total"] += 1
@@ -198,6 +202,7 @@ class CheckpointImage:
             chunk_hashes = None
             dirty_mask: Optional[np.ndarray] = None
             ndirty = 0
+            reused: Optional[float] = None
             if pm is not None and ps is not None \
                     and ps["addr"] == region.addr \
                     and ps["size"] == region.size:
@@ -279,7 +284,12 @@ class CheckpointImage:
                     ratio = 0.99
                     stats["compress_skipped"] += 1
                 else:
-                    ratio = None        # measured below, maybe in parallel
+                    # what an earlier capture (any mode, any ``prev``)
+                    # measured on these very bytes; ``None`` = measured
+                    # below, maybe in parallel
+                    ratio = reused = region.gzip_ratio
+                    if reused is not None:
+                        stats["compress_reused"] += 1
 
             if tracer is not None:
                 how = "dirty" if not clean else (
@@ -301,16 +311,22 @@ class CheckpointImage:
                 "size": region.size, "repr_scale": region.repr_scale,
                 "tag": region.tag, "data": data,
             })
-            if ratio is None:
-                measure_jobs.append((entry, data))
+            if ratio is None or (reused is not None and san is not None):
+                # ChunkSan re-measures what the memo answered
+                measure_jobs.append((entry, data, region, reused))
 
         # -- chunked ratio measurement, serial or fanned out ----------------
-        if measure_jobs:
+        n_reused = stats["compress_reused"]
+        if measure_jobs or n_reused:
+            # ``reused`` only when the memo answered for some region, so
+            # traces of captures it never serves keep their schema
             compress_span = None if tracer is None else tracer.begin(
                 "capture.compress", proc_name, t_sim,
-                regions=len(measure_jobs), workers=workers)
+                regions=len(measure_jobs), workers=workers,
+                **({"reused": n_reused} if n_reused else {}))
             chunks = []     # (job_index, chunk)
-            for j, (_entry, data) in enumerate(measure_jobs):
+            for j, job in enumerate(measure_jobs):
+                data = job[1]
                 for off in range(0, len(data), CAPTURE_CHUNK_BYTES):
                     chunks.append((j, data[off:off + CAPTURE_CHUNK_BYTES]))
             zlens = _measure_zlens([c for _j, c in chunks], workers,
@@ -318,8 +334,12 @@ class CheckpointImage:
             compressed = [0] * len(measure_jobs)
             for (j, _c), zl in zip(chunks, zlens):
                 compressed[j] += zl
-            for (entry, data), zbytes in zip(measure_jobs, compressed):
-                entry["ratio"] = zbytes / max(1, len(data))
+            for (entry, data, region, reused), zbytes in zip(measure_jobs,
+                                                             compressed):
+                ratio = zbytes / max(1, len(data))
+                if reused is not None:
+                    san.check_ratio(proc_name, region, reused, ratio)
+                entry["ratio"] = region.gzip_ratio = ratio
             if tracer is not None:
                 # sim duration is 0 (capture is instantaneous in sim
                 # time); the span's wall duration is the real zlib cost
@@ -395,12 +415,17 @@ class CheckpointImage:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "CheckpointImage":
         magic, payload = blob[:8], blob[8:]
-        if magic == b"DMTCPGZ1":
-            payload = zlib.decompress(payload)
-        elif magic != b"DMTCPRW1":
+        if magic not in (b"DMTCPGZ1", b"DMTCPRW1"):
             raise ImageError("not a checkpoint image (bad magic)")
-        fields = pickle.loads(payload)
-        return cls(**fields)
+        try:
+            if magic == b"DMTCPGZ1":
+                payload = zlib.decompress(payload)
+            return cls(**pickle.loads(payload))
+        except Exception as exc:
+            # zlib.error, UnpicklingError, EOFError, or whatever a
+            # damaged pickle stream happens to raise
+            raise ImageError(f"truncated or corrupt checkpoint image "
+                             f"payload: {exc!r}") from exc
 
     def restore_memory(self, memory: AddressSpace) -> None:
         memory.restore(self.memory_snapshot)

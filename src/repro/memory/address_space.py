@@ -27,6 +27,10 @@ checkpoints fall back to a vectorized chunk-level byte comparison.
 :meth:`Region.view` is the interposed alternative: a :class:`TrackedView`
 behaves like an ndarray but routes every write through ``touch`` with the
 write's byte span, so hot mutation loops dirty only the chunks they wrote.
+What is expensive to derive from a region's bytes — its digest
+(:meth:`Region.content_hash`) and its measured gzip ratio
+(:attr:`Region.gzip_ratio`) — is memoised against the generation under one
+trust rule: never with ``views_leaked``, stale after any ``touch``.
 """
 
 from __future__ import annotations
@@ -79,6 +83,8 @@ class Region:
     views_leaked: bool = False
     _hash_gen: int = field(default=-1, repr=False, compare=False)
     _hash: Optional[bytes] = field(default=None, repr=False, compare=False)
+    _ratio_gen: int = field(default=-1, repr=False, compare=False)
+    _ratio: Optional[float] = field(default=None, repr=False, compare=False)
     _chunk_gens: Optional[np.ndarray] = field(default=None, repr=False,
                                               compare=False)
     _chunk_hashes: Optional[list] = field(default=None, repr=False,
@@ -201,6 +207,20 @@ class Region:
                                          digest_size=16).digest()
             self._hash_gen = self.generation
         return self._hash
+
+    @property
+    def gzip_ratio(self) -> Optional[float]:
+        """The gzip ratio a capture last measured on the current bytes,
+        or ``None`` when there is none to trust — the rule is
+        :meth:`content_hash`'s: never with leaked views, stale after any
+        :meth:`touch`.  Assigning records a fresh measurement."""
+        if self.views_leaked or self._ratio_gen != self.generation:
+            return None
+        return self._ratio
+
+    @gzip_ratio.setter
+    def gzip_ratio(self, ratio: float) -> None:
+        self._ratio, self._ratio_gen = ratio, self.generation
 
     def contains(self, addr: int, length: int) -> bool:
         return self.addr <= addr and addr + length <= self.end

@@ -139,11 +139,11 @@ class CheckpointService(CheckpointStore):
                             self.index.note_dedup(shard_id)
                             continue
                         logical = ref.logical_bytes * stall
-                        yield from disk.write(path, data,
+                        yield from disk.write(path, ref.slice(data),
                                               logical_size=logical)
                         result.chunks_new += 1
                         result.bytes_written += logical
-                        result.bytes_real += float(len(data))
+                        result.bytes_real += float(ref.size)
                         self.index.note_new(shard_id, ref.digest, logical)
                 finally:
                     self.index.release(shard_id)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 __all__ = ["ChunkRef", "Manifest", "ManifestError",
            "chunk_path", "manifest_path"]
@@ -45,14 +45,14 @@ def manifest_path(proc_name: str, epoch: int) -> str:
     return f"{MANIFEST_PREFIX}{proc_name}/{epoch:08d}"
 
 
-@dataclass(frozen=True)
-class ChunkRef:
+class ChunkRef(NamedTuple):
     """One region chunk's reference into the pool.
 
     A region spanning more than :data:`~repro.memory.CHUNK_BYTES` emits
     one ref per chunk-sized slice; ``offset`` is the slice's byte offset
     within the region, so reassembly concatenates a region's refs in
-    offset order.
+    offset order.  A plain immutable record: a put builds one per chunk
+    and manifests keep them for the life of their epoch.
     """
 
     region_name: str
@@ -71,6 +71,11 @@ class ChunkRef:
         (compressed: the writer pipes chunks through gzip)."""
         effective = min(1.0, self.ratio) if self.ratio is not None else 1.0
         return self.size * self.repr_scale * effective
+
+    def slice(self, region_data: bytes) -> bytes:
+        """This chunk's bytes out of its region's (the whole region, not
+        a copy, when the region is a single chunk)."""
+        return region_data[self.offset: self.offset + self.size]
 
 
 @dataclass
@@ -108,10 +113,7 @@ class Manifest:
                 "epoch": self.epoch,
                 "node_index": self.node_index,
                 "partner_index": self.partner_index,
-                "chunks": [
-                    (c.region_name, c.digest, c.addr, c.size, c.repr_scale,
-                     c.tag, c.generation, c.ratio, c.offset)
-                    for c in self.chunks],
+                "chunks": [tuple(c) for c in self.chunks],
                 "header": self.header,
                 "memory_name": self.memory_name,
                 "next_addr": self.next_addr,

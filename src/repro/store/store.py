@@ -184,9 +184,11 @@ class CheckpointStore:
 
     @staticmethod
     def _refs_for(image: CheckpointImage) -> List[Tuple[ChunkRef, bytes]]:
-        """One (chunk reference, raw bytes) pair per ``CHUNK_BYTES`` slice
-        of every image region, reusing the capture's per-chunk
-        fingerprints when it recorded them.
+        """One (chunk reference, its region's bytes) pair per
+        ``CHUNK_BYTES`` slice of every image region, reusing the
+        capture's per-chunk fingerprints when it recorded them.  Only a
+        chunk that is actually written gets cut out (``ref.slice(data)``):
+        most chunks dedup and never need a copy of their own.
 
         Chunks the capture proved clean arrive with their digests already
         known (carried forward from the previous epoch), so only dirty
@@ -196,24 +198,23 @@ class CheckpointStore:
         """
         pairs = []
         for region in image.memory_snapshot["regions"]:
-            meta = image.region_meta.get(region["name"], {})
-            data = region["data"]
-            size = region["size"]
+            name, addr, size = region["name"], region["addr"], region["size"]
+            scale, tag, data = \
+                region["repr_scale"], region["tag"], region["data"]
+            meta = image.region_meta.get(name, {})
+            generation, ratio = meta.get("generation", 0), meta.get("ratio")
             n_chunks = -(-size // CHUNK_BYTES)
             hashes = meta.get("chunk_hashes")
             if not (isinstance(hashes, list) and len(hashes) == n_chunks):
                 hashes = [None] * n_chunks
+            view = memoryview(data)
             for i in range(n_chunks):
                 lo = i * CHUNK_BYTES
-                piece = data[lo: lo + CHUNK_BYTES]
                 if hashes[i] is None:
-                    hashes[i] = digest_bytes(piece)
+                    hashes[i] = digest_bytes(view[lo: lo + CHUNK_BYTES])
                 pairs.append((ChunkRef(
-                    region_name=region["name"], digest=hashes[i],
-                    addr=region["addr"] + lo, size=len(piece),
-                    repr_scale=region["repr_scale"], tag=region["tag"],
-                    generation=meta.get("generation", 0),
-                    ratio=meta.get("ratio"), offset=lo), piece))
+                    name, hashes[i], addr + lo, min(CHUNK_BYTES, size - lo),
+                    scale, tag, generation, ratio, lo), data))
             if meta:
                 meta["chunk_hashes"] = hashes
         return pairs
@@ -264,10 +265,11 @@ class CheckpointStore:
                 result.chunks_deduped += 1
                 continue
             logical = ref.logical_bytes * stall
-            yield from disk.write(path, data, logical_size=logical)
+            yield from disk.write(path, ref.slice(data),
+                                  logical_size=logical)
             result.chunks_new += 1
             result.bytes_written += logical
-            result.bytes_real += float(len(data))
+            result.bytes_real += float(ref.size)
         manifest = self._manifest_for(image, rank, node_index, epoch,
                                       [ref for ref, _data in pairs])
         blob = manifest.to_bytes()
@@ -329,19 +331,21 @@ class CheckpointStore:
         for manifest in manifests:
             src_index = manifest.node_index
             src_disk = self.local.replica_disk(src_index)
+            src_fs = src_disk.fs
+            # rendered once per manifest, not once per target tier
+            paths = [chunk_path(ref.digest) for ref in manifest.chunks]
             for tier in self._replication_targets(manifest):
                 if not tier.alive(src_index):
                     skipped += len(manifest.chunks)
                     continue
                 dst_fs = tier.replica_fs(src_index)
                 dst_disk = tier.replica_disk(src_index, via_index=src_index)
-                for ref in manifest.chunks:
-                    path = chunk_path(ref.digest)
+                for ref, path in zip(manifest.chunks, paths):
                     if dst_fs.exists(path):
                         continue  # cross-rank / cross-epoch dedup
                     data = None
                     if self.local.alive(src_index) \
-                            and src_disk.fs.exists(path):
+                            and src_fs.exists(path):
                         try:
                             data = yield from src_disk.read(path)
                         except StorageError:
@@ -396,28 +400,34 @@ class CheckpointStore:
 
     def _fetch_order(self, manifest: Manifest, via_index: int):
         """(tier kind, fs, disk, alive) candidates, cheapest-first, for a
-        restart running on ``via_index``."""
-        n = len(self.cluster.nodes)
-        via_index %= n
-        order = []
-        home = self.local.placement(manifest.node_index)
-        order.append(("local", self.local.replica_fs(home),
-                      self.local.replica_disk(home),
-                      self.local.alive(home)))
+        restart running on ``via_index``.  Placement is fixed per image,
+        so a whole-image fetch resolves it once; ``alive`` is a callable
+        because liveness is not — a failure landing between two chunks
+        must still redirect the next one."""
+        nodes = self.cluster.nodes
+        home = nodes[self.local.placement(manifest.node_index)]
+        order = [("local", home.local_disk.fs, home.local_disk,
+                  lambda: not home.failed)]
         if self.partner is not None:
-            p = manifest.partner_index % n
-            if p != home:
-                order.append(("partner",
-                              self.cluster.nodes[p].local_disk.fs,
-                              self.cluster.nodes[p].local_disk,
-                              not self.cluster.nodes[p].failed))
-        if self.lustre is not None:
-            order.append(("lustre", self.lustre.replica_fs(via_index),
-                          self.lustre.replica_disk(manifest.node_index,
-                                                   via_index=via_index),
-                          not self.cluster.nodes[via_index].failed
-                          and self.lustre.alive(via_index)))
+            buddy = nodes[manifest.partner_index % len(nodes)]
+            if buddy is not home:
+                order.append(("partner", buddy.local_disk.fs,
+                              buddy.local_disk, lambda: not buddy.failed))
+        lustre = self.lustre
+        if lustre is not None:
+            via = nodes[via_index % len(nodes)]
+            order.append(("lustre", lustre.replica_fs(via_index),
+                          lustre.replica_disk(manifest.node_index,
+                                              via_index=via_index),
+                          lambda: not via.failed
+                          and lustre.alive(via_index)))
         return order
+
+    def _no_replica(self, manifest: Manifest, ref: ChunkRef) -> StoreError:
+        return StoreError(
+            f"{self.name}: no live replica of chunk "
+            f"{ref.digest.hex()} ({manifest.proc_name}/{ref.region_name}, "
+            f"epoch {manifest.epoch})")
 
     def fetch_chunk(self, manifest: Manifest, ref: ChunkRef,
                     via_node_index: int = 0) -> Generator:
@@ -428,14 +438,19 @@ class CheckpointStore:
         ``(data, tier_kind)``; raises :class:`StoreError` when no live
         tier holds a valid copy.  This is the unit of work the restart
         fetch and the post-copy pager/prefetcher share."""
+        return (yield from self._fetch_one(
+            self._fetch_order(manifest, via_node_index), manifest, ref))
+
+    def _fetch_one(self, order, manifest: Manifest,
+                   ref: ChunkRef) -> Generator:
+        """:meth:`fetch_chunk`'s body, over an already-built ``order``."""
         tracer = self.tracer
         proc_name = manifest.proc_name
         epoch = manifest.epoch
         path = chunk_path(ref.digest)
         corrupt_sites = []
-        for kind, fs, disk, alive in self._fetch_order(manifest,
-                                                       via_node_index):
-            if not alive or not fs.exists(path):
+        for kind, fs, disk, alive in order:
+            if not alive() or not fs.exists(path):
                 continue
             blob = yield from disk.read(path)
             if self.config.verify_digests \
@@ -460,10 +475,7 @@ class CheckpointStore:
             if tracer is not None:
                 tracer.metrics.counter(f"store.fetch.{kind}").inc()
             return blob, kind
-        raise StoreError(
-            f"{self.name}: no live replica of chunk "
-            f"{ref.digest.hex()} ({proc_name}/{ref.region_name}, "
-            f"epoch {epoch})")
+        raise self._no_replica(manifest, ref)
 
     @staticmethod
     def _assemble_regions(parts: List[Tuple[ChunkRef, bytes]]) -> List[dict]:
@@ -489,10 +501,11 @@ class CheckpointStore:
     def fetch_image(self, proc_name: str, epoch: Optional[int] = None,
                     via_node_index: int = 0) -> Generator:
         """Process generator: reassemble a bit-identical
-        :class:`CheckpointImage`, resolving each chunk through
-        :meth:`fetch_chunk` (cheapest live tier, digest-verified,
-        heal-on-corrupt).  Raises :class:`StoreError` when no live tier
-        holds a valid copy of some chunk."""
+        :class:`CheckpointImage`, resolving each chunk as
+        :meth:`fetch_chunk` does (cheapest live tier, digest-verified,
+        heal-on-corrupt) over one tier order built for the whole image.
+        Raises :class:`StoreError` when no live tier holds a valid copy
+        of some chunk."""
         if epoch is None:
             epoch = self.latest_epoch(proc_name)
         manifest = self.manifest(proc_name, epoch)
@@ -501,10 +514,10 @@ class CheckpointStore:
         span = None if tracer is None else tracer.begin(
             "store.fetch", proc_name, self.env.now, epoch=epoch,
             via=via_node_index, chunks=len(manifest.chunks))
+        order = self._fetch_order(manifest, via_node_index)
         parts = []
         for ref in manifest.chunks:
-            data, kind = yield from self.fetch_chunk(manifest, ref,
-                                                     via_node_index)
+            data, kind = yield from self._fetch_one(order, manifest, ref)
             hits[kind] += 1
             parts.append((ref, data))
         regions = self._assemble_regions(parts)
@@ -530,26 +543,20 @@ class CheckpointStore:
         if epoch is None:
             epoch = self.latest_epoch(proc_name)
         manifest = self.manifest(proc_name, epoch)
+        order = self._fetch_order(manifest, via_node_index)
         parts = []
         for ref in manifest.chunks:
             path = chunk_path(ref.digest)
-            data = None
-            for _kind, fs, _disk, alive in self._fetch_order(
-                    manifest, via_node_index):
-                if not alive or not fs.exists(path):
+            for _kind, fs, _disk, alive in order:
+                if not alive() or not fs.exists(path):
                     continue
                 blob = fs.load(path)
-                if self.config.verify_digests \
-                        and digest_bytes(blob) != ref.digest:
-                    continue
-                data = blob
-                break
-            if data is None:
-                raise StoreError(
-                    f"{self.name}: no live replica of chunk "
-                    f"{ref.digest.hex()} ({proc_name}/{ref.region_name}, "
-                    f"epoch {epoch})")
-            parts.append((ref, data))
+                if not self.config.verify_digests \
+                        or digest_bytes(blob) == ref.digest:
+                    parts.append((ref, blob))
+                    break
+            else:
+                raise self._no_replica(manifest, ref)
         regions = self._assemble_regions(parts)
         snap = {"name": manifest.memory_name,
                 "next_addr": manifest.next_addr, "regions": regions}
@@ -604,11 +611,11 @@ class CheckpointStore:
             tier_fss.append(self.partner.replica_fs(dst_index))
         if "lustre" in wanted and self.lustre is not None:
             tier_fss.append(self.lustre.replica_fs(dst_index))
+        paths = [chunk_path(ref.digest) for ref, _data in pairs]
         for fs in tier_fss:
-            for ref, data in pairs:
-                path = chunk_path(ref.digest)
+            for (ref, data), path in zip(pairs, paths):
                 if not fs.exists(path):
-                    fs.store(path, data, ref.logical_bytes)
+                    fs.store(path, ref.slice(data), ref.logical_bytes)
             fs.store(manifest.path, blob, image.header_bytes)
             self._register(fs, manifest)
         self._replicated.add(epoch)

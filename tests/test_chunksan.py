@@ -156,6 +156,32 @@ def test_restore_path_is_chunksan_clean():
         assert san.stale_caught == 0
 
 
+def test_reused_gzip_ratio_is_remeasured_and_a_mismatch_raises(monkeypatch):
+    """Under the oracle the generation-keyed ratio memo is audited like
+    the stamps: every ratio a capture reuses is measured again anyway,
+    and one that no longer matches its bytes fails the capture."""
+    from test_ckpt_incremental import _counting_zlen
+    calls = _counting_zlen(monkeypatch)
+
+    def capture(mem):
+        return CheckpointImage.capture("p0", 1, "3.8.13", None, mem)
+
+    mem = AddressSpace("p0")
+    region = mem.mmap("data", SIZE, data=bytes(range(256)) * (SIZE // 256))
+    cold = capture(mem)
+    assert capture(mem).capture_stats["compress_reused"] == 1
+    assert len(calls) == 1                  # no oracle: the memo answers
+    with sanitized() as san:
+        warm = capture(mem)
+        assert len(calls) == 2              # oracle: measured again
+        assert warm.capture_stats["compress_reused"] == 1
+        assert warm.region_meta == cold.region_meta
+        region.gzip_ratio = 0.5             # a memo its bytes never earned
+        with pytest.raises(ChunkSanError, match="stale gzip ratio") as exc:
+            capture(mem)
+        assert "p0/data" in str(exc.value) and san.stale_caught == 1
+
+
 # -- install/uninstall wiring --------------------------------------------------
 
 

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.ib_plugin import WqeLogError
@@ -20,7 +20,7 @@ from repro.core.ib_plugin.shadow import WqeLog
 from repro.dmtcp.image import CheckpointImage
 from repro.faults.harness import run_chaos_nas
 from repro.faults.schedule import FailureEvent, FixedSchedule
-from repro.memory import AddressSpace
+from repro.memory import CHUNK_BYTES, AddressSpace
 
 
 def _capture(memory, prev=None, workers=0, gzip=True):
@@ -152,6 +152,150 @@ def test_incremental_chain_restores_bit_identically(ops):
             prev = incr
     final_incr = _capture(mem, prev=prev)
     assert _restored(final_incr) == _restored(_capture(mem))
+
+
+# -- the ratio memo: warm capture == cold capture -------------------------------
+
+def _cold_twin(mem):
+    """A fresh AddressSpace holding the same bytes under the same
+    dirty-tracking stamps (so a ``prev=`` capture draws the same
+    clean/dirty line) — and nothing memoised."""
+    cold = AddressSpace(mem.name)
+    for region in mem:
+        twin = cold.mmap(region.name, region.size, data=bytes(region.buffer))
+        assert twin.addr == region.addr
+        twin.generation = region.generation
+        twin.chunk_gens[:] = region.chunk_gens
+        twin.views_leaked = region.views_leaked
+    return cold
+
+
+def _assert_warm_equals_cold(mem, prev, gzip):
+    cold_mem = _cold_twin(mem)
+    warm = _capture(mem, prev=prev, gzip=gzip)
+    cold = _capture(cold_mem, prev=prev, gzip=gzip)
+    assert cold.capture_stats["compress_reused"] == 0
+    assert {n: m["ratio"] for n, m in warm.region_meta.items()} \
+        == {n: m["ratio"] for n, m in cold.region_meta.items()}
+    assert warm.compression_ratio == cold.compression_ratio
+    assert warm.delta_logical_bytes == cold.delta_logical_bytes
+    assert _restored(warm) == _restored(cold) \
+        == {r.name: bytes(r.buffer) for r in mem}
+    return warm
+
+
+_MEMO_SIZES = (3 * CHUNK_BYTES + 100, 256, 2 * CHUNK_BYTES)
+
+_memo_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.integers(0, 2),
+                  st.integers(0, 1 << 14),
+                  st.binary(min_size=1, max_size=64)),
+        st.tuples(st.just("view"), st.integers(0, 2),
+                  st.integers(0, 255), st.integers(1, 32)),
+        st.tuples(st.just("touch"), st.integers(0, 2)),
+        st.tuples(st.just("leak"), st.integers(0, 2), st.integers(0, 255)),
+        st.tuples(st.just("restore"), st.integers(0, 7)),
+        st.tuples(st.just("ckpt"), st.booleans(), st.booleans())),
+    min_size=1, max_size=24)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_memo_ops)
+@example([("leak", 0, 5), ("ckpt", False, True), ("leak", 0, 200),
+          ("ckpt", False, True)])
+@example([("write", 2, 9, b"x" * 64), ("ckpt", True, False),
+          ("ckpt", False, True), ("restore", 0), ("ckpt", False, True)])
+def test_warm_capture_equals_cold_capture(ops):
+    """However tracked writes, TrackedView writes, bare touches, leaked
+    views (and untracked writes through them), in-place restores and
+    captures — full or incremental, gzip on or off — interleave on one
+    AddressSpace, every capture reports exactly what a capture of fresh
+    regions holding the same bytes reports: the generation-keyed ratio
+    memo never answers with anything a re-measurement would not."""
+    rng = np.random.default_rng(5)
+    mem = AddressSpace("p0")
+    regions = [mem.mmap(f"r{i}", size, data=rng.integers(
+        0, 64, size, dtype=np.uint8).tobytes())
+        for i, size in enumerate(_MEMO_SIZES)]
+    leaked = {}
+    images = [_assert_warm_equals_cold(mem, None, True)]
+    for op in ops:
+        r = regions[op[1]] if op[0] not in ("restore", "ckpt") else None
+        if op[0] == "write":
+            data = op[3]
+            mem.write(r.addr + op[2] % (r.size - len(data)), data)
+        elif op[0] == "view":
+            lo = op[2] % (r.size - op[3])
+            r.view()[lo: lo + op[3]] = op[2]
+        elif op[0] == "touch":
+            r.touch()
+        elif op[0] == "leak":
+            # the view outlives this op: later "leak"s on the region
+            # write through it with no touch at all
+            if r.name not in leaked:
+                leaked[r.name] = r.as_ndarray()
+            lo = op[2] % (r.size - 64)      # a run long enough to move
+            leaked[r.name][lo: lo + 64] = op[2]     # the compressed size
+        elif op[0] == "restore":
+            mem.restore(images[op[1] % len(images)].memory_snapshot)
+        else:
+            prev = images[-1] if op[1] else None
+            images.append(_assert_warm_equals_cold(mem, prev, op[2]))
+    _assert_warm_equals_cold(mem, None, True)
+
+
+def _counting_zlen(monkeypatch):
+    from repro.dmtcp import image as image_mod
+    calls = []
+    real = image_mod._zlen
+    monkeypatch.setattr(image_mod, "_zlen",
+                        lambda chunk: calls.append(len(chunk)) or real(chunk))
+    return calls
+
+
+def test_warm_full_recapture_compresses_only_what_moved(monkeypatch):
+    calls = _counting_zlen(monkeypatch)
+    mem = AddressSpace("p0")
+    regions = [mem.mmap(f"r{i}", 8192, data=bytes([i]) * 8192)
+               for i in range(4)]
+    first = _capture(mem)
+    assert len(calls) == 4 and first.capture_stats["compress_reused"] == 0
+    mem.write(regions[2].addr + 5000, b"moved")
+    again = _assert_warm_equals_cold(mem, None, True)     # +4 cold
+    assert len(calls) == 4 + 1 + 4
+    assert again.capture_stats["compress_reused"] == 3
+    # gzip off measures and memoises nothing; back on, all four answer
+    assert _capture(mem, gzip=False).capture_stats["compress_reused"] == 0
+    assert _capture(mem).capture_stats["compress_reused"] == 4
+    assert len(calls) == 9
+
+
+def test_restore_in_place_then_full_capture_remeasures(monkeypatch):
+    calls = _counting_zlen(monkeypatch)
+    mem = AddressSpace("p0")
+    mem.mmap("a", 8192, data=b"a" * 8192)
+    old = _capture(mem)
+    mem.write(mem.region("a").addr, bytes(range(256)) * 8)
+    _capture(mem)
+    mem.restore(old.memory_snapshot)        # same object, other bytes
+    after = _capture(mem)
+    assert len(calls) == 3 and after.capture_stats["compress_reused"] == 0
+    assert after.region_meta["a"]["ratio"] == old.region_meta["a"]["ratio"]
+
+
+def test_leaked_view_region_never_reuses_its_ratio(monkeypatch):
+    calls = _counting_zlen(monkeypatch)
+    mem = AddressSpace("p0")
+    arr = mem.mmap("a", 8192).as_ndarray()
+    zeros = _capture(mem)
+    arr[:] = np.arange(8192) % 251          # no touch(): the stamps lie
+    noisy = _capture(mem)
+    assert len(calls) == 2
+    assert zeros.capture_stats["compress_reused"] \
+        == noisy.capture_stats["compress_reused"] == 0
+    assert noisy.region_meta["a"]["ratio"] > zeros.region_meta["a"]["ratio"]
+    assert mem.region("a").gzip_ratio is None
 
 
 def test_incremental_survives_injected_crash_restart():

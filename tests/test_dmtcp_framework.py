@@ -371,6 +371,34 @@ def test_image_roundtrip_and_bad_magic():
         CheckpointImage.from_bytes(b"NOTMAGIC" + blob[8:])
 
 
+@pytest.mark.parametrize("gzip", [True, False])
+def test_truncated_or_corrupt_image_fails_typed(gzip):
+    """Both magics: a file cut short anywhere past the magic, or with a
+    flipped payload bit, raises ``ImageError`` with the decoder's own
+    error chained — never a bare ``zlib.error`` / ``UnpicklingError`` /
+    ``EOFError`` (the monolithic-file restart paths read these blobs
+    straight off a simulated disk)."""
+    from repro.memory import AddressSpace
+    from repro.dmtcp.image import ImageError
+
+    mem = AddressSpace("x")
+    mem.mmap("data", 3000, data=bytes(range(250)) * 12)
+    blob = CheckpointImage.capture("x", 1, "k", None, mem,
+                                   gzip=gzip).to_bytes()
+    assert blob[:8] == (b"DMTCPGZ1" if gzip else b"DMTCPRW1")
+    n = len(blob)
+    damaged = [blob[:cut] for cut in
+               (8, 9, 10, 8 + (n - 8) // 4, n // 2, n - 2, n - 1)]
+    # zlib's adler32 catches any flip; a raw pickle only those that break
+    # its framing, such as the leading PROTO opcode
+    for at in (8, n // 2, n - 1) if gzip else (8,):
+        damaged.append(blob[:at] + bytes([blob[at] ^ 0x01]) + blob[at + 1:])
+    for bad in damaged:
+        with pytest.raises(ImageError, match="truncated or corrupt") as exc:
+            CheckpointImage.from_bytes(bad)
+        assert exc.value.__cause__ is not None
+
+
 def test_gzip_compression_ratio_measured():
     from repro.memory import AddressSpace
 

@@ -239,6 +239,85 @@ def test_fetch_raises_when_no_live_tier_holds_a_chunk():
         _run(env, store.fetch_image("p0"))
 
 
+def _after_loads(fs, k, action):
+    """Run ``action`` as the k-th ``fs.load`` returns: a fault that lands
+    between chunk k and chunk k+1 of whoever is reading (``Disk.read``
+    and ``materialize_image`` both end in ``fs.load``)."""
+    real, loads = fs.load, []
+
+    def load(path):
+        data = real(path)
+        loads.append(path)
+        if len(loads) == k:
+            action()
+        return data
+
+    fs.load = load
+
+
+def _home_fails(cluster):
+    cluster.nodes[0].fail()
+
+
+def _lustre_goes_down(cluster):
+    cluster.lustre_down = True
+
+
+def _home_fails_as_lustre_returns(cluster):
+    cluster.nodes[0].fail()
+    cluster.lustre_down = False
+
+
+#: (nodes down before the fetch, Lustre down before it, the fault after
+#: chunk 4 of 10, hits per tier, simulated seconds of the timed fetch —
+#: the parent commit's for the same schedule, to the last bit)
+_MID_FETCH = [
+    ((), False, _home_fails, (4, 6, 0), 0.05007876923076915),
+    ((0, 1), False, _lustre_goes_down, (0, 0, 4), 0.004029257142857179),
+    ((1,), True, _home_fails_as_lustre_returns, (4, 0, 6),
+     0.026075393406593428),
+]
+
+
+@pytest.mark.parametrize("timed", [True, False],
+                         ids=["fetch_image", "materialize_image"])
+@pytest.mark.parametrize("down,lustre_down,fault,hits,seconds", _MID_FETCH,
+                         ids=[case[2].__name__ for case in _MID_FETCH])
+def test_fault_between_two_chunks_redirects_the_next_one(
+        down, lustre_down, fault, hits, seconds, timed):
+    """Placement is resolved once per image, liveness once per chunk: a
+    node crash or a Lustre brownout that lands after chunk k of one
+    fetch sends chunk k+1 to the next live tier (or, with none left,
+    fails typed) — never to the tier that just died."""
+    env = Environment()
+    cluster = _mghpcc(env, name="midfetch")
+    store, image = _stored_and_replicated(env, cluster, seed=23)
+    for index in down:
+        cluster.nodes[index].fail()
+    cluster.lustre_down = lustre_down
+    serving = cluster.lustre_fs if 0 in down \
+        else cluster.nodes[0].local_disk.fs
+    _after_loads(serving, 4, lambda: fault(cluster))
+    t0 = env.now
+
+    def fetch():
+        if timed:
+            return _run(env, store.fetch_image("p0", via_node_index=2))
+        return store.materialize_image("p0", via_node_index=2)
+
+    if sum(hits) < 10:                  # the last live tier went away
+        with pytest.raises(StoreError, match="no live replica"):
+            fetch()
+    else:
+        assert fetch().to_bytes() == image.to_bytes()
+    if timed:
+        assert (store.stats["hits_local"], store.stats["hits_partner"],
+                store.stats["hits_lustre"]) == hits
+        assert env.now - t0 == seconds
+    else:
+        assert env.now == t0        # the post-copy split charges no time
+
+
 def test_latest_epoch_and_manifest_errors():
     env = Environment()
     store = CheckpointStore(_mghpcc(env, name="err"))
