@@ -1,18 +1,21 @@
-"""Bench: the incremental/parallel checkpoint capture pipeline (DESIGN.md §8).
+"""Bench: the incremental checkpoint capture pipeline (DESIGN.md §8).
 
 Two measurements, written to ``BENCH_ckpt.json``:
 
 **microbench** — real wall time of :meth:`CheckpointImage.capture` over a
-synthetic address space in five modes (full, full+parallel workers, full
-recapture, incremental, incremental+parallel) on a dirty-subset scenario
-(~10% of the regions rewritten between captures).  ``full`` is a *cold*
+synthetic address space in three modes (full, full recapture, incremental)
+on a dirty-subset scenario (~10% of the regions rewritten between
+captures).  ``full`` is a *cold*
 capture — fresh regions holding the same bytes, so every region is
 compressed; ``full_recapture`` is the same ``prev=None`` capture of the
 *warm* address space, whose clean regions answer from the generation-keyed
 ratio memo (:attr:`Region.gzip_ratio`) and only the dirty ones are
 compressed.  Asserts the incremental capture is >= 3x faster than the cold
 full capture, and that every mode's snapshot restores bit-identically to
-the full one.
+the full one.  ``pool_speedup`` puts a number beside the one fork capture
+keeps: the cold chunk set measured serially and the way capture measures
+it on this host (``pool_width`` threads); reported, gated only on the two
+giving identical lengths.
 
 **simulated** — NAS LU and FT under the fault harness (failure-free
 schedule), full vs incremental checkpointing: mean *simulated* wall
@@ -44,7 +47,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.dmtcp.image import CheckpointImage  # noqa: E402
+from repro.dmtcp import image as image_mod  # noqa: E402
+from repro.dmtcp.image import (  # noqa: E402
+    CAPTURE_CHUNK_BYTES, CheckpointImage)
 from repro.faults.harness import run_chaos_nas  # noqa: E402
 from repro.faults.schedule import FixedSchedule  # noqa: E402
 from repro.memory import AddressSpace  # noqa: E402
@@ -85,11 +90,27 @@ def _cold_copy(memory: AddressSpace) -> AddressSpace:
     return cold
 
 
-def _capture(memory, prev=None, workers=0):
+def _capture(memory, prev=None):
     t0 = time.perf_counter()
     image = CheckpointImage.capture("bench", 1, "3.10.0", "mlx4", memory,
-                                    prev=prev, workers=workers)
+                                    prev=prev)
     return image, time.perf_counter() - t0
+
+
+def _pool_speedup(image: CheckpointImage) -> dict:
+    """Serial vs as-capture-decides measurement of one cold chunk set."""
+    chunks = [r["data"][off:off + CAPTURE_CHUNK_BYTES]
+              for r in image.memory_snapshot["regions"]
+              for off in range(0, r["size"], CAPTURE_CHUNK_BYTES)]
+    t0 = time.perf_counter()
+    serial = [image_mod._zlen(c) for c in chunks]
+    t_serial = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    decided = image_mod._measure_zlens(chunks)
+    t_decided = time.perf_counter() - t0
+    return {"pool_width": image_mod._WIDTH,
+            "pool_speedup": t_serial / t_decided,
+            "pool_identical": serial == decided}
 
 
 def _restored_bytes(image: CheckpointImage) -> dict:
@@ -114,14 +135,11 @@ def microbench(quick: bool) -> dict:
             region.touch()
 
     full, t_full = _capture(_cold_copy(memory))
-    full_par, t_full_par = _capture(_cold_copy(memory), workers=2)
     recapture, t_recapture = _capture(memory)
     redirty()
     incr, t_incr = _capture(memory, prev=base)
-    redirty()
-    incr_par, t_incr_par = _capture(memory, prev=base, workers=2)
 
-    others = (full_par, recapture, incr, incr_par)
+    others = (recapture, incr)
     reference = _restored_bytes(full)
     identical = all(_restored_bytes(img) == reference for img in others)
     ratios_match = all(
@@ -134,13 +152,10 @@ def microbench(quick: bool) -> dict:
         "dirty_regions": n_dirty,
         "dirty_fraction": n_dirty / n_regions,
         "full_s": t_full,
-        "full_parallel_s": t_full_par,
         "full_recapture_s": t_recapture,
         "ratios_reused": recapture.capture_stats["compress_reused"],
         "incremental_s": t_incr,
-        "incremental_parallel_s": t_incr_par,
         "speedup_incremental": t_full / t_incr,
-        "speedup_incremental_parallel": t_full / t_incr_par,
         "regions_clean": incr.capture_stats["regions_clean_gen"]
         + incr.capture_stats["regions_clean_hash"],
         "delta_logical_bytes": incr.delta_logical_bytes,
@@ -148,6 +163,7 @@ def microbench(quick: bool) -> dict:
         * full.compression_ratio,
         "bit_identical": identical,
         "ratios_match": ratios_match,
+        **_pool_speedup(full),
     }
 
 
@@ -157,6 +173,8 @@ def micro_checks(micro: dict) -> dict:
     return {
         "bit_identical": micro["bit_identical"],
         "ratios_match": micro["ratios_match"],
+        "pooled and serial chunk lengths identical":
+            micro["pool_identical"],
         f"incremental >= {MIN_SPEEDUP}x on dirty subset":
             micro["speedup_incremental"] >= MIN_SPEEDUP,
         "warm full recapture compresses only the dirty regions":
@@ -194,7 +212,7 @@ def simulated(quick: bool) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="incremental/parallel checkpoint pipeline benchmark")
+        description="incremental checkpoint pipeline benchmark")
     parser.add_argument("--quick", action="store_true",
                         help="small configuration for CI (seconds)")
     parser.add_argument("--out", default="BENCH_ckpt.json",
@@ -212,12 +230,12 @@ def main(argv=None) -> int:
           f"({micro['dirty_fraction']:.0%})")
     print(f"{'mode':>24} {'wall(s)':>9} {'vs full':>8}")
     for key, label in (("full_s", "full"),
-                       ("full_parallel_s", "full+workers"),
                        ("full_recapture_s", "full recapture (warm)"),
-                       ("incremental_s", "incremental"),
-                       ("incremental_parallel_s", "incremental+workers")):
+                       ("incremental_s", "incremental")):
         t = micro[key]
         print(f"{label:>24} {t:9.4f} {micro['full_s'] / t:7.1f}x")
+    print(f"# cold chunk set, serial vs {micro['pool_width']} thread(s): "
+          f"{micro['pool_speedup']:.2f}x")
     for app, row in sim.items():
         print(f"# {app.upper()} x4 simulated: full "
               f"{row['full']['mean_ckpt_s']:.3f}s/ckpt, incremental "

@@ -81,13 +81,12 @@ class CostModel:
         return self.wrapper_call_overhead + \
             self.wrapper_byte_overhead * logical_bytes
 
-    # -- incremental / parallel checkpoint pipeline (DESIGN.md §8) ------------
+    # -- incremental checkpoint pipeline (DESIGN.md §8) -----------------------
 
-    def gzip_stall_factor(self, workers: int = 0) -> float:
-        """Write-stream stall of the dynamic-gzip pipe when ``workers``
-        compressor threads feed the writer (one gzip core stalls the
-        stream by ``gzip_stall``; extra workers divide the stall)."""
-        return 1.0 + self.gzip_stall / max(1, workers or 1)
+    def gzip_stall_factor(self) -> float:
+        """Write-stream stall of the dynamic-gzip pipe: the one gzip core
+        per process stalls the stream by ``gzip_stall``."""
+        return 1.0 + self.gzip_stall
 
     def hash_seconds(self, logical_bytes: float) -> float:
         """Time to hash-verify ``logical_bytes`` of candidate-clean memory

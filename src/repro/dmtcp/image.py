@@ -11,8 +11,8 @@ bytes so scaled-down workloads report paper-magnitude checkpoint sizes and
 times; the compression ratio applied to the logical size is the ratio
 actually measured on the real bytes.
 
-Incremental + parallel capture (DESIGN.md §8/§13): :meth:`CheckpointImage.
-capture` takes an optional ``prev`` image.  A region whose generation is
+Incremental capture (DESIGN.md §8/§13): :meth:`CheckpointImage.capture`
+takes an optional ``prev`` image.  A region whose generation is
 unchanged since ``prev`` (and that never leaked a writable view) is *clean*:
 its stored bytes and measured compression ratio are reused verbatim,
 skipping both the copy and the zlib pass.  Dirtiness below region level is
@@ -22,20 +22,21 @@ one vectorized byte compare against the previous bytes) yield a chunk dirty
 mask, and only the dirty chunks count toward the incremental write-back
 delta — clean chunks also keep their known store digests so a later store
 put never re-hashes them.  Dirty regions are snapshotted fresh and their
-ratios measured over fixed-size chunks, optionally fanned out across a
-``concurrent.futures`` thread pool (zlib releases the GIL) — unless the
-region still carries the ratio an earlier capture measured on these very
-bytes (:attr:`~repro.memory.Region.gzip_ratio`, keyed by generation like
-its content hash), which any capture, full or incremental, reuses instead.
+ratios measured over fixed-size chunks (:func:`_measure_zlens` decides
+whether a thread pool pays for the batch in hand) — unless the region
+still carries the ratio an earlier capture measured on these very bytes
+(:attr:`~repro.memory.Region.gzip_ratio`, keyed by generation like its
+content hash), which any capture, full or incremental, reuses instead.
 Whatever the mode, the resulting ``memory_snapshot`` restores
 bit-identically to a full capture of the same memory.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 import zlib
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, Optional
 
@@ -53,49 +54,46 @@ class ImageError(RuntimeError):
 #: chunk granularity of the capture pipeline's compression measurement
 CAPTURE_CHUNK_BYTES = 1 << 20
 
-_pools: Dict[int, ThreadPoolExecutor] = {}
-_proc_pools: Dict[int, ProcessPoolExecutor] = {}
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # not every platform has affinity masks
+        return os.cpu_count() or 1
 
 
-def _pool(workers: int) -> ThreadPoolExecutor:
-    pool = _pools.get(workers)
-    if pool is None:
-        pool = _pools[workers] = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="ckpt-gz")
-    return pool
+#: compression threads this process may usefully run, read once at import
+#: (tests monkeypatch it; nothing else sets it)
+_WIDTH = min(4, _usable_cpus())
+
+_executor: Optional[ThreadPoolExecutor] = None
 
 
-def _process_pool(workers: int) -> ProcessPoolExecutor:
-    pool = _proc_pools.get(workers)
-    if pool is None:
-        pool = _proc_pools[workers] = ProcessPoolExecutor(
-            max_workers=workers)
-    return pool
+def _pool() -> ThreadPoolExecutor:
+    global _executor
+    if _executor is None:
+        _executor = ThreadPoolExecutor(max_workers=_WIDTH,
+                                       thread_name_prefix="ckpt-gz")
+    return _executor
 
 
 def _zlen(chunk: bytes) -> int:
     return len(zlib.compress(chunk, 1))
 
 
-def _measure_zlens(chunks, workers: int, pool_mode: str):
-    """Per-chunk compressed lengths, serial or fanned out.
+def _measure_zlens(chunks):
+    """Per-chunk compressed lengths, identical whichever way they are
+    computed.
 
-    ``pool_mode`` selects the executor for ``workers > 0``: ``"thread"``
-    (zlib releases the GIL, so threads already scale) or ``"process"``
-    (full interpreter parallelism; worth it when per-chunk CPU dominates
-    the pickle cost of shipping chunks to workers).  A process pool that
-    cannot start (sandboxed environments without fork/spawn) falls back
-    to the thread pool — results are identical either way.
+    Fans out over one shared thread pool (zlib releases the GIL) only when
+    that can pay: the host grants more than one CPU, there is more than
+    one chunk to overlap, and the batch holds at least
+    :data:`CAPTURE_CHUNK_BYTES` — below that, dispatch costs more than the
+    few small compressions it would overlap.
     """
-    if workers > 0 and len(chunks) > 1:
-        if pool_mode == "process":
-            try:
-                return list(_process_pool(workers).map(
-                    _zlen, chunks,
-                    chunksize=max(1, len(chunks) // (4 * workers))))
-            except (OSError, RuntimeError, PermissionError):
-                _proc_pools.pop(workers, None)
-        return list(_pool(workers).map(_zlen, chunks))
+    if _WIDTH > 1 and len(chunks) > 1 \
+            and sum(map(len, chunks)) >= CAPTURE_CHUNK_BYTES:
+        return list(_pool().map(_zlen, chunks))
     return [_zlen(c) for c in chunks]
 
 
@@ -141,15 +139,8 @@ class CheckpointImage:
                 gzip: bool = True, checkpointer: str = "dmtcp",
                 header_bytes: float = 0.0,
                 prev: Optional["CheckpointImage"] = None,
-                workers: int = 0, pool_mode: str = "thread", tracer=None,
-                t_sim: float = 0.0) -> "CheckpointImage":
+                tracer=None, t_sim: float = 0.0) -> "CheckpointImage":
         """Capture ``memory``, incrementally against ``prev`` if given.
-
-        ``workers`` > 0 fans dirty-region compression measurement out over
-        a shared pool — ``pool_mode="thread"`` (default) or ``"process"``
-        for full interpreter parallelism; 0 keeps the pipeline serial
-        (chunked either way).  The restored memory is bit-identical in
-        every mode.
 
         ``tracer``/``t_sim`` come from the caller (``DmtcpProcess``
         passes its class-wide tracer and ``env.now``): this module never
@@ -171,7 +162,6 @@ class CheckpointImage:
             prev_meta = prev.region_meta
 
         stats = {"mode": "incremental" if prev is not None else "full",
-                 "workers": workers, "pool_mode": pool_mode,
                  "regions_total": 0,
                  "regions_clean_gen": 0, "regions_clean_hash": 0,
                  "regions_dirty": 0, "bytes_clean": 0, "bytes_dirty": 0,
@@ -286,7 +276,7 @@ class CheckpointImage:
                 else:
                     # what an earlier capture (any mode, any ``prev``)
                     # measured on these very bytes; ``None`` = measured
-                    # below, maybe in parallel
+                    # below
                     ratio = reused = region.gzip_ratio
                     if reused is not None:
                         stats["compress_reused"] += 1
@@ -315,22 +305,21 @@ class CheckpointImage:
                 # ChunkSan re-measures what the memo answered
                 measure_jobs.append((entry, data, region, reused))
 
-        # -- chunked ratio measurement, serial or fanned out ----------------
+        # -- chunked ratio measurement ---------------------------------------
         n_reused = stats["compress_reused"]
         if measure_jobs or n_reused:
             # ``reused`` only when the memo answered for some region, so
             # traces of captures it never serves keep their schema
             compress_span = None if tracer is None else tracer.begin(
                 "capture.compress", proc_name, t_sim,
-                regions=len(measure_jobs), workers=workers,
+                regions=len(measure_jobs),
                 **({"reused": n_reused} if n_reused else {}))
             chunks = []     # (job_index, chunk)
             for j, job in enumerate(measure_jobs):
                 data = job[1]
                 for off in range(0, len(data), CAPTURE_CHUNK_BYTES):
                     chunks.append((j, data[off:off + CAPTURE_CHUNK_BYTES]))
-            zlens = _measure_zlens([c for _j, c in chunks], workers,
-                                   pool_mode)
+            zlens = _measure_zlens([c for _j, c in chunks])
             compressed = [0] * len(measure_jobs)
             for (j, _c), zl in zip(chunks, zlens):
                 compressed[j] += zl
@@ -380,13 +369,6 @@ class CheckpointImage:
         """Bytes an incremental write-back must push (paper-testbed
         scale): the dirty regions' compressed logical bytes + header."""
         return self.delta_logical_bytes + self.header_bytes
-
-    def compression_time(self, gzip_throughput: float,
-                         workers: int = 1) -> float:
-        if not self.gzip:
-            return 0.0
-        return self.raw_logical_bytes / (gzip_throughput
-                                         * max(1, workers))
 
     # -- real byte serialization ---------------------------------------------------
 

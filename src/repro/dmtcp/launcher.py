@@ -170,7 +170,6 @@ def dmtcp_launch(cluster: Cluster, specs: Sequence[AppSpec],
                  coord_node_index: int = 0,
                  tracker: Optional[JobTracker] = None,
                  incremental: bool = False,
-                 ckpt_workers: int = 0, ckpt_pool: str = "thread",
                  store=None) -> Generator:
     """Process generator: start a coordinator and all processes under it.
 
@@ -200,9 +199,7 @@ def dmtcp_launch(cluster: Cluster, specs: Sequence[AppSpec],
                             costs=costs, gzip=gzip, ckpt_dir=ckpt_dir,
                             disk_kind=disk_kind,
                             node_index=spec.node_index,
-                            incremental=incremental,
-                            ckpt_workers=ckpt_workers,
-                            ckpt_pool=ckpt_pool, store=store)
+                            incremental=incremental, store=store)
         procs.append(proc)
         launch_events.append(env.process(
             proc.launch(coordinator.node.name, coordinator.port,
@@ -222,7 +219,6 @@ def dmtcp_restart(cluster: Cluster, ckpt_set: CheckpointSet,
                   stage_images: bool = True,
                   tracker: Optional[JobTracker] = None,
                   incremental: bool = False,
-                  ckpt_workers: int = 0, ckpt_pool: str = "thread",
                   store=None, preloaded: bool = False) -> Generator:
     """Process generator: restart a CheckpointSet on ``cluster`` (the same
     one or a different one — different LIDs, different qp_nums, possibly a
@@ -273,9 +269,8 @@ def dmtcp_restart(cluster: Cluster, ckpt_set: CheckpointSet,
                 image = CheckpointImage.from_bytes(data)
             proc = DmtcpProcess.restart(
                 host, record, image, costs,
-                coordinator.node.name, coordinator.port,
+                coordinator.node.name, coordinator.port, dst_index,
                 disk_kind=disk_kind, incremental=incremental,
-                ckpt_workers=ckpt_workers, ckpt_pool=ckpt_pool,
                 store=store)
             procs_by_name[record.name] = proc
             yield from proc.restart_flow(coordinator.node.name,

@@ -11,6 +11,7 @@ transparency claim (see DESIGN.md §2).
 
 from __future__ import annotations
 
+import posixpath
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional
 
@@ -128,8 +129,7 @@ class DmtcpProcess:
                  plugins: List[Plugin], costs: CostModel = DEFAULT_COSTS,
                  gzip: bool = True, ckpt_dir: str = "/tmp",
                  disk_kind: str = "local", node_index: int = 0,
-                 incremental: bool = False, ckpt_workers: int = 0,
-                 ckpt_pool: str = "thread", store=None):
+                 incremental: bool = False, store=None):
         self.host = host
         self.env = host.env
         self.name = name
@@ -143,11 +143,6 @@ class DmtcpProcess:
         self.node_index = node_index
         #: reuse the previous image's clean regions instead of recapturing
         self.incremental = incremental
-        #: worker threads for dirty-region compression (0 = serial)
-        self.ckpt_workers = ckpt_workers
-        #: "thread" (default) or "process" — executor kind for the
-        #: compression-ratio measurement fan-out in capture()
-        self.ckpt_pool = ckpt_pool
         #: optional repro.store.CheckpointStore: images land as
         #: content-addressed chunks on the local tier (async replication
         #: is the coordinator's job) instead of one monolithic file
@@ -265,7 +260,7 @@ class DmtcpProcess:
                                 for p in self.plugins))
             tracer.end(drain_span, self.env.now)
 
-        # 3. write the image — the incremental/parallel pipeline
+        # 3. write the image — the incremental pipeline
         for plugin in self.plugins:
             plugin.event(DmtcpEvent.WRITE_CKPT)
         hca_vendor = None
@@ -281,9 +276,7 @@ class DmtcpProcess:
             kernel_version=self.host.node.kernel_version,
             hca_vendor=hca_vendor, memory=self.host.memory,
             gzip=self.gzip, header_bytes=self.costs.image_header_bytes,
-            prev=prev, workers=self.ckpt_workers,
-            pool_mode=self.ckpt_pool,
-            tracer=tracer, t_sim=self.env.now)
+            prev=prev, tracer=tracer, t_sim=self.env.now)
         # incremental scan: hash-verifying candidate-clean memory costs time
         scan_seconds = self.costs.hash_seconds(
             image.capture_stats.get("logical_hashed", 0.0))
@@ -320,8 +313,7 @@ class DmtcpProcess:
             self.monitor.on_bg_write_join(self.name)
             if intent != "migrate":
                 self.monitor.on_image_write(self.name, epoch)
-        stall = self.costs.gzip_stall_factor(self.ckpt_workers) \
-            if self.gzip else 1.0
+        stall = self.costs.gzip_stall_factor() if self.gzip else 1.0
         abs_epoch = epoch
         put = None
         data = None
@@ -372,8 +364,8 @@ class DmtcpProcess:
             real_bytes = float(len(data))
             # dynamic gzip pipes through the writer: the pipeline stalls
             # the write stream by bw_disk/bw_gzip (Table 5's ~4% gzip
-            # cost); parallel compressor workers divide the stall.  An
-            # incremental image only pushes the dirty regions' bytes.
+            # cost).  An incremental image only pushes the dirty regions'
+            # bytes.
             logical = image.delta_logical_size if prev is not None \
                 else image.logical_size
             if self.gzip:
@@ -483,19 +475,22 @@ class DmtcpProcess:
     @classmethod
     def restart(cls, host: ProcessHost, record: CheckpointRecord,
                 image: CheckpointImage, costs: CostModel,
-                coord_host: str, coord_port: int,
+                coord_host: str, coord_port: int, node_index: int,
                 disk_kind: str = "local", incremental: bool = False,
-                ckpt_workers: int = 0, ckpt_pool: str = "thread",
                 store=None) -> "DmtcpProcess":
-        """Build the restarted process object (dmtcp_restart runs
-        :meth:`restart_flow` on it afterwards)."""
+        """Build the restarted process object on node ``node_index`` of
+        the new cluster (dmtcp_restart runs :meth:`restart_flow` on it
+        afterwards)."""
         cont = record.continuation
         proc = cls(host, name=cont.name, rank=cont.rank,
                    world=cont.appctx.world, plugins=cont.plugins,
                    costs=costs, gzip=image.gzip, disk_kind=disk_kind,
-                   node_index=record.node_index, incremental=incremental,
-                   ckpt_workers=ckpt_workers, ckpt_pool=ckpt_pool,
+                   node_index=node_index, incremental=incremental,
                    store=store)
+        if record.path and not record.epoch:
+            # an image file: keep writing where the launcher was told to
+            # (store and migrate captures name no such directory)
+            proc.ckpt_dir = posixpath.dirname(record.path)
         # the restored process lives at the original virtual addresses:
         # adopt the old address space and overwrite it with image bytes
         image.restore_memory(cont.memory)

@@ -105,8 +105,7 @@ def run_sweep(mtbf_values: List[float], trials: int = 3,
               app: str = "lu", klass: str = "A", nprocs: int = 4,
               ppn: int = 1, iters_sim: int = 0, base_seed: int = 2014,
               intervals: Optional[List[float]] = None,
-              incremental: bool = False, ckpt_workers: int = 0,
-              use_store: bool = False,
+              incremental: bool = False, use_store: bool = False,
               quiet: bool = False, analysis: bool = False,
               chunksan: bool = False) -> SweepResult:
     n_nodes = max(1, -(-nprocs // ppn))
@@ -138,7 +137,7 @@ def run_sweep(mtbf_values: List[float], trials: int = 3,
                         seed=base_seed + 7919 * trial,
                         backoff_base=0.2, backoff_max=2.0,
                         max_attempts=50, incremental=incremental,
-                        ckpt_workers=ckpt_workers, use_store=use_store,
+                        use_store=use_store,
                         analysis=analysis, chunksan=chunksan)
                     for trial in range(trials)]
             mean = lambda xs: sum(xs) / len(xs)  # noqa: E731
@@ -179,8 +178,6 @@ def main(argv=None) -> int:
     parser.add_argument("--incremental", action="store_true",
                         help="capture checkpoints incrementally against "
                              "the previous image (DESIGN.md §8)")
-    parser.add_argument("--ckpt-workers", type=int, default=0,
-                        help="compressor threads per process (0 = serial)")
     parser.add_argument("--store", action="store_true",
                         help="land checkpoints in the content-addressed "
                              "multi-tier store (repro.store): chunk dedup, "
@@ -200,6 +197,8 @@ def main(argv=None) -> int:
                              "print the repro.obs per-phase checkpoint "
                              "decomposition")
     args = parser.parse_args(argv)
+    if args.trials is not None and args.trials < 1:
+        parser.error("--trials must be at least 1")
 
     if args.smoke:
         mtbfs, trials, iters = [40.0], args.trials or 1, 24
@@ -208,7 +207,6 @@ def main(argv=None) -> int:
 
     result = run_sweep(mtbfs, trials=trials, iters_sim=iters,
                        base_seed=args.seed, incremental=args.incremental,
-                       ckpt_workers=args.ckpt_workers,
                        use_store=args.store, analysis=args.analysis,
                        chunksan=args.chunksan)
     if args.chunksan:

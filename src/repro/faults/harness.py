@@ -131,8 +131,7 @@ def run_chaos_nas(app: str = "lu", klass: str = "A", nprocs: int = 4,
                   backoff_factor: float = 2.0, backoff_max: float = 8.0,
                   backoff_jitter: float = 0.0,
                   disk_kind: str = "local", gzip: bool = True,
-                  incremental: bool = False, ckpt_workers: int = 0,
-                  use_store: bool = False,
+                  incremental: bool = False, use_store: bool = False,
                   costs: CostModel = DEFAULT_COSTS,
                   analysis: bool = False,
                   trace: bool = False,
@@ -178,8 +177,8 @@ def run_chaos_nas(app: str = "lu", klass: str = "A", nprocs: int = 4,
     injector = Injector(env, schedule)
     config = RecoveryConfig(
         ckpt_interval=ckpt_interval, disk_kind=disk_kind, gzip=gzip,
-        incremental=incremental, ckpt_workers=ckpt_workers,
-        use_store=use_store, max_attempts=max_attempts,
+        incremental=incremental, use_store=use_store,
+        max_attempts=max_attempts,
         backoff_base=backoff_base, backoff_factor=backoff_factor,
         backoff_max=backoff_max, backoff_jitter=backoff_jitter)
     manager = RecoveryManager(

@@ -145,7 +145,7 @@ def chaos_restart(cluster: Cluster, ckpt_set: CheckpointSet,
                   disk_kind: str = "local", coord_node_index: int = 0,
                   tracker: Optional[JobTracker] = None,
                   generation: int = 1, incremental: bool = False,
-                  ckpt_workers: int = 0, store=None) -> Generator:
+                  store=None) -> Generator:
     """Process generator: restart after a *crash* from a resume-intent
     checkpoint.
 
@@ -194,8 +194,7 @@ def chaos_restart(cluster: Cluster, ckpt_set: CheckpointSet,
                                 len(ckpt_set.records), plugin_factory(),
                                 costs=costs, gzip=gzip, disk_kind=disk_kind,
                                 node_index=dst_index,
-                                incremental=incremental,
-                                ckpt_workers=ckpt_workers, store=store)
+                                incremental=incremental, store=store)
             proc.appctx.restarts = generation - 1
             if incremental:
                 # seed the incremental chain: restore() bumped every
@@ -231,8 +230,6 @@ class RecoveryConfig:
     #: incremental capture: reuse the previous image's bytes/ratios for
     #: regions proven clean (DESIGN.md §8)
     incremental: bool = False
-    #: compressor threads per process for dirty-region measurement
-    ckpt_workers: int = 0
     #: land checkpoints in a content-addressed multi-tier store
     #: (``repro.store``) instead of monolithic per-process files; a fresh
     #: store is built per generation and re-staged from the last
@@ -423,8 +420,7 @@ class RecoveryManager:
                     cluster, specs, plugin_factory=self._plugins,
                     costs=self.costs, gzip=cfg.gzip,
                     disk_kind=cfg.disk_kind, tracker=tracker,
-                    incremental=cfg.incremental,
-                    ckpt_workers=cfg.ckpt_workers, store=store)
+                    incremental=cfg.incremental, store=store)
             else:
                 self._mark(outcome, "restart",
                            f"generation {generation} from checkpoint at "
@@ -434,7 +430,7 @@ class RecoveryManager:
                     costs=self.costs, gzip=cfg.gzip,
                     disk_kind=cfg.disk_kind, tracker=tracker,
                     generation=generation, incremental=cfg.incremental,
-                    ckpt_workers=cfg.ckpt_workers, store=store)
+                    store=store)
             launch_proc = env.process(
                 _safe(launch_gen), name=f"{self.name}.up.g{generation}")
 

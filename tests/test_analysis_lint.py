@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import run_analysis
+from repro.analysis import concurrency, run_analysis
 from repro.analysis.budget import charge, load_budget, write_budget
 from repro.analysis.concurrency import check_file
 from repro.analysis.findings import parse_suppressions
@@ -100,10 +100,21 @@ def test_pool_worker_mutation_suppressed():
     assert findings and all(f.suppressed for f in findings)
 
 
-def test_shipped_capture_pipeline_is_clean():
-    """The real PR-2 capture path must not trip its own checker."""
+def test_shipped_capture_pipeline_is_clean(monkeypatch):
+    """The real capture path must not trip its own checker — and the
+    checker must still recognise the one pool call site there, or a
+    rename of the receiver would blind the rule silently."""
+    scanned = []
+
+    class Recording(concurrency._WorkerBodyVisitor):
+        def __init__(self):
+            super().__init__()
+            scanned.append(self)
+
+    monkeypatch.setattr(concurrency, "_WorkerBodyVisitor", Recording)
     findings = check_file(REPO / "src/repro/dmtcp/image.py")
     assert [f for f in findings if not f.suppressed] == []
+    assert len(scanned) == 1
 
 
 # -- suppression parsing -------------------------------------------------------

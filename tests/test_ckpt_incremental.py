@@ -1,4 +1,4 @@
-"""The incremental/parallel checkpoint pipeline (DESIGN.md §8) and the
+"""The incremental checkpoint pipeline (DESIGN.md §8) and the
 wr_id-indexed WQE log.
 
 The load-bearing property: however writes, leaked-view mutations, and
@@ -8,6 +8,7 @@ fault harness's injected-crash restart path.
 """
 
 from collections import deque
+from contextlib import nullcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,16 +17,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.ib_plugin import WqeLogError
+from repro.analysis.chunksan import sanitized
 from repro.core.ib_plugin.shadow import WqeLog
-from repro.dmtcp.image import CheckpointImage
+from repro.dmtcp import image as image_mod
+from repro.dmtcp.image import CAPTURE_CHUNK_BYTES, CheckpointImage
 from repro.faults.harness import run_chaos_nas
 from repro.faults.schedule import FailureEvent, FixedSchedule
 from repro.memory import CHUNK_BYTES, AddressSpace
 
 
-def _capture(memory, prev=None, workers=0, gzip=True):
+def _capture(memory, prev=None, gzip=True):
     return CheckpointImage.capture("p0", 1, "3.10.0", "mlx4", memory,
-                                   gzip=gzip, prev=prev, workers=workers)
+                                   gzip=gzip, prev=prev)
 
 
 def _restored(image):
@@ -99,17 +102,72 @@ def test_gzip_off_forces_unit_ratio_even_on_reuse():
     assert raw.compression_ratio == 1.0
 
 
-def test_parallel_capture_matches_serial():
+# -- the pool decision: platform width × batch size ---------------------------
+
+def _full_then_incremental():
+    """Full capture of a fresh 1.5 MiB six-region memory, a tracked
+    write into five of the regions, then a ``prev=`` capture: (blobs,
+    ratios, image ratios, deltas) of the pair."""
     rng = np.random.default_rng(7)
     mem = AddressSpace()
+    regions = []
     for i in range(6):
-        data = rng.integers(0, 64, 64 * 1024, dtype=np.uint8).tobytes()
-        mem.mmap(f"r{i}", len(data), data=data)
-    serial = _capture(mem)
-    parallel = _capture(mem, workers=4)
-    assert _restored(parallel) == _restored(serial)
-    assert parallel.compression_ratio == pytest.approx(
-        serial.compression_ratio, abs=1e-12)
+        data = rng.integers(0, 64, 256 * 1024, dtype=np.uint8).tobytes()
+        regions.append(mem.mmap(f"r{i}", len(data), data=data))
+    full = _capture(mem)
+    for region in regions[:5]:
+        mem.write(region.addr + 3 * CHUNK_BYTES, b"dirty" * 100)
+    incr = _capture(mem, prev=full)
+    images = (full, incr)
+    return ([im.to_bytes() for im in images],
+            [{name: m["ratio"] for name, m in im.region_meta.items()}
+             for im in images],
+            [im.compression_ratio for im in images],
+            [im.delta_logical_bytes for im in images])
+
+
+def test_pooled_capture_is_bit_identical_to_serial(monkeypatch):
+    pooled_batches = []
+    real_pool = image_mod._pool
+
+    def counting_pool():
+        pooled_batches.append(1)
+        return real_pool()
+
+    monkeypatch.setattr(image_mod, "_pool", counting_pool)
+    for with_chunksan in (False, True):
+        outcomes = {}
+        for width in (1, 2):
+            monkeypatch.setattr(image_mod, "_WIDTH", width)
+            pooled_batches.clear()
+            with sanitized() if with_chunksan else nullcontext():
+                outcomes[width] = _full_then_incremental()
+            # width 2 pooled both captures' batches; width 1 none
+            assert len(pooled_batches) == (2 if width > 1 else 0)
+        assert outcomes[1] == outcomes[2]
+
+
+def test_batches_the_pool_cannot_help_never_build_an_executor(monkeypatch):
+    def no_executor(*args, **kwargs):
+        raise AssertionError("capture built an executor")
+
+    monkeypatch.setattr(image_mod, "_executor", None)
+    monkeypatch.setattr(image_mod, "ThreadPoolExecutor", no_executor)
+    sub_floor = [bytes([i]) * (64 * 1024) for i in range(3)]
+    single = [b"s" * (2 * CAPTURE_CHUNK_BYTES)]
+    big = [bytes([i]) * CAPTURE_CHUNK_BYTES for i in range(4)]
+    for width in (1, 2, 4):
+        monkeypatch.setattr(image_mod, "_WIDTH", width)
+        # a big multi-chunk batch stays serial only on one CPU
+        batches = [sub_floor, single] + ([big] if width == 1 else [])
+        for batch in batches:
+            assert image_mod._measure_zlens(batch) \
+                == [image_mod._zlen(c) for c in batch]
+        # and through capture(): three 64 KiB regions are one such batch
+        mem = AddressSpace()
+        for i, chunk in enumerate(sub_floor):
+            mem.mmap(f"r{i}", len(chunk), data=chunk)
+        assert _capture(mem).capture_stats["regions_dirty"] == 3
 
 
 # -- the bit-identity property ------------------------------------------------
@@ -120,7 +178,7 @@ _ops = st.lists(
                   st.integers(0, 255), st.binary(min_size=1, max_size=64)),
         st.tuples(st.just("view"), st.integers(0, 3),
                   st.integers(0, 255)),
-        st.tuples(st.just("ckpt"), st.booleans())),
+        st.tuples(st.just("ckpt"))),
     min_size=1, max_size=24)
 
 
@@ -128,8 +186,8 @@ _ops = st.lists(
 @given(_ops)
 def test_incremental_chain_restores_bit_identically(ops):
     """Arbitrary interleavings of tracked writes, untracked leaked-view
-    mutations, and incremental checkpoints (serial or parallel): every
-    image in the chain restores exactly what a full capture would."""
+    mutations, and incremental checkpoints: every image in the chain
+    restores exactly what a full capture would."""
     mem = AddressSpace()
     regions = [mem.mmap(f"r{i}", 256) for i in range(4)]
     prev = None
@@ -143,8 +201,7 @@ def test_incremental_chain_restores_bit_identically(ops):
             _, i, value = op
             regions[i].as_ndarray()[value % 256] = value % 256
         else:
-            workers = 2 if op[1] else 0
-            incr = _capture(mem, prev=prev, workers=workers)
+            incr = _capture(mem, prev=prev)
             full = _capture(mem)
             assert _restored(incr) == _restored(full)
             assert incr.compression_ratio == pytest.approx(

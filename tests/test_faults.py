@@ -367,3 +367,14 @@ def test_sweep_shows_checkpoint_interval_tradeoff():
     # the extremes of the grid never win
     assert best not in (rows[0][0], rows[-1][0])
     assert result.young_daly_holds(40.0)
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_sweep_cli_rejects_nonpositive_trials(trials, capsys):
+    """``--trials 0`` used to run the default count silently."""
+    from repro.experiments.fault_sweep import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--smoke", "--trials", trials])
+    assert exit_info.value.code == 2
+    assert "--trials must be at least 1" in capsys.readouterr().err

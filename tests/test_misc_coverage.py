@@ -149,7 +149,9 @@ def test_dmtcp_restart_node_map_remaps_placement():
         return ctx.proc.node.name
 
     session = env.run(until=env.process(dmtcp_launch(
-        cluster, [AppSpec(0, "a", app), AppSpec(1, "b", app)])))
+        cluster, [AppSpec(0, "a", app), AppSpec(1, "b", app)],
+        ckpt_dir="/ckpts")))
+    seen = {}
 
     def scenario():
         yield env.timeout(1.0)
@@ -158,8 +160,19 @@ def test_dmtcp_restart_node_map_remaps_placement():
         target = Cluster(env, BUFFALO_CCR, n_nodes=2, name="map-dst")
         session2 = yield from dmtcp_restart(target, ckpt,
                                             node_map={0: 1, 1: 0})
-        return (yield from session2.wait())
+        # the restarted processes know where they now live and where the
+        # launcher was told to write: the next set restarts unstaged
+        yield env.timeout(1.0)
+        ckpt2 = yield from session2.checkpoint(intent="restart")
+        seen["records"] = {r.name: (r.node_index, r.path)
+                           for r in ckpt2.records}
+        session3 = yield from dmtcp_restart(target, ckpt2,
+                                            stage_images=False,
+                                            coord_node_index=1)
+        return (yield from session3.wait())
 
     results = env.run(until=env.process(scenario()))
     assert results[0].endswith("n001")  # swapped placement
     assert results[1].endswith("n000")
+    assert seen["records"] == {"a": (1, "/ckpts/ckpt_a.dmtcp"),
+                               "b": (0, "/ckpts/ckpt_b.dmtcp")}

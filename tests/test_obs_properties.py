@@ -1,11 +1,12 @@
 """Hypothesis properties of the obs primitives: ring-buffer bounds,
 per-segment sim-clock monotonicity, and histogram conservation under
-the real concurrent capture pool (``dmtcp/image.py``)."""
+concurrent observers."""
+
+from concurrent.futures import ThreadPoolExecutor
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dmtcp.image import _pool
 from repro.obs import Tracer, split_segments
 from repro.obs.metrics import (
     DEFAULT_SECONDS_BUCKETS,
@@ -94,9 +95,10 @@ def test_monotone_timeline_is_one_segment(times):
        st.integers(min_value=1, max_value=4))
 def test_histogram_conserves_observations_concurrently(values, workers):
     """bucket-count sum == observation count, with observe() called
-    from the actual checkpoint-capture thread pool."""
+    from a thread pool like the checkpoint-capture one."""
     hist = Histogram("prop.hist", buckets=DEFAULT_SECONDS_BUCKETS)
-    list(_pool(workers).map(hist.observe, values))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(hist.observe, values))
     assert hist.count == len(values)
     assert sum(hist.counts()) == len(values)
     assert abs(hist.total - sum(values)) \
