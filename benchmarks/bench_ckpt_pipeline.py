@@ -156,8 +156,7 @@ def microbench(quick: bool) -> dict:
         "ratios_reused": recapture.capture_stats["compress_reused"],
         "incremental_s": t_incr,
         "speedup_incremental": t_full / t_incr,
-        "regions_clean": incr.capture_stats["regions_clean_gen"]
-        + incr.capture_stats["regions_clean_hash"],
+        "regions_clean": incr.capture_stats["regions_clean_gen"],
         "delta_logical_bytes": incr.delta_logical_bytes,
         "full_logical_bytes": full.raw_logical_bytes
         * full.compression_ratio,

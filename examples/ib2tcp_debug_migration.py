@@ -63,7 +63,7 @@ def offline_act() -> float:
 
         # "attach gdb": inspect the restored application memory directly
         cont = ckpt.records[0].continuation
-        state = cont.memory.region("mpi.r0.lu.data").as_ndarray(
+        state = cont.memory.region("mpi.r0.lu.data").view(
             dtype=np.float64)
         print(f"(gdb) p state[0..3] = {state[:4]}")
         print(f"(gdb) info proc     = pid {cont.appctx.proc.pid} on "
@@ -110,7 +110,7 @@ def online_act() -> float:
 
         # the same "gdb attach" works on the migrated memory
         proc = result.session.procs[0]
-        state = proc.host.memory.region("mpi.r0.lu.data").as_ndarray(
+        state = proc.host.memory.region("mpi.r0.lu.data").view(
             dtype=np.float64)
         print(f"(gdb) p state[0..3] = {state[:4]}")
 

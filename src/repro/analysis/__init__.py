@@ -8,8 +8,8 @@ convention-checked:
   ``src/repro`` (Principle 1, §3.2, deterministic replay);
 * :mod:`.concurrency` — lockset-style check that thread-pool capture
   workers never touch coordinator-owned Region dirty tracking;
-* :mod:`.escape` — dirty-write escape analysis: leaked ``as_ndarray``
-  views, untracked ``region.buffer`` writes, RNG namespace taint;
+* :mod:`.escape` — dirty-write escape analysis: raw buffer views,
+  untracked ``region.buffer`` writes, RNG namespace taint;
 * :mod:`.findings` — ``stale-suppression``: every ``# repro: allow()``
   waiver must still silence a real finding or it becomes one;
 * :mod:`.protocol` / :mod:`.chunksan` — the opt-in runtime checkers:

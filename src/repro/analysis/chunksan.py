@@ -19,11 +19,9 @@ under every chaos sweep:
   and raises :class:`ChunkSanError` naming the process, region, chunk
   index, and the last ``touch()`` backtrace recorded for that chunk.
 
-Regions with ``views_leaked`` set are exempt (capture already distrusts
-their stamps and falls back to byte compare); they are re-observed but
-never judged.  ChunkSan charges **zero simulated time** — it runs in
-the capture call, which is instantaneous in sim time by construction —
-and is strictly opt-in: installed class-wide like the
+Every region is judged.  ChunkSan charges **zero simulated time** — it
+runs in the capture call, which is instantaneous in sim time by
+construction — and is strictly opt-in: installed class-wide like the
 :class:`~repro.analysis.protocol.ProtocolMonitor` (pytest fixture knob
 ``REPRO_CHUNKSAN=1`` / ``@pytest.mark.chunksan``, or
 ``fault_sweep --chunksan``), with no import from the checked modules
@@ -76,7 +74,6 @@ class ChunkSan:
         self.checks = 0             # capture/migration-round checkpoints
         self.regions_checked = 0
         self.chunks_checked = 0
-        self.regions_skipped = 0    # views_leaked: stamps not trusted
         self.stale_caught = 0
 
     # -- touch recording (wired by install_chunksan) -------------------------
@@ -112,8 +109,7 @@ class ChunkSan:
                      context: str = "capture") -> int:
         """Compare ``region`` against its shadow observation; returns the
         number of chunks judged.  Raises :class:`ChunkSanError` on the
-        first stale stamp; always re-observes (even leaked regions, so a
-        later un-leaked generation starts from truth)."""
+        first stale stamp; always re-observes."""
         key = (proc_name, region.name)
         n = region.n_chunks
         digests = _chunk_digests(region.buffer, n)
@@ -121,11 +117,6 @@ class ChunkSan:
         prev = self._shadow.get(key)
         self._shadow[key] = {"token": id(region), "size": region.size,
                              "gens": gens, "digests": digests}
-        if region.views_leaked:
-            # capture already refuses to trust these stamps (falls back
-            # to byte compare), so there is no discipline to prove
-            self.regions_skipped += 1
-            return 0
         if prev is None or prev["token"] != id(region) \
                 or prev["size"] != region.size:
             # first sight, a remapping, or a resize: nothing to diff yet
@@ -185,7 +176,6 @@ class ChunkSan:
         return {"checks": self.checks,
                 "regions_checked": self.regions_checked,
                 "chunks_checked": self.chunks_checked,
-                "regions_skipped": self.regions_skipped,
                 "stale_caught": self.stale_caught}
 
 

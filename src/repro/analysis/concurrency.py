@@ -6,8 +6,8 @@ safety argument is simple and worth machine-checking:
 
 * Worker functions submitted to a pool (`.map` / `.submit`) may read the
   bytes handed to them, but must never touch ``Region`` dirty-tracking
-  state — ``generation``, ``views_leaked``, ``buffer`` — nor call the
-  mutating entry points ``touch()`` / ``as_ndarray()``.  Those fields are
+  state — ``generation``, ``buffer`` — nor call the mutating entry
+  point ``touch()``.  Those fields are
   read by the coordinator *while the pool is running* to decide which
   regions the next incremental capture may skip; a racing worker mutation
   makes a capture silently stale (the corruption Principle 3's WQE log
@@ -39,8 +39,8 @@ CONCURRENCY_RULES: Dict[str, str] = {
 }
 
 _POOL_HINTS = ("pool", "executor", "ex")
-_BANNED_ATTRS = frozenset({"generation", "views_leaked", "buffer"})
-_BANNED_CALLS = frozenset({"touch", "as_ndarray"})
+_BANNED_ATTRS = frozenset({"generation", "buffer"})
+_BANNED_CALLS = frozenset({"touch"})
 
 
 def _receiver_name(func: ast.AST) -> Optional[str]:

@@ -3,28 +3,25 @@
 PR 7's incremental-capture wins (DESIGN.md §13) rest on one convention:
 every mutation of region-backed memory flows through a write-interposed
 :class:`~repro.memory.address_space.TrackedView` (``Region.view()``) or
-is immediately declared with ``Region.touch(offset, length)``.  A single
-leaked writable ``as_ndarray`` view silently degrades capture back to
-full byte-compare; a missed ``touch()`` makes chunk stamps stale and
-restores subtly wrong.  This intra-procedural alias/dataflow pass makes
-the convention machine-checked:
+is immediately declared with ``Region.touch(offset, length)``.  A write
+through a raw buffer view or a missed ``touch()`` makes chunk stamps stale
+and restores subtly wrong.  This intra-procedural alias/dataflow pass
+makes the convention machine-checked:
 
 ``leaked-view-write``
-    A value produced by ``Region.as_ndarray()`` is written through —
-    ``x[...] = ``, an in-place operator, ``.fill()``/``.sort()``/… , or
-    passed as an ``out=`` / ``np.copyto`` destination — outside
-    ``memory/``.  Fix: take a ``Region.view()`` (a TrackedView) so the
-    write dirties exactly the chunks it lands in.
+    A raw buffer view — ``np.frombuffer(region.buffer, …)`` or anything
+    derived from it — is written through: ``x[...] = ``, an in-place
+    operator, ``.fill()``/``.sort()``/… , or passed as an ``out=`` /
+    ``np.copyto`` destination — outside ``memory/``.  Fix: take a
+    ``Region.view()`` (a TrackedView) so the write dirties exactly the
+    chunks it lands in.
 
 ``leaked-view-escape``
-    An ``as_ndarray`` view escapes the expression that made it:
-    returned, yielded, stored on an attribute (``self.x = view``), or
-    put in a container — outside ``memory/``.  Once escaped, any later
-    writer mutates bytes behind the stamps' back.  A raw
-    ``np.frombuffer(region.buffer, …)`` taints the same way unless the
-    scope declares ``<region>.views_leaked = True`` (the honest escape
-    hatch ``upc/runtime.py`` uses); read-only peeks through an
-    undeclared frombuffer stay legal.
+    A raw buffer view escapes the expression that made it: returned,
+    yielded, stored on an attribute (``self.x = view``), or put in a
+    container — outside ``memory/``.  Once escaped, any later writer
+    mutates bytes behind the stamps' back.  Read-only peeks through a
+    raw view stay legal.
 
 ``untracked-buffer-write``
     A direct ``region.buffer[lo:hi] = …`` (or a write through a
@@ -58,11 +55,10 @@ from .findings import Finding, apply_suppressions, parse_suppressions
 __all__ = ["ESCAPE_RULES", "escape_file", "escape_paths"]
 
 ESCAPE_RULES: Dict[str, str] = {
-    "leaked-view-write": "write through a Region.as_ndarray() view "
-                         "outside memory/ — use Region.view() so the "
-                         "write dirties only the chunks it touches",
-    "leaked-view-escape": "Region.as_ndarray() view (or undeclared raw "
-                          "frombuffer view) escapes outside memory/ — "
+    "leaked-view-write": "write through a raw buffer view outside "
+                         "memory/ — use Region.view() so the write "
+                         "dirties only the chunks it touches",
+    "leaked-view-escape": "raw buffer view escapes outside memory/ — "
                           "returned, stored, or put in a container",
     "untracked-buffer-write": "direct region.buffer write without a "
                               "matching touch() covering the written "
@@ -154,12 +150,10 @@ class _Scope:
     """Dataflow state for one function (or the module body)."""
 
     def __init__(self) -> None:
-        #: names currently bound to an as_ndarray-derived view
+        #: names currently bound to a raw-buffer-derived view
         self.tainted: Set[str] = set()
         #: memoryview-of-buffer aliases: name → receiver expression key
         self.mv_alias: Dict[str, Tuple[str, ast.AST]] = {}
-        #: receivers declared leaked via ``x.views_leaked = True``
-        self.declared_leaked: Set[str] = set()
 
 
 class _EscapeVisitor:
@@ -179,22 +173,15 @@ class _EscapeVisitor:
     def _tainted(self, node: ast.AST, scope: _Scope) -> bool:
         if isinstance(node, ast.Call):
             func = node.func
-            if isinstance(func, ast.Attribute):
-                if func.attr == "as_ndarray":
-                    return True
-                if func.attr in _VIEW_METHODS \
-                        and self._tainted(func.value, scope):
-                    return True
-            # an undeclared np.frombuffer(x.buffer, …) is the same
-            # hazard as as_ndarray minus the honesty: taint it unless
-            # the scope declares x.views_leaked = True (the upc escape
-            # hatch) — reads through it stay legal, writes/escapes not
+            if isinstance(func, ast.Attribute) \
+                    and func.attr in _VIEW_METHODS \
+                    and self._tainted(func.value, scope):
+                return True
+            # np.frombuffer(x.buffer, …): reads through it stay legal,
+            # writes/escapes not
             chain = _dotted(func)
             if chain and chain[-1] == "frombuffer" and node.args:
-                recv = _is_buffer_attr(node.args[0])
-                if recv is not None \
-                        and _key(recv) not in scope.declared_leaked:
-                    return True
+                return _is_buffer_attr(node.args[0]) is not None
             return False
         if isinstance(node, ast.Name):
             return node.id in scope.tainted
@@ -227,18 +214,7 @@ class _EscapeVisitor:
             self._run_scope(func.body)
 
     def _run_scope(self, body: List[ast.stmt]) -> None:
-        scope = _Scope()
-        # pre-scan: views_leaked declarations anywhere in this scope make
-        # raw-frombuffer views in the same scope "declared" (the honest
-        # escape hatch), regardless of statement order
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        if isinstance(target, ast.Attribute) \
-                                and target.attr == "views_leaked":
-                            scope.declared_leaked.add(_key(target.value))
-        self._walk_suite(body, scope)
+        self._walk_suite(body, _Scope())
 
     # -- statements ----------------------------------------------------------
 
@@ -261,13 +237,13 @@ class _EscapeVisitor:
             if not self.in_memory and (
                     self._tainted(stmt.target, scope)):
                 self._emit("leaked-view-write", stmt,
-                           "in-place write through a leaked as_ndarray "
-                           "view" + _HINT)
+                           "in-place write through a raw buffer view"
+                           + _HINT)
             self._buffer_write(stmt.target, stmt, suite, index, scope)
         elif isinstance(stmt, ast.Return) and stmt.value is not None:
             if not self.in_memory and self._tainted(stmt.value, scope):
                 self._emit("leaked-view-escape", stmt,
-                           "as_ndarray view returned to the caller"
+                           "raw buffer view returned to the caller"
                            + _HINT)
         # expression-level checks run over this statement's own
         # expressions only (nested suites are walked separately)
@@ -280,21 +256,21 @@ class _EscapeVisitor:
                     if isinstance(elt, ast.Name) \
                             and elt.id in scope.tainted:
                         self._emit("leaked-view-escape", node,
-                                   f"as_ndarray view {elt.id!r} put in "
+                                   f"raw buffer view {elt.id!r} put in "
                                    "a container literal" + _HINT)
             elif isinstance(node, ast.Dict) and not self.in_memory:
                 for val in node.values:
                     if isinstance(val, ast.Name) \
                             and val.id in scope.tainted:
                         self._emit("leaked-view-escape", node,
-                                   f"as_ndarray view {val.id!r} put in "
+                                   f"raw buffer view {val.id!r} put in "
                                    "a dict literal" + _HINT)
             elif isinstance(node, (ast.Yield, ast.YieldFrom)) \
                     and not self.in_memory:
                 if node.value is not None \
                         and self._tainted(node.value, scope):
                     self._emit("leaked-view-escape", node,
-                               "as_ndarray view yielded to the caller"
+                               "raw buffer view yielded to the caller"
                                + _HINT)
 
     def _assign(self, stmt: ast.Assign, suite: List[ast.stmt],
@@ -305,18 +281,18 @@ class _EscapeVisitor:
             if isinstance(target, ast.Subscript) and not self.in_memory \
                     and self._tainted(target.value, scope):
                 self._emit("leaked-view-write", stmt,
-                           "subscript write through a leaked as_ndarray "
-                           "view" + _HINT)
+                           "subscript write through a raw buffer view"
+                           + _HINT)
             self._buffer_write(target, stmt, suite, index, scope)
             if value_tainted and not self.in_memory:
                 if isinstance(target, ast.Attribute):
                     self._emit("leaked-view-escape", stmt,
-                               "as_ndarray view stored on an attribute "
+                               "raw buffer view stored on an attribute "
                                f"({ast.unparse(target)})" + _HINT)
                 elif isinstance(target, ast.Subscript) \
                         and not self._tainted(target.value, scope):
                     self._emit("leaked-view-escape", stmt,
-                               "as_ndarray view stored in a container"
+                               "raw buffer view stored in a container"
                                + _HINT)
             # track aliases
             if isinstance(target, ast.Name):
@@ -353,18 +329,18 @@ class _EscapeVisitor:
                     and func.attr in _MUTATING_METHODS \
                     and self._tainted(func.value, scope):
                 self._emit("leaked-view-write", node,
-                           f".{func.attr}() mutates through a leaked "
-                           "as_ndarray view" + _HINT)
+                           f".{func.attr}() mutates through a raw buffer "
+                           "view" + _HINT)
             for kw in node.keywords:
                 if kw.arg == "out" and kw.value is not None \
                         and self._tainted(kw.value, scope):
                     self._emit("leaked-view-write", node,
-                               "as_ndarray view passed as out= buffer"
+                               "raw buffer view passed as out= buffer"
                                + _HINT)
             if name == "copyto" and node.args \
                     and self._tainted(node.args[0], scope):
                 self._emit("leaked-view-write", node,
-                           "as_ndarray view passed as np.copyto "
+                           "raw buffer view passed as np.copyto "
                            "destination" + _HINT)
             if isinstance(func, ast.Attribute) \
                     and func.attr in _CONTAINER_METHODS \
@@ -373,7 +349,7 @@ class _EscapeVisitor:
                 for arg in node.args:
                     if self._tainted(arg, scope):
                         self._emit("leaked-view-escape", node,
-                                   "as_ndarray view captured by "
+                                   "raw buffer view captured by "
                                    f".{func.attr}()" + _HINT)
         # rng namespace / wall-clock taint
         if name == "fault_stream" and not self.in_faults:

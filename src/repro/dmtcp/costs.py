@@ -43,8 +43,9 @@ class CostModel:
     gzip_stall: float = 0.042
     #: fixed per-image header/metadata bytes
     image_header_bytes: float = 64 * 1024
-    #: incremental scan: streaming throughput of the per-region content
-    #: hash used to prove a region clean (blake2-class, per core)
+    #: migration pre-copy scan: streaming throughput of the per-chunk
+    #: content hash each round charges over the working set
+    #: (blake2-class, per core)
     hash_throughput: float = 2.5e9
     #: fraction of the image write-back hidden behind resumed application
     #: compute by a forked checkpoint child (Cao et al., PAPERS.md:
@@ -89,8 +90,8 @@ class CostModel:
         return 1.0 + self.gzip_stall
 
     def hash_seconds(self, logical_bytes: float) -> float:
-        """Time to hash-verify ``logical_bytes`` of candidate-clean memory
-        during an incremental capture."""
+        """Time to fingerprint ``logical_bytes`` of memory during a
+        migration pre-copy round."""
         return logical_bytes / self.hash_throughput
 
     def overlapped_write_split(self, logical_bytes: float) -> tuple:

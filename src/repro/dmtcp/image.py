@@ -13,15 +13,15 @@ actually measured on the real bytes.
 
 Incremental capture (DESIGN.md §8/§13): :meth:`CheckpointImage.capture`
 takes an optional ``prev`` image.  A region whose generation is
-unchanged since ``prev`` (and that never leaked a writable view) is *clean*:
-its stored bytes and measured compression ratio are reused verbatim,
-skipping both the copy and the zlib pass.  Dirtiness below region level is
-tracked at the store's :data:`~repro.memory.CHUNK_BYTES` granularity: a
-touched region's per-chunk generation stamps (or, for leaked-view regions,
-one vectorized byte compare against the previous bytes) yield a chunk dirty
-mask, and only the dirty chunks count toward the incremental write-back
-delta — clean chunks also keep their known store digests so a later store
-put never re-hashes them.  Dirty regions are snapshotted fresh and their
+unchanged since ``prev`` is *clean*: its stored bytes and measured
+compression ratio are reused verbatim, skipping both the copy and the zlib
+pass.  Dirtiness below region level is tracked at the store's
+:data:`~repro.memory.CHUNK_BYTES` granularity: a touched region's per-chunk
+generation stamps, compared with the ones ``prev`` recorded, yield a chunk
+dirty mask, and only the dirty chunks count toward the incremental
+write-back delta — clean chunks also keep their known store digests so a
+later store put never re-hashes them.  No byte of a region is hashed or
+compared to prove it clean.  Dirty regions are snapshotted fresh and their
 ratios measured over fixed-size chunks (:func:`_measure_zlens` decides
 whether a thread pool pays for the batch in hand) — unless the region
 still carries the ratio an earlier capture measured on these very bytes
@@ -42,7 +42,7 @@ from typing import ClassVar, Dict, Optional
 
 import numpy as np
 
-from ..memory import CHUNK_BYTES, AddressSpace, chunk_diff_mask
+from ..memory import CHUNK_BYTES, AddressSpace
 
 __all__ = ["CheckpointImage", "ImageError", "CAPTURE_CHUNK_BYTES"]
 
@@ -112,7 +112,7 @@ class CheckpointImage:
     compression_ratio: float = 1.0
     header_bytes: float = 0.0
     #: per-region capture bookkeeping, keyed by region name:
-    #: {"generation", "hash", "ratio", "chunk_gens", "chunk_hashes"} —
+    #: {"generation", "ratio", "chunk_gens", "chunk_hashes"} —
     #: what the *next* incremental capture needs to prove a region (or
     #: individual chunks of it) clean and reuse its ratio.  ``chunk_gens``
     #: is the per-chunk generation array as raw int64 bytes;
@@ -161,11 +161,12 @@ class CheckpointImage:
                          for r in prev.memory_snapshot["regions"]}
             prev_meta = prev.region_meta
 
+        # regions_clean_hash: no capture proves a region clean by hashing
+        # any more; kept at 0 because benchmark readers still read the key
         stats = {"mode": "incremental" if prev is not None else "full",
                  "regions_total": 0,
                  "regions_clean_gen": 0, "regions_clean_hash": 0,
                  "regions_dirty": 0, "bytes_clean": 0, "bytes_dirty": 0,
-                 "bytes_hashed": 0, "logical_hashed": 0.0,
                  "compress_skipped": 0, "compress_reused": 0,
                  "chunks_total": 0,
                  "chunks_clean": 0, "chunks_dirty": 0,
@@ -187,8 +188,6 @@ class CheckpointImage:
             pm = prev_meta.get(region.name)
             ps = prev_snap.get(region.name)
             clean = False
-            compared = False    # paid a byte-compare/hash pass this region
-            rhash: Optional[bytes] = None
             chunk_hashes = None
             dirty_mask: Optional[np.ndarray] = None
             ndirty = 0
@@ -196,40 +195,24 @@ class CheckpointImage:
             if pm is not None and ps is not None \
                     and ps["addr"] == region.addr \
                     and ps["size"] == region.size:
-                if not region.views_leaked \
-                        and region.generation == pm["generation"]:
-                    # no view ever escaped: every mutation bumped the
-                    # generation, so equality proves the bytes unchanged
+                if region.generation == pm["generation"]:
+                    # every mutation bumped the generation, so equality
+                    # proves the bytes unchanged
                     clean = True
                     stats["chunks_hash_skipped"] += n_chunks
                 else:
-                    pm_gens = pm.get("chunk_gens")
-                    if not region.views_leaked and pm_gens is not None \
-                            and len(pm_gens) == 8 * n_chunks:
-                        # chunk-granularity proof: only chunks whose
-                        # generation stamp moved since ``prev`` can hold
-                        # changed bytes — nothing is hashed or compared
-                        dirty_mask = np.frombuffer(
-                            pm_gens, dtype=np.int64) != region.chunk_gens
-                        stats["chunks_hash_skipped"] += \
-                            n_chunks - int(np.count_nonzero(dirty_mask))
-                    else:
-                        # leaked views (or a pre-chunk prev image): one
-                        # vectorized byte compare against the previous
-                        # bytes, charged like the whole-region hash scan
-                        # it replaces
-                        compared = True
-                        dirty_mask = chunk_diff_mask(region.buffer,
-                                                     ps["data"])
-                        stats["bytes_hashed"] += region.size
-                        stats["logical_hashed"] += logical
+                    # chunk-granularity proof: only chunks whose
+                    # generation stamp moved since ``prev`` can hold
+                    # changed bytes — nothing is hashed or compared
+                    dirty_mask = np.frombuffer(
+                        pm["chunk_gens"], dtype=np.int64) != region.chunk_gens
+                    stats["chunks_hash_skipped"] += \
+                        n_chunks - int(np.count_nonzero(dirty_mask))
                     if not dirty_mask.any():
                         clean = True
                         dirty_mask = None
             if clean:
-                stats["regions_clean_hash" if compared
-                      else "regions_clean_gen"] += 1
-                rhash = pm["hash"]
+                stats["regions_clean_gen"] += 1
                 chunk_hashes = pm.get("chunk_hashes")
                 data = ps["data"]       # bytes are immutable: share them
                 ratio = pm["ratio"]
@@ -257,12 +240,6 @@ class CheckpointImage:
                     # get ``None`` holes for the store to fill at put time
                     chunk_hashes = [None if dirty_mask[i] else pm_hashes[i]
                                     for i in range(n_chunks)]
-                if region.views_leaked and not compared:
-                    # brand-new leaked region (no usable prev): hash it
-                    # now so the next capture can prove it clean
-                    rhash = region.content_hash()
-                    stats["bytes_hashed"] += region.size
-                    stats["logical_hashed"] += logical
                 if not gzip:
                     ratio = 1.0
                 elif region.repr_scale > 1.0 or region.tag == "nas-data":
@@ -282,16 +259,14 @@ class CheckpointImage:
                         stats["compress_reused"] += 1
 
             if tracer is not None:
-                how = "dirty" if not clean else (
-                    "hash" if compared else "gen")
+                how = "gen" if clean else "dirty"
                 extra = {} if prev is None else {
                     "chunks": n_chunks,
                     "chunks_dirty": 0 if clean else ndirty}
                 tracer.emit("capture.region", proc_name, t_sim,
                             name=region.name, clean=clean, how=how,
                             bytes=region.size, **extra)
-            entry = {"generation": region.generation, "hash": rhash,
-                     "ratio": ratio,
+            entry = {"generation": region.generation, "ratio": ratio,
                      "chunk_gens": region.chunk_gens.tobytes(),
                      "chunk_hashes": chunk_hashes}
             meta[region.name] = entry

@@ -277,11 +277,6 @@ class DmtcpProcess:
             hca_vendor=hca_vendor, memory=self.host.memory,
             gzip=self.gzip, header_bytes=self.costs.image_header_bytes,
             prev=prev, tracer=tracer, t_sim=self.env.now)
-        # incremental scan: hash-verifying candidate-clean memory costs time
-        scan_seconds = self.costs.hash_seconds(
-            image.capture_stats.get("logical_hashed", 0.0))
-        if scan_seconds > 0.0:
-            yield self.host.compute(seconds=scan_seconds)
         if tracer is not None:
             cstats = image.capture_stats
             # chunk-level dirty accounting (metrics always; span attrs
@@ -301,8 +296,7 @@ class DmtcpProcess:
             tracer.end(capture_span, self.env.now,
                        mode=cstats.get("mode", "full"),
                        regions_dirty=cstats.get("regions_dirty", 0),
-                       regions_clean=cstats.get("regions_clean_gen", 0)
-                       + cstats.get("regions_clean_hash", 0),
+                       regions_clean=cstats.get("regions_clean_gen", 0),
                        **chunk_attrs)
         # one outstanding forked child: a still-running previous
         # write-back must land before this image overwrites its path
@@ -419,8 +413,7 @@ class DmtcpProcess:
                  "image_real_bytes": real_bytes,
                  "mode": cstats.get("mode", "full"),
                  "regions_dirty": cstats.get("regions_dirty", 0),
-                 "regions_clean": cstats.get("regions_clean_gen", 0)
-                 + cstats.get("regions_clean_hash", 0),
+                 "regions_clean": cstats.get("regions_clean_gen", 0),
                  "delta_logical_bytes": image.delta_logical_size,
                  "chunks_total": cstats.get("chunks_total", 0),
                  "chunks_clean": cstats.get("chunks_clean", 0),

@@ -1,8 +1,7 @@
 """User-space memory model: address spaces, regions, pinning, snapshots."""
 
 from .address_space import (CHUNK_BYTES, PAGE_SIZE, AddressSpace,
-                            MemoryError_, Region, TrackedView,
-                            chunk_diff_mask)
+                            MemoryError_, Region, TrackedView)
 
 __all__ = ["CHUNK_BYTES", "PAGE_SIZE", "AddressSpace", "MemoryError_",
-           "Region", "TrackedView", "chunk_diff_mask"]
+           "Region", "TrackedView"]

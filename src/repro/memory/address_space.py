@@ -20,17 +20,13 @@ size).  All mutation avenues must bump them — :meth:`AddressSpace.write`
 and :meth:`AddressSpace.restore` do so for the byte ranges they touch, and
 code that slices ``region.buffer`` directly calls :meth:`Region.touch`
 (whole-region without arguments, or with an ``(offset, length)`` span).
-:meth:`Region.as_ndarray` additionally marks the region ``views_leaked``:
-once an uninterposed writable view escapes, the buffer can mutate without
-a bump, so generation equality no longer proves unchanged bytes and
-checkpoints fall back to a vectorized chunk-level byte comparison.
-:meth:`Region.view` is the interposed alternative: a :class:`TrackedView`
-behaves like an ndarray but routes every write through ``touch`` with the
-write's byte span, so hot mutation loops dirty only the chunks they wrote.
-What is expensive to derive from a region's bytes — its digest
-(:meth:`Region.content_hash`) and its measured gzip ratio
-(:attr:`Region.gzip_ratio`) — is memoised against the generation under one
-trust rule: never with ``views_leaked``, stale after any ``touch``.
+:meth:`Region.view` is the only way to a writable NumPy view: a
+:class:`TrackedView` behaves like an ndarray but routes every write
+through ``touch`` with the write's byte span, so hot mutation loops dirty
+only the chunks they wrote.  What is expensive to derive from a region's
+bytes — its digest (:meth:`Region.content_hash`) and its measured gzip
+ratio (:attr:`Region.gzip_ratio`) — is memoised against the generation
+under one trust rule: valid until the next ``touch``.
 """
 
 from __future__ import annotations
@@ -75,12 +71,8 @@ class Region:
     pin_count: int = 0
     tag: str = ""  # e.g. "heap", "stack", "driver-data"
     #: bumped on every tracked mutation; an incremental checkpoint may skip
-    #: a region whose generation it has already captured (unless views
-    #: leaked — see module docstring)
+    #: a region whose generation it has already captured
     generation: int = 0
-    #: a writable ndarray view escaped: generation equality no longer
-    #: proves the bytes are unchanged
-    views_leaked: bool = False
     _hash_gen: int = field(default=-1, repr=False, compare=False)
     _hash: Optional[bytes] = field(default=None, repr=False, compare=False)
     _ratio_gen: int = field(default=-1, repr=False, compare=False)
@@ -135,24 +127,10 @@ class Region:
             hi = min(self.n_chunks, -(-(offset + length) // CHUNK_BYTES))
             gens[lo:hi] = self.generation
 
-    def as_ndarray(self, dtype="uint8", shape=None) -> np.ndarray:
-        """A writable NumPy view over the region's bytes.
-
-        Escaping a raw writable view poisons dirty tracking (every chunk
-        must be assumed mutable at any time); prefer :meth:`view` for hot
-        mutation loops so writes dirty only the chunks they touch.
-        """
-        self.touch()
-        self.views_leaked = True
-        arr = np.frombuffer(self.buffer, dtype=dtype)
-        if shape is not None:
-            arr = arr.reshape(shape)
-        return arr
-
     def view(self, dtype="uint8", shape=None) -> "TrackedView":
         """A write-interposed view: ndarray semantics, but every write is
         routed through :meth:`touch` with the written byte span, so the
-        region stays precisely tracked (no ``views_leaked`` poisoning)."""
+        region stays precisely tracked."""
         arr = np.frombuffer(self.buffer, dtype=dtype)
         if shape is not None:
             arr = arr.reshape(shape)
@@ -161,10 +139,8 @@ class Region:
     def chunk_hashes(self) -> List[bytes]:
         """Per-chunk blake2b-16 digests of the current bytes.
 
-        Cached per chunk while provably valid: a chunk is only re-hashed
-        when its generation stamp moved since the digest was computed.
-        With leaked writable views no cache can be trusted, so every
-        chunk is re-hashed on every call.
+        Cached per chunk: a chunk is only re-hashed when its generation
+        stamp moved since the digest was computed.
         """
         n = self.n_chunks
         gens = self.chunk_gens
@@ -173,18 +149,15 @@ class Region:
             self._chunk_hash_gens = np.full(n, -1, dtype=np.int64)
         hashes = self._chunk_hashes
         hash_gens = self._chunk_hash_gens
-        if self.views_leaked:
-            stale = range(n)
-        else:
-            # vectorized staleness test: one array compare replaces the
-            # per-chunk Python loop.  Fresh digests have stamp -1, never a
-            # valid generation, so "stamp != gen" covers both "never
-            # hashed" and "mutated since hashed".  All-clean (the common
-            # incremental-capture case) returns without touching a chunk.
-            stale_mask = hash_gens != gens
-            if not stale_mask.any():
-                return list(hashes)
-            stale = np.nonzero(stale_mask)[0].tolist()
+        # vectorized staleness test: one array compare replaces the
+        # per-chunk Python loop.  Fresh digests have stamp -1, never a
+        # valid generation, so "stamp != gen" covers both "never hashed"
+        # and "mutated since hashed".  All-clean (the common
+        # incremental-capture case) returns without touching a chunk.
+        stale_mask = hash_gens != gens
+        if not stale_mask.any():
+            return list(hashes)
+        stale = np.nonzero(stale_mask)[0].tolist()
         buf = memoryview(self.buffer)
         blake2b = hashlib.blake2b
         for i in stale:
@@ -195,14 +168,9 @@ class Region:
         return list(hashes)
 
     def content_hash(self) -> bytes:
-        """Digest of the current bytes, cached while provably valid.
-
-        The cache is only trusted when no writable view has leaked (every
-        mutation then goes through :meth:`touch`); with leaked views the
-        digest is recomputed on every call.
-        """
-        if self.views_leaked or self._hash_gen != self.generation \
-                or self._hash is None:
+        """Digest of the current bytes, cached until the next
+        :meth:`touch` (every mutation goes through one)."""
+        if self._hash_gen != self.generation or self._hash is None:
             self._hash = hashlib.blake2b(self.buffer,
                                          digest_size=16).digest()
             self._hash_gen = self.generation
@@ -212,9 +180,9 @@ class Region:
     def gzip_ratio(self) -> Optional[float]:
         """The gzip ratio a capture last measured on the current bytes,
         or ``None`` when there is none to trust — the rule is
-        :meth:`content_hash`'s: never with leaked views, stale after any
-        :meth:`touch`.  Assigning records a fresh measurement."""
-        if self.views_leaked or self._ratio_gen != self.generation:
+        :meth:`content_hash`'s: stale after any :meth:`touch`.  Assigning
+        records a fresh measurement."""
+        if self._ratio_gen != self.generation:
             return None
         return self._ratio
 
@@ -226,35 +194,6 @@ class Region:
         return self.addr <= addr and addr + length <= self.end
 
 
-def chunk_diff_mask(cur, prev) -> np.ndarray:
-    """Boolean dirty mask at :data:`CHUNK_BYTES` granularity from a
-    vectorized byte compare of two equal-length buffers.
-
-    This is the fallback for regions whose per-chunk generations can't be
-    trusted (leaked views, or a prior image captured before chunk
-    tracking existed): one numpy-batched pass over the bytes replaces
-    per-chunk hashing, and the resulting mask feeds the same clean-chunk
-    reuse path as the generation bitmap.
-    """
-    n = len(cur)
-    if len(prev) != n:
-        raise ValueError("chunk_diff_mask: buffer lengths differ")
-    nchunks = -(-n // CHUNK_BYTES)
-    mask = np.zeros(nchunks, dtype=bool)
-    full = n // CHUNK_BYTES
-    if full:
-        a = np.frombuffer(memoryview(cur)[: full * CHUNK_BYTES],
-                          dtype=np.uint8)
-        b = np.frombuffer(memoryview(prev)[: full * CHUNK_BYTES],
-                          dtype=np.uint8)
-        mask[:full] = (a.reshape(full, CHUNK_BYTES)
-                       != b.reshape(full, CHUNK_BYTES)).any(axis=1)
-    if nchunks > full:
-        mask[full] = bytes(cur[full * CHUNK_BYTES:]) \
-            != bytes(prev[full * CHUNK_BYTES:])
-    return mask
-
-
 class TrackedView:
     """An ndarray facade over a :class:`Region` that keeps dirty tracking
     precise: reads hand out read-only views, writes go through
@@ -263,11 +202,11 @@ class TrackedView:
 
     The logical contract with capture: every buffer byte a TrackedView
     can change is covered by a ``touch`` of (at least) the chunks it
-    lands in — so an unchanged per-chunk generation still proves
-    unchanged bytes, unlike :meth:`Region.as_ndarray` whose escaped
-    writable views force ``views_leaked``.  Writes through keys numpy
-    resolves to copies (fancy/boolean indexing) conservatively mark the
-    whole view's span.
+    lands in — so an unchanged per-chunk generation proves unchanged
+    bytes.  Writes through keys numpy resolves to copies (fancy/boolean
+    indexing) conservatively mark the whole view's span.  An in-place
+    operator either writes through or raises: none falls back to a
+    rebinding binary operator.
     """
 
     __slots__ = ("_region", "_arr", "_base")
@@ -334,6 +273,9 @@ class TrackedView:
     def __eq__(self, other):
         return self._ro() == other
 
+    def __ne__(self, other):
+        return self._ro() != other
+
     __hash__ = None
 
     def __add__(self, other):
@@ -394,6 +336,36 @@ class TrackedView:
 
     def __itruediv__(self, other):
         return self._inplace(self._arr.__itruediv__, other)
+
+    # the whole in-place family, not just the arithmetic four: for a
+    # missing one Python falls back to a NumPy operand's reflected
+    # operator, which returns a detached copy and rebinds the name
+    def __imod__(self, other):
+        return self._inplace(self._arr.__imod__, other)
+
+    def __ifloordiv__(self, other):
+        return self._inplace(self._arr.__ifloordiv__, other)
+
+    def __ipow__(self, other):
+        return self._inplace(self._arr.__ipow__, other)
+
+    def __imatmul__(self, other):
+        return self._inplace(self._arr.__imatmul__, other)
+
+    def __ilshift__(self, other):
+        return self._inplace(self._arr.__ilshift__, other)
+
+    def __irshift__(self, other):
+        return self._inplace(self._arr.__irshift__, other)
+
+    def __iand__(self, other):
+        return self._inplace(self._arr.__iand__, other)
+
+    def __ior__(self, other):
+        return self._inplace(self._arr.__ior__, other)
+
+    def __ixor__(self, other):
+        return self._inplace(self._arr.__ixor__, other)
 
     # -- derived tracked views ----------------------------------------------
 

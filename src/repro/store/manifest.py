@@ -63,7 +63,7 @@ class ChunkRef(NamedTuple):
     tag: str
     generation: int          # region generation at capture (incremental seed)
     ratio: Optional[float]   # measured compression ratio (None = unmeasured)
-    offset: int = 0          # byte offset of this chunk within its region
+    offset: int              # byte offset of this chunk within its region
 
     @property
     def logical_bytes(self) -> float:
@@ -127,10 +127,9 @@ class Manifest:
             raise ManifestError("not a store manifest (bad magic)")
         try:
             fields_ = pickle.loads(blob[8:])
+            # a row without all nine fields (offset included) is corrupt
+            chunks = [ChunkRef(*row) for row in fields_.pop("chunks")]
         except Exception as exc:
-            raise ManifestError(f"truncated manifest payload: {exc}") \
-                from exc
-        # 8-field rows predate per-chunk offsets; ChunkRef defaults
-        # offset=0 for them
-        chunks = [ChunkRef(*row) for row in fields_.pop("chunks")]
+            raise ManifestError(f"truncated or corrupt manifest payload: "
+                                f"{exc}") from exc
         return cls(chunks=chunks, **fields_)

@@ -16,6 +16,7 @@ import numpy as np
 from ..dmtcp.launcher import AppSpec
 from ..dmtcp.process import AppContext
 from ..hardware.cluster import Cluster
+from ..memory import TrackedView
 from .gasnet import GasnetCore
 
 __all__ = ["Upc", "SharedArray", "make_upc_specs"]
@@ -43,17 +44,14 @@ class SharedArray:
         """Offset of ``block`` within its owner's shared segment."""
         return self.seg_offset + self._local_index(block) * self.block_bytes
 
-    def local_view(self, block: int, dtype="float64") -> np.ndarray:
-        """NumPy view of a block with affinity to MYTHREAD."""
+    def local_view(self, block: int, dtype="float64") -> TrackedView:
+        """Write-tracked view of a block with affinity to MYTHREAD."""
         if self.owner(block) != self.upc.MYTHREAD:
             raise ValueError(f"block {block} has remote affinity")
         off = self.local_offset(block)
-        seg = self.upc.core.segment
-        seg.touch()
-        seg.views_leaked = True  # writable view escapes dirty tracking
-        return np.frombuffer(seg.buffer, dtype=dtype,
-                             count=self.block_bytes // np.dtype(dtype).itemsize,
-                             offset=off)
+        item = np.dtype(dtype).itemsize
+        return self.upc.core.segment.view(dtype).subview(
+            slice(off // item, (off + self.block_bytes) // item))
 
     def get(self, block: int, scratch_offset: int) -> Generator:
         """One-sided fetch of ``block`` into MYTHREAD's segment scratch."""

@@ -2,33 +2,34 @@
 rule must catch — once the raw view outlives the expression, any later
 writer mutates bytes behind the chunk stamps' back."""
 
+import numpy as np
+
 
 def returned(region):
-    return region.as_ndarray()      # flagged: returned to the caller
+    return np.frombuffer(region.buffer)     # flagged: returned to the caller
 
 
 def stored_on_self(self, region):
-    self.grid = region.as_ndarray()  # flagged: attribute store
+    self.grid = np.frombuffer(region.buffer)    # flagged: attribute store
 
 
 def appended(region, views):
-    x = region.as_ndarray()
+    x = np.frombuffer(region.buffer)
     views.append(x)                 # flagged: captured by a container
 
 
 def in_literals(region):
-    x = region.as_ndarray()
+    x = np.frombuffer(region.buffer)
     pair = [x, None]                # flagged: container literal
     table = {"grid": x}             # flagged: dict literal
     return pair, table
 
 
 def yielded(region):
-    x = region.as_ndarray()
+    x = np.frombuffer(region.buffer)
     yield x                         # flagged: yielded to the caller
 
 
-def undeclared_frombuffer_escape(region):
-    import numpy as np
-    peek = np.frombuffer(region.buffer, dtype="f8")
-    return peek                     # flagged: undeclared raw view escapes
+def derived_view_escape(region):
+    x = np.frombuffer(region.buffer, dtype="f8")
+    return x.T                      # flagged: taint survives .T

@@ -32,10 +32,9 @@ def read_only_frombuffer_peek(region):
     return float(peek.sum())            # value escapes, the view doesn't
 
 
-def declared_leak(region):
-    arr = np.frombuffer(region.buffer, dtype="f8")
-    region.views_leaked = True          # the honest escape hatch
-    return arr
+def tracked_view_escape(region):
+    # the one way to hand a writable view out: it stays write-interposed
+    return region.view(dtype="f8").subview(slice(0, 64))
 
 
 def app_streams(rng):

@@ -5,10 +5,10 @@ import numpy as np
 
 
 def subscript_write(region):
-    x = region.as_ndarray()
+    x = np.frombuffer(region.buffer, dtype="u1")
     x[0:100] = 7  # repro: allow(leaked-view-write) legacy kernel, tracked in #8
 
 
 def out_arg_write(region, src):
-    x = region.as_ndarray(dtype="f8")
+    x = np.frombuffer(region.buffer, dtype="f8")
     np.add(src, 1.0, out=x)  # repro: allow(leaked-view-write) legacy kernel, tracked in #8

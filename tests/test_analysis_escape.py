@@ -69,8 +69,8 @@ def test_every_escape_rule_has_a_fixture():
 
 
 def test_converted_call_site_idioms_are_clean():
-    """TrackedView writes, covered buffer touches, read-only peeks,
-    declared leaks, app-namespace streams: zero findings."""
+    """TrackedView writes and escapes, covered buffer touches, read-only
+    peeks, app-namespace streams: zero findings."""
     assert _escape("apps/clean_chunk_discipline.py") == []
 
 
@@ -85,7 +85,8 @@ def test_faults_prefix_owns_the_fault_namespace():
 def test_fixture_tree_scopes_like_the_package(tmp_path):
     """The same source flags outside memory/ and is exempt inside a
     tree that mirrors the package layout."""
-    src = "def f(region):\n    return region.as_ndarray()\n"
+    src = ("import numpy as np\n\n\ndef f(region):\n"
+           "    return np.frombuffer(region.buffer)\n")
     outside = tmp_path / "apps" / "mod.py"
     inside = tmp_path / "memory" / "mod.py"
     for p in (outside, inside):
@@ -100,18 +101,21 @@ def test_fixture_tree_scopes_like_the_package(tmp_path):
 
 
 def test_reverted_lu_leaked_view_diff_is_flagged(tmp_path):
-    """Re-introducing the pre-PR-7 LU idiom — a raw writable
-    ``as_ndarray`` stored on the kernel object and written in the
-    iteration loop — must produce findings."""
+    """Re-introducing the pre-PR-7 LU idiom — a raw writable buffer view
+    stored on the kernel object and written in the iteration loop — must
+    produce findings."""
     mod = tmp_path / "apps" / "nas" / "lu.py"
     mod.parent.mkdir(parents=True)
     mod.write_text(textwrap.dedent("""\
+        import numpy as np
+
+
         class LuKernel:
             def setup(self, region):
-                self.u = region.as_ndarray(dtype="f8")
+                self.u = np.frombuffer(region.buffer, dtype="f8")
 
             def sweep(self, region):
-                u = region.as_ndarray(dtype="f8")
+                u = np.frombuffer(region.buffer, dtype="f8")
                 u[1:-1] += 0.25 * u[2:]
     """))
     findings = escape_file(mod, root=tmp_path)

@@ -22,14 +22,14 @@ def test_blcr_single_node_roundtrip():
     node = cluster.nodes[0]
     host = node.fork("app")
     region = host.memory.mmap("data", 1024)
-    region.as_ndarray()[:] = 7
+    region.view()[:] = 7
     blcr = BlcrCheckpointer(node)
 
     def scenario():
         image = yield from blcr.checkpoint(host, "/tmp/app.ckpt")
-        region.as_ndarray()[:] = 0
+        region.view()[:] = 0
         blcr.restart(node, image, host)
-        return (region.as_ndarray() == 7).all()
+        return (region.view() == 7).all()
 
     assert env.run(until=env.process(scenario()))
 
@@ -76,7 +76,7 @@ def test_blcr_restart_requires_same_kernel():
 def _iterative_mpi_app(iters=10, quantum=0.05):
     def app(ctx, comm):
         region = ctx.memory.mmap(f"{ctx.name}.data", 512)
-        acc = region.as_ndarray(dtype=np.float64)
+        acc = region.view(dtype=np.float64)
         for it in range(iters):
             value = yield from comm.allreduce_obj(1.0, lambda a, b: a + b)
             acc[0] += value

@@ -1,7 +1,7 @@
 """The incremental checkpoint pipeline (DESIGN.md §8) and the
 wr_id-indexed WQE log.
 
-The load-bearing property: however writes, leaked-view mutations, and
+The load-bearing property: however writes, TrackedView mutations, and
 checkpoints interleave, an incremental capture chain restores bit-
 identically to a full capture of the same memory — including across the
 fault harness's injected-crash restart path.
@@ -57,18 +57,23 @@ def test_clean_region_shares_bytes_and_ratio():
     assert incr.region_meta["a"]["ratio"] == base.region_meta["a"]["ratio"]
 
 
-def test_leaked_view_region_proven_clean_by_hash():
+def test_held_view_region_proven_clean_by_stamps():
+    """A region whose only writer is a long-lived TrackedView is proven
+    clean by its generation while the view is idle, and dirty at exactly
+    the chunk the view wrote — no byte is compared either way."""
     mem = AddressSpace()
-    r = mem.mmap("a", 4096)
-    view = r.as_ndarray(dtype=np.float64)
+    r = mem.mmap("a", 2 * CHUNK_BYTES)
+    view = r.view(dtype=np.float64)
     view[:] = 3.0
     base = _capture(mem)
     incr = _capture(mem, prev=base)    # untouched, but view is live
-    assert incr.capture_stats["regions_clean_hash"] == 1
+    assert incr.capture_stats["regions_clean_gen"] == 1
     assert incr.capture_stats["regions_dirty"] == 0
-    view[0] = 4.0                      # mutate through the view: no touch()
+    view[len(view) - 1] = 4.0          # the last cell: chunk 1 only
     dirty = _capture(mem, prev=incr)
     assert dirty.capture_stats["regions_dirty"] == 1
+    assert dirty.capture_stats["chunks_dirty"] == 1
+    assert dirty.capture_stats["chunks_hash_skipped"] == 1
     assert _restored(dirty)["a"] == bytes(r.buffer)
 
 
@@ -185,9 +190,9 @@ _ops = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(_ops)
 def test_incremental_chain_restores_bit_identically(ops):
-    """Arbitrary interleavings of tracked writes, untracked leaked-view
-    mutations, and incremental checkpoints: every image in the chain
-    restores exactly what a full capture would."""
+    """Arbitrary interleavings of tracked writes, TrackedView mutations,
+    and incremental checkpoints: every image in the chain restores exactly
+    what a full capture would."""
     mem = AddressSpace()
     regions = [mem.mmap(f"r{i}", 256) for i in range(4)]
     prev = None
@@ -199,7 +204,7 @@ def test_incremental_chain_restores_bit_identically(ops):
             mem.write(r.addr + off, data[: r.size - off])
         elif op[0] == "view":
             _, i, value = op
-            regions[i].as_ndarray()[value % 256] = value % 256
+            regions[i].view()[value % 256] = value % 256
         else:
             incr = _capture(mem, prev=prev)
             full = _capture(mem)
@@ -223,7 +228,6 @@ def _cold_twin(mem):
         assert twin.addr == region.addr
         twin.generation = region.generation
         twin.chunk_gens[:] = region.chunk_gens
-        twin.views_leaked = region.views_leaked
     return cold
 
 
@@ -251,7 +255,7 @@ _memo_ops = st.lists(
         st.tuples(st.just("view"), st.integers(0, 2),
                   st.integers(0, 255), st.integers(1, 32)),
         st.tuples(st.just("touch"), st.integers(0, 2)),
-        st.tuples(st.just("leak"), st.integers(0, 2), st.integers(0, 255)),
+        st.tuples(st.just("held"), st.integers(0, 2), st.integers(0, 255)),
         st.tuples(st.just("restore"), st.integers(0, 7)),
         st.tuples(st.just("ckpt"), st.booleans(), st.booleans())),
     min_size=1, max_size=24)
@@ -259,14 +263,14 @@ _memo_ops = st.lists(
 
 @settings(max_examples=100, deadline=None)
 @given(_memo_ops)
-@example([("leak", 0, 5), ("ckpt", False, True), ("leak", 0, 200),
+@example([("held", 0, 5), ("ckpt", False, True), ("held", 0, 200),
           ("ckpt", False, True)])
 @example([("write", 2, 9, b"x" * 64), ("ckpt", True, False),
           ("ckpt", False, True), ("restore", 0), ("ckpt", False, True)])
 def test_warm_capture_equals_cold_capture(ops):
-    """However tracked writes, TrackedView writes, bare touches, leaked
-    views (and untracked writes through them), in-place restores and
-    captures — full or incremental, gzip on or off — interleave on one
+    """However tracked writes, TrackedView writes (fresh or held across
+    captures), bare touches, in-place restores and captures — full or
+    incremental, gzip on or off — interleave on one
     AddressSpace, every capture reports exactly what a capture of fresh
     regions holding the same bytes reports: the generation-keyed ratio
     memo never answers with anything a re-measurement would not."""
@@ -275,7 +279,7 @@ def test_warm_capture_equals_cold_capture(ops):
     regions = [mem.mmap(f"r{i}", size, data=rng.integers(
         0, 64, size, dtype=np.uint8).tobytes())
         for i, size in enumerate(_MEMO_SIZES)]
-    leaked = {}
+    held = {}
     images = [_assert_warm_equals_cold(mem, None, True)]
     for op in ops:
         r = regions[op[1]] if op[0] not in ("restore", "ckpt") else None
@@ -287,13 +291,13 @@ def test_warm_capture_equals_cold_capture(ops):
             r.view()[lo: lo + op[3]] = op[2]
         elif op[0] == "touch":
             r.touch()
-        elif op[0] == "leak":
-            # the view outlives this op: later "leak"s on the region
-            # write through it with no touch at all
-            if r.name not in leaked:
-                leaked[r.name] = r.as_ndarray()
+        elif op[0] == "held":
+            # the view outlives this op: later "held"s on the region
+            # write through the same TrackedView
+            if r.name not in held:
+                held[r.name] = r.view()
             lo = op[2] % (r.size - 64)      # a run long enough to move
-            leaked[r.name][lo: lo + 64] = op[2]     # the compressed size
+            held[r.name][lo: lo + 64] = op[2]       # the compressed size
         elif op[0] == "restore":
             mem.restore(images[op[1] % len(images)].memory_snapshot)
         else:
@@ -341,18 +345,18 @@ def test_restore_in_place_then_full_capture_remeasures(monkeypatch):
     assert after.region_meta["a"]["ratio"] == old.region_meta["a"]["ratio"]
 
 
-def test_leaked_view_region_never_reuses_its_ratio(monkeypatch):
+def test_held_view_write_invalidates_the_ratio_memo(monkeypatch):
     calls = _counting_zlen(monkeypatch)
     mem = AddressSpace("p0")
-    arr = mem.mmap("a", 8192).as_ndarray()
+    arr = mem.mmap("a", 8192).view()
     zeros = _capture(mem)
-    arr[:] = np.arange(8192) % 251          # no touch(): the stamps lie
+    arr[:] = np.arange(8192) % 251          # stamps the region
     noisy = _capture(mem)
     assert len(calls) == 2
     assert zeros.capture_stats["compress_reused"] \
         == noisy.capture_stats["compress_reused"] == 0
     assert noisy.region_meta["a"]["ratio"] > zeros.region_meta["a"]["ratio"]
-    assert mem.region("a").gzip_ratio is None
+    assert mem.region("a").gzip_ratio == noisy.region_meta["a"]["ratio"]
 
 
 def test_incremental_survives_injected_crash_restart():

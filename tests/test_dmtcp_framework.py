@@ -21,7 +21,7 @@ from repro.sim import Environment
 def counting_app(ctx, iters=10, quantum=0.5):
     """Keeps all state in process memory — checkpoint/restart-safe."""
     region = ctx.memory.mmap(f"{ctx.name}.state", 8 * (iters + 1))
-    state = region.as_ndarray(dtype=np.float64)
+    state = region.view(dtype=np.float64)
     for i in range(iters):
         yield ctx.compute(seconds=quantum)
         state[i + 1] = state[i] + 1.0
@@ -125,13 +125,13 @@ def test_restart_rolls_back_post_checkpoint_memory(env_cluster):
         yield env.timeout(2.2)
         ckpt = yield from session.checkpoint(intent="restart")
         cont = ckpt.records[0].continuation
-        state = cont.memory.region("r0.state").as_ndarray(dtype=np.float64)
+        state = cont.memory.region("r0.state").view(dtype=np.float64)
         pre = state.copy()
         state[:] = 99.0  # simulate post-checkpoint corruption/progress
         cluster.teardown()
         cluster2 = Cluster(env, BUFFALO_CCR, n_nodes=1, name="rb")
         session2 = yield from dmtcp_restart(cluster2, ckpt)
-        restored = cont.memory.region("r0.state").as_ndarray(
+        restored = cont.memory.region("r0.state").view(
             dtype=np.float64)
         # the scribbled 99s are gone; earlier cells are byte-identical
         # (the thawed app may already have appended the next cell)
@@ -359,14 +359,14 @@ def test_image_roundtrip_and_bad_magic():
 
     mem = AddressSpace("x")
     r = mem.mmap("data", 256)
-    r.as_ndarray()[:] = 42
+    r.view()[:] = 42
     img = CheckpointImage.capture("x", 1, "k", None, mem, gzip=True)
     blob = img.to_bytes()
     img2 = CheckpointImage.from_bytes(blob)
     assert img2.proc_name == "x"
     fresh = AddressSpace("y")
     img2.restore_memory(fresh)
-    assert (fresh.region("data").as_ndarray() == 42).all()
+    assert (fresh.region("data").view() == 42).all()
     with pytest.raises(ImageError):
         CheckpointImage.from_bytes(b"NOTMAGIC" + blob[8:])
 
@@ -410,7 +410,7 @@ def test_gzip_compression_ratio_measured():
     assert img_raw.compression_ratio == 1.0
     rng = np.random.default_rng(1)
     rnd = mem.mmap("rand", 64 * 1024)
-    rnd.as_ndarray()[:] = rng.integers(0, 256, 64 * 1024, dtype=np.uint8)
+    rnd.view()[:] = rng.integers(0, 256, 64 * 1024, dtype=np.uint8)
     img_gz2 = CheckpointImage.capture("x", 1, "k", None, mem, gzip=True)
     assert img_gz2.compression_ratio > 0.4  # random data barely compresses
 

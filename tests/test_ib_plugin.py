@@ -262,7 +262,7 @@ def test_principle6_inflight_send_reposted_on_restart():
         qp_to_rtr(ibv, qp, state["receiver"]["qpn"],
                   state["receiver"]["lid"])
         qp_to_rts(ibv, qp)
-        buf.as_ndarray()[:8] = np.frombuffer(b"PRECKPT!", dtype=np.uint8)
+        buf.view()[:8] = np.frombuffer(b"PRECKPT!", dtype=np.uint8)
         ibv.post_send(qp, ibv_send_wr(1, [ibv_sge(buf.addr, 8, mr.lkey)],
                                       opcode=WrOpcode.SEND))
         state["sent"] = True
@@ -347,7 +347,7 @@ def test_restart_resends_from_restored_memory():
         qp_to_rtr(ibv, qp, state["receiver"]["qpn"],
                   state["receiver"]["lid"])
         qp_to_rts(ibv, qp)
-        buf.as_ndarray()[:8] = np.frombuffer(b"GOODDATA", dtype=np.uint8)
+        buf.view()[:8] = np.frombuffer(b"GOODDATA", dtype=np.uint8)
         state["send_buf"] = buf
         ibv.post_send(qp, ibv_send_wr(1, [ibv_sge(buf.addr, 8, mr.lkey)],
                                       opcode=WrOpcode.SEND))
@@ -388,7 +388,7 @@ def test_restart_resends_from_restored_memory():
         ckpt = yield from session.checkpoint(intent="restart")
         # post-checkpoint scribble: restore must roll this back before the
         # log replay re-reads the buffer
-        state["send_buf"].as_ndarray()[:8] = \
+        state["send_buf"].view()[:8] = \
             np.frombuffer(b"BAD!BAD!", dtype=np.uint8)
         cluster.teardown()
         cluster2 = Cluster(env, BUFFALO_CCR, n_nodes=2, name="mem-spare")
@@ -648,7 +648,7 @@ def test_injected_crash_private_cq_refill_first():
         qp_to_rts(ibv, qp)
         while not state.get("recv_ready"):
             yield ctx.sleep(1e-5)
-        buf.as_ndarray()[:8] = np.frombuffer(b"DRAINED!", dtype=np.uint8)
+        buf.view()[:8] = np.frombuffer(b"DRAINED!", dtype=np.uint8)
         ibv.post_send(qp, ibv_send_wr(1, [ibv_sge(buf.addr, 8, mr.lkey)],
                                       opcode=WrOpcode.SEND))
         # poll the send completion NOW, pre-freeze, so the send log is

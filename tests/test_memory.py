@@ -60,7 +60,7 @@ def test_cross_region_access_rejected():
 def test_ndarray_view_is_writable_and_shared():
     mem = AddressSpace()
     r = mem.mmap("arr", 8 * 10)
-    view = r.as_ndarray(dtype=np.float64)
+    view = r.view(dtype=np.float64)
     view[:] = np.arange(10.0)
     assert np.frombuffer(mem.read(r.addr, 80), dtype=np.float64)[3] == 3.0
 
@@ -89,7 +89,7 @@ def test_unpin_unpinned_rejected():
 def test_snapshot_restore_roundtrip_in_place():
     mem = AddressSpace()
     r = mem.mmap("data", 64)
-    view = r.as_ndarray()
+    view = r.view()
     view[:] = 7
     snap = mem.snapshot()
     view[:] = 9  # post-checkpoint mutation
@@ -107,7 +107,7 @@ def test_snapshot_restore_roundtrip_in_place():
 def test_restore_into_fresh_address_space():
     mem = AddressSpace("orig")
     r = mem.mmap("data", 16, repr_scale=4.0, tag="heap")
-    r.as_ndarray()[:] = 5
+    r.view()[:] = 5
     snap = mem.snapshot()
 
     fresh = AddressSpace("restarted")
@@ -115,7 +115,7 @@ def test_restore_into_fresh_address_space():
     r2 = fresh.region("data")
     assert r2.addr == r.addr and r2.size == 16
     assert r2.repr_scale == 4.0 and r2.tag == "heap"
-    assert (r2.as_ndarray() == 5).all()
+    assert (r2.view() == 5).all()
 
 
 def test_restore_size_conflict_rejected():
@@ -147,15 +147,6 @@ def test_generation_tracks_mutations():
     assert r.generation == g0 + 2
 
 
-def test_ndarray_view_marks_leak():
-    mem = AddressSpace()
-    r = mem.mmap("d", 64)
-    assert not r.views_leaked
-    g0 = r.generation
-    r.as_ndarray()
-    assert r.views_leaked and r.generation == g0 + 1
-
-
 def test_content_hash_cached_until_touch():
     mem = AddressSpace()
     r = mem.mmap("d", 64, data=b"a" * 64)
@@ -166,13 +157,13 @@ def test_content_hash_cached_until_touch():
 
 
 def test_content_hash_sees_view_mutation():
-    """With a leaked view the cache can't be trusted: the hash must track
-    mutations that never called touch()."""
+    """A TrackedView write stamps the region, so the cached hash is
+    recomputed without any explicit touch()."""
     mem = AddressSpace()
     r = mem.mmap("d", 8 * 4)
-    view = r.as_ndarray(dtype=np.float64)
+    view = r.view(dtype=np.float64)
     h0 = r.content_hash()
-    view[0] = 42.0  # no touch(), no generation bump
+    view[0] = 42.0
     assert r.content_hash() != h0
 
 

@@ -56,9 +56,9 @@ def test_mpi_any_source_recv():
             for _ in range(2):
                 yield from comm.Recv(region, 0, 64, source=ANY_SOURCE,
                                      tag=9)
-                got.append(int(region.as_ndarray()[0]))
+                got.append(int(region.view()[0]))
             return sorted(got)
-        region.as_ndarray()[:] = comm.rank * 10
+        region.view()[:] = comm.rank * 10
         yield ctx.sleep(0.001 * comm.rank)
         yield from comm.Send(region, 0, 64, dest=0, tag=9)
         return None
@@ -119,7 +119,7 @@ def test_checkpoint_set_stage_to_copies_real_bytes():
     cluster = Cluster(env, BUFFALO_CCR, n_nodes=2, name="stage-src")
 
     def app(ctx):
-        ctx.memory.mmap(f"{ctx.name}.data", 128).as_ndarray()[:] = 5
+        ctx.memory.mmap(f"{ctx.name}.data", 128).view()[:] = 5
         yield ctx.compute(seconds=10.0)
 
     session = env.run(until=env.process(dmtcp_launch(

@@ -29,7 +29,7 @@ def ring_app(ctx, comm):
     """Pass a buffer around the ring, adding rank at each hop."""
     n = comm.size
     region = ctx.memory.mmap(f"{ctx.name}.ring", 8 * 16)
-    data = region.as_ndarray(dtype=np.float64)
+    data = region.view(dtype=np.float64)
     if comm.rank == 0:
         data[0] = 100.0
         yield from comm.Send(region, 0, 8, dest=1, tag=5)
@@ -72,7 +72,7 @@ def test_large_buffer_rendezvous():
     def app(ctx, comm):
         nbytes = 256 * 1024  # well above the eager limit
         region = ctx.memory.mmap(f"{ctx.name}.big", nbytes)
-        arr = region.as_ndarray(dtype=np.float64)
+        arr = region.view(dtype=np.float64)
         if comm.rank == 0:
             arr[:] = np.arange(len(arr))
             yield from comm.Send(region, 0, nbytes, dest=1)
@@ -88,12 +88,12 @@ def test_unexpected_message_before_recv_posted():
     def app(ctx, comm):
         region = ctx.memory.mmap(f"{ctx.name}.b", 64)
         if comm.rank == 0:
-            region.as_ndarray()[:] = 9
+            region.view()[:] = 9
             yield from comm.Send(region, 0, 64, dest=1, tag=1)
             return True
         yield ctx.sleep(0.01)  # let the envelope arrive unexpected
         yield from comm.Recv(region, 0, 64, source=0, tag=1)
-        return bool((region.as_ndarray() == 9).all())
+        return bool((region.view() == 9).all())
 
     env, results = _run_native(app, nprocs=2, n_nodes=2)
     assert results == [True, True]
@@ -104,8 +104,8 @@ def test_tag_matching_out_of_order():
         a = ctx.memory.mmap(f"{ctx.name}.a", 16)
         b = ctx.memory.mmap(f"{ctx.name}.b", 16)
         if comm.rank == 0:
-            a.as_ndarray()[:] = 1
-            b.as_ndarray()[:] = 2
+            a.view()[:] = 1
+            b.view()[:] = 2
             # nonblocking: blocking rendezvous sends in reverse matching
             # order would deadlock (as in real MPI)
             ra = comm.isend(a, 0, 16, dest=1, tag=10)
@@ -116,7 +116,7 @@ def test_tag_matching_out_of_order():
         # receive in reverse tag order
         yield from comm.Recv(b, 0, 16, source=0, tag=20)
         yield from comm.Recv(a, 0, 16, source=0, tag=10)
-        return (int(a.as_ndarray()[0]), int(b.as_ndarray()[0]))
+        return (int(a.view()[0]), int(b.view()[0]))
 
     env, results = _run_native(app, nprocs=2, n_nodes=2)
     assert results[1] == (1, 2)
@@ -208,11 +208,11 @@ def test_alltoall_buffers(nprocs):
         n = comm.size
         send = ctx.memory.mmap(f"{ctx.name}.send", block * n)
         recv = ctx.memory.mmap(f"{ctx.name}.recv", block * n)
-        sview = send.as_ndarray()
+        sview = send.view()
         for i in range(n):
             sview[i * block:(i + 1) * block] = comm.rank * 16 + i
         yield from comm.alltoall_buffers(send, recv, block)
-        rview = recv.as_ndarray()
+        rview = recv.view()
         ok = all((rview[i * block:(i + 1) * block] == i * 16 + comm.rank).all()
                  for i in range(n))
         return bool(ok)
@@ -225,7 +225,7 @@ def test_sendrecv_halo():
     def app(ctx, comm):
         n = comm.size
         region = ctx.memory.mmap(f"{ctx.name}.h", 32)
-        v = region.as_ndarray(dtype=np.float64)
+        v = region.view(dtype=np.float64)
         v[0] = comm.rank
         right, left = (comm.rank + 1) % n, (comm.rank - 1) % n
         yield from comm.sendrecv(region, 0, 8, right,
@@ -246,7 +246,7 @@ def test_mpi_checkpoint_restart_under_plugin():
 
     def app(ctx, comm):
         region = ctx.memory.mmap(f"{ctx.name}.state", 64)
-        acc = region.as_ndarray(dtype=np.float64)
+        acc = region.view(dtype=np.float64)
         for it in range(12):
             value = yield from comm.allreduce_obj(
                 float(comm.rank + it), lambda a, b: a + b)
@@ -302,15 +302,15 @@ def test_eager_path_small_messages():
     def app(ctx, comm):
         region = ctx.memory.mmap(f"{ctx.name}.e", 64)
         if comm.rank == 0:
-            region.as_ndarray()[:16] = 42
+            region.view()[:16] = 42
             req = comm.isend(region, 0, 16, dest=1, tag=7)
             yield req  # completes without waiting for the receiver
-            region.as_ndarray()[:16] = 0  # reuse: buffered semantics
+            region.view()[:16] = 0  # reuse: buffered semantics
             yield ctx.sleep(0.01)
             return True
         yield ctx.sleep(0.005)  # receiver late: message sits unexpected
         yield from comm.Recv(region, 0, 16, source=0, tag=7)
-        return bool((region.as_ndarray()[:16] == 42).all())
+        return bool((region.view()[:16] == 42).all())
 
     env, results = _run_native(app, nprocs=2, n_nodes=2)
     assert results == [True, True]
@@ -324,8 +324,8 @@ def test_eager_and_rendezvous_ordering_same_tag():
         small = ctx.memory.mmap(f"{ctx.name}.s", 64)
         big = ctx.memory.mmap(f"{ctx.name}.b", 4096)
         if comm.rank == 0:
-            small.as_ndarray()[:8] = 1
-            big.as_ndarray()[:] = 2
+            small.view()[:8] = 1
+            big.view()[:] = 2
             r1 = comm.isend(small, 0, 8, dest=1, tag=3)      # eager
             r2 = comm.isend(big, 0, 4096, dest=1, tag=3)     # rendezvous
             yield r1
@@ -333,8 +333,8 @@ def test_eager_and_rendezvous_ordering_same_tag():
             return True
         yield from comm.Recv(small, 0, 8, source=0, tag=3)
         yield from comm.Recv(big, 0, 4096, source=0, tag=3)
-        return bool((small.as_ndarray()[:8] == 1).all()
-                    and (big.as_ndarray() == 2).all())
+        return bool((small.view()[:8] == 1).all()
+                    and (big.view() == 2).all())
 
     env, results = _run_native(app, nprocs=2, n_nodes=2)
     assert results == [True, True]

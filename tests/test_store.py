@@ -6,6 +6,8 @@ chunk healing), refcounted GC under retention, and the store's trace
 instrumentation.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -81,22 +83,28 @@ def test_manifest_roundtrip_and_bad_magic():
     assert back.header == manifest.header
     with pytest.raises(ManifestError):
         Manifest.from_bytes(b"NOTAMANIFEST" + blob)
+    # chunk rows missing their offset field fail typed, not with TypeError
+    fields_ = pickle.loads(blob[8:])
+    fields_["chunks"] = [row[:8] for row in fields_["chunks"]]
+    with pytest.raises(ManifestError):
+        Manifest.from_bytes(blob[:8] + pickle.dumps(fields_))
 
 
 def test_put_reuses_capture_hashes():
     """Chunk digests agree with the capture's own blake2b fingerprint:
-    when the incremental scan recorded a hash it IS the content address
-    (no rehash); regions without one (gen-clean/fresh) get the same
-    function applied, so cross-path dedup still works."""
+    when the capture carried a chunk's digest forward it IS the content
+    address (no rehash); chunks without one get the same function
+    applied, so cross-path dedup still works."""
     mem = _memory(4)
     base = _capture(mem)
+    CheckpointStore._refs_for(base)         # a put fills base's digests
     incr = _capture(mem, prev=base)
+    carried = {name: list(meta["chunk_hashes"])
+               for name, meta in incr.region_meta.items()}
     refs = CheckpointStore._refs_for(incr)
     for (ref, data), region in zip(refs, incr.memory_snapshot["regions"]):
         assert ref.digest == digest_bytes(region["data"])
-        recorded = incr.region_meta[region["name"]]["hash"]
-        if recorded is not None:
-            assert ref.digest == recorded
+        assert ref.digest is carried[region["name"]][0]
 
 
 # -- put: dedup across epochs and ranks ---------------------------------------
