@@ -1,8 +1,8 @@
 """Runtime verbs-protocol monitor: the dynamic half of the analysis gate.
 
 The :class:`ProtocolMonitor` hooks the shadow layer (via the
-``InfinibandPlugin.monitor`` / ``DmtcpProcess.monitor`` class attributes
-— ``core`` never imports ``analysis``) and validates, while the
+``InfinibandPlugin.monitor`` class attribute — ``core`` never imports
+``analysis``) and validates, while the
 simulation runs, the invariants the paper's correctness argument rests
 on:
 
@@ -25,11 +25,6 @@ on:
     resolve under the remote QP's PD but *would* resolve under some
     other PD, the application is mixing rkeys across protection domains
     — a silent-data-corruption bug on real hardware.
-
-``writer-quiesce``
-    The PR-2 background image writer must be joined before the next
-    epoch's image write begins; an image written while the previous
-    epoch's writer is still live can interleave torn region bytes.
 
 ``strict`` (the default) raises :class:`ProtocolViolation` at the
 offending call; non-strict accumulates violations for ``summary()``.
@@ -75,8 +70,6 @@ class ProtocolMonitor:
         self._replay_state: Dict[int, QpState] = {}
         #: (id(log owner), kind) → reposts seen during the current replay
         self._reposts: Counter = Counter()
-        #: processes with a live background image writer: name → epoch
-        self._bg_live: Dict[str, int] = {}
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -199,47 +192,22 @@ class ProtocolMonitor:
                 f"{sorted(set(other_pds))}: rkeys are per-PD (§3.2.2) "
                 "and must not cross protection domains")
 
-    # -- checkpoint pipeline / background writer ------------------------------
 
-    def on_quiesce(self, name: str, epoch: int) -> None:
-        self.counts["quiesce"] += 1
-
-    def on_bg_write_start(self, name: str, epoch: int) -> None:
-        self.counts["bg_write_start"] += 1
-        self._bg_live[name] = epoch
-
-    def on_bg_write_join(self, name: str) -> None:
-        self.counts["bg_write_join"] += 1
-        self._bg_live.pop(name, None)
-
-    def on_image_write(self, name: str, epoch: int) -> None:
-        self.counts["image_write"] += 1
-        if name in self._bg_live:
-            self._violate(
-                "writer-quiesce",
-                f"process {name} starts its epoch-{epoch} image write "
-                f"while the epoch-{self._bg_live[name]} background "
-                "writer is still live; the writer must be joined first")
-
-
-def install_monitor(monitor: ProtocolMonitor) -> Tuple[Any, Any]:
-    """Install ``monitor`` class-wide; returns the previous monitors so
+def install_monitor(monitor: ProtocolMonitor) -> Any:
+    """Install ``monitor`` class-wide; returns the previous monitor so
     nested installs (harness --analysis inside a monitored test run)
     restore cleanly."""
     from ..core.ib_plugin.plugin import InfinibandPlugin
-    from ..dmtcp.process import DmtcpProcess
 
-    prev = (InfinibandPlugin.monitor, DmtcpProcess.monitor)
+    prev = InfinibandPlugin.monitor
     InfinibandPlugin.monitor = monitor
-    DmtcpProcess.monitor = monitor
     return prev
 
 
-def uninstall_monitor(prev: Tuple[Any, Any] = (None, None)) -> None:
+def uninstall_monitor(prev: Any = None) -> None:
     from ..core.ib_plugin.plugin import InfinibandPlugin
-    from ..dmtcp.process import DmtcpProcess
 
-    InfinibandPlugin.monitor, DmtcpProcess.monitor = prev
+    InfinibandPlugin.monitor = prev
 
 
 @contextmanager

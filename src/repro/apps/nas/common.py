@@ -33,7 +33,6 @@ class NasSpec:
     flops_total: float           # calibrated total work (flops)
     memory_total: float          # total data bytes across all ranks
     iters_sim: int               # iterations actually simulated
-    bytes_per_point: float = 168.0   # resident bytes per grid point
 
     @property
     def points(self) -> int:

@@ -101,14 +101,18 @@ class Coordinator:
         self._ckpt_seen: List[int] = []
         self._ckpt_stats: List[dict] = []
         self._ckpt_done_evt: Optional[Event] = None
-        #: checkpoint epoch counter: with forked (overlapped) write-back a
-        #: process may still be pushing epoch N's image when epoch N+1
-        #: starts, so done-reports are matched to their epoch
+        #: checkpoint epoch counter: it numbers the store's epochs, and
+        #: done-reports are matched to it, so a late report from an
+        #: earlier round (or a repeat) never completes the current one
         self._ckpt_epoch = 0
         #: optional repro.store.CheckpointStore (set by dmtcp_launch /
         #: dmtcp_restart): each completed epoch kicks off the store's
         #: async tier replication
         self.store = None
+        #: nothing in the package waits on this, but its trigger is one
+        #: simulated event per job that the pinned ledger witnesses
+        #: (``benchmarks/ledger/witnesses.json``) count: it goes when
+        #: they are re-pinned
         self._all_connected = self.env.event()
         self._procs = [self.env.process(self._accept_loop(),
                                         name="coord.accept")]
@@ -221,9 +225,8 @@ class Coordinator:
         """Broadcast a checkpoint request; returns per-process stats once
         every checkpoint manager reports done.
 
-        "Done" means the blocking portion of each process's write landed;
-        a forked child may still be pushing the overlapped remainder (the
-        process serializes it against its next checkpoint locally).
+        "Done" means each process's blocking image write landed, or — on
+        the store path — its put returned.
 
         ``intent="migrate"`` is the stop-and-copy capture of a live
         migration: quiesce + drain + in-memory capture with *no* image

@@ -1,8 +1,10 @@
 """Calibrated cost model for the checkpoint-restart machinery.
 
-Every constant here is a knob; defaults are calibrated against the paper's
-measurements (see EXPERIMENTS.md for the mapping).  Benches ablate several
-of them.
+Every constant here is a knob that the model reads; defaults are
+calibrated against the paper's measurements (see EXPERIMENTS.md for the
+mapping).  Benches ablate several of them.  Each image is one blocking
+disk write, as in the paper's DMTCP, charged on its logical bytes (the
+dirty delta when incremental, stalled by the gzip pipe).
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ class CostModel:
     #: settle delay between completion-queue drain rounds (§4: "waits for a
     #: fraction of a second, and then drains one more time")
     drain_settle: float = 0.5e-3
-    #: gzip (zlib) streaming throughput (per core; used for reference)
-    gzip_throughput: float = 430e6
     #: fraction the dynamic-gzip pipe stalls the checkpoint write stream —
     #: gzip runs per process (one core each) so the stall does not depend
     #: on the shared disk's speed (Table 5: "less than 5%")
@@ -47,11 +47,6 @@ class CostModel:
     #: content hash each round charges over the working set
     #: (blake2-class, per core)
     hash_throughput: float = 2.5e9
-    #: fraction of the image write-back hidden behind resumed application
-    #: compute by a forked checkpoint child (Cao et al., PAPERS.md:
-    #: "forked checkpointing" overlaps the write with the application;
-    #: 0.0 = fully blocking write, the paper's measured default)
-    ckpt_fork_overlap: float = 0.0
     #: IB2TCP: extra in-memory copy on every post while the plugin is
     #: loaded (the §6.4.1 "current implementation's use of an in-memory
     #: copy" — DMTCP/IB2TCP/IB row of Table 8)
@@ -93,13 +88,6 @@ class CostModel:
         """Time to fingerprint ``logical_bytes`` of memory during a
         migration pre-copy round."""
         return logical_bytes / self.hash_throughput
-
-    def overlapped_write_split(self, logical_bytes: float) -> tuple:
-        """(blocking, background) byte split of a forked write-back: the
-        child hides ``ckpt_fork_overlap`` of the stream behind resumed
-        application compute."""
-        overlap = min(max(self.ckpt_fork_overlap, 0.0), 1.0)
-        return logical_bytes * (1.0 - overlap), logical_bytes * overlap
 
 
 DEFAULT_COSTS = CostModel()

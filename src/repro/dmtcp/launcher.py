@@ -71,12 +71,6 @@ class CheckpointSet:
         return sum(r.image.logical_size for r in self.records)
 
     @property
-    def total_delta_logical_bytes(self) -> float:
-        """Bytes the write-back actually pushed (dirty subset only when
-        the processes checkpoint incrementally)."""
-        return sum(r.image.delta_logical_size for r in self.records)
-
-    @property
     def regions_dirty(self) -> int:
         return sum(s.get("regions_dirty", 0) for s in self.stats)
 

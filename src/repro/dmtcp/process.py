@@ -113,16 +113,10 @@ class CheckpointRecord:
 class DmtcpProcess:
     """One application process running under dmtcp_launch."""
 
-    #: opt-in runtime invariant checker (``repro.analysis.protocol``);
-    #: validates that the forked background writer is always joined before
-    #: the next epoch's image write.  Installed class-wide, like
-    #: ``InfinibandPlugin.monitor``.
-    monitor = None
-
     #: opt-in lifecycle tracer (``repro.obs.trace``), installed class-wide
     #: by ``install_tracer``: the checkpoint pipeline (quiesce, drain,
-    #: settle, capture, write, background write-back) and the restart flow
-    #: emit timeline spans when a tracer is attached.
+    #: settle, capture, write) and the restart flow emit timeline spans
+    #: when a tracer is attached.
     tracer = None
 
     def __init__(self, host: ProcessHost, name: str, rank: int, world: int,
@@ -156,8 +150,6 @@ class DmtcpProcess:
         #: (e.g. QuotaExceededError from a saturated shared tier); the
         #: session re-raises it so supervisors see tier/tenant detail
         self.ckpt_error: Optional[BaseException] = None
-        #: the forked child's in-flight overlapped write-back, if any
-        self._bg_write: Optional[Process] = None
         host.compute_tax = costs.compute_tax
 
     # -- launch ------------------------------------------------------------------
@@ -209,11 +201,9 @@ class DmtcpProcess:
                                         epoch=epoch, gen=gen)
         # 1. quiesce user threads — every live thread of the process except
         # the checkpoint manager itself (runtimes spawn helpers: progress
-        # engines, rendezvous puts, accept loops) and the forked child
-        # still draining the previous image's overlapped write-back
+        # engines, rendezvous puts, accept loops)
         self.user_threads = [t for t in self.host.threads
-                             if t is not self.manager
-                             and t is not self._bg_write and t.is_alive]
+                             if t is not self.manager and t.is_alive]
         for plugin in self.plugins:
             plugin.event(DmtcpEvent.PRESUSPEND)
         for thread in self.user_threads:
@@ -221,8 +211,6 @@ class DmtcpProcess:
                 thread.suspend()
         for plugin in self.plugins:
             plugin.event(DmtcpEvent.SUSPEND)
-        if self.monitor is not None:
-            self.monitor.on_quiesce(self.name, epoch)
         yield from self.client.barrier("suspended")
         drain_span = None
         if tracer is not None:
@@ -298,15 +286,6 @@ class DmtcpProcess:
                        regions_dirty=cstats.get("regions_dirty", 0),
                        regions_clean=cstats.get("regions_clean_gen", 0),
                        **chunk_attrs)
-        # one outstanding forked child: a still-running previous
-        # write-back must land before this image overwrites its path
-        if self._bg_write is not None and self._bg_write.is_alive:
-            yield self._bg_write
-        self._bg_write = None
-        if self.monitor is not None:
-            self.monitor.on_bg_write_join(self.name)
-            if intent != "migrate":
-                self.monitor.on_image_write(self.name, epoch)
         stall = self.costs.gzip_stall_factor() if self.gzip else 1.0
         abs_epoch = epoch
         put = None
@@ -315,15 +294,13 @@ class DmtcpProcess:
             # stop-and-copy capture of a live migration: the image stays
             # in memory and the migration manager ships the final dirty
             # delta over the wire itself — no bytes land on any tier, so
-            # there is nothing to fork, dedup, or replicate at this epoch
-            bg_logical = 0.0
+            # there is nothing to write, dedup, or replicate at this epoch
             real_bytes = 0.0
             path = ""
         elif self.store is not None:
             # content-addressed landing: dedup stands in for the clean
             # regions' writes, and the partner/Lustre copies are the
-            # coordinator-driven async replication — nothing to fork here
-            bg_logical = 0.0
+            # coordinator-driven async replication
             write_span = None if tracer is None else tracer.begin(
                 "ckpt.write", self.name, self.env.now, epoch=epoch,
                 gen=gen, store=True)
@@ -347,8 +324,7 @@ class DmtcpProcess:
                 real_bytes = put.bytes_real
                 if tracer is not None:
                     tracer.end(write_span, self.env.now, stall=stall,
-                               sync_logical=put.bytes_written,
-                               bg_logical=0.0, store=True,
+                               logical=put.bytes_written, store=True,
                                chunks_new=put.chunks_new,
                                chunks_deduped=put.chunks_deduped)
         else:
@@ -364,29 +340,13 @@ class DmtcpProcess:
                 else image.logical_size
             if self.gzip:
                 logical *= stall
-            sync_logical, bg_logical = \
-                self.costs.overlapped_write_split(logical)
             write_span = None if tracer is None else tracer.begin(
                 "ckpt.write", self.name, self.env.now, epoch=epoch,
                 gen=gen)
-            yield from disk.write(path, data, logical_size=sync_logical)
-            if bg_logical > 0.0 and intent == "resume":
-                # forked write-back: the child pushes the remainder while
-                # the application resumes (Cao et al.'s overlapped
-                # checkpointing)
-                if self.monitor is not None:
-                    self.monitor.on_bg_write_start(self.name, epoch)
-                self._bg_write = self.host.spawn_thread(
-                    self._bg_write_flow(disk, path, data, bg_logical,
-                                        epoch),
-                    name=f"{self.name}.ckptfork")
-            elif bg_logical > 0.0:
-                # frozen processes have nothing to overlap with: write it
-                yield from disk.write(path, data, logical_size=bg_logical)
+            yield from disk.write(path, data, logical_size=logical)
             if tracer is not None:
                 tracer.end(write_span, self.env.now, stall=stall,
-                           sync_logical=sync_logical,
-                           bg_logical=bg_logical)
+                           logical=logical)
         yield from self.client.barrier("written")
 
         ckpt_seconds = self.env.now - t0
@@ -418,9 +378,7 @@ class DmtcpProcess:
                  "chunks_total": cstats.get("chunks_total", 0),
                  "chunks_clean": cstats.get("chunks_clean", 0),
                  "chunks_dirty": cstats.get("chunks_dirty", 0),
-                 "chunks_hash_skipped": cstats.get("chunks_hash_skipped", 0),
-                 "overlapped_logical_bytes": bg_logical
-                 if intent == "resume" else 0.0}
+                 "chunks_hash_skipped": cstats.get("chunks_hash_skipped", 0)}
         if put is not None:
             stats["store_chunks_new"] = put.chunks_new
             stats["store_chunks_deduped"] = put.chunks_deduped
@@ -437,21 +395,6 @@ class DmtcpProcess:
             for thread in self.user_threads:
                 if thread.is_alive:
                     thread.unsuspend()
-
-    def _bg_write_flow(self, disk, path: str, data: bytes,
-                       logical: float, epoch: int) -> Generator:
-        """The forked child's overlapped write-back, as a traced span.
-
-        The tracer reference is captured at spawn time: if the tracer is
-        uninstalled (test teardown) while the child is still writing, the
-        end record lands in the same trace as the begin."""
-        tracer = self.tracer
-        span = None if tracer is None else tracer.begin(
-            "bg_write", self.name, self.env.now, epoch=epoch,
-            gen=self.appctx.restarts, logical=logical)
-        yield from disk.write(path, data, logical_size=logical)
-        if tracer is not None:
-            tracer.end(span, self.env.now)
 
     # -- restart ------------------------------------------------------------------
 

@@ -27,11 +27,32 @@ from ..faults.harness import (run_chaos_nas, verify_restart_path,
                               young_daly_interval)
 from ..faults.schedule import FixedSchedule
 
-__all__ = ["SweepCell", "SweepResult", "measure_ckpt_cost", "run_sweep"]
+__all__ = ["SweepCell", "SweepResult", "measure_ckpt_cost", "run_sweep",
+           "protocol_gate_failures"]
 
 #: interval grid, as multiples of the predicted optimum (log-spaced, one
 #: step ≈ x1.8 — "within one sweep step" means within a factor ~1.8 of τ*)
 GRID = (0.31, 0.56, 1.0, 1.8, 3.24)
+
+#: ProtocolMonitor events the injected-crash restart path must produce:
+#: a monitor that saw none of them was never attached, and its empty
+#: violation list proves nothing
+REQUIRED_MONITOR_EVENTS = ("modify_qp", "completion", "replay_begin",
+                           "repost_recv")
+
+
+def protocol_gate_failures(summary: Optional[dict]) -> List[str]:
+    """Why a ``ProtocolMonitor.summary()`` of the monitored restart path
+    fails the ``--analysis`` gate; empty when it passes.  A missing
+    summary or a required event never counted fails, so the gate cannot
+    pass vacuously."""
+    if summary is None:
+        return ["no protocol monitor summary"]
+    events = summary["events"]
+    failures = [f"monitor counted no {name!r} event"
+                for name in REQUIRED_MONITOR_EVENTS
+                if events.get(name, 0) < 1]
+    return failures + list(summary["violations"])
 
 
 @dataclass
@@ -224,12 +245,15 @@ def main(argv=None) -> int:
           f"{counters['drained_completions']}")
     print(f"# ids remapped: qp {verdict['qps_remapped']}, "
           f"mr {verdict['mrs_remapped']}, lid {verdict['lids_remapped']}")
-    if args.analysis and verdict["protocol"] is not None:
+    gate_failures = []
+    if args.analysis:
         proto = verdict["protocol"]
-        print(f"# protocol monitor: {sum(proto['events'].values())} "
-              f"event(s), {len(proto['violations'])} violation(s)")
-        for violation in proto["violations"]:
-            print(f"#   {violation}")
+        if proto is not None:
+            print(f"# protocol monitor: {sum(proto['events'].values())} "
+                  f"event(s), {len(proto['violations'])} violation(s)")
+        gate_failures = protocol_gate_failures(proto)
+        for failure in gate_failures:
+            print(f"#   {failure}")
 
     if args.trace is not None:
         from ..obs import check_trace_invariants, decompose, render, \
@@ -247,9 +271,7 @@ def main(argv=None) -> int:
 
     ok = all(result.young_daly_holds(m) for m in mtbfs)
     ok = ok and verdict["qps_remapped"] and verdict["mrs_remapped"] \
-        and counters["replayed_modifies"] > 0
-    if args.analysis and verdict["protocol"] is not None:
-        ok = ok and not verdict["protocol"]["violations"]
+        and counters["replayed_modifies"] > 0 and not gate_failures
     print(f"\n# overall: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, Hashable, Optional
 
-import numpy as np
-
 from ..sim import Environment, Resource
 
 __all__ = ["Network", "NetworkPort", "NetworkError"]
@@ -139,17 +137,6 @@ class Network:
     def transfer_time(self, size: float) -> float:
         """Unloaded one-way time for a ``size``-byte message."""
         return self.latency + self.per_message_overhead + size / self.bandwidth
-
-    def transfer_times(self, sizes) -> np.ndarray:
-        """Vectorized :meth:`transfer_time`: unloaded one-way times for a
-        whole batch of message sizes (per-rank delay planning at scale).
-
-        Bit-identical per element to the scalar path: numpy float64
-        division and addition are the same IEEE-754 double operations,
-        and the fixed part associates exactly as the scalar expression
-        ``(latency + overhead) + size / bandwidth`` does."""
-        fixed = self.latency + self.per_message_overhead
-        return np.asarray(sizes, dtype=np.float64) / self.bandwidth + fixed
 
     # -- fault injection ------------------------------------------------------
 

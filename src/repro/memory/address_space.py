@@ -24,9 +24,10 @@ code that slices ``region.buffer`` directly calls :meth:`Region.touch`
 :class:`TrackedView` behaves like an ndarray but routes every write
 through ``touch`` with the write's byte span, so hot mutation loops dirty
 only the chunks they wrote.  What is expensive to derive from a region's
-bytes — its digest (:meth:`Region.content_hash`) and its measured gzip
-ratio (:attr:`Region.gzip_ratio`) — is memoised against the generation
-under one trust rule: valid until the next ``touch``.
+bytes is memoised against the stamps under one trust rule, valid until
+the next ``touch``: its per-chunk digests (:meth:`Region.chunk_hashes`,
+keyed per chunk) and its measured gzip ratio (:attr:`Region.gzip_ratio`,
+keyed by the region generation).
 """
 
 from __future__ import annotations
@@ -73,8 +74,6 @@ class Region:
     #: bumped on every tracked mutation; an incremental checkpoint may skip
     #: a region whose generation it has already captured
     generation: int = 0
-    _hash_gen: int = field(default=-1, repr=False, compare=False)
-    _hash: Optional[bytes] = field(default=None, repr=False, compare=False)
     _ratio_gen: int = field(default=-1, repr=False, compare=False)
     _ratio: Optional[float] = field(default=None, repr=False, compare=False)
     _chunk_gens: Optional[np.ndarray] = field(default=None, repr=False,
@@ -167,20 +166,11 @@ class Region:
             hash_gens[i] = gens[i]
         return list(hashes)
 
-    def content_hash(self) -> bytes:
-        """Digest of the current bytes, cached until the next
-        :meth:`touch` (every mutation goes through one)."""
-        if self._hash_gen != self.generation or self._hash is None:
-            self._hash = hashlib.blake2b(self.buffer,
-                                         digest_size=16).digest()
-            self._hash_gen = self.generation
-        return self._hash
-
     @property
     def gzip_ratio(self) -> Optional[float]:
         """The gzip ratio a capture last measured on the current bytes,
-        or ``None`` when there is none to trust — the rule is
-        :meth:`content_hash`'s: stale after any :meth:`touch`.  Assigning
+        or ``None`` when there is none to trust: keyed by
+        :attr:`generation`, so stale after any :meth:`touch`.  Assigning
         records a fresh measurement."""
         if self._ratio_gen != self.generation:
             return None

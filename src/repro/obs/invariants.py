@@ -22,11 +22,6 @@ ProtocolMonitor` cannot see because it records no timeline:
     the ``replay`` span's actual re-post count equals the log sizes
     snapshotted when the replay began.
 
-``writer-quiesce``
-    A background (forked) image write-back never overlaps the next
-    image write of the same process in the same job generation — the
-    writer must be joined first, or torn region bytes could interleave.
-
 ``precopy-shrink``
     Within one live migration, the transferred pre-copy rounds carry
     monotonically non-increasing dirty-byte counts: the
@@ -71,8 +66,8 @@ applied per *segment* — a maximal run of events whose sim timestamps
 are non-decreasing — so cross-environment history never false-positives.
 
 When the tracer's ring overflowed (``dropped > 0``), the history-
-dependent checks (``capture-after-quiesce``, ``writer-quiesce``,
-``precopy-shrink``, ``pagein-before-compute``,
+dependent checks (``capture-after-quiesce``, ``precopy-shrink``,
+``pagein-before-compute``,
 ``admission-before-put``, ``preempt-quiesce-before-reclaim``) are
 skipped; the self-contained per-record checks still run.
 """
@@ -172,27 +167,6 @@ def _check_replay_balance(segment, violations) -> None:
                 f"[replay-balance] {event['proc']} replay re-posted "
                 f"{reposts} WQE(s) but the surviving logs held "
                 f"{expected} (Principles 3/6)")
-
-
-def _check_writer_quiesce(segment, violations) -> None:
-    # (proc, gen) → epoch of the live background writer
-    bg_live: Dict[tuple, Any] = {}
-    for event in segment:
-        kind, ev, proc = event["kind"], event["ev"], event["proc"]
-        gen = event.get("gen", 0)
-        if kind == "bg_write":
-            if ev == "B":
-                bg_live[(proc, gen)] = event.get("epoch")
-            elif ev == "E":
-                bg_live.pop((proc, gen), None)
-        elif kind == "ckpt.write" and ev == "B":
-            if (proc, gen) in bg_live:
-                violations.append(
-                    f"[writer-quiesce] {proc} began its epoch-"
-                    f"{event.get('epoch')} image write at "
-                    f"t={event.get('t', 0.0):.6f} while the epoch-"
-                    f"{bg_live[(proc, gen)]} background writer was "
-                    "still live")
 
 
 def _check_precopy_shrink(segment, violations) -> None:
@@ -321,7 +295,6 @@ def check_trace_invariants(events: List[Dict[str, Any]],
     for segment in split_segments(events):
         if dropped == 0:
             _check_capture_after_quiesce(segment, violations)
-            _check_writer_quiesce(segment, violations)
             _check_precopy_shrink(segment, violations)
             _check_pagein_before_compute(segment, violations)
             _check_admission_before_put(segment, violations)

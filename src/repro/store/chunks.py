@@ -4,10 +4,11 @@ A :class:`ChunkStore` is a thin digest-keyed namespace over one tier's
 :class:`~repro.hardware.storage.FileSystem`: chunk bytes live at
 ``/store/chunks/<digest-hex>``, so two ranks (or two checkpoint epochs)
 whose regions hold identical bytes share one file.  Chunk digests reuse
-the incremental pipeline's region fingerprint — ``blake2b`` with a
-16-byte digest, the same function :meth:`repro.memory.address_space.
-Region.content_hash` computes — so a region the capture already proved
-clean addresses its chunk without rehashing.
+the incremental pipeline's per-chunk fingerprint — ``blake2b`` with a
+16-byte digest over one :data:`~repro.memory.CHUNK_BYTES` slice, the
+same function :meth:`repro.memory.address_space.Region.chunk_hashes`
+computes — so a chunk the capture already proved clean addresses its
+chunk file without rehashing.
 
 The ChunkStore itself is *offline* bookkeeping (existence checks,
 verification, staging); timed reads and writes go through the owning
@@ -25,7 +26,7 @@ from .manifest import CHUNK_PREFIX, chunk_path
 
 __all__ = ["ChunkStore", "digest_bytes"]
 
-_DIGEST_SIZE = 16  # matches Region.content_hash()
+_DIGEST_SIZE = 16  # matches Region.chunk_hashes()
 
 
 def digest_bytes(data: bytes) -> bytes:

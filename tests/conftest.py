@@ -19,8 +19,8 @@ from repro.sim import Environment
 @pytest.fixture(autouse=True)
 def protocol_monitor():
     """Every test runs under a fresh strict ProtocolMonitor: any QP
-    state-machine, WQE-balance, rkey-PD, or writer-quiesce violation in
-    the shadow layer fails the test at the offending call."""
+    state-machine, WQE-balance or rkey-PD violation in the shadow layer
+    fails the test at the offending call."""
     monitor = ProtocolMonitor(strict=True)
     prev = install_monitor(monitor)
     try:
@@ -33,9 +33,9 @@ def protocol_monitor():
 def trace_invariants(request):
     """Every test also runs under a fresh lifecycle Tracer
     (``repro.obs``): at teardown the recorded checkpoint-lifecycle
-    trace is checked against the ordering invariants (capture-after-
-    quiesce, refill-before-real, replay-balance, writer-quiesce) and
-    any violation fails the test.  Opt out with
+    trace is checked against every trace invariant of
+    ``repro.obs.invariants`` (capture-after-quiesce, refill-before-real,
+    replay-balance, ...) and any violation fails the test.  Opt out with
     ``@pytest.mark.no_trace_invariants`` (e.g. for tests that record
     deliberately broken traces or drive the tracer hooks directly)."""
     if request.node.get_closest_marker("no_trace_invariants"):

@@ -112,6 +112,42 @@ def test_drain_rounds_quiet_only_when_everyone_quiet():
     assert verdicts[1] == [False, False, True]
 
 
+def test_stale_or_repeated_done_report_never_completes_a_round():
+    """Done-reports are matched to the checkpoint epoch and counted once
+    per client: a report left over from the previous round, or a client
+    reporting twice, cannot stand in for a client still writing."""
+    env, cluster, coord = _setup(2)
+
+    def client(i):
+        c = yield from CoordinatorClient.connect(
+            cluster.nodes[i], coord.node.name, coord.port, f"c{i}")
+        for _ in range(2):
+            msg = yield c.recv()
+            assert msg["op"] == "checkpoint", msg
+            epoch = msg["epoch"]
+            if i == 0 and epoch == 2:
+                yield from c.ckpt_done({"epoch": 1, "who": "stale"})
+                yield from c.ckpt_done({"epoch": 2, "who": "c0"})
+                yield from c.ckpt_done({"epoch": 2, "who": "c0-repeat"})
+            else:
+                if i == 1:
+                    yield env.timeout(0.5)  # the slow writer
+                yield from c.ckpt_done({"epoch": epoch, "who": f"c{i}"})
+
+    def driver():
+        yield env.timeout(0.1)  # both clients connected
+        yield from coord.checkpoint_all()
+        start = env.now
+        stats = yield from coord.checkpoint_all()
+        return start, env.now, stats
+
+    for i in range(2):
+        env.process(client(i))
+    start, done, stats = env.run(until=env.process(driver()))
+    assert sorted(s["who"] for s in stats) == ["c0", "c1"]
+    assert done - start >= 0.5  # waited for c1, not for c0's extras
+
+
 def test_last_writer_wins_in_db():
     env, cluster, coord = _setup(1)
 

@@ -353,6 +353,42 @@ def test_staged_blob_equals_a_fresh_serialisation(use_store):
             CheckpointImage.from_bytes(record.image.to_bytes())
 
 
+def test_incremental_file_write_charges_the_stalled_delta(env_cluster,
+                                                          trace_invariants):
+    """An incremental image file is one blocking write of the dirty delta
+    stalled by the gzip pipe, and no writer outlives it: after a resume
+    checkpoint each process runs its app thread and its checkpoint
+    manager, nothing else."""
+    env, cluster = env_cluster
+
+    def app(ctx):
+        # a read-only table the second checkpoint proves clean
+        ctx.memory.mmap(f"{ctx.name}.table", 16 * 4096, data=b"t" * 65536)
+        return (yield from counting_app(ctx))
+
+    session = env.run(until=env.process(dmtcp_launch(
+        cluster, [AppSpec(i, f"r{i}", app, rank=i) for i in range(2)],
+        incremental=True)))
+
+    def scenario():
+        yield env.timeout(1.2)
+        yield from session.checkpoint(intent="resume")
+        yield env.timeout(1.0)
+        return (yield from session.checkpoint(intent="resume"))
+
+    ckpt = env.run(until=env.process(scenario()))
+    last_write = {e["proc"]: e
+                  for e in trace_invariants.of_kind("ckpt.write", "E")}
+    for record, proc in zip(ckpt.records, session.procs):
+        image = record.image
+        assert image.capture_stats["mode"] == "incremental"
+        assert image.delta_logical_size < image.logical_size
+        assert last_write[proc.name]["logical"] == \
+            image.delta_logical_size * proc.costs.gzip_stall_factor()
+        live = sorted(t.name for t in proc.host.threads if t.is_alive)
+        assert live == [f"{proc.name}.ckptmgr", f"{proc.name}.main"]
+
+
 def test_image_roundtrip_and_bad_magic():
     from repro.memory import AddressSpace
     from repro.dmtcp.image import ImageError

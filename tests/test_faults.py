@@ -378,3 +378,48 @@ def test_sweep_cli_rejects_nonpositive_trials(trials, capsys):
         main(["--smoke", "--trials", trials])
     assert exit_info.value.code == 2
     assert "--trials must be at least 1" in capsys.readouterr().err
+
+
+def test_analysis_gate_fails_unless_the_monitor_saw_the_restart_path():
+    """``--analysis`` may not pass on an empty violation list alone: the
+    monitor must have counted every required restart-path event."""
+    from repro.experiments.fault_sweep import (REQUIRED_MONITOR_EVENTS,
+                                               protocol_gate_failures)
+
+    seen = {name: 1 for name in REQUIRED_MONITOR_EVENTS}
+    assert protocol_gate_failures({"events": seen, "violations": []}) == []
+    assert protocol_gate_failures(None) == ["no protocol monitor summary"]
+    assert protocol_gate_failures({"events": {}, "violations": []}) == [
+        f"monitor counted no {name!r} event"
+        for name in REQUIRED_MONITOR_EVENTS]
+    unreplayed = dict(seen, replay_begin=0)
+    assert protocol_gate_failures(
+        {"events": unreplayed, "violations": []}) == [
+        "monitor counted no 'replay_begin' event"]
+    assert protocol_gate_failures(
+        {"events": seen, "violations": ["[rkey-pd] x"]}) == ["[rkey-pd] x"]
+
+
+def test_analysis_cli_fails_on_a_monitor_that_counted_nothing(monkeypatch,
+                                                              capsys):
+    """The ``--analysis`` command itself, not only its predicate: the
+    same restart verdict passes with the monitor's real summary and
+    FAILs once that summary is an empty, violation-free one."""
+    from repro.experiments import fault_sweep
+
+    class _Sweep:
+        def young_daly_holds(self, mtbf):
+            return True
+
+    monkeypatch.setattr(fault_sweep, "run_sweep", lambda *a, **kw: _Sweep())
+    verdict = verify_restart_path(seed=31, analysis=True)
+    monkeypatch.setattr(fault_sweep, "verify_restart_path",
+                        lambda seed, analysis: verdict)
+    assert fault_sweep.main(["--smoke", "--analysis"]) == 0
+    assert "# overall: PASS" in capsys.readouterr().out
+
+    verdict = dict(verdict, protocol={"events": {}, "violations": []})
+    assert fault_sweep.main(["--smoke", "--analysis"]) == 1
+    out = capsys.readouterr().out
+    assert "monitor counted no 'modify_qp' event" in out
+    assert "# overall: FAIL" in out

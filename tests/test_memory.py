@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory import PAGE_SIZE, AddressSpace, MemoryError_
+from repro.memory import CHUNK_BYTES, PAGE_SIZE, AddressSpace, MemoryError_
 
 
 def test_mmap_and_rw():
@@ -147,24 +147,31 @@ def test_generation_tracks_mutations():
     assert r.generation == g0 + 2
 
 
-def test_content_hash_cached_until_touch():
+def test_chunk_hashes_cached_until_touch():
     mem = AddressSpace()
-    r = mem.mmap("d", 64, data=b"a" * 64)
-    h0 = r.content_hash()
-    assert r.content_hash() == h0
+    r = mem.mmap("d", 2 * CHUNK_BYTES, data=b"a" * (2 * CHUNK_BYTES))
+    h0 = r.chunk_hashes()
+    assert len(h0) == 2
+    assert r.chunk_hashes() == h0
+    assert all(a is b for a, b in zip(r.chunk_hashes(), h0))  # cached
     mem.write(r.addr, b"b")
-    assert r.content_hash() != h0
+    h1 = r.chunk_hashes()
+    assert h1[0] != h0[0]
+    assert h1[1] is h0[1]
 
 
-def test_content_hash_sees_view_mutation():
-    """A TrackedView write stamps the region, so the cached hash is
-    recomputed without any explicit touch()."""
+def test_chunk_hashes_rehash_only_the_view_written_chunk():
+    """A TrackedView write stamps only the chunk it lands in, so the
+    cached digests are recomputed for that chunk alone, without any
+    explicit touch()."""
     mem = AddressSpace()
-    r = mem.mmap("d", 8 * 4)
+    r = mem.mmap("d", 3 * CHUNK_BYTES)
     view = r.view(dtype=np.float64)
-    h0 = r.content_hash()
-    view[0] = 42.0
-    assert r.content_hash() != h0
+    h0 = r.chunk_hashes()
+    view[CHUNK_BYTES // 8] = 42.0  # first element of chunk 1
+    h1 = r.chunk_hashes()
+    assert h1[1] != h0[1]
+    assert h1[0] is h0[0] and h1[2] is h0[2]
 
 
 def test_restore_bumps_generation():
