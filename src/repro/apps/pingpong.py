@@ -101,8 +101,7 @@ def pingpong_app(ctx: AppContext, peer_host: str, is_server: bool,
     qp_to_rtr(ibv, qp, dest_qp_num=peer["qpn"], dlid=peer["lid"])
     qp_to_rts(ibv, qp)
 
-    sge_send = [ibv_sge(buf.addr, msg_bytes, mr.lkey)]
-    sge_recv = [ibv_sge(recv_addr, msg_bytes, mr.lkey)]
+    sge_send = (ibv_sge(buf.addr, msg_bytes, mr.lkey),)
     waiter = CqWaiter(ctx, ibv, cq)
     t0 = ctx.env.now
     errors = 0
@@ -112,9 +111,9 @@ def pingpong_app(ctx: AppContext, peer_host: str, is_server: bool,
 
     def post_rx(i: int) -> None:
         slot = i % RX_DEPTH
-        sge = [ibv_sge(recv_addr + slot * msg_bytes, msg_bytes, mr.lkey)]
+        sge = (ibv_sge(recv_addr + slot * msg_bytes, msg_bytes, mr.lkey),)
         ibv.post_recv(qp, ibv_recv_wr(
-            wr_id=i, sg_list=[] if use_rdma else sge))
+            wr_id=i, sg_list=() if use_rdma else sge))
 
     for d in range(RX_DEPTH):
         post_rx(d)

@@ -21,7 +21,7 @@ Lifecycle:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ...dmtcp.costs import CostModel, DEFAULT_COSTS
 from ...dmtcp.events import DmtcpEvent
@@ -230,29 +230,46 @@ class InfinibandPlugin(Plugin):
 
     # -- id translation (§3.2) ------------------------------------------------------
 
-    def _real_sg_list(self, sg_list: List[ibv_sge]) -> List[ibv_sge]:
-        """A fresh list with real lkeys.  An element whose lkey maps to
-        itself (every one, before the first restart) is shared rather
-        than copied: scatter/gather elements are values nobody writes."""
+    def _real_sg_list(self, sg_list: Tuple[ibv_sge, ...]
+                      ) -> Tuple[ibv_sge, ...]:
+        """``sg_list`` with real lkeys.  When every lkey maps to itself
+        (always, before the first restart) that is ``sg_list`` itself;
+        otherwise a new tuple that still shares each element whose lkey
+        did not move (scatter/gather elements are immutable values)."""
         by_vlkey = self.vmr_by_vlkey
-        return [sge if (vmr := by_vlkey.get(sge.lkey)) is None
-                or vmr.real.lkey == sge.lkey
-                else ibv_sge(sge.addr, sge.length, vmr.real.lkey)
-                for sge in sg_list]
+        for sge in sg_list:
+            vmr = by_vlkey.get(sge.lkey)
+            if vmr is not None and vmr.real.lkey != sge.lkey:
+                break
+        else:
+            return sg_list
+        return tuple(sge if (vmr := by_vlkey.get(sge.lkey)) is None
+                     or vmr.real.lkey == sge.lkey
+                     else ibv_sge(sge.addr, sge.length, vmr.real.lkey)
+                     for sge in sg_list)
 
     def translate_send_wr(self, vqp: VirtualQp,
                           wr: ibv_send_wr) -> ibv_send_wr:
-        """The WR the driver is handed, built once — for the first post
-        and for the Principle-6 re-post alike.  Remote addresses are
-        virtual addresses restored 1:1, so only keys change."""
+        """The WR the driver is handed — for the first post and for the
+        Principle-6 re-post alike.  ``wr`` is a logged snapshot; when no
+        key moves it is handed back as is (the driver copies on post).
+        Remote addresses are virtual addresses restored 1:1, so only keys
+        change."""
         rkey = self.translate_rkey(vqp, wr.rkey) \
             if wr.opcode in _RDMA_OPCODES else wr.rkey
-        return ibv_send_wr(wr.wr_id, self._real_sg_list(wr.sg_list),
-                           wr.opcode, wr.send_flags, wr.imm_data,
-                           wr.remote_addr, rkey, wr._inline_data)
+        sg_list = self._real_sg_list(wr.sg_list)
+        if sg_list is wr.sg_list and rkey == wr.rkey:
+            return wr
+        return ibv_send_wr(wr.wr_id, sg_list, wr.opcode, wr.send_flags,
+                           wr.imm_data, wr.remote_addr, rkey,
+                           wr._inline_data)
 
     def translate_recv_wr(self, wr: ibv_recv_wr) -> ibv_recv_wr:
-        return ibv_recv_wr(wr.wr_id, self._real_sg_list(wr.sg_list))
+        """As :meth:`translate_send_wr`, for a receive snapshot."""
+        sg_list = self._real_sg_list(wr.sg_list)
+        if sg_list is wr.sg_list:
+            return wr
+        return ibv_recv_wr(wr.wr_id, sg_list)
 
     def translate_rkey(self, vqp: VirtualQp, vrkey: int) -> int:
         """(virtual qp, vrkey) → real rkey via the remote pd (§3.2.2):

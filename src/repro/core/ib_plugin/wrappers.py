@@ -200,10 +200,13 @@ class WrappedVerbs:
     # -- ops-table entries (installed into VirtualContext.ops) ------------------------
     #
     # The per-message path (DESIGN.md §15): a post charges the wrapper
-    # inline and makes exactly one private copy of the WR for the log plus
-    # one translated WR for the driver.  ``overhead_debt`` is a float sum,
-    # so the operand order — wrapper cost first, then the IB2TCP copy — is
-    # part of the simulated clock.
+    # inline and takes one snapshot of the WR.  That snapshot goes through
+    # translation — which hands it back unchanged until a restart moves a
+    # key — to the driver, which makes its own copy; only once the driver
+    # has accepted the WR is the snapshot logged, so a rejected post
+    # leaves nothing for replay to re-post.  ``overhead_debt`` is a float
+    # sum, so the operand order — wrapper cost first, then the IB2TCP
+    # copy — is part of the simulated clock.
 
     def ops_post_send(self, vqp: VirtualQp, wr: ibv_send_wr) -> None:
         plugin = self.plugin
@@ -214,41 +217,43 @@ class WrappedVerbs:
         if vqp.qp_type is QpType.UD:
             raise UnsupportedQpTypeError(
                 "UD queue pairs are not supported (§4)")
+        snap = wr.copy()
         if plugin.delegated:
-            plugin.fallback.post_send(vqp, wr)
+            plugin.fallback.post_send(vqp, snap)
             return
-        flags = wr.send_flags._value_
-        assume = wr.opcode is WrOpcode.RDMA_WRITE_WITH_IMM or (
-            wr.opcode is WrOpcode.RDMA_WRITE and bool(flags & _F_INLINE))
-        vqp.send_log.append(SendLogEntry(
-            wr=wr.copy(),
-            signaled=vqp.sq_sig_all or bool(flags & _F_SIGNALED),
-            assume_complete_on_drain=assume))
         vqp.vpd.vcontext.real_ops.post_send(
-            vqp.real, plugin.translate_send_wr(vqp, wr))
+            vqp.real, plugin.translate_send_wr(vqp, snap))
+        flags = snap.send_flags._value_
+        vqp.send_log.append(SendLogEntry(
+            snap, vqp.sq_sig_all or bool(flags & _F_SIGNALED),
+            snap.opcode is WrOpcode.RDMA_WRITE_WITH_IMM or (
+                snap.opcode is WrOpcode.RDMA_WRITE
+                and bool(flags & _F_INLINE))))
 
     def ops_post_recv(self, vqp: VirtualQp, wr: ibv_recv_wr) -> None:
         plugin = self.plugin
         plugin.stats["wrapper_calls"] += 1
         plugin.appctx.proc.overhead_debt += plugin.costs.wrapper_cost()
         plugin.charge_ib2tcp_copy(0.0)
-        vqp.recv_log.append(RecvLogEntry(wr=wr.copy()))
+        snap = wr.copy()
         if plugin.delegated:
-            plugin.fallback.post_recv(vqp, wr.copy())
-            return
-        vqp.vpd.vcontext.real_ops.post_recv(
-            vqp.real, plugin.translate_recv_wr(wr))
+            plugin.fallback.post_recv(vqp, snap.copy())
+        else:
+            vqp.vpd.vcontext.real_ops.post_recv(
+                vqp.real, plugin.translate_recv_wr(snap))
+        vqp.recv_log.append(RecvLogEntry(snap))
 
     def ops_post_srq_recv(self, vsrq: VirtualSrq, wr: ibv_recv_wr) -> None:
         plugin = self.plugin
         plugin.stats["wrapper_calls"] += 1
         plugin.appctx.proc.overhead_debt += plugin.costs.wrapper_cost()
-        vsrq.recv_log.append(RecvLogEntry(wr=wr.copy()))
+        snap = wr.copy()
         if plugin.delegated:
-            plugin.fallback.post_srq_recv(vsrq, wr.copy())
-            return
-        vsrq.vpd.vcontext.real_ops.post_srq_recv(
-            vsrq.real, plugin.translate_recv_wr(wr))
+            plugin.fallback.post_srq_recv(vsrq, snap.copy())
+        else:
+            vsrq.vpd.vcontext.real_ops.post_srq_recv(
+                vsrq.real, plugin.translate_recv_wr(snap))
+        vsrq.recv_log.append(RecvLogEntry(snap))
 
     def ops_poll_cq(self, vcq: VirtualCq, num_entries: int) -> List[ibv_wc]:
         """Principle 5: refill from the plugin's private queue first; the

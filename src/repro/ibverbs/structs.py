@@ -11,7 +11,7 @@ blob on every call; a stale struct raises :class:`StaleResourceError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, NamedTuple, Optional, Sequence
 
 from .enums import (
     AccessFlags,
@@ -144,19 +144,24 @@ class ibv_qp:
     _hw: Any = None     # hardware queue pair (transport engine)
 
 
-@dataclass(slots=True)
-class ibv_sge:
-    """Scatter/gather element: a slice of registered memory."""
+class ibv_sge(NamedTuple):
+    """Scatter/gather element: a slice of registered memory.  An
+    immutable value, so every copy of a WR may share it."""
 
     addr: int
     length: int
     lkey: int
 
 
+# A WR stays a mutable struct, as the application builds it.  ``copy()``
+# is the snapshot a post takes (the driver's copy, the Principle-3 log
+# entry): its ``sg_list`` is a tuple, so when the application already
+# passed one the snapshot allocates the WR alone and shares the elements.
+
 @dataclass(slots=True)
 class ibv_send_wr:
     wr_id: int
-    sg_list: List[ibv_sge]
+    sg_list: Sequence[ibv_sge]
     opcode: WrOpcode
     send_flags: SendFlags = SendFlags.SIGNALED
     imm_data: Optional[int] = None
@@ -167,20 +172,18 @@ class ibv_send_wr:
     _inline_data: Optional[bytes] = None
 
     def copy(self) -> "ibv_send_wr":
-        return ibv_send_wr(
-            wr_id=self.wr_id, sg_list=list(self.sg_list), opcode=self.opcode,
-            send_flags=self.send_flags, imm_data=self.imm_data,
-            remote_addr=self.remote_addr, rkey=self.rkey,
-            _inline_data=self._inline_data)
+        return ibv_send_wr(self.wr_id, tuple(self.sg_list), self.opcode,
+                           self.send_flags, self.imm_data, self.remote_addr,
+                           self.rkey, self._inline_data)
 
 
 @dataclass(slots=True)
 class ibv_recv_wr:
     wr_id: int
-    sg_list: List[ibv_sge]
+    sg_list: Sequence[ibv_sge]
 
     def copy(self) -> "ibv_recv_wr":
-        return ibv_recv_wr(wr_id=self.wr_id, sg_list=list(self.sg_list))
+        return ibv_recv_wr(self.wr_id, tuple(self.sg_list))
 
 
 @dataclass(slots=True)

@@ -246,8 +246,8 @@ class IbBtl:
         self.ctx.memory.write(addr, data)
         wr_id = next(self._wr_ids)
         self.ctx.ibv.post_send(qp, ibv_send_wr(
-            wr_id=wr_id, sg_list=[ibv_sge(addr, len(data),
-                                          self.stage_mr.lkey)],
+            wr_id=wr_id, sg_list=(ibv_sge(addr, len(data),
+                                          self.stage_mr.lkey),),
             opcode=WrOpcode.SEND))
         evt = self.ctx.env.event()
         self._pending_sends[wr_id] = evt
@@ -265,7 +265,7 @@ class IbBtl:
         wr_id = next(self._wr_ids)
         self.ctx.ibv.post_send(qp, ibv_send_wr(
             wr_id=wr_id,
-            sg_list=[ibv_sge(region.addr + offset, nbytes, mr.lkey)],
+            sg_list=(ibv_sge(region.addr + offset, nbytes, mr.lkey),),
             opcode=WrOpcode.RDMA_WRITE, remote_addr=raddr, rkey=rkey))
         evt = self.ctx.env.event()
         self._pending_sends[wr_id] = evt
@@ -278,11 +278,13 @@ class IbBtl:
         """Per-slot receive WR templates.  The driver copies at post time
         (verbs semantics: the WR is consumed by ``post``), so re-posting
         the same template on slot re-arm is safe — and skips two object
-        constructions per control message.  Rebuilt whenever ``ctrl_mr``
-        is re-registered (CRS teardown/rebuild), since the lkey changes."""
-        return [ibv_recv_wr(wr_id=slot, sg_list=[
+        constructions per control message.  Each ``sg_list`` is a tuple,
+        so the plugin's snapshot of a re-post shares it.  Rebuilt whenever
+        ``ctrl_mr`` is re-registered (CRS teardown/rebuild), since the
+        lkey changes."""
+        return [ibv_recv_wr(slot, (
                     ibv_sge(self.ctrl.addr + slot * CTRL_SLOT, CTRL_SLOT,
-                            self.ctrl_mr.lkey)])
+                            self.ctrl_mr.lkey),))
                 for slot in range(_N_CTRL_SLOTS)]
 
     def _post_ctrl_slot(self, slot: int) -> None:

@@ -134,7 +134,7 @@ class GasnetCore:
         wr_id = next(self._wr_ids)
         self.ctx.ibv.post_send(qp, ibv_send_wr(
             wr_id=wr_id,
-            sg_list=[ibv_sge(local_addr, nbytes, self.seg_mr.lkey)],
+            sg_list=(ibv_sge(local_addr, nbytes, self.seg_mr.lkey),),
             opcode=WrOpcode.RDMA_WRITE,
             remote_addr=seg["addr"] + seg_offset, rkey=seg["rkey"]))
         evt = self.ctx.env.event()
@@ -149,7 +149,7 @@ class GasnetCore:
         wr_id = next(self._wr_ids)
         self.ctx.ibv.post_send(qp, ibv_send_wr(
             wr_id=wr_id,
-            sg_list=[ibv_sge(local_addr, nbytes, self.seg_mr.lkey)],
+            sg_list=(ibv_sge(local_addr, nbytes, self.seg_mr.lkey),),
             opcode=WrOpcode.RDMA_READ,
             remote_addr=seg["addr"] + seg_offset, rkey=seg["rkey"]))
         evt = self.ctx.env.event()
@@ -169,7 +169,7 @@ class GasnetCore:
         wr_id = next(self._wr_ids)
         self.ctx.ibv.post_send(self._qps[thread], ibv_send_wr(
             wr_id=wr_id,
-            sg_list=[ibv_sge(addr, len(data), self.stage_mr.lkey)],
+            sg_list=(ibv_sge(addr, len(data), self.stage_mr.lkey),),
             opcode=WrOpcode.SEND))
         evt = self.ctx.env.event()
         self._pending[wr_id] = evt
@@ -179,8 +179,8 @@ class GasnetCore:
 
     def _post_am_slot(self, slot: int) -> None:
         self.ctx.ibv.post_srq_recv(self.srq, ibv_recv_wr(
-            wr_id=slot, sg_list=[ibv_sge(self.am.addr + slot * _AM_SLOT,
-                                         _AM_SLOT, self.am_mr.lkey)]))
+            wr_id=slot, sg_list=(ibv_sge(self.am.addr + slot * _AM_SLOT,
+                                         _AM_SLOT, self.am_mr.lkey),)))
 
     def _progress_loop(self) -> Generator:
         ibv = self.ctx.ibv

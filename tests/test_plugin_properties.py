@@ -216,7 +216,7 @@ _RDMA = (WrOpcode.RDMA_WRITE, WrOpcode.RDMA_WRITE_WITH_IMM,
 
 def _ref_translate_sge(plugin, sge):
     """The translation as the copy-heavy seed wrote it: the reference the
-    single-copy path must stay field-equal to."""
+    single-snapshot path must stay field-equal to."""
     vmr = plugin.vmr_by_vlkey.get(sge.lkey)
     return ibv_sge(addr=sge.addr, length=sge.length,
                    lkey=vmr.real.lkey if vmr is not None else sge.lkey)
@@ -224,13 +224,15 @@ def _ref_translate_sge(plugin, sge):
 
 def _ref_translate_recv_wr(plugin, wr):
     real_wr = wr.copy()
-    real_wr.sg_list = [_ref_translate_sge(plugin, s) for s in wr.sg_list]
+    real_wr.sg_list = tuple(_ref_translate_sge(plugin, s)
+                            for s in wr.sg_list)
     return real_wr
 
 
 def _ref_translate_send_wr(plugin, vqp, wr):
     real_wr = wr.copy()
-    real_wr.sg_list = [_ref_translate_sge(plugin, s) for s in wr.sg_list]
+    real_wr.sg_list = tuple(_ref_translate_sge(plugin, s)
+                            for s in wr.sg_list)
     if wr.opcode in _RDMA:
         real_wr.rkey = plugin.translate_rkey(vqp, wr.rkey)
     return real_wr
@@ -276,10 +278,11 @@ def _fake_restart(plugin):
                  "mr:peer/0:4242": 0xBEEF}
 
 
-_sges = st.lists(
+_sge_lists = st.lists(
     st.builds(ibv_sge, st.integers(0, 1 << 30), st.integers(0, 4096),
               st.sampled_from(_VLKEYS + (0x9999,))),
     min_size=1, max_size=4)
+_sges = st.one_of(_sge_lists, _sge_lists.map(tuple))
 _send_wrs = st.builds(
     ibv_send_wr, wr_id=st.integers(0, 50), sg_list=_sges,
     opcode=st.sampled_from(list(WrOpcode)),
@@ -295,8 +298,11 @@ _recv_wrs = st.builds(ibv_recv_wr, wr_id=st.integers(0, 50), sg_list=_sges)
 def _scribble(wr):
     """What a careless application may do to its WR once post returned."""
     wr.wr_id += 1000
-    wr.sg_list.reverse()
-    wr.sg_list.append(ibv_sge(1, 2, 3))
+    if isinstance(wr.sg_list, list):
+        wr.sg_list.reverse()
+        wr.sg_list.append(ibv_sge(1, 2, 3))
+    else:
+        wr.sg_list = wr.sg_list[::-1] + (ibv_sge(1, 2, 3),)
     if isinstance(wr, ibv_send_wr):
         wr.rkey ^= 0xFFFF
         wr.opcode = WrOpcode.SEND
@@ -325,6 +331,8 @@ def test_log_holds_a_copy_and_driver_sees_the_seed_translation(posts):
         assert got_kind == kind and not seen
         assert got is not wr
         assert dataclasses.astuple(got) == dataclasses.astuple(want)
+        with pytest.raises(AttributeError):
+            got.sg_list[0].lkey = 0x9999     # an SGE is a value
         posted.append((kind, wr.copy()))
         _scribble(wr)
 
@@ -356,3 +364,120 @@ def test_log_holds_a_copy_and_driver_sees_the_seed_translation(posts):
             assert got_kind == kind
             assert dataclasses.astuple(got) == dataclasses.astuple(want)
     assert not seen
+
+
+def test_driver_is_handed_the_logged_snapshot_until_keys_move():
+    """One snapshot per post: before a restart the driver receives the very
+    object the log holds, and a tuple ``sg_list`` is shared, not copied;
+    once keys move, the driver gets a translated WR of its own."""
+    plugin, vqp, vsrq, seen = _rig()
+    ops = plugin.wrapped
+    sges = (ibv_sge(0x100, 64, _VLKEYS[0]), ibv_sge(0x200, 32, _VLKEYS[1]))
+    send = ibv_send_wr(1, sges, WrOpcode.RDMA_WRITE, remote_addr=0x40,
+                       rkey=4242)
+    recv = ibv_recv_wr(2, sges)
+    srq = ibv_recv_wr(3, list(sges))
+    ops.ops_post_send(vqp, send)
+    ops.ops_post_recv(vqp, recv)
+    ops.ops_post_srq_recv(vsrq, srq)
+    (e_send,), (e_recv,), (e_srq,) = vqp.send_log, vqp.recv_log, \
+        vsrq.recv_log
+    assert [k for k, _r, _wr in seen] == ["send", "recv", "srq"]
+    for (_k, _r, wr), entry, app_wr in zip(
+            seen, (e_send, e_recv, e_srq), (send, recv, srq)):
+        assert wr is entry.wr and wr is not app_wr
+    assert e_send.wr.sg_list is sges and e_recv.wr.sg_list is sges
+    assert e_srq.wr.sg_list == sges and e_srq.wr.sg_list is not srq.sg_list
+
+    real_lkeys = [k + 0x500000 for k in _VLKEYS[:2]]
+    _fake_restart(plugin)
+    seen.clear()
+    plugin._restart_replay()
+    ops.ops_post_recv(vqp, ibv_recv_wr(4, sges))
+    entries = (e_srq, e_recv, e_send, list(vqp.recv_log)[-1])
+    assert [k for k, _r, _wr in seen] == ["srq", "recv", "send", "recv"]
+    for (_k, _r, wr), entry in zip(seen, entries):
+        assert wr is not entry.wr
+        assert [s.lkey for s in wr.sg_list] == real_lkeys
+        assert [s.lkey for s in entry.wr.sg_list] == list(_VLKEYS[:2])
+    assert seen[2][2].rkey == 0xBEEF and e_send.wr.rkey == 4242
+
+
+# -- a post the driver rejects is not logged ---------------------------------------
+
+from conftest import make_endpoint  # noqa: E402
+
+from repro.ibverbs import VerbsLib, VerbsError  # noqa: E402
+from repro.ibverbs.connect import connect_pair, qp_to_init  # noqa: E402
+
+
+def _plugin_endpoint(proc):
+    """``proc``'s verbs opened through the plugin over the real driver."""
+    plugin = InfinibandPlugin()
+    plugin.appctx = SimpleNamespace(name=proc.name, proc=proc, env=proc.env)
+    plugin.real_lib = VerbsLib(proc)
+    return plugin, make_endpoint(proc, plugin.wrapped)
+
+
+def _replayed(plugin):
+    """Replay the logs into a recording driver: ``(kind, wr_id)`` in
+    re-post order."""
+    seen = []
+    record = lambda kind: lambda real, wr: seen.append((kind, wr.wr_id))
+    plugin.real_lib = SimpleNamespace(
+        post_srq_recv=record("srq"), modify_qp=lambda real, attr, mask: None)
+    for vctx in plugin.contexts:
+        vctx.real_ops = ibv_context_ops(post_send=record("send"),
+                                        post_recv=record("recv"))
+    plugin._restart_replay()
+    return seen
+
+
+def test_rejected_srq_post_leaves_no_log_entry():
+    env = Environment()
+    cluster = Cluster(env, BUFFALO_CCR, n_nodes=1, name="rej-srq")
+    plugin, ep = _plugin_endpoint(cluster.nodes[0].fork("p"))
+    srq = ep.lib.create_srq(ep.pd, max_wr=2)
+    buf, mr = ep.reg(64, "r")
+    sges = (ibv_sge(buf.addr, 8, mr.lkey),)
+    for wr_id in (1, 2):
+        ep.lib.post_srq_recv(srq, ibv_recv_wr(wr_id, sges))
+    with pytest.raises(VerbsError, match="SRQ full"):
+        ep.lib.post_srq_recv(srq, ibv_recv_wr(3, sges))
+    assert plugin._logged_wqes() == 2
+    assert _replayed(plugin) == [("srq", 1), ("srq", 2)]
+
+
+def test_rejected_inline_send_leaves_no_log_entry():
+    env = Environment()
+    cluster = Cluster(env, BUFFALO_CCR, n_nodes=2, name="rej-inline")
+    plugin, a = _plugin_endpoint(cluster.nodes[0].fork("a"))
+    b = make_endpoint(cluster.nodes[1].fork("b"))
+    qa, qb = a.make_qp(), b.make_qp()
+    connect_pair(a.lib, qa, a.lid, b.lib, qb, b.lid)
+    buf, mr = a.reg(4096, "big")
+    a.lib.post_recv(qa, ibv_recv_wr(1, (ibv_sge(buf.addr, 64, mr.lkey),)))
+    a.lib.post_send(qa, ibv_send_wr(2, (ibv_sge(buf.addr, 8, mr.lkey),),
+                                    opcode=WrOpcode.SEND))
+    with pytest.raises(VerbsError, match="inline"):
+        a.lib.post_send(qa, ibv_send_wr(
+            3, (ibv_sge(buf.addr, 1024, mr.lkey),), opcode=WrOpcode.SEND,
+            send_flags=SendFlags.SIGNALED | SendFlags.INLINE))
+    assert plugin._logged_wqes() == 2
+    assert _replayed(plugin) == [("recv", 1), ("send", 2)]
+
+
+def test_rejected_recv_on_srq_qp_leaves_no_log_entry():
+    env = Environment()
+    cluster = Cluster(env, BUFFALO_CCR, n_nodes=1, name="rej-srq-qp")
+    plugin, ep = _plugin_endpoint(cluster.nodes[0].fork("p"))
+    srq = ep.lib.create_srq(ep.pd)
+    qp = ep.make_qp(srq=srq)
+    qp_to_init(ep.lib, qp)
+    buf, mr = ep.reg(64, "r")
+    sges = (ibv_sge(buf.addr, 8, mr.lkey),)
+    ep.lib.post_srq_recv(srq, ibv_recv_wr(1, sges))
+    with pytest.raises(VerbsError, match="SRQ"):
+        ep.lib.post_recv(qp, ibv_recv_wr(2, sges))
+    assert plugin._logged_wqes() == 1
+    assert _replayed(plugin) == [("srq", 1)]
