@@ -402,6 +402,11 @@ class InfinibandPlugin(Plugin):
         elif event is DmtcpEvent.RESTART_REPLAY:
             self._restart_replay()
 
+    def close(self) -> None:
+        """Unload the wrapper library: it and every ops table handed to
+        the application point back here."""
+        self.wrapped.plugin = None
+
     def image_metadata(self) -> Dict[str, Any]:
         if self.contexts:
             return {"hca_vendor": self.contexts[0].vendor}

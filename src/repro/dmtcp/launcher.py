@@ -33,11 +33,14 @@ class JobTracker:
     environment-level processes; if the cluster dies mid-flow those
     processes would eventually fail (e.g. a SYN retry loop timing out into
     a torn-down network) with nobody observing.  A supervisor that passes a
-    tracker can :meth:`kill_all` to reap them deterministically.
+    tracker can :meth:`kill_all` to reap them deterministically, and
+    :meth:`close` the job's ranks once the job is over.
     """
 
     coordinator: Optional[Coordinator] = None
     procs: List = field(default_factory=list)
+    #: the DMTCP processes the launch/restart has built so far
+    ranks: List[DmtcpProcess] = field(default_factory=list)
 
     def kill_all(self) -> None:
         for proc in self.procs:
@@ -46,6 +49,15 @@ class JobTracker:
         self.procs.clear()
         if self.coordinator is not None:
             self.coordinator.shutdown()
+
+    def close(self) -> None:
+        """The job is over: reap the flows and close every rank (see
+        :meth:`DmtcpProcess.close`).  Not for a preemption or migration
+        freeze, whose continuations a restart revives."""
+        self.kill_all()
+        for rank in self.ranks:
+            rank.close()
+        self.ranks.clear()
 
 
 @dataclass
@@ -195,6 +207,8 @@ def dmtcp_launch(cluster: Cluster, specs: Sequence[AppSpec],
                             node_index=spec.node_index,
                             incremental=incremental, store=store)
         procs.append(proc)
+        if tracker is not None:
+            tracker.ranks.append(proc)
         launch_events.append(env.process(
             proc.launch(coordinator.node.name, coordinator.port,
                         spec.factory),
@@ -267,6 +281,8 @@ def dmtcp_restart(cluster: Cluster, ckpt_set: CheckpointSet,
                 disk_kind=disk_kind, incremental=incremental,
                 store=store)
             procs_by_name[record.name] = proc
+            if tracker is not None:
+                tracker.ranks.append(proc)
             yield from proc.restart_flow(coordinator.node.name,
                                          coordinator.port)
 

@@ -67,6 +67,12 @@ class Plugin:
         barrier.  The mapping is shared by every rank: keep it, read it,
         never mutate it."""
 
+    # -- end of the job ------------------------------------------------------------
+
+    def close(self) -> None:
+        """The job is over: drop any reference that points back at the
+        process (its wrappers, its context).  Counters stay readable."""
+
     # -- metadata ----------------------------------------------------------------
 
     def image_metadata(self) -> Dict[str, Any]:

@@ -49,6 +49,10 @@ class AppContext:
         # virtualize here (e.g. listening TCP sockets — real DMTCP's
         # socket plugin, which is prior work and out of scope)
         self.on_restart: List[Callable[["AppContext"], None]] = []
+        #: the MPI runtime's endpoint and communicator, set by the rank's
+        #: main (the CRS baseline tears the BTL down through them)
+        self.btl = None
+        self.comm = None
 
     @property
     def env(self) -> Environment:
@@ -75,6 +79,15 @@ class AppContext:
     def exit(self, value: Any = None) -> None:
         if not self.done.triggered:
             self.done.succeed(value)
+
+    def close(self) -> None:
+        """The job is over: let go of the runtime hung on this context.
+        The communicator, the BTL and the restart hooks all point back
+        here, so keeping them would keep the whole rank alive."""
+        if self.comm is not None:
+            self.comm.close()
+        self.btl = self.comm = None
+        self.on_restart.clear()
 
 
 @dataclass
@@ -395,6 +408,15 @@ class DmtcpProcess:
             for thread in self.user_threads:
                 if thread.is_alive:
                     thread.unsuspend()
+
+    def close(self) -> None:
+        """The job is over (finished, failed for good, or crashed with
+        nothing to revive): close the plugins and the application context,
+        so the rank is freed by reference counting alone.  A frozen
+        continuation is closed only by the generation that ends the job."""
+        for plugin in self.plugins:
+            plugin.close()
+        self.appctx.close()
 
     # -- restart ------------------------------------------------------------------
 

@@ -207,6 +207,8 @@ def chaos_restart(cluster: Cluster, ckpt_set: CheckpointSet,
                         pm["generation"] = region.generation
                 proc.last_record = replace(record, image=image)
             procs_by_name[record.name] = proc
+            if tracker is not None:
+                tracker.ranks.append(proc)
             spec = spec_by_rank[record.rank]
             yield from proc.launch(coordinator.node.name, coordinator.port,
                                    spec.factory)
@@ -503,7 +505,11 @@ class RecoveryManager:
                     self.injector.clear_target()
                 if store is not None:
                     store.stop()  # nothing left worth replicating
-                tracker.kill_all()  # coordinator loops parked on recv
+                # the job is over: reap the coordinator loops parked on
+                # recv and close the ranks.  The partition stays up (its
+                # owner powers it off); once it does, the job is freed by
+                # reference counting
+                tracker.close()
                 outcome.results = [p.appctx.done.value
                                    for p in session.procs]
                 outcome.completion_seconds = env.now - t_job_start
@@ -525,7 +531,9 @@ class RecoveryManager:
                 self.injector.clear_target()
             if store is not None:
                 store.stop()  # replication flows target a dead cluster
-            tracker.kill_all()
+            # chaos_restart re-runs the factories with fresh plugins: no
+            # rank of the dead generation is ever revived
+            tracker.close()
             cluster.teardown()
             self.gate.reset()
             if consecutive_failures > cfg.max_attempts:

@@ -119,10 +119,7 @@ class Cluster:
         """Power the partition off: kill every process, drop every in-flight
         packet (the precondition for the paper's restart path)."""
         for node in self.nodes:
-            for proc in list(node.processes):
-                proc.kill()
-            if node.hca is not None:
-                node.hca.detach()
+            node.power_off()
         if self.fabric is not None:
             self.fabric.teardown()
         self.ethernet.teardown()

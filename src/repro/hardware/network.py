@@ -87,6 +87,7 @@ class NetworkPort:
 
     def detach(self) -> None:
         self.attached = False
+        self.handler = None  # its endpoint (a TCP stack, an HCA) points back
         self.network._ports.pop(self.endpoint_id, None)
 
 
@@ -171,5 +172,4 @@ class Network:
         self.epoch += 1
         self.torn_down = True
         for port in list(self._ports.values()):
-            port.attached = False
-        self._ports.clear()
+            port.detach()

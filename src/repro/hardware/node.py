@@ -68,6 +68,19 @@ class Node:
         if self.eth_port is not None:
             self.eth_port.detach()
 
+    def power_off(self) -> None:
+        """Cluster teardown: every process is killed, the HCA leaves the
+        fabric, and the kernel TCP stack is dropped with its sockets
+        (each of which points back at the stack)."""
+        for proc in list(self.processes):
+            proc.kill()
+        if self.hca is not None:
+            self.hca.detach()
+        stack = getattr(self, "_tcp_stack", None)
+        if stack is not None:
+            self._tcp_stack = None
+            stack.close()
+
     def slow_down(self, factor: float) -> None:
         """Straggler injection: the node computes ``factor``x slower
         (thermal throttling / a co-scheduled job) until :meth:`restore_speed`."""
@@ -151,7 +164,11 @@ class ProcessHost:
             self.exit_event.succeed(value)
 
     def kill(self) -> None:
-        """Hard-kill: all threads stop, nothing runs again (SIGKILL)."""
+        """Hard-kill: all threads stop, nothing runs again (SIGKILL).
+
+        The dead process lets go of its libraries, threads and hooks, so
+        nothing it loaded keeps it alive.  Its address space stays: a
+        frozen continuation restores into it on the restart node."""
         self.alive = False
         for hook in self._kill_hooks:
             hook()
@@ -160,6 +177,7 @@ class ProcessHost:
             if thread.is_alive:
                 thread.kill()
         self.threads.clear()
+        self.libs.clear()
         if not self.exit_event.triggered:
             self.exit_event.succeed(None)
         if self in self.node.processes:

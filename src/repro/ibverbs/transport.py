@@ -132,6 +132,7 @@ class DriverSession:
         self.mrs_by_lkey: Dict[int, Any] = {}   # lkey -> ibv_mr
         self.mrs_by_rkey: Dict[int, Any] = {}   # rkey -> ibv_mr
         self.qps: Dict[int, QpHardware] = {}    # real qpn -> hardware qp
+        self.cqs: List[CqHardware] = []
         proc.at_kill(self.close)
 
     def close(self) -> None:
@@ -141,6 +142,11 @@ class DriverSession:
         for qp in list(self.qps.values()):
             qp.destroy()
         self.qps.clear()
+        # nothing completes on a dead process's queues: drop the armed
+        # notifications (their callbacks reach back into the process)
+        for cq in self.cqs:
+            cq._waiters.clear()
+        self.cqs.clear()
         # pinned pages are released when a process dies
         for mr in self.mrs_by_lkey.values():
             try:
@@ -247,6 +253,7 @@ class QpHardware:
         if self.destroyed:
             return
         self.destroyed = True
+        self.qp_struct = None  # the struct's _hw points back here
         self.session.hca.unregister_qp(self.qpn)
         self.session.qps.pop(self.qpn, None)
         if self._engine is not None and self._engine.is_alive:

@@ -147,12 +147,13 @@ class VerbsLib:
 
     def create_cq(self, ctx: ibv_context, cqe: int = 4096) -> ibv_cq:
         session = self._session(ctx)
+        hw = CqHardware(self.env, cqe)
+        session.cqs.append(hw)
         return ibv_cq(context=ctx, cqe=cqe,
-                      _driver_blob=_Blob(session, "cq"),
-                      _hw=CqHardware(self.env, cqe))
+                      _driver_blob=_Blob(session, "cq"), _hw=hw)
 
     def destroy_cq(self, cq: ibv_cq) -> None:
-        self._session(cq)
+        self._session(cq).cqs.remove(cq._hw)
         cq._hw = None
 
     def poll_cq(self, cq: ibv_cq, num_entries: int) -> List[ibv_wc]:

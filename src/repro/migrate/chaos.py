@@ -259,8 +259,9 @@ def run_postcopy_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
                 "postcopy scenario: the job finished before the "
                 "checkpoint gate parked — lower warmup or raise iters_sim")
         ckpt = yield from session.checkpoint(intent="resume")
-        # the source is gone from here on — ranks die parked at the gate
-        tracker.kill_all()
+        # the source is gone from here on — ranks die parked at the gate,
+        # and post-copy re-runs the factories with fresh plugins
+        tracker.close()
         source.teardown()
         gate.reset()
         target = Cluster(env, spec, n_nodes=n_nodes, rng=rng,

@@ -302,6 +302,8 @@ def postcopy_restart(cluster: Cluster, ckpt_set: CheckpointSet,
             if prefetch:
                 pager.start_prefetch()
             procs_by_name[record.name] = proc
+            if tracker is not None:
+                tracker.ranks.append(proc)
             spec = spec_by_rank[record.rank]
             yield from proc.launch(coordinator.node.name, coordinator.port,
                                    spec.factory)

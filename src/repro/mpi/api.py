@@ -67,6 +67,11 @@ class Communicator:
         self._obj_posted: List[Tuple[int, int, Any]] = []  # (tag, src, evt)
         self._obj_unexpected: List[Tuple[int, int, Any]] = []
 
+    def close(self) -> None:
+        """MPI_Finalize's last step: unhook from the BTL, whose control
+        callback is this communicator's bound method."""
+        self.btl.on_control = None
+
     # -- introspection -----------------------------------------------------------
 
     def Get_rank(self) -> int:

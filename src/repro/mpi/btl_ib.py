@@ -51,7 +51,6 @@ class IbBtl:
         self.rank = rank
         self.size = size
         self.on_control: Optional[Callable[[int, dict], None]] = None
-        self.on_data: Optional[Callable[[int], None]] = None  # rts_id done
         ibv = ctx.ibv
         self.ibctx = ibv.open_device(ibv.get_device_list()[0])
         self.pd = ibv.alloc_pd(self.ibctx)

@@ -86,7 +86,6 @@ class TcpStack:
     def __init__(self, node: Node):
         if getattr(node, "ethernet", None) is None:
             raise TcpError(f"{node.name}: node has no Ethernet segment")
-        self.node = node
         self.env: Environment = node.env
         self.network: Network = node.ethernet
         self.hostname = node.name
@@ -137,6 +136,13 @@ class TcpStack:
             raise TcpError(f"connection to {host}:{port} refused")
         conn.remote_cid = reply["cid"]
         return conn
+
+    def close(self) -> None:
+        """The node powered off: forget every socket (each points back
+        at this stack).  A new stack is built if the node comes back."""
+        self._listeners.clear()
+        self._conns.clear()
+        self._seen_syns.clear()
 
     # -- internals ------------------------------------------------------------------
 

@@ -463,7 +463,7 @@ class GangScheduler:
 
     def _finish(self, run: _JobRun, cluster: Cluster,
                 tracker: JobTracker, ok: bool, error: str = "") -> None:
-        tracker.kill_all()
+        tracker.close()
         cluster.teardown()
         self._free += run.job.n_nodes
         self._running.pop(run.job.name, None)

@@ -393,11 +393,25 @@ class _Condition(Event):
                 raise SimulationError("condition spans environments")
             if evt.callbacks is None:
                 self._check(evt)
-            else:
+            elif not self.triggered:
                 evt.callbacks.append(self._check)
 
     def _collect(self) -> dict:
         return {evt: evt._value for evt in self.events if evt.triggered}
+
+    def _detach(self) -> None:
+        """Leave every child that has not fired yet, once the condition
+        is decided (as SimPy's ``Condition`` does): a child that never
+        fires (a preemption that never comes) would otherwise hold the
+        condition, and through ``events`` everything it waited on."""
+        check = self._check
+        for evt in self.events:
+            callbacks = evt.callbacks
+            if callbacks is not None:
+                try:
+                    callbacks.remove(check)
+                except ValueError:
+                    pass
 
     def _check(self, event: Event) -> None:
         raise NotImplementedError
@@ -416,6 +430,7 @@ class AnyOf(_Condition):
             self.fail(event._value)
         else:
             self.succeed(self._collect())
+        self._detach()
 
 
 class AllOf(_Condition):
@@ -429,6 +444,7 @@ class AllOf(_Condition):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
+            self._detach()
             return
         self._count += 1
         if self._count == len(self.events):
@@ -620,8 +636,12 @@ class Environment:
         # An event-loop turn allocates ~30 short-lived objects (frames,
         # packets, WRs); CPython's default gen-0 threshold (700) makes
         # the collector walk the young generation every ~25 events, which
-        # costs ~20% of a 2048-rank run.  Widen gen 0 for the duration —
-        # collection still happens, just amortized — and restore on exit.
+        # costs ~20% of a 2048-rank run.  Widen gen 0 for the duration and
+        # restore on exit.  Inside a long run the older generations are
+        # then almost never collected, so this is safe only because
+        # nothing depends on the collector: a finished job leaves no
+        # reference cycle (DESIGN.md §15, "Object lifetime";
+        # tests/test_lifetime.py).
         gc_thresholds = gc.get_threshold()
         if gc_thresholds[0]:
             gc.set_threshold(200_000, gc_thresholds[1], gc_thresholds[2])

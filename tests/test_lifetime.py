@@ -1,0 +1,227 @@
+"""Object lifetime: a finished job is freed by reference counting alone.
+
+``Environment.run`` widens the collector's young generation, so inside a
+long run cyclic garbage is reclaimed rarely, if ever.  A job that ends
+must therefore leave no reference cycle behind (DESIGN.md, "Object
+lifetime").  Each case runs with the collector disabled, then collects
+once under ``DEBUG_SAVEALL``: whatever lands in ``gc.garbage`` was
+unreachable and kept only by a cycle.  None of it may be a job-owned
+object.  On failure the message names the shortest residual cycle, edge
+by edge, so a regression names the reference that closed it.
+"""
+
+import gc
+import types
+from collections import Counter, deque
+from contextlib import contextmanager
+
+import pytest
+
+from repro.apps.nas import lu_app
+from repro.core import InfinibandPlugin
+from repro.core.ib_plugin.shadow import VirtualQp
+from repro.core.ib_plugin.wrappers import WrappedVerbs
+from repro.dmtcp import JobTracker, dmtcp_launch, dmtcp_restart
+from repro.dmtcp.process import AppContext, DmtcpProcess
+from repro.faults.injector import Injector
+from repro.faults.recovery import RecoveryConfig, RecoveryManager
+from repro.faults.schedule import FailureEvent, FixedSchedule
+from repro.hardware import BUFFALO_CCR, Cluster
+from repro.hardware.node import Node, ProcessHost
+from repro.net.tcp import TcpStack
+from repro.ibverbs.structs import ibv_recv_wr
+from repro.memory import AddressSpace, Region
+from repro.mpi import make_mpi_specs
+from repro.mpi.api import Communicator
+from repro.mpi.btl_ib import IbBtl
+from repro.service import service_scenario
+from repro.service.scheduler import pingpong_mpi_app
+from repro.sim import Environment, RngFactory
+
+JOB_OWNED = (ProcessHost, AppContext, DmtcpProcess, InfinibandPlugin,
+             WrappedVerbs, IbBtl, Communicator, AddressSpace, Region,
+             VirtualQp, ibv_recv_wr, Node, TcpStack, Cluster)
+
+
+@contextmanager
+def collector_off():
+    """Reference counting only, from a clean slate."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def cyclic_garbage() -> list:
+    """Every object that only a reference cycle keeps alive right now."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(0)
+
+
+def _edge(src, dst) -> str:
+    """How ``src`` refers to ``dst``, as an attribute path fragment."""
+    if isinstance(src, dict):
+        for key, value in src.items():
+            if value is dst:
+                return f"[{key!r}]"
+        return "{key}"
+    if isinstance(src, (list, tuple, deque)):
+        for i, value in enumerate(src):
+            if value is dst:
+                return f"[{i}]"
+    if isinstance(src, types.MethodType):
+        return ".__self__" if src.__self__ is dst else ".__func__"
+    if isinstance(src, types.FunctionType):
+        for name, cell in zip(src.__code__.co_freevars,
+                              src.__closure__ or ()):
+            if cell is dst:
+                return f".<closure {name}>"
+    if isinstance(src, types.CellType):
+        return ".cell_contents"
+    if getattr(src, "__dict__", None) is dst:
+        return ".__dict__"
+    for name, value in getattr(src, "__dict__", {}).items():
+        if value is dst:
+            return f".{name}"
+    for cls in type(src).__mro__:
+        for name in getattr(cls, "__slots__", ()):
+            if getattr(src, name, None) is dst:
+                return f".{name}"
+    return " ->"
+
+
+def _shortest_cycle(start, ids):
+    """Breadth-first from ``start`` through the garbage back to it."""
+    parent = {id(start): None}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        for nxt in gc.get_referents(node):
+            if nxt is start:
+                path = [node]
+                while parent[id(path[-1])] is not None:
+                    path.append(parent[id(path[-1])])
+                return path[::-1] + [start]
+            if id(nxt) in ids and id(nxt) not in parent:
+                parent[id(nxt)] = node
+                queue.append(nxt)
+    return None
+
+
+def _render(path) -> str:
+    out = type(path[0]).__name__
+    for src, dst in zip(path, path[1:]):
+        out += f"{_edge(src, dst)} -> {type(dst).__name__}"
+    return out
+
+
+def assert_no_job_garbage(garbage) -> None:
+    leaked = [obj for obj in garbage if isinstance(obj, JOB_OWNED)]
+    if not leaked:
+        return
+    counts = Counter(type(obj).__name__ for obj in leaked)
+    ids = {id(obj) for obj in garbage}
+    # one object of each leaked type, then anything else: a job object
+    # is often only reachable from the cycle, not on it
+    firsts = {type(obj): obj for obj in reversed(leaked)}
+    cycles = (_shortest_cycle(obj, ids)
+              for obj in list(firsts.values()) + garbage[:2000])
+    best = min((c for c in cycles if c), key=len, default=None)
+    pytest.fail(f"job-owned objects kept only by reference cycles: "
+                f"{dict(counts)}\nshortest residual cycle: "
+                f"{_render(best) if best else 'none found'}")
+
+
+# -- the service: every finished (and every preempted) generation -------------
+
+@pytest.mark.parametrize("quantum", [None, 0.2],
+                         ids=["no-preemption", "preempted"])
+def test_service_stream_frees_finished_jobs(quantum):
+    with collector_off():
+        run = service_scenario(seed=11, n_jobs=3, total_nodes=2,
+                               quantum=quantum, mean_interarrival=0.3,
+                               iters_sim=3)
+        garbage = cyclic_garbage()    # while the returned run is alive
+    if quantum is not None:
+        assert any(o.n_preemptions for o in run["outcomes"]), \
+            "scenario no longer exercises preemption"
+    assert all(o.ok for o in run["outcomes"])
+    assert_no_job_garbage(garbage)
+
+
+# -- DMTCP: checkpoint, teardown, restart --------------------------------------
+
+def test_restarted_job_frees_the_first_generation_and_then_itself():
+    env = Environment()
+    cluster = Cluster(env, BUFFALO_CCR, n_nodes=2, name="life-pp-prod")
+    specs = make_mpi_specs(
+        cluster, 2, lambda ctx, comm: pingpong_mpi_app(ctx, comm,
+                                                       iters_sim=40))
+    tracker = JobTracker()
+
+    def frozen_and_revived():
+        session = yield from dmtcp_launch(
+            cluster, specs, plugin_factory=lambda: [InfinibandPlugin()])
+        yield env.timeout(0.02)
+        ckpt = yield from session.checkpoint(intent="restart")
+        cluster.teardown()
+        spare = Cluster(env, BUFFALO_CCR, n_nodes=2, name="life-pp-spare")
+        session2 = yield from dmtcp_restart(spare, ckpt, tracker=tracker)
+        return spare, session2
+
+    with collector_off():
+        # the first session is dropped; its ranks live on, revived
+        spare, session2 = env.run(until=env.process(frozen_and_revived()))
+        assert_no_job_garbage(cyclic_garbage())
+        results = env.run(until=env.process(session2.wait()))
+        # the job is over: close its ranks, power the spare off, let go
+        tracker.close()
+        spare.teardown()
+        del spare, session2
+        garbage = cyclic_garbage()
+    assert [r.iterations for r in results] == [40, 40]
+    assert_no_job_garbage(garbage)
+
+
+# -- the chaos supervisor: a crashed generation and the finished one -----------
+
+def test_recovery_frees_every_crashed_generation_and_the_finished_job():
+    env = Environment()
+    rng = RngFactory(77)
+    latest = {}
+
+    def cluster_factory(tag):
+        latest["cluster"] = Cluster(env, BUFFALO_CCR, n_nodes=2, rng=rng,
+                                    name=f"life-chaos-{tag}")
+        return latest["cluster"]
+
+    def specs_for(cluster):
+        return make_mpi_specs(cluster, 2, lambda ctx, comm: lu_app(
+            ctx, comm, klass="A", iters_sim=20))
+
+    # the first crash lands during bring-up (no plugin installed yet), the
+    # second after a checkpoint
+    injector = Injector(env, FixedSchedule([
+        FailureEvent(t=0.3, kind="node-crash", node_index=1),
+        FailureEvent(t=6.0, kind="node-crash", node_index=1)]))
+    manager = RecoveryManager(
+        env, cluster_factory, specs_for,
+        RecoveryConfig(ckpt_interval=2.0, backoff_base=0.25),
+        plugin_factory=lambda: [InfinibandPlugin()], injector=injector,
+        rng=rng)
+    with collector_off():
+        outcome = env.run(until=env.process(manager.run()))
+        # the supervisor leaves the last partition up for its owner
+        latest.pop("cluster").teardown()
+        del manager
+        garbage = cyclic_garbage()
+    assert outcome.generations == 3 and outcome.n_failures == 2
+    assert outcome.n_restarts == 1 and outcome.n_checkpoints >= 1
+    assert_no_job_garbage(garbage)

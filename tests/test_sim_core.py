@@ -8,6 +8,7 @@ from repro.sim import (
     Environment,
     Event,
     Interrupt,
+    ReferenceEnvironment,
     SimulationError,
 )
 
@@ -217,6 +218,30 @@ def test_all_of_waits_for_all():
         return (env.now, sorted(result.values()))
 
     assert env.run(until=env.process(proc())) == (5.0, ["a", "b"])
+
+
+@pytest.mark.parametrize("env_cls", [Environment, ReferenceEnvironment])
+def test_fired_condition_detaches_from_pending_children(env_cls):
+    """A decided condition leaves the children that have not fired: a
+    child that never fires must not keep the condition (and through
+    ``events`` everything it waited on) alive."""
+    env = env_cls()
+    never = env.event()
+    first = env.any_of([env.timeout(1.0), never])
+    env.run()
+    assert first.triggered and never.callbacks == []
+    # failure decides an AllOf early, with the same detachment
+    boom = env.event()
+    both = env.all_of([boom, never])
+    both.defuse()
+    boom.fail(RuntimeError("boom"))
+    env.run()
+    assert not both.ok and never.callbacks == []
+    # decided while being built: later children are never attached
+    done = env.timeout(0.0)
+    env.run()
+    late = env.any_of([done, never])
+    assert late.triggered and never.callbacks == []
 
 
 def test_empty_all_of_triggers_immediately():
