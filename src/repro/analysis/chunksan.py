@@ -10,8 +10,9 @@ under every chaos sweep:
 * a **shadow table** keyed by ``(proc name, region name)`` holds, per
   region, the per-chunk generation stamps and an *independent* per-chunk
   blake2b-16 digest of the bytes as last observed (independent = hashed
-  here from the raw buffer, never through the stamp-trusting
-  :meth:`Region.chunk_hashes` cache this sanitizer exists to audit);
+  here from the raw buffer: nothing in the checked modules hashes
+  memory to decide what is dirty, they trust the stamps this sanitizer
+  exists to audit);
 * at every :meth:`CheckpointImage.capture` and every migration pre-copy
   round, each region's current bytes are re-hashed and compared: a chunk
   whose **digest moved while its generation stamp did not** is a stale
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import traceback
+import weakref
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
@@ -52,8 +54,7 @@ class ChunkSanError(AssertionError):
 
 def _chunk_digests(buffer, n_chunks: int) -> List[bytes]:
     """Independent blake2b-16 per-chunk digests straight off the raw
-    buffer — deliberately not :meth:`Region.chunk_hashes`, whose cache
-    trusts the very stamps this oracle audits."""
+    buffer, the content truth the stamps are audited against."""
     view = memoryview(buffer)
     out = []
     for i in range(n_chunks):
@@ -115,9 +116,12 @@ class ChunkSan:
         digests = _chunk_digests(region.buffer, n)
         gens = np.array(region.chunk_gens, copy=True)
         prev = self._shadow.get(key)
-        self._shadow[key] = {"token": id(region), "size": region.size,
+        # a weak token, not ``id(region)``: a remapped region may reuse
+        # the unmapped one's id while its stamps restart at 0
+        self._shadow[key] = {"token": weakref.ref(region),
+                             "size": region.size,
                              "gens": gens, "digests": digests}
-        if prev is None or prev["token"] != id(region) \
+        if prev is None or prev["token"]() is not region \
                 or prev["size"] != region.size:
             # first sight, a remapping, or a resize: nothing to diff yet
             return 0

@@ -43,10 +43,6 @@ class CostModel:
     gzip_stall: float = 0.042
     #: fixed per-image header/metadata bytes
     image_header_bytes: float = 64 * 1024
-    #: migration pre-copy scan: streaming throughput of the per-chunk
-    #: content hash each round charges over the working set
-    #: (blake2-class, per core)
-    hash_throughput: float = 2.5e9
     #: IB2TCP: extra in-memory copy on every post while the plugin is
     #: loaded (the §6.4.1 "current implementation's use of an in-memory
     #: copy" — DMTCP/IB2TCP/IB row of Table 8)
@@ -83,11 +79,6 @@ class CostModel:
         """Write-stream stall of the dynamic-gzip pipe: the one gzip core
         per process stalls the stream by ``gzip_stall``."""
         return 1.0 + self.gzip_stall
-
-    def hash_seconds(self, logical_bytes: float) -> float:
-        """Time to fingerprint ``logical_bytes`` of memory during a
-        migration pre-copy round."""
-        return logical_bytes / self.hash_throughput
 
 
 DEFAULT_COSTS = CostModel()

@@ -19,15 +19,16 @@ pass.  Dirtiness below region level is tracked at the store's
 :data:`~repro.memory.CHUNK_BYTES` granularity: a touched region's per-chunk
 generation stamps, compared with the ones ``prev`` recorded, yield a chunk
 dirty mask, and only the dirty chunks count toward the incremental
-write-back delta — clean chunks also keep their known store digests so a
-later store put never re-hashes them.  No byte of a region is hashed or
-compared to prove it clean.  Dirty regions are snapshotted fresh and their
-ratios measured over fixed-size chunks (:func:`_measure_zlens` decides
-whether a thread pool pays for the batch in hand) — unless the region
-still carries the ratio an earlier capture measured on these very bytes
-(:attr:`~repro.memory.Region.gzip_ratio`, keyed by generation like its
-content hash), which any capture, full or incremental, reuses instead.
-Whatever the mode, the resulting ``memory_snapshot`` restores
+write-back delta (:func:`~repro.memory.dirty_chunk_bytes`, the count live
+pre-copy migration asks too) — clean chunks also keep their known store
+digests so a later store put never re-hashes them.  No byte of a region
+is hashed or compared to prove it clean.  Dirty regions are snapshotted
+fresh and their ratios measured over fixed-size chunks
+(:func:`_measure_zlens` decides whether a thread pool pays for the batch
+in hand) — unless the region still carries the ratio an earlier capture
+measured on these very bytes (:attr:`~repro.memory.Region.gzip_ratio`,
+keyed by generation), which any capture, full or incremental, reuses
+instead.  Whatever the mode, the resulting ``memory_snapshot`` restores
 bit-identically to a full capture of the same memory.
 """
 
@@ -42,7 +43,7 @@ from typing import ClassVar, Dict, Optional
 
 import numpy as np
 
-from ..memory import CHUNK_BYTES, AddressSpace
+from ..memory import AddressSpace, dirty_chunk_bytes
 
 __all__ = ["CheckpointImage", "ImageError", "CAPTURE_CHUNK_BYTES"]
 
@@ -169,8 +170,7 @@ class CheckpointImage:
                  "regions_dirty": 0, "bytes_clean": 0, "bytes_dirty": 0,
                  "compress_skipped": 0, "compress_reused": 0,
                  "chunks_total": 0,
-                 "chunks_clean": 0, "chunks_dirty": 0,
-                 "chunks_hash_skipped": 0}
+                 "chunks_clean": 0, "chunks_dirty": 0}
         snap_regions = []
         meta: Dict[str, dict] = {}
         weighted = 0.0
@@ -190,6 +190,7 @@ class CheckpointImage:
             clean = False
             chunk_hashes = None
             dirty_mask: Optional[np.ndarray] = None
+            ref_gens: Optional[np.ndarray] = None
             ndirty = 0
             reused: Optional[float] = None
             if pm is not None and ps is not None \
@@ -199,15 +200,13 @@ class CheckpointImage:
                     # every mutation bumped the generation, so equality
                     # proves the bytes unchanged
                     clean = True
-                    stats["chunks_hash_skipped"] += n_chunks
                 else:
                     # chunk-granularity proof: only chunks whose
                     # generation stamp moved since ``prev`` can hold
                     # changed bytes — nothing is hashed or compared
-                    dirty_mask = np.frombuffer(
-                        pm["chunk_gens"], dtype=np.int64) != region.chunk_gens
-                    stats["chunks_hash_skipped"] += \
-                        n_chunks - int(np.count_nonzero(dirty_mask))
+                    ref_gens = np.frombuffer(pm["chunk_gens"],
+                                             dtype=np.int64)
+                    dirty_mask = ref_gens != region.chunk_gens
                     if not dirty_mask.any():
                         clean = True
                         dirty_mask = None
@@ -228,12 +227,9 @@ class CheckpointImage:
                 ndirty = int(np.count_nonzero(dirty_mask))
                 stats["chunks_dirty"] += ndirty
                 stats["chunks_clean"] += n_chunks - ndirty
-                tail = region.size - (n_chunks - 1) * CHUNK_BYTES
-                dirty_bytes = \
-                    int(np.count_nonzero(dirty_mask[:-1])) * CHUNK_BYTES \
-                    + (tail if dirty_mask[-1] else 0)
-                dirty_frac = dirty_bytes / region.size if region.size \
-                    else 1.0
+                dirty_frac = dirty_chunk_bytes(
+                    region.size, region.chunk_gens, ref_gens) / region.size \
+                    if region.size else 1.0
                 pm_hashes = pm.get("chunk_hashes") if pm else None
                 if pm_hashes is not None and len(pm_hashes) == n_chunks:
                     # clean chunks keep their known digests; dirty ones

@@ -283,17 +283,13 @@ class DmtcpProcess:
             # chunk-level dirty accounting (metrics always; span attrs
             # only in incremental mode so full-mode golden traces keep
             # their schema)
-            for counter, key in (("ckpt.chunks_clean", "chunks_clean"),
-                                 ("ckpt.chunks_dirty", "chunks_dirty"),
-                                 ("ckpt.hash_skipped",
-                                  "chunks_hash_skipped")):
+            for key in ("chunks_clean", "chunks_dirty"):
                 amount = cstats.get(key, 0)
                 if amount:
-                    tracer.metrics.counter(counter).inc(amount)
+                    tracer.metrics.counter("ckpt." + key).inc(amount)
             chunk_attrs = {} if prev is None else {
                 "chunks": cstats.get("chunks_total", 0),
-                "chunks_dirty": cstats.get("chunks_dirty", 0),
-                "chunks_hash_skipped": cstats.get("chunks_hash_skipped", 0)}
+                "chunks_dirty": cstats.get("chunks_dirty", 0)}
             tracer.end(capture_span, self.env.now,
                        mode=cstats.get("mode", "full"),
                        regions_dirty=cstats.get("regions_dirty", 0),
@@ -390,8 +386,7 @@ class DmtcpProcess:
                  "delta_logical_bytes": image.delta_logical_size,
                  "chunks_total": cstats.get("chunks_total", 0),
                  "chunks_clean": cstats.get("chunks_clean", 0),
-                 "chunks_dirty": cstats.get("chunks_dirty", 0),
-                 "chunks_hash_skipped": cstats.get("chunks_hash_skipped", 0)}
+                 "chunks_dirty": cstats.get("chunks_dirty", 0)}
         if put is not None:
             stats["store_chunks_new"] = put.chunks_new
             stats["store_chunks_deduped"] = put.chunks_deduped

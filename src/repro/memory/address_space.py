@@ -25,14 +25,15 @@ code that slices ``region.buffer`` directly calls :meth:`Region.touch`
 through ``touch`` with the write's byte span, so hot mutation loops dirty
 only the chunks they wrote.  What is expensive to derive from a region's
 bytes is memoised against the stamps under one trust rule, valid until
-the next ``touch``: its per-chunk digests (:meth:`Region.chunk_hashes`,
-keyed per chunk) and its measured gzip ratio (:attr:`Region.gzip_ratio`,
-keyed by the region generation).
+the next ``touch``: its measured gzip ratio (:attr:`Region.gzip_ratio`,
+keyed by the region generation).  Whoever asks "which bytes changed since
+then?" — incremental capture and live pre-copy alike — compares stamp
+vectors through :func:`dirty_chunk_bytes`; nothing hashes memory to find
+out.
 """
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
@@ -45,7 +46,7 @@ except ImportError:  # pragma: no cover - numpy < 2.0
     _byte_bounds = np.byte_bounds
 
 __all__ = ["AddressSpace", "Region", "TrackedView", "MemoryError_",
-           "PAGE_SIZE", "CHUNK_BYTES"]
+           "PAGE_SIZE", "CHUNK_BYTES", "dirty_chunk_bytes"]
 
 PAGE_SIZE = 4096
 #: dirty-tracking and store-chunk granularity (one simulated page): the
@@ -53,6 +54,21 @@ PAGE_SIZE = 4096
 #: content-addressed store all slice regions at this size
 CHUNK_BYTES = PAGE_SIZE
 _BASE_ADDR = 0x1000_0000
+
+
+def dirty_chunk_bytes(size: int, gens: np.ndarray,
+                      ref: Optional[np.ndarray]) -> int:
+    """Bytes of a ``size``-byte region held by the chunks whose stamp in
+    ``gens`` differs from the reference vector ``ref`` (the last chunk
+    may be short).  A missing reference, or one of another length,
+    means the whole region."""
+    if ref is None or len(ref) != len(gens):
+        return size
+    moved = gens != ref
+    nbytes = int(np.count_nonzero(moved)) * CHUNK_BYTES
+    if nbytes and moved[-1]:
+        nbytes -= len(gens) * CHUNK_BYTES - size
+    return nbytes
 
 
 class MemoryError_(RuntimeError):
@@ -78,10 +94,6 @@ class Region:
     _ratio: Optional[float] = field(default=None, repr=False, compare=False)
     _chunk_gens: Optional[np.ndarray] = field(default=None, repr=False,
                                               compare=False)
-    _chunk_hashes: Optional[list] = field(default=None, repr=False,
-                                          compare=False)
-    _chunk_hash_gens: Optional[np.ndarray] = field(default=None, repr=False,
-                                                   compare=False)
 
     @property
     def end(self) -> int:
@@ -134,37 +146,6 @@ class Region:
         if shape is not None:
             arr = arr.reshape(shape)
         return TrackedView(self, arr)
-
-    def chunk_hashes(self) -> List[bytes]:
-        """Per-chunk blake2b-16 digests of the current bytes.
-
-        Cached per chunk: a chunk is only re-hashed when its generation
-        stamp moved since the digest was computed.
-        """
-        n = self.n_chunks
-        gens = self.chunk_gens
-        if self._chunk_hashes is None or len(self._chunk_hashes) != n:
-            self._chunk_hashes = [None] * n
-            self._chunk_hash_gens = np.full(n, -1, dtype=np.int64)
-        hashes = self._chunk_hashes
-        hash_gens = self._chunk_hash_gens
-        # vectorized staleness test: one array compare replaces the
-        # per-chunk Python loop.  Fresh digests have stamp -1, never a
-        # valid generation, so "stamp != gen" covers both "never hashed"
-        # and "mutated since hashed".  All-clean (the common
-        # incremental-capture case) returns without touching a chunk.
-        stale_mask = hash_gens != gens
-        if not stale_mask.any():
-            return list(hashes)
-        stale = np.nonzero(stale_mask)[0].tolist()
-        buf = memoryview(self.buffer)
-        blake2b = hashlib.blake2b
-        for i in stale:
-            lo = i * CHUNK_BYTES
-            hashes[i] = blake2b(
-                buf[lo: lo + CHUNK_BYTES], digest_size=16).digest()
-            hash_gens[i] = gens[i]
-        return list(hashes)
 
     @property
     def gzip_ratio(self) -> Optional[float]:

@@ -3,9 +3,10 @@
 The classic pre-copy algorithm (Clark et al.'s VM live migration,
 re-cast over the paper's checkpoint machinery): while the application
 runs, iterative rounds ship the *chunks* that changed since the last
-round — dirtiness proven by the §8/§13 incremental-capture fingerprints
-(:meth:`~repro.memory.address_space.Region.chunk_hashes`, one blake2b-16
-per :data:`~repro.memory.CHUNK_BYTES` slice), transfer
+round — dirtiness proven by the §8/§13 chunk generation stamps, the same
+proof incremental capture trusts (:func:`~repro.memory.dirty_chunk_bytes`
+over each region's per-:data:`~repro.memory.CHUNK_BYTES` stamp vector,
+so a round reads no memory and charges no scan), transfer
 time charged to the Ethernet segments the copies actually cross.  When
 the dirty residue stops shrinking (or is small enough to ride along),
 the manager freezes the job with the coordinator's ``intent="migrate"``
@@ -36,10 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
+import numpy as np
+
 from ..dmtcp.launcher import DmtcpSession, dmtcp_restart
 from ..hardware.cluster import Cluster
-from ..memory import CHUNK_BYTES
-from ..store.chunks import digest_bytes
+from ..memory import dirty_chunk_bytes
 
 __all__ = ["MigrationConfig", "MigrationError", "MigrationManager",
            "MigrationResult"]
@@ -98,8 +100,8 @@ class MigrationManager:
     #: by ``install_tracer``, like ``DmtcpProcess.tracer``.
     tracer = None
     #: opt-in ChunkSan oracle (``repro.analysis.chunksan``), installed
-    #: class-wide by ``install_chunksan``: audits the chunk fingerprints
-    #: each pre-copy round ships before they decide what rides the wire
+    #: class-wide by ``install_chunksan``: audits the chunk stamps each
+    #: pre-copy round trusts before they decide what rides the wire
     chunksan = None
 
     def __init__(self, session: DmtcpSession, target: Cluster,
@@ -127,36 +129,30 @@ class MigrationManager:
         return max(self.source.ethernet.transfer_time(nbytes),
                    self.target.ethernet.transfer_time(nbytes))
 
-    def _dirty(self, proc, synced: Dict[str, list]
-               ) -> Tuple[List[Tuple[str, list, float]], float]:
-        """Regions of ``proc`` holding chunks whose fingerprint moved
-        past what the target already holds.  Returns ([(name, per-chunk
-        hash list, dirty logical bytes)], logical bytes scanned) — only
-        the dirty chunks' bytes ride the round's wire, while the scan is
-        still charged for the whole working set."""
+    def _dirty(self, proc, synced: Dict[tuple, np.ndarray]
+               ) -> List[Tuple[tuple, np.ndarray, float]]:
+        """Regions of ``proc`` holding chunks whose stamp moved past
+        what the target already holds: [((name, addr, size), stamps at
+        scan time, dirty logical bytes)].  ``synced`` is keyed by the
+        mapping too, so a remapped or resized region ships whole — the
+        same rule capture applies.  Only the dirty chunks' bytes ride
+        the round's wire."""
         if self.chunksan is not None:
             self.chunksan.check_capture(
                 getattr(proc, "name", str(proc)), proc.host.memory,
                 context="migrate.round", tracer=self.tracer,
                 t_sim=self.env.now)
         dirty = []
-        scanned = 0.0
         for region in proc.host.memory:
-            scanned += region.logical_size
-            hashes = region.chunk_hashes()
-            have = synced.get(region.name)
-            if have is None or len(have) != len(hashes):
-                dirty_real = region.size
-            else:
-                tail = region.size - (len(hashes) - 1) * CHUNK_BYTES
-                dirty_real = sum(
-                    (tail if i == len(hashes) - 1 else CHUNK_BYTES)
-                    for i, (fp, old) in enumerate(zip(hashes, have))
-                    if fp != old)
+            key = (region.name, region.addr, region.size)
+            gens = region.chunk_gens
+            dirty_real = dirty_chunk_bytes(region.size, gens,
+                                           synced.get(key))
             if dirty_real:
-                dirty.append((region.name, hashes,
+                # a copy: ``touch`` stamps the live array in place
+                dirty.append((key, gens.copy(),
                               dirty_real * region.repr_scale))
-        return dirty, scanned
+        return dirty
 
     # -- the migration ---------------------------------------------------------
 
@@ -174,8 +170,9 @@ class MigrationManager:
             max_rounds=cfg.max_rounds)
 
         # -- pre-copy rounds (application keeps running) -----------------------
-        #: per proc: region name → per-chunk digest list the target holds
-        synced: Dict[str, Dict[str, list]] = {p.name: {} for p in procs}
+        #: per proc: (region name, addr, size) → the chunk stamps the
+        #: target's copy was scanned at
+        synced = {p.name: {} for p in procs}
         round_bytes: List[float] = []
         precopy_bytes = 0.0
         while len(round_bytes) < cfg.max_rounds:
@@ -186,15 +183,14 @@ class MigrationManager:
                 raise MigrationError(
                     f"{self.target.name} died during pre-copy round "
                     f"{len(round_bytes) + 1}")
-            dirty_by_proc: Dict[str, List[Tuple[str, list, float]]] = {}
-            nbytes = scanned = 0.0
+            dirty_by_proc = {}
+            nbytes = 0.0
             nregions = 0
             for proc in procs:
-                dirty, proc_scanned = self._dirty(proc, synced[proc.name])
+                dirty = self._dirty(proc, synced[proc.name])
                 dirty_by_proc[proc.name] = dirty
                 nbytes += sum(size for _n, _h, size in dirty)
                 nregions += len(dirty)
-                scanned += proc_scanned
             if len(round_bytes) >= cfg.min_rounds:
                 if nbytes <= cfg.stop_bytes:
                     break  # small enough to ride the stop-and-copy
@@ -204,15 +200,12 @@ class MigrationManager:
             rspan = None if tracer is None else tracer.begin(
                 "migrate.precopy.round", self.name, env.now,
                 round=len(round_bytes) + 1, bytes=nbytes, regions=nregions)
-            scan_seconds = self.costs.hash_seconds(scanned)
-            if scan_seconds > 0.0:
-                yield env.timeout(scan_seconds)
             yield env.timeout(self._wire_seconds(nbytes))
-            # the target now holds the bytes as fingerprinted *at scan
-            # time*; anything dirtied since shows up next round
+            # the target now holds the bytes as stamped *at scan time*;
+            # anything dirtied since shows up next round
             for proc in procs:
                 synced[proc.name].update(
-                    {nm: fp for nm, fp, _sz in dirty_by_proc[proc.name]})
+                    {key: gens for key, gens, _sz in dirty_by_proc[proc.name]})
             round_bytes.append(nbytes)
             precopy_bytes += nbytes
             if tracer is not None:
@@ -236,29 +229,18 @@ class MigrationManager:
         # full coordinated quiesce + global CQ drain + in-memory capture;
         # no image write (intent="migrate"), continuations detached
         ckpt_set = yield from self.session.checkpoint(intent="migrate")
+        # the final delta: chunks whose stamps, as the freeze captured
+        # them, moved past what the rounds shipped
         delta_bytes = 0.0
         for record in ckpt_set.records:
-            have_by_region = synced[record.name]
+            have = synced[record.name]
+            meta = record.image.region_meta
             for rsnap in record.image.memory_snapshot["regions"]:
-                meta = record.image.region_meta.get(rsnap["name"], {})
-                size = rsnap["size"]
-                n_chunks = -(-size // CHUNK_BYTES)
-                hashes = meta.get("chunk_hashes")
-                if not (isinstance(hashes, list)
-                        and len(hashes) == n_chunks):
-                    hashes = [None] * n_chunks
-                have = have_by_region.get(rsnap["name"])
-                if have is None or len(have) != n_chunks:
-                    have = [None] * n_chunks
-                data = rsnap["data"]
-                for i in range(n_chunks):
-                    lo = i * CHUNK_BYTES
-                    fp = hashes[i]
-                    if fp is None:
-                        fp = digest_bytes(data[lo: lo + CHUNK_BYTES])
-                    if have[i] != fp:
-                        delta_bytes += min(CHUNK_BYTES, size - lo) \
-                            * rsnap["repr_scale"]
+                name, size = rsnap["name"], rsnap["size"]
+                gens = np.frombuffer(meta[name]["chunk_gens"], dtype=np.int64)
+                held = have.get((name, rsnap["addr"], size))
+                delta_bytes += dirty_chunk_bytes(size, gens, held) \
+                    * rsnap["repr_scale"]
             delta_bytes += record.image.header_bytes
         yield env.timeout(self._wire_seconds(delta_bytes))
         self.source.teardown()

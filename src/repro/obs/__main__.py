@@ -95,8 +95,7 @@ def main(argv=None) -> int:
         dropped = tracer.dropped
         counters = {n: v for n, v in
                     tracer.metrics.snapshot()["counters"].items()
-                    if n.startswith("ckpt.chunks_")
-                    or n == "ckpt.hash_skipped"}
+                    if n.startswith("ckpt.chunks_")}
         if args.sim:
             sim_stats = outcome.sim_stats
         print(f"# {args.run.upper()} completed in "

@@ -212,19 +212,18 @@ def _check_pagein_before_compute(segment, violations) -> None:
 
 
 def _check_chunk_balance(segment, violations) -> None:
-    # self-contained per-record check: dirty (and hash-skipped) chunk
-    # counts can never exceed the chunk total on the same record
+    # self-contained per-record check: the dirty chunk count can never
+    # exceed the chunk total on the same record
     for event in segment:
         if "chunks" not in event or "chunks_dirty" not in event:
             continue
         total = event["chunks"]
         dirty = event["chunks_dirty"]
-        skipped = event.get("chunks_hash_skipped", 0)
-        if not 0 <= dirty <= total or not 0 <= skipped <= total:
+        if not 0 <= dirty <= total:
             violations.append(
                 f"[chunk-balance] {event['proc']} {event['kind']} at "
-                f"t={event.get('t', 0.0):.6f} reports {dirty} dirty / "
-                f"{skipped} hash-skipped chunk(s) of {total} total")
+                f"t={event.get('t', 0.0):.6f} reports {dirty} dirty "
+                f"chunk(s) of {total} total")
 
 
 def _check_admission_before_put(segment, violations) -> None:

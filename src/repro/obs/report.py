@@ -100,13 +100,12 @@ def decompose(events: List[Dict[str, Any]]) -> Dict[str, Any]:
 
     # chunk-granularity dirty-tracking totals (incremental captures
     # stamp their ckpt.capture end with per-capture chunk counts)
-    chunks_total = chunks_dirty = hash_skipped = 0
+    chunks_total = chunks_dirty = 0
     for event in events:
         if event["kind"] == "ckpt.capture" and event["ev"] == "E" \
                 and "chunks" in event and within.contains(event):
             chunks_total += event.get("chunks", 0)
             chunks_dirty += event.get("chunks_dirty", 0)
-            hash_skipped += event.get("chunks_hash_skipped", 0)
 
     # ChunkSan audit volume (opt-in shadow oracle: each capture emits
     # one chunksan.check before the stamps are trusted)
@@ -150,7 +149,6 @@ def decompose(events: List[Dict[str, Any]]) -> Dict[str, Any]:
             "total": chunks_total,
             "clean": chunks_total - chunks_dirty,
             "dirty": chunks_dirty,
-            "hash_skipped": hash_skipped,
         },
         "chunksan": {
             "checks": san_checks,
@@ -178,8 +176,7 @@ def render(decomp: Dict[str, Any]) -> str:
         lines.append(
             f"# chunk dirty tracking: {chunks['dirty']}/{total} chunk(s) "
             f"dirty ({chunks['dirty'] / total:.1%}) across incremental "
-            f"capture(s); {chunks['hash_skipped']} clean chunk(s) never "
-            "hashed")
+            "capture(s)")
     san = decomp.get("chunksan", {})
     if san.get("checks"):
         lines.append(

@@ -3,12 +3,11 @@
 A :class:`ChunkStore` is a thin digest-keyed namespace over one tier's
 :class:`~repro.hardware.storage.FileSystem`: chunk bytes live at
 ``/store/chunks/<digest-hex>``, so two ranks (or two checkpoint epochs)
-whose regions hold identical bytes share one file.  Chunk digests reuse
-the incremental pipeline's per-chunk fingerprint — ``blake2b`` with a
-16-byte digest over one :data:`~repro.memory.CHUNK_BYTES` slice, the
-same function :meth:`repro.memory.address_space.Region.chunk_hashes`
-computes — so a chunk the capture already proved clean addresses its
-chunk file without rehashing.
+whose regions hold identical bytes share one file.  A chunk's key is
+``blake2b`` with a 16-byte digest over one
+:data:`~repro.memory.CHUNK_BYTES` slice; incremental capture carries
+the keys of chunks its stamps proved clean forward in ``region_meta``,
+so such a chunk addresses its chunk file without rehashing.
 
 The ChunkStore itself is *offline* bookkeeping (existence checks,
 verification, staging); timed reads and writes go through the owning
@@ -26,12 +25,12 @@ from .manifest import CHUNK_PREFIX, chunk_path
 
 __all__ = ["ChunkStore", "digest_bytes"]
 
-_DIGEST_SIZE = 16  # matches Region.chunk_hashes()
+_DIGEST_SIZE = 16
 
 
 def digest_bytes(data: bytes) -> bytes:
-    """The chunk key: blake2b-16 of the raw bytes (same fingerprint the
-    incremental capture records in ``region_meta``)."""
+    """The chunk key: blake2b-16 of the raw bytes (what incremental
+    capture carries forward in ``region_meta["chunk_hashes"]``)."""
     return hashlib.blake2b(data, digest_size=_DIGEST_SIZE).digest()
 
 

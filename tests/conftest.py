@@ -57,9 +57,12 @@ def chunksan_oracle(request):
     full-hash oracle (``repro.analysis.chunksan``): each checkpoint
     capture and migration round audits the chunk stamps against true
     content, and a stale stamp fails the test at the offending capture
-    with the chunk index and last-touch backtrace."""
+    with the chunk index and last-touch backtrace.  Opt out with
+    ``@pytest.mark.no_chunksan`` (tests that install the oracle
+    themselves, or time the capture path the oracle re-measures)."""
     marked = request.node.get_closest_marker("chunksan") is not None
-    if not (marked or os.environ.get("REPRO_CHUNKSAN") == "1"):
+    if request.node.get_closest_marker("no_chunksan") is not None \
+            or not (marked or os.environ.get("REPRO_CHUNKSAN") == "1"):
         yield None
         return
     from repro.analysis.chunksan import sanitized

@@ -11,6 +11,8 @@ wall-clock ratio the capture bench gates (incremental vs cold full, a
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..",
                                 "benchmarks"))
 
@@ -27,6 +29,7 @@ def test_store_tier_bench_gates_hold():
     assert _failed(bench_store.tier_checks(tiers)) == []
 
 
+@pytest.mark.no_chunksan   # times the capture path the oracle re-measures
 def test_capture_microbench_gates_hold():
     micro = bench_ckpt_pipeline.microbench(quick=True)
     assert _failed(bench_ckpt_pipeline.micro_checks(micro)) == []

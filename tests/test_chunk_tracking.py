@@ -3,10 +3,10 @@
 The load-bearing properties: the per-chunk generation bitmap is always a
 *superset* of the chunks whose bytes actually changed (so reusing clean
 chunks can never lose a write), every incremental capture restores
-bit-identically however writes land, clean chunks are never re-hashed
-(their cached digests are reused by identity), and the multi-chunk store
-refs reassemble regions bit-identically while deduping at chunk — not
-region — granularity.
+bit-identically however writes land, clean chunks carry their known
+store digests forward (reused by identity, never re-hashed), and the
+multi-chunk store refs reassemble regions bit-identically while deduping
+at chunk — not region — granularity.
 """
 
 import operator
@@ -119,19 +119,6 @@ def test_tracked_view_inplace_operator_writes_through_or_raises(
     assert list(moved) == [i in (2, 3) for i in range(8)]
 
 
-def test_clean_chunk_digests_are_reused_by_identity():
-    _mem, region = _region()
-    first = region.chunk_hashes()
-    view = region.view(dtype=np.uint8)
-    view[0] = view[0] + 1
-    second = region.chunk_hashes()
-    assert second[0] != first[0]
-    for i in range(1, N_CHUNKS):
-        # identity, not just equality: the cached digest object came
-        # straight back — the clean chunk was never re-hashed
-        assert second[i] is first[i]
-
-
 # -- incremental capture at chunk granularity ---------------------------------
 
 def test_incremental_capture_counts_dirty_chunks_and_skips_hashing():
@@ -145,7 +132,7 @@ def test_incremental_capture_counts_dirty_chunks_and_skips_hashing():
     assert stats["chunks_dirty"] == 1
     assert stats["chunks_clean"] == N_CHUNKS - 1
     # the clean chunks were proven so by generation stamps, not bytes
-    assert stats["chunks_hash_skipped"] == N_CHUNKS - 1
+    assert stats["chunks_clean"] == N_CHUNKS - 1
     assert _restored(incr) == {r.name: bytes(r.buffer) for r in mem}
     # delta accounting shrinks with the dirty fraction, not region count
     assert 0.0 < incr.delta_logical_bytes \
@@ -195,7 +182,7 @@ def test_chunk_bitmap_is_superset_of_content_diff(writes):
     assert _restored(incr) == {r.name: bytes(r.buffer) for r in mem}
     stats = incr.capture_stats
     assert 0 <= stats["chunks_dirty"] <= stats["chunks_total"]
-    assert stats["chunks_hash_skipped"] + stats["chunks_dirty"] \
+    assert stats["chunks_clean"] + stats["chunks_dirty"] \
         <= stats["chunks_total"]
 
 
@@ -248,5 +235,5 @@ def test_chunk_balance_invariant_flags_overdirty_capture():
     violations = check_trace_invariants(bad)
     assert len(violations) == 1 and "chunk-balance" in violations[0]
     good = [dict(kind="ckpt.capture", ev="E", proc="p0", t=0.1,
-                 chunks=4, chunks_dirty=2, chunks_hash_skipped=2)]
+                 chunks=4, chunks_dirty=2)]
     assert check_trace_invariants(good) == []

@@ -156,10 +156,13 @@ def test_restore_path_is_chunksan_clean():
         assert san.stale_caught == 0
 
 
+@pytest.mark.no_chunksan
 def test_reused_gzip_ratio_is_remeasured_and_a_mismatch_raises(monkeypatch):
     """Under the oracle the generation-keyed ratio memo is audited like
     the stamps: every ratio a capture reuses is measured again anyway,
-    and one that no longer matches its bytes fails the capture."""
+    and one that no longer matches its bytes fails the capture.  (Opted
+    out of the fixture's oracle: the first half counts zlib calls with
+    no oracle installed at all.)"""
     from test_ckpt_incremental import _counting_zlen
     calls = _counting_zlen(monkeypatch)
 
@@ -188,6 +191,10 @@ def test_reused_gzip_ratio_is_remeasured_and_a_mismatch_raises(monkeypatch):
 def test_install_uninstall_restores_class_state():
     from repro.memory.address_space import Region
 
+    # whatever was installed before (the fixture's oracle under
+    # REPRO_CHUNKSAN=1, else nothing) is what uninstall must restore
+    outer = CheckpointImage.chunksan
+    assert MigrationManager.chunksan is outer
     orig_touch = Region.touch
     san = ChunkSan()
     prev = install_chunksan(san)
@@ -197,8 +204,8 @@ def test_install_uninstall_restores_class_state():
         assert Region.touch is not orig_touch
     finally:
         uninstall_chunksan(prev)
-    assert CheckpointImage.chunksan is None
-    assert MigrationManager.chunksan is None
+    assert CheckpointImage.chunksan is outer
+    assert MigrationManager.chunksan is outer
     assert Region.touch is orig_touch
 
 

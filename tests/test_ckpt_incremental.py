@@ -73,7 +73,7 @@ def test_held_view_region_proven_clean_by_stamps():
     dirty = _capture(mem, prev=incr)
     assert dirty.capture_stats["regions_dirty"] == 1
     assert dirty.capture_stats["chunks_dirty"] == 1
-    assert dirty.capture_stats["chunks_hash_skipped"] == 1
+    assert dirty.capture_stats["chunks_clean"] == 1
     assert _restored(dirty)["a"] == bytes(r.buffer)
 
 
@@ -315,8 +315,11 @@ def _counting_zlen(monkeypatch):
     return calls
 
 
-def test_warm_full_recapture_compresses_only_what_moved(monkeypatch):
+def test_warm_full_recapture_compresses_only_what_moved(monkeypatch,
+                                                        chunksan_oracle):
     calls = _counting_zlen(monkeypatch)
+    # the ChunkSan oracle measures every memo-answered ratio again
+    audits = 0 if chunksan_oracle is None else 1
     mem = AddressSpace("p0")
     regions = [mem.mmap(f"r{i}", 8192, data=bytes([i]) * 8192)
                for i in range(4)]
@@ -324,12 +327,12 @@ def test_warm_full_recapture_compresses_only_what_moved(monkeypatch):
     assert len(calls) == 4 and first.capture_stats["compress_reused"] == 0
     mem.write(regions[2].addr + 5000, b"moved")
     again = _assert_warm_equals_cold(mem, None, True)     # +4 cold
-    assert len(calls) == 4 + 1 + 4
+    assert len(calls) == 4 + 1 + 3 * audits + 4
     assert again.capture_stats["compress_reused"] == 3
     # gzip off measures and memoises nothing; back on, all four answer
     assert _capture(mem, gzip=False).capture_stats["compress_reused"] == 0
     assert _capture(mem).capture_stats["compress_reused"] == 4
-    assert len(calls) == 9
+    assert len(calls) == 9 + 7 * audits
 
 
 def test_restore_in_place_then_full_capture_remeasures(monkeypatch):

@@ -28,6 +28,8 @@ from repro.obs import check_trace_invariants, migration_summary, \
     render_migration
 from repro.sim import Environment, RngFactory
 
+pytestmark = pytest.mark.chunksan
+
 SEED, N, ITERS = 2014, 2, 4
 
 

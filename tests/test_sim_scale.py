@@ -418,14 +418,13 @@ def test_failed_event_without_handler_raises_at_step():
 
 # -- golden trace byte-identity --------------------------------------------------
 
-def test_lu_precopy_migration_golden_trace_bytes_identical():
+def test_lu_precopy_migration_golden_trace_bytes_identical(chunksan_oracle):
     """The canonical live-migration trace re-serializes byte-identical
     to the checked-in golden file: the batched kernel replayed the
     protocol's event ordering exactly."""
-    from repro.obs import canonicalize
-    from test_obs_golden import SCENARIOS, _golden_path
+    from test_obs_golden import _golden_path, recorded_trace
 
-    events = canonicalize(SCENARIOS["lu_precopy_migration"]())
+    events = recorded_trace("lu_precopy_migration", chunksan_oracle)
     blob = "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
     with open(_golden_path("lu_precopy_migration")) as fh:
         assert fh.read() == blob
