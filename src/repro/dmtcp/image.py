@@ -14,8 +14,10 @@ actually measured on the real bytes.
 Incremental capture (DESIGN.md §8/§13): :meth:`CheckpointImage.capture`
 takes an optional ``prev`` image.  A region whose generation is
 unchanged since ``prev`` is *clean*: its stored bytes and measured
-compression ratio are reused verbatim, skipping both the copy and the zlib
-pass.  Dirtiness below region level is tracked at the store's
+compression ratio are reused verbatim, skipping the zlib pass and, when
+``prev`` still holds its bytes, the copy too (a file-mode ``prev`` keeps
+only its layout, so the live region's bytes are copied).  Dirtiness
+below region level is tracked at the store's
 :data:`~repro.memory.CHUNK_BYTES` granularity: a touched region's per-chunk
 generation stamps, compared with the ones ``prev`` recorded, yield a chunk
 dirty mask, and only the dirty chunks count toward the incremental
@@ -213,7 +215,12 @@ class CheckpointImage:
             if clean:
                 stats["regions_clean_gen"] += 1
                 chunk_hashes = pm.get("chunk_hashes")
-                data = ps["data"]       # bytes are immutable: share them
+                # bytes are immutable: share them — unless ``prev`` kept
+                # only its layout (its blob holds the bytes), in which
+                # case the live region still holds exactly these bytes
+                data = ps["data"]
+                if data is None:
+                    data = bytes(region.buffer)
                 ratio = pm["ratio"]
                 stats["bytes_clean"] += region.size
                 stats["chunks_clean"] += n_chunks
@@ -379,6 +386,14 @@ class CheckpointImage:
             # damaged pickle stream happens to raise
             raise ImageError(f"truncated or corrupt checkpoint image "
                              f"payload: {exc!r}") from exc
+
+    def drop_bytes(self) -> None:
+        """Let go of every region's bytes, keeping the metadata and the
+        region layout (name, address, size) — all a later incremental
+        capture or a size report reads.  For an image whose bytes live on
+        elsewhere, e.g. in the blob :meth:`to_bytes` made of it."""
+        for region in self.memory_snapshot["regions"]:
+            region["data"] = None
 
     def restore_memory(self, memory: AddressSpace) -> None:
         memory.restore(self.memory_snapshot)

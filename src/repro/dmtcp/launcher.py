@@ -100,7 +100,7 @@ class CheckpointSet:
                                              src_node % len(cluster.nodes))
             dst_disk = cluster.nodes[dst_index].disk(disk_kind)
             data = record.blob if record.blob is not None \
-                else record.image.to_bytes()
+                else record.image_with_bytes().to_bytes()
             dst_disk.fs.store(record.path, data, record.image.logical_size)
 
 
@@ -266,20 +266,22 @@ def dmtcp_restart(cluster: Cluster, ckpt_set: CheckpointSet,
         def flow(record=record, host=host, node=node,
                  dst_index=dst_index):
             if preloaded:
-                image = record.image
+                image = record.image_with_bytes()
             elif store is not None:
                 image = yield from store.fetch_image(
                     record.name, epoch=record.epoch or None,
                     via_node_index=dst_index)
             else:
-                disk = node.disk(disk_kind)
-                data = yield from disk.read(record.path)
-                image = CheckpointImage.from_bytes(data)
+                image = CheckpointImage.from_bytes(
+                    (yield from node.disk(disk_kind).read(record.path)))
             proc = DmtcpProcess.restart(
                 host, record, image, costs,
                 coordinator.node.name, coordinator.port, dst_index,
                 disk_kind=disk_kind, incremental=incremental,
                 store=store)
+            # memory is restored: the decoded image must not live on in
+            # this frame for as long as the restarted rank runs
+            del image
             procs_by_name[record.name] = proc
             if tracker is not None:
                 tracker.ranks.append(proc)

@@ -111,6 +111,11 @@ class CheckpointRecord:
     node_index: int
     path: str
     disk_kind: str
+    #: the captured image.  After a monolithic file write it keeps only
+    #: its metadata and region layout — ``blob`` holds the bytes; store
+    #: and migrate captures keep their region bytes here (the seed of an
+    #: incremental chaos restart, only ever a capture's ``prev``, keeps
+    #: neither).  Read the bytes through :meth:`image_with_bytes`
     image: CheckpointImage
     continuation: Continuation
     ckpt_seconds: float = 0.0
@@ -118,9 +123,18 @@ class CheckpointRecord:
     #: (0 = monolithic file write, the non-store path)
     epoch: int = 0
     #: the serialised image exactly as the monolithic write put it on
-    #: disk, so staging never serialises twice (``None`` when nothing was
-    #: written as one file: store and migrate captures)
+    #: disk: the one copy of a file-mode checkpoint's bytes, which
+    #: staging copies as is (``None`` when nothing was written as one
+    #: file: store and migrate captures)
     blob: Optional[bytes] = None
+
+    def image_with_bytes(self) -> CheckpointImage:
+        """The image with its region bytes: ``image`` itself, or a fresh
+        decode of ``blob`` when ``image`` kept only its layout.  The
+        caller owns a decoded image; drop it once its bytes are used."""
+        if self.blob is None:
+            return self.image
+        return CheckpointImage.from_bytes(self.blob)
 
 
 class DmtcpProcess:
@@ -340,6 +354,9 @@ class DmtcpProcess:
             disk = self.host.node.disk(self.disk_kind)
             path = f"{self.ckpt_dir}/ckpt_{self.name}.dmtcp"
             data = image.to_bytes()
+            # the blob is this checkpoint's one copy of the bytes: the
+            # record keeps the image's metadata and layout only
+            image.drop_bytes()
             real_bytes = float(len(data))
             # dynamic gzip pipes through the writer: the pipeline stalls
             # the write stream by bw_disk/bw_gzip (Table 5's ~4% gzip

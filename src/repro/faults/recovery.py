@@ -184,10 +184,26 @@ def chaos_restart(cluster: Cluster, ckpt_set: CheckpointSet,
                     record.name, epoch=record.epoch or None,
                     via_node_index=dst_index)
             else:
-                disk = node.disk(disk_kind)
-                data = yield from disk.read(record.path)
-                image = CheckpointImage.from_bytes(data)
+                image = CheckpointImage.from_bytes(
+                    (yield from node.disk(disk_kind).read(record.path)))
             image.restore_memory(host.memory)
+            seed = None
+            if incremental:
+                # seed the incremental chain: restore() bumped every
+                # region's generation, so resync the image's per-region
+                # bookkeeping to the restored state — the first post-crash
+                # checkpoint can then skip whatever the app leaves clean.
+                # Like a file-mode record, the seed keeps metadata and
+                # layout only: the restored memory holds the bytes
+                for region in host.memory:
+                    pm = image.region_meta.get(region.name)
+                    if pm is not None:
+                        pm["generation"] = region.generation
+                image.drop_bytes()
+                seed = replace(record, image=image)
+            # memory is restored: the decoded image must not live on in
+            # this frame for as long as the restarted rank runs
+            del image
             # mtcp_restart-equivalent bring-up before the app re-enters
             yield host.compute(seconds=costs.restart_base)
             proc = DmtcpProcess(host, record.name, record.rank,
@@ -196,16 +212,8 @@ def chaos_restart(cluster: Cluster, ckpt_set: CheckpointSet,
                                 node_index=dst_index,
                                 incremental=incremental, store=store)
             proc.appctx.restarts = generation - 1
-            if incremental:
-                # seed the incremental chain: restore() bumped every
-                # region's generation, so resync the image's per-region
-                # bookkeeping to the restored state — the first post-crash
-                # checkpoint can then skip whatever the app leaves clean
-                for region in host.memory:
-                    pm = image.region_meta.get(region.name)
-                    if pm is not None:
-                        pm["generation"] = region.generation
-                proc.last_record = replace(record, image=image)
+            if seed is not None:
+                proc.last_record = seed
             procs_by_name[record.name] = proc
             if tracker is not None:
                 tracker.ranks.append(proc)

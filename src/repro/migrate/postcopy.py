@@ -278,10 +278,11 @@ def postcopy_restart(cluster: Cluster, ckpt_set: CheckpointSet,
         host.libs["ibverbs"] = VerbsLib(host)
         epoch = record.epoch or store.latest_epoch(record.name)
         manifest = store.manifest(record.name, epoch)
-        # bytes now (bit-identical, digest-verified), time at first touch
-        image = store.materialize_image(record.name, epoch,
-                                        via_node_index=dst_index)
-        image.restore_memory(host.memory)
+        # bytes now (bit-identical, digest-verified), time at first touch;
+        # the materialized image is dropped as soon as memory holds them
+        store.materialize_image(
+            record.name, epoch,
+            via_node_index=dst_index).restore_memory(host.memory)
         pager = PostCopyPager(
             env, store, manifest, host, dst_index,
             retry_delay=retry_delay, retry_jitter=retry_jitter,
@@ -290,7 +291,7 @@ def postcopy_restart(cluster: Cluster, ckpt_set: CheckpointSet,
         pagers.append(pager)
 
         def flow(record=record, host=host, pager=pager,
-                 dst_index=dst_index, image=image):
+                 dst_index=dst_index):
             # mtcp_restart-equivalent bring-up before the app re-enters
             yield host.compute(seconds=costs.restart_base)
             proc = DmtcpProcess(host, record.name, record.rank,

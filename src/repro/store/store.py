@@ -593,7 +593,7 @@ class CheckpointStore:
         ``tiers`` restricts placement to a subset of ``("local",
         "partner", "lustre")`` — e.g. lustre-only staging for post-copy
         restarts that should fault everything across the shared tier."""
-        image = record.image
+        image = record.image_with_bytes()
         epoch = (getattr(record, "epoch", 0) or 1)
         dst_index = (node_map or {}).get(
             record.node_index, record.node_index % len(self.cluster.nodes))

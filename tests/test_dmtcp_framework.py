@@ -327,9 +327,13 @@ def test_restart_host_work_is_linear_in_ranks(monkeypatch):
 
 @pytest.mark.parametrize("use_store", [False, True])
 def test_staged_blob_equals_a_fresh_serialisation(use_store):
-    """What ``stage_to`` copies is the image as it stands at staging time
-    — also in store mode, where the put fills ``chunk_hashes`` holes in
-    ``region_meta`` after capture and no monolithic blob was kept."""
+    """In file mode, what ``stage_to`` places is ``record.blob``: it
+    decodes to the image at the cut — the metadata and layout
+    ``record.image`` kept, and bytes that restore memory bit-identically.
+    In store mode it is the image as it stands at staging time, where the
+    put fills ``chunk_hashes`` holes in ``region_meta`` after capture and
+    no monolithic blob was kept."""
+    from repro.memory import AddressSpace
     from repro.store import CheckpointStore
 
     env = Environment()
@@ -349,8 +353,19 @@ def test_staged_blob_equals_a_fresh_serialisation(use_store):
     for i, record in enumerate(ckpt.records):
         assert (record.blob is None) == use_store
         staged = target.nodes[i].local_disk.fs.load(record.path)
-        assert CheckpointImage.from_bytes(staged) == \
-            CheckpointImage.from_bytes(record.image.to_bytes())
+        if use_store:
+            assert CheckpointImage.from_bytes(staged) == \
+                CheckpointImage.from_bytes(record.image.to_bytes())
+            continue
+        assert staged == record.blob
+        decoded = CheckpointImage.from_bytes(staged)
+        restored = AddressSpace("restored")
+        decoded.restore_memory(restored)
+        # the frozen continuation's memory is the state at the cut
+        assert {r.name: bytes(r.buffer) for r in restored} == \
+            {r.name: bytes(r.buffer) for r in record.continuation.memory}
+        decoded.drop_bytes()
+        assert decoded == record.image
 
 
 def test_incremental_file_write_charges_the_stalled_delta(env_cluster,

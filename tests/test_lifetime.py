@@ -8,10 +8,16 @@ once under ``DEBUG_SAVEALL``: whatever lands in ``gc.garbage`` was
 unreachable and kept only by a cycle.  None of it may be a job-owned
 object.  On failure the message names the shortest residual cycle, edge
 by edge, so a regression names the reference that closed it.
+
+The last four cases hold checkpoint bytes to the same rule (DESIGN.md,
+"Where a checkpoint's bytes live"): a file-mode record keeps only its
+blob, and weak references prove every decoded image dead before its
+rank's bring-up starts.
 """
 
 import gc
 import types
+import weakref
 from collections import Counter, deque
 from contextlib import contextmanager
 
@@ -22,6 +28,7 @@ from repro.core import InfinibandPlugin
 from repro.core.ib_plugin.shadow import VirtualQp
 from repro.core.ib_plugin.wrappers import WrappedVerbs
 from repro.dmtcp import JobTracker, dmtcp_launch, dmtcp_restart
+from repro.dmtcp.image import CheckpointImage
 from repro.dmtcp.process import AppContext, DmtcpProcess
 from repro.faults.injector import Injector
 from repro.faults.recovery import RecoveryConfig, RecoveryManager
@@ -31,12 +38,14 @@ from repro.hardware.node import Node, ProcessHost
 from repro.net.tcp import TcpStack
 from repro.ibverbs.structs import ibv_recv_wr
 from repro.memory import AddressSpace, Region
+from repro.migrate import run_postcopy_lu
 from repro.mpi import make_mpi_specs
 from repro.mpi.api import Communicator
 from repro.mpi.btl_ib import IbBtl
 from repro.service import service_scenario
 from repro.service.scheduler import pingpong_mpi_app
 from repro.sim import Environment, RngFactory
+from repro.store import CheckpointStore
 
 JOB_OWNED = (ProcessHost, AppContext, DmtcpProcess, InfinibandPlugin,
              WrappedVerbs, IbBtl, Communicator, AddressSpace, Region,
@@ -225,3 +234,149 @@ def test_recovery_frees_every_crashed_generation_and_the_finished_job():
     assert outcome.generations == 3 and outcome.n_failures == 2
     assert outcome.n_restarts == 1 and outcome.n_checkpoints >= 1
     assert_no_job_garbage(garbage)
+
+
+# -- checkpoint bytes: one copy at rest, decoded images die on time -----------
+
+def _pingpong_job(env, name):
+    cluster = Cluster(env, BUFFALO_CCR, n_nodes=2, name=name)
+    specs = make_mpi_specs(
+        cluster, 2, lambda ctx, comm: pingpong_mpi_app(ctx, comm,
+                                                       iters_sim=40))
+    return cluster, specs
+
+
+def _memory_bytes(memory):
+    return {r.name: bytes(r.buffer) for r in memory}
+
+
+def test_file_mode_record_keeps_only_the_blob():
+    """The written blob is a file-mode checkpoint's one copy of its
+    bytes: the record's image keeps metadata and layout, and the blob
+    restores memory bit-identically to the state at the cut."""
+    env = Environment()
+    cluster, specs = _pingpong_job(env, "life-blob")
+
+    def frozen():
+        session = yield from dmtcp_launch(
+            cluster, specs, plugin_factory=lambda: [InfinibandPlugin()])
+        yield env.timeout(0.02)
+        return (yield from session.checkpoint(intent="restart"))
+
+    with collector_off():
+        ckpt = env.run(until=env.process(frozen()))
+        for record in ckpt.records:
+            regions = record.image.memory_snapshot["regions"]
+            assert regions and all(r["data"] is None for r in regions)
+            assert all(r["size"] > 0 for r in regions)
+            decoded = CheckpointImage.from_bytes(record.blob)
+            restored = AddressSpace("restored")
+            decoded.restore_memory(restored)
+            # the frozen continuation's memory is the state at the cut
+            assert _memory_bytes(restored) == \
+                _memory_bytes(record.continuation.memory)
+            assert decoded.region_meta == record.image.region_meta
+            assert decoded.logical_size == record.image.logical_size
+
+
+class _DecodedImages:
+    """Weak references to every image decoded from disk or materialized
+    from a store, and how many of them still lived each time a restarted
+    process began its bring-up (``launch`` or ``restart_flow``)."""
+
+    def __init__(self, monkeypatch):
+        self.refs = []
+        self.alive_at_bringup = []
+        track = self.refs.append
+        from_bytes = CheckpointImage.from_bytes
+        materialize = CheckpointStore.materialize_image
+
+        def decoded(cls, blob):
+            image = from_bytes(blob)
+            track(weakref.ref(image))
+            return image
+
+        def materialized(store, *args, **kwargs):
+            image = materialize(store, *args, **kwargs)
+            track(weakref.ref(image))
+            return image
+
+        monkeypatch.setattr(CheckpointImage, "from_bytes",
+                            classmethod(decoded))
+        monkeypatch.setattr(CheckpointStore, "materialize_image",
+                            materialized)
+        for name in ("launch", "restart_flow"):
+            monkeypatch.setattr(DmtcpProcess, name,
+                                self._probe(getattr(DmtcpProcess, name)))
+
+    def _probe(self, flow):
+        def probed(proc, *args, **kwargs):
+            if self.refs:       # a first launch decodes nothing
+                self.alive_at_bringup.append(self.alive())
+            return (yield from flow(proc, *args, **kwargs))
+        return probed
+
+    def alive(self):
+        return sum(ref() is not None for ref in self.refs)
+
+
+def test_dmtcp_restart_drops_each_decoded_image_once_restored(monkeypatch):
+    images = _DecodedImages(monkeypatch)
+    env = Environment()
+    cluster, specs = _pingpong_job(env, "life-decode")
+
+    def frozen_and_revived():
+        session = yield from dmtcp_launch(
+            cluster, specs, plugin_factory=lambda: [InfinibandPlugin()])
+        yield env.timeout(0.02)
+        ckpt = yield from session.checkpoint(intent="restart")
+        cluster.teardown()
+        spare = Cluster(env, BUFFALO_CCR, n_nodes=2,
+                        name="life-decode-spare")
+        return (yield from dmtcp_restart(spare, ckpt))
+
+    with collector_off():
+        session2 = env.run(until=env.process(frozen_and_revived()))
+        results = env.run(until=env.process(session2.wait()))
+    assert [r.iterations for r in results] == [40, 40]
+    assert images.alive_at_bringup == [0, 0]
+    assert len(images.refs) == 2
+
+
+def test_chaos_restart_drops_each_decoded_image_once_restored(monkeypatch):
+    images = _DecodedImages(monkeypatch)
+    env = Environment()
+    rng = RngFactory(79)
+
+    def cluster_factory(tag):
+        return Cluster(env, BUFFALO_CCR, n_nodes=2, rng=rng,
+                       name=f"life-decode-chaos-{tag}")
+
+    def specs_for(cluster):
+        return make_mpi_specs(cluster, 2, lambda ctx, comm: lu_app(
+            ctx, comm, klass="A", iters_sim=20))
+
+    # one crash after the first checkpoint: one chaos restart
+    injector = Injector(env, FixedSchedule([
+        FailureEvent(t=5.0, kind="node-crash", node_index=1)]))
+    manager = RecoveryManager(
+        env, cluster_factory, specs_for,
+        RecoveryConfig(ckpt_interval=2.0, backoff_base=0.25),
+        plugin_factory=lambda: [InfinibandPlugin()], injector=injector,
+        rng=rng)
+    with collector_off():
+        outcome = env.run(until=env.process(manager.run()))
+    assert outcome.n_restarts == 1 and outcome.n_checkpoints >= 1
+    assert images.alive_at_bringup == [0, 0]
+    assert len(images.refs) == 2
+
+
+def test_postcopy_drops_each_materialized_image_once_restored(monkeypatch):
+    images = _DecodedImages(monkeypatch)
+    with collector_off():
+        run = run_postcopy_lu(seed=2014, nprocs=2, iters_sim=4)
+    assert run["pager_stats"]["prefetched"] + run["pager_stats"]["pageins"]
+    assert images.alive_at_bringup == [0, 0]
+    # each rank's blob is decoded once to stage it into the store, then
+    # its image is materialized once from the store
+    assert len(images.refs) == 4

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.dmtcp.image import CheckpointImage
+from repro.dmtcp.process import CheckpointRecord
 from repro.hardware import BUFFALO_CCR, Cluster, FileSystem, MGHPCC
 from repro.memory import AddressSpace
 from repro.sim import Environment
@@ -40,6 +41,11 @@ def _memory(n_regions=10, region_bytes=4096, seed=0):
         data = rng.integers(0, 256, region_bytes, dtype=np.uint8).tobytes()
         mem.mmap(f"r{i}", region_bytes, data=data)
     return mem
+
+
+def _record(**fields):
+    """A file-less checkpoint record: the image keeps its bytes."""
+    return CheckpointRecord(disk_kind="local", continuation=None, **fields)
 
 
 def _run(env, gen):
@@ -377,14 +383,12 @@ def test_gc_never_retires_the_latest_epoch():
 def test_stage_resumes_epoch_numbering():
     """After staging epoch-3 records, a fresh coordinator's epoch 1 must
     land as absolute epoch 4 — not collide with the staged manifests."""
-    import types
     env = Environment()
     cluster = _mghpcc(env, name="offset")
     store = CheckpointStore(cluster)
     image = _capture(_memory(seed=29))
-    record = types.SimpleNamespace(image=image, name="p0", rank=0,
-                                   node_index=0, epoch=3,
-                                   path="/ignored")
+    record = _record(image=image, name="p0", rank=0, node_index=0,
+                     epoch=3, path="/ignored")
     store.ingest_record(record)
     assert store.latest_epoch("p0") == 3
     mem = _memory(seed=31)
@@ -399,10 +403,9 @@ def test_epoch_offset_compounds_across_two_staged_restarts():
     stages it and checkpoints (epoch 4), dies in turn, generation 3
     stages *that* — each fresh coordinator counts from 1 again, so the
     offsets must compound (3 → 4 → 5), never collide."""
-    import types
     env = Environment()
     store2 = CheckpointStore(_mghpcc(env, name="offset-gen2"))
-    store2.ingest_record(types.SimpleNamespace(
+    store2.ingest_record(_record(
         image=_capture(_memory(seed=43)), name="p0", rank=0,
         node_index=0, epoch=3, path="/ignored"))
     assert store2._epoch_offset == 3
@@ -415,7 +418,7 @@ def test_epoch_offset_compounds_across_two_staged_restarts():
     # latest image (absolute epoch 4) and checkpoint from 1 again
     env3 = Environment()
     store3 = CheckpointStore(_mghpcc(env3, name="offset-gen3"))
-    store3.ingest_record(types.SimpleNamespace(
+    store3.ingest_record(_record(
         image=_capture(mem), name="p0", rank=0, node_index=0,
         epoch=gen2.epoch, path="/ignored"))
     assert store3._epoch_offset == 4
@@ -424,7 +427,7 @@ def test_epoch_offset_compounds_across_two_staged_restarts():
     assert gen3.epoch == 5 and store3.latest_epoch("p0") == 5
     # the offset is global (max over everything staged), so a sibling
     # rank staged at an older epoch shares the same numbering
-    store3.ingest_record(types.SimpleNamespace(
+    store3.ingest_record(_record(
         image=_capture(_memory(seed=59), name="p1"), name="p1", rank=1,
         node_index=1, epoch=2, path="/ignored"))
     assert store3._epoch_offset == 4
@@ -472,13 +475,12 @@ def test_gc_retention_races_concurrent_tier_walking_restart():
 
 
 def test_ingest_places_fully_replicated():
-    import types
     env = Environment()
     cluster = _mghpcc(env, name="ingest")
     store = CheckpointStore(cluster)
     image = _capture(_memory(seed=37))
-    record = types.SimpleNamespace(image=image, name="p0", rank=0,
-                                   node_index=1, epoch=2, path="/x")
+    record = _record(image=image, name="p0", rank=0, node_index=1,
+                     epoch=2, path="/x")
     manifest = store.ingest_record(record)
     for digest in manifest.digests():
         assert cluster.nodes[1].local_disk.fs.exists(chunk_path(digest))
