@@ -1,15 +1,12 @@
 """repro.analysis — the verbs-protocol analysis gate.
 
-Five coordinated passes keep the shadow-virtualization and chunk-stamp
-disciplines the paper depends on machine-checked instead of
-convention-checked:
+Two static passes and two runtime checkers keep the shadow-virtualization
+and determinism disciplines the paper depends on machine-checked instead
+of convention-checked:
 
 * :mod:`.lint` — AST shadow-isolation and determinism rules over
-  ``src/repro`` (Principle 1, §3.2, deterministic replay);
-* :mod:`.concurrency` — lockset-style check that thread-pool capture
-  workers never touch coordinator-owned Region dirty tracking;
-* :mod:`.escape` — dirty-write escape analysis: raw buffer views,
-  untracked ``region.buffer`` writes, RNG namespace taint;
+  ``src/repro`` (Principle 1, §3.2, deterministic replay, RNG namespace
+  taint);
 * :mod:`.findings` — ``stale-suppression``: every ``# repro: allow()``
   waiver must still silence a real finding or it becomes one;
 * :mod:`.protocol` / :mod:`.chunksan` — the opt-in runtime checkers:
@@ -17,7 +14,11 @@ convention-checked:
   translation) and :class:`ChunkSan` (shadow full-hash oracle proving
   chunk stamps are a superset of the true content diff).
 
-CLI: ``python -m repro.analysis [paths] [--budget FILE] [--escape]``.
+The chunk-stamp discipline needs no static pass: ``Region.buffer`` is
+read-only, so every write outside ``memory/`` goes through a writer that
+stamps what it wrote (DESIGN.md §14).
+
+CLI: ``python -m repro.analysis [paths] [--budget FILE]``.
 """
 
 from .budget import charge, load_budget, render_report, write_budget
@@ -28,8 +29,6 @@ from .chunksan import (
     sanitized,
     uninstall_chunksan,
 )
-from .concurrency import CONCURRENCY_RULES, check_paths
-from .escape import ESCAPE_RULES, escape_paths
 from .findings import Finding, STALE_RULES
 from .lint import LINT_RULES, lint_paths
 from .protocol import (
@@ -43,12 +42,8 @@ from .protocol import (
 __all__ = [
     "Finding",
     "LINT_RULES",
-    "CONCURRENCY_RULES",
-    "ESCAPE_RULES",
     "STALE_RULES",
     "lint_paths",
-    "check_paths",
-    "escape_paths",
     "load_budget",
     "charge",
     "render_report",
@@ -66,56 +61,29 @@ __all__ = [
     "run_analysis",
 ]
 
-ALL_RULES = {**LINT_RULES, **CONCURRENCY_RULES, **ESCAPE_RULES,
-             **STALE_RULES}
-
-#: the full gate; a subset selects specific passes (escape-only runs
-#: audit only escape-rule waivers for staleness)
-ALL_PASSES = ("lint", "concurrency", "escape", "stale")
+ALL_RULES = {**LINT_RULES, **STALE_RULES}
 
 
-def run_analysis(paths, budget_path=None, passes=None):
+def run_analysis(paths, budget_path=None):
     """Static passes charged against the budget, file by file.
 
-    Runs every pass in ``passes`` (default: all of lint, concurrency,
-    escape, stale) over each source file, then audits that file's
-    ``# repro: allow()`` comments against the combined findings so dead
-    waivers surface as ``stale-suppression``.  Returns ``(findings,
-    violations, slack)``; the gate passes iff ``violations`` is empty.
+    Lints each source file, then audits that file's ``# repro: allow()``
+    comments against its findings so dead waivers surface as
+    ``stale-suppression``.  Returns ``(findings, violations, slack)``;
+    the gate passes iff ``violations`` is empty.
     """
     import os
     from pathlib import Path
 
     from .budget import DEFAULT_BUDGET_FILE
-    from .concurrency import check_file
-    from .escape import escape_file
     from .findings import stale_suppressions
     from .lint import iter_sources, lint_file
 
-    selected = set(passes) if passes is not None else set(ALL_PASSES)
-    eligible = None
-    if not selected.issuperset({"lint", "concurrency", "escape"}):
-        eligible = set()
-        if "lint" in selected:
-            eligible |= set(LINT_RULES)
-        if "concurrency" in selected:
-            eligible |= set(CONCURRENCY_RULES)
-        if "escape" in selected:
-            eligible |= set(ESCAPE_RULES)
-
     findings = []
     for path, root in iter_sources(paths):
-        per_file = []
-        if "lint" in selected:
-            per_file.extend(lint_file(path, root))
-        if "concurrency" in selected:
-            per_file.extend(check_file(path))
-        if "escape" in selected:
-            per_file.extend(escape_file(path, root))
-        if "stale" in selected:
-            per_file.extend(stale_suppressions(
-                path.read_text(), os.path.relpath(path), per_file,
-                eligible))
+        per_file = lint_file(path, root)
+        per_file.extend(stale_suppressions(
+            path.read_text(), os.path.relpath(path), per_file))
         findings.extend(per_file)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     budget = load_budget(

@@ -3,10 +3,6 @@
 Exit status 0 when every rule is within its checked-in budget
 (``analysis_budget.json``), 1 when any rule carries new unsuppressed
 debt.  This is the command the CI ``analysis`` job runs.
-
-``--escape`` restricts the run to the dirty-write escape pass (plus the
-staleness audit of escape-rule waivers only) — the focused command for
-iterating on chunk-stamp discipline fixes; the default runs every pass.
 """
 
 from __future__ import annotations
@@ -16,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import ALL_PASSES, ALL_RULES, run_analysis
+from . import ALL_RULES, run_analysis
 from .budget import DEFAULT_BUDGET_FILE, write_budget
 
 
@@ -24,7 +20,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="verbs-protocol invariant / shadow-isolation / "
-                    "determinism / chunk-stamp analysis gate")
+                    "determinism analysis gate")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to scan "
                              "(default: src)")
@@ -34,8 +30,6 @@ def main(argv=None) -> int:
     parser.add_argument("--update-budget", action="store_true",
                         help="rewrite the budget file to current "
                              "unsuppressed counts (the ratchet)")
-    parser.add_argument("--escape", action="store_true", dest="escape_only",
-                        help="run only the dirty-write escape pass")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="machine-readable findings on stdout")
     parser.add_argument("--list-rules", action="store_true",
@@ -48,16 +42,13 @@ def main(argv=None) -> int:
         return 0
 
     paths = args.paths or ["src"]
-    passes = ("escape", "stale") if args.escape_only else ALL_PASSES
     if args.update_budget:
-        findings, _violations, _slack = run_analysis(
-            paths, args.budget, passes=passes)
+        findings, _violations, _slack = run_analysis(paths, args.budget)
         data = write_budget(findings, Path(args.budget))
         print(f"wrote {args.budget}: {json.dumps(data)}")
         return 0
 
-    findings, violations, slack = run_analysis(paths, args.budget,
-                                               passes=passes)
+    findings, violations, slack = run_analysis(paths, args.budget)
     if args.as_json:
         print(json.dumps({
             "findings": [vars(f) for f in findings],

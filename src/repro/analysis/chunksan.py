@@ -1,9 +1,11 @@
 """ChunkSan: the runtime shadow oracle for chunk-stamp dirty tracking.
 
-The static escape pass (:mod:`.escape`) proves what it can see; ChunkSan
-catches what it can't — a write path that reaches ``region.buffer``
-through an alias the dataflow lost, a ``touch()`` whose span arithmetic
-is wrong by one chunk, a new workload that pokes bytes behind the
+The ``Region`` type keeps writers outside ``memory/`` honest:
+``region.buffer`` is read-only, and ``Region.write`` / ``copy_within`` /
+``TrackedView`` stamp what they write.  ChunkSan audits the writers that
+remain — those inside ``memory/``, and anything writing a region's
+private bytes directly — catching a ``touch()`` whose span arithmetic is
+wrong by one chunk or a new write path that pokes bytes behind the
 stamps' back.  The oracle is the obvious one, made cheap enough to run
 under every chaos sweep:
 

@@ -99,22 +99,17 @@ def apply_suppressions(findings: Iterable[Finding],
 
 
 def stale_suppressions(source: str, display_path: str,
-                       findings: Iterable[Finding],
-                       eligible: Set[str] = None) -> List[Finding]:
+                       findings: Iterable[Finding]) -> List[Finding]:
     """Findings for every ``allow()`` entry that silenced nothing.
 
-    Call with the *combined* post-suppression findings of every pass
-    over one file: an allow entry is "used" iff some suppressed finding
+    Call with the post-suppression findings of the lint pass over one
+    file: an allow entry is "used" iff some suppressed finding
     on its line carries that rule (or, for ``*``, any suppressed finding
     exists on the line).  Unused entries become ``stale-suppression``
     findings, themselves suppressible the usual way (so a deliberately
     forward-looking waiver can say ``allow(some-rule,
-    stale-suppression)`` with a justification).
-
-    ``eligible`` restricts the audit to rule names the passes that ran
-    could actually have emitted — a partial run (e.g. escape-only) must
-    not condemn another pass's waivers.  ``None`` means a full run:
-    every entry, including misspelled rule names and ``*``, is audited.
+    stale-suppression)`` with a justification).  Every entry is audited,
+    misspelled rule names and ``*`` included.
     """
     by_line: Dict[int, Set[str]] = {}
     for finding in findings:
@@ -127,9 +122,6 @@ def stale_suppressions(source: str, display_path: str,
         for rule in sorted(allowed[lineno]):
             if rule == STALE_RULE:
                 continue    # meta-entry: only meaningful with others
-            if eligible is not None and (rule == "*"
-                                         or rule not in eligible):
-                continue
             if rule == "*":
                 if used:
                     continue

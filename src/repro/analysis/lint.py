@@ -39,6 +39,13 @@ paper's correctness argument depends on them:
     concurrency next to the generation-counter dirty tracking is how
     incremental captures go silently stale.
 
+``rng-taint``
+    A ``RngFactory`` stream that crosses a namespace boundary — the
+    reserved ``faults/`` namespace drawn outside ``faults/`` (via
+    ``fault_stream`` or a literal ``"faults/…"`` stream name) — or a
+    seed/stream derived from the wall clock.  Both break the
+    "faults-off runs are bit-identical" determinism argument.
+
 Suppression: ``# repro: allow(<rule>[, <rule>…])`` on the offending line.
 """
 
@@ -67,6 +74,9 @@ LINT_RULES: Dict[str, str] = {
                        "inside the deterministic subsystems",
     "bare-thread": "threading/concurrent.futures construction outside "
                    "the vetted pool in dmtcp/image.py",
+    "rng-taint": "RngFactory stream crossing a namespace boundary "
+                 "(faults/ stream outside faults/) or seeded from the "
+                 "wall clock",
 }
 
 #: real resource structs — value structs (sge/wr/wc/attr) are exempt:
@@ -88,6 +98,8 @@ _THREAD_CTORS = frozenset({
     "Thread", "Timer", "ThreadPoolExecutor", "ProcessPoolExecutor",
 })
 _VETTED_POOL_MODULE = "dmtcp/image.py"
+_FAULTS_PREFIX = "faults/"
+_RNG_CALLS = frozenset({"RngFactory", "stream", "child", "fault_stream"})
 
 
 def _dotted(node: ast.AST) -> List[str]:
@@ -102,6 +114,19 @@ def _dotted(node: ast.AST) -> List[str]:
     return []
 
 
+def _is_wallclock(chain: List[str]) -> bool:
+    """``time.time()``-family or ``datetime.now()``-family call chain."""
+    return len(chain) >= 2 and (
+        (chain[0] == "time" and chain[-1] in _WALLCLOCK_TIME)
+        or (chain[-1] in ("now", "utcnow") and "datetime" in chain))
+
+
+def _reads_wallclock(node: ast.AST) -> bool:
+    """Any wall-clock read anywhere inside ``node``."""
+    return any(isinstance(sub, ast.Call) and _is_wallclock(_dotted(sub.func))
+               for sub in ast.walk(node))
+
+
 class _LintVisitor(ast.NodeVisitor):
     def __init__(self, rel: str, display_path: str):
         self.rel = rel
@@ -110,6 +135,7 @@ class _LintVisitor(ast.NodeVisitor):
         self.in_shadow = rel.startswith(_SHADOW_PREFIXES)
         self.in_deterministic = rel.startswith(_DETERMINISTIC_PREFIXES)
         self.is_vetted_pool = rel == _VETTED_POOL_MODULE
+        self.in_faults = rel.startswith(_FAULTS_PREFIX)
 
     def _emit(self, rule: str, node: ast.AST, message: str) -> None:
         self.findings.append(Finding(rule=rule, path=self.path,
@@ -225,7 +251,29 @@ class _LintVisitor(ast.NodeVisitor):
                        f"{name} constructed outside the vetted capture "
                        "pool (dmtcp/image.py); real threads must not "
                        "touch Region dirty tracking")
+        self._rng_taint(node, name)
         self.generic_visit(node)
+
+    def _rng_taint(self, node: ast.Call, name: str) -> None:
+        if name == "fault_stream" and not self.in_faults:
+            self._emit("rng-taint", node,
+                       "faults/-reserved stream drawn outside faults/; "
+                       "draw app streams from their own namespace")
+        if name == "stream" and node.args and not self.in_faults:
+            first = node.args[0]
+            if isinstance(first, ast.Constant) \
+                    and isinstance(first.value, str) \
+                    and first.value.startswith(_FAULTS_PREFIX):
+                self._emit("rng-taint", node,
+                           f"stream({first.value!r}) bypasses "
+                           "fault_stream() outside faults/")
+        if name in _RNG_CALLS and any(
+                _reads_wallclock(arg) for arg in
+                [*node.args, *(kw.value for kw in node.keywords)]):
+            self._emit("rng-taint", node,
+                       f"{name}() seed/name derived from the wall clock; "
+                       "same-seed runs diverge — derive from the root "
+                       "seed instead")
 
 
 def _relative_module(path: Path, root: Path) -> str:

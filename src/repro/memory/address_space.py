@@ -3,10 +3,10 @@
 DMTCP's job is to copy and restore all of user-space memory.  Real processes
 get this from the kernel's mmap table; our simulated processes keep their
 data in an :class:`AddressSpace` — a table of named, virtually-addressed
-regions backed by real ``bytearray`` storage.  NumPy views over a region are
-writable and stay valid across a checkpoint/restore cycle because restore
-copies bytes *into the existing backing buffers* (the analogue of DMTCP
-restoring memory at the original virtual addresses).
+regions backed by real ``bytearray`` storage.  Views over a region stay
+valid across a checkpoint/restore cycle because restore copies bytes
+*into the existing backing buffers* (the analogue of DMTCP restoring
+memory at the original virtual addresses).
 
 Scaled experiments: a region may declare ``repr_scale`` — "this region stands
 for ``repr_scale`` times its actual byte length on the paper's testbed".
@@ -16,20 +16,20 @@ in the benchmark harness uses the logical (scaled) size.
 Dirty tracking (incremental checkpoints, DESIGN.md §8/§13): every region
 carries a monotonically increasing ``generation`` plus a per-chunk
 generation array at :data:`CHUNK_BYTES` granularity (the store's chunk
-size).  All mutation avenues must bump them — :meth:`AddressSpace.write`
-and :meth:`AddressSpace.restore` do so for the byte ranges they touch, and
-code that slices ``region.buffer`` directly calls :meth:`Region.touch`
-(whole-region without arguments, or with an ``(offset, length)`` span).
-:meth:`Region.view` is the only way to a writable NumPy view: a
-:class:`TrackedView` behaves like an ndarray but routes every write
+size).  The type keeps them honest: a region's bytes are private
+(``Region._buf``), :attr:`Region.buffer` is a read-only ``memoryview``,
+and the only writers are :meth:`Region.write`, :meth:`Region.copy_within`,
+a :class:`TrackedView` from :meth:`Region.view` (which routes every write
 through ``touch`` with the write's byte span, so hot mutation loops dirty
-only the chunks they wrote.  What is expensive to derive from a region's
-bytes is memoised against the stamps under one trust rule, valid until
-the next ``touch``: its measured gzip ratio (:attr:`Region.gzip_ratio`,
-keyed by the region generation).  Whoever asks "which bytes changed since
-then?" — incremental capture and live pre-copy alike — compares stamp
-vectors through :func:`dirty_chunk_bytes`; nothing hashes memory to find
-out.
+only the chunks they wrote), and :meth:`AddressSpace.write` /
+:meth:`AddressSpace.restore` — each stamps exactly what it wrote.  A
+write through ``region.buffer``, or through a NumPy array made from it,
+raises.  What is expensive to derive from a region's bytes is memoised
+against the stamps under one trust rule, valid until the next ``touch``:
+its measured gzip ratio (:attr:`Region.gzip_ratio`, keyed by the region
+generation).  Whoever asks "which bytes changed since then?" —
+incremental capture and live pre-copy alike — compares stamp vectors
+through :func:`dirty_chunk_bytes`; nothing hashes memory to find out.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class Region:
     name: str
     addr: int
     size: int
-    buffer: bytearray
+    _buf: bytearray
     repr_scale: float = 1.0
     pin_count: int = 0
     tag: str = ""  # e.g. "heap", "stack", "driver-data"
@@ -120,9 +120,36 @@ class Region:
             self._chunk_gens = np.zeros(self.n_chunks, dtype=np.int64)
         return self._chunk_gens
 
+    @property
+    def buffer(self) -> memoryview:
+        """The region's bytes, read-only: writing through it (or through
+        a NumPy array made from it) raises."""
+        return memoryview(self._buf).toreadonly()
+
+    def _check_span(self, offset: int, length: int) -> None:
+        if offset < 0 or length < 0 or offset + length > self.size:
+            raise MemoryError_(
+                f"segfault: [{offset}, {offset + length}) outside region "
+                f"{self.name!r} of {self.size} bytes")
+
+    def write(self, offset: int, data) -> None:
+        """Copy ``data`` in at ``offset`` and stamp the span written."""
+        length = memoryview(data).nbytes
+        self._check_span(offset, length)
+        self._buf[offset: offset + length] = data
+        self.touch(offset, length)
+
+    def copy_within(self, src: int, dst: int, length: int) -> None:
+        """Copy ``length`` bytes from ``src`` to ``dst`` (the spans may
+        overlap) and stamp the destination span."""
+        self._check_span(src, length)
+        self._check_span(dst, length)
+        self._buf[dst: dst + length] = self._buf[src: src + length]
+        self.touch(dst, length)
+
     def touch(self, offset: int = 0, length: Optional[int] = None) -> None:
-        """Record a mutation (any code writing ``buffer`` directly must
-        call this — or the next incremental checkpoint may skip it).
+        """Record a mutation: every writer of ``_buf`` calls this, or the
+        next incremental checkpoint may skip the bytes it wrote.
 
         Without arguments the whole region is marked dirty (the safe,
         conservative call); with ``(offset, length)`` only the chunks
@@ -142,7 +169,7 @@ class Region:
         """A write-interposed view: ndarray semantics, but every write is
         routed through :meth:`touch` with the written byte span, so the
         region stays precisely tracked."""
-        arr = np.frombuffer(self.buffer, dtype=dtype)
+        arr = np.frombuffer(self._buf, dtype=dtype)
         if shape is not None:
             arr = arr.reshape(shape)
         return TrackedView(self, arr)
@@ -186,7 +213,7 @@ class TrackedView:
         self._region = region
         self._arr = arr
         self._base = _byte_bounds(
-            np.frombuffer(region.buffer, dtype=np.uint8))[0]
+            np.frombuffer(region._buf, dtype=np.uint8))[0]
 
     # -- span marking -------------------------------------------------------
 
@@ -395,7 +422,7 @@ class AddressSpace:
             if len(data) > size:
                 raise MemoryError_("initial data larger than region")
             buf[: len(data)] = data
-        region = Region(name=name, addr=addr, size=size, buffer=buf,
+        region = Region(name=name, addr=addr, size=size, _buf=buf,
                         repr_scale=repr_scale, tag=tag)
         self._regions[addr] = region
         self._by_name[name] = region
@@ -478,12 +505,12 @@ class AddressSpace:
     def read(self, addr: int, length: int) -> bytes:
         region = self.region_at(addr, length)
         off = addr - region.addr
-        return bytes(region.buffer[off: off + length])
+        return bytes(region._buf[off: off + length])
 
     def write(self, addr: int, data: bytes) -> None:
         region = self.region_at(addr, len(data))
         off = addr - region.addr
-        region.buffer[off: off + len(data)] = data
+        region._buf[off: off + len(data)] = data
         region.touch(off, len(data))
 
     # -- accounting ----------------------------------------------------------
@@ -512,7 +539,7 @@ class AddressSpace:
             "size": region.size,
             "repr_scale": region.repr_scale,
             "tag": region.tag,
-            "data": bytes(region.buffer),
+            "data": bytes(region._buf),
         }
 
     def snapshot(self) -> dict:
@@ -544,7 +571,7 @@ class AddressSpace:
             if existing is None:
                 existing = Region(
                     name=rsnap["name"], addr=rsnap["addr"],
-                    size=rsnap["size"], buffer=bytearray(rsnap["size"]),
+                    size=rsnap["size"], _buf=bytearray(rsnap["size"]),
                     repr_scale=rsnap["repr_scale"], tag=rsnap["tag"])
                 self._regions[existing.addr] = existing
                 self._by_name[existing.name] = existing
@@ -552,7 +579,7 @@ class AddressSpace:
             if existing.size != rsnap["size"]:
                 raise MemoryError_(
                     f"region {existing.name!r} size changed since snapshot")
-            existing.buffer[:] = rsnap["data"]
+            existing._buf[:] = rsnap["data"]
             existing.pin_count = 0
             existing.touch()
         self._next_addr = max(self._next_addr, snap["next_addr"])

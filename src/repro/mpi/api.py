@@ -336,9 +336,8 @@ class Communicator:
         tag = self._next_tag()
         n, rank = self.size, self.rank
         # local copy
-        recv_region.buffer[rank * block_bytes:(rank + 1) * block_bytes] = \
-            send_region.buffer[rank * block_bytes:(rank + 1) * block_bytes]
-        recv_region.touch(rank * block_bytes, block_bytes)
+        lo = rank * block_bytes
+        recv_region.write(lo, send_region.buffer[lo:lo + block_bytes])
         for phase in range(1, n):
             partner = rank ^ phase if (n & (n - 1)) == 0 \
                 else (rank + phase) % n

@@ -59,9 +59,7 @@ class SharedArray:
         seg = self.upc.core.segment
         if owner == self.upc.MYTHREAD:
             src = self.local_offset(block)
-            seg.buffer[scratch_offset:scratch_offset + self.block_bytes] = \
-                seg.buffer[src:src + self.block_bytes]
-            seg.touch(scratch_offset, self.block_bytes)
+            seg.copy_within(src, scratch_offset, self.block_bytes)
             return
         yield from self.upc.core.get(
             owner, self.local_offset(block),
@@ -73,9 +71,7 @@ class SharedArray:
         seg = self.upc.core.segment
         if owner == self.upc.MYTHREAD:
             dst = self.local_offset(block)
-            seg.buffer[dst:dst + self.block_bytes] = \
-                seg.buffer[scratch_offset:scratch_offset + self.block_bytes]
-            seg.touch(dst, self.block_bytes)
+            seg.copy_within(scratch_offset, dst, self.block_bytes)
             return
         yield from self.upc.core.put(
             owner, self.local_offset(block),

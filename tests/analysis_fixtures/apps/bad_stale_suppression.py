@@ -3,6 +3,6 @@
 
 
 def clean_code():
-    total = 0  # repro: allow(leaked-view-write) nothing here to allow
-    count = 1  # repro: allow(leaked-vew-write) typo'd rule name
+    total = 0  # repro: allow(real-attr) nothing here to allow
+    count = 1  # repro: allow(real-atr) typo'd rule name
     return total + count

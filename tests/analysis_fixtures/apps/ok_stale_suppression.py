@@ -4,5 +4,5 @@ early waiver from failing the gate."""
 
 
 def clean_code():
-    total = 0  # repro: allow(leaked-view-write, stale-suppression) next commit writes through this line
+    total = 0  # repro: allow(real-attr, stale-suppression) next commit dereferences a shadow pointer here
     return total

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import concurrency, run_analysis
+from repro.analysis import run_analysis
 from repro.analysis.budget import charge, load_budget, write_budget
-from repro.analysis.concurrency import check_file
-from repro.analysis.findings import parse_suppressions
+from repro.analysis.findings import (STALE_RULE, parse_suppressions,
+                                     stale_suppressions)
 from repro.analysis.lint import LINT_RULES, lint_file, lint_paths
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
@@ -24,6 +24,7 @@ LINT_CASES = {
     "wallclock": "sim/bad_wallclock.py",
     "unseeded-random": "faults/bad_unseeded_random.py",
     "bare-thread": "dmtcp/bad_bare_thread.py",
+    "rng-taint": "apps/bad_rng_taint.py",
 }
 
 
@@ -83,38 +84,16 @@ def test_settle_path_has_no_wallclock_debt():
             if f.rule == "wallclock" and not f.suppressed] == []
 
 
-# -- concurrency pass ----------------------------------------------------------
+# -- rng-taint: the faults/ namespace and wall-clock seeds --------------------
 
 
-def test_pool_worker_mutation_flagged():
-    findings = check_file(FIXTURES / "dmtcp/bad_pool_mutation.py")
-    live = [f for f in findings if not f.suppressed]
-    assert live and all(f.rule == "pool-region-mutation" for f in live)
-    # both the touch() call and the generation read are reported
-    assert any("touch()" in f.message for f in live)
-    assert any("generation" in f.message for f in live)
+def test_rng_taint_flags_every_seeded_crossing():
+    hits = [f for f in _lint("apps/bad_rng_taint.py") if not f.suppressed]
+    assert len(hits) == 4, [f.render() for f in hits]
 
 
-def test_pool_worker_mutation_suppressed():
-    findings = check_file(FIXTURES / "dmtcp/ok_pool_mutation.py")
-    assert findings and all(f.suppressed for f in findings)
-
-
-def test_shipped_capture_pipeline_is_clean(monkeypatch):
-    """The real capture path must not trip its own checker — and the
-    checker must still recognise the one pool call site there, or a
-    rename of the receiver would blind the rule silently."""
-    scanned = []
-
-    class Recording(concurrency._WorkerBodyVisitor):
-        def __init__(self):
-            super().__init__()
-            scanned.append(self)
-
-    monkeypatch.setattr(concurrency, "_WorkerBodyVisitor", Recording)
-    findings = check_file(REPO / "src/repro/dmtcp/image.py")
-    assert [f for f in findings if not f.suppressed] == []
-    assert len(scanned) == 1
+def test_faults_prefix_owns_the_fault_namespace():
+    assert _lint("faults/clean_fault_stream.py") == []
 
 
 # -- suppression parsing -------------------------------------------------------
@@ -126,6 +105,38 @@ def test_parse_suppressions_multi_rule_and_star():
         "y = 2  # repro: allow(*)\n")
     assert allowed[1] == {"real-attr", "wallclock"}
     assert allowed[2] == {"*"}
+
+
+def test_allow_in_docstring_is_inert():
+    src = ('def f():\n'
+           '    """mentions # repro: allow(wallclock) in prose"""\n'
+           '    return 1\n')
+    assert parse_suppressions(src) == {}
+
+
+# -- stale suppressions --------------------------------------------------------
+
+
+def _stale(rel):
+    path = FIXTURES / rel
+    return stale_suppressions(path.read_text(), str(path), _lint(rel))
+
+
+def test_dead_waiver_becomes_a_finding():
+    live = [f for f in _stale("apps/bad_stale_suppression.py")
+            if not f.suppressed]
+    assert len(live) == 2           # the dead waiver and the typo
+    assert all(f.rule == STALE_RULE for f in live)
+    assert any("real-atr" in f.message for f in live)
+
+
+def test_stale_suppression_is_itself_suppressible():
+    findings = _stale("apps/ok_stale_suppression.py")
+    assert findings and all(f.suppressed for f in findings)
+
+
+def test_used_waivers_are_not_stale():
+    assert _stale("upc/ok_real_attr.py") == []
 
 
 # -- budget ratchet ------------------------------------------------------------
@@ -163,11 +174,13 @@ def test_write_budget_snapshots_unsuppressed_counts(tmp_path):
 
 
 def test_shipped_tree_within_checked_in_budget():
-    """`python -m repro.analysis src/` must exit 0 on the repo as shipped."""
+    """`python -m repro.analysis src/` must exit 0 on the repo as shipped,
+    and no waiver in it is dead."""
     findings, violations, _slack = run_analysis(
         [str(REPO / "src")], budget_path=REPO / "analysis_budget.json")
     assert violations == [], "\n".join(
         [f.render() for f in findings if not f.suppressed] + violations)
+    assert [f.render() for f in findings if f.rule == STALE_RULE] == []
 
 
 def test_cli_fails_on_new_unsuppressed_debt(tmp_path):

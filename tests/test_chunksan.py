@@ -59,7 +59,7 @@ def test_chunksan_accepts_touch_covered_buffer_writes(writes):
     with sanitized() as san:
         prev = _capture(mem)
         for off, length in writes:
-            region.buffer[off:off + length] = bytes([7]) * length
+            region._buf[off:off + length] = bytes([7]) * length
             region.touch(off, length)
             prev = _capture(mem, prev=prev)
         assert san.stale_caught == 0
@@ -75,7 +75,7 @@ def test_chunksan_catches_seeded_stale_stamp():
         prev = _capture(mem)
         # the bug under test: bytes move in chunk 2, stamps do not
         lo = 2 * CHUNK_BYTES + 17
-        region.buffer[lo:lo + 4] = b"XXXX"
+        region._buf[lo:lo + 4] = b"XXXX"
         with pytest.raises(ChunkSanError) as exc:
             _capture(mem, prev=prev)
         assert "chunk 2" in str(exc.value)
@@ -91,7 +91,7 @@ def test_chunksan_error_carries_last_touch_backtrace():
         view = region.view()
         view[0:10] = 9                   # the touch ChunkSan remembers
         prev = _capture(mem, prev=prev)
-        region.buffer[0:4] = b"ZZZZ"     # ...then an untracked write
+        region._buf[0:4] = b"ZZZZ"       # ...then an untracked write
         with pytest.raises(ChunkSanError) as exc:
             _capture(mem, prev=prev)
     message = str(exc.value)
@@ -104,7 +104,7 @@ def test_untouched_chunk_reports_no_backtrace_available():
     region = mem.mmap("data", SIZE)
     with sanitized():
         prev = _capture(mem)
-        region.buffer[0:4] = b"QQQQ"
+        region._buf[0:4] = b"QQQQ"
         with pytest.raises(ChunkSanError) as exc:
             _capture(mem, prev=prev)
     assert "never touch()ed" in str(exc.value)
@@ -119,7 +119,7 @@ def test_no_region_is_exempt():
     the next capture."""
     mem = AddressSpace("p0")
     region = mem.mmap("data", SIZE)
-    arr = np.frombuffer(region.buffer, dtype=np.uint8)
+    arr = np.frombuffer(region._buf, dtype=np.uint8)
     with sanitized() as san:
         prev = _capture(mem)
         arr[0:100] = 42

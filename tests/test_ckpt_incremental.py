@@ -135,11 +135,15 @@ def test_pooled_capture_is_bit_identical_to_serial(monkeypatch):
     pooled_batches = []
     real_pool = image_mod._pool
 
-    def counting_pool():
-        pooled_batches.append(1)
-        return real_pool()
+    class RecordingPool:
+        """Hands the real pool each batch, keeping what it maps."""
 
-    monkeypatch.setattr(image_mod, "_pool", counting_pool)
+        def map(self, fn, items):
+            items = list(items)
+            pooled_batches.append(items)
+            return real_pool().map(fn, items)
+
+    monkeypatch.setattr(image_mod, "_pool", RecordingPool)
     for with_chunksan in (False, True):
         outcomes = {}
         for width in (1, 2):
@@ -149,6 +153,10 @@ def test_pooled_capture_is_bit_identical_to_serial(monkeypatch):
                 outcomes[width] = _full_then_incremental()
             # width 2 pooled both captures' batches; width 1 none
             assert len(pooled_batches) == (2 if width > 1 else 0)
+            # a worker only ever sees immutable bytes: never a Region or
+            # a view that could reach its bytes or stamps
+            assert all(type(item) is bytes
+                       for batch in pooled_batches for item in batch)
         assert outcomes[1] == outcomes[2]
 
 

@@ -94,8 +94,8 @@ def test_scatter_gather_multiple_elements(ib_pair):
     qa, qb = _connected(ib_pair)
     sbuf, smr = a.reg(64, "s")
     rbuf, rmr = b.reg(64, "r")
-    sbuf.buffer[0:4] = b"AAAA"
-    sbuf.buffer[32:36] = b"BBBB"
+    sbuf.write(0, b"AAAA")
+    sbuf.write(32, b"BBBB")
     b.lib.post_recv(qb, ibv_recv_wr(1, [
         ibv_sge(rbuf.addr, 4, rmr.lkey),
         ibv_sge(rbuf.addr + 16, 4, rmr.lkey)]))

@@ -47,7 +47,7 @@ def test_send_recv_moves_bytes(ib_pair):
     qa, qb = _connected_pair(ib_pair)
     sbuf, smr = a.reg(64, "sbuf")
     rbuf, rmr = b.reg(64, "rbuf")
-    sbuf.buffer[:5] = b"hello"
+    sbuf.write(0, b"hello")
 
     b.lib.post_recv(qb, ibv_recv_wr(wr_id=7, sg_list=[
         ibv_sge(rbuf.addr, 64, rmr.lkey)]))
@@ -88,7 +88,7 @@ def test_multiple_messages_arrive_in_order(ib_pair):
         b.lib.post_recv(qb, ibv_recv_wr(100 + i, [
             ibv_sge(rbuf.addr + 16 * i, 16, rmr.lkey)]))
     for i in range(8):
-        sbuf.buffer[16 * i] = i + 1
+        sbuf.write(16 * i, bytes([i + 1]))
         a.lib.post_send(qa, ibv_send_wr(i, [
             ibv_sge(sbuf.addr + 16 * i, 16, smr.lkey)],
             opcode=WrOpcode.SEND))
@@ -131,7 +131,7 @@ def test_rdma_write_places_data_no_recv_wqe(ib_pair):
     qa, qb = _connected_pair(ib_pair)
     sbuf, smr = a.reg(32, "s")
     rbuf, rmr = b.reg(32, "r")
-    sbuf.buffer[:4] = b"RDMA"
+    sbuf.write(0, b"RDMA")
     a.lib.post_send(qa, ibv_send_wr(
         9, [ibv_sge(sbuf.addr, 4, smr.lkey)], opcode=WrOpcode.RDMA_WRITE,
         remote_addr=rbuf.addr + 8, rkey=rmr.rkey))
@@ -167,7 +167,7 @@ def test_rdma_read_fetches_remote(ib_pair):
     qa, qb = _connected_pair(ib_pair)
     lbuf, lmr = a.reg(32, "l")
     rbuf, rmr = b.reg(32, "r")
-    rbuf.buffer[:6] = b"remote"
+    rbuf.write(0, b"remote")
     a.lib.post_send(qa, ibv_send_wr(
         11, [ibv_sge(lbuf.addr, 6, lmr.lkey)], opcode=WrOpcode.RDMA_READ,
         remote_addr=rbuf.addr, rkey=rmr.rkey))
@@ -216,11 +216,11 @@ def test_inline_send_copies_at_post_time(ib_pair):
     sbuf, smr = a.reg(8, "s")
     rbuf, rmr = b.reg(8, "r")
     b.lib.post_recv(qb, ibv_recv_wr(1, [ibv_sge(rbuf.addr, 8, rmr.lkey)]))
-    sbuf.buffer[:3] = b"old"
+    sbuf.write(0, b"old")
     a.lib.post_send(qa, ibv_send_wr(
         2, [ibv_sge(sbuf.addr, 3, smr.lkey)], opcode=WrOpcode.SEND,
         send_flags=SendFlags.SIGNALED | SendFlags.INLINE))
-    sbuf.buffer[:3] = b"new"  # reuse buffer immediately: legal for INLINE
+    sbuf.write(0, b"new")  # reuse buffer immediately: legal for INLINE
     env.run(until=env.process(_drain(b.lib, b.cq, 1, env)()))
     assert bytes(rbuf.buffer[:3]) == b"old"
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory import PAGE_SIZE, AddressSpace, MemoryError_
+from repro.memory import CHUNK_BYTES, PAGE_SIZE, AddressSpace, MemoryError_
 
 
 def test_mmap_and_rw():
@@ -195,7 +195,7 @@ def test_snapshot_restore_bitexact_property(blobs):
         regions.append(mem.mmap(f"r{i}", len(blob), data=blob))
     snap = mem.snapshot()
     for r in regions:  # scribble over everything
-        r.buffer[:] = bytes(len(r.buffer))
+        r.write(0, bytes(r.size))
     mem.restore(snap)
     for r, blob in zip(regions, blobs):
         assert bytes(r.buffer) == blob
@@ -212,3 +212,108 @@ def test_rw_roundtrip_property(size, offset, data):
     else:
         with pytest.raises(MemoryError_):
             mem.write(r.addr + offset, data)
+
+
+# -- the stamp discipline is a property of the type ---------------------------
+
+
+class _RevertedLuKernel:
+    """The idiom a writable ``region.buffer`` once allowed: a raw float
+    view stored on the kernel object and written in the sweep."""
+
+    def setup(self, region):
+        self.u = np.frombuffer(region.buffer, dtype="f8")
+
+    def sweep(self):
+        self.u[1:-1] += 0.25 * self.u[2:]
+
+
+def _lu_idiom(region):
+    kernel = _RevertedLuKernel()
+    kernel.setup(region)
+    kernel.sweep()
+
+
+def _frombuffer_write(region):
+    np.frombuffer(region.buffer, dtype=np.uint8)[0] = 1
+
+
+def _setflags_writable(region):
+    np.frombuffer(region.buffer, dtype=np.uint8).setflags(write=True)
+
+
+def _slice_write(region):
+    region.buffer[0:4] = b"ZZZZ"
+
+
+def _memoryview_write(region):
+    memoryview(region.buffer)[5] = 7
+
+
+@pytest.mark.parametrize("write,error", [
+    (_slice_write, TypeError),
+    (_memoryview_write, TypeError),
+    (_frombuffer_write, ValueError),
+    (_setflags_writable, ValueError),
+    (_lu_idiom, ValueError),
+], ids=lambda v: getattr(v, "__name__", "").lstrip("_"))
+def test_buffer_refuses_every_raw_write_form(write, error):
+    """No write reaches a region's bytes behind its chunk stamps: each raw
+    form raises, and the bytes and stamps are left as they were."""
+    r = AddressSpace().mmap("r", 2 * CHUNK_BYTES, data=b"\x01" * 64)
+    before, gens = bytes(r.buffer), r.chunk_gens.copy()
+    with pytest.raises(error):
+        write(r)
+    assert bytes(r.buffer) == before
+    assert np.array_equal(r.chunk_gens, gens)
+
+
+def _straddling_write(r):
+    r.write(CHUNK_BYTES - 2, b"wxyz")
+    return {0, 1}
+
+
+def _straddling_copy(r):
+    r.copy_within(0, 2 * CHUNK_BYTES - 3, 6)
+    return {1, 2}
+
+
+def _zero_length_write(r):
+    r.write(CHUNK_BYTES, b"")
+    return set()
+
+
+@pytest.mark.parametrize("write", [
+    _straddling_write, _straddling_copy, _zero_length_write,
+], ids=lambda f: f.__name__.lstrip("_"))
+def test_region_writers_stamp_exactly_the_span_written(write):
+    r = AddressSpace().mmap("r", 4 * CHUNK_BYTES)
+    gens = r.chunk_gens.copy()
+    stamped = write(r)
+    moved = set(np.flatnonzero(r.chunk_gens != gens).tolist())
+    assert moved == stamped
+
+
+@pytest.mark.parametrize("src,dst,n", [
+    (0, 3, 10), (3, 0, 10), (CHUNK_BYTES - 5, CHUNK_BYTES - 2, 9),
+])
+def test_overlapping_copy_within_matches_bytes_slicing(src, dst, n):
+    data = bytes(i % 251 for i in range(2 * CHUNK_BYTES))
+    r = AddressSpace().mmap("r", len(data), data=data)
+    r.copy_within(src, dst, n)
+    assert bytes(r.buffer) == data[:dst] + data[src:src + n] + data[dst + n:]
+
+
+def test_region_writers_never_grow_a_region():
+    """A span past the end (or before the start) is a segfault, not a
+    silent resize of the backing bytes."""
+    r = AddressSpace("p").mmap("a", 8192)
+    for bad in (lambda: r.write(8190, b"wxyz"),
+                lambda: r.write(-1, b"w"),
+                lambda: r.copy_within(8190, 0, 4),
+                lambda: r.copy_within(0, 8190, 4)):
+        with pytest.raises(MemoryError_):
+            bad()
+    assert len(r.buffer) == r.size == 8192
+    assert bytes(r.buffer) == bytes(8192)
+    assert not r.chunk_gens.any()

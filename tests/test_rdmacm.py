@@ -64,7 +64,7 @@ def _client_app(state, server_host, port=5):
         state["client_private"] = cm_id.private_data
         buf = ctx.memory.mmap(f"{ctx.name}.buf", 64)
         mr = ibv.reg_mr(pd, buf.addr, 64, FULL)
-        buf.buffer[:5] = b"MAGIC"
+        buf.write(0, b"MAGIC")
         while not state.get("go", True):
             yield ctx.sleep(1e-4)
         ibv.post_send(cm_id.qp, ibv_send_wr(2, [
@@ -155,7 +155,7 @@ def test_rdmacm_disconnect_destroys_qp():
         yield from cm.connect(cm_id)
         buf = ctx.memory.mmap(f"{ctx.name}.buf", 64)
         mr = ibv.reg_mr(pd, buf.addr, 64, FULL)
-        buf.buffer[:5] = b"MAGIC"
+        buf.write(0, b"MAGIC")
         ibv.post_send(cm_id.qp, ibv_send_wr(2, [
             ibv_sge(buf.addr, 5, mr.lkey)], opcode=WrOpcode.SEND))
         while not ibv.poll_cq(cq, 1):
