@@ -96,6 +96,28 @@ def test_faults_prefix_owns_the_fault_namespace():
     assert _lint("faults/clean_fault_stream.py") == []
 
 
+def test_fixture_tree_scopes_like_the_package(tmp_path):
+    """The same reserved-stream draw flags outside faults/ and is clean
+    inside a tree that mirrors the package layout; a wall-clock seed
+    flags on both sides."""
+    src = ("import time\n\n\ndef f(rng):\n"
+           "    return rng.fault_stream('net')\n\n\n"
+           "def g(rng):\n"
+           "    return rng.child(time.time())\n")
+    outside = tmp_path / "apps" / "mod.py"
+    inside = tmp_path / "faults" / "mod.py"
+    for p in (outside, inside):
+        p.parent.mkdir(parents=True, exist_ok=True)
+        p.write_text(src)
+
+    def taint_lines(path):
+        return [f.line for f in lint_file(path, root=tmp_path)
+                if f.rule == "rng-taint"]
+
+    assert taint_lines(outside) == [5, 9]
+    assert taint_lines(inside) == [9]
+
+
 # -- suppression parsing -------------------------------------------------------
 
 
@@ -193,6 +215,18 @@ def test_cli_fails_on_new_unsuppressed_debt(tmp_path):
     # an adequate budget turns the same scan green
     budget.write_text(json.dumps({"real-struct": 9}))
     assert main([str(bad), "--budget", str(budget)]) == 0
+
+
+def test_cli_reports_rng_taint(tmp_path, capsys):
+    from repro.analysis.__main__ import main
+
+    bad = FIXTURES / "apps/bad_rng_taint.py"
+    budget = tmp_path / "budget.json"
+    budget.write_text("{}")
+    assert main([str(bad), "--budget", str(budget)]) == 1
+    out = capsys.readouterr().out
+    assert out.count("rng-taint") >= 4
+    assert "4 unsuppressed" in out
 
 
 def test_lint_paths_scans_directories_recursively():

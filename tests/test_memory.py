@@ -317,3 +317,35 @@ def test_region_writers_never_grow_a_region():
     assert len(r.buffer) == r.size == 8192
     assert bytes(r.buffer) == bytes(8192)
     assert not r.chunk_gens.any()
+
+
+def test_buffer_is_a_live_view_of_every_writer():
+    """``region.buffer`` is read-only but not a copy: a view taken once
+    sees what each writer puts in afterwards."""
+    mem = AddressSpace("p")
+    r = mem.mmap("r", 64)
+    v = r.buffer
+    assert v.readonly
+    r.write(0, b"ab")
+    r.copy_within(0, 2, 2)
+    mem.write(r.addr + 4, b"cd")
+    r.view()[6] = ord("e")
+    assert bytes(v[:7]) == b"ababcde"
+
+
+def test_restore_lands_under_views_taken_before_it():
+    """Restore copies into the existing bytes, so a read-only buffer and
+    a TrackedView taken before the snapshot both see the restored
+    content — and the view still stamps its writes afterwards."""
+    mem = AddressSpace("p")
+    r = mem.mmap("r", 2 * CHUNK_BYTES, data=b"\x05" * 16)
+    ro, tv = r.buffer, r.view()
+    snap = mem.snapshot()
+    r.write(0, bytes(16))
+    mem.restore(snap)
+    assert bytes(ro[:16]) == b"\x05" * 16
+    assert (tv[:16] == 5).all()
+    gens = r.chunk_gens.copy()
+    tv[CHUNK_BYTES] = 9
+    assert ro[CHUNK_BYTES] == 9
+    assert np.flatnonzero(r.chunk_gens != gens).tolist() == [1]

@@ -7,6 +7,7 @@ import pytest
 from repro.core import InfinibandPlugin
 from repro.dmtcp import dmtcp_launch, dmtcp_restart, native_launch
 from repro.hardware import BUFFALO_CCR, Cluster, ETHERNET_DEBUG_CLUSTER
+from repro.memory import CHUNK_BYTES
 from repro.mpi import make_mpi_specs
 from repro.sim import Environment
 
@@ -219,6 +220,25 @@ def test_alltoall_buffers(nprocs):
 
     env, results = _run_native(app, nprocs=nprocs, n_nodes=min(nprocs, 4))
     assert all(results)
+
+
+def test_alltoall_local_block_is_stamped():
+    """The rank's own block is a local copy, not a message: it must still
+    stamp the recv chunks it wrote, and leave the send stamps alone."""
+    block = CHUNK_BYTES
+
+    def app(ctx, comm):
+        send = ctx.memory.mmap(f"{ctx.name}.send", block,
+                               data=bytes([7]) * block)
+        recv = ctx.memory.mmap(f"{ctx.name}.recv", 2 * block)
+        sgens, rgens = send.chunk_gens.copy(), recv.chunk_gens.copy()
+        yield from comm.alltoall_buffers(send, recv, block)
+        return (np.flatnonzero(recv.chunk_gens != rgens).tolist(),
+                bool(np.array_equal(send.chunk_gens, sgens)),
+                bytes(recv.buffer[:block]) == bytes([7]) * block)
+
+    env, results = _run_native(app, nprocs=1, n_nodes=1)
+    assert results == [([0], True, True)]
 
 
 def test_sendrecv_halo():

@@ -9,6 +9,7 @@ from repro.apps.nas.upc_ft import upc_ft_app
 from repro.core import InfinibandPlugin
 from repro.dmtcp import dmtcp_launch, dmtcp_restart, native_launch
 from repro.hardware import BUFFALO_CCR, Cluster
+from repro.memory import CHUNK_BYTES
 from repro.upc import make_upc_specs
 from repro.sim import Environment
 
@@ -95,6 +96,40 @@ def test_shared_array_affinity_and_access():
 
     env, results = _run_native(app, threads=4)
     assert results == [28.0] * 4  # 0+1+...+7
+
+
+def _chunks(offset, length):
+    return set(range(offset // CHUNK_BYTES,
+                     (offset + length - 1) // CHUNK_BYTES + 1))
+
+
+def test_local_get_put_stamp_exactly_the_block_moved():
+    """A same-thread get/put is a copy inside MYTHREAD's segment: it
+    stamps the destination span's chunks and nothing else."""
+    def app(ctx, upc):
+        arr = upc.all_alloc(nblocks=4, block_bytes=CHUNK_BYTES)
+        mine = [b for b in range(4) if arr.owner(b) == upc.MYTHREAD]
+        arr.local_view(mine[0])[:] = 1.0 + upc.MYTHREAD
+        scratch = upc.scratch(CHUNK_BYTES)
+        seg = upc.core.segment
+        moved = []
+        for op, block, dst in ((arr.get, mine[0], scratch),
+                               (arr.put, mine[1], arr.local_offset(mine[1]))):
+            gens = seg.chunk_gens.copy()
+            yield from op(block, scratch)
+            moved.append((set(np.flatnonzero(seg.chunk_gens != gens)
+                              .tolist()), _chunks(dst, CHUNK_BYTES)))
+        copied = np.frombuffer(seg.buffer, dtype=np.float64,
+                               count=CHUNK_BYTES // 8,
+                               offset=arr.local_offset(mine[1]))
+        yield from upc.barrier()
+        return moved, bool((copied == 1.0 + upc.MYTHREAD).all())
+
+    env, results = _run_native(app, threads=2, n_nodes=2)
+    for moved, copied in results:
+        assert copied
+        for got, want in moved:
+            assert got == want
 
 
 def test_shared_array_remote_affinity_guard():
