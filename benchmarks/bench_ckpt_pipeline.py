@@ -48,8 +48,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.dmtcp import image as image_mod  # noqa: E402
-from repro.dmtcp.image import (  # noqa: E402
-    CAPTURE_CHUNK_BYTES, CheckpointImage)
+from repro.dmtcp.image import CheckpointImage  # noqa: E402
 from repro.faults.harness import run_chaos_nas  # noqa: E402
 from repro.faults.schedule import FixedSchedule  # noqa: E402
 from repro.memory import AddressSpace  # noqa: E402
@@ -99,9 +98,8 @@ def _capture(memory, prev=None):
 
 def _pool_speedup(image: CheckpointImage) -> dict:
     """Serial vs as-capture-decides measurement of one cold chunk set."""
-    chunks = [r["data"][off:off + CAPTURE_CHUNK_BYTES]
-              for r in image.memory_snapshot["regions"]
-              for off in range(0, r["size"], CAPTURE_CHUNK_BYTES)]
+    chunks = [window for r in image.memory_snapshot["regions"]
+              for window in image_mod._windows(r["data"])]
     t0 = time.perf_counter()
     serial = [image_mod._zlen(c) for c in chunks]
     t_serial = time.perf_counter() - t0

@@ -6,6 +6,14 @@ An image holds a real serialization of the process's user-space memory
 InfiniBand driver, which drive the paper's §4 restart-compatibility
 limitations.
 
+In memory a region's bytes are a tuple of ``bytes`` pieces, one per
+:data:`~repro.memory.CHUNK_BYTES` slice (:meth:`~repro.memory.Region.
+pieces`; the last may be short, an empty region has none).  That is the
+store's chunk too, so a store put lands each new piece object as is and
+swaps a deduplicated one for the object already on the tier, and a
+fetched image holds the tier's objects: image, tiers and fetched image
+share one object per distinct chunk content (DESIGN.md §15).
+
 Logical (paper-testbed-equivalent) sizes are tracked alongside the real
 bytes so scaled-down workloads report paper-magnitude checkpoint sizes and
 times; the compression ratio applied to the logical size is the ratio
@@ -13,7 +21,7 @@ actually measured on the real bytes.
 
 Incremental capture (DESIGN.md §8/§13): :meth:`CheckpointImage.capture`
 takes an optional ``prev`` image.  A region whose generation is
-unchanged since ``prev`` is *clean*: its stored bytes and measured
+unchanged since ``prev`` is *clean*: its pieces and measured
 compression ratio are reused verbatim, skipping the zlib pass and, when
 ``prev`` still holds its bytes, the copy too (a file-mode ``prev`` keeps
 only its layout, so the live region's bytes are copied).  Dirtiness
@@ -24,8 +32,10 @@ dirty mask, and only the dirty chunks count toward the incremental
 write-back delta (:func:`~repro.memory.dirty_chunk_bytes`, the count live
 pre-copy migration asks too) — clean chunks also keep their known store
 digests so a later store put never re-hashes them.  No byte of a region
-is hashed or compared to prove it clean.  Dirty regions are snapshotted
-fresh and their ratios measured over fixed-size chunks
+is hashed or compared to prove it clean.  Dirty regions are cut into
+fresh pieces from live memory (no piece of a dirty region is reused, so
+nothing beyond the stamps is trusted) and their ratios measured over
+:data:`CAPTURE_CHUNK_BYTES` windows, each the join of its pieces
 (:func:`_measure_zlens` decides whether a thread pool pays for the batch
 in hand) — unless the region still carries the ratio an earlier capture
 measured on these very bytes (:attr:`~repro.memory.Region.gzip_ratio`,
@@ -45,7 +55,7 @@ from typing import ClassVar, Dict, Optional
 
 import numpy as np
 
-from ..memory import AddressSpace, dirty_chunk_bytes
+from ..memory import CHUNK_BYTES, AddressSpace, dirty_chunk_bytes
 
 __all__ = ["CheckpointImage", "ImageError", "CAPTURE_CHUNK_BYTES"]
 
@@ -56,6 +66,9 @@ class ImageError(RuntimeError):
 
 #: chunk granularity of the capture pipeline's compression measurement
 CAPTURE_CHUNK_BYTES = 1 << 20
+#: region pieces (:data:`~repro.memory.CHUNK_BYTES` each) per measurement
+#: window
+_WINDOW_PIECES = CAPTURE_CHUNK_BYTES // CHUNK_BYTES
 
 
 def _usable_cpus() -> int:
@@ -82,6 +95,13 @@ def _pool() -> ThreadPoolExecutor:
 
 def _zlen(chunk: bytes) -> int:
     return len(zlib.compress(chunk, 1))
+
+
+def _windows(pieces) -> list:
+    """A region's pieces joined into its :data:`CAPTURE_CHUNK_BYTES`
+    measurement windows (the last may be short)."""
+    return [b"".join(pieces[i:i + _WINDOW_PIECES])
+            for i in range(0, len(pieces), _WINDOW_PIECES)]
 
 
 def _measure_zlens(chunks):
@@ -215,18 +235,19 @@ class CheckpointImage:
             if clean:
                 stats["regions_clean_gen"] += 1
                 chunk_hashes = pm.get("chunk_hashes")
-                # bytes are immutable: share them — unless ``prev`` kept
-                # only its layout (its blob holds the bytes), in which
-                # case the live region still holds exactly these bytes
+                # pieces are immutable: share ``prev``'s tuple — unless
+                # ``prev`` kept only its layout (its blob holds the
+                # bytes), in which case the live region still holds
+                # exactly these bytes
                 data = ps["data"]
                 if data is None:
-                    data = bytes(region.buffer)
+                    data = region.pieces()
                 ratio = pm["ratio"]
                 stats["bytes_clean"] += region.size
                 stats["chunks_clean"] += n_chunks
                 dirty_frac = 0.0
             else:
-                data = bytes(region.buffer)
+                data = region.pieces()
                 stats["regions_dirty"] += 1
                 stats["bytes_dirty"] += region.size
                 if dirty_mask is None:
@@ -292,18 +313,16 @@ class CheckpointImage:
                 "capture.compress", proc_name, t_sim,
                 regions=len(measure_jobs),
                 **({"reused": n_reused} if n_reused else {}))
-            chunks = []     # (job_index, chunk)
-            for j, job in enumerate(measure_jobs):
-                data = job[1]
-                for off in range(0, len(data), CAPTURE_CHUNK_BYTES):
-                    chunks.append((j, data[off:off + CAPTURE_CHUNK_BYTES]))
+            chunks = [(j, window)
+                      for j, job in enumerate(measure_jobs)
+                      for window in _windows(job[1])]
             zlens = _measure_zlens([c for _j, c in chunks])
             compressed = [0] * len(measure_jobs)
             for (j, _c), zl in zip(chunks, zlens):
                 compressed[j] += zl
-            for (entry, data, region, reused), zbytes in zip(measure_jobs,
-                                                             compressed):
-                ratio = zbytes / max(1, len(data))
+            for (entry, _data, region, reused), zbytes in zip(measure_jobs,
+                                                              compressed):
+                ratio = zbytes / max(1, region.size)
                 if reused is not None:
                     san.check_ratio(proc_name, region, reused, ratio)
                 entry["ratio"] = region.gzip_ratio = ratio

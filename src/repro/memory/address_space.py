@@ -126,6 +126,15 @@ class Region:
         a NumPy array made from it) raises."""
         return memoryview(self._buf).toreadonly()
 
+    def pieces(self) -> tuple:
+        """A copy of the region's bytes as one ``bytes`` piece per
+        :data:`CHUNK_BYTES` slice (the last may be short; an empty
+        region has none): the form a checkpoint image and the store's
+        chunk files both hold, so one object can serve both."""
+        view = memoryview(self._buf)
+        return tuple(bytes(view[off: off + CHUNK_BYTES])
+                     for off in range(0, self.size, CHUNK_BYTES))
+
     def _check_span(self, offset: int, length: int) -> None:
         if offset < 0 or length < 0 or offset + length > self.size:
             raise MemoryError_(
@@ -532,14 +541,15 @@ class AddressSpace:
 
     @staticmethod
     def snapshot_region(region: Region) -> dict:
-        """Deep copy of one region's mapping entry and contents."""
+        """Deep copy of one region's mapping entry and contents (the
+        bytes as :meth:`Region.pieces`)."""
         return {
             "name": region.name,
             "addr": region.addr,
             "size": region.size,
             "repr_scale": region.repr_scale,
             "tag": region.tag,
-            "data": bytes(region._buf),
+            "data": region.pieces(),
         }
 
     def snapshot(self) -> dict:
@@ -560,6 +570,8 @@ class AddressSpace:
         pointers held on thread stacks) keep working.  Regions mapped after
         the snapshot was taken are unmapped.  Pin counts reset to zero: a
         freshly restarted process has no pinned memory (§4 of the paper).
+        A region's ``data`` is its tuple of pieces (:meth:`Region.pieces`),
+        written at consecutive offsets.
         """
         snap_addrs = {r["addr"] for r in snap["regions"]}
         for region in [r for r in self._regions.values()
@@ -579,7 +591,16 @@ class AddressSpace:
             if existing.size != rsnap["size"]:
                 raise MemoryError_(
                     f"region {existing.name!r} size changed since snapshot")
-            existing._buf[:] = rsnap["data"]
+            pieces = rsnap["data"]
+            if not isinstance(pieces, tuple) \
+                    or sum(map(len, pieces)) != existing.size:
+                raise MemoryError_(
+                    f"region {existing.name!r}: snapshot data is not a "
+                    f"tuple of pieces covering {existing.size} bytes")
+            off = 0
+            for piece in pieces:
+                existing._buf[off: off + len(piece)] = piece
+                off += len(piece)
             existing.pin_count = 0
             existing.touch()
         self._next_addr = max(self._next_addr, snap["next_addr"])

@@ -105,7 +105,7 @@ class CheckpointService(CheckpointStore):
         disk = self.local.replica_disk(node_index)
         fs = disk.fs
         pairs = self._refs_for(image)
-        referenced = sum(ref.logical_bytes for ref, _d in pairs) * stall \
+        referenced = sum(ref.logical_bytes for ref, _p in pairs) * stall \
             + image.header_bytes
         result = PutResult(epoch=epoch, manifest_path="")
         try:
@@ -122,24 +122,27 @@ class CheckpointService(CheckpointStore):
         t0 = self.env.now
         stored = False
         try:
+            kept = [piece for _ref, piece in pairs]
             by_shard: Dict[int, list] = {}
-            for ref, data in pairs:
+            for i, (ref, _piece) in enumerate(pairs):
                 by_shard.setdefault(
-                    self.index.shard_of(ref.digest), []).append((ref, data))
+                    self.index.shard_of(ref.digest), []).append((i, ref))
             for shard_id in sorted(by_shard):
                 # one shard at a time, never nested: no lock-order cycles
                 yield from self.index.acquire(shard_id)
                 try:
-                    for ref, data in by_shard[shard_id]:
+                    for i, ref in by_shard[shard_id]:
                         path = chunk_path(ref.digest)
-                        if fs.exists(path):
+                        held = self._land_or_dedup(fs, path, kept[i])
+                        if held is not None:
                             # previous epoch, another rank, or another
                             # *job* already landed these bytes
+                            kept[i] = held
                             result.chunks_deduped += 1
                             self.index.note_dedup(shard_id)
                             continue
                         logical = ref.logical_bytes * stall
-                        yield from disk.write(path, ref.slice(data),
+                        yield from disk.write(path, kept[i],
                                               logical_size=logical)
                         result.chunks_new += 1
                         result.bytes_written += logical
@@ -147,9 +150,10 @@ class CheckpointService(CheckpointStore):
                         self.index.note_new(shard_id, ref.digest, logical)
                 finally:
                     self.index.release(shard_id)
+            self._adopt(image, kept)
             manifest = self._manifest_for(image, rank, node_index, epoch,
-                                          [ref for ref, _d in pairs])
-            yield from disk.write(manifest.path, manifest.to_bytes(),
+                                          [ref for ref, _p in pairs])
+            yield from disk.write(manifest.path, manifest.blob,
                                   logical_size=image.header_bytes)
             result.bytes_written += image.header_bytes
             result.manifest_path = manifest.path

@@ -13,12 +13,18 @@ live tier is a complete checkpoint.
 Manifests are small (a few hundred bytes per region) and are replicated
 to every tier alongside the chunks they reference; their serialized form
 is what :class:`~.store.CheckpointStore` garbage-collects by refcount.
+A manifest is rendered once (:attr:`Manifest.blob`) and every tier
+stores that same object.  Its header is its own: :func:`copy_header`
+gives it a copy of the image's mutable bookkeeping, and every image
+rebuilt from it gets another, so no reader of an image can rewrite a
+stored manifest.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional
 
 __all__ = ["ChunkRef", "Manifest", "ManifestError",
@@ -45,14 +51,31 @@ def manifest_path(proc_name: str, epoch: int) -> str:
     return f"{MANIFEST_PREFIX}{proc_name}/{epoch:08d}"
 
 
+def copy_header(header: Dict) -> Dict:
+    """``header`` with its mutable parts copied: each ``region_meta``
+    entry (and its ``chunk_hashes`` list) and ``capture_stats``.  The
+    immutable values (numbers, strings, digests, ``chunk_gens`` bytes)
+    stay shared."""
+    out = dict(header)
+    meta = {}
+    for name, entry in header.get("region_meta", {}).items():
+        entry = dict(entry)
+        if entry.get("chunk_hashes") is not None:
+            entry["chunk_hashes"] = list(entry["chunk_hashes"])
+        meta[name] = entry
+    out["region_meta"] = meta
+    out["capture_stats"] = dict(header.get("capture_stats", {}))
+    return out
+
+
 class ChunkRef(NamedTuple):
     """One region chunk's reference into the pool.
 
     A region spanning more than :data:`~repro.memory.CHUNK_BYTES` emits
-    one ref per chunk-sized slice; ``offset`` is the slice's byte offset
-    within the region, so reassembly concatenates a region's refs in
-    offset order.  A plain immutable record: a put builds one per chunk
-    and manifests keep them for the life of their epoch.
+    one ref per piece of its image data; ``offset`` is the piece's byte
+    offset within the region, so reassembly lays a region's pieces out
+    in offset order.  A plain immutable record: a put builds one per
+    chunk and manifests keep them for the life of their epoch.
     """
 
     region_name: str
@@ -71,11 +94,6 @@ class ChunkRef(NamedTuple):
         (compressed: the writer pipes chunks through gzip)."""
         effective = min(1.0, self.ratio) if self.ratio is not None else 1.0
         return self.size * self.repr_scale * effective
-
-    def slice(self, region_data: bytes) -> bytes:
-        """This chunk's bytes out of its region's (the whole region, not
-        a copy, when the region is a single chunk)."""
-        return region_data[self.offset: self.offset + self.size]
 
 
 @dataclass
@@ -104,6 +122,13 @@ class Manifest:
 
     def digests(self) -> List[bytes]:
         return [ref.digest for ref in self.chunks]
+
+    @cached_property
+    def blob(self) -> bytes:
+        """:meth:`to_bytes`, rendered once: every tier this manifest
+        lands on stores this one object (the header never changes after
+        the put that built it)."""
+        return self.to_bytes()
 
     def to_bytes(self) -> bytes:
         payload = pickle.dumps(

@@ -5,20 +5,25 @@
 
 * **put** — ``put_image`` lands one process's :class:`~repro.dmtcp.image.
   CheckpointImage` on the node-local tier as content-addressed chunks (one
-  per ``CHUNK_BYTES`` slice of each memory region, keyed by the capture's
+  per piece of each memory region's data, keyed by the capture's
   per-chunk blake2b fingerprints) plus a :class:`~.manifest.Manifest`.  A
   chunk whose digest is already on the tier — same bytes from a previous
   epoch, or from another rank on the node — costs a manifest reference
   instead of a write, so an unchanged chunk is never rewritten or even
   re-hashed (the capture carries clean chunks' digests forward).
+  One object per chunk: a new chunk's file *is* the image's piece, and a
+  deduplicated piece is swapped for the object already on the tier
+  (:meth:`CheckpointStore._land_or_dedup`), so the image and every tier
+  share one ``bytes`` object per distinct chunk content.
 * **replicate** — the coordinator calls ``schedule_replication`` as each
   checkpoint epoch completes; an async sim process then copies missing
   chunks and manifests to the partner-node and Lustre tiers while the
   application runs on (the multi-level landing FTI popularized).
 * **fetch** — ``fetch_image`` reassembles a bit-identical image for
-  restart, resolving every chunk from the cheapest *live* tier.  Each
-  read is digest-verified; a corrupt copy is skipped, served from the
-  next replica, and healed in place.
+  restart, resolving every chunk from the cheapest *live* tier; the
+  image's pieces are the tier's objects, never joined.  Each read is
+  digest-verified; a corrupt copy is skipped, served from the next
+  replica, and healed in place.
 * **GC** — manifests are refcounted per tier filesystem; retiring an
   epoch under the retention policy deletes only chunks no surviving
   manifest references.
@@ -40,7 +45,7 @@ from ..hardware.cluster import Cluster
 from ..hardware.storage import FileSystem, StorageError
 from ..memory import CHUNK_BYTES
 from .chunks import digest_bytes
-from .manifest import ChunkRef, Manifest, chunk_path
+from .manifest import ChunkRef, Manifest, chunk_path, copy_header
 from .tiers import LocalTier, LustreTier, PartnerTier
 
 __all__ = ["CheckpointStore", "PutResult", "StoreConfig", "StoreError"]
@@ -184,11 +189,9 @@ class CheckpointStore:
 
     @staticmethod
     def _refs_for(image: CheckpointImage) -> List[Tuple[ChunkRef, bytes]]:
-        """One (chunk reference, its region's bytes) pair per
-        ``CHUNK_BYTES`` slice of every image region, reusing the
-        capture's per-chunk fingerprints when it recorded them.  Only a
-        chunk that is actually written gets cut out (``ref.slice(data)``):
-        most chunks dedup and never need a copy of their own.
+        """One (chunk reference, piece) pair per piece of every image
+        region, reusing the capture's per-chunk fingerprints when it
+        recorded them.
 
         Chunks the capture proved clean arrive with their digests already
         known (carried forward from the previous epoch), so only dirty
@@ -198,30 +201,60 @@ class CheckpointStore:
         """
         pairs = []
         for region in image.memory_snapshot["regions"]:
-            name, addr, size = region["name"], region["addr"], region["size"]
-            scale, tag, data = \
+            name, addr = region["name"], region["addr"]
+            scale, tag, pieces = \
                 region["repr_scale"], region["tag"], region["data"]
             meta = image.region_meta.get(name, {})
             generation, ratio = meta.get("generation", 0), meta.get("ratio")
-            n_chunks = -(-size // CHUNK_BYTES)
             hashes = meta.get("chunk_hashes")
-            if not (isinstance(hashes, list) and len(hashes) == n_chunks):
-                hashes = [None] * n_chunks
-            view = memoryview(data)
-            for i in range(n_chunks):
+            if not (isinstance(hashes, list) and len(hashes) == len(pieces)):
+                hashes = [None] * len(pieces)
+            for i, piece in enumerate(pieces):
                 lo = i * CHUNK_BYTES
                 if hashes[i] is None:
-                    hashes[i] = digest_bytes(view[lo: lo + CHUNK_BYTES])
+                    hashes[i] = digest_bytes(piece)
                 pairs.append((ChunkRef(
-                    name, hashes[i], addr + lo, min(CHUNK_BYTES, size - lo),
-                    scale, tag, generation, ratio, lo), data))
+                    name, hashes[i], addr + lo, len(piece),
+                    scale, tag, generation, ratio, lo), piece))
             if meta:
                 meta["chunk_hashes"] = hashes
         return pairs
 
+    @staticmethod
+    def _land_or_dedup(fs: FileSystem, path: str,
+                       piece: bytes) -> Optional[bytes]:
+        """The one rule every put and staging path lands a piece by.
+        ``None`` when ``path`` is not on ``fs``: the caller writes
+        ``piece`` itself, so the file is the image's object.  Otherwise
+        the piece the image keeps: the tier's own object, so image and
+        tier share one — unless the tier's copy has rotted, which the
+        image must not take on (the next fetch detects and heals it)."""
+        if not fs.exists(path):
+            return None
+        held = fs.load(path)
+        return held if held == piece else piece
+
+    @staticmethod
+    def _adopt(image: CheckpointImage, kept: List[bytes]) -> None:
+        """Point ``image`` at ``kept``, the pieces a put landed or
+        deduplicated against (in :meth:`_refs_for` order).  A region's
+        tuple is rebuilt only when some piece's identity changed, so a
+        clean region keeps sharing its tuple with the capture's
+        ``prev``."""
+        at = 0
+        for region in image.memory_snapshot["regions"]:
+            pieces = region["data"]
+            new = tuple(kept[at: at + len(pieces)])
+            at += len(pieces)
+            if any(a is not b for a, b in zip(pieces, new)):
+                region["data"] = new
+
     def _manifest_for(self, image: CheckpointImage, rank: int,
                       node_index: int, epoch: int,
                       refs: List[ChunkRef]) -> Manifest:
+        # the manifest keeps its own copy of the mutable bookkeeping:
+        # whoever later edits the image's (a restart reseeding
+        # generations) must not rewrite what is stored
         header = {
             "proc_name": image.proc_name, "pid": image.pid,
             "kernel_version": image.kernel_version,
@@ -238,7 +271,8 @@ class CheckpointStore:
             proc_name=image.proc_name, rank=rank, epoch=epoch,
             node_index=node_index % len(self.cluster.nodes),
             partner_index=self._partner_index(node_index), chunks=refs,
-            header=header, memory_name=image.memory_snapshot["name"],
+            header=copy_header(header),
+            memory_name=image.memory_snapshot["name"],
             next_addr=image.memory_snapshot["next_addr"])
 
     def put_image(self, rank: int, node_index: int, epoch: int,
@@ -259,21 +293,24 @@ class CheckpointStore:
             "store.put", image.proc_name, self.env.now, epoch=epoch,
             node=node_index, regions=len(image.memory_snapshot["regions"]))
         pairs = self._refs_for(image)
-        for ref, data in pairs:
+        kept = []
+        for ref, piece in pairs:
             path = chunk_path(ref.digest)
-            if fs.exists(path):
+            held = self._land_or_dedup(fs, path, piece)
+            if held is not None:
                 result.chunks_deduped += 1
+                kept.append(held)
                 continue
             logical = ref.logical_bytes * stall
-            yield from disk.write(path, ref.slice(data),
-                                  logical_size=logical)
+            yield from disk.write(path, piece, logical_size=logical)
+            kept.append(piece)
             result.chunks_new += 1
             result.bytes_written += logical
             result.bytes_real += float(ref.size)
+        self._adopt(image, kept)
         manifest = self._manifest_for(image, rank, node_index, epoch,
-                                      [ref for ref, _data in pairs])
-        blob = manifest.to_bytes()
-        yield from disk.write(manifest.path, blob,
+                                      [ref for ref, _piece in pairs])
+        yield from disk.write(manifest.path, manifest.blob,
                               logical_size=image.header_bytes)
         result.bytes_written += image.header_bytes
         result.manifest_path = manifest.path
@@ -368,7 +405,7 @@ class CheckpointStore:
                     continue
                 try:
                     yield from dst_disk.write(
-                        manifest.path, manifest.to_bytes(),
+                        manifest.path, manifest.blob,
                         logical_size=float(
                             manifest.header.get("header_bytes", 0.0)))
                 except StorageError:
@@ -479,10 +516,10 @@ class CheckpointStore:
 
     @staticmethod
     def _assemble_regions(parts: List[Tuple[ChunkRef, bytes]]) -> List[dict]:
-        """Regroup fetched (ref, data) pairs into region snapshot dicts,
-        concatenating each region's chunks in offset order (refs arrive
-        in manifest order, which keeps regions contiguous, but reassembly
-        does not rely on that)."""
+        """Regroup fetched (ref, piece) pairs into region snapshot dicts,
+        each region's pieces — the tier's own objects — in offset order
+        (refs arrive in manifest order, which keeps regions contiguous,
+        but reassembly does not rely on that)."""
         grouped: Dict[str, List[Tuple[ChunkRef, bytes]]] = {}
         for ref, data in parts:
             grouped.setdefault(ref.region_name, []).append((ref, data))
@@ -494,7 +531,7 @@ class CheckpointStore:
                 "name": name, "addr": first.addr - first.offset,
                 "size": sum(r.size for r, _d in pieces),
                 "repr_scale": first.repr_scale, "tag": first.tag,
-                "data": b"".join(d for _r, d in pieces),
+                "data": tuple(d for _r, d in pieces),
             })
         return regions
 
@@ -528,7 +565,8 @@ class CheckpointStore:
                        hits_lustre=hits["lustre"])
         snap = {"name": manifest.memory_name,
                 "next_addr": manifest.next_addr, "regions": regions}
-        return CheckpointImage(memory_snapshot=snap, **manifest.header)
+        return CheckpointImage(memory_snapshot=snap,
+                               **copy_header(manifest.header))
 
     def materialize_image(self, proc_name: str,
                           epoch: Optional[int] = None,
@@ -560,7 +598,8 @@ class CheckpointStore:
         regions = self._assemble_regions(parts)
         snap = {"name": manifest.memory_name,
                 "next_addr": manifest.next_addr, "regions": regions}
-        return CheckpointImage(memory_snapshot=snap, **manifest.header)
+        return CheckpointImage(memory_snapshot=snap,
+                               **copy_header(manifest.header))
 
     # -- GC --------------------------------------------------------------------
 
@@ -599,8 +638,7 @@ class CheckpointStore:
             record.node_index, record.node_index % len(self.cluster.nodes))
         pairs = self._refs_for(image)
         manifest = self._manifest_for(image, record.rank, dst_index, epoch,
-                                      [ref for ref, _data in pairs])
-        blob = manifest.to_bytes()
+                                      [ref for ref, _piece in pairs])
         wanted = tiers if tiers is not None \
             else ("local", "partner", "lustre")
         tier_fss = []
@@ -611,13 +649,20 @@ class CheckpointStore:
             tier_fss.append(self.partner.replica_fs(dst_index))
         if "lustre" in wanted and self.lustre is not None:
             tier_fss.append(self.lustre.replica_fs(dst_index))
-        paths = [chunk_path(ref.digest) for ref, _data in pairs]
+        paths = [chunk_path(ref.digest) for ref, _piece in pairs]
+        kept = [piece for _ref, piece in pairs]
         for fs in tier_fss:
-            for (ref, data), path in zip(pairs, paths):
-                if not fs.exists(path):
-                    fs.store(path, ref.slice(data), ref.logical_bytes)
-            fs.store(manifest.path, blob, image.header_bytes)
+            # what one tier holds (or was just given) is what the next
+            # tier gets: one object on every tier
+            for i, ((ref, _piece), path) in enumerate(zip(pairs, paths)):
+                held = self._land_or_dedup(fs, path, kept[i])
+                if held is None:
+                    fs.store(path, kept[i], ref.logical_bytes)
+                else:
+                    kept[i] = held
+            fs.store(manifest.path, manifest.blob, image.header_bytes)
             self._register(fs, manifest)
+        self._adopt(image, kept)
         self._replicated.add(epoch)
         self._epoch_offset = max(self._epoch_offset, epoch)
         return manifest

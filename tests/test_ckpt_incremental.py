@@ -7,6 +7,7 @@ identically to a full capture of the same memory — including across the
 fault harness's injected-crash restart path.
 """
 
+import zlib
 from collections import deque
 from contextlib import nullcontext
 from types import SimpleNamespace
@@ -23,7 +24,7 @@ from repro.dmtcp import image as image_mod
 from repro.dmtcp.image import CAPTURE_CHUNK_BYTES, CheckpointImage
 from repro.faults.harness import run_chaos_nas
 from repro.faults.schedule import FailureEvent, FixedSchedule
-from repro.memory import CHUNK_BYTES, AddressSpace
+from repro.memory import CHUNK_BYTES, AddressSpace, Region
 
 
 def _capture(memory, prev=None, gzip=True):
@@ -51,10 +52,39 @@ def test_clean_region_shares_bytes_and_ratio():
     assert stats["regions_clean_gen"] == 1 and stats["regions_dirty"] == 1
     by_name = {r["name"]: r for r in incr.memory_snapshot["regions"]}
     prev_by_name = {r["name"]: r for r in base.memory_snapshot["regions"]}
-    # the clean region's stored bytes are the prev image's object — no copy
+    # the clean region's pieces are the prev image's tuple — no copy
     assert by_name["a"]["data"] is prev_by_name["a"]["data"]
     assert by_name["b"]["data"] is not prev_by_name["b"]["data"]
     assert incr.region_meta["a"]["ratio"] == base.region_meta["a"]["ratio"]
+
+
+@settings(max_examples=12, deadline=None)
+@given(size=st.one_of(st.just(0), st.integers(1, 3 * CHUNK_BYTES),
+                      st.integers(CAPTURE_CHUNK_BYTES,
+                                  CAPTURE_CHUNK_BYTES + 2 * CHUNK_BYTES)),
+       seed=st.integers(0, 2 ** 16))
+@example(size=0, seed=0)
+@example(size=CHUNK_BYTES + 1, seed=1)
+@example(size=CAPTURE_CHUNK_BYTES + CHUNK_BYTES + 7, seed=2)
+def test_window_ratios_over_pieces_equal_ratios_over_joined_bytes(size,
+                                                                  seed):
+    """The capture measures a region's ratio over
+    :data:`CAPTURE_CHUNK_BYTES` windows joined from its pieces: the same
+    compressed lengths as windows cut from the region's bytes, at any
+    size (empty, not a whole number of chunks, over one window)."""
+    data = np.random.default_rng(seed).integers(
+        0, 16, size, dtype=np.uint8).tobytes()
+    pieces = Region("r", 0, size, bytearray(data)).pieces()
+    assert b"".join(pieces) == data
+    over_pieces = image_mod._measure_zlens(image_mod._windows(pieces))
+    over_bytes = [len(zlib.compress(data[off:off + CAPTURE_CHUNK_BYTES], 1))
+                  for off in range(0, size, CAPTURE_CHUNK_BYTES)]
+    assert over_pieces == over_bytes
+    if size:
+        mem = AddressSpace()
+        mem.mmap("r", size, data=data)
+        assert _capture(mem).region_meta["r"]["ratio"] \
+            == sum(over_bytes) / size
 
 
 def test_held_view_region_proven_clean_by_stamps():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory import CHUNK_BYTES, PAGE_SIZE, AddressSpace, MemoryError_
+from repro.memory import (CHUNK_BYTES, PAGE_SIZE, AddressSpace,
+                          MemoryError_, Region)
 
 
 def test_mmap_and_rw():
@@ -125,6 +126,32 @@ def test_restore_size_conflict_rejected():
     snap["regions"][0]["size"] = 32
     with pytest.raises(MemoryError_):
         mem.restore(snap)
+
+
+def test_snapshot_cuts_pieces_at_chunk_bytes():
+    mem = AddressSpace()
+    r = mem.mmap("odd", 2 * CHUNK_BYTES + 5)
+    r.write(0, bytes(range(256)) * (r.size // 256) + b"\x01" * (r.size % 256))
+    pieces = mem.snapshot()["regions"][0]["data"]
+    assert isinstance(pieces, tuple)
+    assert [len(p) for p in pieces] == [CHUNK_BYTES, CHUNK_BYTES, 5]
+    assert b"".join(pieces) == bytes(r.buffer)
+    assert r.pieces() == pieces and r.pieces()[0] is not pieces[0]
+    assert Region("empty", 0, 0, bytearray()).pieces() == ()
+
+
+def test_restore_writes_pieces_and_accepts_only_pieces():
+    mem = AddressSpace()
+    r = mem.mmap("data", CHUNK_BYTES + 3, data=b"\x07" * (CHUNK_BYTES + 3))
+    snap = mem.snapshot()
+    r.write(CHUNK_BYTES, b"\x09")
+    mem.restore(snap)
+    assert bytes(r.buffer) == b"\x07" * (CHUNK_BYTES + 3)
+    whole = b"".join(snap["regions"][0]["data"])
+    for bad in (whole, [whole], (whole[:-1],), (whole, b"\x00")):
+        snap["regions"][0]["data"] = bad
+        with pytest.raises(MemoryError_):
+            mem.restore(snap)
 
 
 def test_logical_size_accounting():

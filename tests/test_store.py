@@ -109,7 +109,7 @@ def test_put_reuses_capture_hashes():
                for name, meta in incr.region_meta.items()}
     refs = CheckpointStore._refs_for(incr)
     for (ref, data), region in zip(refs, incr.memory_snapshot["regions"]):
-        assert ref.digest == digest_bytes(region["data"])
+        assert ref.digest == digest_bytes(region["data"][0])
         assert ref.digest is carried[region["name"]][0]
 
 
@@ -487,6 +487,234 @@ def test_ingest_places_fully_replicated():
         partner_fs = cluster.nodes[manifest.partner_index].local_disk.fs
         assert partner_fs.exists(chunk_path(digest))
         assert cluster.lustre_fs.exists(chunk_path(digest))
+
+
+# -- one object per chunk -----------------------------------------------------
+
+def _assert_pieces_are(image, fs):
+    """Every piece of ``image`` is the very object ``fs`` holds for it."""
+    n = 0
+    for region in image.memory_snapshot["regions"]:
+        digests = image.region_meta[region["name"]]["chunk_hashes"]
+        assert len(digests) == len(region["data"])
+        for digest, piece in zip(digests, region["data"]):
+            assert piece is fs.load(chunk_path(digest))
+            n += 1
+    assert n > 0
+
+
+def _odd_memory(seed):
+    """Regions of several chunks, none a whole number of chunks, and two
+    regions with the same bytes (so one put dedups against itself)."""
+    rng = np.random.default_rng(seed)
+    mem = AddressSpace(f"odd{seed}")
+    for i, size in enumerate((10_000, 4096 * 3 + 1, 100)):
+        mem.mmap(f"r{i}", size,
+                 data=rng.integers(0, 256, size, dtype=np.uint8).tobytes())
+    twin = rng.integers(0, 256, 9000, dtype=np.uint8).tobytes()
+    mem.mmap("twin_a", 9000, data=twin)
+    mem.mmap("twin_b", 9000, data=twin)
+    return mem
+
+
+def test_put_image_lands_and_dedups_one_object_per_chunk():
+    env = Environment()
+    cluster = _mghpcc(env, name="one-obj")
+    store = CheckpointStore(cluster)
+    fs = cluster.nodes[0].local_disk.fs
+    mem = _odd_memory(seed=71)
+    base = _capture(mem)
+    first = _run(env, store.put_image(rank=0, node_index=0, epoch=1,
+                                      image=base))
+    assert first.chunks_deduped == 3          # twin_b's chunks
+    _assert_pieces_are(base, fs)
+    # a second rank on the node with the same bytes dedups everything and
+    # ends up holding the first rank's objects
+    other = _capture(_odd_memory(seed=71), name="p1")
+    again = _run(env, store.put_image(rank=1, node_index=0, epoch=1,
+                                      image=other))
+    assert again.chunks_new == 0
+    _assert_pieces_are(other, fs)
+    # incremental: the clean regions' tuples stay shared with ``prev``;
+    # the dirty region's fresh pieces are swapped where the tier has them
+    region = mem.region("r0")
+    mem.write(region.addr + 5000, b"\x01")
+    incr = _capture(mem, prev=base)
+    _run(env, store.put_image(rank=0, node_index=0, epoch=2, image=incr))
+    _assert_pieces_are(incr, fs)
+    by_name = {r["name"]: r["data"] for r in incr.memory_snapshot["regions"]}
+    prev = {r["name"]: r["data"] for r in base.memory_snapshot["regions"]}
+    for name in ("r1", "r2", "twin_a", "twin_b"):
+        assert by_name[name] is prev[name]
+    assert by_name["r0"] is not prev["r0"]
+    assert by_name["r0"][0] is prev["r0"][0]      # clean chunk: deduped
+    assert by_name["r0"][1] is not prev["r0"][1]  # the chunk written
+
+
+def test_put_for_lands_and_dedups_one_object_per_chunk():
+    from repro.service import CheckpointService
+
+    env = Environment()
+    cluster = _mghpcc(env, n_nodes=2, name="svc-one-obj")
+    service = CheckpointService(cluster, n_shards=4)
+    fs = cluster.nodes[0].local_disk.fs
+    image_a = _capture(_odd_memory(seed=73), name="ja.r0")
+    image_b = _capture(_odd_memory(seed=73), name="jb.r0")
+    _run(env, service.put_for("acme", "ja", 0, 0, 1, image_a))
+    result = _run(env, service.put_for("umass", "jb", 0, 0, 1, image_b))
+    assert result.chunks_new == 0
+    _assert_pieces_are(image_a, fs)
+    _assert_pieces_are(image_b, fs)
+
+
+def test_ingest_record_stores_one_object_on_every_tier():
+    env = Environment()
+    cluster = _mghpcc(env, name="ingest-one-obj")
+    store = CheckpointStore(cluster)
+    image = _capture(_odd_memory(seed=79))
+    manifest = store.ingest_record(_record(
+        image=image, name="p0", rank=0, node_index=1, epoch=1,
+        path="/ignored"))
+    tiers = [cluster.nodes[1].local_disk.fs,
+             cluster.nodes[manifest.partner_index].local_disk.fs,
+             cluster.lustre_fs]
+    for fs in tiers:
+        _assert_pieces_are(image, fs)
+
+
+def test_fetch_image_hands_back_the_tiers_objects():
+    env = Environment()
+    cluster = _mghpcc(env, name="fetch-one-obj")
+    store = CheckpointStore(cluster)
+    mem = _odd_memory(seed=83)
+    want = {r.name: bytes(r.buffer) for r in mem}
+    image = _capture(mem)
+    _run(env, store.put_image(rank=0, node_index=0, epoch=1, image=image))
+    fetched = _run(env, store.fetch_image("p0", via_node_index=0))
+    _assert_pieces_are(fetched, cluster.nodes[0].local_disk.fs)
+    assert all(isinstance(r["data"], tuple)
+               for r in fetched.memory_snapshot["regions"])
+    for ours, theirs in zip(image.memory_snapshot["regions"],
+                            fetched.memory_snapshot["regions"]):
+        assert all(a is b for a, b in zip(ours["data"], theirs["data"]))
+    fresh = AddressSpace("fresh")
+    fetched.restore_memory(fresh)
+    assert {r.name: bytes(r.buffer) for r in fresh} == want
+    materialized = store.materialize_image("p0", via_node_index=0)
+    _assert_pieces_are(materialized, cluster.nodes[0].local_disk.fs)
+
+
+def test_dedup_never_adopts_a_rotten_tier_copy():
+    """A piece whose tier copy has rotted stays the image's own: the
+    in-memory image keeps the good bytes (the next fetch heals the
+    tier)."""
+    env = Environment()
+    cluster = _mghpcc(env, name="rot-one-obj")
+    store = CheckpointStore(cluster)
+    fs = cluster.nodes[0].local_disk.fs
+    mem = _memory(n_regions=2, seed=89)
+    _run(env, store.put_image(rank=0, node_index=0, epoch=1,
+                              image=_capture(mem)))
+    digest = store.manifest("p0", 1).chunks[0].digest
+    blob = fs.load(chunk_path(digest))
+    fs.store(chunk_path(digest), b"\x00" + blob[1:], 1.0)
+    image = _capture(mem)
+    result = _run(env, store.put_image(rank=0, node_index=0, epoch=2,
+                                       image=image))
+    assert result.chunks_deduped == 2
+    piece = image.memory_snapshot["regions"][0]["data"][0]
+    assert piece == blob and digest_bytes(piece) == digest
+
+
+def test_two_epochs_of_put_and_fetch_hold_each_chunk_once():
+    """Captured images, every tier and the fetched images share one
+    object per distinct chunk content: two epochs of put + replicate +
+    fetch of an N-MiB address space, with every image still held, trace
+    under 1.25 N MiB of byte payloads beyond live memory (allocations of
+    at least 1 KiB; the per-chunk bookkeeping — refs, paths, file
+    entries — is not what is shared)."""
+    import gc
+    import tracemalloc
+
+    n_mib = 4
+    env = Environment()
+    cluster = _mghpcc(env, name="one-obj-rss")
+    store = CheckpointStore(cluster)
+    mem = _memory(n_regions=n_mib * 4, region_bytes=1 << 18, seed=97)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = []
+        prev = None
+        for epoch in (1, 2):
+            if epoch == 2:
+                for region in list(mem)[:2]:     # a few chunks move
+                    mem.write(region.addr + 8192, b"\x5a" * 4096)
+            image = _capture(mem, prev=prev)
+            _run(env, store.put_image(rank=0, node_index=0, epoch=epoch,
+                                      image=image))
+            store.schedule_replication(epoch)
+            _run(env, store.drain_replication())
+            held += [image, _run(env, store.fetch_image(
+                "p0", epoch=epoch, via_node_index=1))]
+            prev = image
+        gc.collect()
+        traces = tracemalloc.take_snapshot().traces
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 4
+    payload = sum(t.size for t in traces if t.size >= 1024)
+    assert n_mib * (1 << 20) < payload < 1.25 * n_mib * (1 << 20)
+
+
+# -- manifest header ownership ------------------------------------------------
+
+def test_fetched_image_does_not_alias_the_stored_manifest():
+    """Editing a fetched (or the putting) image's bookkeeping — as the
+    incremental chaos restart reseeds generations — must not rewrite the
+    stored manifest."""
+    env = Environment()
+    cluster = _mghpcc(env, name="alias")
+    store = CheckpointStore(cluster)
+    image = _capture(_memory(n_regions=2, seed=101))
+    _run(env, store.put_image(rank=0, node_index=0, epoch=1, image=image))
+    gen = image.region_meta["r0"]["generation"]
+    image.region_meta["r0"]["generation"] = 998
+    image.region_meta["r0"]["chunk_hashes"][0] = None
+    image.capture_stats["mode"] = "edited"
+    fetched = _run(env, store.fetch_image("p0"))
+    assert fetched.region_meta["r0"]["generation"] == gen
+    fetched.region_meta["r0"]["generation"] = 999
+    fetched.region_meta["r0"]["chunk_hashes"][0] = None
+    fetched.capture_stats["mode"] = "edited"
+    again = _run(env, store.fetch_image("p0"))
+    assert again.region_meta["r0"]["generation"] == gen
+    assert again.region_meta["r0"]["chunk_hashes"][0] is not None
+    assert again.capture_stats["mode"] == "full"
+    materialized = store.materialize_image("p0")
+    materialized.region_meta["r0"]["generation"] = 997
+    assert store.materialize_image("p0").region_meta["r0"]["generation"] \
+        == gen
+    assert store.manifest("p0", 1).header["region_meta"]["r0"][
+        "generation"] == gen
+
+
+def test_replicas_store_the_one_rendered_manifest_blob():
+    env = Environment()
+    cluster = _mghpcc(env, name="mf-blob")
+    store = CheckpointStore(cluster)
+    _run(env, store.put_image(rank=0, node_index=0, epoch=1,
+                              image=_capture(_memory(seed=103))))
+    store.schedule_replication(1)
+    _run(env, store.drain_replication())
+    manifest = store.manifest("p0", 1)
+    local = cluster.nodes[0].local_disk.fs.load(manifest.path)
+    partner = cluster.nodes[manifest.partner_index].local_disk.fs.load(
+        manifest.path)
+    lustre = cluster.lustre_fs.load(manifest.path)
+    assert partner is local and lustre is local
+    assert local == manifest.to_bytes()     # byte-identical to a render
+    assert Manifest.from_bytes(local).header == manifest.header
 
 
 # -- observability -------------------------------------------------------------
