@@ -17,6 +17,7 @@ from .launcher import (
 )
 from .plugin import Plugin, PluginError
 from .process import AppContext, CheckpointRecord, Continuation, DmtcpProcess
+from .sink import FileSink, PutResult
 
 __all__ = [
     "AppContext",
@@ -33,11 +34,13 @@ __all__ = [
     "DmtcpEvent",
     "DmtcpProcess",
     "DmtcpSession",
+    "FileSink",
     "ImageError",
     "JobTracker",
     "NativeSession",
     "Plugin",
     "PluginError",
+    "PutResult",
     "dmtcp_launch",
     "dmtcp_restart",
     "native_launch",

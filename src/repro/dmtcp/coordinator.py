@@ -78,7 +78,7 @@ class Coordinator:
     tracer = None
 
     def __init__(self, node: Node, port: int = COORD_PORT,
-                 expected_clients: Optional[int] = None):
+                 expected_clients: Optional[int] = None, *, sink):
         self.node = node
         self.env: Environment = node.env
         self.port = port
@@ -105,10 +105,9 @@ class Coordinator:
         #: done-reports are matched to it, so a late report from an
         #: earlier round (or a repeat) never completes the current one
         self._ckpt_epoch = 0
-        #: optional repro.store.CheckpointStore (set by dmtcp_launch /
-        #: dmtcp_restart): each completed epoch kicks off the store's
-        #: async tier replication
-        self.store = None
+        #: the job's checkpoint sink (DESIGN.md §15): each completed epoch
+        #: kicks off its async tier replication, if it has any
+        self.sink = sink
         #: nothing in the package waits on this, but its trigger is one
         #: simulated event per job that the pinned ledger witnesses
         #: (``benchmarks/ledger/witnesses.json``) count: it goes when
@@ -225,8 +224,7 @@ class Coordinator:
         """Broadcast a checkpoint request; returns per-process stats once
         every checkpoint manager reports done.
 
-        "Done" means each process's blocking image write landed, or — on
-        the store path — its put returned.
+        "Done" means each process's put into the sink returned.
 
         ``intent="migrate"`` is the stop-and-copy capture of a live
         migration: quiesce + drain + in-memory capture with *no* image
@@ -249,10 +247,9 @@ class Coordinator:
         if self.tracer is not None:
             self.tracer.emit("coord.ckpt.done", "coord", self.env.now,
                              epoch=self._ckpt_epoch, procs=len(stats))
-        if self.store is not None:
-            # every image of this epoch landed on its local tier: start
-            # pushing partner/Lustre replicas while the job runs on
-            self.store.schedule_replication(self._ckpt_epoch)
+        # every image of this epoch landed: a chunk store starts pushing
+        # partner/Lustre replicas while the job runs on
+        self.sink.schedule_replication(self._ckpt_epoch)
         return stats
 
 

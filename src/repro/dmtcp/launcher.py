@@ -10,8 +10,8 @@ from ..hardware.cluster import Cluster
 from ..sim import Environment
 from .coordinator import COORD_PORT, Coordinator
 from .costs import CostModel, DEFAULT_COSTS
-from .image import CheckpointImage
 from .process import AppContext, CheckpointRecord, Continuation, DmtcpProcess
+from .sink import FileSink
 
 __all__ = [
     "AppSpec",
@@ -90,19 +90,6 @@ class CheckpointSet:
     def regions_clean(self) -> int:
         return sum(s.get("regions_clean", 0) for s in self.stats)
 
-    def stage_to(self, cluster: Cluster, disk_kind: str = "local",
-                 node_map: Optional[Dict[int, int]] = None) -> None:
-        """Copy image files onto another cluster's filesystems (the offline
-        scp of §6.4; its cost is not part of any measured time)."""
-        for record in self.records:
-            src_node = record.node_index
-            dst_index = (node_map or {}).get(src_node,
-                                             src_node % len(cluster.nodes))
-            dst_disk = cluster.nodes[dst_index].disk(disk_kind)
-            data = record.blob if record.blob is not None \
-                else record.image_with_bytes().to_bytes()
-            dst_disk.fs.store(record.path, data, record.image.logical_size)
-
 
 class DmtcpSession:
     """A running dmtcp_launch'd job."""
@@ -172,25 +159,23 @@ class DmtcpSession:
 def dmtcp_launch(cluster: Cluster, specs: Sequence[AppSpec],
                  plugin_factory: Callable[[], list] = lambda: [],
                  costs: CostModel = DEFAULT_COSTS, gzip: bool = True,
-                 ckpt_dir: str = "/tmp", disk_kind: str = "local",
                  coord_node_index: int = 0,
                  tracker: Optional[JobTracker] = None,
-                 incremental: bool = False,
-                 store=None) -> Generator:
+                 incremental: bool = False, sink=None) -> Generator:
     """Process generator: start a coordinator and all processes under it.
 
     Every process's library table is populated (ibverbs when the node has
     an HCA) and then handed to freshly constructed plugins to interpose on.
-    ``store`` (a :class:`repro.store.CheckpointStore`) switches checkpoint
-    writes to content-addressed chunks with coordinator-driven tier
-    replication.
+    Checkpoints land in ``sink`` (DESIGN.md §15; by default image files
+    in ``/tmp`` on each node's local disk).
     """
     from ..ibverbs import VerbsLib  # local import to avoid cycles
 
     env = cluster.env
+    if sink is None:
+        sink = FileSink(cluster)
     coordinator = Coordinator(cluster.nodes[coord_node_index],
-                              expected_clients=len(specs))
-    coordinator.store = store
+                              expected_clients=len(specs), sink=sink)
     if tracker is not None:
         tracker.coordinator = coordinator
     procs: List[DmtcpProcess] = []
@@ -202,10 +187,9 @@ def dmtcp_launch(cluster: Cluster, specs: Sequence[AppSpec],
         host.libs["ibverbs"] = VerbsLib(host)
         plugins = plugin_factory()
         proc = DmtcpProcess(host, spec.name, spec.rank, world, plugins,
-                            costs=costs, gzip=gzip, ckpt_dir=ckpt_dir,
-                            disk_kind=disk_kind,
+                            sink=sink, costs=costs, gzip=gzip,
                             node_index=spec.node_index,
-                            incremental=incremental, store=store)
+                            incremental=incremental)
         procs.append(proc)
         if tracker is not None:
             tracker.ranks.append(proc)
@@ -221,20 +205,20 @@ def dmtcp_launch(cluster: Cluster, specs: Sequence[AppSpec],
 
 def dmtcp_restart(cluster: Cluster, ckpt_set: CheckpointSet,
                   costs: CostModel = DEFAULT_COSTS,
-                  disk_kind: str = "local",
                   node_map: Optional[Dict[int, int]] = None,
                   coord_node_index: int = 0,
                   stage_images: bool = True,
                   tracker: Optional[JobTracker] = None,
                   incremental: bool = False,
-                  store=None, preloaded: bool = False) -> Generator:
+                  sink=None, preloaded: bool = False) -> Generator:
     """Process generator: restart a CheckpointSet on ``cluster`` (the same
     one or a different one — different LIDs, different qp_nums, possibly a
     different kernel or no InfiniBand at all).
 
-    With a ``store``, images are fetched chunk-by-chunk from the cheapest
-    live tier (digest-verified) instead of read as monolithic files;
-    ``stage_images`` then stages through the store, fully replicated.
+    ``stage_images`` first copies the images into ``sink`` on ``cluster``;
+    each process then fetches its image from ``sink`` and checkpoints into
+    it afterwards.  With no ``sink``, the restart reads and writes image
+    files where the records were written.
 
     ``preloaded`` skips both staging and the image read: the records'
     in-memory images are restored directly.  That is the migration
@@ -244,14 +228,13 @@ def dmtcp_restart(cluster: Cluster, ckpt_set: CheckpointSet,
     from ..ibverbs import VerbsLib
 
     env = cluster.env
+    if sink is None:
+        sink = FileSink.where_written(cluster, ckpt_set)
     if stage_images and not preloaded:
-        if store is not None:
-            store.stage_from(ckpt_set, node_map)
-        else:
-            ckpt_set.stage_to(cluster, disk_kind, node_map)
+        sink.stage_from(ckpt_set, node_map)
     coordinator = Coordinator(cluster.nodes[coord_node_index],
-                              expected_clients=len(ckpt_set.records))
-    coordinator.store = store
+                              expected_clients=len(ckpt_set.records),
+                              sink=sink)
     if tracker is not None:
         tracker.coordinator = coordinator
     procs_by_name: Dict[str, DmtcpProcess] = {}
@@ -263,22 +246,17 @@ def dmtcp_restart(cluster: Cluster, ckpt_set: CheckpointSet,
         host = node.fork(record.name)
         host.libs["ibverbs"] = VerbsLib(host)
 
-        def flow(record=record, host=host, node=node,
-                 dst_index=dst_index):
+        def flow(record=record, host=host, dst_index=dst_index):
             if preloaded:
                 image = record.image_with_bytes()
-            elif store is not None:
-                image = yield from store.fetch_image(
+            else:
+                image = yield from sink.fetch_image(
                     record.name, epoch=record.epoch or None,
                     via_node_index=dst_index)
-            else:
-                image = CheckpointImage.from_bytes(
-                    (yield from node.disk(disk_kind).read(record.path)))
             proc = DmtcpProcess.restart(
                 host, record, image, costs,
                 coordinator.node.name, coordinator.port, dst_index,
-                disk_kind=disk_kind, incremental=incremental,
-                store=store)
+                sink=sink, incremental=incremental)
             # memory is restored: the decoded image must not live on in
             # this frame for as long as the restarted rank runs
             del image

@@ -11,7 +11,6 @@ transparency claim (see DESIGN.md §2).
 
 from __future__ import annotations
 
-import posixpath
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional
 
@@ -24,6 +23,7 @@ from .costs import CostModel, DEFAULT_COSTS
 from .events import DmtcpEvent
 from .image import CheckpointImage
 from .plugin import Plugin
+from .sink import PutResult
 
 __all__ = ["AppContext", "DmtcpProcess", "Continuation", "CheckpointRecord"]
 
@@ -119,8 +119,8 @@ class CheckpointRecord:
     image: CheckpointImage
     continuation: Continuation
     ckpt_seconds: float = 0.0
-    #: absolute store epoch when the image landed in a CheckpointStore
-    #: (0 = monolithic file write, the non-store path)
+    #: absolute store epoch when the image landed in a chunk store
+    #: (0 = a monolithic file write, or nothing landed)
     epoch: int = 0
     #: the serialised image exactly as the monolithic write put it on
     #: disk: the one copy of a file-mode checkpoint's bytes, which
@@ -147,10 +147,9 @@ class DmtcpProcess:
     tracer = None
 
     def __init__(self, host: ProcessHost, name: str, rank: int, world: int,
-                 plugins: List[Plugin], costs: CostModel = DEFAULT_COSTS,
-                 gzip: bool = True, ckpt_dir: str = "/tmp",
-                 disk_kind: str = "local", node_index: int = 0,
-                 incremental: bool = False, store=None):
+                 plugins: List[Plugin], *, sink,
+                 costs: CostModel = DEFAULT_COSTS, gzip: bool = True,
+                 node_index: int = 0, incremental: bool = False):
         self.host = host
         self.env = host.env
         self.name = name
@@ -159,15 +158,13 @@ class DmtcpProcess:
         self.plugins = plugins
         self.costs = costs
         self.gzip = gzip
-        self.ckpt_dir = ckpt_dir
-        self.disk_kind = disk_kind
         self.node_index = node_index
         #: reuse the previous image's clean regions instead of recapturing
         self.incremental = incremental
-        #: optional repro.store.CheckpointStore: images land as
-        #: content-addressed chunks on the local tier (async replication
-        #: is the coordinator's job) instead of one monolithic file
-        self.store = store
+        #: the checkpoint sink every image lands in (DESIGN.md §15): image
+        #: files, or content-addressed chunks whose async replication is
+        #: the coordinator's job
+        self.sink = sink
         self.appctx = AppContext(host, name, rank, world)
         self.user_threads: List[Process] = []
         self.client: Optional[CoordinatorClient] = None
@@ -310,69 +307,36 @@ class DmtcpProcess:
                        regions_clean=cstats.get("regions_clean_gen", 0),
                        **chunk_attrs)
         stall = self.costs.gzip_stall_factor() if self.gzip else 1.0
-        abs_epoch = epoch
-        put = None
-        data = None
-        if intent == "migrate":
-            # stop-and-copy capture of a live migration: the image stays
-            # in memory and the migration manager ships the final dirty
-            # delta over the wire itself — no bytes land on any tier, so
-            # there is nothing to write, dedup, or replicate at this epoch
-            real_bytes = 0.0
-            path = ""
-        elif self.store is not None:
-            # content-addressed landing: dedup stands in for the clean
-            # regions' writes, and the partner/Lustre copies are the
-            # coordinator-driven async replication
+        # a live migration's stop-and-copy capture writes nothing: the
+        # image stays in memory and the migration manager ships the final
+        # dirty delta over the wire itself
+        put = PutResult(epoch=0, manifest_path="")
+        chunks = {}
+        if intent != "migrate":
+            tag = {"store": True} if self.sink.chunked else {}
             write_span = None if tracer is None else tracer.begin(
                 "ckpt.write", self.name, self.env.now, epoch=epoch,
-                gen=gen, store=True)
+                gen=gen, **tag)
             try:
-                put = yield from self.store.put_image(
+                put = yield from self.sink.put_image(
                     rank=self.rank, node_index=self.node_index,
                     epoch=epoch, image=image, stall=stall)
             except QuotaExceededError as exc:
-                # a saturated tier must not strand the gang: remember the
-                # structured error, keep walking the barrier protocol so
-                # peers finish their round, and let the session raise it
+                # a full disk or saturated tier must not strand the gang:
+                # remember the structured error, keep walking the barrier
+                # protocol so peers finish their round, and let the
+                # session raise it
                 self.ckpt_error = exc
-                path = ""
-                real_bytes = 0.0
                 if tracer is not None:
                     tracer.end(write_span, self.env.now, stall=stall,
-                               store=True, error="quota")
+                               **tag, error="quota")
             else:
-                path = put.manifest_path
-                abs_epoch = put.epoch
-                real_bytes = put.bytes_real
+                if self.sink.chunked:
+                    chunks = {"chunks_new": put.chunks_new,
+                              "chunks_deduped": put.chunks_deduped}
                 if tracer is not None:
                     tracer.end(write_span, self.env.now, stall=stall,
-                               logical=put.bytes_written, store=True,
-                               chunks_new=put.chunks_new,
-                               chunks_deduped=put.chunks_deduped)
-        else:
-            disk = self.host.node.disk(self.disk_kind)
-            path = f"{self.ckpt_dir}/ckpt_{self.name}.dmtcp"
-            data = image.to_bytes()
-            # the blob is this checkpoint's one copy of the bytes: the
-            # record keeps the image's metadata and layout only
-            image.drop_bytes()
-            real_bytes = float(len(data))
-            # dynamic gzip pipes through the writer: the pipeline stalls
-            # the write stream by bw_disk/bw_gzip (Table 5's ~4% gzip
-            # cost).  An incremental image only pushes the dirty regions'
-            # bytes.
-            logical = image.delta_logical_size if prev is not None \
-                else image.logical_size
-            if self.gzip:
-                logical *= stall
-            write_span = None if tracer is None else tracer.begin(
-                "ckpt.write", self.name, self.env.now, epoch=epoch,
-                gen=gen)
-            yield from disk.write(path, data, logical_size=logical)
-            if tracer is not None:
-                tracer.end(write_span, self.env.now, stall=stall,
-                           logical=logical)
+                               logical=put.bytes_written, **tag, **chunks)
         yield from self.client.barrier("written")
 
         ckpt_seconds = self.env.now - t0
@@ -382,21 +346,20 @@ class DmtcpProcess:
         if self.ckpt_error is None:
             self.last_record = CheckpointRecord(
                 name=self.name, rank=self.rank,
-                node_index=self.node_index,
-                path=path, disk_kind=self.disk_kind, image=image,
+                node_index=self.node_index, path=put.manifest_path,
+                disk_kind=put.disk_kind, image=image,
                 continuation=Continuation(
                     name=self.name, rank=self.rank, appctx=self.appctx,
                     user_threads=list(self.user_threads),
                     plugins=self.plugins,
                     memory=self.host.memory),
-                ckpt_seconds=ckpt_seconds,
-                epoch=abs_epoch if put is not None else 0, blob=data)
+                ckpt_seconds=ckpt_seconds, epoch=put.epoch, blob=put.blob)
         cstats = image.capture_stats
         stats = {"name": self.name, "node": self.host.node.name,
                  "epoch": epoch,
                  "ckpt_seconds": ckpt_seconds,
                  "image_logical_bytes": image.logical_size,
-                 "image_real_bytes": real_bytes,
+                 "image_real_bytes": put.bytes_real,
                  "mode": cstats.get("mode", "full"),
                  "regions_dirty": cstats.get("regions_dirty", 0),
                  "regions_clean": cstats.get("regions_clean_gen", 0),
@@ -404,7 +367,7 @@ class DmtcpProcess:
                  "chunks_total": cstats.get("chunks_total", 0),
                  "chunks_clean": cstats.get("chunks_clean", 0),
                  "chunks_dirty": cstats.get("chunks_dirty", 0)}
-        if put is not None:
+        if chunks:
             stats["store_chunks_new"] = put.chunks_new
             stats["store_chunks_deduped"] = put.chunks_deduped
             stats["store_bytes_written"] = put.bytes_written
@@ -446,21 +409,15 @@ class DmtcpProcess:
     def restart(cls, host: ProcessHost, record: CheckpointRecord,
                 image: CheckpointImage, costs: CostModel,
                 coord_host: str, coord_port: int, node_index: int,
-                disk_kind: str = "local", incremental: bool = False,
-                store=None) -> "DmtcpProcess":
+                *, sink, incremental: bool = False) -> "DmtcpProcess":
         """Build the restarted process object on node ``node_index`` of
         the new cluster (dmtcp_restart runs :meth:`restart_flow` on it
         afterwards)."""
         cont = record.continuation
         proc = cls(host, name=cont.name, rank=cont.rank,
                    world=cont.appctx.world, plugins=cont.plugins,
-                   costs=costs, gzip=image.gzip, disk_kind=disk_kind,
-                   node_index=node_index, incremental=incremental,
-                   store=store)
-        if record.path and not record.epoch:
-            # an image file: keep writing where the launcher was told to
-            # (store and migrate captures name no such directory)
-            proc.ckpt_dir = posixpath.dirname(record.path)
+                   sink=sink, costs=costs, gzip=image.gzip,
+                   node_index=node_index, incremental=incremental)
         # the restored process lives at the original virtual addresses:
         # adopt the old address space and overwrite it with image bytes
         image.restore_memory(cont.memory)

@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
+from ..dmtcp import FileSink
 from ..faults.harness import (run_chaos_nas, verify_restart_path,
                               young_daly_interval)
 from ..faults.schedule import FixedSchedule
+from ..hardware import Cluster
+from ..store import CheckpointStore
 
 __all__ = ["SweepCell", "SweepResult", "measure_ckpt_cost", "run_sweep",
            "protocol_gate_failures"]
@@ -107,18 +110,19 @@ class SweepResult:
 
 def measure_ckpt_cost(app: str = "lu", klass: str = "A", nprocs: int = 4,
                       ppn: int = 1, iters_sim: int = 0,
-                      seed: int = 2014, use_store: bool = False,
+                      seed: int = 2014,
+                      sink_factory: Callable[[Cluster], Any] = FileSink,
                       analysis: bool = False) -> tuple:
     """(C, baseline): one checkpoint's wall cost and the failure-free
     completion time, from a calibration run with no fault injection."""
     out = run_chaos_nas(app=app, klass=klass, nprocs=nprocs, ppn=ppn,
                         iters_sim=iters_sim, ckpt_interval=0.3,
                         seed=seed, schedule=FixedSchedule([]),
-                        use_store=use_store, analysis=analysis)
+                        sink_factory=sink_factory, analysis=analysis)
     baseline = run_chaos_nas(app=app, klass=klass, nprocs=nprocs, ppn=ppn,
                              iters_sim=iters_sim, ckpt_interval=1e9,
                              seed=seed, schedule=FixedSchedule([]),
-                             use_store=use_store, analysis=analysis)
+                             sink_factory=sink_factory, analysis=analysis)
     return out.recovery.mean_ckpt_seconds, baseline.completion_seconds
 
 
@@ -126,13 +130,14 @@ def run_sweep(mtbf_values: List[float], trials: int = 3,
               app: str = "lu", klass: str = "A", nprocs: int = 4,
               ppn: int = 1, iters_sim: int = 0, base_seed: int = 2014,
               intervals: Optional[List[float]] = None,
-              incremental: bool = False, use_store: bool = False,
+              incremental: bool = False,
+              sink_factory: Callable[[Cluster], Any] = FileSink,
               quiet: bool = False, analysis: bool = False,
               chunksan: bool = False) -> SweepResult:
     n_nodes = max(1, -(-nprocs // ppn))
     ckpt_cost, baseline = measure_ckpt_cost(app, klass, nprocs, ppn,
                                             iters_sim, seed=base_seed,
-                                            use_store=use_store,
+                                            sink_factory=sink_factory,
                                             analysis=analysis)
     result = SweepResult(app=app, klass=klass, nprocs=nprocs,
                          n_nodes=n_nodes, ckpt_cost=ckpt_cost,
@@ -158,7 +163,7 @@ def run_sweep(mtbf_values: List[float], trials: int = 3,
                         seed=base_seed + 7919 * trial,
                         backoff_base=0.2, backoff_max=2.0,
                         max_attempts=50, incremental=incremental,
-                        use_store=use_store,
+                        sink_factory=sink_factory,
                         analysis=analysis, chunksan=chunksan)
                     for trial in range(trials)]
             mean = lambda xs: sum(xs) / len(xs)  # noqa: E731
@@ -228,7 +233,8 @@ def main(argv=None) -> int:
 
     result = run_sweep(mtbfs, trials=trials, iters_sim=iters,
                        base_seed=args.seed, incremental=args.incremental,
-                       use_store=args.store, analysis=args.analysis,
+                       sink_factory=CheckpointStore if args.store
+                       else FileSink, analysis=args.analysis,
                        chunksan=args.chunksan)
     if args.chunksan:
         print("# chunksan: every capture audited against the shadow "

@@ -10,9 +10,9 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 from ..blcr import ompi_crs_launch
 from ..core import Ib2TcpPlugin, InfinibandPlugin
 from ..dmtcp import (
-    CheckpointSet,
     CostModel,
     DEFAULT_COSTS,
+    FileSink,
     dmtcp_launch,
     dmtcp_restart,
     native_launch,
@@ -52,14 +52,23 @@ def _wrap_kwargs(app, app_kwargs):
     return wrapped
 
 
+def _store_stats(sink, extra: Dict[str, Any], key: str) -> Generator:
+    """Process generator: once a chunk store's replication drained, keep
+    its counters as ``extra[key]`` (image files keep no counters)."""
+    stats = getattr(sink, "stats", None)
+    if stats is not None:
+        yield from sink.drain_replication()
+        extra[key] = dict(stats)
+
+
 def run_nas(app: Callable, spec: HardwareSpec, nprocs: int,
             ppn: Optional[int] = None, under: str = "native",
             app_kwargs: Optional[dict] = None,
             checkpoint_after: Optional[float] = None,
-            restart: bool = False, disk_kind: str = "local",
+            restart: bool = False,
             gzip: bool = True, costs: CostModel = DEFAULT_COSTS,
             ib2tcp: bool = False, transport: str = "ib",
-            use_store: bool = False,
+            sink_factory: Callable[[Cluster], Any] = FileSink,
             seed_name: str = "") -> Outcome:
     """Run one NAS/MPI configuration end to end; returns an Outcome.
 
@@ -69,11 +78,13 @@ def run_nas(app: Callable, spec: HardwareSpec, nprocs: int,
     (launch + a margin) at which to take one checkpoint.
     ``restart``: checkpoint with intent=restart, tear the cluster down,
     restart on a fresh identical cluster, and keep timing there.
-    ``use_store`` (dmtcp only): land checkpoints in a content-addressed
-    multi-tier :class:`~repro.store.CheckpointStore` instead of
-    monolithic image files; the restart then fetches digest-verified
-    chunks from the cheapest live tier.  Store counters land in
-    ``outcome.extra["store"]``.
+    ``sink_factory`` (dmtcp only) builds the checkpoint sink from each
+    cluster: image files on local disk by default; pass
+    ``lambda c: FileSink(c, "lustre")`` for Lustre, or
+    :class:`~repro.store.CheckpointStore` for content-addressed chunks
+    whose restart fetches digest-verified chunks from the cheapest live
+    tier.  A store's counters land in ``outcome.extra["store"]`` (and
+    ``["store_restart"]``).
     """
     env = Environment()
     n_nodes = max(1, -(-nprocs // (ppn or spec.cores_per_node)))
@@ -107,13 +118,10 @@ def run_nas(app: Callable, spec: HardwareSpec, nprocs: int,
                                        fallback=Ib2TcpPlugin())])
             if ib2tcp else
             (lambda: [InfinibandPlugin(costs=costs)]))
-        store = None
-        if use_store:
-            from ..store import CheckpointStore
-            store = CheckpointStore(cluster)
+        sink = sink_factory(cluster)
         session = env.run(until=env.process(dmtcp_launch(
             cluster, specs, plugin_factory=plugin_factory, costs=costs,
-            gzip=gzip, disk_kind=disk_kind, store=store)))
+            gzip=gzip, sink=sink)))
 
         def dmtcp_scenario():
             if checkpoint_after is not None:
@@ -124,39 +132,29 @@ def run_nas(app: Callable, spec: HardwareSpec, nprocs: int,
                     outcome.ckpt_seconds = ckpt.wall_seconds
                     outcome.ckpt_image_mb = (ckpt.total_logical_bytes
                                              / len(ckpt.records) / MB)
-                    if store is not None:
-                        yield from store.drain_replication()
-                        outcome.extra["store"] = dict(store.stats)
-                        store.stop()
+                    yield from _store_stats(sink, outcome.extra, "store")
+                    sink.stop()
                     cluster.teardown()
                     cluster2 = Cluster(
                         env, spec, n_nodes=n_nodes,
                         name=f"{cluster.name}-restarted")
-                    store2 = None
-                    if use_store:
-                        from ..store import CheckpointStore
-                        store2 = CheckpointStore(cluster2)
+                    sink2 = sink_factory(cluster2)
                     t0 = env.now
                     session2 = yield from dmtcp_restart(
-                        cluster2, ckpt, costs=costs, disk_kind=disk_kind,
-                        store=store2)
+                        cluster2, ckpt, costs=costs, sink=sink2)
                     outcome.restart_seconds = env.now - t0
-                    if store2 is not None:
-                        outcome.extra["store_restart"] = dict(store2.stats)
+                    yield from _store_stats(sink2, outcome.extra,
+                                            "store_restart")
                     return (yield from session2.wait())
                 ckpt = yield from session.checkpoint(intent="resume")
                 outcome.ckpt_seconds = ckpt.wall_seconds
                 outcome.ckpt_image_mb = (ckpt.total_logical_bytes
                                          / len(ckpt.records) / MB)
-                if store is not None:
-                    yield from store.drain_replication()
-                    outcome.extra["store"] = dict(store.stats)
+                yield from _store_stats(sink, outcome.extra, "store")
             return (yield from session.wait())
 
         results = env.run(until=env.process(dmtcp_scenario()))
-        if store is not None:
-            store.stop()
-            outcome.extra.setdefault("store", dict(store.stats))
+        sink.stop()
     else:
         raise ValueError(f"unknown under={under!r}")
 

@@ -30,8 +30,7 @@ def run(full: bool = False) -> Table:
         if nprocs > 512 and not full:
             continue
         out = run_nas(lu_app, MGHPCC, nprocs, ppn=ppn, under="dmtcp",
-                      app_kwargs={"klass": "E"}, checkpoint_after=2.0,
-                      disk_kind="local")
+                      app_kwargs={"klass": "E"}, checkpoint_after=2.0)
         table.add(f"{nodes}x{ppn}", nprocs, out.ckpt_seconds,
                   out.ckpt_image_mb, p_t, p_mb)
     table.note("checkpoint time tracks total image bytes per node "

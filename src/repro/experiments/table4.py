@@ -5,7 +5,9 @@ checkpoints ~6.5x faster; restart times are essentially unchanged
 from __future__ import annotations
 
 from ..apps.nas import lu_app
+from ..dmtcp import FileSink
 from ..hardware import MGHPCC
+from ..store import CheckpointStore
 from .runner import run_nas
 from .tables import Table
 
@@ -24,11 +26,13 @@ def run(store: bool = False) -> Table:
         "Table 4", "LU.E (512 procs) checkpoints: local disk vs Lustre",
         ["disk", "img(MB)", "ckpt(s)", "restart(s)",
          "paper-img", "paper-ckpt", "paper-restart"])
-    for disk_kind, label in (("local", "local disk"), ("lustre", "Lustre")):
+    rows = (("local disk", FileSink),
+            ("Lustre", CheckpointStore if store
+             else lambda cluster: FileSink(cluster, "lustre")))
+    for label, sink_factory in rows:
         out = run_nas(lu_app, MGHPCC, 512, ppn=16, under="dmtcp",
                       app_kwargs={"klass": "E"}, checkpoint_after=2.0,
-                      restart=True, disk_kind=disk_kind,
-                      use_store=store and disk_kind == "lustre")
+                      restart=True, sink_factory=sink_factory)
         p_mb, p_ckpt, p_restart = PAPER[label]
         table.add(label, out.ckpt_image_mb, out.ckpt_seconds,
                   out.restart_seconds, p_mb, p_ckpt, p_restart)

@@ -26,7 +26,8 @@ from typing import Any, Callable, Dict, List, Optional
 from ..apps.ml import ml_app
 from ..apps.nas import ft_app, lu_app
 from ..core import InfinibandPlugin
-from ..dmtcp import DEFAULT_COSTS, CostModel, dmtcp_launch, dmtcp_restart
+from ..dmtcp import (DEFAULT_COSTS, CostModel, FileSink, dmtcp_launch,
+                     dmtcp_restart)
 from ..hardware import BUFFALO_CCR, Cluster, HardwareSpec
 from ..mpi import make_mpi_specs
 from ..sim import Environment, RngFactory
@@ -130,8 +131,8 @@ def run_chaos_nas(app: str = "lu", klass: str = "A", nprocs: int = 4,
                   max_attempts: int = 8, backoff_base: float = 0.5,
                   backoff_factor: float = 2.0, backoff_max: float = 8.0,
                   backoff_jitter: float = 0.0,
-                  disk_kind: str = "local", gzip: bool = True,
-                  incremental: bool = False, use_store: bool = False,
+                  gzip: bool = True, incremental: bool = False,
+                  sink_factory: Callable[[Cluster], Any] = FileSink,
                   costs: CostModel = DEFAULT_COSTS,
                   analysis: bool = False,
                   trace: bool = False,
@@ -141,9 +142,9 @@ def run_chaos_nas(app: str = "lu", klass: str = "A", nprocs: int = 4,
     ``schedule`` overrides the default per-node Poisson(``mtbf_node``)
     schedule of ``kind`` failures (pass ``FixedSchedule([])`` for a
     failure-free run, e.g. to measure the checkpoint cost C).
-    ``use_store`` lands checkpoints in a content-addressed multi-tier
-    :class:`~repro.store.CheckpointStore` (dedup + partner replication +
-    digest-verified restart) instead of monolithic image files.
+    ``sink_factory`` builds each generation's checkpoint sink (image
+    files by default; pass :class:`~repro.store.CheckpointStore` for
+    dedup + partner replication + digest-verified restart).
     ``analysis`` runs the whole job under a strict
     :class:`~repro.analysis.ProtocolMonitor`; its summary lands in
     :attr:`ChaosOutcome.protocol`.  ``trace`` runs it under a fresh
@@ -176,8 +177,8 @@ def run_chaos_nas(app: str = "lu", klass: str = "A", nprocs: int = 4,
                                    mtbf_node=mtbf_node, kind=kind)
     injector = Injector(env, schedule)
     config = RecoveryConfig(
-        ckpt_interval=ckpt_interval, disk_kind=disk_kind, gzip=gzip,
-        incremental=incremental, use_store=use_store,
+        ckpt_interval=ckpt_interval, sink_factory=sink_factory, gzip=gzip,
+        incremental=incremental,
         max_attempts=max_attempts,
         backoff_base=backoff_base, backoff_factor=backoff_factor,
         backoff_max=backoff_max, backoff_jitter=backoff_jitter)

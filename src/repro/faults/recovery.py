@@ -29,7 +29,6 @@ from typing import Any, Callable, Generator, List, Optional
 
 from ..dmtcp.coordinator import Coordinator
 from ..dmtcp.costs import CostModel, DEFAULT_COSTS
-from ..dmtcp.image import CheckpointImage
 from ..dmtcp.launcher import (
     AppSpec,
     CheckpointSet,
@@ -39,6 +38,7 @@ from ..dmtcp.launcher import (
 )
 from ..dmtcp.plugin import Plugin
 from ..dmtcp.process import DmtcpProcess
+from ..dmtcp.sink import FileSink
 from ..hardware.cluster import Cluster
 from ..sim import Environment, Event
 from .injector import Injector
@@ -142,10 +142,10 @@ def chaos_restart(cluster: Cluster, ckpt_set: CheckpointSet,
                   specs: List[AppSpec],
                   plugin_factory: Callable[[], list] = lambda: [],
                   costs: CostModel = DEFAULT_COSTS, gzip: bool = True,
-                  disk_kind: str = "local", coord_node_index: int = 0,
+                  coord_node_index: int = 0,
                   tracker: Optional[JobTracker] = None,
                   generation: int = 1, incremental: bool = False,
-                  store=None) -> Generator:
+                  sink=None) -> Generator:
     """Process generator: restart after a *crash* from a resume-intent
     checkpoint.
 
@@ -155,18 +155,18 @@ def chaos_restart(cluster: Cluster, ckpt_set: CheckpointSet,
     restores each image's memory into a fresh process, and re-runs the
     application factory — which must speak the :mod:`.progress` protocol to
     skip completed work.  Fresh plugins, fresh verbs resources, new real
-    ids throughout.
+    ids throughout.  The images are staged into and fetched from
+    ``sink`` (by default, image files where the records were written).
     """
     from ..ibverbs import VerbsLib  # local import to avoid cycles
 
     env = cluster.env
-    if store is not None:
-        store.stage_from(ckpt_set)
-    else:
-        ckpt_set.stage_to(cluster, disk_kind)
+    if sink is None:
+        sink = FileSink.where_written(cluster, ckpt_set)
+    sink.stage_from(ckpt_set)
     coordinator = Coordinator(cluster.nodes[coord_node_index],
-                              expected_clients=len(ckpt_set.records))
-    coordinator.store = store
+                              expected_clients=len(ckpt_set.records),
+                              sink=sink)
     if tracker is not None:
         tracker.coordinator = coordinator
     spec_by_rank = {spec.rank: spec for spec in specs}
@@ -178,14 +178,10 @@ def chaos_restart(cluster: Cluster, ckpt_set: CheckpointSet,
         host = node.fork(record.name)
         host.libs["ibverbs"] = VerbsLib(host)
 
-        def flow(record=record, host=host, node=node, dst_index=dst_index):
-            if store is not None:
-                image = yield from store.fetch_image(
-                    record.name, epoch=record.epoch or None,
-                    via_node_index=dst_index)
-            else:
-                image = CheckpointImage.from_bytes(
-                    (yield from node.disk(disk_kind).read(record.path)))
+        def flow(record=record, host=host, dst_index=dst_index):
+            image = yield from sink.fetch_image(
+                record.name, epoch=record.epoch or None,
+                via_node_index=dst_index)
             image.restore_memory(host.memory)
             seed = None
             if incremental:
@@ -208,9 +204,9 @@ def chaos_restart(cluster: Cluster, ckpt_set: CheckpointSet,
             yield host.compute(seconds=costs.restart_base)
             proc = DmtcpProcess(host, record.name, record.rank,
                                 len(ckpt_set.records), plugin_factory(),
-                                costs=costs, gzip=gzip, disk_kind=disk_kind,
+                                sink=sink, costs=costs, gzip=gzip,
                                 node_index=dst_index,
-                                incremental=incremental, store=store)
+                                incremental=incremental)
             proc.appctx.restarts = generation - 1
             if seed is not None:
                 proc.last_record = seed
@@ -235,23 +231,16 @@ class RecoveryConfig:
     """Knobs of the supervisor loop."""
 
     ckpt_interval: float             # seconds between coordinated ckpts
-    disk_kind: str = "local"
+    #: builds each generation's checkpoint sink from its cluster
+    #: (DESIGN.md §15): image files by default; ``CheckpointStore`` for a
+    #: fresh content-addressed store per generation, re-staged from the
+    #: last CheckpointSet; or ``lambda c: service.client(tenant, job)``
+    #: to checkpoint into a shared long-lived service
+    sink_factory: Callable[[Cluster], Any] = FileSink
     gzip: bool = True
     #: incremental capture: reuse the previous image's bytes/ratios for
     #: regions proven clean (DESIGN.md §8)
     incremental: bool = False
-    #: land checkpoints in a content-addressed multi-tier store
-    #: (``repro.store``) instead of monolithic per-process files; a fresh
-    #: store is built per generation and re-staged from the last
-    #: CheckpointSet, fully replicated
-    use_store: bool = False
-    #: overrides the per-generation store: called with the generation's
-    #: cluster, returns the ``store=`` object for launch/restart.  The
-    #: multi-tenant service hands out a fresh
-    #: :class:`~repro.service.TenantStoreClient` here, so a supervised
-    #: job checkpoints into the shared long-lived service instead of a
-    #: private per-run store (implies ``use_store`` semantics)
-    store_factory: Optional[Callable[[Cluster], Any]] = None
     #: consecutive failures *without a new checkpoint* before giving up
     max_attempts: int = 5
     backoff_base: float = 2.0        # first retry delay (seconds)
@@ -405,18 +394,11 @@ class RecoveryManager:
             specs = self.specs_for(cluster)
             self.gate.world = len(specs)
             self.gate.reset()
-            store = None
-            if cfg.store_factory is not None:
-                # shared-service mode: the service outlives generations;
-                # each one gets a fresh client (fresh epoch base), and
-                # stage_from is an idempotent re-registration
-                store = cfg.store_factory(cluster)
-            elif cfg.use_store:
-                # a fresh store per generation: the old cluster's tiers
-                # died with it, and stage_from rebuilds every replica
-                # from the surviving CheckpointSet
-                from ..store import CheckpointStore
-                store = CheckpointStore(cluster)
+            # a fresh sink per generation: the old cluster's disks died
+            # with it, and stage_from rebuilds them from the surviving
+            # CheckpointSet (a service client is a fresh epoch base over
+            # storage that outlives generations)
+            sink = cfg.sink_factory(cluster)
             tracker = JobTracker()
             fail_evt = self.injector.arm() if self.injector is not None \
                 else env.event()
@@ -428,19 +410,17 @@ class RecoveryManager:
                 self._mark(outcome, "launch", f"generation {generation}")
                 launch_gen = dmtcp_launch(
                     cluster, specs, plugin_factory=self._plugins,
-                    costs=self.costs, gzip=cfg.gzip,
-                    disk_kind=cfg.disk_kind, tracker=tracker,
-                    incremental=cfg.incremental, store=store)
+                    costs=self.costs, gzip=cfg.gzip, tracker=tracker,
+                    incremental=cfg.incremental, sink=sink)
             else:
                 self._mark(outcome, "restart",
                            f"generation {generation} from checkpoint at "
                            f"t={t_last_capture:.3f}")
                 launch_gen = chaos_restart(
                     cluster, ckpt_set, specs, plugin_factory=self._plugins,
-                    costs=self.costs, gzip=cfg.gzip,
-                    disk_kind=cfg.disk_kind, tracker=tracker,
+                    costs=self.costs, gzip=cfg.gzip, tracker=tracker,
                     generation=generation, incremental=cfg.incremental,
-                    store=store)
+                    sink=sink)
             launch_proc = env.process(
                 _safe(launch_gen), name=f"{self.name}.up.g{generation}")
 
@@ -511,8 +491,7 @@ class RecoveryManager:
             if status == "done":
                 if self.injector is not None:
                     self.injector.clear_target()
-                if store is not None:
-                    store.stop()  # nothing left worth replicating
+                sink.stop()  # nothing left worth replicating
                 # the job is over: reap the coordinator loops parked on
                 # recv and close the ranks.  The partition stays up (its
                 # owner powers it off); once it does, the job is freed by
@@ -537,8 +516,7 @@ class RecoveryManager:
             outcome.lost_work += lost
             if self.injector is not None:
                 self.injector.clear_target()
-            if store is not None:
-                store.stop()  # replication flows target a dead cluster
+            sink.stop()  # replication flows target a dead cluster
             # chaos_restart re-runs the factories with fresh plugins: no
             # rank of the dead generation is ever revived
             tracker.close()

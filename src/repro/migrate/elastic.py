@@ -39,8 +39,7 @@ def elastic_node_map(ckpt_set: CheckpointSet,
 
 
 def elastic_restart(target: Cluster, ckpt_set: CheckpointSet,
-                    costs: CostModel = DEFAULT_COSTS,
-                    disk_kind: str = "local", store=None,
+                    costs: CostModel = DEFAULT_COSTS, sink=None,
                     coord_node_index: int = 0,
                     node_map: Optional[Dict[int, int]] = None) -> Generator:
     """Process generator: revive an intent="restart" freeze of N ranks on
@@ -56,6 +55,6 @@ def elastic_restart(target: Cluster, ckpt_set: CheckpointSet,
                                       for r in ckpt_set.records)),
                     dst_nodes=len(target.nodes))
     session = yield from dmtcp_restart(
-        target, ckpt_set, costs=costs, disk_kind=disk_kind,
-        node_map=node_map, coord_node_index=coord_node_index, store=store)
+        target, ckpt_set, costs=costs, node_map=node_map,
+        coord_node_index=coord_node_index, sink=sink)
     return session, node_map

@@ -241,7 +241,6 @@ def postcopy_restart(cluster: Cluster, ckpt_set: CheckpointSet,
                      specs: List[AppSpec], store: CheckpointStore,
                      plugin_factory: Callable[[], list] = lambda: [],
                      costs: CostModel = DEFAULT_COSTS, gzip: bool = True,
-                     disk_kind: str = "local",
                      node_map: Optional[Dict[int, int]] = None,
                      coord_node_index: int = 0,
                      tracker: Optional[JobTracker] = None,
@@ -262,8 +261,8 @@ def postcopy_restart(cluster: Cluster, ckpt_set: CheckpointSet,
 
     env = cluster.env
     coordinator = Coordinator(cluster.nodes[coord_node_index],
-                              expected_clients=len(ckpt_set.records))
-    coordinator.store = store
+                              expected_clients=len(ckpt_set.records),
+                              sink=store)
     if tracker is not None:
         tracker.coordinator = coordinator
     spec_by_rank = {spec.rank: spec for spec in specs}
@@ -296,8 +295,8 @@ def postcopy_restart(cluster: Cluster, ckpt_set: CheckpointSet,
             yield host.compute(seconds=costs.restart_base)
             proc = DmtcpProcess(host, record.name, record.rank,
                                 len(ckpt_set.records), plugin_factory(),
-                                costs=costs, gzip=gzip, disk_kind=disk_kind,
-                                node_index=dst_index, store=store)
+                                sink=store, costs=costs, gzip=gzip,
+                                node_index=dst_index)
             proc.appctx.restarts = generation - 1
             pager.attach(proc.appctx)
             if prefetch:

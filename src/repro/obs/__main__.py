@@ -86,11 +86,12 @@ def main(argv=None) -> int:
               f"order {', '.join(o.name for o in outcomes)}; "
               f"{len(events)} trace record(s)")
     else:
+        from ..store import CheckpointStore
         tracer, outcome = trace_scenario(
             app=args.run, seed=args.seed, iters_sim=args.iters,
             ckpt_interval=args.ckpt_interval, crash_at=args.crash_at,
-            store=args.store, incremental=args.incremental,
-            sink=args.sink)
+            sink_factory=CheckpointStore if args.store else None,
+            incremental=args.incremental, sink=args.sink)
         events = tracer.events
         dropped = tracer.dropped
         counters = {n: v for n, v in

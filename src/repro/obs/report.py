@@ -451,16 +451,19 @@ def render_sim(stats: Dict[str, Any]) -> str:
 def trace_scenario(app: str = "lu", seed: int = 2014,
                    iters_sim: int = 24, nprocs: int = 4,
                    ckpt_interval: float = 1.0, crash_at: Optional[float]
-                   = None, store: bool = False,
+                   = None, sink_factory=None,
                    incremental: bool = False,
                    sink: Optional[str] = None):
     """Run a NAS chaos scenario under a fresh tracer; returns
     ``(tracer, outcome)``.  ``crash_at`` injects one fatal node crash so
-    the trace exercises the restart path (refill + replay); ``store``
-    lands checkpoints in the content-addressed multi-tier store so the
-    trace carries ``store.*`` records; ``incremental`` checkpoints
+    the trace exercises the restart path (refill + replay);
+    ``sink_factory`` builds each generation's checkpoint sink (image
+    files by default; :class:`~repro.store.CheckpointStore` makes the
+    trace carry ``store.*`` records); ``sink`` is the JSONL path the
+    trace streams to; ``incremental`` checkpoints
     against the previous image so ``ckpt.capture`` spans carry chunk
     dirty-tracking attrs and the ``ckpt.chunks_*`` counters move."""
+    from ..dmtcp import FileSink
     from ..faults.harness import run_chaos_nas
     from ..faults.schedule import FailureEvent, FixedSchedule
     from .trace import traced
@@ -472,8 +475,8 @@ def trace_scenario(app: str = "lu", seed: int = 2014,
         outcome = run_chaos_nas(
             app=app, klass=klass, nprocs=nprocs, iters_sim=iters_sim,
             seed=seed, ckpt_interval=ckpt_interval,
-            schedule=FixedSchedule(failures), use_store=store,
-            incremental=incremental, backoff_base=0.25)
+            schedule=FixedSchedule(failures),
+            sink_factory=sink_factory or FileSink, incremental=incremental, backoff_base=0.25)
     if outcome.sim_stats is not None:
         stats = outcome.sim_stats
         tracer.metrics.counter("sim.events").inc(stats["events"])

@@ -13,7 +13,7 @@ cluster infrastructure (DESIGN §16):
   trace invariant;
 * :class:`CheckpointService` / :class:`TenantStoreClient` — the service
   proper plus the per-(tenant, job) facade that plugs into the existing
-  ``store=`` seam of ``dmtcp_launch`` / ``dmtcp_restart`` /
+  ``sink=`` seam of ``dmtcp_launch`` / ``dmtcp_restart`` /
   :class:`~repro.faults.RecoveryManager`;
 * :class:`GangScheduler` — a Poisson stream of gang-scheduled jobs over
   a node-slot pool, with preemption-via-checkpoint and bit-identical

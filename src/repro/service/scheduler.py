@@ -3,7 +3,7 @@
 :class:`GangScheduler` is the "hundreds of jobs" driver: jobs arrive on
 a seeded Poisson stream, queue FIFO for a fixed pool of node slots, and
 each grant launches a *real* workload (LU / FT / ML / ping-pong)
-through ``dmtcp_launch`` on a fresh per-job cluster with ``store=``
+through ``dmtcp_launch`` on a fresh per-job cluster with ``sink=``
 pointed at the shared :class:`~.service.CheckpointService`.  Granted
 jobs checkpoint on their own interval; when the queue backs up past the
 quantum, the scheduler preempts the longest-running preemptible job
@@ -365,12 +365,12 @@ class GangScheduler:
                         InfinibandPlugin(costs=self.costs),
                         ChaosPlugin(gate)],
                     costs=self.costs, gzip=job.gzip, tracker=tracker,
-                    incremental=job.incremental, store=client)
+                    incremental=job.incremental, sink=client)
             else:
                 launch_gen = dmtcp_restart(
                     cluster, run.ckpt_set, costs=self.costs,
                     tracker=tracker, incremental=job.incremental,
-                    store=client, stage_images=False)
+                    sink=client, stage_images=False)
             launch = env.process(_safe(launch_gen),
                                  name=f"service.up.{job.name}.g{generation}")
             yield launch

@@ -24,9 +24,9 @@ into (the proxy-based DMTCP follow-on's service boundary):
   round-robin in bounded batches, so one chatty tenant cannot starve
   the others' partner/Lustre copies.
 
-Jobs talk to the service through a :class:`TenantStoreClient`, a facade
-with the exact `store=` surface ``dmtcp_launch`` / ``dmtcp_restart`` /
-``RecoveryManager`` expect.  Each client owns a private epoch base so
+Jobs talk to the service through a :class:`TenantStoreClient`, a
+checkpoint sink (DESIGN.md §15) for ``dmtcp_launch`` / ``dmtcp_restart``
+/ ``RecoveryManager``.  Each client owns a private epoch base so
 many coordinators (each counting epochs from 1) never collide in the
 shared namespace; record epochs are absolute and pass through fetches
 unchanged.
@@ -365,8 +365,9 @@ class CheckpointService(CheckpointStore):
 
 
 class TenantStoreClient:
-    """One (tenant, job) generation's view of the service — the object
-    handed to ``dmtcp_launch(store=...)`` / ``dmtcp_restart(store=...)``.
+    """One (tenant, job) generation's view of the service — the
+    checkpoint sink handed to ``dmtcp_launch(sink=...)`` /
+    ``dmtcp_restart(sink=...)``.
 
     Translates the coordinator's private epochs (1, 2, 3…) into the
     shared namespace by adding this client's base on the put/replicate
@@ -375,17 +376,16 @@ class TenantStoreClient:
     uses for its ``_epoch_offset``.
     """
 
+    chunked = True
+
     def __init__(self, service: CheckpointService, tenant: str, job: str,
                  epoch_base: int):
         self.service = service
         self.tenant = tenant
         self.job = job
         self.epoch_base = int(epoch_base)
-        self.cluster = service.cluster
-        self.env = service.env
-        self.config = service.config
 
-    # the dmtcp-facing store surface ------------------------------------------
+    # the checkpoint-sink surface ----------------------------------------------
 
     def put_image(self, rank: int, node_index: int, epoch: int,
                   image, stall: float = 1.0) -> Generator:
@@ -402,41 +402,12 @@ class TenantStoreClient:
         return self.service.fetch_image(proc_name, epoch=epoch,
                                         via_node_index=via_node_index)
 
-    def materialize_image(self, proc_name: str,
-                          epoch: Optional[int] = None,
-                          via_node_index: int = 0):
-        return self.service.materialize_image(
-            proc_name, epoch=epoch, via_node_index=via_node_index)
-
-    def fetch_chunk(self, manifest, ref, via_node_index: int = 0):
-        return self.service.fetch_chunk(manifest, ref, via_node_index)
-
-    def latest_epoch(self, proc_name: str) -> int:
-        return self.service.latest_epoch(proc_name)
-
-    def manifest(self, proc_name: str, epoch: int):
-        return self.service.manifest(proc_name, epoch)
-
     def stage_from(self, ckpt_set, node_map=None, tiers=None) -> None:
         for record in ckpt_set.records:
             self.service.ingest_for(self.tenant, record, node_map,
                                     tiers=tiers)
 
-    def collect_garbage(self):
-        return self.service.collect_garbage()
-
-    def drain_replication(self) -> Generator:
-        return self.service.drain()
-
     def stop(self) -> None:
         """Deliberate no-op: the per-run store kills replication because
         its flows target a dead cluster, but the *service* cluster
         outlives any one job — other tenants' copies must keep flowing."""
-
-    @property
-    def stats(self):
-        return self.service.stats
-
-    def delete(self) -> Tuple[int, int]:
-        """Drop this job's checkpoints from the service."""
-        return self.service.delete_job(self.job)

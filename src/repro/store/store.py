@@ -37,10 +37,11 @@ opt-in class-wide ``tracer`` (``store.put`` / ``store.replicate`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from ..dmtcp.image import CheckpointImage
+from ..dmtcp.sink import PutResult
 from ..hardware.cluster import Cluster
 from ..hardware.storage import FileSystem, StorageError
 from ..memory import CHUNK_BYTES
@@ -68,27 +69,14 @@ class StoreConfig:
     verify_digests: bool = True
 
 
-@dataclass
-class PutResult:
-    """What landing one image on the local tier cost."""
-
-    epoch: int                  # absolute store epoch (offset-mapped)
-    manifest_path: str
-    chunks_new: int = 0
-    chunks_deduped: int = 0
-    bytes_written: float = 0.0  # logical bytes charged to the local disk
-    bytes_real: float = 0.0     # real bytes of the new chunks
-    #: the multi-tenant service's admission layer refused the put (quota);
-    #: a rejected put writes nothing and must not wedge the ckpt protocol
-    rejected: bool = False
-
-
 class CheckpointStore:
     """One job's multi-tier checkpoint store (see module docstring)."""
 
     #: opt-in lifecycle tracer (``repro.obs.trace``), installed class-wide
     #: by ``install_tracer``, like ``DmtcpProcess.tracer``.
     tracer = None
+    #: a checkpoint sink (DESIGN.md §15) that lands content-addressed chunks
+    chunked = True
 
     def __init__(self, cluster: Cluster, config: StoreConfig = StoreConfig(),
                  name: str = "store"):
@@ -621,7 +609,7 @@ class CheckpointStore:
                              manifests=retired, chunks=deleted)
         return retired, deleted
 
-    # -- staging (offline, like CheckpointSet.stage_to) ------------------------
+    # -- staging (offline, like FileSink.stage_from) ---------------------------
 
     def ingest_record(self, record, node_map: Optional[Dict[int, int]]
                       = None, tiers: Optional[Tuple[str, ...]] = None

@@ -220,7 +220,7 @@ def test_incremental_store_chaos_checksum_parity():
     plain = run_chaos_nas(schedule=FixedSchedule([]), **kw)
     crash = FixedSchedule([FailureEvent(t=1.0, kind="node-crash",
                                         node_index=1)])
-    chaos = run_chaos_nas(schedule=crash, use_store=True,
+    chaos = run_chaos_nas(schedule=crash, sink_factory=CheckpointStore,
                           incremental=True, **kw)
     assert chaos.checksum == plain.checksum
     assert any(r.kind == "node-crash" and r.applied

@@ -3,6 +3,7 @@ drain rounds, and the publish/subscribe database."""
 
 import pytest
 
+from repro.dmtcp import FileSink
 from repro.dmtcp.coordinator import Coordinator, CoordinatorClient
 from repro.hardware import BUFFALO_CCR, Cluster
 from repro.sim import Environment
@@ -12,7 +13,8 @@ def _setup(n_clients=3):
     env = Environment()
     cluster = Cluster(env, BUFFALO_CCR, n_nodes=max(2, n_clients),
                       name="coord-test")
-    coordinator = Coordinator(cluster.nodes[0], expected_clients=n_clients)
+    coordinator = Coordinator(cluster.nodes[0], expected_clients=n_clients,
+                              sink=FileSink(cluster))
     return env, cluster, coordinator
 
 

@@ -327,19 +327,20 @@ def test_restart_host_work_is_linear_in_ranks(monkeypatch):
 
 @pytest.mark.parametrize("use_store", [False, True])
 def test_staged_blob_equals_a_fresh_serialisation(use_store):
-    """In file mode, what ``stage_to`` places is ``record.blob``: it
+    """In file mode, what ``stage_from`` places is ``record.blob``: it
     decodes to the image at the cut — the metadata and layout
     ``record.image`` kept, and bytes that restore memory bit-identically.
     In store mode it is the image as it stands at staging time, where the
     put fills ``chunk_hashes`` holes in ``region_meta`` after capture and
     no monolithic blob was kept."""
+    from repro.dmtcp import FileSink
     from repro.memory import AddressSpace
     from repro.store import CheckpointStore
 
     env = Environment()
     cluster = Cluster(env, BUFFALO_CCR, n_nodes=2, name=f"blob{use_store}")
-    store = CheckpointStore(cluster) if use_store else None
-    session = _launch(env, cluster, n=2, store=store, incremental=True)
+    sink = CheckpointStore(cluster) if use_store else FileSink(cluster)
+    session = _launch(env, cluster, n=2, sink=sink, incremental=True)
 
     def scenario():
         yield env.timeout(1.2)
@@ -349,10 +350,12 @@ def test_staged_blob_equals_a_fresh_serialisation(use_store):
 
     ckpt = env.run(until=env.process(scenario()))
     target = Cluster(env, BUFFALO_CCR, n_nodes=2, name=f"blob{use_store}-b")
-    ckpt.stage_to(target, "local")
+    staging = FileSink(target, "local")
+    staging.stage_from(ckpt)
     for i, record in enumerate(ckpt.records):
         assert (record.blob is None) == use_store
-        staged = target.nodes[i].local_disk.fs.load(record.path)
+        staged = target.nodes[i].local_disk.fs.load(
+            staging.path(record.name))
         if use_store:
             assert CheckpointImage.from_bytes(staged) == \
                 CheckpointImage.from_bytes(record.image.to_bytes())

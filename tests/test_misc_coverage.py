@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.ib_plugin import InfinibandPlugin
-from repro.dmtcp import AppSpec, dmtcp_launch, dmtcp_restart
+from repro.dmtcp import AppSpec, FileSink, dmtcp_launch, dmtcp_restart
 from repro.hardware import BUFFALO_CCR, Cluster
 from repro.ibverbs import QpState, VerbsError, ibv_qp_attr, QpAttrMask
 from repro.mpi import ANY_SOURCE, make_mpi_specs
@@ -112,8 +112,8 @@ def test_qp_to_err_flushes_posted_sends(ib_pair):
     assert any(wc.status is WcStatus.WR_FLUSH_ERR for wc in got)
 
 
-def test_checkpoint_set_stage_to_copies_real_bytes():
-    from repro.dmtcp import CheckpointImage
+def test_file_sink_stage_from_copies_real_bytes():
+    from repro.dmtcp import CheckpointImage, FileSink
 
     env = Environment()
     cluster = Cluster(env, BUFFALO_CCR, n_nodes=2, name="stage-src")
@@ -131,7 +131,7 @@ def test_checkpoint_set_stage_to_copies_real_bytes():
 
     ckpt = env.run(until=env.process(scenario()))
     target = Cluster(env, BUFFALO_CCR, n_nodes=2, name="stage-dst")
-    ckpt.stage_to(target, "local")
+    FileSink(target, "local").stage_from(ckpt)
     for i, record in enumerate(ckpt.records):
         data = target.nodes[i].local_disk.fs.load(record.path)
         image = CheckpointImage.from_bytes(data)
@@ -150,7 +150,7 @@ def test_dmtcp_restart_node_map_remaps_placement():
 
     session = env.run(until=env.process(dmtcp_launch(
         cluster, [AppSpec(0, "a", app), AppSpec(1, "b", app)],
-        ckpt_dir="/ckpts")))
+        sink=FileSink(cluster, ckpt_dir="/ckpts"))))
     seen = {}
 
     def scenario():

@@ -371,7 +371,7 @@ def test_quota_exceeded_surfaces_through_recovery_manager():
 
     cfg = RecoveryConfig(
         ckpt_interval=0.3, incremental=True,
-        store_factory=lambda cluster: service.client("acme", "qjob"),
+        sink_factory=lambda cluster: service.client("acme", "qjob"),
         max_attempts=1, backoff_base=0.1, backoff_max=0.2)
     manager = RecoveryManager(
         env, cluster_factory, specs_for, cfg,

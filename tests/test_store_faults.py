@@ -28,7 +28,8 @@ def test_lu_store_restart_after_node_crash_matches_baseline():
     kw = dict(app="lu", klass="A", nprocs=4, iters_sim=60,
               ckpt_interval=1.0, seed=11, backoff_base=0.25)
     base = run_chaos_nas(schedule=_crash(7.0), **kw)
-    store = run_chaos_nas(schedule=_crash(7.0), use_store=True, **kw)
+    store = run_chaos_nas(schedule=_crash(7.0), sink_factory=CheckpointStore,
+                          **kw)
     assert store.checksum == base.checksum
     assert store.recovery.n_restarts >= 1
     assert base.recovery.n_restarts == store.recovery.n_restarts
@@ -38,7 +39,8 @@ def test_ft_store_restart_after_node_crash_matches_baseline():
     kw = dict(app="ft", klass="B", nprocs=4, iters_sim=6,
               ckpt_interval=1.0, seed=11, backoff_base=0.25)
     base = run_chaos_nas(schedule=_crash(45.0), **kw)
-    store = run_chaos_nas(schedule=_crash(45.0), use_store=True, **kw)
+    store = run_chaos_nas(schedule=_crash(45.0), sink_factory=CheckpointStore,
+                          **kw)
     assert store.checksum == base.checksum
     assert store.recovery.n_restarts >= 1
 
@@ -50,7 +52,7 @@ def test_store_poisson_chaos_matches_baseline_checksum():
               mtbf_node=10.0, ckpt_interval=1.0, backoff_base=0.2,
               backoff_max=2.0, max_attempts=50)
     base = run_chaos_nas(**kw)
-    store = run_chaos_nas(use_store=True, **kw)
+    store = run_chaos_nas(sink_factory=CheckpointStore, **kw)
     assert store.checksum == base.checksum
 
 
@@ -77,7 +79,7 @@ def test_ckpt_corrupt_fault_detected_and_healed_end_to_end():
     def scenario():
         session = yield from dmtcp_launch(
             cluster, specs,
-            plugin_factory=lambda: [InfinibandPlugin()], store=store)
+            plugin_factory=lambda: [InfinibandPlugin()], sink=store)
         yield env.timeout(2.0)
         ckpt = yield from session.checkpoint(intent="restart")
         yield from store.drain_replication()
@@ -100,7 +102,7 @@ def test_ckpt_corrupt_fault_detected_and_healed_end_to_end():
             t=env.now, kind="ckpt-corrupt", node_index=1,
             params={"tier": "local", "index": index}))
         assert applied.fatal is False and "corrupted chunk" in applied.detail
-        session2 = yield from dmtcp_restart(spare, ckpt, store=store2,
+        session2 = yield from dmtcp_restart(spare, ckpt, sink=store2,
                                             stage_images=False)
         results = yield from session2.wait()
         return results, store2
@@ -149,13 +151,15 @@ def test_run_nas_store_restart_matches_monolithic():
     """The experiments layer (Table 4's --store route): same checksum and
     a successful restart whether images are monolithic or chunked."""
     from repro.apps.nas import lu_app
+    from repro.dmtcp import FileSink
     from repro.experiments.runner import run_nas
 
     kw = dict(spec=MGHPCC, nprocs=4, ppn=1, under="dmtcp",
               app_kwargs={"klass": "A", "iters_sim": 12},
-              checkpoint_after=1.0, restart=True, disk_kind="lustre")
-    mono = run_nas(lu_app, **kw)
-    chunked = run_nas(lu_app, use_store=True, **kw)
+              checkpoint_after=1.0, restart=True)
+    mono = run_nas(lu_app, sink_factory=lambda c: FileSink(c, "lustre"),
+                   **kw)
+    chunked = run_nas(lu_app, sink_factory=CheckpointStore, **kw)
     assert chunked.checksum == mono.checksum
     assert chunked.ok and chunked.restart_seconds > 0
     assert chunked.extra["store"]["puts"] == 4
