@@ -20,7 +20,11 @@ under every chaos sweep:
   whose **digest moved while its generation stamp did not** is a stale
   stamp — the next incremental capture would skip bytes that changed —
   and raises :class:`ChunkSanError` naming the process, region, chunk
-  index, and the last ``touch()`` backtrace recorded for that chunk.
+  index, and the last ``touch()`` backtrace recorded for that chunk;
+* a **zero-born** region (mapped without initial data) is judged at
+  first sight too: its mapping was an observation of zeros at stamp 0,
+  so a chunk whose stamp is still 0 must hash as zeros — capture hands
+  such a chunk out as the shared zero piece without reading it.
 
 Every region is judged.  ChunkSan charges **zero simulated time** — it
 runs in the capture call, which is instantaneous in sim time by
@@ -125,7 +129,10 @@ class ChunkSan:
                              "gens": gens, "digests": digests}
         if prev is None or prev["token"]() is not region \
                 or prev["size"] != region.size:
-            # first sight, a remapping, or a resize: nothing to diff yet
+            # first sight, a remapping, or a resize: nothing to diff yet,
+            # but a zero-born region's unstamped chunks must be zeros
+            if region.zero_born:
+                self._check_never_written(proc_name, region, digests, gens)
             return 0
         self.regions_checked += 1
         self.chunks_checked += n
@@ -145,6 +152,19 @@ class ChunkSan:
                     f"touch() covering this chunk:\n"
                     f"{self._last_touch(region, i)}")
         return n
+
+    def _check_never_written(self, proc_name: str, region, digests,
+                             gens: np.ndarray) -> None:
+        zeros = _chunk_digests(bytes(region.size), region.n_chunks)
+        for i in np.flatnonzero(gens == 0).tolist():
+            if digests[i] != zeros[i]:
+                self.stale_caught += 1
+                raise ChunkSanError(
+                    f"never-written chunk: {proc_name}/{region.name} chunk "
+                    f"{i} holds non-zero bytes but its generation stamp is "
+                    "still 0 since the zero-filled mapping — capture would "
+                    "save it as zeros without reading it, and no touch() "
+                    "ever covered it")
 
     def check_capture(self, proc_name: str, memory,
                       context: str = "capture", tracer=None,

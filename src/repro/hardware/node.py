@@ -14,6 +14,9 @@ from .storage import Disk
 __all__ = ["Node", "ProcessHost", "ProcessError"]
 
 _pid_counter = itertools.count(1000)
+#: a process's thread list is first compacted at this length, and after
+#: that whenever it doubles its live count
+_COMPACT_MIN = 64
 
 
 class ProcessError(RuntimeError):
@@ -121,6 +124,7 @@ class ProcessHost:
         self.memory = AddressSpace(f"{name}(pid={self.pid})")
         self.libs: Dict[str, Any] = {}
         self.threads: List[Process] = []
+        self._compact_at = _COMPACT_MIN
         self.alive = True
         # multiplier on compute time; dmtcp_launch bumps it slightly to model
         # the constant interposition tax on a traced process
@@ -146,6 +150,11 @@ class ProcessHost:
         thread = self.env.process(generator,
                                   name=name or f"{self.name}.thread")
         self.threads.append(thread)
+        if len(self.threads) >= self._compact_at:
+            # finished helpers (isend, put, cts...) pile up one per
+            # message; every reader skips dead threads, so drop them
+            self.threads[:] = [t for t in self.threads if t.is_alive]
+            self._compact_at = max(_COMPACT_MIN, 2 * len(self.threads))
         return thread
 
     def compute(self, flops: float = 0.0, seconds: float = 0.0):

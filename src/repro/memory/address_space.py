@@ -3,10 +3,12 @@
 DMTCP's job is to copy and restore all of user-space memory.  Real processes
 get this from the kernel's mmap table; our simulated processes keep their
 data in an :class:`AddressSpace` — a table of named, virtually-addressed
-regions backed by real ``bytearray`` storage.  Views over a region stay
-valid across a checkpoint/restore cycle because restore copies bytes
-*into the existing backing buffers* (the analogue of DMTCP restoring
-memory at the original virtual addresses).
+regions, each backed by its own private anonymous ``mmap``.  As on a real
+OS, such a mapping is zero-fill-on-demand: a page the application never
+writes never becomes resident.  Views over a region stay valid across a
+checkpoint/restore cycle because restore copies bytes *into the existing
+backing buffers* (the analogue of DMTCP restoring memory at the original
+virtual addresses).
 
 Scaled experiments: a region may declare ``repr_scale`` — "this region stands
 for ``repr_scale`` times its actual byte length on the paper's testbed".
@@ -30,11 +32,19 @@ its measured gzip ratio (:attr:`Region.gzip_ratio`, keyed by the region
 generation).  Whoever asks "which bytes changed since then?" —
 incremental capture and live pre-copy alike — compares stamp vectors
 through :func:`dirty_chunk_bytes`; nothing hashes memory to find out.
+
+Untouched memory costs nothing (DESIGN.md §15): a region mapped without
+``data=`` is *zero-born*, and in a zero-born region a full chunk whose
+stamp is still 0 was never written, so it holds zeros.  Capture hands
+such a chunk out as the one shared :data:`ZERO_PIECE` without reading
+it, and restore does not write zeros into it — the same stamps, under
+the same ChunkSan audit, that incremental capture already trusts.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+import mmap
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
@@ -46,14 +56,23 @@ except ImportError:  # pragma: no cover - numpy < 2.0
     _byte_bounds = np.byte_bounds
 
 __all__ = ["AddressSpace", "Region", "TrackedView", "MemoryError_",
-           "PAGE_SIZE", "CHUNK_BYTES", "dirty_chunk_bytes"]
+           "PAGE_SIZE", "CHUNK_BYTES", "ZERO_PIECE", "dirty_chunk_bytes"]
 
 PAGE_SIZE = 4096
 #: dirty-tracking and store-chunk granularity (one simulated page): the
 #: per-region chunk bitmap, the capture's clean-chunk reuse, and the
 #: content-addressed store all slice regions at this size
 CHUNK_BYTES = PAGE_SIZE
+#: every all-zero full chunk a capture takes is this one object, shared
+#: by images, store tiers and pickled blobs, and never hashed
+ZERO_PIECE = bytes(CHUNK_BYTES)
 _BASE_ADDR = 0x1000_0000
+
+
+def _anonymous(size: int) -> mmap.mmap:
+    """Fresh zero-fill-on-demand backing: private, so reading a page it
+    has never written maps the kernel's zero page instead of a new one."""
+    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
 
 
 def dirty_chunk_bytes(size: int, gens: np.ndarray,
@@ -83,13 +102,16 @@ class Region:
     name: str
     addr: int
     size: int
-    _buf: bytearray
+    _buf: mmap.mmap
     repr_scale: float = 1.0
     pin_count: int = 0
     tag: str = ""  # e.g. "heap", "stack", "driver-data"
     #: bumped on every tracked mutation; an incremental checkpoint may skip
     #: a region whose generation it has already captured
     generation: int = 0
+    #: mapped without initial data: a full chunk whose stamp is still 0
+    #: has never been written and holds zeros
+    zero_born: bool = False
     _ratio_gen: int = field(default=-1, repr=False, compare=False)
     _ratio: Optional[float] = field(default=None, repr=False, compare=False)
     _chunk_gens: Optional[np.ndarray] = field(default=None, repr=False,
@@ -126,14 +148,31 @@ class Region:
         a NumPy array made from it) raises."""
         return memoryview(self._buf).toreadonly()
 
+    def _never_written(self) -> List[bool]:
+        """Per chunk: is it a full chunk of a zero-born region that no
+        writer has stamped (so it holds zeros nobody needs to read)?"""
+        if not self.zero_born:
+            return [False] * self.n_chunks
+        never = (self.chunk_gens == 0).tolist()
+        if self.size % CHUNK_BYTES:
+            never[-1] = False       # a partial tail is always read
+        return never
+
     def pieces(self) -> tuple:
         """A copy of the region's bytes as one ``bytes`` piece per
         :data:`CHUNK_BYTES` slice (the last may be short; an empty
         region has none): the form a checkpoint image and the store's
-        chunk files both hold, so one object can serve both."""
+        chunk files both hold, so one object can serve both.  Every
+        all-zero full chunk is :data:`ZERO_PIECE`, and a never-written
+        one is not even read."""
         view = memoryview(self._buf)
-        return tuple(bytes(view[off: off + CHUNK_BYTES])
-                     for off in range(0, self.size, CHUNK_BYTES))
+        out = []
+        for off, never in zip(range(0, self.size, CHUNK_BYTES),
+                              self._never_written()):
+            piece = ZERO_PIECE if never \
+                else bytes(view[off: off + CHUNK_BYTES])
+            out.append(ZERO_PIECE if piece == ZERO_PIECE else piece)
+        return tuple(out)
 
     def _check_span(self, offset: int, length: int) -> None:
         if offset < 0 or length < 0 or offset + length > self.size:
@@ -426,13 +465,14 @@ class AddressSpace:
         pages = -(-size // PAGE_SIZE)
         addr = self._next_addr
         self._next_addr += pages * PAGE_SIZE + PAGE_SIZE  # guard page
-        buf = bytearray(size)
+        if data is not None and len(data) > size:
+            raise MemoryError_("initial data larger than region")
+        buf = _anonymous(size)
         if data is not None:
-            if len(data) > size:
-                raise MemoryError_("initial data larger than region")
             buf[: len(data)] = data
         region = Region(name=name, addr=addr, size=size, _buf=buf,
-                        repr_scale=repr_scale, tag=tag)
+                        repr_scale=repr_scale, tag=tag,
+                        zero_born=data is None)
         self._regions[addr] = region
         self._by_name[name] = region
         self._index_add(region)
@@ -571,7 +611,8 @@ class AddressSpace:
         the snapshot was taken are unmapped.  Pin counts reset to zero: a
         freshly restarted process has no pinned memory (§4 of the paper).
         A region's ``data`` is its tuple of pieces (:meth:`Region.pieces`),
-        written at consecutive offsets.
+        written at consecutive offsets — except a zero piece bound for a
+        chunk that was never written, which already holds it.
         """
         snap_addrs = {r["addr"] for r in snap["regions"]}
         for region in [r for r in self._regions.values()
@@ -583,8 +624,9 @@ class AddressSpace:
             if existing is None:
                 existing = Region(
                     name=rsnap["name"], addr=rsnap["addr"],
-                    size=rsnap["size"], _buf=bytearray(rsnap["size"]),
-                    repr_scale=rsnap["repr_scale"], tag=rsnap["tag"])
+                    size=rsnap["size"], _buf=_anonymous(rsnap["size"]),
+                    repr_scale=rsnap["repr_scale"], tag=rsnap["tag"],
+                    zero_born=True)
                 self._regions[existing.addr] = existing
                 self._by_name[existing.name] = existing
                 self._index_add(existing)
@@ -597,9 +639,13 @@ class AddressSpace:
                 raise MemoryError_(
                     f"region {existing.name!r}: snapshot data is not a "
                     f"tuple of pieces covering {existing.size} bytes")
+            never = existing._never_written()
             off = 0
             for piece in pieces:
-                existing._buf[off: off + len(piece)] = piece
+                # a never-written chunk already holds the zeros
+                if not (piece == ZERO_PIECE and off % CHUNK_BYTES == 0
+                        and never[off // CHUNK_BYTES]):
+                    existing._buf[off: off + len(piece)] = piece
                 off += len(piece)
             existing.pin_count = 0
             existing.touch()

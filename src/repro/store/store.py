@@ -44,12 +44,16 @@ from ..dmtcp.image import CheckpointImage
 from ..dmtcp.sink import PutResult
 from ..hardware.cluster import Cluster
 from ..hardware.storage import FileSystem, StorageError
-from ..memory import CHUNK_BYTES
+from ..memory import CHUNK_BYTES, ZERO_PIECE
 from .chunks import digest_bytes
 from .manifest import ChunkRef, Manifest, chunk_path, copy_header
 from .tiers import LocalTier, LustreTier, PartnerTier
 
 __all__ = ["CheckpointStore", "PutResult", "StoreConfig", "StoreError"]
+
+#: every all-zero chunk of a capture is the one ZERO_PIECE: its digest is
+#: known before any put
+_ZERO_DIGEST = digest_bytes(ZERO_PIECE)
 
 
 class StoreError(RuntimeError):
@@ -200,7 +204,8 @@ class CheckpointStore:
             for i, piece in enumerate(pieces):
                 lo = i * CHUNK_BYTES
                 if hashes[i] is None:
-                    hashes[i] = digest_bytes(piece)
+                    hashes[i] = _ZERO_DIGEST if piece is ZERO_PIECE \
+                        else digest_bytes(piece)
                 pairs.append((ChunkRef(
                     name, hashes[i], addr + lo, len(piece),
                     scale, tag, generation, ratio, lo), piece))

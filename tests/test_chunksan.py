@@ -110,6 +110,27 @@ def test_untouched_chunk_reports_no_backtrace_available():
     assert "never touch()ed" in str(exc.value)
 
 
+@pytest.mark.parametrize("data,caught", [(None, True), (bytes(SIZE), False)],
+                         ids=["zero-born", "data-initialised"])
+def test_untracked_write_before_the_first_capture(data, caught):
+    """A zero-born region is judged from its mapping: capture trusts an
+    unstamped chunk to hold zeros without reading it, so bytes written
+    there behind the stamps fail the very first capture.  A
+    data-initialised region is read whole, so nothing is trusted yet."""
+    mem = AddressSpace("p0")
+    region = mem.mmap("data", SIZE, data=data)
+    region.write(0, b"ok")
+    region._buf[3 * CHUNK_BYTES + 1] = 1
+    with sanitized() as san:
+        if caught:
+            with pytest.raises(ChunkSanError,
+                               match="never-written chunk: p0/data chunk 3"):
+                _capture(mem)
+        else:
+            _capture(mem)
+        assert san.stale_caught == int(caught)
+
+
 # -- no exemptions; re-seeding ------------------------------------------------
 
 

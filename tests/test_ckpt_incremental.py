@@ -24,7 +24,9 @@ from repro.dmtcp import image as image_mod
 from repro.dmtcp.image import CAPTURE_CHUNK_BYTES, CheckpointImage
 from repro.faults.harness import run_chaos_nas
 from repro.faults.schedule import FailureEvent, FixedSchedule
-from repro.memory import CHUNK_BYTES, AddressSpace, Region
+from repro.memory import CHUNK_BYTES, ZERO_PIECE, AddressSpace, Region
+from repro.store import store as store_mod
+from repro.store.chunks import digest_bytes
 
 
 def _capture(memory, prev=None, gzip=True):
@@ -211,6 +213,42 @@ def test_batches_the_pool_cannot_help_never_build_an_executor(monkeypatch):
         for i, chunk in enumerate(sub_floor):
             mem.mmap(f"r{i}", len(chunk), data=chunk)
         assert _capture(mem).capture_stats["regions_dirty"] == 3
+
+
+@pytest.mark.parametrize("size", [3 * CHUNK_BYTES, 3 * CHUNK_BYTES + 5])
+def test_never_written_chunks_through_an_incremental_chain(size):
+    """Chunks a zero-born region never wrote are the shared ZERO_PIECE in
+    a full capture and in every incremental one after it; a chunk zeroed
+    again after a write is read and shared too, and every image — also
+    through its pickled blob — restores the region's bytes exactly."""
+    mem = AddressSpace()
+    r = mem.mmap("ring", size)
+    base = _capture(mem)
+    assert all(p is ZERO_PIECE
+               for p in base.memory_snapshot["regions"][0]["data"][:3])
+    r.write(CHUNK_BYTES, b"\x07" * 10)
+    incr = _capture(mem, prev=base)
+    assert incr.capture_stats["chunks_dirty"] == 1
+    assert _restored(incr) == _restored(_capture(mem)) \
+        == {"ring": bytes(r.buffer)}
+    r.write(CHUNK_BYTES, bytes(10))
+    again = _capture(mem, prev=incr)
+    assert again.memory_snapshot["regions"][0]["data"][1] is ZERO_PIECE
+    blob = CheckpointImage.from_bytes(again.to_bytes())
+    assert _restored(again) == _restored(blob) == {"ring": bytes(size)}
+
+
+def test_zero_pieces_carry_the_precomputed_digest():
+    """The store never hashes ZERO_PIECE: its digest is precomputed, and
+    it is the digest of a chunk of zeros."""
+    assert store_mod._ZERO_DIGEST == digest_bytes(bytes(CHUNK_BYTES))
+    mem = AddressSpace()
+    r = mem.mmap("r", 3 * CHUNK_BYTES)
+    r.write(CHUNK_BYTES, b"x")
+    pairs = store_mod.CheckpointStore._refs_for(_capture(mem))
+    assert [ref.digest for ref, _ in pairs] \
+        == [digest_bytes(piece) for piece in r.pieces()]
+    assert [piece is ZERO_PIECE for _, piece in pairs] == [True, False, True]
 
 
 # -- the bit-identity property ------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory import (CHUNK_BYTES, PAGE_SIZE, AddressSpace,
+from repro.memory import (CHUNK_BYTES, PAGE_SIZE, ZERO_PIECE, AddressSpace,
                           MemoryError_, Region)
 
 
@@ -376,3 +376,79 @@ def test_restore_lands_under_views_taken_before_it():
     tv[CHUNK_BYTES] = 9
     assert ro[CHUNK_BYTES] == 9
     assert np.flatnonzero(r.chunk_gens != gens).tolist() == [1]
+
+
+# -- untouched memory: the zero-chunk contract -----------------------------------
+
+
+def test_never_written_chunks_come_back_as_the_zero_piece_unread():
+    """In a zero-born region the stamp, not the bytes, answers for a full
+    chunk nobody wrote: it is the one ZERO_PIECE object, and it is not
+    read — a byte poked in behind the stamps stays unseen (catching such
+    a poke is ChunkSan's job)."""
+    mem = AddressSpace()
+    r = mem.mmap("ring", 4 * CHUNK_BYTES)
+    assert r.zero_born
+    r.write(CHUNK_BYTES, b"\x01")
+    r._buf[2 * CHUNK_BYTES] = 0xFF
+    pieces = r.pieces()
+    assert [p is ZERO_PIECE for p in pieces] == [True, False, True, True]
+    assert pieces[1] == b"\x01" + bytes(CHUNK_BYTES - 1)
+
+
+@pytest.mark.parametrize("size,data,write,read", [
+    # a chunk written with zeros carries a stamp: read, then shared
+    (3 * CHUNK_BYTES, None, 0, [0]),
+    # a data-initialised region is read whole, even where data= ran out
+    (3 * CHUNK_BYTES, bytes(CHUNK_BYTES) + b"\x03" * CHUNK_BYTES, None,
+     [0, 1, 2]),
+    # a partial last chunk is always read
+    (2 * CHUNK_BYTES + 5, None, None, [2]),
+], ids=["written-zeros", "data-initialised", "partial-last-chunk"])
+def test_stamped_data_and_partial_chunks_are_read(size, data, write, read):
+    mem = AddressSpace()
+    r = mem.mmap("r", size, data=data)
+    assert r.zero_born == (data is None)
+    if write is not None:
+        r.write(write * CHUNK_BYTES, bytes(CHUNK_BYTES))
+    snap = mem.snapshot()
+    pieces = snap["regions"][0]["data"]
+    # every all-zero full chunk is the shared object, read or trusted
+    assert [p is ZERO_PIECE for p in pieces] \
+        == [p == bytes(CHUNK_BYTES) for p in pieces]
+    fresh = AddressSpace("restarted")
+    fresh.restore(snap)
+    assert bytes(fresh.region("r").buffer) == bytes(r.buffer)
+    # read, not trusted: a byte moved behind the stamps shows up
+    for i in read:
+        r._buf[i * CHUNK_BYTES] = 0xEE
+    assert [i for i, p in enumerate(r.pieces()) if p[:1] == b"\xee"] \
+        == read
+
+
+@pytest.mark.parametrize("into", ["fresh", "existing"])
+def test_restore_of_zero_nonzero_and_rezeroed_chunks_is_bit_identical(into):
+    """Restore skips only a zero piece bound for a never-written chunk;
+    every other chunk — stamped since the snapshot, non-zero in it,
+    zeroed after a write, the partial tail — lands byte for byte."""
+    mem = AddressSpace()
+    r = mem.mmap("r", 5 * CHUNK_BYTES + 9)
+    r.write(CHUNK_BYTES, b"\x04" * CHUNK_BYTES)     # non-zero
+    r.write(2 * CHUNK_BYTES, b"\x06" * 100)
+    r.write(2 * CHUNK_BYTES, bytes(100))            # written, then zeroed
+    r.write(5 * CHUNK_BYTES, b"\x08")               # partial tail
+    want = bytes(r.buffer)
+    snap = mem.snapshot()
+    assert [p is ZERO_PIECE for p in snap["regions"][0]["data"]] \
+        == [True, False, True, True, True, False]
+    if into == "fresh":
+        target = AddressSpace("restarted")
+    else:
+        target = mem
+        r.write(0, b"\x09" * CHUNK_BYTES)           # zero in the snapshot
+        r.write(CHUNK_BYTES + 7, b"\x09")
+        r.write(5 * CHUNK_BYTES + 3, b"\x09")
+    target.restore(snap)
+    restored = target.region("r")
+    assert bytes(restored.buffer) == want
+    assert restored.chunk_gens.all()                # the closing touch()

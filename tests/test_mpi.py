@@ -123,6 +123,26 @@ def test_tag_matching_out_of_order():
     assert results[1] == (1, 2)
 
 
+def test_finished_helper_threads_do_not_pile_up():
+    """Every isend runs on a helper thread; finished ones leave the
+    process's thread list, so a rank posting many sends keeps it
+    bounded instead of one entry per message."""
+    n_msgs = 400
+
+    def app(ctx, comm):
+        region = ctx.memory.mmap(f"{ctx.name}.m", 4096)
+        if comm.rank == 0:
+            for i in range(n_msgs):
+                yield comm.isend(region, 0, 4096, dest=1, tag=i)
+            return len(ctx.proc.threads)
+        for i in range(n_msgs):
+            yield from comm.Recv(region, 0, 4096, source=0, tag=i)
+        return len(ctx.proc.threads)
+
+    env, results = _run_native(app, nprocs=2, n_nodes=2)
+    assert max(results) < 150
+
+
 def test_message_truncation_rejected():
     from repro.mpi import MpiError
 
