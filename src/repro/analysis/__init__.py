@@ -1,6 +1,6 @@
 """repro.analysis — the verbs-protocol analysis gate.
 
-Two static passes and two runtime checkers keep the shadow-virtualization
+Two static passes and one runtime checker keep the shadow-virtualization
 and determinism disciplines the paper depends on machine-checked instead
 of convention-checked:
 
@@ -9,19 +9,22 @@ of convention-checked:
   taint);
 * :mod:`.findings` — ``stale-suppression``: every ``# repro: allow()``
   waiver must still silence a real finding or it becomes one;
-* :mod:`.protocol` / :mod:`.chunksan` — the opt-in runtime checkers:
-  :class:`ProtocolMonitor` (QP state machine, WQE-log balance, rkey
-  translation) and :class:`ChunkSan` (shadow full-hash oracle proving
-  chunk stamps are a superset of the true content diff).
+* :mod:`.chunksan` — the opt-in runtime checker :class:`ChunkSan`
+  (shadow full-hash oracle proving chunk stamps are a superset of the
+  true content diff).
 
-The chunk-stamp discipline needs no static pass: ``Region.buffer`` is
-read-only, so every write outside ``memory/`` goes through a writer that
-stamps what it wrote (DESIGN.md §14).
+The verbs-protocol rules need no checker of their own: each is enforced
+where it lives — the QP state machine by the driver, WQE-log balance by
+:class:`~repro.core.ib_plugin.WqeLogError` and the ``replay-balance``
+trace invariant, per-PD rkeys by ``InfinibandPlugin.translate_rkey``
+(DESIGN.md §9).  The chunk-stamp discipline needs no static pass either:
+``Region.buffer`` is read-only, so every write outside ``memory/`` goes
+through a writer that stamps what it wrote (DESIGN.md §14).
 
-CLI: ``python -m repro.analysis [paths] [--budget FILE]``.
+CLI: ``python -m repro.analysis [paths]`` exits 1 on any unsuppressed
+finding.
 """
 
-from .budget import charge, load_budget, render_report, write_budget
 from .chunksan import (
     ChunkSan,
     ChunkSanError,
@@ -31,28 +34,12 @@ from .chunksan import (
 )
 from .findings import Finding, STALE_RULES
 from .lint import LINT_RULES, lint_paths
-from .protocol import (
-    ProtocolMonitor,
-    ProtocolViolation,
-    install_monitor,
-    monitored,
-    uninstall_monitor,
-)
 
 __all__ = [
     "Finding",
     "LINT_RULES",
     "STALE_RULES",
     "lint_paths",
-    "load_budget",
-    "charge",
-    "render_report",
-    "write_budget",
-    "ProtocolMonitor",
-    "ProtocolViolation",
-    "install_monitor",
-    "uninstall_monitor",
-    "monitored",
     "ChunkSan",
     "ChunkSanError",
     "install_chunksan",
@@ -64,18 +51,16 @@ __all__ = [
 ALL_RULES = {**LINT_RULES, **STALE_RULES}
 
 
-def run_analysis(paths, budget_path=None):
-    """Static passes charged against the budget, file by file.
+def run_analysis(paths):
+    """Both static passes, file by file.
 
     Lints each source file, then audits that file's ``# repro: allow()``
     comments against its findings so dead waivers surface as
-    ``stale-suppression``.  Returns ``(findings, violations, slack)``;
-    the gate passes iff ``violations`` is empty.
+    ``stale-suppression``.  Returns the findings, suppressed ones
+    included; the gate passes iff every one is suppressed.
     """
     import os
-    from pathlib import Path
 
-    from .budget import DEFAULT_BUDGET_FILE
     from .findings import stale_suppressions
     from .lint import iter_sources, lint_file
 
@@ -86,7 +71,4 @@ def run_analysis(paths, budget_path=None):
             path.read_text(), os.path.relpath(path), per_file))
         findings.extend(per_file)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    budget = load_budget(
-        Path(budget_path) if budget_path else Path(DEFAULT_BUDGET_FILE))
-    violations, slack = charge(findings, budget)
-    return findings, violations, slack
+    return findings

@@ -29,10 +29,9 @@ under every chaos sweep:
 Every region is judged.  ChunkSan charges **zero simulated time** — it
 runs in the capture call, which is instantaneous in sim time by
 construction — and is strictly opt-in: installed class-wide like the
-:class:`~repro.analysis.protocol.ProtocolMonitor` (pytest fixture knob
-``REPRO_CHUNKSAN=1`` / ``@pytest.mark.chunksan``, or
-``fault_sweep --chunksan``), with no import from the checked modules
-back into ``repro.analysis``.
+lifecycle tracer (pytest fixture knob ``REPRO_CHUNKSAN=1`` /
+``@pytest.mark.chunksan``, or ``fault_sweep --chunksan``), with no
+import from the checked modules back into ``repro.analysis``.
 """
 
 from __future__ import annotations
@@ -210,7 +209,7 @@ def install_chunksan(san: ChunkSan):
     ``CheckpointImage.capture`` and ``MigrationManager`` pre-copy rounds
     — and interpose ``Region.touch`` to record last-touch backtraces.
     Returns the previous state for :func:`uninstall_chunksan` (nesting
-    restores cleanly, same shape as ``install_monitor``)."""
+    restores cleanly, same shape as ``install_tracer``)."""
     from ..dmtcp.image import CheckpointImage
     from ..memory.address_space import Region
     from ..migrate.manager import MigrationManager

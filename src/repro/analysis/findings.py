@@ -4,8 +4,7 @@ A finding pins one rule violation to one source line.  Suppression is
 per-line and per-rule: a trailing ``# repro: allow(rule-a, rule-b)``
 comment marks that line's findings for those rules as acknowledged debt.
 Suppressed findings are still collected and reported (so the debt stays
-visible), but they never fail the gate; unsuppressed findings are charged
-against the checked-in budget (``budget.py``).
+visible), but they never fail the gate; any unsuppressed finding does.
 
 Suppressions are parsed from real COMMENT tokens (via :mod:`tokenize`),
 so an ``allow(...)`` mentioned in a docstring or string literal never

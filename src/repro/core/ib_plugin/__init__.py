@@ -3,6 +3,7 @@
 from .errors import (
     HeterogeneousDriverError,
     IbPluginError,
+    IdTranslationError,
     NoInfinibandError,
     UnsupportedQpTypeError,
     VirtualIdConflictError,
@@ -24,6 +25,7 @@ from .wrappers import WrappedVerbs
 __all__ = [
     "HeterogeneousDriverError",
     "IbPluginError",
+    "IdTranslationError",
     "InfinibandPlugin",
     "NoInfinibandError",
     "RecvLogEntry",

@@ -6,6 +6,7 @@ from __future__ import annotations
 __all__ = [
     "IbPluginError",
     "HeterogeneousDriverError",
+    "IdTranslationError",
     "UnsupportedQpTypeError",
     "VirtualIdConflictError",
     "NoInfinibandError",
@@ -35,6 +36,14 @@ class VirtualIdConflictError(IbPluginError):
     paper proposes."""
 
 
+class IdTranslationError(IbPluginError):
+    """After a restart, a virtual id resolved to no real id where the
+    published namespace proves it must have: a vrkey registered under
+    some other pd than the remote QP's (§3.2.2 — rkeys are per-PD, so
+    the application mixed protection domains).  The message names the
+    key and the pds that do hold it."""
+
+
 class NoInfinibandError(IbPluginError):
     """Restarted on a node with no HCA and no IB2TCP fallback configured."""
 
@@ -43,6 +52,5 @@ class WqeLogError(IbPluginError):
     """A completion arrived for a ``wr_id`` that was never posted (or was
     already retired).  Principle 3 pairs every polled completion with a
     logged WQE; an orphan completion means the log and the hardware have
-    diverged — the exact stale-handle / unmatched-WQE regression class the
-    protocol checker exists to catch, so it is a typed, loud failure
-    rather than a silent no-op."""
+    diverged — the stale-handle / unmatched-WQE regression class — so it
+    is a typed, loud failure rather than a silent no-op."""

@@ -32,10 +32,10 @@ from ...ibverbs.structs import (ibv_qp_init_attr, ibv_recv_wr, ibv_send_wr,
                                 ibv_sge, ibv_wc)
 from .errors import (
     HeterogeneousDriverError,
+    IdTranslationError,
     NoInfinibandError,
     UnsupportedQpTypeError,
     VirtualIdConflictError,
-    WqeLogError,
 )
 from .shadow import (
     VirtualContext,
@@ -63,16 +63,10 @@ class InfinibandPlugin(Plugin):
 
     name = "infiniband"
 
-    #: opt-in runtime invariant checker (``repro.analysis.protocol``);
-    #: installed class-wide by ``install_monitor`` so tests and the chaos
-    #: harness validate the QP state machine, WQE-log balance, and per-PD
-    #: rkey translation on every run.  ``None`` costs one attribute read.
-    monitor = None
-
     #: opt-in lifecycle tracer (``repro.obs.trace``); installed class-wide
-    #: by ``install_tracer``, same contract as ``monitor``: drain rounds,
-    #: CQ refill hits, WQE replay re-posts, and the id re-exchange emit
-    #: timeline records when a tracer is attached.
+    #: by ``install_tracer``: drain rounds, CQ refill hits, WQE replay
+    #: re-posts, and the id re-exchange emit timeline records when a
+    #: tracer is attached.  ``None`` costs one attribute read.
     tracer = None
 
     def __init__(self, costs: CostModel = DEFAULT_COSTS,
@@ -224,8 +218,6 @@ class InfinibandPlugin(Plugin):
         self.vqp_by_vqpn[vqpn] = vqp
         self.vqp_by_real_qpn[real.qp_num] = vqp
         self.registry_add(vqp)
-        if self.monitor is not None:
-            self.monitor.on_create_qp(vqp)
         return vqp
 
     # -- id translation (§3.2) ------------------------------------------------------
@@ -275,15 +267,30 @@ class InfinibandPlugin(Plugin):
         """(virtual qp, vrkey) → real rkey via the remote pd (§3.2.2):
         the local virtual qp determines the remote virtual qp, whose
         published tuple carries the globally-unique pd; (pd, vrkey) then
-        resolves to the real rkey."""
+        resolves to the real rkey.
+
+        A miss passes ``vrkey`` through (DESIGN.md §9): an object created
+        after the restart is identity-mapped, and an rkey no pd holds is
+        the remote HCA's to refuse.  Only a vrkey published under some
+        *other* pd than the remote QP's is an application bug — rkeys do
+        not cross protection domains — and raises."""
         if not self.restarted:
             return vrkey  # trivial before the first restart
         qinfo = self.db.get(f"qp:{vqp.remote_vlid}/{vqp.remote_vqpn}")
-        rkey = None if qinfo is None \
-            else self.db.get(f"mr:{qinfo['pd']}:{vrkey}")
-        if self.monitor is not None:
-            self.monitor.on_translate_rkey(self, vqp, vrkey, qinfo, rkey)
-        return vrkey if rkey is None else rkey
+        if qinfo is None:
+            return vrkey
+        rkey = self.db.get(f"mr:{qinfo['pd']}:{vrkey}")
+        if rkey is not None:
+            return rkey
+        suffix = f":{vrkey}"
+        holders = sorted({key.split(":")[1] for key in self.db
+                          if key.startswith("mr:") and key.endswith(suffix)})
+        if holders:
+            raise IdTranslationError(
+                f"vrkey {vrkey:#x} does not resolve under the remote QP's "
+                f"pd {qinfo['pd']} but is registered under pd(s) "
+                f"{holders}: rkeys are per-PD (§3.2.2)")
+        return vrkey
 
     def translate_qp_attr(self, attr, mask: QpAttrMask,
                           vqp: Optional[VirtualQp] = None):
@@ -313,22 +320,14 @@ class InfinibandPlugin(Plugin):
         vqp = self.vqp_by_real_qpn.get(wc.qp_num)
         if vqp is None:
             return wc
-        try:
-            if wc.opcode in _RECV_OPCODES:
-                log = vqp.vsrq.recv_log if vqp.vsrq is not None \
-                    else vqp.recv_log
-                log.complete_recv(wc.wr_id)
-            else:
-                # send completions are ordered: a signaled completion
-                # implies every earlier (possibly unsignaled) WQE on the
-                # QP completed
-                vqp.send_log.complete_send_upto(wc.wr_id)
-        except WqeLogError:
-            if self.monitor is not None:
-                self.monitor.on_orphan_completion(vqp, wc)
-            raise
-        if self.monitor is not None:
-            self.monitor.on_completion(vqp, wc)
+        if wc.opcode in _RECV_OPCODES:
+            log = vqp.vsrq.recv_log if vqp.vsrq is not None \
+                else vqp.recv_log
+            log.complete_recv(wc.wr_id)
+        else:
+            # send completions are ordered: a signaled completion implies
+            # every earlier (possibly unsignaled) WQE on the QP completed
+            vqp.send_log.complete_send_upto(wc.wr_id)
         src = wc.src_qp
         if src and vqp.remote_vqpn is not None:
             src = vqp.remote_vqpn
@@ -395,8 +394,6 @@ class InfinibandPlugin(Plugin):
             for vqp in self.qps:
                 vqp.send_log.retain(
                     lambda e: not e.assume_complete_on_drain)
-            if self.monitor is not None:
-                self.monitor.on_write_ckpt(self)
         elif event is DmtcpEvent.RESTART:
             self._restart_recreate()
         elif event is DmtcpEvent.RESTART_REPLAY:
@@ -521,9 +518,6 @@ class InfinibandPlugin(Plugin):
         if self.delegated:
             self.fallback.restart_replay()
             return
-        m = self.monitor
-        if m is not None:
-            m.on_replay_begin(self)
         tracer = self.tracer
         replay_span = None
         reposted_before = (self.stats["reposted_recvs"]
@@ -535,8 +529,6 @@ class InfinibandPlugin(Plugin):
                 modifies=sum(len(vqp.modify_log) for vqp in self.qps))
         for vqp in self.qps:
             for attr, mask in vqp.modify_log:
-                if m is not None:
-                    m.on_replay_modify(vqp, attr, mask)
                 self.real_lib.modify_qp(
                     vqp.real, self.translate_qp_attr(attr, mask, vqp), mask)
                 self.stats["replayed_modifies"] += 1
@@ -549,17 +541,11 @@ class InfinibandPlugin(Plugin):
             for entry in owner.recv_log:
                 post(owner.real, self.translate_recv_wr(entry.wr))
                 self.stats["reposted_recvs"] += 1
-                if m is not None:
-                    m.on_repost(owner, "recv")
         for vqp in self.qps:
             for entry in vqp.send_log:
                 vqp.vpd.vcontext.real_ops.post_send(
                     vqp.real, self.translate_send_wr(vqp, entry.wr))
                 self.stats["reposted_sends"] += 1
-                if m is not None:
-                    m.on_repost(vqp, "send")
-        if m is not None:
-            m.on_replay_done(self)
         if tracer is not None:
             tracer.end(replay_span, self.appctx.env.now,
                        expected=self._logged_wqes(),

@@ -147,9 +147,10 @@ class WrappedVerbs:
 
     def modify_srq(self, vsrq: VirtualSrq, limit: int) -> None:
         self._charge()
-        vsrq.modify_log.append(limit)  # recorded for restart replay
-        vsrq.limit = limit
         self._real.modify_srq(vsrq.real, limit)
+        # recorded for restart replay only once the driver accepted it
+        vsrq.modify_log.append(limit)
+        vsrq.limit = limit
 
     def destroy_srq(self, vsrq: VirtualSrq) -> None:
         self._charge()
@@ -168,27 +169,21 @@ class WrappedVerbs:
 
     def modify_qp(self, vqp: VirtualQp, attr, mask: QpAttrMask) -> None:
         self._charge()
-        monitor = self.plugin.monitor
-        if monitor is not None:
-            # validate against the shared transition table before the call
-            # is logged or forwarded — an illegal jump must not poison the
-            # replay log
-            monitor.on_modify_qp(vqp, attr, mask)
-        # Principle 3: record for restart replay (with the app's VIRTUAL ids)
+        self._real.modify_qp(
+            vqp.real, self.plugin.translate_qp_attr(attr, mask, vqp), mask)
+        # Principle 3: record for restart replay (with the app's VIRTUAL
+        # ids) only once the driver accepted the call — a rejected
+        # transition must not be replayed
         vqp.modify_log.append((attr.copy(), mask))
         if mask & QpAttrMask.DEST_QPN:
             vqp.remote_vqpn = attr.dest_qp_num
         if mask & QpAttrMask.AV:
             vqp.remote_vlid = attr.dlid
-        self._real.modify_qp(
-            vqp.real, self.plugin.translate_qp_attr(attr, mask, vqp), mask)
 
     def destroy_qp(self, vqp: VirtualQp) -> None:
         self._charge()
         self._real.destroy_qp(vqp.real)
         self.plugin.registry_remove(vqp)
-        if self.plugin.monitor is not None:
-            self.plugin.monitor.on_destroy_qp(vqp)
 
     def post_send(self, vqp: VirtualQp, wr: ibv_send_wr) -> None:
         """Inline function → dispatch through the (plugin's) ops table."""

@@ -10,7 +10,8 @@ predicted interval (within one sweep step).
 
 Also re-runs the restart-path verification (id re-virtualization, WQE
 re-post, CQ refill) under an injected mid-flight crash and prints the
-plugin's counters.
+plugin's counters; ``--analysis`` runs it under the lifecycle tracer and
+gates on its trace (:func:`restart_trace_failures`).
 
 Usage::
 
@@ -31,31 +32,27 @@ from ..hardware import Cluster
 from ..store import CheckpointStore
 
 __all__ = ["SweepCell", "SweepResult", "measure_ckpt_cost", "run_sweep",
-           "protocol_gate_failures"]
+           "restart_trace_failures"]
 
 #: interval grid, as multiples of the predicted optimum (log-spaced, one
 #: step ≈ x1.8 — "within one sweep step" means within a factor ~1.8 of τ*)
 GRID = (0.31, 0.56, 1.0, 1.8, 3.24)
 
-#: ProtocolMonitor events the injected-crash restart path must produce:
-#: a monitor that saw none of them was never attached, and its empty
-#: violation list proves nothing
-REQUIRED_MONITOR_EVENTS = ("modify_qp", "completion", "replay_begin",
-                           "repost_recv")
 
+def restart_trace_failures(events: List[dict],
+                           dropped: int = 0) -> List[str]:
+    """Why the traced injected-crash restart path fails the
+    ``--analysis`` gate; empty when it passes.  Every trace invariant
+    must hold, and the trace must hold a ``replay`` span that re-posted
+    at least one WQE — a trace that never saw the replay proves nothing,
+    so the gate cannot pass vacuously."""
+    from ..obs import check_trace_invariants
 
-def protocol_gate_failures(summary: Optional[dict]) -> List[str]:
-    """Why a ``ProtocolMonitor.summary()`` of the monitored restart path
-    fails the ``--analysis`` gate; empty when it passes.  A missing
-    summary or a required event never counted fails, so the gate cannot
-    pass vacuously."""
-    if summary is None:
-        return ["no protocol monitor summary"]
-    events = summary["events"]
-    failures = [f"monitor counted no {name!r} event"
-                for name in REQUIRED_MONITOR_EVENTS
-                if events.get(name, 0) < 1]
-    return failures + list(summary["violations"])
+    failures = []
+    if not any(e["kind"] == "replay" and e["ev"] == "E"
+               and e.get("reposts", 0) > 0 for e in events):
+        failures.append("trace holds no replay span that re-posted a WQE")
+    return failures + check_trace_invariants(events, dropped=dropped)
 
 
 @dataclass
@@ -111,18 +108,18 @@ class SweepResult:
 def measure_ckpt_cost(app: str = "lu", klass: str = "A", nprocs: int = 4,
                       ppn: int = 1, iters_sim: int = 0,
                       seed: int = 2014,
-                      sink_factory: Callable[[Cluster], Any] = FileSink,
-                      analysis: bool = False) -> tuple:
+                      sink_factory: Callable[[Cluster], Any] = FileSink
+                      ) -> tuple:
     """(C, baseline): one checkpoint's wall cost and the failure-free
     completion time, from a calibration run with no fault injection."""
     out = run_chaos_nas(app=app, klass=klass, nprocs=nprocs, ppn=ppn,
                         iters_sim=iters_sim, ckpt_interval=0.3,
                         seed=seed, schedule=FixedSchedule([]),
-                        sink_factory=sink_factory, analysis=analysis)
+                        sink_factory=sink_factory)
     baseline = run_chaos_nas(app=app, klass=klass, nprocs=nprocs, ppn=ppn,
                              iters_sim=iters_sim, ckpt_interval=1e9,
                              seed=seed, schedule=FixedSchedule([]),
-                             sink_factory=sink_factory, analysis=analysis)
+                             sink_factory=sink_factory)
     return out.recovery.mean_ckpt_seconds, baseline.completion_seconds
 
 
@@ -132,13 +129,11 @@ def run_sweep(mtbf_values: List[float], trials: int = 3,
               intervals: Optional[List[float]] = None,
               incremental: bool = False,
               sink_factory: Callable[[Cluster], Any] = FileSink,
-              quiet: bool = False, analysis: bool = False,
-              chunksan: bool = False) -> SweepResult:
+              quiet: bool = False, chunksan: bool = False) -> SweepResult:
     n_nodes = max(1, -(-nprocs // ppn))
     ckpt_cost, baseline = measure_ckpt_cost(app, klass, nprocs, ppn,
                                             iters_sim, seed=base_seed,
-                                            sink_factory=sink_factory,
-                                            analysis=analysis)
+                                            sink_factory=sink_factory)
     result = SweepResult(app=app, klass=klass, nprocs=nprocs,
                          n_nodes=n_nodes, ckpt_cost=ckpt_cost,
                          baseline_seconds=baseline)
@@ -163,8 +158,7 @@ def run_sweep(mtbf_values: List[float], trials: int = 3,
                         seed=base_seed + 7919 * trial,
                         backoff_base=0.2, backoff_max=2.0,
                         max_attempts=50, incremental=incremental,
-                        sink_factory=sink_factory,
-                        analysis=analysis, chunksan=chunksan)
+                        sink_factory=sink_factory, chunksan=chunksan)
                     for trial in range(trials)]
             mean = lambda xs: sum(xs) / len(xs)  # noqa: E731
             cell = SweepCell(
@@ -210,9 +204,10 @@ def main(argv=None) -> int:
                              "partner/Lustre replication, digest-verified "
                              "restart")
     parser.add_argument("--analysis", action="store_true",
-                        help="run every chaos job under the strict "
-                             "ProtocolMonitor (repro.analysis) and print "
-                             "its summary")
+                        help="run the restart-path verification under "
+                             "the lifecycle tracer (repro.obs) and FAIL "
+                             "unless its trace holds a replay that "
+                             "re-posted WQEs and every trace invariant")
     parser.add_argument("--chunksan", action="store_true",
                         help="run every chaos job under the ChunkSan "
                              "shadow oracle (repro.analysis.chunksan): a "
@@ -234,14 +229,18 @@ def main(argv=None) -> int:
     result = run_sweep(mtbfs, trials=trials, iters_sim=iters,
                        base_seed=args.seed, incremental=args.incremental,
                        sink_factory=CheckpointStore if args.store
-                       else FileSink, analysis=args.analysis,
-                       chunksan=args.chunksan)
+                       else FileSink, chunksan=args.chunksan)
     if args.chunksan:
         print("# chunksan: every capture audited against the shadow "
               "full-hash oracle — no stale chunk stamps")
 
     print("\n# restart-path verification under injected crash")
-    verdict = verify_restart_path(seed=args.seed, analysis=args.analysis)
+    if args.analysis:
+        from ..obs.trace import traced
+        with traced() as restart_tracer:
+            verdict = verify_restart_path(seed=args.seed)
+    else:
+        verdict = verify_restart_path(seed=args.seed)
     counters = verdict["counters"]
     print(f"# crash: {verdict['crash'].detail} at "
           f"t={verdict['crash'].t:.3f}")
@@ -253,11 +252,10 @@ def main(argv=None) -> int:
           f"mr {verdict['mrs_remapped']}, lid {verdict['lids_remapped']}")
     gate_failures = []
     if args.analysis:
-        proto = verdict["protocol"]
-        if proto is not None:
-            print(f"# protocol monitor: {sum(proto['events'].values())} "
-                  f"event(s), {len(proto['violations'])} violation(s)")
-        gate_failures = protocol_gate_failures(proto)
+        gate_failures = restart_trace_failures(
+            restart_tracer.events, dropped=restart_tracer.dropped)
+        print(f"# restart trace: {len(restart_tracer.events)} record(s), "
+              f"{len(gate_failures)} gate failure(s)")
         for failure in gate_failures:
             print(f"#   {failure}")
 

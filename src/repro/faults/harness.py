@@ -47,16 +47,6 @@ __all__ = [
 _APPS = {"lu": lu_app, "ft": ft_app, "ml": ml_app}
 
 
-def _maybe_monitored(analysis: bool):
-    """Context manager: a fresh strict ProtocolMonitor when ``analysis``
-    is on, a no-op otherwise.  Imported lazily — ``faults`` must not
-    depend on ``analysis`` unless the caller opts in."""
-    if not analysis:
-        return contextlib.nullcontext(None)
-    from ..analysis.protocol import monitored
-    return monitored(strict=True)
-
-
 def _maybe_traced(trace: bool):
     """Context manager: a fresh class-wide lifecycle Tracer when
     ``trace`` is on, a no-op otherwise.  Imported lazily — ``faults``
@@ -70,7 +60,7 @@ def _maybe_traced(trace: bool):
 def _maybe_chunksan(chunksan: bool):
     """Context manager: a fresh class-wide ChunkSan oracle when
     ``chunksan`` is on, a no-op otherwise.  Imported lazily — same
-    opt-in contract as ``_maybe_monitored``/``_maybe_traced``."""
+    opt-in contract as ``_maybe_traced``."""
     if not chunksan:
         return contextlib.nullcontext(None)
     from ..analysis.chunksan import sanitized
@@ -97,8 +87,6 @@ class ChaosOutcome:
     checksum: float
     recovery: RecoveryOutcome
     failures: List[FailureRecord] = field(default_factory=list)
-    #: ProtocolMonitor.summary() when the run was made with analysis=True
-    protocol: Optional[Dict[str, Any]] = None
     #: the lifecycle trace (event dicts, see ``repro.obs.trace``) when
     #: the run was made with trace=True
     trace_events: Optional[List[Dict[str, Any]]] = None
@@ -134,7 +122,6 @@ def run_chaos_nas(app: str = "lu", klass: str = "A", nprocs: int = 4,
                   gzip: bool = True, incremental: bool = False,
                   sink_factory: Callable[[Cluster], Any] = FileSink,
                   costs: CostModel = DEFAULT_COSTS,
-                  analysis: bool = False,
                   trace: bool = False,
                   chunksan: bool = False) -> ChaosOutcome:
     """Run one NAS kernel to completion under chaos; see module docstring.
@@ -145,9 +132,7 @@ def run_chaos_nas(app: str = "lu", klass: str = "A", nprocs: int = 4,
     ``sink_factory`` builds each generation's checkpoint sink (image
     files by default; pass :class:`~repro.store.CheckpointStore` for
     dedup + partner replication + digest-verified restart).
-    ``analysis`` runs the whole job under a strict
-    :class:`~repro.analysis.ProtocolMonitor`; its summary lands in
-    :attr:`ChaosOutcome.protocol`.  ``trace`` runs it under a fresh
+    ``trace`` runs the whole job under a fresh
     :class:`~repro.obs.Tracer`; the recorded events land in
     :attr:`ChaosOutcome.trace_events`.  ``chunksan`` runs it under the
     :class:`~repro.analysis.ChunkSan` shadow oracle — every capture
@@ -186,9 +171,7 @@ def run_chaos_nas(app: str = "lu", klass: str = "A", nprocs: int = 4,
         env, cluster_factory, specs_for, config, costs=costs,
         plugin_factory=lambda: [InfinibandPlugin(costs=costs)],
         injector=injector, rng=rng)
-    with _maybe_monitored(analysis) as monitor, \
-            _maybe_traced(trace) as tracer, \
-            _maybe_chunksan(chunksan) as san:
+    with _maybe_traced(trace) as tracer, _maybe_chunksan(chunksan) as san:
         recovery = env.run(until=env.process(manager.run()))
     injector.stop()
     return ChaosOutcome(
@@ -196,7 +179,6 @@ def run_chaos_nas(app: str = "lu", klass: str = "A", nprocs: int = 4,
         mtbf_node=mtbf_node, ckpt_interval=ckpt_interval, seed=seed,
         checksum=recovery.results[0].checksum, recovery=recovery,
         failures=list(injector.records),
-        protocol=monitor.summary() if monitor is not None else None,
         trace_events=tracer.events if tracer is not None else None,
         chunksan=san.summary() if san is not None else None,
         sim_stats=env.stats.snapshot()
@@ -208,8 +190,7 @@ def verify_restart_path(seed: int = 2014, klass: str = "A",
                         spec: HardwareSpec = BUFFALO_CCR,
                         crash_node_index: int = 1,
                         freeze_after: float = 0.25,
-                        costs: CostModel = DEFAULT_COSTS,
-                        analysis: bool = False) -> Dict[str, Any]:
+                        costs: CostModel = DEFAULT_COSTS) -> Dict[str, Any]:
     """Freeze a live LU job, crash a node *via the injector* instead of a
     graceful teardown, restart on a spare cluster, and report the restart
     path's evidence (satellite check of §3's principles under failure).
@@ -256,8 +237,7 @@ def verify_restart_path(seed: int = 2014, klass: str = "A",
         results = yield from session2.wait()
         return record, results
 
-    with _maybe_monitored(analysis) as monitor:
-        record, results = env.run(until=env.process(scenario()))
+    record, results = env.run(until=env.process(scenario()))
 
     counters = {key: sum(p.stats[key] for p in plugins)
                 for key in ("reposted_sends", "reposted_recvs",
@@ -274,5 +254,4 @@ def verify_restart_path(seed: int = 2014, klass: str = "A",
             e["mrs_remapped"] for e in evidence),
         "lids_remapped": bool(evidence) and all(
             e["lids_remapped"] for e in evidence),
-        "protocol": monitor.summary() if monitor is not None else None,
     }

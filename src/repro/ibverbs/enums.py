@@ -35,9 +35,9 @@ class QpState(enum.Enum):
 #: queue pairs — exactly the RESET→INIT→RTR→RTS ladder the paper
 #: exercises, plus attribute-only updates in RTS and the ERR→RESET
 #: recovery edge.  SQD/SQE drains are deliberately absent: the paper's
-#: checkpoint protocol never uses them, so both the driver model
-#: (``verbs.py``) and the runtime ``ProtocolMonitor`` reject them from
-#: this one table.
+#: checkpoint protocol never uses them, so the driver model
+#: (``verbs.py``) rejects them — for application calls and restart
+#: replay alike.
 LEGAL_QP_TRANSITIONS = frozenset({
     (QpState.RESET, QpState.INIT),
     (QpState.INIT, QpState.RTR),

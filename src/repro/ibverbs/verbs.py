@@ -177,6 +177,11 @@ class VerbsLib:
 
     def modify_srq(self, srq: ibv_srq, limit: int) -> None:
         self._session(srq)
+        if limit > srq.max_wr:
+            # ibv_modify_srq answers EINVAL: the limit event would never
+            # fire on a queue that cannot hold that many WQEs
+            raise VerbsError(
+                f"srq_limit {limit} exceeds the SRQ's max_wr {srq.max_wr}")
         srq.limit = limit
 
     def destroy_srq(self, srq: ibv_srq) -> None:
@@ -211,8 +216,8 @@ class VerbsLib:
         m = mask._value_
         if m & _M_STATE:
             new = attr.qp_state
-            # one shared transition table (enums.LEGAL_QP_TRANSITIONS) —
-            # the runtime ProtocolMonitor validates against the same one
+            # the one transition table (enums.LEGAL_QP_TRANSITIONS); the
+            # plugin's restart replay goes through this same check
             if not qp_transition_legal(qp.state, new):
                 raise VerbsError(
                     f"illegal QP transition {qp.state.name} -> {new.name}")

@@ -2,8 +2,8 @@
 
 These checks replay a recorded trace (a list of event dicts, see
 :mod:`.trace`) and assert the *ordering* half of the paper's correctness
-argument — the part the per-call :class:`~repro.analysis.protocol.
-ProtocolMonitor` cannot see because it records no timeline:
+argument — the part no single verbs call can check, because it is about
+the timeline (DESIGN.md §9 has the per-call rules):
 
 ``capture-after-quiesce`` (Principle 4)
     Every ``ckpt.capture`` begin is preceded — within its enclosing

@@ -1,9 +1,8 @@
 """Checkpoint-lifecycle tracer: typed span/event records with sim-clock
 and wall-clock timestamps.
 
-The tracer is attached exactly like :class:`~repro.analysis.protocol.
-ProtocolMonitor`: a ``tracer`` class attribute on the instrumented
-classes (``InfinibandPlugin``, ``DmtcpProcess``, ``Coordinator``,
+The tracer is attached through a ``tracer`` class attribute on the
+instrumented classes (``InfinibandPlugin``, ``DmtcpProcess``, ``Coordinator``,
 ``RecoveryManager``, ``Injector``, ``CheckpointStore`` — and through
 it ``CheckpointService`` — ``MigrationManager``, ``PostCopyPager``,
 ``GangScheduler``), installed class-wide by
@@ -182,7 +181,7 @@ def load_trace(path: str) -> List[Dict[str, Any]]:
     return records
 
 
-# -- installation (mirrors repro.analysis.protocol.install_monitor) -----------
+# -- installation -------------------------------------------------------------
 
 def install_tracer(tracer: Tracer) -> Tuple[Any, ...]:
     """Install ``tracer`` class-wide on every instrumented class;

@@ -6,7 +6,6 @@ from typing import List
 
 import pytest
 
-from repro.analysis import ProtocolMonitor, install_monitor, uninstall_monitor
 from repro.hardware import BUFFALO_CCR, Cluster, HardwareSpec, ProcessHost
 from repro.ibverbs import (
     AccessFlags,
@@ -17,21 +16,8 @@ from repro.sim import Environment
 
 
 @pytest.fixture(autouse=True)
-def protocol_monitor():
-    """Every test runs under a fresh strict ProtocolMonitor: any QP
-    state-machine, WQE-balance or rkey-PD violation in the shadow layer
-    fails the test at the offending call."""
-    monitor = ProtocolMonitor(strict=True)
-    prev = install_monitor(monitor)
-    try:
-        yield monitor
-    finally:
-        uninstall_monitor(prev)
-
-
-@pytest.fixture(autouse=True)
 def trace_invariants(request):
-    """Every test also runs under a fresh lifecycle Tracer
+    """Every test runs under a fresh lifecycle Tracer
     (``repro.obs``): at teardown the recorded checkpoint-lifecycle
     trace is checked against every trace invariant of
     ``repro.obs.invariants`` (capture-after-quiesce, refill-before-real,

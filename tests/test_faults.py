@@ -380,31 +380,33 @@ def test_sweep_cli_rejects_nonpositive_trials(trials, capsys):
     assert "--trials must be at least 1" in capsys.readouterr().err
 
 
-def test_analysis_gate_fails_unless_the_monitor_saw_the_restart_path():
-    """``--analysis`` may not pass on an empty violation list alone: the
-    monitor must have counted every required restart-path event."""
-    from repro.experiments.fault_sweep import (REQUIRED_MONITOR_EVENTS,
-                                               protocol_gate_failures)
+def test_analysis_gate_fails_unless_the_trace_saw_a_replay():
+    """``--analysis`` may not pass on a clean trace alone: it must hold
+    a ``replay`` span that re-posted WQEs, and every trace invariant
+    must hold."""
+    from repro.experiments.fault_sweep import restart_trace_failures
 
-    seen = {name: 1 for name in REQUIRED_MONITOR_EVENTS}
-    assert protocol_gate_failures({"events": seen, "violations": []}) == []
-    assert protocol_gate_failures(None) == ["no protocol monitor summary"]
-    assert protocol_gate_failures({"events": {}, "violations": []}) == [
-        f"monitor counted no {name!r} event"
-        for name in REQUIRED_MONITOR_EVENTS]
-    unreplayed = dict(seen, replay_begin=0)
-    assert protocol_gate_failures(
-        {"events": unreplayed, "violations": []}) == [
-        "monitor counted no 'replay_begin' event"]
-    assert protocol_gate_failures(
-        {"events": seen, "violations": ["[rkey-pd] x"]}) == ["[rkey-pd] x"]
+    def replay(reposts, expected):
+        return [{"seq": 0, "kind": "replay", "ev": "B", "proc": "mpi.r0",
+                 "t": 1.0, "span": 1, "expected": expected},
+                {"seq": 1, "kind": "replay", "ev": "E", "proc": "mpi.r0",
+                 "t": 1.0, "span": 1, "expected": expected,
+                 "reposts": reposts}]
+
+    missing = "trace holds no replay span that re-posted a WQE"
+    assert restart_trace_failures(replay(4, 4)) == []
+    assert restart_trace_failures([]) == [missing]
+    assert restart_trace_failures(replay(0, 0)) == [missing]
+    failures = restart_trace_failures(replay(3, 4))
+    assert len(failures) == 1 and "[replay-balance]" in failures[0]
 
 
-def test_analysis_cli_fails_on_a_monitor_that_counted_nothing(monkeypatch,
-                                                              capsys):
+def test_analysis_cli_fails_on_a_trace_without_a_replay(monkeypatch,
+                                                        capsys):
     """The ``--analysis`` command itself, not only its predicate: the
-    same restart verdict passes with the monitor's real summary and
-    FAILs once that summary is an empty, violation-free one."""
+    real restart path passes; the same verdict handed back without the
+    restart having run under the tracer leaves a trace with no
+    ``replay`` span, and FAILs."""
     from repro.experiments import fault_sweep
 
     class _Sweep:
@@ -412,14 +414,13 @@ def test_analysis_cli_fails_on_a_monitor_that_counted_nothing(monkeypatch,
             return True
 
     monkeypatch.setattr(fault_sweep, "run_sweep", lambda *a, **kw: _Sweep())
-    verdict = verify_restart_path(seed=31, analysis=True)
-    monkeypatch.setattr(fault_sweep, "verify_restart_path",
-                        lambda seed, analysis: verdict)
     assert fault_sweep.main(["--smoke", "--analysis"]) == 0
     assert "# overall: PASS" in capsys.readouterr().out
 
-    verdict = dict(verdict, protocol={"events": {}, "violations": []})
+    verdict = verify_restart_path(seed=2014)
+    monkeypatch.setattr(fault_sweep, "verify_restart_path",
+                        lambda seed: verdict)
     assert fault_sweep.main(["--smoke", "--analysis"]) == 1
     out = capsys.readouterr().out
-    assert "monitor counted no 'modify_qp' event" in out
+    assert "trace holds no replay span that re-posted a WQE" in out
     assert "# overall: FAIL" in out

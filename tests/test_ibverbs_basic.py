@@ -151,6 +151,9 @@ def test_srq_create_and_limit(ib_pair):
     srq = a.lib.create_srq(a.pd, max_wr=8)
     a.lib.modify_srq(srq, limit=4)
     assert srq.limit == 4
+    with pytest.raises(VerbsError, match="exceeds the SRQ's max_wr"):
+        a.lib.modify_srq(srq, limit=9)  # ibv_modify_srq: EINVAL
+    assert srq.limit == 4
 
 
 def test_connect_pair_reaches_rts(ib_pair):
