@@ -25,13 +25,7 @@ CLI: ``python -m repro.analysis [paths]`` exits 1 on any unsuppressed
 finding.
 """
 
-from .chunksan import (
-    ChunkSan,
-    ChunkSanError,
-    install_chunksan,
-    sanitized,
-    uninstall_chunksan,
-)
+from .chunksan import ChunkSan, ChunkSanError, sanitized
 from .findings import Finding, STALE_RULES
 from .lint import LINT_RULES, lint_paths
 
@@ -42,8 +36,6 @@ __all__ = [
     "lint_paths",
     "ChunkSan",
     "ChunkSanError",
-    "install_chunksan",
-    "uninstall_chunksan",
     "sanitized",
     "run_analysis",
 ]

@@ -28,10 +28,11 @@ under every chaos sweep:
 
 Every region is judged.  ChunkSan charges **zero simulated time** — it
 runs in the capture call, which is instantaneous in sim time by
-construction — and is strictly opt-in: installed class-wide like the
-lifecycle tracer (pytest fixture knob ``REPRO_CHUNKSAN=1`` /
-``@pytest.mark.chunksan``, or ``fault_sweep --chunksan``), with no
-import from the checked modules back into ``repro.analysis``.
+construction — and is strictly opt-in: :func:`sanitized` enters it in
+the observer slot :mod:`repro.hooks` like the lifecycle tracer (pytest
+fixture knob ``REPRO_CHUNKSAN=1`` / ``@pytest.mark.chunksan``, or
+``fault_sweep --chunksan``), with no import from the checked modules
+back into ``repro.analysis``.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import hooks
 from ..memory import CHUNK_BYTES
 
-__all__ = ["ChunkSan", "ChunkSanError", "install_chunksan",
-           "uninstall_chunksan", "sanitized"]
+__all__ = ["ChunkSan", "ChunkSanError", "sanitized"]
 
 #: frames kept per recorded touch() call site
 _BACKTRACE_LIMIT = 8
@@ -82,12 +83,12 @@ class ChunkSan:
         self.chunks_checked = 0
         self.stale_caught = 0
 
-    # -- touch recording (wired by install_chunksan) -------------------------
+    # -- touch recording (wired by sanitized) --------------------------------
 
     def record_touch(self, region, offset: int = 0,
                      length: Optional[int] = None) -> None:
         """Remember where each chunk was last stamped, for the error
-        message.  Called by the installed ``Region.touch`` wrapper
+        message.  Called by :func:`sanitized`'s ``Region.touch`` wrapper
         *before* the real touch runs."""
         n = region.n_chunks
         if length is None:
@@ -166,8 +167,7 @@ class ChunkSan:
                     "ever covered it")
 
     def check_capture(self, proc_name: str, memory,
-                      context: str = "capture", tracer=None,
-                      t_sim: float = 0.0) -> None:
+                      context: str = "capture", t_sim: float = 0.0) -> None:
         """Audit every region of ``memory``; called at capture entry and
         at each migration pre-copy round.  Zero simulated time."""
         self.checks += 1
@@ -176,6 +176,7 @@ class ChunkSan:
         for region in memory:
             regions += 1
             chunks += self.check_region(proc_name, region, context)
+        tracer = hooks.tracer
         if tracer is not None:
             # note: no "chunks"+"chunks_dirty" pair — that attribute
             # combination is claimed by the chunk-balance trace invariant
@@ -204,20 +205,14 @@ class ChunkSan:
                 "stale_caught": self.stale_caught}
 
 
-def install_chunksan(san: ChunkSan):
-    """Install ``san`` class-wide on the two audit points —
-    ``CheckpointImage.capture`` and ``MigrationManager`` pre-copy rounds
-    — and interpose ``Region.touch`` to record last-touch backtraces.
-    Returns the previous state for :func:`uninstall_chunksan` (nesting
-    restores cleanly, same shape as ``install_tracer``)."""
-    from ..dmtcp.image import CheckpointImage
+@contextmanager
+def sanitized():
+    """``with sanitized() as san:`` — run the body under a fresh
+    ChunkSan in the observer slot, with ``Region.touch`` interposed to
+    record last-touch backtraces for its error messages."""
     from ..memory.address_space import Region
-    from ..migrate.manager import MigrationManager
 
-    prev = (CheckpointImage.chunksan, MigrationManager.chunksan,
-            Region.touch)
-    CheckpointImage.chunksan = san
-    MigrationManager.chunksan = san
+    san = ChunkSan()
     orig_touch = Region.touch
 
     def _touch(self, offset: int = 0, length: Optional[int] = None):
@@ -225,23 +220,8 @@ def install_chunksan(san: ChunkSan):
         return orig_touch(self, offset, length)
 
     Region.touch = _touch
-    return prev
-
-
-def uninstall_chunksan(prev) -> None:
-    from ..dmtcp.image import CheckpointImage
-    from ..memory.address_space import Region
-    from ..migrate.manager import MigrationManager
-
-    CheckpointImage.chunksan, MigrationManager.chunksan, Region.touch = prev
-
-
-@contextmanager
-def sanitized():
-    """``with sanitized() as san:`` — run the body under ChunkSan."""
-    san = ChunkSan()
-    prev = install_chunksan(san)
     try:
-        yield san
+        with hooks.observing(chunksan=san):
+            yield san
     finally:
-        uninstall_chunksan(prev)
+        Region.touch = orig_touch

@@ -52,7 +52,7 @@ class BlcrCheckpointer:
             proc_name=host.name, pid=host.pid,
             kernel_version=self.kernel_version, hca_vendor=None,
             memory=host.memory, gzip=False, checkpointer="blcr",
-            header_bytes=header_bytes)
+            header_bytes=header_bytes, t_sim=self.node.env.now)
         disk = self.node.disk(disk_kind)
         yield from disk.write(path, image.to_bytes(),
                               logical_size=image.logical_size)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from ... import hooks
 from ...dmtcp.costs import CostModel, DEFAULT_COSTS
 from ...dmtcp.events import DmtcpEvent
 from ...dmtcp.plugin import Plugin
@@ -62,12 +63,6 @@ class InfinibandPlugin(Plugin):
     """DMTCP plugin for transparent checkpoint-restart over InfiniBand."""
 
     name = "infiniband"
-
-    #: opt-in lifecycle tracer (``repro.obs.trace``); installed class-wide
-    #: by ``install_tracer``: drain rounds, CQ refill hits, WQE replay
-    #: re-posts, and the id re-exchange emit timeline records when a
-    #: tracer is attached.  ``None`` costs one attribute read.
-    tracer = None
 
     def __init__(self, costs: CostModel = DEFAULT_COSTS,
                  allow_driver_reload: bool = False,
@@ -345,10 +340,10 @@ class InfinibandPlugin(Plugin):
                 vcq.private_queue.extend(map(self.take_completion, wcs))
                 drained += len(wcs)
         self.stats["drained_completions"] += drained
-        if self.tracer is not None:
-            self.tracer.emit("drain.round", self.appctx.name,
-                             self.appctx.env.now, drained=drained,
-                             cqs=len(self.cqs))
+        if hooks.tracer is not None:
+            hooks.tracer.emit("drain.round", self.appctx.name,
+                              self.appctx.env.now, drained=drained,
+                              cqs=len(self.cqs))
         return drained
 
     def arm_notify(self, vcq: VirtualCq):
@@ -493,9 +488,9 @@ class InfinibandPlugin(Plugin):
         for vmr in self.mrs:
             entries[f"mr:{_pd_key(vmr.vpd.guid)}:{vmr.rkey}"] = \
                 vmr.real.rkey
-        if self.tracer is not None:
-            self.tracer.emit("ns.publish", self.appctx.name,
-                             self.appctx.env.now, entries=len(entries))
+        if hooks.tracer is not None:
+            hooks.tracer.emit("ns.publish", self.appctx.name,
+                              self.appctx.env.now, entries=len(entries))
         return entries
 
     def ns_receive(self, db: Mapping[str, Any]) -> None:
@@ -503,9 +498,9 @@ class InfinibandPlugin(Plugin):
             self.fallback.ns_receive(db)
             return
         self.db = db
-        if self.tracer is not None:
-            self.tracer.emit("ns.receive", self.appctx.name,
-                             self.appctx.env.now, entries=len(db))
+        if hooks.tracer is not None:
+            hooks.tracer.emit("ns.receive", self.appctx.name,
+                              self.appctx.env.now, entries=len(db))
 
     # -- restart phase 2: replay (Principles 3 and 6) ------------------------------------------
 
@@ -518,7 +513,7 @@ class InfinibandPlugin(Plugin):
         if self.delegated:
             self.fallback.restart_replay()
             return
-        tracer = self.tracer
+        tracer = hooks.tracer
         replay_span = None
         reposted_before = (self.stats["reposted_recvs"]
                            + self.stats["reposted_sends"])

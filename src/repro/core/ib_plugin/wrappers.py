@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
+from ... import hooks
 from ...ibverbs.enums import QpAttrMask, QpType, SendFlags, WrOpcode
 from ...ibverbs.structs import (
     ibv_port_attr,
@@ -265,7 +266,7 @@ class WrappedVerbs:
             out.extend(map(plugin.take_completion,
                            vcq.vcontext.real_ops.poll_cq(
                                vcq.real, num_entries - served_private)))
-        tracer = plugin.tracer
+        tracer = hooks.tracer
         if tracer is not None and (out or private_before):
             # empty polls are not recorded — only refill activity and
             # real-CQ hits carry Principle-5 evidence

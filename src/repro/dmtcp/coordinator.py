@@ -12,6 +12,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Any, Dict, Generator, List, Mapping, Optional
 
+from .. import hooks
 from ..hardware.node import Node
 from ..net.tcp import Connection, TcpStack
 from ..sim import Environment, Event, Store
@@ -71,11 +72,6 @@ class _ClientHandle:
 
 class Coordinator:
     """Runs on a (login) node; speaks the client protocol over TCP."""
-
-    #: opt-in lifecycle tracer (``repro.obs.trace``), installed class-wide
-    #: by ``install_tracer``: checkpoint requests/completions and global
-    #: drain verdicts emit timeline records when a tracer is attached.
-    tracer = None
 
     def __init__(self, node: Node, port: int = COORD_PORT,
                  expected_clients: Optional[int] = None, *, sink):
@@ -206,10 +202,10 @@ class Coordinator:
         self._drain_n += 1
         if self._drain_n == self._quorum():
             done = self._drain_total == 0
-            if self.tracer is not None:
-                self.tracer.emit("coord.drain.verdict", "coord",
-                                 self.env.now, done=done,
-                                 total=self._drain_total)
+            if hooks.tracer is not None:
+                hooks.tracer.emit("coord.drain.verdict", "coord",
+                                  self.env.now, done=done,
+                                  total=self._drain_total)
             self._drain_total = 0
             self._drain_n = 0
             for client in self.clients:
@@ -234,19 +230,19 @@ class Coordinator:
         self._ckpt_epoch += 1
         self._ckpt_stats = []
         self._ckpt_done_evt = self.env.event()
-        if self.tracer is not None:
-            self.tracer.emit("coord.ckpt.request", "coord", self.env.now,
-                             epoch=self._ckpt_epoch, intent=intent,
-                             clients=len(self.clients))
+        if hooks.tracer is not None:
+            hooks.tracer.emit("coord.ckpt.request", "coord", self.env.now,
+                              epoch=self._ckpt_epoch, intent=intent,
+                              clients=len(self.clients))
         for client in self.clients:
             yield from client.conn.send({"op": "checkpoint",
                                          "intent": intent,
                                          "epoch": self._ckpt_epoch})
         stats = yield self._ckpt_done_evt
         self._ckpt_done_evt = None
-        if self.tracer is not None:
-            self.tracer.emit("coord.ckpt.done", "coord", self.env.now,
-                             epoch=self._ckpt_epoch, procs=len(stats))
+        if hooks.tracer is not None:
+            hooks.tracer.emit("coord.ckpt.done", "coord", self.env.now,
+                              epoch=self._ckpt_epoch, procs=len(stats))
         # every image of this epoch landed: a chunk store starts pushing
         # partner/Lustre replicas while the job runs on
         self.sink.schedule_replication(self._ckpt_epoch)

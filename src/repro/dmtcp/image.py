@@ -51,10 +51,11 @@ import pickle
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
+from .. import hooks
 from ..memory import CHUNK_BYTES, AddressSpace, dirty_chunk_bytes
 
 __all__ = ["CheckpointImage", "ImageError", "CAPTURE_CHUNK_BYTES"]
@@ -151,31 +152,28 @@ class CheckpointImage:
     #: (not meaningful after from_bytes round-trips of old images)
     capture_stats: dict = field(default_factory=dict)
 
-    #: opt-in ChunkSan oracle (``repro.analysis.chunksan``), installed
-    #: class-wide by ``install_chunksan`` like ``DmtcpProcess.tracer`` —
-    #: this module never imports ``repro.analysis``
-    chunksan: ClassVar[Optional[object]] = None
-
     @classmethod
     def capture(cls, proc_name: str, pid: int, kernel_version: str,
                 hca_vendor: Optional[str], memory: AddressSpace,
                 gzip: bool = True, checkpointer: str = "dmtcp",
                 header_bytes: float = 0.0,
                 prev: Optional["CheckpointImage"] = None,
-                tracer=None, t_sim: float = 0.0) -> "CheckpointImage":
+                t_sim: float = 0.0) -> "CheckpointImage":
         """Capture ``memory``, incrementally against ``prev`` if given.
 
-        ``tracer``/``t_sim`` come from the caller (``DmtcpProcess``
-        passes its class-wide tracer and ``env.now``): this module never
-        imports ``repro.obs`` and never reads a clock — the tracer stamps
-        wall time itself, and capture advances no simulated time.
+        ``t_sim`` comes from the caller (``DmtcpProcess`` passes
+        ``env.now``) and stamps the records of the tracer in the
+        observer slot (:mod:`repro.hooks`): this module never reads a
+        clock — the tracer stamps wall time itself, and capture advances
+        no simulated time.
         """
-        san = cls.chunksan
+        tracer = hooks.tracer
+        san = hooks.chunksan
         if san is not None:
             # audit the stamps *before* this capture trusts them for the
             # clean-proof hierarchy below; charges zero simulated time
             san.check_capture(proc_name, memory, context="capture",
-                              tracer=tracer, t_sim=t_sim)
+                              t_sim=t_sim)
 
         prev_snap: Dict[str, dict] = {}
         prev_meta: Dict[str, dict] = {}
@@ -328,7 +326,7 @@ class CheckpointImage:
                 entry["ratio"] = region.gzip_ratio = ratio
             if tracer is not None:
                 # sim duration is 0 (capture is instantaneous in sim
-                # time); the span's wall duration is the real zlib cost
+                # time); the span's wall stamps bracket the real zlib cost
                 tracer.end(compress_span, t_sim, chunks=len(chunks))
 
         # -- weighting: each region's effective ratio by its logical bytes;

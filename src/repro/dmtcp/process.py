@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional
 
+from .. import hooks
 from ..hardware.node import Node, ProcessHost
 from ..hardware.storage import QuotaExceededError
 from ..memory import AddressSpace
@@ -140,12 +141,6 @@ class CheckpointRecord:
 class DmtcpProcess:
     """One application process running under dmtcp_launch."""
 
-    #: opt-in lifecycle tracer (``repro.obs.trace``), installed class-wide
-    #: by ``install_tracer``: the checkpoint pipeline (quiesce, drain,
-    #: settle, capture, write) and the restart flow emit timeline spans
-    #: when a tracer is attached.
-    tracer = None
-
     def __init__(self, host: ProcessHost, name: str, rank: int, world: int,
                  plugins: List[Plugin], *, sink,
                  costs: CostModel = DEFAULT_COSTS, gzip: bool = True,
@@ -215,7 +210,7 @@ class DmtcpProcess:
     def _do_checkpoint(self, intent: str, epoch: int = 0) -> Generator:
         t0 = self.env.now
         self.ckpt_error = None
-        tracer = self.tracer
+        tracer = hooks.tracer
         gen = self.appctx.restarts
         ckpt_span = quiesce_span = None
         if tracer is not None:
@@ -288,7 +283,7 @@ class DmtcpProcess:
             kernel_version=self.host.node.kernel_version,
             hca_vendor=hca_vendor, memory=self.host.memory,
             gzip=self.gzip, header_bytes=self.costs.image_header_bytes,
-            prev=prev, tracer=tracer, t_sim=self.env.now)
+            prev=prev, t_sim=self.env.now)
         if tracer is not None:
             cstats = image.capture_stats
             # chunk-level dirty accounting (metrics always; span attrs
@@ -431,7 +426,7 @@ class DmtcpProcess:
 
     def restart_flow(self, coord_host: str, coord_port: int) -> Generator:
         """Process generator: the RESTART protocol (hooks + ns exchange)."""
-        tracer = self.tracer
+        tracer = hooks.tracer
         restart_span = None if tracer is None else tracer.begin(
             "restart", self.name, self.env.now, gen=self.appctx.restarts)
         self.client = yield from CoordinatorClient.connect(

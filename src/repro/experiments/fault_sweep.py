@@ -21,9 +21,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional
 
+from ..analysis.chunksan import sanitized
 from ..dmtcp import FileSink
 from ..faults.harness import (run_chaos_nas, verify_restart_path,
                               young_daly_interval)
@@ -129,7 +131,7 @@ def run_sweep(mtbf_values: List[float], trials: int = 3,
               intervals: Optional[List[float]] = None,
               incremental: bool = False,
               sink_factory: Callable[[Cluster], Any] = FileSink,
-              quiet: bool = False, chunksan: bool = False) -> SweepResult:
+              quiet: bool = False) -> SweepResult:
     n_nodes = max(1, -(-nprocs // ppn))
     ckpt_cost, baseline = measure_ckpt_cost(app, klass, nprocs, ppn,
                                             iters_sim, seed=base_seed,
@@ -158,7 +160,7 @@ def run_sweep(mtbf_values: List[float], trials: int = 3,
                         seed=base_seed + 7919 * trial,
                         backoff_base=0.2, backoff_max=2.0,
                         max_attempts=50, incremental=incremental,
-                        sink_factory=sink_factory, chunksan=chunksan)
+                        sink_factory=sink_factory)
                     for trial in range(trials)]
             mean = lambda xs: sum(xs) / len(xs)  # noqa: E731
             cell = SweepCell(
@@ -226,10 +228,12 @@ def main(argv=None) -> int:
     else:
         mtbfs, trials, iters = [24.0, 40.0, 64.0], args.trials or 3, 300
 
-    result = run_sweep(mtbfs, trials=trials, iters_sim=iters,
-                       base_seed=args.seed, incremental=args.incremental,
-                       sink_factory=CheckpointStore if args.store
-                       else FileSink, chunksan=args.chunksan)
+    with sanitized() if args.chunksan else contextlib.nullcontext():
+        result = run_sweep(mtbfs, trials=trials, iters_sim=iters,
+                           base_seed=args.seed,
+                           incremental=args.incremental,
+                           sink_factory=CheckpointStore if args.store
+                           else FileSink)
     if args.chunksan:
         print("# chunksan: every capture audited against the shadow "
               "full-hash oracle — no stale chunk stamps")

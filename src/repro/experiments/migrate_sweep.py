@@ -131,16 +131,17 @@ def run_migrate_sweep(seed: int = 2014, klass: str = "A",
               f"{pc['pager_stats']['prefetched']} prefetched; brownout "
               f"{bo['pager_stats']['retries']} retry(ies)")
 
-    dis = run_precopy_lu(seed=seed, klass=klass, nprocs=nprocs,
-                         iters_sim=iters_sim, disrupt=True, trace=True)
+    from ..obs import check_trace_invariants, traced
+    with traced() as tracer:
+        dis = run_precopy_lu(seed=seed, klass=klass, nprocs=nprocs,
+                             iters_sim=iters_sim, disrupt=True)
     crash_applied = any(r.kind == "node-crash" and r.applied
                         for r in dis["failures"])
     check("disrupt crash landed on the target", crash_applied)
     check("disrupt recovered (>=1 failed attempt)",
           dis["outcome"].n_failures >= 1)
     check("disrupt checksum parity", dis["checksum"] == base["checksum"])
-    from ..obs import check_trace_invariants
-    violations = check_trace_invariants(dis["trace_events"])
+    violations = check_trace_invariants(tracer.events)
     check("disrupt trace invariants clean", not violations)
     if not quiet:
         print(f"# disrupt: {dis['outcome'].n_failures} aborted "

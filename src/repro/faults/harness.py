@@ -18,7 +18,6 @@ replays) plus the id re-virtualization evidence.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
@@ -47,26 +46,6 @@ __all__ = [
 _APPS = {"lu": lu_app, "ft": ft_app, "ml": ml_app}
 
 
-def _maybe_traced(trace: bool):
-    """Context manager: a fresh class-wide lifecycle Tracer when
-    ``trace`` is on, a no-op otherwise.  Imported lazily — ``faults``
-    must not depend on ``obs`` unless the caller opts in."""
-    if not trace:
-        return contextlib.nullcontext(None)
-    from ..obs.trace import traced
-    return traced()
-
-
-def _maybe_chunksan(chunksan: bool):
-    """Context manager: a fresh class-wide ChunkSan oracle when
-    ``chunksan`` is on, a no-op otherwise.  Imported lazily — same
-    opt-in contract as ``_maybe_traced``."""
-    if not chunksan:
-        return contextlib.nullcontext(None)
-    from ..analysis.chunksan import sanitized
-    return sanitized()
-
-
 def young_daly_interval(mtbf_job: float, ckpt_cost: float) -> float:
     """Young's first-order optimum τ* = sqrt(2 · MTBF_job · C), where
     MTBF_job = mtbf_node / n_nodes and C is one checkpoint's wall cost."""
@@ -87,12 +66,6 @@ class ChaosOutcome:
     checksum: float
     recovery: RecoveryOutcome
     failures: List[FailureRecord] = field(default_factory=list)
-    #: the lifecycle trace (event dicts, see ``repro.obs.trace``) when
-    #: the run was made with trace=True
-    trace_events: Optional[List[Dict[str, Any]]] = None
-    #: ChunkSan.summary() when the run was made with chunksan=True (the
-    #: run raising no ChunkSanError IS the verdict; this records volume)
-    chunksan: Optional[Dict[str, Any]] = None
     #: event-kernel counters (``Environment.stats.snapshot()``): events
     #: processed, heap peak, same-timestamp batch shape
     sim_stats: Optional[Dict[str, Any]] = None
@@ -121,9 +94,7 @@ def run_chaos_nas(app: str = "lu", klass: str = "A", nprocs: int = 4,
                   backoff_jitter: float = 0.0,
                   gzip: bool = True, incremental: bool = False,
                   sink_factory: Callable[[Cluster], Any] = FileSink,
-                  costs: CostModel = DEFAULT_COSTS,
-                  trace: bool = False,
-                  chunksan: bool = False) -> ChaosOutcome:
+                  costs: CostModel = DEFAULT_COSTS) -> ChaosOutcome:
     """Run one NAS kernel to completion under chaos; see module docstring.
 
     ``schedule`` overrides the default per-node Poisson(``mtbf_node``)
@@ -131,14 +102,9 @@ def run_chaos_nas(app: str = "lu", klass: str = "A", nprocs: int = 4,
     failure-free run, e.g. to measure the checkpoint cost C).
     ``sink_factory`` builds each generation's checkpoint sink (image
     files by default; pass :class:`~repro.store.CheckpointStore` for
-    dedup + partner replication + digest-verified restart).
-    ``trace`` runs the whole job under a fresh
-    :class:`~repro.obs.Tracer`; the recorded events land in
-    :attr:`ChaosOutcome.trace_events`.  ``chunksan`` runs it under the
-    :class:`~repro.analysis.ChunkSan` shadow oracle — every capture
-    audits the chunk stamps against true content, a stale stamp aborts
-    the run with a ``ChunkSanError`` — and its volume counters land in
-    :attr:`ChaosOutcome.chunksan`.
+    dedup + partner replication + digest-verified restart).  To
+    observe the run, call it inside ``repro.obs.traced()`` and/or
+    ``repro.analysis.sanitized()``.
     """
     app_fn = _APPS[app]
     env = Environment()
@@ -171,16 +137,13 @@ def run_chaos_nas(app: str = "lu", klass: str = "A", nprocs: int = 4,
         env, cluster_factory, specs_for, config, costs=costs,
         plugin_factory=lambda: [InfinibandPlugin(costs=costs)],
         injector=injector, rng=rng)
-    with _maybe_traced(trace) as tracer, _maybe_chunksan(chunksan) as san:
-        recovery = env.run(until=env.process(manager.run()))
+    recovery = env.run(until=env.process(manager.run()))
     injector.stop()
     return ChaosOutcome(
         app=app, klass=klass, nprocs=nprocs, n_nodes=n_nodes,
         mtbf_node=mtbf_node, ckpt_interval=ckpt_interval, seed=seed,
         checksum=recovery.results[0].checksum, recovery=recovery,
         failures=list(injector.records),
-        trace_events=tracer.events if tracer is not None else None,
-        chunksan=san.summary() if san is not None else None,
         sim_stats=env.stats.snapshot()
         if getattr(env, "stats", None) is not None else None)
 

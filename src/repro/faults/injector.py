@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+from .. import hooks
 from ..hardware.cluster import Cluster
 from ..sim import Environment, Event, Interrupt
 from .models import apply_failure
@@ -36,11 +37,6 @@ class FailureRecord:
 
 class Injector:
     """Applies a :class:`FailureSchedule` to the active cluster."""
-
-    #: opt-in lifecycle tracer (``repro.obs.trace``), installed class-wide
-    #: by ``install_tracer``: every injected (or missed) failure emits a
-    #: ``fault.inject`` record when a tracer is attached.
-    tracer = None
 
     def __init__(self, env: Environment, schedule: FailureSchedule,
                  name: str = "injector"):
@@ -110,10 +106,10 @@ class Injector:
                     self._heal_later(applied.heal, applied.heal_after),
                     name="injector.heal")
         self.records.append(record)
-        if self.tracer is not None:
-            self.tracer.emit("fault.inject", self.name, self.env.now,
-                             fault=record.kind, node=record.node_index,
-                             fatal=record.fatal, applied=record.applied)
+        if hooks.tracer is not None:
+            hooks.tracer.emit("fault.inject", self.name, self.env.now,
+                              fault=record.kind, node=record.node_index,
+                              fatal=record.fatal, applied=record.applied)
         for callback in self.on_failure:
             callback(record)
         if record.fatal and record.applied:

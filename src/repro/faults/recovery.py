@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Generator, List, Optional
 
+from .. import hooks
 from ..dmtcp.coordinator import Coordinator
 from ..dmtcp.costs import CostModel, DEFAULT_COSTS
 from ..dmtcp.launcher import (
@@ -292,12 +293,6 @@ class RecoveryManager:
     (rank-0 placement and hostnames are cluster-specific).
     """
 
-    #: opt-in lifecycle tracer (``repro.obs.trace``), installed class-wide
-    #: by ``install_tracer``: every timeline mark (launch, restart,
-    #: checkpoint, failure, backoff, done, give-up) also lands in the
-    #: trace as a ``harness.<kind>`` record.
-    tracer = None
-
     def __init__(self, env: Environment,
                  cluster_factory: Callable[[str], Cluster],
                  specs_for: Callable[[Cluster], List[AppSpec]],
@@ -327,9 +322,9 @@ class RecoveryManager:
         if outcome is not None:
             outcome.timeline.append(
                 TimelineEvent(t=self.env.now, kind=kind, detail=detail))
-        if self.tracer is not None:
-            self.tracer.emit(f"harness.{kind}", self.name, self.env.now,
-                             detail=detail)
+        if hooks.tracer is not None:
+            hooks.tracer.emit(f"harness.{kind}", self.name, self.env.now,
+                              detail=detail)
 
     def _mark_error(self, outcome: Optional[RecoveryOutcome], where: str,
                     exc: BaseException) -> None:

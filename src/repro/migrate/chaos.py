@@ -32,7 +32,6 @@ from ..apps.nas import lu_app
 from ..core import InfinibandPlugin
 from ..dmtcp import DEFAULT_COSTS, CostModel, dmtcp_launch
 from ..dmtcp.launcher import JobTracker
-from ..faults.harness import _maybe_traced
 from ..faults.injector import Injector
 from ..faults.recovery import (ChaosGate, ChaosPlugin, RecoveryConfig,
                                RecoveryManager, RecoveryOutcome)
@@ -130,8 +129,7 @@ def run_precopy_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
                    config: Optional[MigrationConfig] = None,
                    disrupt: bool = False, crash_delay: float = 0.02,
                    backoff_jitter: float = 0.0,
-                   costs: CostModel = DEFAULT_COSTS,
-                   trace: bool = False) -> Dict[str, Any]:
+                   costs: CostModel = DEFAULT_COSTS) -> Dict[str, Any]:
     """Live pre-copy migration of a running LU job, mid-iteration.
 
     ``rounds`` forces an exact transferred-round count (the sweep's
@@ -191,8 +189,7 @@ def run_precopy_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
         results = yield from result.session.wait()
         return result, results
 
-    with _maybe_traced(trace) as tracer:
-        result, results = env.run(until=env.process(scenario()))
+    result, results = env.run(until=env.process(scenario()))
     if injector is not None:
         injector.stop()
     tracker.kill_all()
@@ -208,7 +205,6 @@ def run_precopy_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
         "completion_seconds": env.now,
         "outcome": outcome,
         "failures": list(injector.records) if injector is not None else [],
-        "trace_events": tracer.events if tracer is not None else None,
     }
 
 
@@ -219,8 +215,7 @@ def run_postcopy_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
                     brownout: bool = False, brownout_delay: float = 0.02,
                     brownout_duration: float = 0.5,
                     retry_jitter: float = 0.0,
-                    costs: CostModel = DEFAULT_COSTS,
-                    trace: bool = False) -> Dict[str, Any]:
+                    costs: CostModel = DEFAULT_COSTS) -> Dict[str, Any]:
     """Post-copy restart of a gate-parked resume checkpoint on a fresh
     cluster.  With ``brownout``, the image's chunks are staged to the
     Lustre tier *only* and the tier browns out ``brownout_delay`` seconds
@@ -289,8 +284,7 @@ def run_postcopy_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
         store.stop()
         return results, pagers
 
-    with _maybe_traced(trace) as tracer:
-        results, pagers = env.run(until=env.process(scenario()))
+    results, pagers = env.run(until=env.process(scenario()))
     if injector is not None:
         injector.stop()
     tracker.kill_all()
@@ -302,7 +296,6 @@ def run_postcopy_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
         "pager_stats": stats,
         "completion_seconds": env.now,
         "failures": list(injector.records) if injector is not None else [],
-        "trace_events": tracer.events if tracer is not None else None,
     }
 
 
@@ -311,8 +304,7 @@ def run_elastic_lu(seed: int = 2014, klass: str = "A", nprocs: int = 8,
                    target_nodes: int = 4,
                    spec: HardwareSpec = BUFFALO_CCR,
                    warmup: float = 0.25,
-                   costs: CostModel = DEFAULT_COSTS,
-                   trace: bool = False) -> Dict[str, Any]:
+                   costs: CostModel = DEFAULT_COSTS) -> Dict[str, Any]:
     """Freeze ``nprocs`` ranks mid-run and revive them on
     ``target_nodes`` nodes (shrink when < N, expand when > N)."""
     env = Environment()
@@ -338,13 +330,11 @@ def run_elastic_lu(seed: int = 2014, klass: str = "A", nprocs: int = 8,
         results = yield from session2.wait()
         return results, node_map
 
-    with _maybe_traced(trace) as tracer:
-        results, node_map = env.run(until=env.process(scenario()))
+    results, node_map = env.run(until=env.process(scenario()))
     tracker.kill_all()
     return {
         "checksum": results[0].checksum,
         "results": results,
         "node_map": node_map,
         "completion_seconds": env.now,
-        "trace_events": tracer.events if tracer is not None else None,
     }

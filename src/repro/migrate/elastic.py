@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from typing import Dict, Generator, Optional
 
+from .. import hooks
 from ..dmtcp.costs import CostModel, DEFAULT_COSTS
 from ..dmtcp.launcher import CheckpointSet, dmtcp_restart
 from ..hardware.cluster import Cluster
-from .manager import MigrationManager
 
 __all__ = ["elastic_node_map", "elastic_restart"]
 
@@ -47,7 +47,7 @@ def elastic_restart(target: Cluster, ckpt_set: CheckpointSet,
     explicit ``node_map``).  Returns ``(session, node_map)``."""
     if node_map is None:
         node_map = elastic_node_map(ckpt_set, target)
-    tracer = MigrationManager.tracer
+    tracer = hooks.tracer
     if tracer is not None:
         tracer.emit("migrate.elastic", "migrate", target.env.now,
                     ranks=len(ckpt_set.records),

@@ -39,6 +39,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
+from .. import hooks
 from ..dmtcp.launcher import DmtcpSession, dmtcp_restart
 from ..hardware.cluster import Cluster
 from ..memory import dirty_chunk_bytes
@@ -96,14 +97,6 @@ class MigrationResult:
 class MigrationManager:
     """Drives one live pre-copy migration (see module docstring)."""
 
-    #: opt-in lifecycle tracer (``repro.obs.trace``), installed class-wide
-    #: by ``install_tracer``, like ``DmtcpProcess.tracer``.
-    tracer = None
-    #: opt-in ChunkSan oracle (``repro.analysis.chunksan``), installed
-    #: class-wide by ``install_chunksan``: audits the chunk stamps each
-    #: pre-copy round trusts before they decide what rides the wire
-    chunksan = None
-
     def __init__(self, session: DmtcpSession, target: Cluster,
                  config: Optional[MigrationConfig] = None,
                  node_map: Optional[Dict[int, int]] = None,
@@ -137,11 +130,13 @@ class MigrationManager:
         mapping too, so a remapped or resized region ships whole — the
         same rule capture applies.  Only the dirty chunks' bytes ride
         the round's wire."""
-        if self.chunksan is not None:
-            self.chunksan.check_capture(
-                getattr(proc, "name", str(proc)), proc.host.memory,
-                context="migrate.round", tracer=self.tracer,
-                t_sim=self.env.now)
+        san = hooks.chunksan
+        if san is not None:
+            # audit the stamps this round trusts before they decide what
+            # rides the wire
+            san.check_capture(getattr(proc, "name", str(proc)),
+                              proc.host.memory, context="migrate.round",
+                              t_sim=self.env.now)
         dirty = []
         for region in proc.host.memory:
             key = (region.name, region.addr, region.size)
@@ -161,7 +156,7 @@ class MigrationManager:
         target-restart pipeline; returns a :class:`MigrationResult`."""
         env = self.env
         cfg = self.config
-        tracer = self.tracer
+        tracer = hooks.tracer
         procs = self.session.procs
         t_start = env.now
         span = None if tracer is None else tracer.begin(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Generator, List, Optional
 
+from .. import hooks
 from ..dmtcp.coordinator import Coordinator
 from ..dmtcp.costs import CostModel, DEFAULT_COSTS
 from ..dmtcp.launcher import AppSpec, CheckpointSet, DmtcpSession, JobTracker
@@ -47,10 +48,6 @@ class PostCopyPager:
     every outstanding fault (``migrate.pagein``, charged store reads)
     before the compute tick runs (``migrate.compute``).
     """
-
-    #: opt-in lifecycle tracer (``repro.obs.trace``), installed class-wide
-    #: by ``install_tracer``, like ``DmtcpProcess.tracer``.
-    tracer = None
 
     def __init__(self, env, store: CheckpointStore, manifest, host,
                  via_node_index: int, retry_delay: float = 0.2,
@@ -94,10 +91,10 @@ class PostCopyPager:
         self.outstanding.append(region_name)
         self._outstanding_set.add(region_name)
         self.stats["faults"] += 1
-        if self.tracer is not None:
-            self.tracer.emit("migrate.fault", self.name, self.env.now,
-                             region=region_name,
-                             outstanding=len(self.outstanding))
+        if hooks.tracer is not None:
+            hooks.tracer.emit("migrate.fault", self.name, self.env.now,
+                              region=region_name,
+                              outstanding=len(self.outstanding))
 
     def _wrap_memory(self) -> None:
         memory = self.host.memory
@@ -143,7 +140,7 @@ class PostCopyPager:
         digest-verified so a corrupt replica is healed exactly as an
         offline restart would."""
         refs = self.refs[region_name]
-        tracer = self.tracer
+        tracer = hooks.tracer
         span = None if tracer is None else tracer.begin(
             "migrate.pagein", self.name, self.env.now, region=region_name,
             mode=mode, chunks=len(refs))
@@ -205,9 +202,9 @@ class PostCopyPager:
     def _gated_compute(self, orig_compute, flops: float,
                        seconds: float) -> Generator:
         yield from self.service()
-        if self.tracer is not None and not self.complete:
-            self.tracer.emit("migrate.compute", self.name, self.env.now,
-                             outstanding=len(self.outstanding))
+        if hooks.tracer is not None and not self.complete:
+            hooks.tracer.emit("migrate.compute", self.name, self.env.now,
+                              outstanding=len(self.outstanding))
         value = yield orig_compute(flops=flops, seconds=seconds)
         return value
 

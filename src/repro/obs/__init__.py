@@ -4,10 +4,9 @@ Structured tracing (:mod:`.trace`), metrics (:mod:`.metrics`), trace
 invariants (:mod:`.invariants`), and the Table 2-style per-phase report
 (:mod:`.report` / ``python -m repro.obs report``).
 
-Hooked into the simulation the same way :mod:`repro.analysis` is: a
-``tracer`` class attribute installed class-wide by
-:func:`install_tracer` — the instrumented packages never import this
-one.
+Hooked into the simulation the same way :mod:`repro.analysis` is:
+:func:`traced` enters a tracer in the observer slot :mod:`repro.hooks`
+— the instrumented packages never import this one.
 """
 
 from .invariants import (
@@ -28,10 +27,8 @@ from .report import (decompose, migration_summary, render,
 from .trace import (
     Tracer,
     canonicalize,
-    install_tracer,
     load_trace,
     traced,
-    uninstall_tracer,
 )
 
 __all__ = [
@@ -45,7 +42,6 @@ __all__ = [
     "canonicalize",
     "check_trace_invariants",
     "decompose",
-    "install_tracer",
     "load_trace",
     "migration_summary",
     "render",
@@ -55,5 +51,4 @@ __all__ = [
     "store_summary",
     "trace_scenario",
     "traced",
-    "uninstall_tracer",
 ]

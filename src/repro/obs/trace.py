@@ -1,13 +1,10 @@
 """Checkpoint-lifecycle tracer: typed span/event records with sim-clock
 and wall-clock timestamps.
 
-The tracer is attached through a ``tracer`` class attribute on the
-instrumented classes (``InfinibandPlugin``, ``DmtcpProcess``, ``Coordinator``,
-``RecoveryManager``, ``Injector``, ``CheckpointStore`` — and through
-it ``CheckpointService`` — ``MigrationManager``, ``PostCopyPager``,
-``GangScheduler``), installed class-wide by
-:func:`install_tracer` — ``core``/``dmtcp``/``faults``/``migrate`` never
-import ``obs``.  ``None`` costs one attribute read per hook site.
+The tracer attaches through the observer slot :data:`repro.hooks.tracer`:
+:func:`traced` enters a fresh one for a block, and every instrumented
+site reads the slot at call time — the instrumented packages never
+import ``obs``.  An empty slot costs one attribute read per hook site.
 
 Timestamp discipline: instrumented code passes its *simulated* clock
 reading (``env.now``) explicitly as ``t_sim``; the tracer stamps the
@@ -45,12 +42,11 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from .. import hooks
 from .metrics import MetricsRegistry
 
 __all__ = [
     "Tracer",
-    "install_tracer",
-    "uninstall_tracer",
     "traced",
     "canonicalize",
     "load_trace",
@@ -59,7 +55,7 @@ __all__ = [
 #: keys stripped by :func:`canonicalize` — everything run-dependent
 #: (emission order, clocks, span ids); what survives is the structural
 #: content golden-trace tests compare.
-VOLATILE_KEYS = frozenset({"seq", "t", "wall", "dur", "dur_wall", "span"})
+VOLATILE_KEYS = frozenset({"seq", "t", "wall", "dur", "span"})
 
 DEFAULT_RING_CAPACITY = 1 << 16
 
@@ -80,8 +76,8 @@ class Tracer:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._seq = 0
         self._span_seq = 0
-        #: open spans: id → (kind, proc, t_begin, wall_begin)
-        self._open: Dict[int, Tuple[str, str, float, float]] = {}
+        #: open spans: id → (kind, proc, t_begin)
+        self._open: Dict[int, Tuple[str, str, float]] = {}
         self._sink_path = sink
         self._sink_file = None
 
@@ -117,7 +113,7 @@ class Tracer:
                  "span": span_id}
         event.update(fields)
         self._record(event)
-        self._open[span_id] = (kind, proc, t_sim, event["wall"])
+        self._open[span_id] = (kind, proc, t_sim)
         return span_id
 
     def end(self, span_id: Optional[int], t_sim: float,
@@ -127,13 +123,12 @@ class Tracer:
         opened = self._open.pop(span_id, None)
         if opened is None:
             return None
-        kind, proc, t_begin, wall_begin = opened
+        kind, proc, t_begin = opened
         dur = t_sim - t_begin
         event = {"kind": kind, "ev": "E", "proc": proc, "t": t_sim,
                  "span": span_id, "dur": dur}
         event.update(fields)
         self._record(event)
-        event["dur_wall"] = event["wall"] - wall_begin
         self.metrics.histogram(f"span.{kind}.sim_seconds").observe(dur)
         return event
 
@@ -181,62 +176,16 @@ def load_trace(path: str) -> List[Dict[str, Any]]:
     return records
 
 
-# -- installation -------------------------------------------------------------
-
-def install_tracer(tracer: Tracer) -> Tuple[Any, ...]:
-    """Install ``tracer`` class-wide on every instrumented class;
-    returns the previous tracers so nested installs restore cleanly."""
-    from ..core.ib_plugin.plugin import InfinibandPlugin
-    from ..dmtcp.coordinator import Coordinator
-    from ..dmtcp.process import DmtcpProcess
-    from ..faults.injector import Injector
-    from ..faults.recovery import RecoveryManager
-    from ..migrate.manager import MigrationManager
-    from ..migrate.postcopy import PostCopyPager
-    from ..service.scheduler import GangScheduler
-    from ..store.store import CheckpointStore
-
-    # CheckpointService subclasses CheckpointStore and *inherits* the
-    # class attribute, so the service lights up through the store entry
-    classes = (InfinibandPlugin, DmtcpProcess, Coordinator,
-               RecoveryManager, Injector, CheckpointStore,
-               MigrationManager, PostCopyPager, GangScheduler)
-    prev = tuple(klass.tracer for klass in classes)
-    for klass in classes:
-        klass.tracer = tracer
-    return prev
-
-
-def uninstall_tracer(prev: Tuple[Any, ...] = (None,) * 9) -> None:
-    from ..core.ib_plugin.plugin import InfinibandPlugin
-    from ..dmtcp.coordinator import Coordinator
-    from ..dmtcp.process import DmtcpProcess
-    from ..faults.injector import Injector
-    from ..faults.recovery import RecoveryManager
-    from ..migrate.manager import MigrationManager
-    from ..migrate.postcopy import PostCopyPager
-    from ..service.scheduler import GangScheduler
-    from ..store.store import CheckpointStore
-
-    classes = (InfinibandPlugin, DmtcpProcess, Coordinator,
-               RecoveryManager, Injector, CheckpointStore,
-               MigrationManager, PostCopyPager, GangScheduler)
-    # pad: a caller holding a prev tuple from before a class was added
-    # must still restore cleanly
-    prev = tuple(prev) + (None,) * (len(classes) - len(prev))
-    for klass, tracer in zip(classes, prev):
-        klass.tracer = tracer
-
+# -- observing ----------------------------------------------------------------
 
 @contextmanager
 def traced(sink: Optional[str] = None,
            capacity: int = DEFAULT_RING_CAPACITY,
            metrics: Optional[MetricsRegistry] = None) -> Iterator[Tracer]:
-    """Run a block under a fresh class-wide :class:`Tracer`."""
+    """Run a block under a fresh :class:`Tracer` in the observer slot."""
     tracer = Tracer(capacity=capacity, sink=sink, metrics=metrics)
-    prev = install_tracer(tracer)
     try:
-        yield tracer
+        with hooks.observing(tracer=tracer):
+            yield tracer
     finally:
-        uninstall_tracer(prev)
         tracer.close()

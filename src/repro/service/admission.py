@@ -19,7 +19,7 @@ first:
   facade, which returns a ``rejected`` :class:`~repro.store.PutResult`
   so the checkpoint protocol never wedges on a broke tenant.
 
-Trace vocabulary (emitted through the owning service's tracer):
+Trace vocabulary (emitted to the tracer in :mod:`repro.hooks`):
 ``service.admit`` / ``service.reject`` points on the put path,
 ``service.quota.reclaim`` when GC credits bytes back, and one
 self-contained ``service.account`` point per tenant at drain time
@@ -32,6 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Generator, Optional
 
+from .. import hooks
 from ..sim import Environment
 
 __all__ = ["AdmissionController", "AdmissionRejected", "TenantState"]
@@ -68,15 +69,12 @@ class TenantState:
 
 class AdmissionController:
     """Per-tenant quotas plus a global in-flight byte window (see module
-    docstring).  ``owner`` is the service whose tracer admission events
-    ride on."""
+    docstring)."""
 
     def __init__(self, env: Environment,
                  quotas: Optional[Dict[str, Optional[float]]] = None,
-                 max_inflight_bytes: Optional[float] = None,
-                 owner=None):
+                 max_inflight_bytes: Optional[float] = None):
         self.env = env
-        self.owner = owner
         self.max_inflight_bytes = max_inflight_bytes
         self.tenants: Dict[str, TenantState] = {}
         for name, quota in sorted((quotas or {}).items()):
@@ -85,10 +83,6 @@ class AdmissionController:
         self._waiters: Deque = deque()
         #: rejected-put counts per job (the scheduler reports these)
         self.job_rejections: Dict[str, int] = {}
-
-    @property
-    def _tracer(self):
-        return None if self.owner is None else self.owner.tracer
 
     @property
     def inflight_bytes(self) -> float:
@@ -120,7 +114,7 @@ class AdmissionController:
             if job:
                 self.job_rejections[job] = \
                     self.job_rejections.get(job, 0) + 1
-            tracer = self._tracer
+            tracer = hooks.tracer
             if tracer is not None:
                 tracer.emit("service.reject", proc or tenant, self.env.now,
                             tenant=tenant, job=job, bytes=nbytes,
@@ -157,7 +151,7 @@ class AdmissionController:
         self._inflight += nbytes
         state.used_bytes += nbytes
         state.queued_seconds += queued
-        tracer = self._tracer
+        tracer = hooks.tracer
         if tracer is not None:
             tracer.emit("service.admit", proc or tenant, self.env.now,
                         tenant=tenant, job=job, bytes=nbytes,
@@ -193,7 +187,7 @@ class AdmissionController:
         """GC retired a manifest: credit its referenced bytes back."""
         state = self.tenant(tenant)
         state.used_bytes = max(0.0, state.used_bytes - float(nbytes))
-        tracer = self._tracer
+        tracer = hooks.tracer
         if tracer is not None:
             tracer.emit("service.quota.reclaim", tenant, self.env.now,
                         tenant=tenant, bytes=float(nbytes),
@@ -205,7 +199,7 @@ class AdmissionController:
         """Emit one self-contained ``service.account`` point per tenant
         with the conservation totals (only meaningful when no put is in
         flight — call after draining).  Returns the per-tenant ledger."""
-        tracer = self._tracer
+        tracer = hooks.tracer
         ledger: Dict[str, Dict[str, float]] = {}
         for name in sorted(self.tenants):
             state = self.tenants[name]

@@ -44,7 +44,8 @@ class _Shard:
     def __init__(self, env: Environment):
         self.lock = Resource(env, capacity=1)
         self.stats = ShardStats()
-        self.digests: set = set()
+        #: indexed digest → the logical bytes ``note_new`` counted for it
+        self.digests: Dict[bytes, float] = {}
 
 
 class ShardedChunkIndex:
@@ -91,7 +92,7 @@ class ShardedChunkIndex:
                  logical_bytes: float) -> None:
         shard = self._shards[shard_id]
         if digest not in shard.digests:
-            shard.digests.add(digest)
+            shard.digests[digest] = logical_bytes
             shard.stats.chunks += 1
             shard.stats.bytes_logical += logical_bytes
         shard.stats.new += 1
@@ -99,14 +100,14 @@ class ShardedChunkIndex:
     def note_dedup(self, shard_id: int) -> None:
         self._shards[shard_id].stats.dedup_hits += 1
 
-    def discard(self, digest: bytes, logical_bytes: float = 0.0) -> None:
-        """GC deleted the last replica of ``digest``."""
+    def discard(self, digest: bytes) -> None:
+        """GC deleted the last replica of ``digest``: give back the
+        chunk and the logical bytes it was indexed with."""
         shard = self._shards[self.shard_of(digest)]
-        if digest in shard.digests:
-            shard.digests.discard(digest)
+        logical_bytes = shard.digests.pop(digest, None)
+        if logical_bytes is not None:
             shard.stats.chunks -= 1
-            shard.stats.bytes_logical = max(
-                0.0, shard.stats.bytes_logical - logical_bytes)
+            shard.stats.bytes_logical -= logical_bytes
 
     def __contains__(self, digest: bytes) -> bool:
         return digest in self._shards[self.shard_of(digest)].digests

@@ -32,6 +32,7 @@ from typing import Deque, Dict, Generator, List, Optional, Sequence
 
 import numpy as np
 
+from .. import hooks
 from ..apps.ml import ml_app
 from ..apps.nas import ft_app, lu_app
 from ..core import InfinibandPlugin
@@ -208,10 +209,6 @@ class _JobRun:
 class GangScheduler:
     """FIFO gang scheduling over a node-slot pool (see module docstring)."""
 
-    #: opt-in lifecycle tracer, installed class-wide by
-    #: ``repro.obs.trace.install_tracer``
-    tracer = None
-
     def __init__(self, env: Environment, service: CheckpointService,
                  rng: RngFactory,
                  spec: HardwareSpec = BUFFALO_CCR,
@@ -250,8 +247,8 @@ class GangScheduler:
         return app
 
     def _emit(self, kind: str, who: str, **attrs) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(kind, who, self.env.now, **attrs)
+        if hooks.tracer is not None:
+            hooks.tracer.emit(kind, who, self.env.now, **attrs)
 
     # -- the scheduling loop ---------------------------------------------------
 
@@ -334,7 +331,7 @@ class GangScheduler:
     def _run_job(self, run: _JobRun) -> Generator:
         env = self.env
         job = run.job
-        tracer = self.tracer
+        tracer = hooks.tracer
         generation = 0
         while True:
             generation += 1

@@ -37,6 +37,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Generator, List, Optional, Tuple
 
+from .. import hooks
 from ..hardware.cluster import Cluster
 from ..hardware.storage import QuotaExceededError
 from ..store.manifest import Manifest, chunk_path
@@ -52,11 +53,7 @@ EPOCH_BASE_STEP = 1_000_000
 
 
 class CheckpointService(CheckpointStore):
-    """A shared store serving many tenants (see module docstring).
-
-    Inherits the tracer hook class-wide from :class:`CheckpointStore`,
-    so ``install_tracer`` lights up ``service.*`` events too.
-    """
+    """A shared store serving many tenants (see module docstring)."""
 
     def __init__(self, cluster: Cluster, config: StoreConfig = StoreConfig(),
                  name: str = "service",
@@ -68,7 +65,7 @@ class CheckpointService(CheckpointStore):
         self.index = ShardedChunkIndex(cluster.env, n_shards)
         self.admission = AdmissionController(
             cluster.env, quotas=quotas,
-            max_inflight_bytes=max_inflight_bytes, owner=self)
+            max_inflight_bytes=max_inflight_bytes)
         self.repl_batch_manifests = max(1, int(repl_batch_manifests))
         #: manifest ownership: (proc, epoch) → (tenant, referenced bytes)
         self._owners: Dict[Tuple[str, int], Tuple[str, float]] = {}
@@ -101,7 +98,7 @@ class CheckpointService(CheckpointStore):
         """Process generator: the multi-tenant ``put_image``.  ``epoch``
         arrives already absolute (client base applied).  Admission runs
         before any write; chunk writes serialize per index shard."""
-        tracer = self.tracer
+        tracer = hooks.tracer
         disk = self.local.replica_disk(node_index)
         fs = disk.fs
         pairs = self._refs_for(image)
@@ -225,7 +222,7 @@ class CheckpointService(CheckpointStore):
         return epoch0, batch
 
     def _drain_pending(self) -> Generator:
-        tracer = self.tracer
+        tracer = hooks.tracer
         while True:
             tenants = [t for t in sorted(self._pending_repl)
                        if self._pending_repl[t]]
@@ -272,9 +269,9 @@ class CheckpointService(CheckpointStore):
             for epoch in sorted(self._manifests[proc]):
                 deleted += self._retire(proc, epoch)
                 retired += 1
-        if retired and self.tracer is not None:
-            self.tracer.emit("service.delete", job, self.env.now,
-                             job=job, manifests=retired, chunks=deleted)
+        if retired and hooks.tracer is not None:
+            hooks.tracer.emit("service.delete", job, self.env.now,
+                              job=job, manifests=retired, chunks=deleted)
         return retired, deleted
 
     # -- staging ---------------------------------------------------------------
@@ -325,10 +322,10 @@ class CheckpointService(CheckpointStore):
         per-tenant conservation ledger (``service.account`` events)."""
         yield from self.drain()
         ledger = self.admission.account()
-        if self.tracer is not None:
-            self.tracer.emit("service.stats", self.name, self.env.now,
-                             **{k: v for k, v in self.summary().items()
-                                if not isinstance(v, dict)})
+        if hooks.tracer is not None:
+            hooks.tracer.emit("service.stats", self.name, self.env.now,
+                              **{k: v for k, v in self.summary().items()
+                                 if not isinstance(v, dict)})
         return ledger
 
     def put_latency_quantiles(self) -> Dict[str, float]:

@@ -29,10 +29,10 @@
   manifest references.
 
 The store never uses OS threads — replication runs as simulation
-processes — and, like the rest of the instrumented stack, carries an
-opt-in class-wide ``tracer`` (``store.put`` / ``store.replicate`` /
-``store.fetch`` spans, ``store.corrupt`` / ``store.heal`` /
-``store.gc`` points) installed by :func:`repro.obs.trace.install_tracer`.
+processes — and, like the rest of the instrumented stack, emits to the
+tracer in the observer slot :mod:`repro.hooks` (``store.put`` /
+``store.replicate`` / ``store.fetch`` spans, ``store.corrupt`` /
+``store.heal`` / ``store.gc`` points).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
+from .. import hooks
 from ..dmtcp.image import CheckpointImage
 from ..dmtcp.sink import PutResult
 from ..hardware.cluster import Cluster
@@ -76,9 +77,6 @@ class StoreConfig:
 class CheckpointStore:
     """One job's multi-tier checkpoint store (see module docstring)."""
 
-    #: opt-in lifecycle tracer (``repro.obs.trace``), installed class-wide
-    #: by ``install_tracer``, like ``DmtcpProcess.tracer``.
-    tracer = None
     #: a checkpoint sink (DESIGN.md §15) that lands content-addressed chunks
     chunked = True
 
@@ -278,7 +276,7 @@ class CheckpointStore:
         :class:`PutResult`.
         """
         epoch = epoch + self._epoch_offset
-        tracer = self.tracer
+        tracer = hooks.tracer
         disk = self.local.replica_disk(node_index)
         fs = disk.fs
         result = PutResult(epoch=epoch, manifest_path="")
@@ -353,7 +351,7 @@ class CheckpointStore:
 
     def _replicate_flow(self, epoch: int, manifests: List[Manifest]
                         ) -> Generator:
-        tracer = self.tracer
+        tracer = hooks.tracer
         span = None if tracer is None else tracer.begin(
             "store.replicate", self.name, self.env.now, epoch=epoch,
             manifests=len(manifests))
@@ -474,7 +472,7 @@ class CheckpointStore:
     def _fetch_one(self, order, manifest: Manifest,
                    ref: ChunkRef) -> Generator:
         """:meth:`fetch_chunk`'s body, over an already-built ``order``."""
-        tracer = self.tracer
+        tracer = hooks.tracer
         proc_name = manifest.proc_name
         epoch = manifest.epoch
         path = chunk_path(ref.digest)
@@ -539,7 +537,7 @@ class CheckpointStore:
         if epoch is None:
             epoch = self.latest_epoch(proc_name)
         manifest = self.manifest(proc_name, epoch)
-        tracer = self.tracer
+        tracer = hooks.tracer
         hits = {"local": 0, "partner": 0, "lustre": 0}
         span = None if tracer is None else tracer.begin(
             "store.fetch", proc_name, self.env.now, epoch=epoch,
@@ -609,9 +607,9 @@ class CheckpointStore:
                 retired += 1
         self.stats["gc_manifests"] += retired
         self.stats["gc_chunks"] += deleted
-        if retired and self.tracer is not None:
-            self.tracer.emit("store.gc", self.name, self.env.now,
-                             manifests=retired, chunks=deleted)
+        if retired and hooks.tracer is not None:
+            hooks.tracer.emit("store.gc", self.name, self.env.now,
+                              manifests=retired, chunks=deleted)
         return retired, deleted
 
     # -- staging (offline, like FileSink.stage_from) ---------------------------

@@ -18,22 +18,22 @@ from repro.sim import Environment
 @pytest.fixture(autouse=True)
 def trace_invariants(request):
     """Every test runs under a fresh lifecycle Tracer
-    (``repro.obs``): at teardown the recorded checkpoint-lifecycle
-    trace is checked against every trace invariant of
-    ``repro.obs.invariants`` (capture-after-quiesce, refill-before-real,
-    replay-balance, ...) and any violation fails the test.  Opt out with
-    ``@pytest.mark.no_trace_invariants`` (e.g. for tests that record
-    deliberately broken traces or drive the tracer hooks directly)."""
+    (``repro.obs.traced()``): at teardown the recorded
+    checkpoint-lifecycle trace is checked against every trace invariant
+    of ``repro.obs.invariants`` (capture-after-quiesce,
+    refill-before-real, replay-balance, ...) and any violation fails the
+    test.  Opt out with ``@pytest.mark.no_trace_invariants`` (e.g. for
+    tests that record deliberately broken traces or drive the tracer
+    hooks directly)."""
     if request.node.get_closest_marker("no_trace_invariants"):
         yield None
         return
     from obs_asserts import TraceAssertions
-    harness = TraceAssertions().install()
-    try:
+    from repro.obs import traced
+    with traced() as tracer:
+        harness = TraceAssertions(tracer)
         yield harness
-    finally:
-        harness.uninstall()
-        harness.assert_clean()
+    harness.assert_clean()
 
 
 @pytest.fixture(autouse=True)

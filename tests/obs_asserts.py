@@ -1,24 +1,18 @@
 """TraceAssertions: the trace-invariant harness for tests.
 
-Wraps a :class:`repro.obs.Tracer` installed class-wide (coordinator,
-plugin, dmtcp process, recovery manager, injector) plus the ordering
-invariants of :mod:`repro.obs.invariants`, with convenience accessors
-for asserting on the recorded lifecycle directly.  The autouse
-``trace_invariants`` fixture in ``conftest.py`` runs every test under
-one of these and asserts a clean trace at teardown; tests that need the
-raw harness (ordering assertions, golden traces) take the fixture as an
-argument.
+Wraps a :class:`repro.obs.Tracer` (built and entered in the observer
+slot by :func:`repro.obs.traced`) plus the ordering invariants of
+:mod:`repro.obs.invariants`, with convenience accessors for asserting on
+the recorded lifecycle directly.  The autouse ``trace_invariants``
+fixture in ``conftest.py`` runs every test under ``traced()``, hands the
+tracer to one of these and asserts a clean trace at teardown; tests that
+need the raw harness (ordering assertions, golden traces) take the
+fixture as an argument.
 """
 
 from typing import Any, Dict, List, Optional
 
-from repro.obs import (
-    Tracer,
-    check_trace_invariants,
-    install_tracer,
-    split_segments,
-    uninstall_tracer,
-)
+from repro.obs import Tracer, check_trace_invariants, split_segments
 from repro.obs.invariants import TraceInvariantViolation
 
 __all__ = ["TraceAssertions", "assert_ordering_in", "events_of_kind"]
@@ -54,28 +48,10 @@ def assert_ordering_in(events: List[Dict[str, Any]], proc: str,
 
 
 class TraceAssertions:
-    """A class-wide tracer plus invariant checks, as one object."""
+    """A tracer plus invariant checks, as one object."""
 
-    def __init__(self, capacity: int = 1 << 16):
-        self.tracer = Tracer(capacity=capacity)
-        self._prev: Optional[tuple] = None
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def install(self) -> "TraceAssertions":
-        self._prev = install_tracer(self.tracer)
-        return self
-
-    def uninstall(self) -> None:
-        if self._prev is not None:
-            uninstall_tracer(self._prev)
-            self._prev = None
-
-    def __enter__(self) -> "TraceAssertions":
-        return self.install()
-
-    def __exit__(self, *exc) -> None:
-        self.uninstall()
+    def __init__(self, tracer: Tracer):
+        self.tracer = tracer
 
     # -- accessors ------------------------------------------------------------
 

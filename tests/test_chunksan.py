@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.chunksan import (ChunkSan, ChunkSanError,
-                                     install_chunksan, sanitized,
-                                     uninstall_chunksan)
+from repro import hooks
+from repro.analysis.chunksan import ChunkSan, ChunkSanError, sanitized
 from repro.dmtcp.image import CheckpointImage
 from repro.memory import CHUNK_BYTES, AddressSpace
-from repro.migrate.manager import MigrationManager
+from repro.obs import traced
 
 SIZE = 4 * CHUNK_BYTES + 100
 
@@ -206,36 +205,38 @@ def test_reused_gzip_ratio_is_remeasured_and_a_mismatch_raises(monkeypatch):
         assert "p0/data" in str(exc.value) and san.stale_caught == 1
 
 
-# -- install/uninstall wiring --------------------------------------------------
+# -- the observer slot --------------------------------------------------------
 
 
-def test_install_uninstall_restores_class_state():
+def test_sanitized_restores_the_slot_and_touch():
     from repro.memory.address_space import Region
 
-    # whatever was installed before (the fixture's oracle under
-    # REPRO_CHUNKSAN=1, else nothing) is what uninstall must restore
-    outer = CheckpointImage.chunksan
-    assert MigrationManager.chunksan is outer
+    # whatever was in the slot before (the fixture's oracle under
+    # REPRO_CHUNKSAN=1, else nothing) is what leaving must restore; the
+    # tracer slot beside it is untouched
+    outer = hooks.chunksan
+    outer_tracer = hooks.tracer
     orig_touch = Region.touch
-    san = ChunkSan()
-    prev = install_chunksan(san)
-    try:
-        assert CheckpointImage.chunksan is san
-        assert MigrationManager.chunksan is san
+    with sanitized() as san:
+        assert isinstance(san, ChunkSan)
+        assert hooks.chunksan is san
+        assert hooks.tracer is outer_tracer
         assert Region.touch is not orig_touch
-    finally:
-        uninstall_chunksan(prev)
-    assert CheckpointImage.chunksan is outer
-    assert MigrationManager.chunksan is outer
+        with traced() as tracer:
+            assert hooks.tracer is tracer and hooks.chunksan is san
+        assert hooks.tracer is outer_tracer
+    assert hooks.chunksan is outer
     assert Region.touch is orig_touch
+    with pytest.raises(TypeError, match="no observer slot"):
+        with hooks.observing(monitor=object()):
+            pass
 
 
 @pytest.mark.chunksan
 def test_marker_knob_installs_the_oracle():
     """The conftest fixture: a chunksan-marked test runs with the
-    oracle installed class-wide."""
-    assert CheckpointImage.chunksan is not None
-    assert MigrationManager.chunksan is not None
+    oracle in the observer slot."""
+    assert hooks.chunksan is not None
 
 
 # -- end to end: chaos harness, zero sim time ---------------------------------
@@ -245,33 +246,31 @@ def test_chaos_run_under_chunksan_is_timing_invariant():
     """An LU chaos run under ChunkSan completes with an identical
     fingerprint (checksum, completion time, failure record) to the
     unsanitized run — the oracle charges zero simulated time — and the
-    outcome carries the audit volume."""
+    oracle records the audit volume."""
     from repro.faults.harness import run_chaos_nas
 
     base = run_chaos_nas(app="lu", iters_sim=12, seed=2014,
                          ckpt_interval=0.5, incremental=True)
-    san = run_chaos_nas(app="lu", iters_sim=12, seed=2014,
-                        ckpt_interval=0.5, incremental=True,
-                        chunksan=True)
+    with sanitized() as oracle:
+        san = run_chaos_nas(app="lu", iters_sim=12, seed=2014,
+                            ckpt_interval=0.5, incremental=True)
     assert san.fingerprint() == base.fingerprint()
-    assert base.chunksan is None
-    assert san.chunksan is not None
-    assert san.chunksan["checks"] > 0
-    assert san.chunksan["stale_caught"] == 0
+    assert oracle.summary()["checks"] > 0
+    assert oracle.summary()["stale_caught"] == 0
 
 
-def test_chunksan_emits_audit_trace_events():
+def test_chunksan_emits_audit_records_to_the_tracer():
     from repro.faults.harness import run_chaos_nas
 
-    out = run_chaos_nas(app="lu", iters_sim=12, seed=2014,
-                        ckpt_interval=0.5, incremental=True,
-                        chunksan=True, trace=True)
-    checks = [e for e in out.trace_events
+    with traced() as tracer, sanitized() as san:
+        run_chaos_nas(app="lu", iters_sim=12, seed=2014,
+                      ckpt_interval=0.5, incremental=True)
+    checks = [e for e in tracer.events
               if e["kind"] == "chunksan.check"]
     assert checks and all(e["stale"] == 0 for e in checks)
-    assert sum(1 for e in checks) == out.chunksan["checks"]
+    assert sum(1 for e in checks) == san.summary()["checks"]
 
     from repro.obs import decompose, render
-    decomp = decompose(out.trace_events)
-    assert decomp["chunksan"]["checks"] == out.chunksan["checks"]
+    decomp = decompose(tracer.events)
+    assert decomp["chunksan"]["checks"] == san.summary()["checks"]
     assert "chunksan" in render(decomp)

@@ -707,3 +707,107 @@ def test_injected_crash_private_cq_refill_first():
     assert sum(p.stats["drained_completions"] for p in plugins) >= 1
     assert sum(p.stats["reposted_sends"] for p in plugins) == 0
     assert [wc.wr_id for wc in state["first_poll"]] == [9]
+
+
+def test_resource_churn_across_three_restarts():
+    """Two ranks build a PD, MR, CQ, SRQ and QP, exchange a message, and
+    keep the set across a checkpoint-restart; after the restart they
+    exchange again through the re-created set and destroy it, then build
+    the next one — three restarts in all.  Destroyed resources must
+    leave the plugin's registries and translation tables (so restart
+    never re-creates them), the destroy wrappers must work on
+    re-created real resources, and every payload must arrive intact."""
+    env = Environment()
+    plugins = []
+    state = {}
+    restarts = 3
+
+    def factory():
+        plugin = InfinibandPlugin()
+        plugins.append(plugin)
+        return [plugin]
+
+    def wait_for(ctx, key):
+        while key not in state:
+            yield ctx.sleep(1e-5)
+
+    def app(rank):
+        peer = 1 - rank
+
+        def run(ctx):
+            ibv = ctx.ibv
+            ibctx = ibv.open_device(ibv.get_device_list()[0])
+            buf = ctx.memory.mmap(f"churn{rank}.buf", 64)
+            errors = 0
+            for epoch in range(restarts + 1):
+                pd = ibv.alloc_pd(ibctx)
+                mr = ibv.reg_mr(pd, buf.addr, 64, FULL)
+                cq = ibv.create_cq(ibctx)
+                srq = ibv.create_srq(pd, max_wr=8)
+                qp = ibv.create_qp(pd, ibv_qp_init_attr(
+                    send_cq=cq, recv_cq=cq, srq=srq))
+                state[("ids", epoch, rank)] = (ibv.query_port(ibctx).lid,
+                                               qp.qp_num)
+                yield from wait_for(ctx, ("ids", epoch, peer))
+                lid, qpn = state[("ids", epoch, peer)]
+                qp_to_init(ibv, qp)
+                qp_to_rtr(ibv, qp, qpn, lid)
+                qp_to_rts(ibv, qp)
+                phases = ("pre", "post") if epoch < restarts else ("pre",)
+                for phase in phases:
+                    if phase == "post":
+                        state[("parked", epoch, rank)] = True
+                        yield from wait_for(ctx, ("resumed", epoch))
+                    ibv.post_srq_recv(srq, ibv_recv_wr(
+                        2, [ibv_sge(buf.addr + 32, 32, mr.lkey)]))
+                    state[("posted", epoch, phase, rank)] = True
+                    yield from wait_for(ctx, ("posted", epoch, phase, peer))
+                    ctx.memory.write(buf.addr,
+                                     f"{phase}{epoch}r{rank}".encode())
+                    ibv.post_send(qp, ibv_send_wr(
+                        1, [ibv_sge(buf.addr, 8, mr.lkey)],
+                        opcode=WrOpcode.SEND))
+                    done = set()
+                    while done != {1, 2}:
+                        done.update(wc.wr_id for wc in ibv.poll_cq(cq, 4))
+                        yield ctx.sleep(1e-5)
+                    want = f"{phase}{epoch}r{peer}".encode()
+                    errors += bytes(buf.buffer[32:32 + len(want)]) != want
+                ibv.destroy_qp(qp)
+                ibv.destroy_srq(srq)
+                ibv.destroy_cq(cq)
+                ibv.dereg_mr(mr)
+                ibv.dealloc_pd(pd)
+            ibv.close_device(ibctx)
+            return errors
+
+        return run
+
+    def scenario():
+        cluster = Cluster(env, BUFFALO_CCR, n_nodes=2, name="churn-0")
+        session = yield from dmtcp_launch(
+            cluster, [AppSpec(0, "churn0", app(0)),
+                      AppSpec(1, "churn1", app(1))],
+            plugin_factory=factory)
+        for epoch in range(restarts):
+            while not (state.get(("parked", epoch, 0))
+                       and state.get(("parked", epoch, 1))):
+                yield env.timeout(1e-4)
+            ckpt = yield from session.checkpoint(intent="restart")
+            cluster.teardown()
+            cluster = Cluster(env, BUFFALO_CCR, n_nodes=2,
+                              name=f"churn-{epoch + 1}")
+            session = yield from dmtcp_restart(cluster, ckpt)
+            state[("resumed", epoch)] = True
+        results = yield from session.wait()
+        return results
+
+    results = env.run(until=env.process(scenario()))
+    assert results == [0, 0]
+    assert len(plugins) == 2
+    for plugin in plugins:
+        assert plugin.appctx.restarts == restarts
+        assert not (plugin.contexts or plugin.pds or plugin.mrs
+                    or plugin.cqs or plugin.srqs or plugin.qps)
+        assert not (plugin.vqp_by_vqpn or plugin.vqp_by_real_qpn
+                    or plugin.vmr_by_vlkey)

@@ -25,7 +25,7 @@ from repro.migrate import (
     run_precopy_lu,
 )
 from repro.obs import check_trace_invariants, migration_summary, \
-    render_migration
+    render_migration, traced
 from repro.sim import Environment, RngFactory
 
 pytestmark = pytest.mark.chunksan
@@ -140,15 +140,16 @@ def test_postcopy_outwaits_lustre_brownout():
     until the outage heals — recovery by waiting, and still
     bit-identical."""
     from repro.hardware import MGHPCC
-    bo = run_postcopy_lu(seed=SEED, nprocs=N, iters_sim=ITERS,
-                         brownout=True, trace=True)
+    with traced() as tracer:
+        bo = run_postcopy_lu(seed=SEED, nprocs=N, iters_sim=ITERS,
+                             brownout=True)
     base = run_baseline_lu(seed=SEED, nprocs=N, iters_sim=ITERS,
                            spec=MGHPCC)
     assert bo["checksum"] == base["checksum"]
     assert bo["pager_stats"]["retries"] > 0
     assert any(r.kind == "lustre-brownout" and r.applied
                for r in bo["failures"])
-    assert check_trace_invariants(bo["trace_events"]) == []
+    assert check_trace_invariants(tracer.events) == []
 
 
 # -- migrate-disrupt -----------------------------------------------------------
@@ -157,24 +158,26 @@ def test_disrupt_target_crash_recovers_with_fresh_target(baseline):
     """A target-node crash mid-pre-copy aborts that attempt (the source
     is still running); the RecoveryManager retries onto a fresh target
     and the job still lands bit-identical."""
-    dis = run_precopy_lu(seed=SEED, nprocs=N, iters_sim=ITERS,
-                         disrupt=True, trace=True)
+    with traced() as tracer:
+        dis = run_precopy_lu(seed=SEED, nprocs=N, iters_sim=ITERS,
+                             disrupt=True)
     assert any(r.kind == "node-crash" and r.applied
                for r in dis["failures"])
     assert dis["outcome"].n_failures >= 1
     assert dis["checksum"] == baseline["checksum"]
-    assert check_trace_invariants(dis["trace_events"]) == []
-    summary = migration_summary(dis["trace_events"])
+    assert check_trace_invariants(tracer.events) == []
+    summary = migration_summary(tracer.events)
     assert summary["migrations"] == 1 and summary["aborted"] >= 1
 
 
 # -- observability -------------------------------------------------------------
 
 def test_traced_precopy_summary_and_invariants(baseline):
-    mig = run_precopy_lu(seed=SEED, nprocs=N, iters_sim=ITERS,
-                         rounds=2, trace=True)
+    with traced() as tracer:
+        mig = run_precopy_lu(seed=SEED, nprocs=N, iters_sim=ITERS,
+                             rounds=2)
     assert mig["checksum"] == baseline["checksum"]
-    events = mig["trace_events"]
+    events = tracer.events
     assert check_trace_invariants(events) == []
     summary = migration_summary(events)
     assert summary["migrations"] == 1 and summary["aborted"] == 0

@@ -70,13 +70,15 @@ def pingpong_ckpt_restart_trace():
 def ft_crash_restart_trace():
     """NAS FT under chaos: a fatal node crash after the first completed
     checkpoint, recovered by a restart from the image."""
-    out = run_chaos_nas(app="ft", klass="B", nprocs=4, iters_sim=8,
-                        seed=77, ckpt_interval=20.0,
-                        schedule=FixedSchedule([FailureEvent(
-                            t=60.0, kind="node-crash", node_index=1)]),
-                        backoff_base=0.25, trace=True)
+    with traced() as tracer:
+        out = run_chaos_nas(app="ft", klass="B", nprocs=4, iters_sim=8,
+                            seed=77, ckpt_interval=20.0,
+                            schedule=FixedSchedule([FailureEvent(
+                                t=60.0, kind="node-crash",
+                                node_index=1)]),
+                            backoff_base=0.25)
     assert out.recovery.n_restarts >= 1
-    return out.trace_events
+    return tracer.events
 
 
 def lu_precopy_migration_trace():
@@ -85,10 +87,10 @@ def lu_precopy_migration_trace():
     target — pins the migrate/migrate.precopy.round/migrate.stopcopy
     span schema and their ordering."""
     from repro.migrate import run_precopy_lu
-    out = run_precopy_lu(seed=2014, nprocs=2, iters_sim=4, rounds=3,
-                         trace=True)
+    with traced() as tracer:
+        out = run_precopy_lu(seed=2014, nprocs=2, iters_sim=4, rounds=3)
     assert out["rounds"] == 3
-    return out["trace_events"]
+    return tracer.events
 
 
 SCENARIOS = {

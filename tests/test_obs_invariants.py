@@ -22,6 +22,7 @@ from repro.obs import (
     check_trace_invariants,
     decompose,
     split_segments,
+    traced,
 )
 from repro.obs.invariants import TraceInvariantViolation
 
@@ -36,22 +37,27 @@ RANKS = [f"mpi.r{i}" for i in range(4)]
 @pytest.fixture(scope="module")
 def lu_trace():
     """A failure-free LU run with several checkpoints, traced."""
-    out = run_chaos_nas(app="lu", klass="A", nprocs=4, iters_sim=24,
-                        seed=2014, ckpt_interval=1.0,
-                        schedule=FixedSchedule([]), trace=True)
-    assert out.trace_events is not None
-    return out.trace_events
+    with traced() as tracer:
+        run_chaos_nas(app="lu", klass="A", nprocs=4, iters_sim=24,
+                      seed=2014, ckpt_interval=1.0,
+                      schedule=FixedSchedule([]))
+    assert tracer.events
+    return tracer.events
 
 
 @pytest.fixture(scope="module")
 def ft_crash_outcome():
     """FT crashed after its first completed checkpoint, traced: the
-    recovery manager restarts the job from the image."""
-    return run_chaos_nas(app="ft", klass="B", nprocs=4, iters_sim=8,
-                         seed=77, ckpt_interval=20.0,
-                         schedule=FixedSchedule([FailureEvent(
-                             t=60.0, kind="node-crash", node_index=1)]),
-                         backoff_base=0.25, trace=True)
+    recovery manager restarts the job from the image.  Returns
+    ``(outcome, events)``."""
+    with traced() as tracer:
+        out = run_chaos_nas(app="ft", klass="B", nprocs=4, iters_sim=8,
+                            seed=77, ckpt_interval=20.0,
+                            schedule=FixedSchedule([FailureEvent(
+                                t=60.0, kind="node-crash",
+                                node_index=1)]),
+                            backoff_base=0.25)
+    return out, tracer.events
 
 
 def test_lu_trace_phase_ordering(lu_trace):
@@ -83,8 +89,7 @@ def test_lu_trace_decomposition_coverage(lu_trace):
 
 
 def test_ft_crash_restart_trace(ft_crash_outcome):
-    out = ft_crash_outcome
-    events = out.trace_events
+    out, events = ft_crash_outcome
     assert out.recovery.n_restarts >= 1
     faults = [e for e in events_of_kind(events, "fault.inject")
               if e.get("applied") and e.get("fatal")]

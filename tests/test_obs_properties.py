@@ -152,6 +152,21 @@ def test_tracer_end_tolerates_unknown_span():
         Tracer(capacity=0)
 
 
+def test_sink_file_holds_the_records_the_ring_holds(tmp_path):
+    """A span's ``E`` record reads the same from the JSONL sink as from
+    the in-memory ring: nothing is added to a record after it was
+    written."""
+    from repro.obs import load_trace
+
+    path = str(tmp_path / "trace.jsonl")
+    with Tracer(sink=path) as tracer:
+        span = tracer.begin("prop.span", "p0", 0.0, epoch=1)
+        tracer.emit("prop.tick", "p0", 0.5)
+        tracer.end(span, 1.0, bytes=4)
+    assert load_trace(path) == tracer.events
+    assert tracer.events[-1]["dur"] == 1.0
+
+
 def test_registry_snapshot_roundtrip():
     registry = MetricsRegistry()
     registry.counter("events.total").inc(3)

@@ -83,9 +83,10 @@ def test_index_counters_and_membership():
     summary = index.summary()
     assert summary["chunks"] == 1 and summary["bytes_logical"] == 1024.0
     assert summary["dedup_hits"] == 1
-    index.discard(digest, 1024.0)
+    index.discard(digest)
     assert digest not in index
     assert index.summary()["chunks"] == 0
+    assert index.summary()["bytes_logical"] == 0.0
 
 
 def test_index_shard_lock_is_mutually_exclusive():

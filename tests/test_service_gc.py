@@ -134,6 +134,25 @@ def test_delete_job_spares_shared_chunks_and_reclaims_quota():
     assert fetched.to_bytes() == world.expect["jobB.r0"]
 
 
+def test_index_gives_back_the_bytes_of_every_chunk_gc_deletes():
+    """The sharded index forgets a deleted chunk's logical bytes along
+    with the chunk: tearing down A drops A's private chunks (the shared
+    ones stay for B), and tearing down B empties the index."""
+    world = _Tenants(retention=2)
+    world.put("A")
+    world.put("B")
+    full = world.service.index.summary()
+    assert full["chunks"] > 0 and full["bytes_logical"] > 0
+    world.delete("A")
+    shared_and_b = world.service.index.summary()
+    assert 0 < shared_and_b["chunks"] < full["chunks"]
+    assert 0 < shared_and_b["bytes_logical"] < full["bytes_logical"]
+    world.delete("B")
+    empty = world.service.index.summary()
+    assert empty["chunks"] == 0
+    assert empty["bytes_logical"] == 0.0
+
+
 def test_retention_gc_respects_cross_tenant_refs():
     """Retention retiring A's old epochs must not drop chunks B's only
     epoch still references, even though A wrote them first."""
