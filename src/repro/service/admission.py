@@ -94,9 +94,6 @@ class AdmissionController:
             state = self.tenants[name] = TenantState(name=name)
         return state
 
-    def set_quota(self, name: str, quota_bytes: Optional[float]) -> None:
-        self.tenant(name).quota_bytes = quota_bytes
-
     # -- the put path --------------------------------------------------------
 
     def admit(self, tenant: str, nbytes: float, proc: str = "",

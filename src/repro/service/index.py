@@ -19,7 +19,7 @@ comes for free from the content addresses themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List
+from typing import Dict, Generator
 
 from ..sim import Environment, Resource
 
@@ -111,10 +111,6 @@ class ShardedChunkIndex:
 
     def __contains__(self, digest: bytes) -> bool:
         return digest in self._shards[self.shard_of(digest)].digests
-
-    @property
-    def shard_stats(self) -> List[ShardStats]:
-        return [s.stats for s in self._shards]
 
     def summary(self) -> Dict[str, float]:
         """Aggregate + balance picture for reports and benchmarks."""

@@ -1,8 +1,10 @@
 """The multi-tenant checkpoint service: a shared, long-lived store.
 
-:class:`CheckpointService` promotes :class:`~repro.store.CheckpointStore`
-from a per-run object into a service many concurrent jobs checkpoint
-into (the proxy-based DMTCP follow-on's service boundary):
+:class:`CheckpointService` holds one :class:`~repro.store.CheckpointStore`
+(``service.store``) and puts a policy layer in front of it, so many
+concurrent jobs checkpoint into one store (the proxy-based DMTCP
+follow-on's service boundary).  It reaches the store only through its
+public methods; what it adds is its own:
 
 * **one content-addressed namespace** — every tenant's chunks land in
   the same digest-keyed space on the service cluster's tiers, so two
@@ -15,11 +17,11 @@ into (the proxy-based DMTCP follow-on's service boundary):
   in-flight backpressure) *before* any byte is written; a quota
   rejection is soft (``PutResult.rejected``) so the checkpoint protocol
   never wedges.
-* **tenant-safe GC** — the parent's per-filesystem refcounts already
+* **tenant-safe GC** — the store's per-filesystem refcounts already
   make chunk deletion safe across manifests; the service layers tenant
-  ownership on top so retiring a manifest credits the right tenant's
-  quota, and a chunk shared by two tenants survives either one's
-  retention GC or full job deletion.
+  ownership on top (the store's ``on_retire`` callback) so retiring a
+  manifest credits the right tenant's quota, and a chunk shared by two
+  tenants survives either one's retention GC or full job deletion.
 * **fair-share replication** — per-tenant replication queues drained
   round-robin in bounded batches, so one chatty tenant cannot starve
   the others' partner/Lustre copies.
@@ -40,7 +42,7 @@ from typing import Deque, Dict, Generator, List, Optional, Tuple
 from .. import hooks
 from ..hardware.cluster import Cluster
 from ..hardware.storage import QuotaExceededError
-from ..store.manifest import Manifest, chunk_path
+from ..store.manifest import Manifest
 from ..store.store import CheckpointStore, PutResult, StoreConfig
 from .admission import AdmissionController, AdmissionRejected
 from .index import ShardedChunkIndex
@@ -50,23 +52,27 @@ __all__ = ["CheckpointService", "TenantStoreClient"]
 #: spacing between per-client epoch bases: each launch's coordinator
 #: counts 1, 2, 3… privately, so bases this far apart never collide
 EPOCH_BASE_STEP = 1_000_000
+#: manifests one fair-share replication batch copies before the drainer
+#: moves on to the next tenant
+REPL_BATCH_MANIFESTS = 8
 
 
-class CheckpointService(CheckpointStore):
+class CheckpointService:
     """A shared store serving many tenants (see module docstring)."""
 
     def __init__(self, cluster: Cluster, config: StoreConfig = StoreConfig(),
                  name: str = "service",
                  n_shards: int = 16,
                  quotas: Optional[Dict[str, Optional[float]]] = None,
-                 max_inflight_bytes: Optional[float] = None,
-                 repl_batch_manifests: int = 8):
-        super().__init__(cluster, config, name)
+                 max_inflight_bytes: Optional[float] = None):
+        self.env = cluster.env
+        self.name = name
+        self.store = CheckpointStore(cluster, config, name,
+                                     on_retire=self._on_retire)
         self.index = ShardedChunkIndex(cluster.env, n_shards)
         self.admission = AdmissionController(
             cluster.env, quotas=quotas,
             max_inflight_bytes=max_inflight_bytes)
-        self.repl_batch_manifests = max(1, int(repl_batch_manifests))
         #: manifest ownership: (proc, epoch) → (tenant, referenced bytes)
         self._owners: Dict[Tuple[str, int], Tuple[str, float]] = {}
         #: per-tenant replication queues, drained round-robin
@@ -75,12 +81,13 @@ class CheckpointService(CheckpointStore):
         self._next_base = 0
         #: sim-seconds each successful put took (p50/p99 latency source)
         self.put_latencies: List[float] = []
-        self.stats.update({
-            "puts_rejected": 0,
+        self.stats = {
+            "puts": 0, "puts_rejected": 0, "chunks_new": 0,
+            "chunks_deduped": 0, "bytes_written": 0.0,
             #: what a dedup-free store would have written for the same
             #: admitted traffic (the dedup-ratio denominator)
             "bytes_naive": 0.0,
-        })
+        }
 
     # -- clients --------------------------------------------------------------
 
@@ -99,9 +106,9 @@ class CheckpointService(CheckpointStore):
         arrives already absolute (client base applied).  Admission runs
         before any write; chunk writes serialize per index shard."""
         tracer = hooks.tracer
-        disk = self.local.replica_disk(node_index)
-        fs = disk.fs
-        pairs = self._refs_for(image)
+        store = self.store
+        disk = store.local.replica_disk(node_index)
+        pairs = store.chunk_pairs(image)
         referenced = sum(ref.logical_bytes for ref, _p in pairs) * stall \
             + image.header_bytes
         result = PutResult(epoch=epoch, manifest_path="")
@@ -129,32 +136,20 @@ class CheckpointService(CheckpointStore):
                 yield from self.index.acquire(shard_id)
                 try:
                     for i, ref in by_shard[shard_id]:
-                        path = chunk_path(ref.digest)
-                        held = self._land_or_dedup(fs, path, kept[i])
-                        if held is not None:
+                        landed = result.chunks_new
+                        kept[i] = yield from store.land_chunk(
+                            disk, ref, kept[i], result, stall)
+                        if result.chunks_new > landed:
+                            self.index.note_new(shard_id, ref.digest,
+                                                ref.logical_bytes * stall)
+                        else:
                             # previous epoch, another rank, or another
                             # *job* already landed these bytes
-                            kept[i] = held
-                            result.chunks_deduped += 1
                             self.index.note_dedup(shard_id)
-                            continue
-                        logical = ref.logical_bytes * stall
-                        yield from disk.write(path, kept[i],
-                                              logical_size=logical)
-                        result.chunks_new += 1
-                        result.bytes_written += logical
-                        result.bytes_real += float(ref.size)
-                        self.index.note_new(shard_id, ref.digest, logical)
                 finally:
                     self.index.release(shard_id)
-            self._adopt(image, kept)
-            manifest = self._manifest_for(image, rank, node_index, epoch,
-                                          [ref for ref, _p in pairs])
-            yield from disk.write(manifest.path, manifest.blob,
-                                  logical_size=image.header_bytes)
-            result.bytes_written += image.header_bytes
-            result.manifest_path = manifest.path
-            self._register(fs, manifest)
+            manifest = yield from store.commit(
+                disk, rank, node_index, epoch, image, pairs, kept, result)
             self._owners[(manifest.proc_name, epoch)] = (tenant, referenced)
             stored = True
         except QuotaExceededError as exc:
@@ -187,14 +182,9 @@ class CheckpointService(CheckpointStore):
 
     def schedule_replication_for(self, tenant: str, epoch: int) -> None:
         """Queue ``epoch``'s manifests on ``tenant``'s replication lane
-        (idempotent per epoch, like the parent's scheduler) and make sure
+        (idempotent per epoch, like the store's scheduler) and make sure
         the round-robin drainer is running."""
-        if epoch in self._replicated:
-            return
-        self._replicated.add(epoch)
-        manifests = [by_epoch[epoch]
-                     for _name, by_epoch in sorted(self._manifests.items())
-                     if epoch in by_epoch]
+        manifests = self.store.claim_epoch(epoch)
         if not manifests:
             return
         self._pending_repl.setdefault(tenant, deque()).append(
@@ -205,15 +195,15 @@ class CheckpointService(CheckpointStore):
         if self._repl_drainer is None or not self._repl_drainer.is_alive:
             self._repl_drainer = self.env.process(
                 self._drain_pending(), name=f"{self.name}.replicate")
-            self._live_flows.append(self._repl_drainer)
 
-    def _take_batch(self, queue: Deque[Tuple[int, List[Manifest]]]
+    @staticmethod
+    def _take_batch(queue: Deque[Tuple[int, List[Manifest]]]
                     ) -> Tuple[int, List[Manifest]]:
         batch: List[Manifest] = []
         epoch0 = queue[0][0]
-        while queue and len(batch) < self.repl_batch_manifests:
+        while queue and len(batch) < REPL_BATCH_MANIFESTS:
             epoch, manifests = queue[0]
-            room = self.repl_batch_manifests - len(batch)
+            room = REPL_BATCH_MANIFESTS - len(batch)
             batch.extend(manifests[:room])
             if room >= len(manifests):
                 queue.popleft()
@@ -237,38 +227,31 @@ class CheckpointService(CheckpointStore):
                     tracer.emit("service.replicate.batch", tenant,
                                 self.env.now, tenant=tenant,
                                 manifests=len(batch))
-                yield from self._replicate_flow(epoch0, batch)
+                yield from self.store.replicate(epoch0, batch)
         for tenant in [t for t in self._pending_repl
                        if not self._pending_repl[t]]:
             del self._pending_repl[tenant]
 
     # -- GC with tenant credit -------------------------------------------------
 
-    def _retire(self, proc_name: str, epoch: int) -> int:
-        manifest = self._manifests.get(proc_name, {}).get(epoch)
-        deleted = super()._retire(proc_name, epoch)
-        if manifest is None:
-            return deleted
-        owner = self._owners.pop((proc_name, epoch), None)
+    def _on_retire(self, manifest: Manifest) -> None:
+        """The store retired ``manifest``: credit its owner's quota and
+        drop index entries for chunks no manifest references any more."""
+        owner = self._owners.pop((manifest.proc_name, manifest.epoch), None)
         if owner is not None:
             self.admission.reclaim(owner[0], owner[1])
         for digest in set(manifest.digests()):
-            if not any(digest in refs for refs in self._refs.values()):
+            if not self.store.holds(digest):
                 self.index.discard(digest)
-        return deleted
 
     def delete_job(self, job: str) -> Tuple[int, int]:
         """Drop every checkpoint of ``job``'s processes (the tenant tore
         the job down).  Chunks another tenant's manifests still reference
         survive — refcounts, not ownership, decide deletion."""
-        retired = deleted = 0
         # proc names are "<job>.r<rank>": exact-prefix match only, so
         # "jobA" never takes down "jobAB"
-        for proc in sorted(p for p in self._manifests
-                           if p == job or p.startswith(job + ".")):
-            for epoch in sorted(self._manifests[proc]):
-                deleted += self._retire(proc, epoch)
-                retired += 1
+        retired, deleted = self.store.delete_procs(
+            lambda proc: proc == job or proc.startswith(job + "."))
         if retired and hooks.tracer is not None:
             hooks.tracer.emit("service.delete", job, self.env.now,
                               job=job, manifests=retired, chunks=deleted)
@@ -276,16 +259,9 @@ class CheckpointService(CheckpointStore):
 
     # -- staging ---------------------------------------------------------------
 
-    def ingest_record(self, record, node_map=None, tiers=None) -> Manifest:
-        manifest = super().ingest_record(record, node_map, tiers)
-        # clients carry their own epoch bases; the parent's offset
-        # bookkeeping must never shift shared-namespace epochs
-        self._epoch_offset = 0
-        return manifest
-
     def ingest_for(self, tenant: str, record, node_map=None,
                    tiers=None) -> Manifest:
-        manifest = self.ingest_record(record, node_map, tiers)
+        manifest = self.store.ingest_record(record, node_map, tiers)
         key = (manifest.proc_name, manifest.epoch)
         if key not in self._owners:
             referenced = sum(r.logical_bytes for r in manifest.chunks) \
@@ -305,17 +281,12 @@ class CheckpointService(CheckpointStore):
     def drain(self) -> Generator:
         """Process generator: wait out the replication backlog (all
         tenants' queues plus any in-flight batch)."""
-        for _guard in range(1_000_000):
-            flows = [f for f in self._live_flows if f.is_alive]
-            pending = any(self._pending_repl.get(t)
-                          for t in self._pending_repl)
-            if not flows and not pending:
-                break
-            if not flows:
+        while True:
+            if self._repl_drainer is None or not self._repl_drainer.is_alive:
+                if not any(self._pending_repl.values()):
+                    break
                 self._kick_replicator()
-                flows = [f for f in self._live_flows if f.is_alive]
-            yield self.env.all_of(flows)
-        self._live_flows = [f for f in self._live_flows if f.is_alive]
+            yield self.env.all_of([self._repl_drainer])
 
     def shutdown(self) -> Generator:
         """Process generator: drain replication, then publish the final
@@ -344,6 +315,7 @@ class CheckpointService(CheckpointStore):
         return self.stats["bytes_written"] / naive if naive > 0 else 1.0
 
     def summary(self) -> Dict[str, object]:
+        store_stats = self.store.stats
         return {
             "puts": self.stats["puts"],
             "puts_rejected": self.stats["puts_rejected"],
@@ -352,9 +324,9 @@ class CheckpointService(CheckpointStore):
             "bytes_written": self.stats["bytes_written"],
             "bytes_naive": self.stats["bytes_naive"],
             "dedup_ratio": self.dedup_ratio(),
-            "replicated_chunks": self.stats["replicated_chunks"],
-            "gc_manifests": self.stats["gc_manifests"],
-            "gc_chunks": self.stats["gc_chunks"],
+            "replicated_chunks": store_stats["replicated_chunks"],
+            "gc_manifests": store_stats["gc_manifests"],
+            "gc_chunks": store_stats["gc_chunks"],
             "inflight_bytes": self.admission.inflight_bytes,
             "index": self.index.summary(),
             "put_latency": self.put_latency_quantiles(),
@@ -370,7 +342,7 @@ class TenantStoreClient:
     shared namespace by adding this client's base on the put/replicate
     path; fetch epochs are already absolute (``CheckpointRecord.epoch``)
     and pass through unchanged — the same convention the per-run store
-    uses for its ``_epoch_offset``.
+    uses for the epochs it resumes past after staging.
     """
 
     chunked = True
@@ -396,8 +368,8 @@ class TenantStoreClient:
 
     def fetch_image(self, proc_name: str, epoch: Optional[int] = None,
                     via_node_index: int = 0) -> Generator:
-        return self.service.fetch_image(proc_name, epoch=epoch,
-                                        via_node_index=via_node_index)
+        return self.service.store.fetch_image(
+            proc_name, epoch=epoch, via_node_index=via_node_index)
 
     def stage_from(self, ckpt_set, node_map=None, tiers=None) -> None:
         for record in ckpt_set.records:

@@ -7,16 +7,15 @@ replication and drained cheapest-live-tier-first at restart, with
 digest verification and replica healing on corruption.
 """
 
-from .chunks import ChunkStore, digest_bytes
+from .chunks import digest_bytes
 from .manifest import ChunkRef, Manifest, ManifestError, chunk_path, \
     manifest_path
 from .store import CheckpointStore, PutResult, StoreConfig, StoreError
-from .tiers import LocalTier, LustreTier, PartnerTier, tiers_for
+from .tiers import LocalTier, LustreTier, PartnerTier
 
 __all__ = [
     "CheckpointStore",
     "ChunkRef",
-    "ChunkStore",
     "LocalTier",
     "LustreTier",
     "Manifest",
@@ -28,5 +27,4 @@ __all__ = [
     "chunk_path",
     "digest_bytes",
     "manifest_path",
-    "tiers_for",
 ]

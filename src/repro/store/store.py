@@ -13,7 +13,7 @@
   re-hashed (the capture carries clean chunks' digests forward).
   One object per chunk: a new chunk's file *is* the image's piece, and a
   deduplicated piece is swapped for the object already on the tier
-  (:meth:`CheckpointStore._land_or_dedup`), so the image and every tier
+  (:meth:`CheckpointStore.land_chunk`), so the image and every tier
   share one ``bytes`` object per distinct chunk content.
 * **replicate** — the coordinator calls ``schedule_replication`` as each
   checkpoint epoch completes; an async sim process then copies missing
@@ -26,7 +26,9 @@
   replica, and healed in place.
 * **GC** — manifests are refcounted per tier filesystem; retiring an
   epoch under the retention policy deletes only chunks no surviving
-  manifest references.
+  manifest references.  An owner that keeps its own books on top (the
+  multi-tenant service) passes ``on_retire``, called once per retired
+  manifest.
 
 The store never uses OS threads — replication runs as simulation
 processes — and, like the rest of the instrumented stack, emits to the
@@ -38,13 +40,13 @@ tracer in the observer slot :mod:`repro.hooks` (``store.put`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from .. import hooks
 from ..dmtcp.image import CheckpointImage
 from ..dmtcp.sink import PutResult
 from ..hardware.cluster import Cluster
-from ..hardware.storage import FileSystem, StorageError
+from ..hardware.storage import Disk, FileSystem, StorageError
 from ..memory import CHUNK_BYTES, ZERO_PIECE
 from .chunks import digest_bytes
 from .manifest import ChunkRef, Manifest, chunk_path, copy_header
@@ -63,15 +65,10 @@ class StoreError(RuntimeError):
 
 @dataclass(frozen=True)
 class StoreConfig:
-    """Placement and retention knobs."""
+    """Retention policy."""
 
-    #: buddy distance: node i's partner replica lands on node (i+offset)%n
-    partner_offset: int = 1
     #: checkpoint epochs kept per process (≥1; the latest always survives)
     retention: int = 2
-    #: verify chunk digests on every fetch (the corruption defence);
-    #: disabling trades safety for a hash per chunk read
-    verify_digests: bool = True
 
 
 class CheckpointStore:
@@ -81,15 +78,18 @@ class CheckpointStore:
     chunked = True
 
     def __init__(self, cluster: Cluster, config: StoreConfig = StoreConfig(),
-                 name: str = "store"):
+                 name: str = "store",
+                 on_retire: Optional[Callable[[Manifest], None]] = None):
         self.cluster = cluster
         self.env = cluster.env
         self.config = config
         self.name = name
+        #: called with each manifest GC or ``delete_procs`` retires, after
+        #: its chunks' refcounts dropped
+        self.on_retire = on_retire
         self.local = LocalTier(cluster)
         self.partner: Optional[PartnerTier] = \
-            PartnerTier(cluster, offset=config.partner_offset) \
-            if len(cluster.nodes) > 1 else None
+            PartnerTier(cluster) if len(cluster.nodes) > 1 else None
         self.lustre: Optional[LustreTier] = \
             LustreTier(cluster) if cluster.lustre_fs is not None else None
         #: manifests by process name → absolute epoch
@@ -159,7 +159,25 @@ class CheckpointStore:
                     refs[digest] = count
             if fs.exists(manifest.path):
                 fs.delete(manifest.path)
+        if self.on_retire is not None:
+            self.on_retire(manifest)
         return deleted
+
+    def holds(self, digest: bytes) -> bool:
+        """True while some registered manifest, on any tier, still
+        references ``digest``."""
+        return any(digest in refs for refs in self._refs.values())
+
+    def delete_procs(self, match: Callable[[str], bool]) -> Tuple[int, int]:
+        """Retire every checkpoint of the processes whose name ``match``
+        accepts.  Chunks other manifests still reference survive.
+        Returns (manifests retired, chunk files deleted)."""
+        retired = deleted = 0
+        for proc in sorted(p for p in self._manifests if match(p)):
+            for epoch in sorted(self._manifests[proc]):
+                deleted += self._retire(proc, epoch)
+                retired += 1
+        return retired, deleted
 
     def latest_epoch(self, proc_name: str) -> int:
         by_epoch = self._manifests.get(proc_name)
@@ -178,7 +196,7 @@ class CheckpointStore:
     # -- put ------------------------------------------------------------------
 
     @staticmethod
-    def _refs_for(image: CheckpointImage) -> List[Tuple[ChunkRef, bytes]]:
+    def chunk_pairs(image: CheckpointImage) -> List[Tuple[ChunkRef, bytes]]:
         """One (chunk reference, piece) pair per piece of every image
         region, reusing the capture's per-chunk fingerprints when it
         recorded them.
@@ -228,7 +246,7 @@ class CheckpointStore:
     @staticmethod
     def _adopt(image: CheckpointImage, kept: List[bytes]) -> None:
         """Point ``image`` at ``kept``, the pieces a put landed or
-        deduplicated against (in :meth:`_refs_for` order).  A region's
+        deduplicated against (in :meth:`chunk_pairs` order).  A region's
         tuple is rebuilt only when some piece's identity changed, so a
         clean region keeps sharing its tuple with the capture's
         ``prev``."""
@@ -266,6 +284,40 @@ class CheckpointStore:
             memory_name=image.memory_snapshot["name"],
             next_addr=image.memory_snapshot["next_addr"])
 
+    def land_chunk(self, disk: Disk, ref: ChunkRef, piece: bytes,
+                   result: PutResult, stall: float = 1.0) -> Generator:
+        """Process generator: write one chunk to ``disk``, or dedup it
+        against the copy already there, counted on ``result``.  Returns
+        the piece the image keeps."""
+        path = chunk_path(ref.digest)
+        held = self._land_or_dedup(disk.fs, path, piece)
+        if held is not None:
+            result.chunks_deduped += 1
+            return held
+        logical = ref.logical_bytes * stall
+        yield from disk.write(path, piece, logical_size=logical)
+        result.chunks_new += 1
+        result.bytes_written += logical
+        result.bytes_real += float(ref.size)
+        return piece
+
+    def commit(self, disk: Disk, rank: int, node_index: int, epoch: int,
+               image: CheckpointImage,
+               pairs: List[Tuple[ChunkRef, bytes]], kept: List[bytes],
+               result: PutResult) -> Generator:
+        """Process generator: point ``image`` at ``kept`` (the pieces
+        :meth:`land_chunk` returned, in ``pairs`` order), write its
+        manifest to ``disk`` and register it.  Returns the manifest."""
+        self._adopt(image, kept)
+        manifest = self._manifest_for(image, rank, node_index, epoch,
+                                      [ref for ref, _piece in pairs])
+        yield from disk.write(manifest.path, manifest.blob,
+                              logical_size=image.header_bytes)
+        result.bytes_written += image.header_bytes
+        result.manifest_path = manifest.path
+        self._register(disk.fs, manifest)
+        return manifest
+
     def put_image(self, rank: int, node_index: int, epoch: int,
                   image: CheckpointImage,
                   stall: float = 1.0) -> Generator:
@@ -278,34 +330,17 @@ class CheckpointStore:
         epoch = epoch + self._epoch_offset
         tracer = hooks.tracer
         disk = self.local.replica_disk(node_index)
-        fs = disk.fs
         result = PutResult(epoch=epoch, manifest_path="")
         span = None if tracer is None else tracer.begin(
             "store.put", image.proc_name, self.env.now, epoch=epoch,
             node=node_index, regions=len(image.memory_snapshot["regions"]))
-        pairs = self._refs_for(image)
+        pairs = self.chunk_pairs(image)
         kept = []
         for ref, piece in pairs:
-            path = chunk_path(ref.digest)
-            held = self._land_or_dedup(fs, path, piece)
-            if held is not None:
-                result.chunks_deduped += 1
-                kept.append(held)
-                continue
-            logical = ref.logical_bytes * stall
-            yield from disk.write(path, piece, logical_size=logical)
-            kept.append(piece)
-            result.chunks_new += 1
-            result.bytes_written += logical
-            result.bytes_real += float(ref.size)
-        self._adopt(image, kept)
-        manifest = self._manifest_for(image, rank, node_index, epoch,
-                                      [ref for ref, _piece in pairs])
-        yield from disk.write(manifest.path, manifest.blob,
-                              logical_size=image.header_bytes)
-        result.bytes_written += image.header_bytes
-        result.manifest_path = manifest.path
-        self._register(fs, manifest)
+            kept.append((yield from self.land_chunk(
+                disk, ref, piece, result, stall)))
+        yield from self.commit(disk, rank, node_index, epoch, image, pairs,
+                               kept, result)
         self.stats["puts"] += 1
         self.stats["chunks_new"] += result.chunks_new
         self.stats["chunks_deduped"] += result.chunks_deduped
@@ -322,21 +357,27 @@ class CheckpointStore:
 
     # -- replication -----------------------------------------------------------
 
+    def claim_epoch(self, epoch: int) -> List[Manifest]:
+        """Mark absolute ``epoch`` as scheduled for replication.  Returns
+        its manifests, ordered by process name, on the first claim, and
+        ``[]`` on every later one."""
+        if epoch in self._replicated:
+            return []
+        self._replicated.add(epoch)
+        return [by_epoch[epoch]
+                for _name, by_epoch in sorted(self._manifests.items())
+                if epoch in by_epoch]
+
     def schedule_replication(self, epoch: int) -> None:
         """Kick off async replication of every manifest at ``epoch`` (the
         coordinator calls this as each checkpoint epoch completes).
         Idempotent per epoch; the copies run as a background sim process
         while the application resumes."""
         epoch = epoch + self._epoch_offset
-        if epoch in self._replicated:
-            return
-        self._replicated.add(epoch)
-        manifests = [by_epoch[epoch]
-                     for _name, by_epoch in sorted(self._manifests.items())
-                     if epoch in by_epoch]
+        manifests = self.claim_epoch(epoch)
         if not manifests:
             return
-        flow = self.env.process(self._replicate_flow(epoch, manifests),
+        flow = self.env.process(self.replicate(epoch, manifests),
                                 name=f"{self.name}.replicate.e{epoch}")
         self._live_flows.append(flow)
 
@@ -349,8 +390,10 @@ class CheckpointStore:
             targets.append(self.lustre)
         return targets
 
-    def _replicate_flow(self, epoch: int, manifests: List[Manifest]
-                        ) -> Generator:
+    def replicate(self, epoch: int, manifests: List[Manifest]) -> Generator:
+        """Process generator: copy ``manifests``' missing chunks and the
+        manifests themselves to the partner and Lustre tiers, then run
+        retention GC."""
         tracer = hooks.tracer
         span = None if tracer is None else tracer.begin(
             "store.replicate", self.name, self.env.now, epoch=epoch,
@@ -460,11 +503,10 @@ class CheckpointStore:
     def fetch_chunk(self, manifest: Manifest, ref: ChunkRef,
                     via_node_index: int = 0) -> Generator:
         """Process generator: resolve *one* chunk from the cheapest live
-        tier, charging the read to that tier's disk.  Digest-verified
-        (``config.verify_digests``); a corrupt copy is skipped, served
-        from the next replica, and healed in place.  Returns
-        ``(data, tier_kind)``; raises :class:`StoreError` when no live
-        tier holds a valid copy.  This is the unit of work the restart
+        tier, charging the read to that tier's disk.  Digest-verified:
+        a corrupt copy is skipped, served from the next replica, and
+        healed in place.  Returns ``(data, tier_kind)``; raises
+        :class:`StoreError` when no live tier holds a valid copy.  This is the unit of work the restart
         fetch and the post-copy pager/prefetcher share."""
         return (yield from self._fetch_one(
             self._fetch_order(manifest, via_node_index), manifest, ref))
@@ -481,8 +523,7 @@ class CheckpointStore:
             if not alive() or not fs.exists(path):
                 continue
             blob = yield from disk.read(path)
-            if self.config.verify_digests \
-                    and digest_bytes(blob) != ref.digest:
+            if digest_bytes(blob) != ref.digest:
                 # silent corruption caught by the content address
                 self.stats["corrupt_detected"] += 1
                 corrupt_sites.append(fs)
@@ -580,8 +621,7 @@ class CheckpointStore:
                 if not alive() or not fs.exists(path):
                     continue
                 blob = fs.load(path)
-                if not self.config.verify_digests \
-                        or digest_bytes(blob) == ref.digest:
+                if digest_bytes(blob) == ref.digest:
                     parts.append((ref, blob))
                     break
             else:
@@ -627,7 +667,7 @@ class CheckpointStore:
         epoch = (getattr(record, "epoch", 0) or 1)
         dst_index = (node_map or {}).get(
             record.node_index, record.node_index % len(self.cluster.nodes))
-        pairs = self._refs_for(image)
+        pairs = self.chunk_pairs(image)
         manifest = self._manifest_for(image, record.rank, dst_index, epoch,
                                       [ref for ref, _piece in pairs])
         wanted = tiers if tiers is not None \

@@ -5,7 +5,7 @@ Three tiers, ordered cheapest-first for restart:
 * **local**   — the checkpointing node's own disk.  Fastest, but shares
   the node's failure domain: a node-crash destroys it.
 * **partner** — a neighbour node's disk (FTI-style buddy placement:
-  node *i* replicates to node ``(i + offset) % n``).  Survives any
+  node *i* replicates to node ``(i + 1) % n``).  Survives any
   single-node crash by construction, since a chunk's local and partner
   copies live on different nodes.
 * **lustre**  — the shared parallel filesystem.  Slowest writes, but its
@@ -22,12 +22,12 @@ replica survived (``alive``).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..hardware.cluster import Cluster
 from ..hardware.storage import Disk, FileSystem
 
-__all__ = ["LocalTier", "PartnerTier", "LustreTier", "tiers_for"]
+__all__ = ["LocalTier", "PartnerTier", "LustreTier"]
 
 
 class LocalTier:
@@ -53,16 +53,12 @@ class LocalTier:
 
 
 class PartnerTier(LocalTier):
-    """Buddy replica on node ``(i + offset) % n``."""
+    """Buddy replica on node ``(i + 1) % n``."""
 
     kind = "partner"
 
-    def __init__(self, cluster: Cluster, offset: int = 1):
-        super().__init__(cluster)
-        self.offset = offset
-
     def placement(self, node_index: int) -> int:
-        return (node_index + self.offset) % len(self.cluster.nodes)
+        return (node_index + 1) % len(self.cluster.nodes)
 
     def degenerate(self, node_index: int) -> bool:
         """True when the partner lands on the checkpointing node itself
@@ -102,13 +98,3 @@ class LustreTier:
         # transient ``lustre-brownout`` fault blacks the whole tier out
         # until its heal timer resets the flag.
         return not getattr(self.cluster, "lustre_down", False)
-
-
-def tiers_for(cluster: Cluster, partner_offset: int = 1) -> List:
-    """The tier chain a cluster supports, cheapest-first."""
-    tiers: List = [LocalTier(cluster)]
-    if len(cluster.nodes) > 1:
-        tiers.append(PartnerTier(cluster, offset=partner_offset))
-    if cluster.lustre_fs is not None:
-        tiers.append(LustreTier(cluster))
-    return tiers

@@ -245,7 +245,7 @@ def test_zero_pieces_carry_the_precomputed_digest():
     mem = AddressSpace()
     r = mem.mmap("r", 3 * CHUNK_BYTES)
     r.write(CHUNK_BYTES, b"x")
-    pairs = store_mod.CheckpointStore._refs_for(_capture(mem))
+    pairs = store_mod.CheckpointStore.chunk_pairs(_capture(mem))
     assert [ref.digest for ref, _ in pairs] \
         == [digest_bytes(piece) for piece in r.pieces()]
     assert [piece is ZERO_PIECE for _, piece in pairs] == [True, False, True]

@@ -222,8 +222,8 @@ def test_put_for_dedups_across_jobs_and_tenants():
     assert rb.chunks_new == 0 and rb.chunks_deduped == ra.chunks_new
     assert service.dedup_ratio() < 0.75
     # both manifests fetch bit-identical despite sharing every chunk
-    fa = _run(env, service.fetch_image("ja.r0"))
-    fb = _run(env, service.fetch_image("jb.r0"))
+    fa = _run(env, service.store.fetch_image("ja.r0"))
+    fb = _run(env, service.store.fetch_image("jb.r0"))
     assert fa.to_bytes() == image_a.to_bytes()
     assert fb.to_bytes() == image_b.to_bytes()
 
@@ -248,9 +248,9 @@ def test_client_epoch_bases_isolate_generations():
     r1 = _run(env, c1.put_image(rank=0, node_index=0, epoch=1, image=image))
     r2 = _run(env, c2.put_image(rank=0, node_index=0, epoch=1, image=image))
     assert r2.epoch > r1.epoch  # same coordinator epoch, disjoint namespace
-    assert service.latest_epoch("jd.r0") == r2.epoch
+    assert service.store.latest_epoch("jd.r0") == r2.epoch
     c2.stop()  # deliberate no-op: the service outlives its clients
-    assert _run(env, service.fetch_image("jd.r0")) is not None
+    assert _run(env, service.store.fetch_image("jd.r0")) is not None
 
 
 # -- gang scheduler ------------------------------------------------------------

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.dmtcp.image import CheckpointImage
 from repro.hardware import Cluster, MGHPCC
 from repro.memory import AddressSpace
+from repro.obs import check_trace_invariants, split_segments, traced
 from repro.service import CheckpointService
 from repro.sim import Environment
 from repro.store import StoreConfig
@@ -76,7 +77,7 @@ class _Tenants:
             stamp = bytes([self.epoch[tenant] % 256]) * 64
             mem.write(region.addr, stamp + bytes(region.size - 64))
         image = CheckpointImage.capture(proc, 1, "3.10.0", "mlx4", mem,
-                                        gzip=True)
+                                        gzip=True, t_sim=self.env.now)
         self.epoch[tenant] += 1
         result = _run(self.env, self.service.put_for(
             tenant, job, 0, 0, self.epoch[tenant], image))
@@ -93,7 +94,7 @@ class _Tenants:
         """Every live job's latest checkpoint must still reassemble
         bit-identical — whatever the other tenant deleted."""
         for proc, reference in self.expect.items():
-            fetched = _run(self.env, self.service.fetch_image(proc))
+            fetched = _run(self.env, self.service.store.fetch_image(proc))
             assert fetched.to_bytes() == reference, (
                 f"{proc} corrupted by cross-tenant GC")
 
@@ -130,7 +131,7 @@ def test_delete_job_spares_shared_chunks_and_reclaims_quota():
         pytest.approx(0.0)
     # B still fetches bit-identical through the shared chunks
     world.check_survivors()
-    fetched = _run(world.env, world.service.fetch_image("jobB.r0"))
+    fetched = _run(world.env, world.service.store.fetch_image("jobB.r0"))
     assert fetched.to_bytes() == world.expect["jobB.r0"]
 
 
@@ -166,6 +167,20 @@ def test_retention_gc_respects_cross_tenant_refs():
     world.check_survivors()  # B alone still reassembles
 
 
+def test_traced_puts_stay_on_one_timeline():
+    """Captures stamped with the environment's clock keep a traced A, B,
+    A put sequence in one trace segment, so history-dependent invariants
+    (admission before put, among others) see the whole run."""
+    with traced() as tracer:
+        world = _Tenants()
+        for tenant in ("A", "B", "A"):
+            world.put(tenant)
+    kinds = {event["kind"] for event in tracer.events}
+    assert {"capture.region", "service.put"} <= kinds
+    assert len(split_segments(tracer.events)) == 1
+    assert check_trace_invariants(tracer.events) == []
+
+
 def test_delete_job_is_prefix_safe():
     """jobA vs jobAB: deleting one job must not take down another whose
     name shares a prefix."""
@@ -181,7 +196,7 @@ def test_delete_job_is_prefix_safe():
     _run(env, service.put_for("t", "jobA", 0, 0, 1, img1))
     _run(env, service.put_for("t", "jobAB", 0, 0, 1, img2))
     service.delete_job("jobA")
-    fetched = _run(env, service.fetch_image("jobAB.r0"))
+    fetched = _run(env, service.store.fetch_image("jobAB.r0"))
     assert fetched.to_bytes() == img2.to_bytes()
     with pytest.raises(Exception):
-        _run(env, service.fetch_image("jobA.r0"))
+        _run(env, service.store.fetch_image("jobA.r0"))

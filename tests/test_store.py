@@ -13,19 +13,17 @@ import pytest
 
 from repro.dmtcp.image import CheckpointImage
 from repro.dmtcp.process import CheckpointRecord
-from repro.hardware import BUFFALO_CCR, Cluster, FileSystem, MGHPCC
+from repro.hardware import BUFFALO_CCR, Cluster, MGHPCC
 from repro.memory import AddressSpace
 from repro.sim import Environment
 from repro.store import (
     CheckpointStore,
-    ChunkStore,
     Manifest,
     ManifestError,
     StoreConfig,
     StoreError,
     chunk_path,
     digest_bytes,
-    tiers_for,
 )
 
 
@@ -58,22 +56,6 @@ def _mghpcc(env, n_nodes=4, name="store-test"):
 
 # -- chunk and manifest layer --------------------------------------------------
 
-def test_chunkstore_roundtrip_dedup_verify_delete():
-    cs = ChunkStore(FileSystem("pool"))
-    digest = digest_bytes(b"payload")
-    assert cs.put(digest, b"payload", 7.0)     # first copy lands
-    assert not cs.put(digest, b"payload", 7.0)  # content-addressed dedup
-    assert cs.has(digest)
-    assert cs.get(digest) == b"payload"
-    assert cs.verify(digest)
-    assert cs.chunk_count() == 1 and list(cs.digests()) == [digest]
-    # rot the stored bytes behind the store's back: verify must fail
-    cs.fs.store(chunk_path(digest), b"rotten!", 7)
-    assert not cs.verify(digest)
-    cs.delete(digest)
-    assert not cs.has(digest) and not cs.verify(digest)
-
-
 def test_manifest_roundtrip_and_bad_magic():
     image = _capture(_memory(3))
     env = Environment()
@@ -103,11 +85,11 @@ def test_put_reuses_capture_hashes():
     applied, so cross-path dedup still works."""
     mem = _memory(4)
     base = _capture(mem)
-    CheckpointStore._refs_for(base)         # a put fills base's digests
+    CheckpointStore.chunk_pairs(base)  # a put fills base's digests
     incr = _capture(mem, prev=base)
     carried = {name: list(meta["chunk_hashes"])
                for name, meta in incr.region_meta.items()}
-    refs = CheckpointStore._refs_for(incr)
+    refs = CheckpointStore.chunk_pairs(incr)
     for (ref, data), region in zip(refs, incr.memory_snapshot["regions"]):
         assert ref.digest == digest_bytes(region["data"][0])
         assert ref.digest is carried[region["name"]][0]
@@ -181,8 +163,6 @@ def test_single_node_cluster_has_no_partner_tier():
     cluster = Cluster(env, BUFFALO_CCR, n_nodes=1, name="solo")
     store = CheckpointStore(cluster)
     assert store.partner is None and store.lustre is None
-    tiers = tiers_for(cluster)
-    assert [t.kind for t in tiers] == ["local"]
 
 
 # -- tier-aware fetch ----------------------------------------------------------
@@ -376,6 +356,48 @@ def test_gc_never_retires_the_latest_epoch():
     _run(env, store.put_image(rank=0, node_index=0, epoch=1, image=image))
     assert store.collect_garbage() == (0, 0)
     assert store.latest_epoch("p0") == 1
+
+
+def _retire_sequence(store):
+    """Three epochs of p0 under retention 1 plus one epoch of p1, then
+    retention GC and the deletion of p1.  Returns both (manifests
+    retired, chunks deleted) counts."""
+    env = store.env
+    mem = _memory(n_regions=4, seed=53)
+    for epoch in (1, 2, 3):
+        mem.write(next(iter(mem)).addr, bytes([epoch]))  # one chunk changes
+        _run(env, store.put_image(rank=0, node_index=0, epoch=epoch,
+                                  image=_capture(mem)))
+    _run(env, store.put_image(rank=1, node_index=1, epoch=3,
+                              image=_capture(_memory(seed=59), name="p1")))
+    return (store.collect_garbage(),
+            store.delete_procs(lambda proc: proc == "p1"))
+
+
+def test_on_retire_fires_once_per_retired_manifest():
+    """The callback sees each manifest retention GC or ``delete_procs``
+    retires exactly once, after its chunks' refcounts dropped; a store
+    built without it retires the same manifests and chunks."""
+    log = []
+
+    def on_retire(manifest):
+        # (proc, epoch, chunks no manifest references any more)
+        log.append((manifest.proc_name, manifest.epoch,
+                    sum(not store.holds(d) for d in manifest.digests())))
+
+    config = StoreConfig(retention=1)
+    store = CheckpointStore(_mghpcc(Environment(), name="on-retire"),
+                            config=config, on_retire=on_retire)
+    gc, deleted = _retire_sequence(store)
+    assert log == [("p0", 1, 1), ("p0", 2, 1), ("p1", 3, 10)]
+    assert gc == (2, 2) and deleted == (1, 10)
+    plain = CheckpointStore(_mghpcc(Environment(), name="no-callback"),
+                            config=config)
+    assert _retire_sequence(plain) == (gc, deleted)
+    assert plain.stats == store.stats
+    assert plain.latest_epoch("p0") == store.latest_epoch("p0") == 3
+    with pytest.raises(StoreError):
+        plain.latest_epoch("p1")
 
 
 # -- staging and epoch continuity ---------------------------------------------
