@@ -46,6 +46,11 @@ paper's correctness argument depends on them:
     seed/stream derived from the wall clock.  Both break the
     "faults-off runs are bit-identical" determinism argument.
 
+``unused-import``
+    A module-level import whose name the module never reads.  Package
+    ``__init__.py`` files (which import to re-export), names listed in
+    ``__all__`` and ``from __future__`` imports are exempt.
+
 Suppression: ``# repro: allow(<rule>[, <rule>…])`` on the offending line.
 """
 
@@ -77,6 +82,8 @@ LINT_RULES: Dict[str, str] = {
     "rng-taint": "RngFactory stream crossing a namespace boundary "
                  "(faults/ stream outside faults/) or seeded from the "
                  "wall clock",
+    "unused-import": "module-level import whose name the module never "
+                     "reads (__init__.py, __all__ and __future__ exempt)",
 }
 
 #: real resource structs — value structs (sge/wr/wc/attr) are exempt:
@@ -276,6 +283,39 @@ class _LintVisitor(ast.NodeVisitor):
                        "seed instead")
 
 
+def _unused_imports(tree: ast.Module, display_path: str) -> List[Finding]:
+    """``unused-import``: module-level import names never read."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name)
+            and not isinstance(node.ctx, ast.Store)}
+    exported = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in stmt.targets) \
+                and isinstance(stmt.value, (ast.List, ast.Tuple)):
+            exported.update(elt.value for elt in stmt.value.elts
+                            if isinstance(elt, ast.Constant))
+    findings = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            names = [a.asname or a.name.split(".")[0] for a in stmt.names]
+        elif isinstance(stmt, ast.ImportFrom) \
+                and stmt.module != "__future__":
+            names = [a.asname or a.name for a in stmt.names
+                     if a.name != "*"]
+        else:
+            continue
+        for name in names:
+            if name not in read and name not in exported:
+                findings.append(Finding(
+                    rule="unused-import", path=display_path,
+                    line=stmt.lineno,
+                    message=f"{name} imported but never read; delete "
+                            "the import"))
+    return findings
+
+
 def _relative_module(path: Path, root: Path) -> str:
     """Path of ``path`` relative to the ``repro`` package if it is inside
     one, else relative to the scan root — so fixture trees mirroring the
@@ -314,7 +354,10 @@ def lint_file(path: Path, root: Optional[Path] = None) -> List[Finding]:
     visitor = _LintVisitor(_relative_module(path, root),
                            os.path.relpath(path))
     visitor.visit(tree)
-    return apply_suppressions(visitor.findings, parse_suppressions(source))
+    findings = visitor.findings
+    if path.name != "__init__.py":
+        findings += _unused_imports(tree, visitor.path)
+    return apply_suppressions(findings, parse_suppressions(source))
 
 
 def lint_paths(paths: Iterable[str]) -> List[Finding]:

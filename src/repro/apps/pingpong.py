@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Generator
 
-import numpy as np
-
 from ..dmtcp.process import AppContext
 from ..ibverbs.connect import qp_to_init, qp_to_rtr, qp_to_rts
 from ..ibverbs.enums import AccessFlags, WrOpcode

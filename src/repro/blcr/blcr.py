@@ -13,7 +13,7 @@ properties matter for the paper's comparison:
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from ..dmtcp.image import CheckpointImage
 from ..hardware.node import Node, ProcessHost

@@ -64,6 +64,10 @@ class Ib2TcpPlugin(Plugin):
         self.listener = stack.listen(self.port)
         proc.spawn_thread(self._accept_loop(), name=f"{self.name}.accept")
 
+    def close(self) -> None:
+        """Drop the adopting plugin (which holds us as its fallback)."""
+        self.ib = None
+
     # -- name service ------------------------------------------------------------
 
     def ns_publish(self) -> Dict[str, Any]:

@@ -396,8 +396,11 @@ class InfinibandPlugin(Plugin):
 
     def close(self) -> None:
         """Unload the wrapper library: it and every ops table handed to
-        the application point back here."""
+        the application point back here.  The fallback points back here
+        too, so it closes with us."""
         self.wrapped.plugin = None
+        if self.fallback is not None:
+            self.fallback.close()
 
     def image_metadata(self) -> Dict[str, Any]:
         if self.contexts:

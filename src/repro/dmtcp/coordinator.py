@@ -15,7 +15,7 @@ from typing import Any, Dict, Generator, List, Mapping, Optional
 from .. import hooks
 from ..hardware.node import Node
 from ..net.tcp import Connection, TcpStack
-from ..sim import Environment, Event, Store
+from ..sim import Environment, Event
 
 __all__ = ["Coordinator", "CoordinatorClient", "NsView"]
 

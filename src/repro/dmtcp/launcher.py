@@ -4,13 +4,13 @@ launcher for baseline timing."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Sequence
 
 from ..hardware.cluster import Cluster
 from ..sim import Environment
-from .coordinator import COORD_PORT, Coordinator
+from .coordinator import Coordinator
 from .costs import CostModel, DEFAULT_COSTS
-from .process import AppContext, CheckpointRecord, Continuation, DmtcpProcess
+from .process import AppContext, CheckpointRecord, DmtcpProcess
 from .sink import FileSink
 
 __all__ = [

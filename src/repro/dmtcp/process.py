@@ -11,11 +11,11 @@ transparency claim (see DESIGN.md §2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from .. import hooks
-from ..hardware.node import Node, ProcessHost
+from ..hardware.node import ProcessHost
 from ..hardware.storage import QuotaExceededError
 from ..memory import AddressSpace
 from ..sim import Environment, Event, Process

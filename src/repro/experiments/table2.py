@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .table1 import PAPER
 from .tables import Table
 
 __all__ = ["PAPER_DERIVED", "derive", "run"]

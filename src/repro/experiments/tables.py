@@ -7,7 +7,7 @@ reference values so shape agreement is visible at a glance."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 __all__ = ["Table"]
 

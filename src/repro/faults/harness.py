@@ -31,7 +31,6 @@ from ..hardware import BUFFALO_CCR, Cluster, HardwareSpec
 from ..mpi import make_mpi_specs
 from ..sim import Environment, RngFactory
 from .injector import FailureRecord, Injector
-from .models import apply_failure  # noqa: F401  (re-exported convenience)
 from .recovery import RecoveryConfig, RecoveryManager, RecoveryOutcome
 from .schedule import (FailureEvent, FailureSchedule, FixedSchedule,
                        PoissonSchedule)

@@ -8,7 +8,7 @@ cluster used for the IB2TCP ping-pong test).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..sim import Environment, RngFactory

@@ -15,7 +15,7 @@ restart) necessary and sufficient.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Hashable, Optional
+from typing import Any, Callable, Dict, Generator, Hashable
 
 from ..sim import Environment, Resource
 

@@ -8,7 +8,7 @@ report paper-magnitude checkpoint times (see DESIGN.md §2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Generator, Optional
 
 from ..sim import Environment, Resource

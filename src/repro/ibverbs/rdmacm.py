@@ -27,11 +27,11 @@ API shape (generator methods; ``yield from`` them inside sim processes)::
 from __future__ import annotations
 
 import itertools
-from typing import Any, Generator, Optional
+from typing import Generator, Optional
 
 from ..net.tcp import TcpStack
 from .connect import qp_to_init, qp_to_rtr, qp_to_rts
-from .structs import VerbsError, ibv_qp_init_attr
+from .structs import ibv_qp_init_attr
 
 __all__ = ["RdmaCm", "CmId", "RdmaCmError"]
 

@@ -10,7 +10,7 @@ blob on every call; a stale struct raises :class:`StaleResourceError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, NamedTuple, Optional, Sequence
 
 from .enums import (

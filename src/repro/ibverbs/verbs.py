@@ -15,7 +15,7 @@ minted by a dead driver session (i.e. before a restart) raise
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional
+from typing import List
 
 from ..hardware.node import ProcessHost
 from .enums import (

@@ -33,7 +33,7 @@ from ..dmtcp.costs import CostModel, DEFAULT_COSTS
 from ..dmtcp.launcher import AppSpec, CheckpointSet, DmtcpSession, JobTracker
 from ..dmtcp.process import DmtcpProcess
 from ..hardware.cluster import Cluster
-from ..store import CheckpointStore, StoreError
+from ..store import CheckpointStore, RegionRow, StoreError
 
 __all__ = ["PostCopyPager", "postcopy_restart"]
 
@@ -61,11 +61,10 @@ class PostCopyPager:
         self.retry_delay = retry_delay
         self.retry_jitter = retry_jitter
         self.rng_stream = rng_stream
-        #: region name → that region's chunk refs, in manifest order (a
+        #: region name → that region's manifest row, in manifest order (a
         #: region is paged in as a unit: one fault charges all its chunks)
-        self.refs: Dict[str, list] = {}
-        for ref in manifest.chunks:
-            self.refs.setdefault(ref.region_name, []).append(ref)
+        self.rows: Dict[str, RegionRow] = {
+            row.region_name: row for row in manifest.rows}
         #: regions whose read time has been charged (demand or prefetch)
         self.resident: set = set()
         #: faulted regions awaiting service, in fault order
@@ -83,7 +82,7 @@ class PostCopyPager:
     # -- fault capture ---------------------------------------------------------
 
     def _fault(self, region_name: str) -> None:
-        if region_name not in self.refs \
+        if region_name not in self.rows \
                 or region_name in self.resident \
                 or region_name in self._outstanding_set \
                 or region_name in self._inflight:
@@ -139,13 +138,13 @@ class PostCopyPager:
         (materialized); the fetch is the *time* of the reads,
         digest-verified so a corrupt replica is healed exactly as an
         offline restart would."""
-        refs = self.refs[region_name]
+        row = self.rows[region_name]
         tracer = hooks.tracer
         span = None if tracer is None else tracer.begin(
             "migrate.pagein", self.name, self.env.now, region=region_name,
-            mode=mode, chunks=len(refs))
+            mode=mode, chunks=len(row.digests))
         tier = None
-        for ref in refs:
+        for ref in row.refs():
             while True:
                 try:
                     _data, tier = yield from self.store.fetch_chunk(
@@ -183,7 +182,7 @@ class PostCopyPager:
 
     @property
     def complete(self) -> bool:
-        return len(self.resident) >= len(self.refs)
+        return len(self.resident) >= len(self.rows)
 
     # -- compute gate ----------------------------------------------------------
 
@@ -218,7 +217,7 @@ class PostCopyPager:
                 self._prefetch_flow(), name=f"{self.name}.prefetch")
 
     def _prefetch_flow(self) -> Generator:
-        for name in self.refs:
+        for name in self.rows:
             if name in self.resident or name in self._outstanding_set \
                     or name in self._inflight:
                 continue

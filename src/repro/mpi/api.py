@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import itertools
 import pickle
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
-
-import numpy as np
+from typing import Any, Callable, Dict, Generator, List, Tuple
 
 from ..dmtcp.process import AppContext
 from ..memory import Region

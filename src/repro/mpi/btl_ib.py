@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import pickle
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from ..dmtcp.process import AppContext
 from ..ibverbs.connect import qp_to_init, qp_to_rtr, qp_to_rts

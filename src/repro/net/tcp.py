@@ -13,7 +13,7 @@ every user in this codebase layers on TCP anyway.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Generator, Optional, Tuple
+from typing import Any, Dict, Generator, Optional
 
 from ..hardware.network import Network, NetworkError
 from ..hardware.node import Node

@@ -29,7 +29,7 @@ carrying the conservation totals.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Generator, Optional
 
 from .. import hooks

@@ -18,7 +18,7 @@ comes for free from the content addresses themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Generator
 
 from ..sim import Environment, Resource

@@ -27,7 +27,7 @@ order, same checksums.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Generator, List, Optional, Sequence
 
 import numpy as np

@@ -264,7 +264,7 @@ class CheckpointService:
         manifest = self.store.ingest_record(record, node_map, tiers)
         key = (manifest.proc_name, manifest.epoch)
         if key not in self._owners:
-            referenced = sum(r.logical_bytes for r in manifest.chunks) \
+            referenced = manifest.logical_bytes \
                 + float(manifest.header.get("header_bytes", 0.0))
             self._owners[key] = (tenant, referenced)
             # staged bytes hold quota but bypass the admission ledger

@@ -8,8 +8,8 @@ digest verification and replica healing on corruption.
 """
 
 from .chunks import digest_bytes
-from .manifest import ChunkRef, Manifest, ManifestError, chunk_path, \
-    manifest_path
+from .manifest import ChunkRef, Manifest, ManifestError, RegionRow, \
+    chunk_path, manifest_path
 from .store import CheckpointStore, PutResult, StoreConfig, StoreError
 from .tiers import LocalTier, LustreTier, PartnerTier
 
@@ -22,6 +22,7 @@ __all__ = [
     "ManifestError",
     "PartnerTier",
     "PutResult",
+    "RegionRow",
     "StoreConfig",
     "StoreError",
     "chunk_path",

@@ -1,14 +1,18 @@
 """Checkpoint manifests: the per-rank, per-epoch chunk lists.
 
 A :class:`Manifest` is the store's unit of coordination: one per process
-per checkpoint epoch, recording every memory region as a run of
-content-addressed chunk references at :data:`~repro.memory.CHUNK_BYTES`
-granularity (digest + sizes + the capture bookkeeping the incremental
-pipeline needs back at restart) plus the image-level header
+per checkpoint epoch, recording every memory region as one
+:class:`RegionRow` — the region's layout and capture bookkeeping (what
+the incremental pipeline needs back at restart) plus its chunks'
+content addresses in offset order, one per
+:data:`~repro.memory.CHUNK_BYTES` slice — and the image-level header
 fields of :class:`~repro.dmtcp.image.CheckpointImage`.  Chunks carry the
 bytes; manifests carry everything needed to reassemble a bit-identical
 image from them — so a manifest plus a resolvable chunk set on *any*
-live tier is a complete checkpoint.
+live tier is a complete checkpoint.  A :class:`ChunkRef`, the unit a
+put lands and a fetch resolves, is built from a row when a pass needs
+one and never stored: a retained manifest costs one row per region, not
+an object per chunk.
 
 Manifests are small (a few hundred bytes per region) and are replicated
 to every tier alongside the chunks they reference; their serialized form
@@ -25,12 +29,17 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional
+from itertools import groupby
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, \
+    Tuple
 
-__all__ = ["ChunkRef", "Manifest", "ManifestError",
+from ..memory import CHUNK_BYTES
+
+__all__ = ["ChunkRef", "Manifest", "ManifestError", "RegionRow",
            "chunk_path", "manifest_path"]
 
-_MAGIC = b"STOREMF1"
+_MAGIC = b"STOREMF2"
 
 #: flat namespace shared by every tier filesystem: one content-addressed
 #: chunk pool per device, so local-tier data and partner-tier replicas
@@ -73,9 +82,9 @@ class ChunkRef(NamedTuple):
 
     A region spanning more than :data:`~repro.memory.CHUNK_BYTES` emits
     one ref per piece of its image data; ``offset`` is the piece's byte
-    offset within the region, so reassembly lays a region's pieces out
-    in offset order.  A plain immutable record: a put builds one per
-    chunk and manifests keep them for the life of their epoch.
+    offset within the region.  The value a put lands and a fetch or the
+    post-copy pager resolves: built per pass (:meth:`RegionRow.refs`),
+    never kept by a manifest.
     """
 
     region_name: str
@@ -96,16 +105,55 @@ class ChunkRef(NamedTuple):
         return self.size * self.repr_scale * effective
 
 
+class RegionRow(NamedTuple):
+    """One region of a manifest: what every chunk of it shares, plus the
+    chunks' digests in offset order.  Chunk *i* covers ``[i·CHUNK_BYTES,
+    min(size, (i+1)·CHUNK_BYTES))`` of the region."""
+
+    region_name: str
+    addr: int
+    size: int                # raw bytes of the whole region
+    repr_scale: float
+    tag: str
+    generation: int
+    ratio: Optional[float]
+    digests: Tuple[bytes, ...]
+
+    def refs(self) -> Iterator[ChunkRef]:
+        """This region's chunk refs, in offset order, built now."""
+        name, addr, size, scale, tag, generation, ratio, digests = self
+        last = len(digests) - 1
+        for i, digest in enumerate(digests):
+            lo = i * CHUNK_BYTES
+            yield ChunkRef(name, digest, addr + lo,
+                           CHUNK_BYTES if i < last else size - lo,
+                           scale, tag, generation, ratio, lo)
+
+
+def region_rows(refs: Iterable[ChunkRef]) -> List[RegionRow]:
+    """One row per region of ``refs``, which arrive as a put builds them:
+    a region's refs together, in offset order."""
+    rows = []
+    for name, run in groupby(refs, key=attrgetter("region_name")):
+        run = list(run)
+        first, last = run[0], run[-1]
+        rows.append(RegionRow(
+            name, first.addr, last.offset + last.size, first.repr_scale,
+            first.tag, first.generation, first.ratio,
+            tuple([ref.digest for ref in run])))
+    return rows
+
+
 @dataclass
 class Manifest:
-    """One process's checkpoint epoch as chunk references + image header."""
+    """One process's checkpoint epoch as region rows + image header."""
 
     proc_name: str
     rank: int
     epoch: int
     node_index: int          # node the checkpoint was taken on (local tier)
     partner_index: int       # node holding the partner replica
-    chunks: List[ChunkRef]
+    rows: List[RegionRow]
     #: image-level fields needed to rebuild the CheckpointImage verbatim
     header: Dict = field(default_factory=dict)
     #: address-space bookkeeping (memory name + next_addr)
@@ -117,11 +165,22 @@ class Manifest:
         return manifest_path(self.proc_name, self.epoch)
 
     @property
+    def n_chunks(self) -> int:
+        return sum(len(row.digests) for row in self.rows)
+
+    @property
+    def chunks(self) -> List[ChunkRef]:
+        """Every chunk's ref, in manifest order, built on each call."""
+        return [ref for row in self.rows for ref in row.refs()]
+
+    @property
     def logical_bytes(self) -> float:
+        # summed chunk by chunk, in manifest order: the same float the
+        # per-chunk charges add up to
         return sum(ref.logical_bytes for ref in self.chunks)
 
     def digests(self) -> List[bytes]:
-        return [ref.digest for ref in self.chunks]
+        return [digest for row in self.rows for digest in row.digests]
 
     @cached_property
     def blob(self) -> bytes:
@@ -138,7 +197,7 @@ class Manifest:
                 "epoch": self.epoch,
                 "node_index": self.node_index,
                 "partner_index": self.partner_index,
-                "chunks": [tuple(c) for c in self.chunks],
+                "rows": [tuple(row) for row in self.rows],
                 "header": self.header,
                 "memory_name": self.memory_name,
                 "next_addr": self.next_addr,
@@ -152,9 +211,9 @@ class Manifest:
             raise ManifestError("not a store manifest (bad magic)")
         try:
             fields_ = pickle.loads(blob[8:])
-            # a row without all nine fields (offset included) is corrupt
-            chunks = [ChunkRef(*row) for row in fields_.pop("chunks")]
+            # a row without all eight fields (digests included) is corrupt
+            rows = [RegionRow(*row) for row in fields_.pop("rows")]
         except Exception as exc:
             raise ManifestError(f"truncated or corrupt manifest payload: "
                                 f"{exc}") from exc
-        return cls(chunks=chunks, **fields_)
+        return cls(rows=rows, **fields_)

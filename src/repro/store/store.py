@@ -49,7 +49,8 @@ from ..hardware.cluster import Cluster
 from ..hardware.storage import Disk, FileSystem, StorageError
 from ..memory import CHUNK_BYTES, ZERO_PIECE
 from .chunks import digest_bytes
-from .manifest import ChunkRef, Manifest, chunk_path, copy_header
+from .manifest import ChunkRef, Manifest, RegionRow, chunk_path, \
+    copy_header, region_rows
 from .tiers import LocalTier, LustreTier, PartnerTier
 
 __all__ = ["CheckpointStore", "PutResult", "StoreConfig", "StoreError"]
@@ -279,7 +280,8 @@ class CheckpointStore:
         return Manifest(
             proc_name=image.proc_name, rank=rank, epoch=epoch,
             node_index=node_index % len(self.cluster.nodes),
-            partner_index=self._partner_index(node_index), chunks=refs,
+            partner_index=self._partner_index(node_index),
+            rows=region_rows(refs),
             header=copy_header(header),
             memory_name=image.memory_snapshot["name"],
             next_addr=image.memory_snapshot["next_addr"])
@@ -403,15 +405,16 @@ class CheckpointStore:
             src_index = manifest.node_index
             src_disk = self.local.replica_disk(src_index)
             src_fs = src_disk.fs
-            # rendered once per manifest, not once per target tier
-            paths = [chunk_path(ref.digest) for ref in manifest.chunks]
+            # built once per manifest, not once per target tier
+            refs = manifest.chunks
+            paths = [chunk_path(ref.digest) for ref in refs]
             for tier in self._replication_targets(manifest):
                 if not tier.alive(src_index):
-                    skipped += len(manifest.chunks)
+                    skipped += len(refs)
                     continue
                 dst_fs = tier.replica_fs(src_index)
                 dst_disk = tier.replica_disk(src_index, via_index=src_index)
-                for ref, path in zip(manifest.chunks, paths):
+                for ref, path in zip(refs, paths):
                     if dst_fs.exists(path):
                         continue  # cross-rank / cross-epoch dedup
                     data = None
@@ -547,25 +550,12 @@ class CheckpointStore:
         raise self._no_replica(manifest, ref)
 
     @staticmethod
-    def _assemble_regions(parts: List[Tuple[ChunkRef, bytes]]) -> List[dict]:
-        """Regroup fetched (ref, piece) pairs into region snapshot dicts,
-        each region's pieces — the tier's own objects — in offset order
-        (refs arrive in manifest order, which keeps regions contiguous,
-        but reassembly does not rely on that)."""
-        grouped: Dict[str, List[Tuple[ChunkRef, bytes]]] = {}
-        for ref, data in parts:
-            grouped.setdefault(ref.region_name, []).append((ref, data))
-        regions = []
-        for name, pieces in grouped.items():
-            pieces.sort(key=lambda p: p[0].offset)
-            first = pieces[0][0]
-            regions.append({
-                "name": name, "addr": first.addr - first.offset,
-                "size": sum(r.size for r, _d in pieces),
-                "repr_scale": first.repr_scale, "tag": first.tag,
-                "data": tuple(d for _r, d in pieces),
-            })
-        return regions
+    def _region(row: RegionRow, pieces: List[bytes]) -> dict:
+        """The region snapshot dict of ``row`` holding ``pieces`` (the
+        tier's own objects, in offset order)."""
+        return {"name": row.region_name, "addr": row.addr,
+                "size": row.size, "repr_scale": row.repr_scale,
+                "tag": row.tag, "data": tuple(pieces)}
 
     def fetch_image(self, proc_name: str, epoch: Optional[int] = None,
                     via_node_index: int = 0) -> Generator:
@@ -582,14 +572,16 @@ class CheckpointStore:
         hits = {"local": 0, "partner": 0, "lustre": 0}
         span = None if tracer is None else tracer.begin(
             "store.fetch", proc_name, self.env.now, epoch=epoch,
-            via=via_node_index, chunks=len(manifest.chunks))
+            via=via_node_index, chunks=manifest.n_chunks)
         order = self._fetch_order(manifest, via_node_index)
-        parts = []
-        for ref in manifest.chunks:
-            data, kind = yield from self._fetch_one(order, manifest, ref)
-            hits[kind] += 1
-            parts.append((ref, data))
-        regions = self._assemble_regions(parts)
+        regions = []
+        for row in manifest.rows:
+            pieces = []
+            for ref in row.refs():
+                data, kind = yield from self._fetch_one(order, manifest, ref)
+                hits[kind] += 1
+                pieces.append(data)
+            regions.append(self._region(row, pieces))
         self.stats["fetches"] += 1
         if tracer is not None:
             tracer.end(span, self.env.now, hits_local=hits["local"],
@@ -614,19 +606,21 @@ class CheckpointStore:
             epoch = self.latest_epoch(proc_name)
         manifest = self.manifest(proc_name, epoch)
         order = self._fetch_order(manifest, via_node_index)
-        parts = []
-        for ref in manifest.chunks:
-            path = chunk_path(ref.digest)
-            for _kind, fs, _disk, alive in order:
-                if not alive() or not fs.exists(path):
-                    continue
-                blob = fs.load(path)
-                if digest_bytes(blob) == ref.digest:
-                    parts.append((ref, blob))
-                    break
-            else:
-                raise self._no_replica(manifest, ref)
-        regions = self._assemble_regions(parts)
+        regions = []
+        for row in manifest.rows:
+            pieces = []
+            for ref in row.refs():
+                path = chunk_path(ref.digest)
+                for _kind, fs, _disk, alive in order:
+                    if not alive() or not fs.exists(path):
+                        continue
+                    blob = fs.load(path)
+                    if digest_bytes(blob) == ref.digest:
+                        pieces.append(blob)
+                        break
+                else:
+                    raise self._no_replica(manifest, ref)
+            regions.append(self._region(row, pieces))
         snap = {"name": manifest.memory_name,
                 "next_addr": manifest.next_addr, "regions": regions}
         return CheckpointImage(memory_snapshot=snap,

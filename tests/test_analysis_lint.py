@@ -24,6 +24,7 @@ LINT_CASES = {
     "unseeded-random": "faults/bad_unseeded_random.py",
     "bare-thread": "dmtcp/bad_bare_thread.py",
     "rng-taint": "apps/bad_rng_taint.py",
+    "unused-import": "apps/bad_unused_import.py",
 }
 
 
@@ -115,6 +116,18 @@ def test_fixture_tree_scopes_like_the_package(tmp_path):
 
     assert taint_lines(outside) == [5, 9]
     assert taint_lines(inside) == [9]
+
+
+def test_unused_import_flags_each_unread_name_and_spares_init(tmp_path):
+    """One finding per unread module-level name; a package
+    ``__init__.py`` imports to re-export, so it is never flagged."""
+    findings = _lint("apps/bad_unused_import.py")
+    assert sorted(f.message.split()[0] for f in findings) \
+        == ["Optional", "os"]
+    init = tmp_path / "pkg" / "__init__.py"
+    init.parent.mkdir()
+    init.write_text("from json import dumps\n")
+    assert lint_file(init, root=tmp_path) == []
 
 
 # -- suppression parsing -------------------------------------------------------

@@ -24,16 +24,18 @@ from contextlib import contextmanager
 import pytest
 
 from repro.apps.nas import lu_app
-from repro.core import InfinibandPlugin
+from repro.apps.pingpong import pingpong_app
+from repro.core import Ib2TcpPlugin, InfinibandPlugin
 from repro.core.ib_plugin.shadow import VirtualQp
 from repro.core.ib_plugin.wrappers import WrappedVerbs
-from repro.dmtcp import JobTracker, dmtcp_launch, dmtcp_restart
+from repro.dmtcp import AppSpec, JobTracker, dmtcp_launch, dmtcp_restart
 from repro.dmtcp.image import CheckpointImage
 from repro.dmtcp.process import AppContext, DmtcpProcess
 from repro.faults.injector import Injector
 from repro.faults.recovery import RecoveryConfig, RecoveryManager
 from repro.faults.schedule import FailureEvent, FixedSchedule
-from repro.hardware import BUFFALO_CCR, Cluster
+from repro.hardware import (BUFFALO_CCR, Cluster, DEV_CLUSTER,
+                            ETHERNET_DEBUG_CLUSTER)
 from repro.hardware.node import Node, ProcessHost
 from repro.net.tcp import TcpStack
 from repro.ibverbs.structs import ibv_recv_wr
@@ -48,8 +50,8 @@ from repro.sim import Environment, RngFactory
 from repro.store import CheckpointStore
 
 JOB_OWNED = (ProcessHost, AppContext, DmtcpProcess, InfinibandPlugin,
-             WrappedVerbs, IbBtl, Communicator, AddressSpace, Region,
-             VirtualQp, ibv_recv_wr, Node, TcpStack, Cluster)
+             Ib2TcpPlugin, WrappedVerbs, IbBtl, Communicator, AddressSpace,
+             Region, VirtualQp, ibv_recv_wr, Node, TcpStack, Cluster)
 
 
 @contextmanager
@@ -196,6 +198,43 @@ def test_restarted_job_frees_the_first_generation_and_then_itself():
         del spare, session2
         garbage = cyclic_garbage()
     assert [r.iterations for r in results] == [40, 40]
+    assert_no_job_garbage(garbage)
+
+
+def test_job_restarted_onto_ib2tcp_frees_itself():
+    """Checkpoint over InfiniBand, restart over TCP (paper §6.4): once
+    the job is closed and the debug cluster torn down, nothing of it is
+    left to the cycle collector."""
+    env = Environment()
+    cluster = Cluster(env, DEV_CLUSTER, n_nodes=2, name="life-ib2tcp-prod")
+    server = cluster.nodes[0].name
+    specs = [
+        AppSpec(0, "pp-server",
+                lambda ctx: pingpong_app(ctx, None, True, iters=60)),
+        AppSpec(1, "pp-client",
+                lambda ctx: pingpong_app(ctx, server, False, iters=60)),
+    ]
+    tracker = JobTracker()
+
+    def migrated():
+        session = yield from dmtcp_launch(
+            cluster, specs, plugin_factory=lambda: [
+                InfinibandPlugin(fallback=Ib2TcpPlugin())])
+        yield env.timeout(0.002)
+        ckpt = yield from session.checkpoint(intent="restart")
+        cluster.teardown()
+        debug = Cluster(env, ETHERNET_DEBUG_CLUSTER, n_nodes=2,
+                        name="life-ib2tcp-debug")
+        session2 = yield from dmtcp_restart(debug, ckpt, tracker=tracker)
+        return debug, (yield from session2.wait())
+
+    with collector_off():
+        debug, results = env.run(until=env.process(migrated()))
+        tracker.close()
+        debug.teardown()
+        del debug
+        garbage = cyclic_garbage()
+    assert all(r["errors"] == 0 and r["iters"] == 60 for r in results)
     assert_no_job_garbage(garbage)
 
 

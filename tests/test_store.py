@@ -6,6 +6,7 @@ chunk healing), refcounted GC under retention, and the store's trace
 instrumentation.
 """
 
+import gc
 import pickle
 
 import numpy as np
@@ -14,10 +15,11 @@ import pytest
 from repro.dmtcp.image import CheckpointImage
 from repro.dmtcp.process import CheckpointRecord
 from repro.hardware import BUFFALO_CCR, Cluster, MGHPCC
-from repro.memory import AddressSpace
+from repro.memory import CHUNK_BYTES, AddressSpace
 from repro.sim import Environment
 from repro.store import (
     CheckpointStore,
+    ChunkRef,
     Manifest,
     ManifestError,
     StoreConfig,
@@ -67,15 +69,59 @@ def test_manifest_roundtrip_and_bad_magic():
     blob = manifest.to_bytes()
     back = Manifest.from_bytes(blob)
     assert back.proc_name == "p0" and back.epoch == result.epoch
+    assert back.rows == manifest.rows
     assert back.digests() == manifest.digests()
     assert back.header == manifest.header
     with pytest.raises(ManifestError):
         Manifest.from_bytes(b"NOTAMANIFEST" + blob)
-    # chunk rows missing their offset field fail typed, not with TypeError
+    # the one format there is: a blob under the per-chunk format's magic
+    # is not a manifest
+    with pytest.raises(ManifestError):
+        Manifest.from_bytes(b"STOREMF1" + blob[8:])
+    # region rows missing their digests field fail typed, not with TypeError
     fields_ = pickle.loads(blob[8:])
-    fields_["chunks"] = [row[:8] for row in fields_["chunks"]]
+    fields_["rows"] = [row[:7] for row in fields_["rows"]]
     with pytest.raises(ManifestError):
         Manifest.from_bytes(blob[:8] + pickle.dumps(fields_))
+
+
+def test_manifest_holds_one_row_per_region():
+    """A row is a region's layout plus its chunks' digests: the refs it
+    rebuilds are the ones the put landed, its blob round-trips, and its
+    logical bytes are the per-chunk sum, bit for bit."""
+    rng = np.random.default_rng(5)
+    mem = AddressSpace("rows")
+    for name, size, scale in (("a", 3 * CHUNK_BYTES + 100, 1.0),
+                              ("b", 100, 7.5), ("c", 2 * CHUNK_BYTES, 3.0)):
+        data = rng.integers(0, 256, size // 2, dtype=np.uint8).tobytes()
+        mem.mmap(name, size, repr_scale=scale, data=data)
+    env = Environment()
+    store = CheckpointStore(_mghpcc(env, name="mf-rows"))
+    _run(env, store.put_image(rank=0, node_index=0, epoch=1,
+                              image=_capture(mem)))
+    manifest = store.manifest("p0", 1)
+    pairs = CheckpointStore.chunk_pairs(_capture(mem))
+    refs = [ref for ref, _piece in pairs]
+    assert [row.region_name for row in manifest.rows] == ["a", "b", "c"]
+    assert [len(row.digests) for row in manifest.rows] == [4, 1, 2]
+    assert manifest.n_chunks == len(refs) == 7
+    assert manifest.chunks == refs
+    assert manifest.logical_bytes == sum(ref.logical_bytes for ref in refs)
+    back = Manifest.from_bytes(manifest.to_bytes())
+    assert back.rows == manifest.rows
+    assert back.digests() == manifest.digests() == [r.digest for r in refs]
+
+
+def test_no_chunk_ref_outlives_a_service_run():
+    """Retained manifests keep rows, never per-chunk objects: once a
+    service run is over, no ChunkRef is alive while its store is."""
+    from repro.service import service_scenario
+
+    run = service_scenario(seed=11, n_jobs=3, total_nodes=2, iters_sim=3)
+    assert any(run["service"].store._manifests.values())
+    gc.collect()
+    assert not [obj for obj in gc.get_objects()
+                if isinstance(obj, ChunkRef)]
 
 
 def test_put_reuses_capture_hashes():
