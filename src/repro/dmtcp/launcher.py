@@ -1,9 +1,14 @@
 """dmtcp_launch / dmtcp_restart analogues, plus a plugin-free native
-launcher for baseline timing."""
+launcher for baseline timing.
+
+Launch and every restart build their job with one skeleton,
+:func:`_build_job`; they differ only in the strategy that brings a rank
+up (DESIGN.md §7, "One job skeleton")."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Dict, Generator, List, Optional, Sequence
 
 from ..hardware.cluster import Cluster
@@ -156,6 +161,124 @@ class DmtcpSession:
         return CheckpointSet(records=records, wall_seconds=wall, stats=stats)
 
 
+def _build_job(cluster: Cluster, entries: Sequence, bring_up, label: str,
+               *, sink, costs: CostModel,
+               node_map: Optional[Dict[int, int]] = None,
+               coord_node_index: int = 0,
+               tracker: Optional[JobTracker] = None) -> Generator:
+    """Process generator: the one job skeleton.  Each entry (an
+    :class:`AppSpec` or a :class:`CheckpointRecord`) gets a host on node
+    ``node_map.get(i, i % n)`` for its node index ``i``, and a flow that
+    runs ``bring_up(entry, host, dst_index)`` — a generator returning the
+    rank's :class:`DmtcpProcess` and its start protocol — then that
+    protocol against the coordinator.  The first flow to raise kills the
+    other live flows, then re-raises.  Returns the :class:`DmtcpSession`,
+    in entry order."""
+    from ..ibverbs import VerbsLib  # local import to avoid cycles
+
+    env = cluster.env
+    coordinator = Coordinator(cluster.nodes[coord_node_index],
+                              expected_clients=len(entries), sink=sink)
+    if tracker is not None:
+        tracker.coordinator = coordinator
+    procs: List[Optional[DmtcpProcess]] = [None] * len(entries)
+    flows: List = []
+
+    def flow(i, entry, host, dst_index):
+        try:
+            proc, start = yield from bring_up(entry, host, dst_index)
+            procs[i] = proc
+            if tracker is not None:
+                tracker.ranks.append(proc)
+            yield from start(coordinator.node.name, coordinator.port)
+        except Exception:
+            # all_of stops watching after its first failure: a second
+            # failing rank would escape env.run
+            for other in flows:
+                if other is not flows[i] and other.is_alive:
+                    other.kill()
+            raise
+
+    for i, entry in enumerate(entries):
+        dst_index = (node_map or {}).get(
+            entry.node_index, entry.node_index % len(cluster.nodes))
+        host = cluster.nodes[dst_index].fork(entry.name)
+        host.libs["ibverbs"] = VerbsLib(host)
+        flows.append(env.process(flow(i, entry, host, dst_index),
+                                 name=f"{label}.{entry.name}"))
+    if tracker is not None:
+        tracker.procs.extend(flows)
+    yield env.all_of(flows)
+    return DmtcpSession(env, cluster, coordinator, procs, costs)
+
+
+def _fresh(world: int, plugin_factory: Callable[[], list], *, sink,
+           costs: CostModel, gzip: bool, incremental: bool):
+    """The *fresh* strategy: a new process with new plugins that launches
+    its spec's factory."""
+
+    def bring_up(spec, host, dst_index):
+        yield from ()  # a new process waits for nothing before its launch
+        proc = DmtcpProcess(host, spec.name, spec.rank, world,
+                            plugin_factory(), sink=sink, costs=costs,
+                            gzip=gzip, node_index=dst_index,
+                            incremental=incremental)
+        return proc, partial(proc.launch, app_factory=spec.factory)
+
+    return bring_up
+
+
+def _rerun(specs: Sequence[AppSpec], world: int, *, sink,
+           plugin_factory: Callable[[], list], costs: CostModel, gzip: bool,
+           incremental: bool, generation: int, load=None):
+    """The *re-run* strategy, for a crashed job whose generators are gone:
+    restore the image's memory, pay the mtcp_restart-equivalent bring-up,
+    then launch the rank's factory fresh (it must speak the
+    :mod:`repro.faults.progress` protocol).  ``load(record, dst_index)``
+    is a generator returning the image with its bytes: by default the
+    timed fetch from ``sink``."""
+    fresh = _fresh(world, plugin_factory, sink=sink, costs=costs,
+                   gzip=gzip, incremental=incremental)
+    spec_by_rank = {spec.rank: spec for spec in specs}
+
+    def fetch(record, dst_index):
+        return sink.fetch_image(record.name, epoch=record.epoch or None,
+                                via_node_index=dst_index)
+
+    load = load or fetch
+
+    def bring_up(record, host, dst_index):
+        image = yield from load(record, dst_index)
+        image.restore_memory(host.memory)
+        seed = None
+        if incremental:
+            # seed the incremental chain: restore() bumped every region's
+            # generation and chunk stamps, so resync the image's
+            # per-region bookkeeping to the restored state — the first
+            # post-crash checkpoint can then skip whatever the app leaves
+            # clean.  Like a file-mode record, the seed keeps metadata
+            # and layout only: the restored memory holds the bytes
+            for region in host.memory:
+                pm = image.region_meta.get(region.name)
+                if pm is not None:
+                    pm["generation"] = region.generation
+                    pm["chunk_gens"] = region.chunk_gens.tobytes()
+            image.drop_bytes()
+            seed = replace(record, image=image)
+        # memory is restored: the decoded image must not live on in this
+        # frame for as long as the restarted rank runs
+        del image
+        yield host.compute(seconds=costs.restart_base)
+        proc, start = yield from fresh(spec_by_rank[record.rank], host,
+                                       dst_index)
+        proc.appctx.restarts = generation - 1
+        if seed is not None:
+            proc.last_record = seed
+        return proc, start
+
+    return bring_up
+
+
 def dmtcp_launch(cluster: Cluster, specs: Sequence[AppSpec],
                  plugin_factory: Callable[[], list] = lambda: [],
                  costs: CostModel = DEFAULT_COSTS, gzip: bool = True,
@@ -169,38 +292,13 @@ def dmtcp_launch(cluster: Cluster, specs: Sequence[AppSpec],
     Checkpoints land in ``sink`` (DESIGN.md §15; by default image files
     in ``/tmp`` on each node's local disk).
     """
-    from ..ibverbs import VerbsLib  # local import to avoid cycles
-
-    env = cluster.env
     if sink is None:
         sink = FileSink(cluster)
-    coordinator = Coordinator(cluster.nodes[coord_node_index],
-                              expected_clients=len(specs), sink=sink)
-    if tracker is not None:
-        tracker.coordinator = coordinator
-    procs: List[DmtcpProcess] = []
-    world = len(specs)
-    launch_events = []
-    for spec in specs:
-        node = cluster.nodes[spec.node_index]
-        host = node.fork(spec.name)
-        host.libs["ibverbs"] = VerbsLib(host)
-        plugins = plugin_factory()
-        proc = DmtcpProcess(host, spec.name, spec.rank, world, plugins,
-                            sink=sink, costs=costs, gzip=gzip,
-                            node_index=spec.node_index,
-                            incremental=incremental)
-        procs.append(proc)
-        if tracker is not None:
-            tracker.ranks.append(proc)
-        launch_events.append(env.process(
-            proc.launch(coordinator.node.name, coordinator.port,
-                        spec.factory),
-            name=f"launch.{spec.name}"))
-    if tracker is not None:
-        tracker.procs.extend(launch_events)
-    yield env.all_of(launch_events)
-    return DmtcpSession(env, cluster, coordinator, procs, costs)
+    fresh = _fresh(len(specs), plugin_factory, sink=sink, costs=costs,
+                   gzip=gzip, incremental=incremental)
+    return (yield from _build_job(
+        cluster, specs, fresh, "launch", sink=sink, costs=costs,
+        coord_node_index=coord_node_index, tracker=tracker))
 
 
 def dmtcp_restart(cluster: Cluster, ckpt_set: CheckpointSet,
@@ -225,53 +323,28 @@ def dmtcp_restart(cluster: Cluster, ckpt_set: CheckpointSet,
     manager's restart — the bytes already crossed the wire during
     pre-copy/stop-and-copy, so charging a disk read would double-bill.
     """
-    from ..ibverbs import VerbsLib
-
-    env = cluster.env
     if sink is None:
         sink = FileSink.where_written(cluster, ckpt_set)
     if stage_images and not preloaded:
         sink.stage_from(ckpt_set, node_map)
-    coordinator = Coordinator(cluster.nodes[coord_node_index],
-                              expected_clients=len(ckpt_set.records),
-                              sink=sink)
-    if tracker is not None:
-        tracker.coordinator = coordinator
-    procs_by_name: Dict[str, DmtcpProcess] = {}
-    flows = []
-    for record in ckpt_set.records:
-        dst_index = (node_map or {}).get(
-            record.node_index, record.node_index % len(cluster.nodes))
-        node = cluster.nodes[dst_index]
-        host = node.fork(record.name)
-        host.libs["ibverbs"] = VerbsLib(host)
 
-        def flow(record=record, host=host, dst_index=dst_index):
-            if preloaded:
-                image = record.image_with_bytes()
-            else:
-                image = yield from sink.fetch_image(
-                    record.name, epoch=record.epoch or None,
-                    via_node_index=dst_index)
-            proc = DmtcpProcess.restart(
-                host, record, image, costs,
-                coordinator.node.name, coordinator.port, dst_index,
-                sink=sink, incremental=incremental)
-            # memory is restored: the decoded image must not live on in
-            # this frame for as long as the restarted rank runs
-            del image
-            procs_by_name[record.name] = proc
-            if tracker is not None:
-                tracker.ranks.append(proc)
-            yield from proc.restart_flow(coordinator.node.name,
-                                         coordinator.port)
+    def revive(record, host, dst_index):
+        # the *revive* strategy: the frozen continuation comes back and
+        # runs the RESTART protocol
+        if preloaded:
+            image = record.image_with_bytes()
+        else:
+            image = yield from sink.fetch_image(
+                record.name, epoch=record.epoch or None,
+                via_node_index=dst_index)
+        proc = DmtcpProcess.restart(host, record, image, costs, dst_index,
+                                    sink=sink, incremental=incremental)
+        return proc, proc.restart_flow
 
-        flows.append(env.process(flow(), name=f"restart.{record.name}"))
-    if tracker is not None:
-        tracker.procs.extend(flows)
-    yield env.all_of(flows)
-    procs = [procs_by_name[r.name] for r in ckpt_set.records]
-    return DmtcpSession(env, cluster, coordinator, procs, costs)
+    return (yield from _build_job(
+        cluster, ckpt_set.records, revive, "restart", sink=sink,
+        costs=costs, node_map=node_map, coord_node_index=coord_node_index,
+        tracker=tracker))
 
 
 @dataclass

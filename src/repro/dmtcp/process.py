@@ -402,8 +402,7 @@ class DmtcpProcess:
 
     @classmethod
     def restart(cls, host: ProcessHost, record: CheckpointRecord,
-                image: CheckpointImage, costs: CostModel,
-                coord_host: str, coord_port: int, node_index: int,
+                image: CheckpointImage, costs: CostModel, node_index: int,
                 *, sink, incremental: bool = False) -> "DmtcpProcess":
         """Build the restarted process object on node ``node_index`` of
         the new cluster (dmtcp_restart runs :meth:`restart_flow` on it

@@ -24,21 +24,21 @@ failures without a new checkpoint eventually raise :class:`RecoveryError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, List, Optional
 
 from .. import hooks
-from ..dmtcp.coordinator import Coordinator
 from ..dmtcp.costs import CostModel, DEFAULT_COSTS
 from ..dmtcp.launcher import (
     AppSpec,
     CheckpointSet,
     DmtcpSession,
     JobTracker,
+    _build_job,
+    _rerun,
     dmtcp_launch,
 )
 from ..dmtcp.plugin import Plugin
-from ..dmtcp.process import DmtcpProcess
 from ..dmtcp.sink import FileSink
 from ..hardware.cluster import Cluster
 from ..sim import Environment, Event
@@ -159,72 +159,15 @@ def chaos_restart(cluster: Cluster, ckpt_set: CheckpointSet,
     ids throughout.  The images are staged into and fetched from
     ``sink`` (by default, image files where the records were written).
     """
-    from ..ibverbs import VerbsLib  # local import to avoid cycles
-
-    env = cluster.env
     if sink is None:
         sink = FileSink.where_written(cluster, ckpt_set)
     sink.stage_from(ckpt_set)
-    coordinator = Coordinator(cluster.nodes[coord_node_index],
-                              expected_clients=len(ckpt_set.records),
-                              sink=sink)
-    if tracker is not None:
-        tracker.coordinator = coordinator
-    spec_by_rank = {spec.rank: spec for spec in specs}
-    procs_by_name = {}
-    flows = []
-    for record in ckpt_set.records:
-        dst_index = record.node_index % len(cluster.nodes)
-        node = cluster.nodes[dst_index]
-        host = node.fork(record.name)
-        host.libs["ibverbs"] = VerbsLib(host)
-
-        def flow(record=record, host=host, dst_index=dst_index):
-            image = yield from sink.fetch_image(
-                record.name, epoch=record.epoch or None,
-                via_node_index=dst_index)
-            image.restore_memory(host.memory)
-            seed = None
-            if incremental:
-                # seed the incremental chain: restore() bumped every
-                # region's generation, so resync the image's per-region
-                # bookkeeping to the restored state — the first post-crash
-                # checkpoint can then skip whatever the app leaves clean.
-                # Like a file-mode record, the seed keeps metadata and
-                # layout only: the restored memory holds the bytes
-                for region in host.memory:
-                    pm = image.region_meta.get(region.name)
-                    if pm is not None:
-                        pm["generation"] = region.generation
-                image.drop_bytes()
-                seed = replace(record, image=image)
-            # memory is restored: the decoded image must not live on in
-            # this frame for as long as the restarted rank runs
-            del image
-            # mtcp_restart-equivalent bring-up before the app re-enters
-            yield host.compute(seconds=costs.restart_base)
-            proc = DmtcpProcess(host, record.name, record.rank,
-                                len(ckpt_set.records), plugin_factory(),
-                                sink=sink, costs=costs, gzip=gzip,
-                                node_index=dst_index,
-                                incremental=incremental)
-            proc.appctx.restarts = generation - 1
-            if seed is not None:
-                proc.last_record = seed
-            procs_by_name[record.name] = proc
-            if tracker is not None:
-                tracker.ranks.append(proc)
-            spec = spec_by_rank[record.rank]
-            yield from proc.launch(coordinator.node.name, coordinator.port,
-                                   spec.factory)
-
-        flows.append(env.process(flow(),
-                                 name=f"chaos-restart.{record.name}"))
-    if tracker is not None:
-        tracker.procs.extend(flows)
-    yield env.all_of(flows)
-    procs = [procs_by_name[r.name] for r in ckpt_set.records]
-    return DmtcpSession(env, cluster, coordinator, procs, costs)
+    rerun = _rerun(specs, len(ckpt_set.records), sink=sink,
+                   plugin_factory=plugin_factory, costs=costs, gzip=gzip,
+                   incremental=incremental, generation=generation)
+    return (yield from _build_job(
+        cluster, ckpt_set.records, rerun, "chaos-restart", sink=sink,
+        costs=costs, coord_node_index=coord_node_index, tracker=tracker))
 
 
 @dataclass

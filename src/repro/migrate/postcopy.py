@@ -28,10 +28,9 @@ from __future__ import annotations
 from typing import Callable, Dict, Generator, List, Optional
 
 from .. import hooks
-from ..dmtcp.coordinator import Coordinator
 from ..dmtcp.costs import CostModel, DEFAULT_COSTS
-from ..dmtcp.launcher import AppSpec, CheckpointSet, DmtcpSession, JobTracker
-from ..dmtcp.process import DmtcpProcess
+from ..dmtcp.launcher import AppSpec, CheckpointSet, JobTracker, _build_job, \
+    _rerun
 from ..hardware.cluster import Cluster
 from ..store import CheckpointStore, RegionRow, StoreError
 
@@ -253,62 +252,36 @@ def postcopy_restart(cluster: Cluster, ckpt_set: CheckpointSet,
     process's :class:`PostCopyPager` on first touch.  Returns
     ``(session, pagers)``.
     """
-    from ..ibverbs import VerbsLib  # local import to avoid cycles
-
     env = cluster.env
-    coordinator = Coordinator(cluster.nodes[coord_node_index],
-                              expected_clients=len(ckpt_set.records),
-                              sink=store)
-    if tracker is not None:
-        tracker.coordinator = coordinator
-    spec_by_rank = {spec.rank: spec for spec in specs}
-    procs_by_name: Dict[str, DmtcpProcess] = {}
-    pagers: List[PostCopyPager] = []
-    flows = []
-    for record in ckpt_set.records:
-        dst_index = (node_map or {}).get(
-            record.node_index, record.node_index % len(cluster.nodes))
-        node = cluster.nodes[dst_index]
-        host = node.fork(record.name)
-        host.libs["ibverbs"] = VerbsLib(host)
+    pagers: Dict[str, PostCopyPager] = {}
+
+    def materialize(record, dst_index):
+        # bytes now (bit-identical, digest-verified), time at first touch
+        yield from ()
+        return store.materialize_image(record.name, record.epoch or None,
+                                       via_node_index=dst_index)
+
+    rerun = _rerun(specs, len(ckpt_set.records), sink=store,
+                   plugin_factory=plugin_factory, costs=costs, gzip=gzip,
+                   incremental=False, generation=generation,
+                   load=materialize)
+
+    def bring_up(record, host, dst_index):
+        proc, start = yield from rerun(record, host, dst_index)
         epoch = record.epoch or store.latest_epoch(record.name)
-        manifest = store.manifest(record.name, epoch)
-        # bytes now (bit-identical, digest-verified), time at first touch;
-        # the materialized image is dropped as soon as memory holds them
-        store.materialize_image(
-            record.name, epoch,
-            via_node_index=dst_index).restore_memory(host.memory)
         pager = PostCopyPager(
-            env, store, manifest, host, dst_index,
+            env, store, store.manifest(record.name, epoch), host, dst_index,
             retry_delay=retry_delay, retry_jitter=retry_jitter,
             rng_stream=rng.fault_stream(f"postcopy/{record.name}")  # repro: allow(rng-taint) pager retry jitter must ride the faults/ namespace so enabling post-copy never perturbs app streams
             if rng is not None else None)
-        pagers.append(pager)
+        pager.attach(proc.appctx)
+        if prefetch:
+            pager.start_prefetch()
+        pagers[record.name] = pager
+        return proc, start
 
-        def flow(record=record, host=host, pager=pager,
-                 dst_index=dst_index):
-            # mtcp_restart-equivalent bring-up before the app re-enters
-            yield host.compute(seconds=costs.restart_base)
-            proc = DmtcpProcess(host, record.name, record.rank,
-                                len(ckpt_set.records), plugin_factory(),
-                                sink=store, costs=costs, gzip=gzip,
-                                node_index=dst_index)
-            proc.appctx.restarts = generation - 1
-            pager.attach(proc.appctx)
-            if prefetch:
-                pager.start_prefetch()
-            procs_by_name[record.name] = proc
-            if tracker is not None:
-                tracker.ranks.append(proc)
-            spec = spec_by_rank[record.rank]
-            yield from proc.launch(coordinator.node.name, coordinator.port,
-                                   spec.factory)
-
-        flows.append(env.process(flow(),
-                                 name=f"postcopy-restart.{record.name}"))
-    if tracker is not None:
-        tracker.procs.extend(flows)
-    yield env.all_of(flows)
-    procs = [procs_by_name[r.name] for r in ckpt_set.records]
-    session = DmtcpSession(env, cluster, coordinator, procs, costs)
-    return session, pagers
+    session = yield from _build_job(
+        cluster, ckpt_set.records, bring_up, "postcopy-restart", sink=store,
+        costs=costs, node_map=node_map, coord_node_index=coord_node_index,
+        tracker=tracker)
+    return session, [pagers[r.name] for r in ckpt_set.records]

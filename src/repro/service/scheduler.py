@@ -39,7 +39,7 @@ from ..core import InfinibandPlugin
 from ..dmtcp.costs import CostModel, DEFAULT_COSTS
 from ..dmtcp.launcher import JobTracker, dmtcp_launch, dmtcp_restart
 from ..faults.progress import ChaosProgress, chaos_sync
-from ..faults.recovery import ChaosGate, ChaosPlugin
+from ..faults.recovery import ChaosGate, ChaosPlugin, _safe
 from ..apps.nas.common import NasResult, alloc_scaled
 from ..hardware.cluster import BUFFALO_CCR, MGHPCC, Cluster, HardwareSpec
 from ..mpi import make_mpi_specs
@@ -174,14 +174,6 @@ def job_mix(rng: RngFactory, n_jobs: int, tenants: Sequence[str],
             arrival=arrival, ckpt_interval=ckpt_interval,
             preemptible=tenant not in tuple(non_preemptible_tenants)))
     return jobs
-
-
-def _safe(gen: Generator) -> Generator:
-    try:
-        value = yield from gen
-        return ("ok", value)
-    except Exception as exc:
-        return ("error", exc)
 
 
 class _JobRun:

@@ -19,9 +19,10 @@ to every tier alongside the chunks they reference; their serialized form
 is what :class:`~.store.CheckpointStore` garbage-collects by refcount.
 A manifest is rendered once (:attr:`Manifest.blob`) and every tier
 stores that same object.  Its header is its own: :func:`copy_header`
-gives it a copy of the image's mutable bookkeeping, and every image
-rebuilt from it gets another, so no reader of an image can rewrite a
-stored manifest.
+gives it a copy of the image's mutable bookkeeping, less the per-chunk
+digest lists its rows already hold, and every image rebuilt from it gets
+another (:meth:`Manifest.image_header`), so no reader of an image can
+rewrite a stored manifest.
 """
 
 from __future__ import annotations
@@ -62,17 +63,14 @@ def manifest_path(proc_name: str, epoch: int) -> str:
 
 def copy_header(header: Dict) -> Dict:
     """``header`` with its mutable parts copied: each ``region_meta``
-    entry (and its ``chunk_hashes`` list) and ``capture_stats``.  The
-    immutable values (numbers, strings, digests, ``chunk_gens`` bytes)
-    stay shared."""
+    entry, less its ``chunk_hashes`` (a manifest's rows hold the
+    digests), and ``capture_stats``.  The immutable values (numbers,
+    strings, ``chunk_gens`` bytes) stay shared."""
     out = dict(header)
-    meta = {}
-    for name, entry in header.get("region_meta", {}).items():
-        entry = dict(entry)
-        if entry.get("chunk_hashes") is not None:
-            entry["chunk_hashes"] = list(entry["chunk_hashes"])
-        meta[name] = entry
-    out["region_meta"] = meta
+    out["region_meta"] = {
+        name: {key: value for key, value in entry.items()
+               if key != "chunk_hashes"}
+        for name, entry in header.get("region_meta", {}).items()}
     out["capture_stats"] = dict(header.get("capture_stats", {}))
     return out
 
@@ -120,7 +118,8 @@ class RegionRow(NamedTuple):
     digests: Tuple[bytes, ...]
 
     def refs(self) -> Iterator[ChunkRef]:
-        """This region's chunk refs, in offset order, built now."""
+        """This region's chunk refs, in offset order, built now (the
+        fetch path's loop: one unpack, not one :meth:`ref` per chunk)."""
         name, addr, size, scale, tag, generation, ratio, digests = self
         last = len(digests) - 1
         for i, digest in enumerate(digests):
@@ -128,6 +127,13 @@ class RegionRow(NamedTuple):
             yield ChunkRef(name, digest, addr + lo,
                            CHUNK_BYTES if i < last else size - lo,
                            scale, tag, generation, ratio, lo)
+
+    def ref(self, i: int) -> ChunkRef:
+        """Chunk ``i``'s ref alone, built now."""
+        lo = i * CHUNK_BYTES
+        return ChunkRef(self.region_name, self.digests[i], self.addr + lo,
+                        min(CHUNK_BYTES, self.size - lo), self.repr_scale,
+                        self.tag, self.generation, self.ratio, lo)
 
 
 def region_rows(refs: Iterable[ChunkRef]) -> List[RegionRow]:
@@ -181,6 +187,17 @@ class Manifest:
 
     def digests(self) -> List[bytes]:
         return [digest for row in self.rows for digest in row.digests]
+
+    def image_header(self) -> Dict:
+        """A copy of the header for an image rebuilt from this manifest,
+        each region's ``chunk_hashes`` list rebuilt from its row."""
+        header = copy_header(self.header)
+        meta = header["region_meta"]
+        for row in self.rows:
+            entry = meta.get(row.region_name)
+            if entry is not None:
+                entry["chunk_hashes"] = list(row.digests)
+        return header
 
     @cached_property
     def blob(self) -> bytes:

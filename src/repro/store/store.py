@@ -405,38 +405,38 @@ class CheckpointStore:
             src_index = manifest.node_index
             src_disk = self.local.replica_disk(src_index)
             src_fs = src_disk.fs
-            # built once per manifest, not once per target tier
-            refs = manifest.chunks
-            paths = [chunk_path(ref.digest) for ref in refs]
+            # paths once per manifest, not once per target tier; a
+            # chunk's ref only once it is copied
+            row_paths = [(row, [chunk_path(d) for d in row.digests])
+                         for row in manifest.rows]
             for tier in self._replication_targets(manifest):
                 if not tier.alive(src_index):
-                    skipped += len(refs)
+                    skipped += manifest.n_chunks
                     continue
                 dst_fs = tier.replica_fs(src_index)
                 dst_disk = tier.replica_disk(src_index, via_index=src_index)
-                for ref, path in zip(refs, paths):
-                    if dst_fs.exists(path):
-                        continue  # cross-rank / cross-epoch dedup
-                    data = None
-                    if self.local.alive(src_index) \
-                            and src_fs.exists(path):
+                for row, paths in row_paths:
+                    for i, path in enumerate(paths):
+                        if dst_fs.exists(path):
+                            continue  # cross-rank / cross-epoch dedup
+                        data = None
+                        if self.local.alive(src_index) \
+                                and src_fs.exists(path):
+                            try:
+                                data = yield from src_disk.read(path)
+                            except StorageError:
+                                data = None  # GC raced the read
+                        if data is None or not tier.alive(src_index):
+                            skipped += 1
+                            continue
                         try:
-                            data = yield from src_disk.read(path)
+                            yield from dst_disk.write(
+                                path, data,
+                                logical_size=row.ref(i).logical_bytes)
                         except StorageError:
-                            data = None  # GC raced the read
-                    if data is None:
-                        skipped += 1
-                        continue
-                    if not tier.alive(src_index):
-                        skipped += 1
-                        continue
-                    try:
-                        yield from dst_disk.write(
-                            path, data, logical_size=ref.logical_bytes)
-                    except StorageError:
-                        skipped += 1  # replica tier out of quota
-                        continue
-                    copied += 1
+                            skipped += 1  # replica tier out of quota
+                            continue
+                        copied += 1
                 if dst_fs.exists(manifest.path):
                     self._register(dst_fs, manifest)
                     continue
@@ -590,7 +590,7 @@ class CheckpointStore:
         snap = {"name": manifest.memory_name,
                 "next_addr": manifest.next_addr, "regions": regions}
         return CheckpointImage(memory_snapshot=snap,
-                               **copy_header(manifest.header))
+                               **manifest.image_header())
 
     def materialize_image(self, proc_name: str,
                           epoch: Optional[int] = None,
@@ -624,7 +624,7 @@ class CheckpointStore:
         snap = {"name": manifest.memory_name,
                 "next_addr": manifest.next_addr, "regions": regions}
         return CheckpointImage(memory_snapshot=snap,
-                               **copy_header(manifest.header))
+                               **manifest.image_header())
 
     # -- GC --------------------------------------------------------------------
 

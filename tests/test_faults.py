@@ -10,8 +10,10 @@ from repro.faults import (ChaosGate, FailureEvent, FixedSchedule, Injector,
                           apply_failure)
 from repro.faults.harness import (run_chaos_nas, verify_restart_path,
                                   young_daly_interval)
+from repro.dmtcp import FileSink
 from repro.hardware import BUFFALO_CCR, Cluster
 from repro.sim import Environment, RngFactory
+from repro.store import CheckpointStore, StoreError
 
 
 # -- schedules ---------------------------------------------------------------
@@ -256,6 +258,52 @@ def test_crash_recovery_restores_checksum_bit_for_bit():
     assert chaos.completion_seconds > reference.completion_seconds
     kinds = [e.kind for e in chaos.recovery.timeline]
     assert "failure" in kinds and "restart" in kinds
+
+
+class _DarkFetchSink(FileSink):
+    """Image files whose read-back fails: every restarted rank's fetch
+    raises in the same instant."""
+
+    def fetch_image(self, proc_name, epoch=None, via_node_index=0):
+        yield self.cluster.env.timeout(0.0)
+        raise StoreError(f"{proc_name}: no live replica")
+
+
+def test_restart_stops_at_its_first_failing_rank():
+    """Two (here four) ranks' bring-ups raise in the same instant: the
+    first failure ends the restart and kills the other flows, so the
+    run ends in a typed RecoveryError whose timeline names each
+    bring-up error — never a raw exception out of ``env.run``."""
+    with pytest.raises(RecoveryError) as info:
+        run_chaos_nas(app="lu", klass="A", nprocs=4, iters_sim=60,
+                      seed=77, ckpt_interval=2.0,
+                      schedule=FixedSchedule([
+                          FailureEvent(t=6.0, kind="node-crash",
+                                       node_index=1)]),
+                      max_attempts=2, backoff_base=0.25,
+                      sink_factory=_DarkFetchSink)
+    outcome = info.value.outcome
+    assert outcome.n_checkpoints >= 1
+    errors = [e.detail for e in outcome.timeline
+              if e.detail.startswith("bring-up error")]
+    assert len(errors) == 2
+    assert all("StoreError" in detail for detail in errors)
+
+
+def test_incremental_store_restart_resyncs_chunk_stamps():
+    """An incremental crash restart from a store seeds its next capture
+    with the restored process's chunk stamps, not the dead process's: a
+    chunk whose new stamp equals its old one is not taken as clean, so
+    no later restart fails digest verification and the run ends with
+    the failure-free checksum."""
+    reference = run_chaos_nas(iters_sim=24, ckpt_interval=1e9,
+                              schedule=FixedSchedule([]))
+    chaos = run_chaos_nas(iters_sim=24, mtbf_node=12.0, ckpt_interval=0.4,
+                          incremental=True, sink_factory=CheckpointStore)
+    assert chaos.checksum == reference.checksum
+    assert chaos.recovery.n_restarts >= 2
+    assert not any(e.detail.startswith("bring-up error")
+                   for e in chaos.recovery.timeline)
 
 
 def test_same_seed_chaos_runs_are_bit_identical():

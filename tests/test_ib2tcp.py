@@ -3,6 +3,7 @@ Ethernet-only debug cluster with a different kernel (paper §6.4)."""
 
 import pytest
 
+from repro.apps.nas import lu_app
 from repro.apps.pingpong import pingpong_app
 from repro.core import Ib2TcpPlugin, InfinibandPlugin
 from repro.core.ib_plugin import NoInfinibandError
@@ -13,6 +14,7 @@ from repro.hardware import (
     DEV_CLUSTER,
     ETHERNET_DEBUG_CLUSTER,
 )
+from repro.mpi import make_mpi_specs
 from repro.sim import Environment
 
 
@@ -92,6 +94,46 @@ def test_migration_rdma_mode():
         plugin_factory=_with_ib2tcp)))
     debug, results = _migrate(env, cluster, session)
     assert all(r["iters"] == 80 for r in results)
+
+
+def _lu_checksum(plugin_factory, restart_onto=None):
+    """A 2-rank MPI LU on the IB cluster; with ``restart_onto``, frozen
+    at t=0.01 s and restarted on that Ethernet-only spec."""
+    env = Environment()
+    cluster = Cluster(env, DEV_CLUSTER, n_nodes=2, name="prod-lu")
+    specs = make_mpi_specs(cluster, 2, lambda ctx, comm: lu_app(
+        ctx, comm, klass="A", iters_sim=8))
+
+    def scenario():
+        session = yield from dmtcp_launch(cluster, specs,
+                                          plugin_factory=plugin_factory)
+        if restart_onto is not None:
+            yield env.timeout(0.01)
+            ckpt = yield from session.checkpoint(intent="restart")
+            cluster.teardown()
+            debug = Cluster(env, restart_onto, n_nodes=2, name="debug-lu")
+            session = yield from dmtcp_restart(debug, ckpt)
+        results = yield from session.wait()
+        return results[0].checksum
+
+    return env.run(until=env.process(scenario()))
+
+
+def test_ib2tcp_restart_carries_srq_and_rdma_write(monkeypatch):
+    """Principle 6 over TCP: MPI LU posts its receives to an SRQ and
+    moves halos by RDMA write; checkpointed on InfiniBand and restarted
+    on Ethernet, both run through the IB2TCP emulation and the job ends
+    with the uninterrupted IB run's checksum."""
+    reference = _lu_checksum(lambda: [InfinibandPlugin()])
+    calls = {"post_srq_recv": 0, "_apply_rdma_write": 0}
+    for name in calls:
+        def counted(self, *args, _orig=getattr(Ib2TcpPlugin, name),
+                    _name=name):
+            calls[_name] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(Ib2TcpPlugin, name, counted)
+    assert _lu_checksum(_with_ib2tcp, ETHERNET_DEBUG_CLUSTER) == reference
+    assert calls["post_srq_recv"] > 0 and calls["_apply_rdma_write"] > 0
 
 
 def test_restart_on_single_ethernet_node():

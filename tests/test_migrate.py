@@ -152,6 +152,23 @@ def test_postcopy_outwaits_lustre_brownout():
     assert check_trace_invariants(tracer.events) == []
 
 
+@pytest.mark.parametrize("variant, completion, pager_stats", [
+    ({}, 5.906916520101072,
+     {"faults": 0, "pageins": 0, "prefetched": 20, "retries": 0}),
+    ({"prefetch": False}, 6.280602245235682,
+     {"faults": 21, "pageins": 20, "prefetched": 0, "retries": 0}),
+    ({"brownout": True}, 5.7208689978131835,
+     {"faults": 0, "pageins": 0, "prefetched": 20, "retries": 12}),
+], ids=["prefetch", "demand-only", "brownout"])
+def test_postcopy_timeline_is_pinned(variant, completion, pager_stats):
+    """The post-copy restart's simulated timeline, to the last bit:
+    completion time, pager counters and checksum of a 4-rank LU run."""
+    pc = run_postcopy_lu(seed=SEED, nprocs=4, iters_sim=6, **variant)
+    assert pc["completion_seconds"] == completion
+    assert pc["pager_stats"] == pager_stats
+    assert pc["checksum"] == 1.8539793412474145e+36
+
+
 # -- migrate-disrupt -----------------------------------------------------------
 
 def test_disrupt_target_crash_recovers_with_fresh_target(baseline):

@@ -767,6 +767,29 @@ def test_fetched_image_does_not_alias_the_stored_manifest():
         "generation"] == gen
 
 
+def test_fetched_image_region_meta_equals_the_put_images():
+    """A manifest keeps one digest list per region, its row, and no
+    ``chunk_hashes`` beside it: fetch and materialize rebuild each
+    region's list from the row, so a fetched image's bookkeeping equals
+    the put image's, for a full and an incremental epoch alike."""
+    env = Environment()
+    store = CheckpointStore(_mghpcc(env, name="meta"))
+    mem = _memory(n_regions=3, region_bytes=3 * CHUNK_BYTES + 7, seed=7)
+    full = _capture(mem)
+    _run(env, store.put_image(rank=0, node_index=0, epoch=1, image=full))
+    mem.region("r1").write(CHUNK_BYTES, b"dirty")
+    incr = _capture(mem, prev=full)
+    _run(env, store.put_image(rank=0, node_index=0, epoch=2, image=incr))
+    for epoch, image in ((1, full), (2, incr)):
+        manifest = store.manifest("p0", epoch)
+        assert not any("chunk_hashes" in entry for entry in
+                       manifest.header["region_meta"].values())
+        fetched = _run(env, store.fetch_image("p0", epoch))
+        assert fetched.region_meta == image.region_meta
+        assert store.materialize_image("p0", epoch).region_meta \
+            == image.region_meta
+
+
 def test_replicas_store_the_one_rendered_manifest_blob():
     env = Environment()
     cluster = _mghpcc(env, name="mf-blob")
