@@ -37,6 +37,11 @@ Gates (any failure exits non-zero):
   cancels out; the pair runs three times and the median is gated, so
   one preempted run cannot fail CI.
 
+Each pingpong and LU row also carries ``peak_rss_mb``, the ``ru_maxrss``
+of the fresh interpreter that ran it: host memory at the top rung, which
+the ledger's 64- and 256-rank runs cannot show.  It is reported, not
+gated.
+
 ``--smoke`` runs the 512-rank column only (the CI ``sim-scale`` job).
 """
 
@@ -45,6 +50,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -126,7 +132,10 @@ def _run_one(scenario: str, ranks: int) -> dict:
     if scenario == "storm":
         return bench_storm(ranks)
     from repro.experiments.sim_scale import run_lu, run_pingpong
-    return {"pingpong": run_pingpong, "lu": run_lu}[scenario](ranks)
+    row = {"pingpong": run_pingpong, "lu": run_lu}[scenario](ranks)
+    row["peak_rss_mb"] = \
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return row
 
 
 def _run_fresh(scenario: str, ranks: int) -> dict:
@@ -221,6 +230,7 @@ def main(argv=None) -> int:
                   f"{entry['wallclock']:.2f}s wall, "
                   f"{entry['events_per_sec']:,.0f} ev/s "
                   f"({entry['speedup_vs_seed']:.2f}x vs seed), "
+                  f"{entry['peak_rss_mb']:.1f} MiB peak RSS, "
                   f"deterministic={entry['deterministic']}")
             report[scenario].append(entry)
 

@@ -13,11 +13,12 @@ debug cluster may run a different Linux kernel: nothing here cares.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from collections import defaultdict, deque
+from typing import Any, Deque, Dict, Generator, Optional, Sequence, Tuple
 
 from ...dmtcp.plugin import Plugin
 from ...ibverbs.enums import SendFlags, WcOpcode, WcStatus, WrOpcode
-from ...ibverbs.structs import ibv_recv_wr, ibv_send_wr, ibv_wc
+from ...ibverbs.structs import VerbsError, ibv_recv_wr, ibv_send_wr, ibv_wc
 from ...net.tcp import TcpStack
 from ..ib_plugin.shadow import VirtualCq, VirtualQp, VirtualSrq
 
@@ -45,9 +46,9 @@ class Ib2TcpPlugin(Plugin):
         self._conn_by_vqp: Dict[int, Any] = {}       # vqpn -> Connection
         self._conn_ready: Dict[int, Any] = {}        # vqpn -> sim Event
         self._txq_by_vqp: Dict[int, Any] = {}        # vqpn -> Store
-        self._recvq: Dict[int, List[ibv_recv_wr]] = {}   # vqpn -> posted wqes
-        self._srq_recvq: Dict[int, List[ibv_recv_wr]] = {}
-        self._unexpected: Dict[int, List[dict]] = {}     # vqpn -> frames
+        # vqpn -> the QP's own receive queue; id(vsrq) -> an SRQ's
+        self._recvq: Dict[int, _RecvQueue] = defaultdict(_RecvQueue)
+        self._srq_recvq: Dict[int, _RecvQueue] = defaultdict(_RecvQueue)
         self._pending_acks: Dict[int, Tuple] = {}        # msn -> info
         self._msn = 0
         self.stats = {"frames_tx": 0, "frames_rx": 0, "bytes_tx": 0.0}
@@ -103,7 +104,6 @@ class Ib2TcpPlugin(Plugin):
         for vqp in self.ib.qps:
             if vqp.remote_vqpn is None:
                 continue
-            self._recvq.setdefault(vqp.qp_num, [])
             self._txq_by_vqp[vqp.qp_num] = _Queue(self.appctx.env)
             self._conn_ready[vqp.qp_num] = self.appctx.env.event()
             local = (vqp.vpd.vcontext.vlid, vqp.qp_num)
@@ -113,13 +113,13 @@ class Ib2TcpPlugin(Plugin):
                                   name=f"{self.name}.connect.{vqp.qp_num}")
             proc.spawn_thread(self._tx_loop(vqp),
                               name=f"{self.name}.tx.{vqp.qp_num}")
-        # Principle 3/6 replay, now onto TCP
+        # Principle 3/6 replay, now onto TCP: the logged receive values are
+        # posted as they are (nothing translates them on this path)
         for vsrq in self.ib.srqs:
-            for entry in vsrq.recv_log:
-                self.post_srq_recv(vsrq, entry.wr.copy())
+            self.post_srq_recv(vsrq, list(vsrq.recv_log))
         for vqp in self.ib.qps:
-            for entry in vqp.recv_log:
-                self.post_recv(vqp, entry.wr.copy())
+            if vqp.recv_log:
+                self.post_recv(vqp, list(vqp.recv_log))
         for vqp in self.ib.qps:
             for entry in vqp.send_log:
                 self.post_send(vqp, entry.wr.copy())
@@ -195,13 +195,32 @@ class Ib2TcpPlugin(Plugin):
         self._pending_acks[msn] = (vqp, wr, signaled and not suppress, opcode)
         self._txq_by_vqp[vqp.qp_num].put(frame)
 
-    def post_recv(self, vqp: VirtualQp, wr: ibv_recv_wr) -> None:
-        queue = self._recvq.setdefault(vqp.qp_num, [])
-        queue.append(wr)
-        self._match_unexpected(vqp)
+    def post_recv(self, vqp: VirtualQp,
+                  chain: Sequence[ibv_recv_wr]) -> None:
+        if vqp.vsrq is not None:   # as the driver answers
+            raise VerbsError("QP uses an SRQ; use post_srq_recv", bad_wr=0)
+        self._post(self._recv_queue(vqp), chain)
 
-    def post_srq_recv(self, vsrq: VirtualSrq, wr: ibv_recv_wr) -> None:
-        self._srq_recvq.setdefault(id(vsrq), []).append(wr)
+    def post_srq_recv(self, vsrq: VirtualSrq,
+                      chain: Sequence[ibv_recv_wr]) -> None:
+        self._post(self._srq_recvq[id(vsrq)], chain)
+
+    def _post(self, queue: "_RecvQueue",
+              chain: Sequence[ibv_recv_wr]) -> None:
+        """Queue ``chain``, then hand the sends that arrived before any
+        WQE was posted, oldest first, to the WQEs now waiting."""
+        wqes, parked = queue.wqes, queue.parked
+        wqes.extend(chain)
+        while parked and wqes:
+            vqp, frame = parked.popleft()
+            self._deliver_send(vqp, wqes.popleft(), frame)
+
+    def _recv_queue(self, vqp: VirtualQp) -> "_RecvQueue":
+        """The receive queue a message arriving on ``vqp`` consumes: its
+        SRQ's, shared by every QP attached to it, or its own."""
+        if vqp.vsrq is not None:
+            return self._srq_recvq[id(vqp.vsrq)]
+        return self._recvq[vqp.qp_num]
 
     # -- data path: transmit / receive loops -------------------------------------------------
 
@@ -240,17 +259,11 @@ class Ib2TcpPlugin(Plugin):
         kind = frame["kind"]
         vqp = self._vqp(vqpn)
         if kind == "send":
-            queue = self._recvq.setdefault(vqpn, [])
-            srq_q = (self._srq_recvq.get(id(vqp.vsrq))
-                     if vqp.vsrq is not None else None)
-            if srq_q:
-                wqe = srq_q.pop(0)
-            elif queue:
-                wqe = queue.pop(0)
-            else:
-                self._unexpected.setdefault(vqpn, []).append(frame)
-                return
-            self._deliver_send(vqp, wqe, frame)
+            queue = self._recv_queue(vqp)
+            if queue.wqes:
+                self._deliver_send(vqp, queue.wqes.popleft(), frame)
+            else:   # delivered by the next post to this queue
+                queue.parked.append((vqp, frame))
         elif kind == "rdma_write":
             self._apply_rdma_write(vqp, frame)
         elif kind == "rdma_read_req":
@@ -286,12 +299,6 @@ class Ib2TcpPlugin(Plugin):
                     byte_len=int(frame.get("byte_len", 0)),
                     qp_num=pvqp.qp_num))
 
-    def _match_unexpected(self, vqp: VirtualQp) -> None:
-        frames = self._unexpected.get(vqp.qp_num)
-        queue = self._recvq.get(vqp.qp_num)
-        while frames and queue:
-            self._deliver_send(vqp, queue.pop(0), frames.pop(0))
-
     def _deliver_send(self, vqp: VirtualQp, wqe: ibv_recv_wr,
                       frame: dict) -> None:
         offset = 0
@@ -314,9 +321,9 @@ class Ib2TcpPlugin(Plugin):
             return  # drop (a NAK path is not needed for the evaluation)
         self.appctx.memory.write(frame["remote_addr"], frame["payload"])
         if frame.get("imm") is not None:
-            queue = self._recvq.setdefault(vqp.qp_num, [])
-            if queue:
-                wqe = queue.pop(0)
+            wqes = self._recv_queue(vqp).wqes
+            if wqes:
+                wqe = wqes.popleft()
                 self._push_wc(vqp.vrecv_cq, ibv_wc(
                     wr_id=wqe.wr_id, status=WcStatus.SUCCESS,
                     opcode=WcOpcode.RECV_RDMA_WITH_IMM,
@@ -336,6 +343,17 @@ class Ib2TcpPlugin(Plugin):
                 and not vcq.pending_notify.triggered:
             evt, vcq.pending_notify = vcq.pending_notify, None
             evt.succeed()
+
+
+class _RecvQueue:
+    """Posted receive WQEs, and the sends that arrived while none was
+    posted (with the QP each arrived on), both oldest first."""
+
+    __slots__ = ("wqes", "parked")
+
+    def __init__(self):
+        self.wqes: Deque[ibv_recv_wr] = deque()
+        self.parked: Deque[Tuple[VirtualQp, dict]] = deque()
 
 
 class _Queue:

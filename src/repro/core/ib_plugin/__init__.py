@@ -11,7 +11,6 @@ from .errors import (
 )
 from .plugin import InfinibandPlugin
 from .shadow import (
-    RecvLogEntry,
     SendLogEntry,
     VirtualContext,
     VirtualCq,
@@ -28,7 +27,6 @@ __all__ = [
     "IdTranslationError",
     "InfinibandPlugin",
     "NoInfinibandError",
-    "RecvLogEntry",
     "SendLogEntry",
     "UnsupportedQpTypeError",
     "VirtualContext",

@@ -21,7 +21,7 @@ Lifecycle:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ... import hooks
 from ...dmtcp.costs import CostModel, DEFAULT_COSTS
@@ -251,12 +251,24 @@ class InfinibandPlugin(Plugin):
                            wr.imm_data, wr.remote_addr, rkey,
                            wr._inline_data)
 
-    def translate_recv_wr(self, wr: ibv_recv_wr) -> ibv_recv_wr:
-        """As :meth:`translate_send_wr`, for a receive snapshot."""
-        sg_list = self._real_sg_list(wr.sg_list)
-        if sg_list is wr.sg_list:
-            return wr
-        return ibv_recv_wr(wr.wr_id, sg_list)
+    def translate_recv_chain(self, chain: Sequence[ibv_recv_wr]
+                             ) -> Sequence[ibv_recv_wr]:
+        """The receive chain the driver is handed, for the first post and
+        the Principle-6 re-post alike: ``chain`` itself while no lkey in it
+        moved (always, before the first restart); otherwise a list in which
+        each WR whose lkeys moved is a new value with real lkeys.  The
+        logged values keep their virtual lkeys."""
+        real_sg_list = self._real_sg_list
+        real = None
+        for i, wr in enumerate(chain):
+            sg_list = real_sg_list(wr.sg_list)
+            if sg_list is not wr.sg_list:
+                if real is None:
+                    real = list(chain[:i])
+                wr = ibv_recv_wr(wr.wr_id, sg_list)
+            if real is not None:
+                real.append(wr)
+        return chain if real is None else real
 
     def translate_rkey(self, vqp: VirtualQp, vrkey: int) -> int:
         """(virtual qp, vrkey) → real rkey via the remote pd (§3.2.2):
@@ -530,15 +542,17 @@ class InfinibandPlugin(Plugin):
                 self.real_lib.modify_qp(
                     vqp.real, self.translate_qp_attr(attr, mask, vqp), mask)
                 self.stats["replayed_modifies"] += 1
-        # receives first (shared queues, then per-QP), then sends: every
-        # re-post goes through the translation the first post went through
+        # receives first (shared queues, then per-QP), each owner's log as
+        # one chain, then sends: every re-post goes through the translation
+        # the first post went through
         recv_owners = [(vsrq, self.real_lib.post_srq_recv)
                        for vsrq in self.srqs] \
             + [(vqp, vqp.vpd.vcontext.real_ops.post_recv) for vqp in self.qps]
         for owner, post in recv_owners:
-            for entry in owner.recv_log:
-                post(owner.real, self.translate_recv_wr(entry.wr))
-                self.stats["reposted_recvs"] += 1
+            if owner.recv_log:
+                chain = list(owner.recv_log)
+                post(owner.real, self.translate_recv_chain(chain))
+                self.stats["reposted_recvs"] += len(chain)
         for vqp in self.qps:
             for entry in vqp.send_log:
                 vqp.vpd.vcontext.real_ops.post_send(

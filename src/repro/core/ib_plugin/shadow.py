@@ -12,15 +12,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional,
-                    Tuple, Union)
+from typing import (Any, Callable, Deque, Dict, Iterable, Iterator, List,
+                    Optional, Tuple, Union)
 
 from ...ibverbs.enums import AccessFlags, QpState, QpType
 from .errors import WqeLogError
 from ...ibverbs.structs import (
     ibv_context_ops,
     ibv_qp_attr,
-    ibv_recv_wr,
     ibv_send_wr,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "VirtualSrq",
     "VirtualQp",
     "SendLogEntry",
-    "RecvLogEntry",
     "WqeLog",
 ]
 
@@ -108,19 +106,21 @@ class SendLogEntry:
     #: the drain protocol assumes them complete once the network is quiet
     assume_complete_on_drain: bool = False
 
-
-@dataclass(slots=True)
-class RecvLogEntry:
-    wr: ibv_recv_wr          # with VIRTUAL lkeys
+    @property
+    def wr_id(self) -> int:
+        return self.wr.wr_id
 
 
 class WqeLog:
     """An outstanding-WQE log with O(1) completion matching.
 
-    Entries live in an insertion-ordered dict keyed by a monotonic
-    sequence number, with a per-``wr_id`` FIFO of sequence numbers on the
-    side (wr_ids are application-chosen and may repeat, so they cannot
-    key the log directly).  A wr_id with one outstanding WQE — nearly all
+    An entry is anything with a ``wr_id``: a receive log holds the posted
+    :class:`ibv_recv_wr` values themselves (with VIRTUAL lkeys), a send
+    log holds :class:`SendLogEntry` records.  Entries live in an
+    insertion-ordered dict keyed by a monotonic sequence number, with a
+    per-``wr_id`` FIFO of sequence numbers on the side (wr_ids are
+    application-chosen and may repeat, so they cannot key the log
+    directly).  A wr_id with one outstanding WQE — nearly all
     of them — maps to the bare sequence number; it holds a deque only
     while it has two or more.  Iteration yields entries in post order —
     Principle 3/6 replay re-posts in exactly the order the application
@@ -142,7 +142,7 @@ class WqeLog:
         seq = self._seq
         self._seq += 1
         self._entries[seq] = entry
-        wr_id = entry.wr.wr_id
+        wr_id = entry.wr_id
         seqs = self._by_wr_id.get(wr_id)
         if seqs is None:
             self._by_wr_id[wr_id] = seq
@@ -150,6 +150,10 @@ class WqeLog:
             self._by_wr_id[wr_id] = deque((seqs, seq))
         else:
             seqs.append(seq)
+
+    def extend(self, entries: Iterable[Any]) -> None:
+        for entry in entries:
+            self.append(entry)
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self._entries.values())
@@ -161,7 +165,7 @@ class WqeLog:
         return bool(self._entries)
 
     def _drop_seq(self, seq: int) -> None:
-        wr_id = self._entries.pop(seq).wr.wr_id
+        wr_id = self._entries.pop(seq).wr_id
         seqs = self._by_wr_id[wr_id]
         if seqs.__class__ is int:
             del self._by_wr_id[wr_id]
@@ -231,7 +235,7 @@ class VirtualSrq:
     max_wr: int
     limit: int = 0
     modify_log: List[int] = field(default_factory=list)  # limits, in order
-    recv_log: WqeLog = field(default_factory=WqeLog)
+    recv_log: WqeLog = field(default_factory=WqeLog)   # ibv_recv_wr values
 
     @property
     def pd(self) -> VirtualPd:
@@ -259,8 +263,8 @@ class VirtualQp:
     max_inline_data: int = 256
     # Principle 3 logs
     modify_log: List[Tuple[ibv_qp_attr, Any]] = field(default_factory=list)
-    send_log: WqeLog = field(default_factory=WqeLog)
-    recv_log: WqeLog = field(default_factory=WqeLog)
+    send_log: WqeLog = field(default_factory=WqeLog)   # SendLogEntry records
+    recv_log: WqeLog = field(default_factory=WqeLog)   # ibv_recv_wr values
     #: remote *virtual* (lid, qp number), captured from the app's
     #: modify_qp(RTR) call — qp numbers are only unique per HCA, so the
     #: pub-sub namespace keys pairs, not bare numbers

@@ -17,20 +17,22 @@ LD_PRELOAD analogue).  Every entry:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, Callable, List, Sequence
 
 from ... import hooks
 from ...ibverbs.enums import QpAttrMask, QpType, SendFlags, WrOpcode
 from ...ibverbs.structs import (
+    RecvWrs,
+    VerbsError,
     ibv_port_attr,
     ibv_qp_init_attr,
     ibv_recv_wr,
     ibv_send_wr,
     ibv_wc,
+    recv_chain,
 )
 from .errors import UnsupportedQpTypeError
 from .shadow import (
-    RecvLogEntry,
     SendLogEntry,
     VirtualContext,
     VirtualCq,
@@ -38,6 +40,7 @@ from .shadow import (
     VirtualPd,
     VirtualQp,
     VirtualSrq,
+    WqeLog,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,6 +51,19 @@ _F_INLINE = SendFlags.INLINE._value_
 _F_SIGNALED = SendFlags.SIGNALED._value_
 
 __all__ = ["WrappedVerbs"]
+
+
+def _post_logged(post: Callable, real, handed: Sequence[ibv_recv_wr],
+                 chain: Sequence[ibv_recv_wr], log: WqeLog) -> None:
+    """``post(real, handed)`` — ``handed`` is ``chain`` as the driver is to
+    see it — then log exactly the prefix of ``chain`` the driver accepted:
+    a refused WR (``bad_wr``) and the ones after it are never replayed."""
+    try:
+        post(real, handed)
+    except VerbsError as err:
+        log.extend(chain[:err.bad_wr or 0])
+        raise
+    log.extend(chain)
 
 
 class WrappedVerbs:
@@ -158,8 +174,8 @@ class WrappedVerbs:
         self._real.destroy_srq(vsrq.real)
         self.plugin.registry_remove(vsrq)
 
-    def post_srq_recv(self, vsrq: VirtualSrq, wr: ibv_recv_wr) -> None:
-        return vsrq.vpd.vcontext.ops.post_srq_recv(vsrq, wr)
+    def post_srq_recv(self, vsrq: VirtualSrq, wrs: RecvWrs) -> None:
+        return vsrq.vpd.vcontext.ops.post_srq_recv(vsrq, wrs)
 
     # -- qps ------------------------------------------------------------------------------
 
@@ -190,19 +206,20 @@ class WrappedVerbs:
         """Inline function → dispatch through the (plugin's) ops table."""
         return vqp.vpd.vcontext.ops.post_send(vqp, wr)
 
-    def post_recv(self, vqp: VirtualQp, wr: ibv_recv_wr) -> None:
-        return vqp.vpd.vcontext.ops.post_recv(vqp, wr)
+    def post_recv(self, vqp: VirtualQp, wrs: RecvWrs) -> None:
+        return vqp.vpd.vcontext.ops.post_recv(vqp, wrs)
 
     # -- ops-table entries (installed into VirtualContext.ops) ------------------------
     #
     # The per-message path (DESIGN.md §15): a post charges the wrapper
-    # inline and takes one snapshot of the WR.  That snapshot goes through
-    # translation — which hands it back unchanged until a restart moves a
-    # key — to the driver, which makes its own copy; only once the driver
-    # has accepted the WR is the snapshot logged, so a rejected post
-    # leaves nothing for replay to re-post.  ``overhead_debt`` is a float
-    # sum, so the operand order — wrapper cost first, then the IB2TCP
-    # copy — is part of the simulated clock.
+    # inline, once per WR.  A send takes one snapshot of its WR; a receive
+    # WR is an immutable value, and a receive post may carry a chain of
+    # them.  What is posted goes through translation — which hands it back
+    # unchanged until a restart moves a key — to the driver; only what the
+    # driver accepted is logged, so a rejected post leaves nothing for
+    # replay to re-post.  ``overhead_debt`` is a float sum, so the operand
+    # order — wrapper cost first, then the IB2TCP copy, WR by WR in chain
+    # order — is part of the simulated clock.
 
     def ops_post_send(self, vqp: VirtualQp, wr: ibv_send_wr) -> None:
         plugin = self.plugin
@@ -226,30 +243,36 @@ class WrappedVerbs:
                 snap.opcode is WrOpcode.RDMA_WRITE
                 and bool(flags & _F_INLINE))))
 
-    def ops_post_recv(self, vqp: VirtualQp, wr: ibv_recv_wr) -> None:
+    def ops_post_recv(self, vqp: VirtualQp, wrs: RecvWrs) -> None:
         plugin = self.plugin
-        plugin.stats["wrapper_calls"] += 1
-        plugin.appctx.proc.overhead_debt += plugin.costs.wrapper_cost()
-        plugin.charge_ib2tcp_copy(0.0)
-        snap = wr.copy()
+        proc, costs = plugin.appctx.proc, plugin.costs
+        chain = recv_chain(wrs)
+        for _wr in chain:
+            plugin.stats["wrapper_calls"] += 1
+            proc.overhead_debt += costs.wrapper_cost()
+            plugin.charge_ib2tcp_copy(0.0)
         if plugin.delegated:
-            plugin.fallback.post_recv(vqp, snap.copy())
+            _post_logged(plugin.fallback.post_recv, vqp, chain, chain,
+                         vqp.recv_log)
         else:
-            vqp.vpd.vcontext.real_ops.post_recv(
-                vqp.real, plugin.translate_recv_wr(snap))
-        vqp.recv_log.append(RecvLogEntry(snap))
+            _post_logged(vqp.vpd.vcontext.real_ops.post_recv, vqp.real,
+                         plugin.translate_recv_chain(chain), chain,
+                         vqp.recv_log)
 
-    def ops_post_srq_recv(self, vsrq: VirtualSrq, wr: ibv_recv_wr) -> None:
+    def ops_post_srq_recv(self, vsrq: VirtualSrq, wrs: RecvWrs) -> None:
         plugin = self.plugin
-        plugin.stats["wrapper_calls"] += 1
-        plugin.appctx.proc.overhead_debt += plugin.costs.wrapper_cost()
-        snap = wr.copy()
+        proc, costs = plugin.appctx.proc, plugin.costs
+        chain = recv_chain(wrs)
+        for _wr in chain:
+            plugin.stats["wrapper_calls"] += 1
+            proc.overhead_debt += costs.wrapper_cost()
         if plugin.delegated:
-            plugin.fallback.post_srq_recv(vsrq, snap.copy())
+            _post_logged(plugin.fallback.post_srq_recv, vsrq, chain, chain,
+                         vsrq.recv_log)
         else:
-            vsrq.vpd.vcontext.real_ops.post_srq_recv(
-                vsrq.real, plugin.translate_recv_wr(snap))
-        vsrq.recv_log.append(RecvLogEntry(snap))
+            _post_logged(vsrq.vpd.vcontext.real_ops.post_srq_recv,
+                         vsrq.real, plugin.translate_recv_chain(chain),
+                         chain, vsrq.recv_log)
 
     def ops_poll_cq(self, vcq: VirtualCq, num_entries: int) -> List[ibv_wc]:
         """Principle 5: refill from the plugin's private queue first; the

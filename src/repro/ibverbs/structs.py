@@ -11,7 +11,7 @@ blob on every call; a stale struct raises :class:`StaleResourceError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence, Union
 
 from .enums import (
     AccessFlags,
@@ -37,6 +37,8 @@ __all__ = [
     "ibv_sge",
     "ibv_send_wr",
     "ibv_recv_wr",
+    "RecvWrs",
+    "recv_chain",
     "ibv_wc",
     "ibv_qp_attr",
     "ibv_qp_init_attr",
@@ -45,7 +47,16 @@ __all__ = [
 
 
 class VerbsError(RuntimeError):
-    """Generic verbs-layer failure (errno-style)."""
+    """Generic verbs-layer failure (errno-style).
+
+    A refused receive post sets ``bad_wr`` to the index, in the chain it
+    was handed, of the first WR the driver refused (real verbs' ``bad_wr``
+    out-pointer); every WR before it was queued.
+    """
+
+    def __init__(self, *args, bad_wr: Optional[int] = None):
+        super().__init__(*args)
+        self.bad_wr = bad_wr
 
 
 class StaleResourceError(VerbsError):
@@ -153,10 +164,11 @@ class ibv_sge(NamedTuple):
     lkey: int
 
 
-# A WR stays a mutable struct, as the application builds it.  ``copy()``
-# is the snapshot a post takes (the driver's copy, the Principle-3 log
-# entry): its ``sg_list`` is a tuple, so when the application already
-# passed one the snapshot allocates the WR alone and shares the elements.
+# A send WR is a mutable struct, as the application builds it: ``copy()``
+# is the snapshot a post takes (the Principle-3 log entry, the driver's
+# copy, into which it writes ``_inline_data``).  A receive WR is an
+# immutable value, shared by the application, the log and the driver's
+# queue (DESIGN.md §15).
 
 @dataclass(slots=True)
 class ibv_send_wr:
@@ -177,13 +189,33 @@ class ibv_send_wr:
                            self.rkey, self._inline_data)
 
 
-@dataclass(slots=True)
-class ibv_recv_wr:
+class ibv_recv_wr(NamedTuple):
+    """Receive work request: an immutable value.  ``post_recv`` and
+    ``post_srq_recv`` take one, or a sequence of them (a ``wr->next``
+    chain); see :func:`recv_chain`."""
+
     wr_id: int
     sg_list: Sequence[ibv_sge]
 
-    def copy(self) -> "ibv_recv_wr":
-        return ibv_recv_wr(self.wr_id, tuple(self.sg_list))
+
+#: what a receive post takes: one WR, or a chain of them in post order
+RecvWrs = Union[ibv_recv_wr, Sequence[ibv_recv_wr]]
+
+
+def recv_chain(wrs: RecvWrs) -> Sequence[ibv_recv_wr]:
+    """A posted WR or chain of WRs as a chain of frozen values.
+
+    A single WR is a chain of one.  A WR built with a list ``sg_list`` is
+    replaced by one holding a tuple, so what is queued and logged cannot
+    change under the application; any other WR is passed on as it is.
+    """
+    chain = (wrs,) if wrs.__class__ is ibv_recv_wr else wrs
+    for wr in chain:
+        if wr.sg_list.__class__ is not tuple:
+            return [wr if wr.sg_list.__class__ is tuple
+                    else ibv_recv_wr(wr.wr_id, tuple(wr.sg_list))
+                    for wr in chain]
+    return chain
 
 
 @dataclass(slots=True)

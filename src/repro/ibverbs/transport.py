@@ -21,7 +21,8 @@ RDMA) post a completion only on the receiving node.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
+from typing import (Any, Deque, Dict, Generator, List, Optional, Sequence,
+                    Tuple)
 
 from ..hardware.hca import HCA
 from ..hardware.node import ProcessHost
@@ -102,10 +103,14 @@ class SrqHardware:
         self.max_wr = max_wr
         self.wqes: Deque[ibv_recv_wr] = deque()
 
-    def post(self, wr: ibv_recv_wr) -> None:
-        if len(self.wqes) >= self.max_wr:
-            raise VerbsError("SRQ full")
-        self.wqes.append(wr)
+    def post(self, chain: Sequence[ibv_recv_wr]) -> None:
+        """Queue ``chain`` in order; the first WR that finds the queue full
+        is refused (``bad_wr``) and the ones before it stay queued."""
+        wqes = self.wqes
+        for i, wr in enumerate(chain):
+            if len(wqes) >= self.max_wr:
+                raise VerbsError("SRQ full", bad_wr=i)
+            wqes.append(wr)
 
     def take(self) -> Optional[ibv_recv_wr]:
         return self.wqes.popleft() if self.wqes else None
@@ -228,7 +233,9 @@ class QpHardware:
         self.qp_struct = qp_struct    # real ibv_qp (for state/sq_sig_all)
         self.qp_type = qp_type
         self.send_queue: Store = Store(session.env)
-        self.recv_queue: Deque[ibv_recv_wr] = deque()
+        # a QP attached to an SRQ takes its receive WQEs from there
+        self.recv_queue: Optional[Deque[ibv_recv_wr]] = (
+            deque() if qp_struct.srq is None else None)
         self.dest: Optional[Tuple[int, int]] = None  # (dlid, dqpn)
         self.attrs: Dict[str, Any] = {}
         self._msn = 0
@@ -271,11 +278,12 @@ class QpHardware:
         self.start_engine()
         self.send_queue.put(wr)
 
-    def post_recv(self, wr: ibv_recv_wr) -> None:
+    def post_recv(self, chain: Sequence[ibv_recv_wr]) -> None:
         if self.qp_struct.state in (QpState.RESET, QpState.ERR):
             raise VerbsError(
-                f"post_recv on QP in state {self.qp_struct.state.name}")
-        self.recv_queue.append(wr)
+                f"post_recv on QP in state {self.qp_struct.state.name}",
+                bad_wr=0)
+        self.recv_queue.extend(chain)
 
     # -- send engine -------------------------------------------------------------
 
@@ -421,10 +429,10 @@ class QpHardware:
         self.env.process(responder(), name=f"qp{self.qpn}.reply")
 
     def _take_recv_wqe(self) -> Optional[ibv_recv_wr]:
-        srq = getattr(self.qp_struct, "srq", None)
-        if srq is not None:
-            return srq._hw.take()
-        return self.recv_queue.popleft() if self.recv_queue else None
+        queue = self.recv_queue
+        if queue is None:
+            return self.qp_struct.srq._hw.take()
+        return queue.popleft() if queue else None
 
     def _rx_send(self, pkt: dict) -> None:
         wqe = self._take_recv_wqe()

@@ -27,6 +27,7 @@ from .enums import (
     qp_transition_legal,
 )
 from .structs import (
+    RecvWrs,
     StaleResourceError,
     VerbsError,
     ibv_context,
@@ -39,10 +40,10 @@ from .structs import (
     ibv_qp,
     ibv_qp_attr,
     ibv_qp_init_attr,
-    ibv_recv_wr,
     ibv_send_wr,
     ibv_srq,
     ibv_wc,
+    recv_chain,
 )
 from .transport import CqHardware, DriverSession, QpHardware, SrqHardware
 
@@ -188,8 +189,8 @@ class VerbsLib:
         self._session(srq)
         srq._hw = None
 
-    def post_srq_recv(self, srq: ibv_srq, wr: ibv_recv_wr) -> None:
-        return srq.context.ops.post_srq_recv(srq, wr)
+    def post_srq_recv(self, srq: ibv_srq, wrs: RecvWrs) -> None:
+        return srq.context.ops.post_srq_recv(srq, wrs)
 
     # -- queue pairs -------------------------------------------------------------
 
@@ -254,8 +255,8 @@ class VerbsLib:
         """Inline function: dispatches through the ops table."""
         return qp.context.ops.post_send(qp, wr)
 
-    def post_recv(self, qp: ibv_qp, wr: ibv_recv_wr) -> None:
-        return qp.context.ops.post_recv(qp, wr)
+    def post_recv(self, qp: ibv_qp, wrs: RecvWrs) -> None:
+        return qp.context.ops.post_recv(qp, wrs)
 
     # -- driver-level implementations (installed in ops tables) -----------------
 
@@ -273,15 +274,19 @@ class VerbsLib:
             wr._inline_data = b"".join(chunks)
         qp._hw.post_send(wr)
 
-    def _drv_post_recv(self, qp: ibv_qp, wr: ibv_recv_wr) -> None:
+    # A receive post takes one WR or a chain of them and queues the values
+    # it is handed, without a copy (a receive WR is immutable).  A refused
+    # WR raises with ``bad_wr`` at its index; the WRs before it are queued.
+
+    def _drv_post_recv(self, qp: ibv_qp, wrs: RecvWrs) -> None:
         self._session(qp)
         if qp.srq is not None:
-            raise VerbsError("QP uses an SRQ; use post_srq_recv")
-        qp._hw.post_recv(wr.copy())
+            raise VerbsError("QP uses an SRQ; use post_srq_recv", bad_wr=0)
+        qp._hw.post_recv(recv_chain(wrs))
 
-    def _drv_post_srq_recv(self, srq: ibv_srq, wr: ibv_recv_wr) -> None:
+    def _drv_post_srq_recv(self, srq: ibv_srq, wrs: RecvWrs) -> None:
         self._session(srq)
-        srq._hw.post(wr.copy())
+        srq._hw.post(recv_chain(wrs))
 
     def _drv_poll_cq(self, cq: ibv_cq, num_entries: int) -> List[ibv_wc]:
         self._session(cq)

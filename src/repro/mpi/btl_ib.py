@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import pickle
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from ..dmtcp.process import AppContext
 from ..ibverbs.connect import qp_to_init, qp_to_rtr, qp_to_rts
@@ -65,8 +65,7 @@ class IbBtl:
         self.ctrl_mr = ibv.reg_mr(self.pd, self.ctrl.addr,
                                   self.ctrl.size, _FULL)
         self._ctrl_wrs = self._make_ctrl_wrs()
-        for slot in range(_N_CTRL_SLOTS):
-            self._post_ctrl_slot(slot)
+        ibv.post_srq_recv(self.srq, self._ctrl_wrs)
         # send staging ring for control messages
         self.stage = ctx.memory.ensure(f"{ctx.name}.mpi.stage",
                                        CTRL_SLOT * 64)
@@ -205,8 +204,7 @@ class IbBtl:
         self.stage_mr = ibv.reg_mr(self.pd, self.stage.addr,
                                    self.stage.size, _FULL)
         self._ctrl_wrs = self._make_ctrl_wrs()  # new lkey after re-reg
-        for slot in range(_N_CTRL_SLOTS):
-            self._post_ctrl_slot(slot)
+        ibv.post_srq_recv(self.srq, self._ctrl_wrs)
 
     def kick_progress(self) -> None:
         """Spurious-wake the progress loop (its old CQ-notify event died
@@ -273,18 +271,17 @@ class IbBtl:
 
     # -- progress engine ---------------------------------------------------------------------
 
-    def _make_ctrl_wrs(self) -> List[ibv_recv_wr]:
-        """Per-slot receive WR templates.  The driver copies at post time
-        (verbs semantics: the WR is consumed by ``post``), so re-posting
-        the same template on slot re-arm is safe — and skips two object
-        constructions per control message.  Each ``sg_list`` is a tuple,
-        so the plugin's snapshot of a re-post shares it.  Rebuilt whenever
+    def _make_ctrl_wrs(self) -> Tuple[ibv_recv_wr, ...]:
+        """Per-slot receive WRs, pre-posted as one chain and re-posted one
+        at a time on slot re-arm.  A receive WR is an immutable value, so
+        the plugin's log and the driver's queue hold these very objects:
+        one value per slot, however often it is posted.  Rebuilt whenever
         ``ctrl_mr`` is re-registered (CRS teardown/rebuild), since the
         lkey changes."""
-        return [ibv_recv_wr(slot, (
-                    ibv_sge(self.ctrl.addr + slot * CTRL_SLOT, CTRL_SLOT,
-                            self.ctrl_mr.lkey),))
-                for slot in range(_N_CTRL_SLOTS)]
+        return tuple(ibv_recv_wr(slot, (
+                         ibv_sge(self.ctrl.addr + slot * CTRL_SLOT,
+                                 CTRL_SLOT, self.ctrl_mr.lkey),))
+                     for slot in range(_N_CTRL_SLOTS))
 
     def _post_ctrl_slot(self, slot: int) -> None:
         self.ctx.ibv.post_srq_recv(self.srq, self._ctrl_wrs[slot])

@@ -25,7 +25,9 @@ class Store:
         self.capacity = capacity
         self.items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
+        # created when a bounded store first blocks a put: most stores are
+        # unbounded and never need one
+        self._putters: Optional[Deque[tuple[Event, Any]]] = None
 
     def __len__(self) -> int:
         return len(self.items)
@@ -38,6 +40,8 @@ class Store:
             event.succeed()
             self._service_getters()
         else:
+            if self._putters is None:
+                self._putters = deque()
             self._putters.append((event, item))
         return event
 
@@ -49,8 +53,8 @@ class Store:
         return event
 
     def try_get(self) -> Optional[Any]:
-        """Non-blocking get; returns None when empty (does not wake putters
-        waiting on capacity — use get() on bounded stores)."""
+        """Non-blocking get; returns None when empty.  Taking an item frees
+        capacity, so a putter blocked on a bounded store is let in."""
         if self.items:
             item = self.items.popleft()
             self._service_putters()

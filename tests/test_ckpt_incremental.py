@@ -470,7 +470,9 @@ def test_incremental_chaos_matches_full_chaos_fingerprint_checksum():
 # -- WqeLog -------------------------------------------------------------------
 
 def _entry(wr_id, assume=False):
-    return SimpleNamespace(wr=SimpleNamespace(wr_id=wr_id),
+    """An entry as a log holds one: it has a ``wr_id`` itself (a receive
+    value) and, like a send record, a ``wr`` carrying the same id."""
+    return SimpleNamespace(wr_id=wr_id, wr=SimpleNamespace(wr_id=wr_id),
                            assume_complete_on_drain=assume)
 
 

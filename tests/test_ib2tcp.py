@@ -4,7 +4,7 @@ Ethernet-only debug cluster with a different kernel (paper §6.4)."""
 import pytest
 
 from repro.apps.nas import lu_app
-from repro.apps.pingpong import pingpong_app
+from repro.apps.pingpong import CqWaiter, pingpong_app
 from repro.core import Ib2TcpPlugin, InfinibandPlugin
 from repro.core.ib_plugin import NoInfinibandError
 from repro.dmtcp import AppSpec, dmtcp_launch, dmtcp_restart
@@ -14,8 +14,20 @@ from repro.hardware import (
     DEV_CLUSTER,
     ETHERNET_DEBUG_CLUSTER,
 )
+from repro.ibverbs import (
+    AccessFlags,
+    WrOpcode,
+    ibv_qp_init_attr,
+    ibv_recv_wr,
+    ibv_send_wr,
+    ibv_sge,
+)
+from repro.ibverbs.connect import qp_to_init, qp_to_rtr, qp_to_rts
 from repro.mpi import make_mpi_specs
+from repro.net.tcp import TcpStack
 from repro.sim import Environment
+
+_SRQ_PORT = 18600
 
 
 def _pp_specs(cluster, iters=60, msg_bytes=2048, use_rdma=False):
@@ -220,3 +232,80 @@ def test_ib2tcp_copy_overhead_charged_pre_restart():
     assert (t_ib2tcp, now_ib2tcp) == (0.0016065019999789154,
                                       0.746708764807062)
     assert calls_plain == calls_ib2tcp == 1523
+
+
+def _srq_pair_app(ctx, peer_host, is_receiver):
+    """A 2-process verbs job over one SRQ of a single WQE.  The sender
+    waits out the restart, then posts two SENDs back to back; the
+    receiver re-arms its one slot only some time after the first message
+    landed, so the second arrives while the SRQ is empty."""
+    ibv = ctx.ibv
+    ibctx = ibv.open_device(ibv.get_device_list()[0])
+    pd = ibv.alloc_pd(ibctx)
+    cq = ibv.create_cq(ibctx, cqe=16)
+    srq = ibv.create_srq(pd, max_wr=1) if is_receiver else None
+    qp = ibv.create_qp(pd, ibv_qp_init_attr(send_cq=cq, recv_cq=cq,
+                                            srq=srq))
+    buf = ctx.memory.mmap(f"{ctx.name}.srqbuf", 128)
+    mr = ibv.reg_mr(pd, buf.addr, 128, AccessFlags.LOCAL_WRITE)
+    stack = TcpStack.of(ctx.proc.node)
+    mine = {"lid": ibv.query_port(ibctx).lid, "qpn": qp.qp_num}
+    if is_receiver:
+        conn = yield stack.listen(_SRQ_PORT).accept()
+        peer = yield conn.recv()
+        yield from conn.send(mine)
+    else:
+        conn = yield from stack.connect(peer_host, _SRQ_PORT)
+        yield from conn.send(mine)
+        peer = yield conn.recv()
+    qp_to_init(ibv, qp)
+    qp_to_rtr(ibv, qp, dest_qp_num=peer["qpn"], dlid=peer["lid"])
+    qp_to_rts(ibv, qp)
+    slot = lambda i: ibv_recv_wr(i, (ibv_sge(buf.addr + 64 * i, 64,
+                                             mr.lkey),))
+    waiter = CqWaiter(ctx, ibv, cq)
+    if is_receiver:
+        ibv.post_srq_recv(srq, slot(0))
+        first = yield from waiter.wait(recv=True)
+        yield ctx.sleep(0.5)
+        ibv.post_srq_recv(srq, slot(1))
+        second = yield from waiter.wait(recv=True)
+        return [ctx.memory.read(buf.addr + 64 * wc.wr_id, 5)
+                for wc in (first, second)]
+    yield ctx.sleep(1.0)            # the checkpoint lands in here
+    for i, payload in enumerate((b"first", b"again")):
+        ctx.memory.write(buf.addr + 64 * i, payload)
+        ibv.post_send(qp, ibv_send_wr(i, (ibv_sge(buf.addr + 64 * i, 5,
+                                                  mr.lkey),),
+                                      opcode=WrOpcode.SEND))
+    for _ in range(2):
+        yield from waiter.wait(recv=False)
+    return []
+
+
+def test_ib2tcp_srq_post_delivers_a_send_that_found_the_srq_empty():
+    """A send that reaches an SRQ with no WQE is parked; the next post to
+    that SRQ must deliver it, or its receiver waits forever."""
+    env = Environment()
+    cluster = Cluster(env, DEV_CLUSTER, n_nodes=2, name="prod-srq")
+    receiver = cluster.nodes[0].name
+    specs = [AppSpec(0, "srq-rx", lambda ctx: _srq_pair_app(
+                 ctx, None, True)),
+             AppSpec(1, "srq-tx", lambda ctx: _srq_pair_app(
+                 ctx, receiver, False))]
+    session = env.run(until=env.process(dmtcp_launch(
+        cluster, specs, plugin_factory=_with_ib2tcp)))
+    done = {}
+
+    def scenario():
+        yield env.timeout(0.01)
+        ckpt = yield from session.checkpoint(intent="restart")
+        cluster.teardown()
+        debug = Cluster(env, ETHERNET_DEBUG_CLUSTER, n_nodes=2,
+                        name="debug-srq")
+        session2 = yield from dmtcp_restart(debug, ckpt)
+        done["results"] = yield from session2.wait()
+
+    env.process(scenario())
+    env.run(until=60.0)
+    assert done.get("results") == [[b"first", b"again"], []]

@@ -811,3 +811,52 @@ def test_resource_churn_across_three_restarts():
                     or plugin.cqs or plugin.srqs or plugin.qps)
         assert not (plugin.vqp_by_vqpn or plugin.vqp_by_real_qpn
                     or plugin.vmr_by_vlkey)
+
+
+# -- one value per posted receive -----------------------------------------------
+
+def test_one_value_per_posted_receive_at_mpi_scale():
+    """The host-memory gate on receive bookkeeping: after a 16-rank MPI
+    LU launch under the plugin each of a rank's 256 control slots is one
+    live ``ibv_recv_wr``, shared by the BTL, the plugin's log and the
+    driver's SRQ; after a restart moves every lkey, at most two (the
+    virtual one and the driver's translated one).  QPs attached to an SRQ
+    hold no receive deque and unbounded stores no putter deque."""
+    import gc
+
+    from repro.apps.nas import lu_app
+    from repro.core.ib_plugin import shadow
+    from repro.hardware import MGHPCC
+    from repro.mpi import make_mpi_specs
+    from repro.mpi.btl_ib import _N_CTRL_SLOTS
+    from repro.sim import Store
+
+    def live(cls):
+        gc.collect()
+        return [o for o in gc.get_objects() if type(o) is cls]
+
+    ranks = 16
+    env = Environment()
+    cluster = Cluster(env, MGHPCC, n_nodes=4, name="one-value")
+    specs = make_mpi_specs(cluster, ranks, lambda ctx, comm: lu_app(
+        ctx, comm, klass="A", iters_sim=2), ppn=4)
+    before = len(live(ibv_recv_wr))
+    session = env.run(until=env.process(dmtcp_launch(
+        cluster, specs, plugin_factory=lambda: [InfinibandPlugin()])))
+    env.run(until=env.now + 0.002)
+    assert len(live(ibv_recv_wr)) - before == _N_CTRL_SLOTS * ranks
+    assert not hasattr(shadow, "RecvLogEntry")
+    qps = [vqp for proc in session.procs for vqp in proc.plugins[0].qps]
+    assert qps and all(vqp.vsrq is not None for vqp in qps)
+    assert all(vqp.real._hw.recv_queue is None for vqp in qps)
+    assert not [s for s in live(Store)
+                if s.capacity == float("inf") and s._putters is not None]
+
+    ckpt = env.run(until=env.process(session.checkpoint(intent="restart")))
+    cluster.teardown()
+    cluster2 = Cluster(env, MGHPCC, n_nodes=4, name="one-value-2")
+    session2 = env.run(until=env.process(dmtcp_restart(cluster2, ckpt)))
+    env.run(until=env.now + 0.002)
+    assert len(live(ibv_recv_wr)) - before <= 2 * _N_CTRL_SLOTS * ranks
+    results = env.run(until=env.process(session2.wait()))
+    assert len({r.checksum for r in results}) == 1

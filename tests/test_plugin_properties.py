@@ -187,7 +187,7 @@ def test_injected_crash_at_arbitrary_instant_restart_survives(ckpt_at,
             assert vmr.rkey != vmr.real.rkey
 
 
-# -- Principle 3: the log holds a copy, the driver a translation -----------------
+# -- Principle 3: the log holds what was posted, the driver a translation --------
 
 import dataclasses  # noqa: E402
 from types import SimpleNamespace  # noqa: E402
@@ -223,10 +223,8 @@ def _ref_translate_sge(plugin, sge):
 
 
 def _ref_translate_recv_wr(plugin, wr):
-    real_wr = wr.copy()
-    real_wr.sg_list = tuple(_ref_translate_sge(plugin, s)
-                            for s in wr.sg_list)
-    return real_wr
+    return ibv_recv_wr(wr.wr_id, tuple(_ref_translate_sge(plugin, s)
+                                       for s in wr.sg_list))
 
 
 def _ref_translate_send_wr(plugin, vqp, wr):
@@ -296,17 +294,33 @@ _recv_wrs = st.builds(ibv_recv_wr, wr_id=st.integers(0, 50), sg_list=_sges)
 
 
 def _scribble(wr):
-    """What a careless application may do to its WR once post returned."""
-    wr.wr_id += 1000
+    """What a careless application may do to its WR once post returned.
+    A receive WR is a value: only a list ``sg_list`` inside it can still
+    change."""
     if isinstance(wr.sg_list, list):
         wr.sg_list.reverse()
         wr.sg_list.append(ibv_sge(1, 2, 3))
-    else:
+    elif isinstance(wr, ibv_send_wr):
         wr.sg_list = wr.sg_list[::-1] + (ibv_sge(1, 2, 3),)
     if isinstance(wr, ibv_send_wr):
+        wr.wr_id += 1000
         wr.rkey ^= 0xFFFF
         wr.opcode = WrOpcode.SEND
         wr.send_flags = SendFlags(0)
+
+
+def _fields(wr):
+    """A WR's fields, with ``sg_list`` as a tuple."""
+    if isinstance(wr, ibv_send_wr):
+        return dataclasses.astuple(wr.copy())
+    return (wr.wr_id, tuple(wr.sg_list))
+
+
+def _handed(seen):
+    """What the recording driver was handed, one ``(kind, wr)`` per WR: a
+    receive post hands it a chain."""
+    return [(kind, wr) for kind, _real, item in seen
+            for wr in ((item,) if kind == "send" else item)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -317,7 +331,7 @@ def test_log_holds_a_copy_and_driver_sees_the_seed_translation(posts):
     ops = plugin.wrapped
     posted = []     # (kind, field snapshot of the WR as posted)
     for item in posts:
-        kind, wr = item if isinstance(item, tuple) else (
+        kind, wr = item if type(item) is tuple else (
             "send" if isinstance(item, ibv_send_wr) else "recv", item)
         want = (_ref_translate_send_wr(plugin, vqp, wr) if kind == "send"
                 else _ref_translate_recv_wr(plugin, wr))
@@ -327,49 +341,55 @@ def test_log_holds_a_copy_and_driver_sees_the_seed_translation(posts):
             ops.ops_post_recv(vqp, wr)
         else:
             ops.ops_post_srq_recv(vsrq, wr)
-        got_kind, _real, got = seen.pop()
-        assert got_kind == kind and not seen
-        assert got is not wr
-        assert dataclasses.astuple(got) == dataclasses.astuple(want)
+        ((got_kind, got),) = _handed(seen)
+        seen.clear()
+        assert got_kind == kind
+        # a send is copied; a receive value is shared unless its sg_list
+        # was a list, which is frozen into a tuple once
+        assert (got is wr) == (kind != "send"
+                               and isinstance(wr.sg_list, tuple))
+        assert isinstance(got.sg_list, tuple)
+        assert _fields(got) == _fields(want)
         with pytest.raises(AttributeError):
             got.sg_list[0].lkey = 0x9999     # an SGE is a value
-        posted.append((kind, wr.copy()))
+        posted.append((kind, _fields(wr)))
         _scribble(wr)
 
     # what Principle 3 logged is what was posted, not what the app holds
-    logged = {"send": list(vqp.send_log), "recv": list(vqp.recv_log),
-              "srq": list(vsrq.recv_log)}
+    logged = {"send": [e.wr for e in vqp.send_log],
+              "recv": list(vqp.recv_log), "srq": list(vsrq.recv_log)}
     for kind in logged:
-        want = [snap for k, snap in posted if k == kind]
-        assert [dataclasses.astuple(e.wr) for e in logged[kind]] == \
-            [dataclasses.astuple(snap) for snap in want]
-    for entry, (_k, snap) in zip(
-            logged["send"], [p for p in posted if p[0] == "send"]):
-        flags = snap.send_flags
+        assert [_fields(wr) for wr in logged[kind]] == \
+            [snap for k, snap in posted if k == kind]
+    for entry in vqp.send_log:
+        flags = entry.wr.send_flags
         assert entry.signaled == bool(flags & SendFlags.SIGNALED)
         assert entry.assume_complete_on_drain == (
-            snap.opcode is WrOpcode.RDMA_WRITE_WITH_IMM
-            or (snap.opcode is WrOpcode.RDMA_WRITE
+            entry.wr.opcode is WrOpcode.RDMA_WRITE_WITH_IMM
+            or (entry.wr.opcode is WrOpcode.RDMA_WRITE
                 and bool(flags & SendFlags.INLINE)))
 
     # ... and replay re-posts exactly that, translated against the new ids
     _fake_restart(plugin)
     plugin._restart_replay()
+    handed = _handed(seen)
     for kind in ("srq", "recv", "send"):        # replay order
-        for _k, snap in (p for p in posted if p[0] == kind):
-            got_kind, _real, got = seen.pop(0)
-            want = (_ref_translate_send_wr(plugin, vqp, snap)
+        for wr in logged[kind]:
+            got_kind, got = handed.pop(0)
+            want = (_ref_translate_send_wr(plugin, vqp, wr)
                     if kind == "send"
-                    else _ref_translate_recv_wr(plugin, snap))
+                    else _ref_translate_recv_wr(plugin, wr))
             assert got_kind == kind
-            assert dataclasses.astuple(got) == dataclasses.astuple(want)
-    assert not seen
+            assert _fields(got) == _fields(want)
+    assert not handed
 
 
 def test_driver_is_handed_the_logged_snapshot_until_keys_move():
-    """One snapshot per post: before a restart the driver receives the very
-    object the log holds, and a tuple ``sg_list`` is shared, not copied;
-    once keys move, the driver gets a translated WR of its own."""
+    """One value per posted receive: before a restart the application,
+    the log and the driver share it, and a list ``sg_list`` is frozen into
+    a tuple once; a send is one snapshot, which the log and the driver
+    share.  Once keys move, the driver gets a translated WR of its own
+    and the log keeps the virtual one."""
     plugin, vqp, vsrq, seen = _rig()
     ops = plugin.wrapped
     sges = (ibv_sge(0x100, 64, _VLKEYS[0]), ibv_sge(0x200, 32, _VLKEYS[1]))
@@ -382,25 +402,29 @@ def test_driver_is_handed_the_logged_snapshot_until_keys_move():
     ops.ops_post_srq_recv(vsrq, srq)
     (e_send,), (e_recv,), (e_srq,) = vqp.send_log, vqp.recv_log, \
         vsrq.recv_log
-    assert [k for k, _r, _wr in seen] == ["send", "recv", "srq"]
-    for (_k, _r, wr), entry, app_wr in zip(
-            seen, (e_send, e_recv, e_srq), (send, recv, srq)):
-        assert wr is entry.wr and wr is not app_wr
-    assert e_send.wr.sg_list is sges and e_recv.wr.sg_list is sges
-    assert e_srq.wr.sg_list == sges and e_srq.wr.sg_list is not srq.sg_list
+    assert [(k, len(wrs)) for k, _r, wrs in seen[1:]] == \
+        [("recv", 1), ("srq", 1)]
+    (_k, _r, d_send), (_k, _r, (d_recv,)), (_k, _r, (d_srq,)) = seen
+    assert d_send is e_send.wr and d_send is not send
+    assert e_send.wr.sg_list is sges
+    assert d_recv is e_recv is recv
+    assert d_srq is e_srq and e_srq is not srq
+    assert e_srq.sg_list == sges and isinstance(e_srq.sg_list, tuple)
+    assert isinstance(srq.sg_list, list)       # the application's own
 
     real_lkeys = [k + 0x500000 for k in _VLKEYS[:2]]
     _fake_restart(plugin)
     seen.clear()
     plugin._restart_replay()
     ops.ops_post_recv(vqp, ibv_recv_wr(4, sges))
-    entries = (e_srq, e_recv, e_send, list(vqp.recv_log)[-1])
-    assert [k for k, _r, _wr in seen] == ["srq", "recv", "send", "recv"]
-    for (_k, _r, wr), entry in zip(seen, entries):
-        assert wr is not entry.wr
+    logged = (e_srq, e_recv, e_send.wr, list(vqp.recv_log)[-1])
+    handed = _handed(seen)
+    assert [k for k, _wr in handed] == ["srq", "recv", "send", "recv"]
+    for (_k, wr), entry in zip(handed, logged):
+        assert wr is not entry
         assert [s.lkey for s in wr.sg_list] == real_lkeys
-        assert [s.lkey for s in entry.wr.sg_list] == list(_VLKEYS[:2])
-    assert seen[2][2].rkey == 0xBEEF and e_send.wr.rkey == 4242
+        assert [s.lkey for s in entry.sg_list] == list(_VLKEYS[:2])
+    assert handed[2][1].rkey == 0xBEEF and e_send.wr.rkey == 4242
 
 
 # -- a post the driver rejects is not logged ---------------------------------------
@@ -423,7 +447,8 @@ def _replayed(plugin):
     """Replay the logs into a recording driver: ``(kind, wr_id)`` in
     re-post order."""
     seen = []
-    record = lambda kind: lambda real, wr: seen.append((kind, wr.wr_id))
+    record = lambda kind: lambda real, wrs: seen.extend(
+        (kind, wr.wr_id) for wr in ((wrs,) if kind == "send" else wrs))
     plugin.real_lib = SimpleNamespace(
         post_srq_recv=record("srq"), modify_qp=lambda real, attr, mask: None)
     for vctx in plugin.contexts:
@@ -444,6 +469,31 @@ def test_rejected_srq_post_leaves_no_log_entry():
         ep.lib.post_srq_recv(srq, ibv_recv_wr(wr_id, sges))
     with pytest.raises(VerbsError, match="SRQ full"):
         ep.lib.post_srq_recv(srq, ibv_recv_wr(3, sges))
+    assert plugin._logged_wqes() == 2
+    assert _replayed(plugin) == [("srq", 1), ("srq", 2)]
+
+
+def test_chain_refused_part_way_queues_and_logs_the_accepted_prefix():
+    """A chain the driver refuses at ``bad_wr``: the WRs before it are
+    queued and logged, the refused one and those after it are neither."""
+    env = Environment()
+    cluster = Cluster(env, BUFFALO_CCR, n_nodes=1, name="rej-chain")
+    plugin, ep = _plugin_endpoint(cluster.nodes[0].fork("p"))
+    srq = ep.lib.create_srq(ep.pd, max_wr=2)
+    qp = ep.make_qp(srq=srq)
+    qp_to_init(ep.lib, qp)
+    buf, mr = ep.reg(64, "r")
+    sges = (ibv_sge(buf.addr, 8, mr.lkey),)
+    with pytest.raises(VerbsError, match="SRQ full") as refused:
+        ep.lib.post_srq_recv(srq, [ibv_recv_wr(i, sges) for i in (1, 2, 3)])
+    assert refused.value.bad_wr == 2
+    assert [wr.wr_id for wr in srq.real._hw.wqes] == [1, 2]
+    assert [wr.wr_id for wr in srq.recv_log] == [1, 2]
+    # a post_recv chain on an SRQ-attached QP is refused at its first WR
+    with pytest.raises(VerbsError, match="SRQ") as refused:
+        ep.lib.post_recv(qp, [ibv_recv_wr(4, sges), ibv_recv_wr(5, sges)])
+    assert refused.value.bad_wr == 0
+    assert not qp.recv_log and qp.real._hw.recv_queue is None
     assert plugin._logged_wqes() == 2
     assert _replayed(plugin) == [("srq", 1), ("srq", 2)]
 
