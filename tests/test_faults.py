@@ -394,6 +394,17 @@ def test_verify_restart_path_counters_and_remaps():
                for r in verdict["results"])
 
 
+def test_verify_restart_path_is_pinned():
+    """The injected-crash restart path at seed 2014, exactly: what the
+    plugins re-posted and replayed, when the node died, the checksum."""
+    verdict = verify_restart_path(seed=2014)
+    assert verdict["counters"] == {
+        "reposted_sends": 0, "reposted_recvs": 1024,
+        "replayed_modifies": 48, "drained_completions": 0}
+    assert verdict["crash"].t == 2.8881399687222578
+    assert verdict["checksum"] == 1.8539793244044894e+36
+
+
 def test_young_daly_interval_math():
     assert young_daly_interval(50.0, 2.0) == pytest.approx(
         np.sqrt(2 * 50.0 * 2.0))

@@ -309,3 +309,22 @@ def test_ib2tcp_srq_post_delivers_a_send_that_found_the_srq_empty():
     env.process(scenario())
     env.run(until=60.0)
     assert done.get("results") == [[b"first", b"again"], []]
+
+
+#: Table 9's simulated cells, exact: environment -> LU.A.2 runtime (s).
+#: The simulator is deterministic, so any drift is a behaviour change
+#: that must re-pin these in the same change.
+TABLE9 = {
+    "IB (w/o DMTCP)": 27.22018789326847,
+    "DMTCP/IB (w/o IB2TCP)": 27.99585112200686,
+    "DMTCP/IB2TCP/IB": 27.99732307071001,
+    "DMTCP/IB2TCP/Ethernet (2 nodes)": 43.97447607603429,
+    "DMTCP/IB2TCP/Ethernet (1 node)": 61.30779207603416,
+}
+
+
+def test_table9_cells_are_pinned():
+    from repro.experiments import table9
+
+    table = table9.run()
+    assert {row[0]: row[1] for row in table.rows} == TABLE9

@@ -169,6 +169,34 @@ def test_postcopy_timeline_is_pinned(variant, completion, pager_stats):
     assert pc["checksum"] == 1.8539793412474145e+36
 
 
+@pytest.mark.parametrize("runner, kwargs, pinned", [
+    (run_baseline_lu, {}, {"completion_seconds": 1.4679551984612564}),
+    (run_cycle_lu, {}, {"completion_seconds": 4.9732652599364044,
+                        "cycle_seconds": 3.534577968696705}),
+    (run_precopy_lu, {}, {"completion_seconds": 5.006235268915663,
+                          "downtime_seconds": 1.80574157142857,
+                          "rounds": 2}),
+    (run_elastic_lu, {"target_nodes": 2},
+     {"completion_seconds": 5.057208013801789,
+      "node_map": {0: 0, 1: 1, 2: 0, 3: 1}}),
+], ids=["baseline", "cycle", "precopy", "elastic-shrink"])
+def test_migration_timelines_are_pinned(runner, kwargs, pinned):
+    """Each migration runner's simulated timeline, to the last bit, on a
+    4-rank LU run.  A cluster's name seeds its RNG, so renaming a cluster
+    or reordering what a runner builds moves these."""
+    out = runner(seed=SEED, nprocs=4, iters_sim=6, **kwargs)
+    assert out["checksum"] == 1.8539793412474145e+36
+    assert {key: out[key] for key in pinned} == pinned
+
+
+def test_baseline_and_cycle_fixtures_are_pinned(baseline, cycle):
+    assert baseline["checksum"] == cycle["checksum"] \
+        == 1.8539461447185987e+36
+    assert baseline["completion_seconds"] == 1.3700819036321892
+    assert cycle["completion_seconds"] == 5.312741644515155
+    assert cycle["cycle_seconds"] == 4.00547805622857
+
+
 # -- migrate-disrupt -----------------------------------------------------------
 
 def test_disrupt_target_crash_recovers_with_fresh_target(baseline):
