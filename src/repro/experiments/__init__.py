@@ -42,23 +42,31 @@ __all__ = [
 ]
 
 
+#: table number -> its module
+TABLES = {1: table1, 2: table2, 3: table3, 4: table4, 5: table5,
+          6: table6, 7: table7, 8: table8, 9: table9}
+
+#: the settings each table's ``run`` takes; the others take none
+_SETTINGS = {1: ("max_procs",), 2: ("max_procs",), 3: ("full",),
+             4: ("store",), 5: ("full",)}
+
+
+def _run_table(number: int, full: bool = False, max_procs: int = 256,
+               store: bool = False) -> Table:
+    """Regenerate Table ``number`` with the settings it takes: ``full``
+    raises ``max_procs`` to 2048 and enables the 1,024/2,048-process
+    configurations; ``store`` routes Table 4 through the chunk store."""
+    settings = {"full": full, "max_procs": 2048 if full else max_procs,
+                "store": store}
+    return TABLES[number].run(
+        **{name: settings[name] for name in _SETTINGS.get(number, ())})
+
+
 def run_all(full: bool = False, max_procs: int = 256):
     """Regenerate every table; returns them in paper order.
 
     ``full`` enables the 1,024/2,048-process configurations (several
     wall-clock minutes each)."""
-    if full:
-        max_procs = 2048
-    t1 = table1.run(max_procs=max_procs)
-    tables = [
-        t1,
-        table2.run(table1=t1),
-        table3.run(full=full),
-        table4.run(),
-        table5.run(full=full),
-        table6.run(),
-        table7.run(),
-        table8.run(),
-        table9.run(),
-    ]
-    return tables
+    t1 = _run_table(1, full, max_procs)
+    return [t1, table2.run(table1=t1)] + [
+        _run_table(number, full, max_procs) for number in range(3, 10)]

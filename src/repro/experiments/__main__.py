@@ -12,13 +12,7 @@ import argparse
 import sys
 import time
 
-from . import run_all
-from . import (table1, table2, table3, table4, table5, table6, table7,
-               table8, table9)
-
-_TABLES = {1: table1, 2: table2, 3: table3, 4: table4, 5: table5,
-           6: table6, 7: table7, 8: table8, 9: table9}
-
+from . import TABLES, _run_table, run_all
 
 _SWEEPS = ("fault_sweep", "service_sweep")
 
@@ -35,7 +29,7 @@ def main(argv=None) -> int:
                         help="include the 1024/2048-process configurations")
     parser.add_argument("--max-procs", type=int, default=256,
                         help="cap Table 1/2 process counts (default 256)")
-    parser.add_argument("--table", type=int, choices=sorted(_TABLES),
+    parser.add_argument("--table", type=int, choices=sorted(TABLES),
                         help="regenerate a single table")
     parser.add_argument("--store", action="store_true",
                         help="Table 4 only: route the Lustre checkpoint "
@@ -45,17 +39,8 @@ def main(argv=None) -> int:
 
     t0 = time.time()
     if args.table:
-        module = _TABLES[args.table]
-        if args.table in (1, 2):
-            table = module.run(max_procs=(2048 if args.full
-                                          else args.max_procs))
-        elif args.table in (3, 5):
-            table = module.run(full=args.full)
-        elif args.table == 4:
-            table = module.run(store=args.store)
-        else:
-            table = module.run()
-        print(table.format())
+        print(_run_table(args.table, args.full, args.max_procs,
+                         args.store).format())
     else:
         for table in run_all(full=args.full, max_procs=args.max_procs):
             print(table.format())

@@ -5,6 +5,7 @@ checkpoint (and restart), and collect the quantities the paper reports."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from ..blcr import ompi_crs_launch
@@ -13,13 +14,12 @@ from ..dmtcp import (
     CostModel,
     DEFAULT_COSTS,
     FileSink,
-    dmtcp_launch,
     dmtcp_restart,
     native_launch,
 )
 from ..hardware import Cluster, HardwareSpec
 from ..mpi import make_mpi_specs
-from ..sim import Environment
+from ..scenario import Scenario
 from ..upc import make_upc_specs
 
 __all__ = ["Outcome", "run_nas", "run_upc_nas"]
@@ -42,14 +42,6 @@ class Outcome:
     @property
     def ok(self) -> bool:
         return len({r.checksum for r in self.results}) <= 1
-
-
-def _wrap_kwargs(app, app_kwargs):
-    def wrapped(ctx, comm):
-        result = yield from app(ctx, comm, **(app_kwargs or {}))
-        return result
-
-    return wrapped
 
 
 def _store_stats(sink, extra: Dict[str, Any], key: str) -> Generator:
@@ -86,85 +78,33 @@ def run_nas(app: Callable, spec: HardwareSpec, nprocs: int,
     tier.  A store's counters land in ``outcome.extra["store"]`` (and
     ``["store_restart"]``).
     """
-    env = Environment()
-    n_nodes = max(1, -(-nprocs // (ppn or spec.cores_per_node)))
-    cluster = Cluster(env, spec, n_nodes=n_nodes,
-                      name=seed_name or f"{spec.name}-{nprocs}-{under}")
-    specs = make_mpi_specs(cluster, nprocs, _wrap_kwargs(app, app_kwargs),
-                           ppn=ppn or spec.cores_per_node,
+    scn = Scenario(spec, nprocs,
+                   seed_name or f"{spec.name}-{nprocs}-{under}", ppn=ppn,
+                   costs=costs)
+    cluster = scn.cluster()
+    specs = make_mpi_specs(cluster, nprocs,
+                           partial(app, **(app_kwargs or {})), ppn=scn.ppn,
                            transport=transport)
+    if under != "blcr":
+        plugin_factory = ((lambda: [InfinibandPlugin(
+            costs=costs, fallback=Ib2TcpPlugin())]) if ib2tcp else None)
+        return _run(scn, cluster, specs, under, checkpoint_after, restart,
+                    gzip=gzip, plugin_factory=plugin_factory,
+                    sink_factory=sink_factory)
     outcome = Outcome()
+    crs = ompi_crs_launch(cluster, specs, costs=costs)
 
-    if under == "native":
-        session = native_launch(cluster, specs)
-        results = env.run(until=env.process(session.wait()))
-    elif under == "blcr":
-        crs = ompi_crs_launch(cluster, specs, costs=costs)
+    def blcr_scenario():
+        if checkpoint_after is not None:
+            yield scn.env.timeout(costs.crs_startup + checkpoint_after)
+            stats = yield from crs.checkpoint()
+            outcome.ckpt_seconds = stats.wall_seconds
+            outcome.ckpt_image_mb = (stats.total_logical_bytes
+                                     / len(specs) / MB)
+            outcome.extra["filem_seconds"] = stats.filem_seconds
+        return (yield from crs.wait())
 
-        def blcr_scenario():
-            if checkpoint_after is not None:
-                yield env.timeout(costs.crs_startup + checkpoint_after)
-                stats = yield from crs.checkpoint()
-                outcome.ckpt_seconds = stats.wall_seconds
-                outcome.ckpt_image_mb = (stats.total_logical_bytes
-                                         / len(specs) / MB)
-                outcome.extra["filem_seconds"] = stats.filem_seconds
-            return (yield from crs.wait())
-
-        results = env.run(until=env.process(blcr_scenario()))
-    elif under == "dmtcp":
-        plugin_factory = (
-            (lambda: [InfinibandPlugin(costs=costs,
-                                       fallback=Ib2TcpPlugin())])
-            if ib2tcp else
-            (lambda: [InfinibandPlugin(costs=costs)]))
-        sink = sink_factory(cluster)
-        session = env.run(until=env.process(dmtcp_launch(
-            cluster, specs, plugin_factory=plugin_factory, costs=costs,
-            gzip=gzip, sink=sink)))
-
-        def dmtcp_scenario():
-            if checkpoint_after is not None:
-                margin = costs.startup_overhead(nprocs) + 0.5
-                yield env.timeout(margin + checkpoint_after)
-                if restart:
-                    ckpt = yield from session.checkpoint(intent="restart")
-                    outcome.ckpt_seconds = ckpt.wall_seconds
-                    outcome.ckpt_image_mb = (ckpt.total_logical_bytes
-                                             / len(ckpt.records) / MB)
-                    yield from _store_stats(sink, outcome.extra, "store")
-                    sink.stop()
-                    cluster.teardown()
-                    cluster2 = Cluster(
-                        env, spec, n_nodes=n_nodes,
-                        name=f"{cluster.name}-restarted")
-                    sink2 = sink_factory(cluster2)
-                    t0 = env.now
-                    session2 = yield from dmtcp_restart(
-                        cluster2, ckpt, costs=costs, sink=sink2)
-                    outcome.restart_seconds = env.now - t0
-                    yield from _store_stats(sink2, outcome.extra,
-                                            "store_restart")
-                    return (yield from session2.wait())
-                ckpt = yield from session.checkpoint(intent="resume")
-                outcome.ckpt_seconds = ckpt.wall_seconds
-                outcome.ckpt_image_mb = (ckpt.total_logical_bytes
-                                         / len(ckpt.records) / MB)
-                yield from _store_stats(sink, outcome.extra, "store")
-            return (yield from session.wait())
-
-        results = env.run(until=env.process(dmtcp_scenario()))
-        sink.stop()
-    else:
-        raise ValueError(f"unknown under={under!r}")
-
-    outcome.results = results
-    outcome.runtime = max(r.projected_runtime() for r in results)
-    outcome.checksum = results[0].checksum
-    stats = getattr(env, "stats", None)
-    if stats is not None:  # kernel counters for obs / BENCH_sim
-        outcome.extra["sim_stats"] = stats.snapshot()
-    return outcome
+    return _finish(scn, outcome, scn.run(blcr_scenario()))
 
 
 def run_upc_nas(app: Callable, spec: HardwareSpec, threads: int,
@@ -180,56 +120,70 @@ def run_upc_nas(app: Callable, spec: HardwareSpec, threads: int,
     ``segment_logical``: bytes the per-thread UPC shared segment stands
     for (Berkeley UPC pre-allocates the whole shared heap, so checkpoint
     images are segment-sized)."""
-    env = Environment()
-    n_nodes = max(1, -(-threads // (ppn or spec.cores_per_node)))
-    cluster = Cluster(env, spec, n_nodes=n_nodes,
-                      name=f"{spec.name}-upc{threads}-{under}")
-
-    def wrapped(ctx, upc):
-        result = yield from app(ctx, upc, **(app_kwargs or {}))
-        return result
-
+    scn = Scenario(spec, threads, f"{spec.name}-upc{threads}-{under}",
+                   ppn=ppn, costs=costs)
+    cluster = scn.cluster()
     segment_scale = (max(1.0, segment_logical / segment_bytes)
                      if segment_logical else 1.0)
-    specs = make_upc_specs(cluster, threads, wrapped,
+    specs = make_upc_specs(cluster, threads,
+                           partial(app, **(app_kwargs or {})),
                            segment_bytes=segment_bytes,
-                           segment_scale=segment_scale,
-                           ppn=ppn or spec.cores_per_node)
+                           segment_scale=segment_scale, ppn=scn.ppn)
+    return _run(scn, cluster, specs, under, checkpoint_after, restart)
+
+
+def _run(scn: Scenario, cluster: Cluster, specs, under: str,
+         checkpoint_after: Optional[float], restart: bool, *,
+         gzip: bool = True,
+         plugin_factory: Optional[Callable[[], list]] = None,
+         sink_factory: Callable[[Cluster], Any] = FileSink) -> Outcome:
+    """The native / DMTCP body :func:`run_nas` and :func:`run_upc_nas`
+    share: launch ``specs`` on ``cluster``, take the one checkpoint, and
+    restart on a fresh cluster when ``restart`` asks for it."""
+    env, costs = scn.env, scn.costs
     outcome = Outcome()
     if under == "native":
-        session = native_launch(cluster, specs)
-        results = env.run(until=env.process(session.wait()))
-    else:
-        session = env.run(until=env.process(dmtcp_launch(
-            cluster, specs,
-            plugin_factory=lambda: [InfinibandPlugin(costs=costs)],
-            costs=costs)))
+        return _finish(scn, outcome,
+                       scn.run(native_launch(cluster, specs).wait()))
+    if under != "dmtcp":
+        raise ValueError(f"unknown under={under!r}")
+    sink = sink_factory(cluster)
+    session = env.run(until=env.process(scn.launch(
+        cluster, specs, plugin_factory, gzip=gzip, sink=sink)))
 
-        def scenario():
-            if checkpoint_after is not None:
-                yield env.timeout(costs.startup_overhead(threads) + 0.5
-                                  + checkpoint_after)
-                intent = "restart" if restart else "resume"
-                ckpt = yield from session.checkpoint(intent=intent)
-                outcome.ckpt_seconds = ckpt.wall_seconds
-                outcome.ckpt_image_mb = (ckpt.total_logical_bytes
-                                         / len(ckpt.records) / MB)
-                if restart:
-                    cluster.teardown()
-                    cluster2 = Cluster(env, spec, n_nodes=n_nodes,
-                                       name=f"{cluster.name}-restarted")
-                    t0 = env.now
-                    session2 = yield from dmtcp_restart(cluster2, ckpt,
-                                                        costs=costs)
-                    outcome.restart_seconds = env.now - t0
-                    return (yield from session2.wait())
-            return (yield from session.wait())
+    def dmtcp_scenario():
+        if checkpoint_after is not None:
+            margin = costs.startup_overhead(scn.nprocs) + 0.5
+            yield env.timeout(margin + checkpoint_after)
+            ckpt = yield from session.checkpoint(
+                intent="restart" if restart else "resume")
+            outcome.ckpt_seconds = ckpt.wall_seconds
+            outcome.ckpt_image_mb = (ckpt.total_logical_bytes
+                                     / len(ckpt.records) / MB)
+            yield from _store_stats(sink, outcome.extra, "store")
+            if restart:
+                sink.stop()
+                cluster.teardown()
+                cluster2 = scn.cluster("restarted")
+                sink2 = sink_factory(cluster2)
+                t0 = env.now
+                session2 = yield from dmtcp_restart(
+                    cluster2, ckpt, costs=costs, sink=sink2)
+                outcome.restart_seconds = env.now - t0
+                yield from _store_stats(sink2, outcome.extra,
+                                        "store_restart")
+                return (yield from session2.wait())
+        return (yield from session.wait())
 
-        results = env.run(until=env.process(scenario()))
+    results = scn.run(dmtcp_scenario())
+    sink.stop()
+    return _finish(scn, outcome, results)
+
+
+def _finish(scn: Scenario, outcome: Outcome, results) -> Outcome:
     outcome.results = results
     outcome.runtime = max(r.projected_runtime() for r in results)
     outcome.checksum = results[0].checksum
-    stats = getattr(env, "stats", None)
-    if stats is not None:  # kernel counters for obs / BENCH_sim
-        outcome.extra["sim_stats"] = stats.snapshot()
+    # kernel counters for obs / BENCH_sim
+    outcome.extra["sim_stats"] = scn.env.stats.snapshot()
     return outcome

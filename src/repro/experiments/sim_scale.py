@@ -25,10 +25,9 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from ..hardware import MGHPCC, Cluster
+from ..hardware import MGHPCC
 from ..dmtcp import native_launch
-from ..mpi import make_mpi_specs
-from ..sim import Environment
+from ..scenario import Scenario
 
 __all__ = ["mpi_pingpong_app", "run_pingpong", "run_lu", "RANK_LADDER"]
 
@@ -73,45 +72,28 @@ def mpi_pingpong_app(ctx, comm, iters: int = 6,
             "sim_seconds": ctx.env.now}
 
 
-def _events_of(env: Environment) -> int:
-    stats = getattr(env, "stats", None)
-    if stats is not None:
-        return int(stats.events)
-    return -1  # pre-stats kernel: caller must instrument itself
-
-
 def run_pingpong(nprocs: int, iters: int = 6,
                  msg_bytes: int = PP_MSG_BYTES, ppn: int = 16) -> dict:
     """Native N-rank paired pingpong; returns measurements + checksum."""
-    env = Environment()
-    n_nodes = max(2, -(-nprocs // ppn))
-    cluster = Cluster(env, MGHPCC, n_nodes=n_nodes,
-                      name=f"simscale-pp-{nprocs}")
-
-    def app(ctx, comm):
-        result = yield from mpi_pingpong_app(ctx, comm, iters=iters,
-                                             msg_bytes=msg_bytes)
-        return result
-
-    specs = make_mpi_specs(cluster, nprocs, app, ppn=ppn)
+    scn = Scenario(MGHPCC, nprocs, f"simscale-pp-{nprocs}", ppn=ppn)
+    cluster = scn.cluster(n_nodes=max(2, scn.n_nodes))
+    specs = scn.mpi_specs(cluster, mpi_pingpong_app, iters=iters,
+                          msg_bytes=msg_bytes)
     session = native_launch(cluster, specs)
     t0 = time.perf_counter()
-    results = env.run(until=env.process(session.wait()))
+    results = scn.run(session.wait())
     wall = time.perf_counter() - t0
     checksums = {r["checksum"] for r in results}
     assert len(checksums) == 1, "pingpong ranks disagree on checksum"
     assert sum(r["errors"] for r in results) == 0
-    events = _events_of(env)
-    out = {
+    stats = scn.env.stats
+    return {
         "scenario": "pingpong", "ranks": nprocs, "iters": iters,
-        "events": events, "wallclock": wall,
-        "events_per_sec": events / wall if events > 0 and wall > 0 else 0.0,
-        "sim_seconds": env.now, "checksum": checksums.pop(),
+        "events": stats.events, "wallclock": wall,
+        "events_per_sec": stats.events / wall if wall > 0 else 0.0,
+        "sim_seconds": scn.env.now, "checksum": checksums.pop(),
+        "sim_stats": stats.snapshot(),
     }
-    stats = getattr(env, "stats", None)
-    if stats is not None:
-        out["sim_stats"] = stats.snapshot()
-    return out
 
 
 def run_lu(nprocs: int, iters_sim: int = 2, klass: str = "A",
@@ -129,15 +111,12 @@ def run_lu(nprocs: int, iters_sim: int = 2, klass: str = "A",
     assert outcome.ok
     # run_nas builds its own Environment and stashes the kernel's step
     # counters in extra["sim_stats"]
-    stats = outcome.extra.get("sim_stats")
-    events = int(stats["events"]) if stats else -1
-    out = {
+    stats = outcome.extra["sim_stats"]
+    return {
         "scenario": "lu", "ranks": nprocs, "iters": iters_sim,
-        "events": events, "wallclock": wall,
-        "events_per_sec": events / wall if events > 0 and wall > 0 else 0.0,
+        "events": stats["events"], "wallclock": wall,
+        "events_per_sec": stats["events"] / wall if wall > 0 else 0.0,
         "ckpt_seconds": outcome.ckpt_seconds,
         "checksum": outcome.checksum,
+        "sim_stats": dict(stats),
     }
-    if stats:
-        out["sim_stats"] = dict(stats)
-    return out

@@ -7,9 +7,9 @@ from __future__ import annotations
 from ..apps.pingpong import pingpong_app
 from ..apps.nas.common import post_restart_rate
 from ..core import Ib2TcpPlugin, InfinibandPlugin
-from ..dmtcp import dmtcp_launch, dmtcp_restart, native_launch, AppSpec
-from ..hardware import Cluster, DEV_CLUSTER, ETHERNET_DEBUG_CLUSTER
-from ..sim import Environment
+from ..dmtcp import native_launch, AppSpec
+from ..hardware import DEV_CLUSTER, ETHERNET_DEBUG_CLUSTER
+from ..scenario import Scenario
 from .tables import Table
 
 __all__ = ["PAPER", "run"]
@@ -52,30 +52,27 @@ def run(iters: int = 3000) -> Table:
         ["environment", "time(s)", "Gbit/s", "paper-time", "paper-Gbit/s"])
 
     def steady(factory, migrate=False):
-        env = Environment()
-        cluster = Cluster(env, DEV_CLUSTER, n_nodes=2, name="pp-t8")
+        scn = Scenario(DEV_CLUSTER, 2, "pp-t8", ppn=1)
+        env = scn.env
+        cluster = scn.cluster()
         if factory is None:  # bare InfiniBand
             session = native_launch(cluster, _specs(cluster, iters))
-            results = env.run(until=env.process(session.wait()))
+            results = scn.run(session.wait())
             return max(r["elapsed"] / r["iters"] for r in results)
-        session = env.run(until=env.process(dmtcp_launch(
-            cluster, _specs(cluster, iters), plugin_factory=factory)))
+        session = env.run(until=env.process(scn.launch(
+            cluster, _specs(cluster, iters), factory)))
         if not migrate:
-            results = env.run(until=env.process(session.wait()))
+            results = scn.run(session.wait())
             return max(r["elapsed"] / r["iters"] for r in results)
 
         def scenario():
             yield env.timeout(0.01)  # a few hundred iterations in
-            ckpt = yield from session.checkpoint(intent="restart")
-            cluster.teardown()
-            debug = Cluster(env, ETHERNET_DEBUG_CLUSTER, n_nodes=2,
-                            name="pp-t8-debug")
-            t_restarted = env.now
-            session2 = yield from dmtcp_restart(debug, ckpt)
-            results = yield from session2.wait()
-            return results, t_restarted
+            _, session2, _, t_restarted = yield from scn.move(
+                session, cluster,
+                lambda: scn.cluster("debug", spec=ETHERNET_DEBUG_CLUSTER))
+            return (yield from session2.wait()), t_restarted
 
-        results, t_restarted = env.run(until=env.process(scenario()))
+        results, t_restarted = scn.run(scenario())
         # steady-state per-iteration rate measured after the migration
         return max(post_restart_rate(r["marks"], t_restarted)
                    for r in results)

@@ -8,10 +8,9 @@ from __future__ import annotations
 from ..apps.nas import lu_app
 from ..apps.nas.common import NAS, post_restart_rate
 from ..core import Ib2TcpPlugin, InfinibandPlugin
-from ..dmtcp import dmtcp_launch, dmtcp_restart, native_launch
-from ..hardware import Cluster, DEV_CLUSTER, ETHERNET_DEBUG_CLUSTER
-from ..mpi import make_mpi_specs
-from ..sim import Environment
+from ..dmtcp import native_launch
+from ..hardware import DEV_CLUSTER, ETHERNET_DEBUG_CLUSTER
+from ..scenario import Scenario
 from .tables import Table
 
 __all__ = ["PAPER", "run"]
@@ -32,36 +31,32 @@ def _steady_runtime(factory=None, migrate_nodes: int = 0) -> float:
     """LU.A.2 runtime in one environment ('runtime does not involve the
     checkpoint and restart times' — migrated rows are projected from the
     post-restart per-iteration rate)."""
-    env = Environment()
-    cluster = Cluster(env, DEV_CLUSTER, n_nodes=2, name="t9")
-    specs = make_mpi_specs(
-        cluster, 2, lambda ctx, comm: lu_app(ctx, comm, "A", _ITERS_SIM),
-        ppn=1)
+    scn = Scenario(DEV_CLUSTER, 2, "t9", ppn=1)
+    env = scn.env
+    cluster = scn.cluster()
+    specs = scn.mpi_specs(cluster, lu_app, klass="A", iters_sim=_ITERS_SIM)
     spec = NAS[("LU", "A")]
     if factory is None:
         session = native_launch(cluster, specs)
-        results = env.run(until=env.process(session.wait()))
+        results = scn.run(session.wait())
         return max(r.projected_runtime() for r in results)
-    session = env.run(until=env.process(dmtcp_launch(
-        cluster, specs, plugin_factory=factory)))
+    session = env.run(until=env.process(scn.launch(cluster, specs,
+                                                   factory)))
     if not migrate_nodes:
-        results = env.run(until=env.process(session.wait()))
+        results = scn.run(session.wait())
         return max(r.projected_runtime() for r in results)
 
     def scenario():
         yield env.timeout(1.6)  # a few iterations in
-        ckpt = yield from session.checkpoint(intent="restart")
-        cluster.teardown()
-        debug = Cluster(env, ETHERNET_DEBUG_CLUSTER,
-                        n_nodes=migrate_nodes, name="t9-debug")
-        node_map = None if migrate_nodes == 2 else {0: 0, 1: 0}
-        session2 = yield from dmtcp_restart(debug, ckpt,
-                                            node_map=node_map)
+        _, session2, _, _ = yield from scn.move(
+            session, cluster,
+            lambda: scn.cluster("debug", spec=ETHERNET_DEBUG_CLUSTER,
+                                n_nodes=migrate_nodes),
+            node_map=None if migrate_nodes == 2 else {0: 0, 1: 0})
         t_restarted = env.now
-        results = yield from session2.wait()
-        return results, t_restarted
+        return (yield from session2.wait()), t_restarted
 
-    results, t_restarted = env.run(until=env.process(scenario()))
+    results, t_restarted = scn.run(scenario())
     per_iter = max(post_restart_rate(r.marks, t_restarted)
                    for r in results)
     init = min(r.t_init for r in results)

@@ -1,8 +1,9 @@
 """Chaos harness: NAS under fault injection, end to end.
 
-:func:`run_chaos_nas` assembles the whole stack — environment, seeded RNG,
-Poisson failure schedule, injector, recovery manager, a fresh cluster per
-job generation — runs a NAS kernel to completion through failures, and
+:func:`run_chaos_nas` assembles the whole stack — a
+:class:`~repro.scenario.Scenario` (environment, seeded RNG, a fresh
+cluster per job generation), Poisson failure schedule, injector,
+recovery manager — runs a NAS kernel to completion through failures, and
 returns a :class:`ChaosOutcome`.  Everything stochastic descends from one
 root seed, so two same-seed runs are bit-for-bit identical.
 
@@ -25,11 +26,9 @@ from typing import Any, Callable, Dict, List, Optional
 from ..apps.ml import ml_app
 from ..apps.nas import ft_app, lu_app
 from ..core import InfinibandPlugin
-from ..dmtcp import (DEFAULT_COSTS, CostModel, FileSink, dmtcp_launch,
-                     dmtcp_restart)
+from ..dmtcp import DEFAULT_COSTS, CostModel, FileSink, dmtcp_restart
 from ..hardware import BUFFALO_CCR, Cluster, HardwareSpec
-from ..mpi import make_mpi_specs
-from ..sim import Environment, RngFactory
+from ..scenario import Scenario
 from .injector import FailureRecord, Injector
 from .recovery import RecoveryConfig, RecoveryManager, RecoveryOutcome
 from .schedule import (FailureEvent, FailureSchedule, FixedSchedule,
@@ -67,7 +66,7 @@ class ChaosOutcome:
     failures: List[FailureRecord] = field(default_factory=list)
     #: event-kernel counters (``Environment.stats.snapshot()``): events
     #: processed, heap peak, same-timestamp batch shape
-    sim_stats: Optional[Dict[str, Any]] = None
+    sim_stats: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def completion_seconds(self) -> float:
@@ -106,26 +105,17 @@ def run_chaos_nas(app: str = "lu", klass: str = "A", nprocs: int = 4,
     ``repro.analysis.sanitized()``.
     """
     app_fn = _APPS[app]
-    env = Environment()
-    rng = RngFactory(seed)
-    n_nodes = max(1, -(-nprocs // ppn))
-
-    def wrapped(ctx, comm):
-        result = yield from app_fn(ctx, comm, klass=klass,
-                                   iters_sim=iters_sim)
-        return result
-
-    def cluster_factory(tag: str) -> Cluster:
-        return Cluster(env, spec, n_nodes=n_nodes, rng=rng,
-                       name=f"chaos-{app}{klass}-{seed}-{tag}")
+    scn = Scenario(spec, nprocs, f"chaos-{app}{klass}-{seed}", ppn=ppn,
+                   seed=seed, costs=costs)
 
     def specs_for(cluster: Cluster):
-        return make_mpi_specs(cluster, nprocs, wrapped, ppn=ppn)
+        return scn.mpi_specs(cluster, app_fn, klass=klass,
+                             iters_sim=iters_sim)
 
     if schedule is None:
-        schedule = PoissonSchedule(rng, n_nodes=n_nodes,
+        schedule = PoissonSchedule(scn.rng, n_nodes=scn.n_nodes,
                                    mtbf_node=mtbf_node, kind=kind)
-    injector = Injector(env, schedule)
+    injector = Injector(scn.env, schedule)
     config = RecoveryConfig(
         ckpt_interval=ckpt_interval, sink_factory=sink_factory, gzip=gzip,
         incremental=incremental,
@@ -133,18 +123,15 @@ def run_chaos_nas(app: str = "lu", klass: str = "A", nprocs: int = 4,
         backoff_base=backoff_base, backoff_factor=backoff_factor,
         backoff_max=backoff_max, backoff_jitter=backoff_jitter)
     manager = RecoveryManager(
-        env, cluster_factory, specs_for, config, costs=costs,
-        plugin_factory=lambda: [InfinibandPlugin(costs=costs)],
-        injector=injector, rng=rng)
-    recovery = env.run(until=env.process(manager.run()))
+        scn.env, scn.cluster, specs_for, config, costs=costs,
+        plugin_factory=scn.plugins, injector=injector, rng=scn.rng)
+    recovery = scn.run(manager.run())
     injector.stop()
     return ChaosOutcome(
-        app=app, klass=klass, nprocs=nprocs, n_nodes=n_nodes,
+        app=app, klass=klass, nprocs=nprocs, n_nodes=scn.n_nodes,
         mtbf_node=mtbf_node, ckpt_interval=ckpt_interval, seed=seed,
         checksum=recovery.results[0].checksum, recovery=recovery,
-        failures=list(injector.records),
-        sim_stats=env.stats.snapshot()
-        if getattr(env, "stats", None) is not None else None)
+        failures=list(injector.records), sim_stats=scn.env.stats.snapshot())
 
 
 def verify_restart_path(seed: int = 2014, klass: str = "A",
@@ -161,28 +148,21 @@ def verify_restart_path(seed: int = 2014, klass: str = "A",
     ``reposted_recvs``, ``replayed_modifies``, ``drained_completions``),
     the id re-virtualization booleans, and the completed job's results.
     """
-    env = Environment()
-    rng = RngFactory(seed)
-    n_nodes = max(1, -(-nprocs // ppn))
-    cluster = Cluster(env, spec, n_nodes=n_nodes, rng=rng,
-                      name=f"vrp-{seed}-prod")
+    scn = Scenario(spec, nprocs, f"vrp-{seed}", ppn=ppn, seed=seed,
+                   costs=costs)
+    env = scn.env
+    cluster = scn.cluster("prod")
     plugins: List[InfinibandPlugin] = []
 
     def factory():
-        plugin = InfinibandPlugin(costs=costs)
-        plugins.append(plugin)
-        return [plugin]
+        made = scn.plugins()
+        plugins.extend(made)
+        return made
 
-    def wrapped(ctx, comm):
-        result = yield from lu_app(ctx, comm, klass=klass)
-        return result
-
-    specs = make_mpi_specs(cluster, nprocs, wrapped, ppn=ppn)
+    specs = scn.mpi_specs(cluster, lu_app, klass=klass)
 
     def scenario():
-        session = yield from dmtcp_launch(cluster, specs,
-                                          plugin_factory=factory,
-                                          costs=costs)
+        session = yield from scn.launch(cluster, specs, factory)
         yield env.timeout(freeze_after)  # mid-iteration, traffic in flight
         ckpt = yield from session.checkpoint(intent="restart")
         # the failure: a node dies for real (injector, not teardown) — the
@@ -193,13 +173,11 @@ def verify_restart_path(seed: int = 2014, klass: str = "A",
         injector.set_target(cluster)
         record = yield injector.arm()
         cluster.teardown()  # power off the rest of the dead partition
-        spare = Cluster(env, spec, n_nodes=n_nodes, rng=rng,
-                        name=f"vrp-{seed}-spare")
-        session2 = yield from dmtcp_restart(spare, ckpt, costs=costs)
-        results = yield from session2.wait()
-        return record, results
+        session2 = yield from dmtcp_restart(scn.cluster("spare"), ckpt,
+                                            costs=costs)
+        return record, (yield from session2.wait())
 
-    record, results = env.run(until=env.process(scenario()))
+    record, results = scn.run(scenario())
 
     counters = {key: sum(p.stats[key] for p in plugins)
                 for key in ("reposted_sends", "reposted_recvs",

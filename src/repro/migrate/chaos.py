@@ -2,8 +2,9 @@
 
 End-to-end harnesses in the :func:`repro.faults.run_chaos_nas` mold —
 each builds the whole stack (environment, seeded RNG, cluster(s), an LU
-job) and runs one migration story to completion, returning a plain dict
-the tests and the migration sweep both consume:
+job) through one :class:`~repro.scenario.Scenario` and runs one migration
+story to completion, returning a plain dict the tests and the migration
+sweep both consume:
 
 * :func:`run_baseline_lu` — the non-migrating control: same job, same
   seed, run to completion in place.  Its checksum is the bit-identity
@@ -29,16 +30,13 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from ..apps.nas import lu_app
-from ..core import InfinibandPlugin
-from ..dmtcp import DEFAULT_COSTS, CostModel, dmtcp_launch
-from ..dmtcp.launcher import JobTracker
+from ..dmtcp import DEFAULT_COSTS, CostModel
 from ..faults.injector import Injector
 from ..faults.recovery import (ChaosGate, ChaosPlugin, RecoveryConfig,
                                RecoveryManager, RecoveryOutcome)
 from ..faults.schedule import FailureEvent, FixedSchedule
-from ..hardware import BUFFALO_CCR, Cluster, HardwareSpec
-from ..mpi import make_mpi_specs
-from ..sim import Environment, RngFactory
+from ..hardware import BUFFALO_CCR, HardwareSpec
+from ..scenario import Scenario
 from .elastic import elastic_restart
 from .manager import MigrationConfig
 from .postcopy import postcopy_restart
@@ -47,39 +45,23 @@ __all__ = ["run_baseline_lu", "run_cycle_lu", "run_elastic_lu",
            "run_postcopy_lu", "run_precopy_lu"]
 
 
-def _lu(klass: str, iters_sim: int):
-    def wrapped(ctx, comm):
-        result = yield from lu_app(ctx, comm, klass=klass,
-                                   iters_sim=iters_sim)
-        return result
-    return wrapped
-
-
 def run_baseline_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
                     ppn: int = 1, iters_sim: int = 6,
                     spec: HardwareSpec = BUFFALO_CCR,
                     costs: CostModel = DEFAULT_COSTS) -> Dict[str, Any]:
     """The non-migrating control run (see module docstring)."""
-    env = Environment()
-    rng = RngFactory(seed)
-    n_nodes = max(1, -(-nprocs // ppn))
-    cluster = Cluster(env, spec, n_nodes=n_nodes, rng=rng,
-                      name=f"base-{seed}")
-    specs = make_mpi_specs(cluster, nprocs, _lu(klass, iters_sim), ppn=ppn)
-    tracker = JobTracker()
+    scn = Scenario(spec, nprocs, f"base-{seed}", ppn=ppn, seed=seed,
+                   costs=costs)
+    cluster = scn.cluster()
+    specs = scn.mpi_specs(cluster, lu_app, klass=klass, iters_sim=iters_sim)
 
     def scenario():
-        session = yield from dmtcp_launch(
-            cluster, specs,
-            plugin_factory=lambda: [InfinibandPlugin(costs=costs)],
-            costs=costs, tracker=tracker)
-        results = yield from session.wait()
-        return results
+        session = yield from scn.launch(cluster, specs)
+        return (yield from session.wait())
 
-    results = env.run(until=env.process(scenario()))
-    tracker.kill_all()
+    results = scn.run(scenario())
     return {"checksum": results[0].checksum, "results": results,
-            "completion_seconds": env.now}
+            "completion_seconds": scn.env.now}
 
 
 def run_cycle_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
@@ -91,35 +73,22 @@ def run_cycle_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
     with: freeze-to-disk, teardown, stage, restart-from-disk.  Returns
     the cycle's wall time (``cycle_seconds``) plus the completed job's
     checksum."""
-    env = Environment()
-    rng = RngFactory(seed)
-    n_nodes = max(1, -(-nprocs // ppn))
-    source = Cluster(env, spec, n_nodes=n_nodes, rng=rng,
-                     name=f"cyc-{seed}-src")
-    specs = make_mpi_specs(source, nprocs, _lu(klass, iters_sim), ppn=ppn)
-    tracker = JobTracker()
+    scn = Scenario(spec, nprocs, f"cyc-{seed}", ppn=ppn, seed=seed,
+                   costs=costs)
+    source = scn.cluster("src")
+    specs = scn.mpi_specs(source, lu_app, klass=klass, iters_sim=iters_sim)
 
     def scenario():
-        from ..dmtcp import dmtcp_restart
-        session = yield from dmtcp_launch(
-            source, specs,
-            plugin_factory=lambda: [InfinibandPlugin(costs=costs)],
-            costs=costs, tracker=tracker)
-        yield env.timeout(warmup)
-        t_stop = env.now
-        ckpt = yield from session.checkpoint(intent="restart")
-        source.teardown()
-        target = Cluster(env, spec, n_nodes=n_nodes, rng=rng,
-                         name=f"cyc-{seed}-dst")
-        session2 = yield from dmtcp_restart(target, ckpt, costs=costs)
-        cycle = env.now - t_stop
-        results = yield from session2.wait()
-        return cycle, results
+        session = yield from scn.launch(source, specs)
+        yield scn.env.timeout(warmup)
+        _, session2, t_stop, _ = yield from scn.move(
+            session, source, lambda: scn.cluster("dst"))
+        cycle = scn.env.now - t_stop
+        return cycle, (yield from session2.wait())
 
-    cycle, results = env.run(until=env.process(scenario()))
-    tracker.kill_all()
+    cycle, results = scn.run(scenario())
     return {"checksum": results[0].checksum, "results": results,
-            "cycle_seconds": cycle, "completion_seconds": env.now}
+            "cycle_seconds": cycle, "completion_seconds": scn.env.now}
 
 
 def run_precopy_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
@@ -137,13 +106,10 @@ def run_precopy_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
     pre-copy starts and recovers by retrying onto a fresh target through
     :meth:`RecoveryManager.supervise_migration`.
     """
-    env = Environment()
-    rng = RngFactory(seed)
-    n_nodes = max(1, -(-nprocs // ppn))
-    source = Cluster(env, spec, n_nodes=n_nodes, rng=rng,
-                     name=f"mig-{seed}-src")
-    specs = make_mpi_specs(source, nprocs, _lu(klass, iters_sim), ppn=ppn)
-    tracker = JobTracker()
+    scn = Scenario(spec, nprocs, f"mig-{seed}", ppn=ppn, seed=seed,
+                   costs=costs)
+    source = scn.cluster("src")
+    specs = scn.mpi_specs(source, lu_app, klass=klass, iters_sim=iters_sim)
     if config is None:
         if rounds is not None:
             # a forced round count needs enough rounds of headroom that
@@ -157,42 +123,33 @@ def run_precopy_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
         else:
             config = MigrationConfig()
 
-    def target_factory(tag: str) -> Cluster:
-        return Cluster(env, spec, n_nodes=n_nodes, rng=rng,
-                       name=f"mig-{seed}-{tag}")
-
     injector = None
     recovery = RecoveryManager(
-        env, target_factory, lambda cluster: [],
+        scn.env, scn.cluster, lambda cluster: [],
         RecoveryConfig(ckpt_interval=1e9, max_attempts=4,
                        backoff_base=0.1, backoff_max=1.0,
                        backoff_jitter=backoff_jitter),
-        costs=costs, injector=None, rng=rng, name="migrate-disrupt")
+        costs=costs, injector=None, rng=scn.rng, name="migrate-disrupt")
     outcome = RecoveryOutcome()
 
     def scenario():
         nonlocal injector
-        session = yield from dmtcp_launch(
-            source, specs,
-            plugin_factory=lambda: [InfinibandPlugin(costs=costs)],
-            costs=costs, tracker=tracker)
-        yield env.timeout(warmup)
+        session = yield from scn.launch(source, specs)
+        yield scn.env.timeout(warmup)
         if disrupt:
             # scheduled relative to the migration's own start so the
             # crash always lands inside attempt 1's pre-copy window
-            injector = Injector(env, FixedSchedule([
-                FailureEvent(t=env.now + crash_delay, kind="node-crash",
-                             node_index=0)]))
+            injector = Injector(scn.env, FixedSchedule([
+                FailureEvent(t=scn.env.now + crash_delay,
+                             kind="node-crash", node_index=0)]))
             recovery.injector = injector
         result = yield from recovery.supervise_migration(
-            session, target_factory, mig_config=config, outcome=outcome)
-        results = yield from result.session.wait()
-        return result, results
+            session, scn.cluster, mig_config=config, outcome=outcome)
+        return result, (yield from result.session.wait())
 
-    result, results = env.run(until=env.process(scenario()))
+    result, results = scn.run(scenario())
     if injector is not None:
         injector.stop()
-    tracker.kill_all()
     return {
         "checksum": results[0].checksum,
         "results": results,
@@ -202,7 +159,7 @@ def run_precopy_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
         "round_bytes": result.round_bytes,
         "precopy_bytes": result.precopy_bytes,
         "stopcopy_bytes": result.stopcopy_bytes,
-        "completion_seconds": env.now,
+        "completion_seconds": scn.env.now,
         "outcome": outcome,
         "failures": list(injector.records) if injector is not None else [],
     }
@@ -227,23 +184,18 @@ def run_postcopy_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
 
     if brownout and not spec.has_lustre:
         spec = MGHPCC
-    env = Environment()
-    rng = RngFactory(seed)
-    n_nodes = max(1, -(-nprocs // ppn))
-    source = Cluster(env, spec, n_nodes=n_nodes, rng=rng,
-                     name=f"pcr-{seed}-src")
-    specs = make_mpi_specs(source, nprocs, _lu(klass, iters_sim), ppn=ppn)
+    scn = Scenario(spec, nprocs, f"pcr-{seed}", ppn=ppn, seed=seed,
+                   costs=costs)
+    env = scn.env
+    source = scn.cluster("src")
+    specs = scn.mpi_specs(source, lu_app, klass=klass, iters_sim=iters_sim)
     gate = ChaosGate(env, world=nprocs)
-    tracker = JobTracker()
     injector = None
 
     def scenario():
         nonlocal injector
-        session = yield from dmtcp_launch(
-            source, specs,
-            plugin_factory=lambda: [InfinibandPlugin(costs=costs),
-                                    ChaosPlugin(gate)],
-            costs=costs, tracker=tracker)
+        session = yield from scn.launch(
+            source, specs, lambda: scn.plugins() + [ChaosPlugin(gate)])
         yield env.timeout(warmup)
         # iteration-consistent cut: the factories re-run on the target
         all_parked = gate.request()
@@ -256,13 +208,12 @@ def run_postcopy_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
         ckpt = yield from session.checkpoint(intent="resume")
         # the source is gone from here on — ranks die parked at the gate,
         # and post-copy re-runs the factories with fresh plugins
-        tracker.close()
+        scn.tracker.close()
         source.teardown()
         gate.reset()
-        target = Cluster(env, spec, n_nodes=n_nodes, rng=rng,
-                         name=f"pcr-{seed}-dst")
-        specs2 = make_mpi_specs(target, nprocs, _lu(klass, iters_sim),
-                                ppn=ppn)
+        target = scn.cluster("dst")
+        specs2 = scn.mpi_specs(target, lu_app, klass=klass,
+                               iters_sim=iters_sim)
         store = CheckpointStore(target)
         store.stage_from(ckpt, tiers=("lustre",) if brownout else None)
         if brownout:
@@ -274,9 +225,8 @@ def run_postcopy_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
             injector.set_target(target)
         session2, pagers = yield from postcopy_restart(
             target, ckpt, specs2, store,
-            plugin_factory=lambda: [InfinibandPlugin(costs=costs)],
-            costs=costs, generation=2, prefetch=prefetch,
-            retry_jitter=retry_jitter, rng=rng)
+            plugin_factory=scn.plugins, costs=costs, generation=2,
+            prefetch=prefetch, retry_jitter=retry_jitter, rng=scn.rng)
         results = yield from session2.wait()
         for pager in pagers:
             pager.stop()
@@ -284,10 +234,9 @@ def run_postcopy_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
         store.stop()
         return results, pagers
 
-    results, pagers = env.run(until=env.process(scenario()))
+    results, pagers = scn.run(scenario())
     if injector is not None:
         injector.stop()
-    tracker.kill_all()
     stats = {key: sum(p.stats[key] for p in pagers)
              for key in ("faults", "pageins", "prefetched", "retries")}
     return {
@@ -307,34 +256,24 @@ def run_elastic_lu(seed: int = 2014, klass: str = "A", nprocs: int = 8,
                    costs: CostModel = DEFAULT_COSTS) -> Dict[str, Any]:
     """Freeze ``nprocs`` ranks mid-run and revive them on
     ``target_nodes`` nodes (shrink when < N, expand when > N)."""
-    env = Environment()
-    rng = RngFactory(seed)
-    n_nodes = max(1, -(-nprocs // ppn))
-    source = Cluster(env, spec, n_nodes=n_nodes, rng=rng,
-                     name=f"ela-{seed}-src")
-    specs = make_mpi_specs(source, nprocs, _lu(klass, iters_sim), ppn=ppn)
-    tracker = JobTracker()
+    scn = Scenario(spec, nprocs, f"ela-{seed}", ppn=ppn, seed=seed,
+                   costs=costs)
+    source = scn.cluster("src")
+    specs = scn.mpi_specs(source, lu_app, klass=klass, iters_sim=iters_sim)
 
     def scenario():
-        session = yield from dmtcp_launch(
-            source, specs,
-            plugin_factory=lambda: [InfinibandPlugin(costs=costs)],
-            costs=costs, tracker=tracker)
-        yield env.timeout(warmup)
-        ckpt = yield from session.checkpoint(intent="restart")
-        source.teardown()
-        target = Cluster(env, spec, n_nodes=target_nodes, rng=rng,
-                         name=f"ela-{seed}-dst")
-        session2, node_map = yield from elastic_restart(target, ckpt,
-                                                        costs=costs)
-        results = yield from session2.wait()
-        return results, node_map
+        session = yield from scn.launch(source, specs)
+        yield scn.env.timeout(warmup)
+        _, (session2, node_map), _, _ = yield from scn.move(
+            session, source,
+            lambda: scn.cluster("dst", n_nodes=target_nodes),
+            restart=elastic_restart)
+        return (yield from session2.wait()), node_map
 
-    results, node_map = env.run(until=env.process(scenario()))
-    tracker.kill_all()
+    results, node_map = scn.run(scenario())
     return {
         "checksum": results[0].checksum,
         "results": results,
         "node_map": node_map,
-        "completion_seconds": env.now,
+        "completion_seconds": scn.env.now,
     }

@@ -477,9 +477,8 @@ def trace_scenario(app: str = "lu", seed: int = 2014,
             seed=seed, ckpt_interval=ckpt_interval,
             schedule=FixedSchedule(failures),
             sink_factory=sink_factory or FileSink, incremental=incremental, backoff_base=0.25)
-    if outcome.sim_stats is not None:
-        stats = outcome.sim_stats
-        tracer.metrics.counter("sim.events").inc(stats["events"])
-        tracer.metrics.counter("sim.heap_peak").inc(stats["heap_peak"])
-        tracer.metrics.counter("sim.batch_size").inc(stats["max_batch"])
+    stats = outcome.sim_stats
+    tracer.metrics.counter("sim.events").inc(stats["events"])
+    tracer.metrics.counter("sim.heap_peak").inc(stats["heap_peak"])
+    tracer.metrics.counter("sim.batch_size").inc(stats["max_batch"])
     return tracer, outcome
