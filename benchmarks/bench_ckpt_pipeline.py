@@ -47,6 +47,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.dmtcp import RunConfig  # noqa: E402
 from repro.dmtcp import image as image_mod  # noqa: E402
 from repro.dmtcp.image import CheckpointImage  # noqa: E402
 from repro.faults.harness import run_chaos_nas  # noqa: E402
@@ -189,7 +190,7 @@ def simulated(quick: bool) -> dict:
             result = run_chaos_nas(
                 app=app, klass=klass, nprocs=4, iters_sim=iters,
                 ckpt_interval=0.3, schedule=FixedSchedule([]),
-                incremental=incremental)
+                config=RunConfig(incremental=incremental))
             rec = result.recovery
             row[label] = {
                 "n_checkpoints": rec.n_checkpoints,

@@ -10,7 +10,7 @@ import numpy as np
 from conftest import run_once
 
 from repro.apps.nas import lu_app
-from repro.dmtcp import CostModel
+from repro.dmtcp import CostModel, RunConfig
 from repro.experiments.runner import run_nas
 from repro.hardware import BUFFALO_CCR
 
@@ -24,7 +24,8 @@ def test_ablation_drain_settle(benchmark):
             costs = CostModel(drain_settle=settle)
             out = run_nas(lu_app, BUFFALO_CCR, 4, ppn=1, under="dmtcp",
                           app_kwargs={"klass": "A", "iters_sim": 12},
-                          checkpoint_after=1.0, restart=True, costs=costs)
+                          checkpoint_after=1.0, restart=True,
+                          config=RunConfig(costs=costs))
             results.append((settle, out))
         return results
 

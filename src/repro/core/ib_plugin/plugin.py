@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ... import hooks
-from ...dmtcp.costs import CostModel, DEFAULT_COSTS
 from ...dmtcp.events import DmtcpEvent
 from ...dmtcp.plugin import Plugin
 from ...ibverbs.enums import (AccessFlags, QpAttrMask, QpType, WcOpcode,
@@ -64,12 +63,10 @@ class InfinibandPlugin(Plugin):
 
     name = "infiniband"
 
-    def __init__(self, costs: CostModel = DEFAULT_COSTS,
-                 allow_driver_reload: bool = False,
+    def __init__(self, allow_driver_reload: bool = False,
                  globally_unique_vids: bool = False,
                  fallback: Optional[Plugin] = None):
         super().__init__()
-        self.costs = costs
         self.allow_driver_reload = allow_driver_reload
         self.globally_unique_vids = globally_unique_vids
         self.fallback = fallback          # e.g. the IB2TCP plugin

@@ -2,6 +2,7 @@
 checkpoint engine, plugin API, image format)."""
 
 from .coordinator import COORD_PORT, Coordinator, CoordinatorClient
+from .config import RunConfig
 from .costs import CostModel, DEFAULT_COSTS
 from .events import DmtcpEvent
 from .image import CheckpointImage, ImageError
@@ -41,6 +42,7 @@ __all__ = [
     "Plugin",
     "PluginError",
     "PutResult",
+    "RunConfig",
     "dmtcp_launch",
     "dmtcp_restart",
     "native_launch",

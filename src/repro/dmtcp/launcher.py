@@ -7,14 +7,14 @@ up (DESIGN.md §7, "One job skeleton")."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, Generator, List, Optional, Sequence
 
 from ..hardware.cluster import Cluster
 from ..sim import Environment
 from .coordinator import Coordinator
-from .costs import CostModel, DEFAULT_COSTS
+from .config import RunConfig
 from .process import AppContext, CheckpointRecord, DmtcpProcess
 from .sink import FileSink
 
@@ -77,11 +77,13 @@ class AppSpec:
 
 @dataclass
 class CheckpointSet:
-    """A full distributed checkpoint: per-process records + wall time."""
+    """A full distributed checkpoint: per-process records + wall time,
+    and the launch config every restart of it runs under."""
 
     records: List[CheckpointRecord]
     wall_seconds: float
     stats: List[dict]
+    config: RunConfig
 
     @property
     def total_logical_bytes(self) -> float:
@@ -97,16 +99,16 @@ class CheckpointSet:
 
 
 class DmtcpSession:
-    """A running dmtcp_launch'd job."""
+    """A running dmtcp_launch'd job, under its launch config."""
 
     def __init__(self, env: Environment, cluster: Cluster,
                  coordinator: Coordinator, procs: List[DmtcpProcess],
-                 costs: CostModel):
+                 config: RunConfig):
         self.env = env
         self.cluster = cluster
         self.coordinator = coordinator
         self.procs = procs
-        self.costs = costs
+        self.config = config
 
     def wait(self) -> Generator:
         """Process generator: waits for every app to call exit()."""
@@ -158,11 +160,12 @@ class DmtcpSession:
         if intent in ("restart", "migrate"):
             for proc in self.procs:
                 proc.detach_continuation()
-        return CheckpointSet(records=records, wall_seconds=wall, stats=stats)
+        return CheckpointSet(records=records, wall_seconds=wall, stats=stats,
+                             config=self.config)
 
 
 def _build_job(cluster: Cluster, entries: Sequence, bring_up, label: str,
-               *, sink, costs: CostModel,
+               *, sink, config: RunConfig,
                node_map: Optional[Dict[int, int]] = None,
                coord_node_index: int = 0,
                tracker: Optional[JobTracker] = None) -> Generator:
@@ -209,36 +212,34 @@ def _build_job(cluster: Cluster, entries: Sequence, bring_up, label: str,
     if tracker is not None:
         tracker.procs.extend(flows)
     yield env.all_of(flows)
-    return DmtcpSession(env, cluster, coordinator, procs, costs)
+    return DmtcpSession(env, cluster, coordinator, procs, config)
 
 
 def _fresh(world: int, plugin_factory: Callable[[], list], *, sink,
-           costs: CostModel, gzip: bool, incremental: bool):
+           config: RunConfig):
     """The *fresh* strategy: a new process with new plugins that launches
     its spec's factory."""
 
     def bring_up(spec, host, dst_index):
         yield from ()  # a new process waits for nothing before its launch
         proc = DmtcpProcess(host, spec.name, spec.rank, world,
-                            plugin_factory(), sink=sink, costs=costs,
-                            gzip=gzip, node_index=dst_index,
-                            incremental=incremental)
+                            plugin_factory(), sink=sink, config=config,
+                            node_index=dst_index)
         return proc, partial(proc.launch, app_factory=spec.factory)
 
     return bring_up
 
 
 def _rerun(specs: Sequence[AppSpec], world: int, *, sink,
-           plugin_factory: Callable[[], list], costs: CostModel, gzip: bool,
-           incremental: bool, generation: int, load=None):
+           plugin_factory: Callable[[], list], config: RunConfig,
+           generation: int, load=None):
     """The *re-run* strategy, for a crashed job whose generators are gone:
     restore the image's memory, pay the mtcp_restart-equivalent bring-up,
     then launch the rank's factory fresh (it must speak the
     :mod:`repro.faults.progress` protocol).  ``load(record, dst_index)``
     is a generator returning the image with its bytes: by default the
     timed fetch from ``sink``."""
-    fresh = _fresh(world, plugin_factory, sink=sink, costs=costs,
-                   gzip=gzip, incremental=incremental)
+    fresh = _fresh(world, plugin_factory, sink=sink, config=config)
     spec_by_rank = {spec.rank: spec for spec in specs}
 
     def fetch(record, dst_index):
@@ -250,25 +251,12 @@ def _rerun(specs: Sequence[AppSpec], world: int, *, sink,
     def bring_up(record, host, dst_index):
         image = yield from load(record, dst_index)
         image.restore_memory(host.memory)
-        seed = None
-        if incremental:
-            # seed the incremental chain: restore() bumped every region's
-            # generation and chunk stamps, so resync the image's
-            # per-region bookkeeping to the restored state — the first
-            # post-crash checkpoint can then skip whatever the app leaves
-            # clean.  Like a file-mode record, the seed keeps metadata
-            # and layout only: the restored memory holds the bytes
-            for region in host.memory:
-                pm = image.region_meta.get(region.name)
-                if pm is not None:
-                    pm["generation"] = region.generation
-                    pm["chunk_gens"] = region.chunk_gens.tobytes()
-            image.drop_bytes()
-            seed = replace(record, image=image)
+        seed = record.reseed(image, host.memory) \
+            if config.incremental else None
         # memory is restored: the decoded image must not live on in this
         # frame for as long as the restarted rank runs
         del image
-        yield host.compute(seconds=costs.restart_base)
+        yield host.compute(seconds=config.costs.restart_base)
         proc, start = yield from fresh(spec_by_rank[record.rank], host,
                                        dst_index)
         proc.appctx.restarts = generation - 1
@@ -281,37 +269,37 @@ def _rerun(specs: Sequence[AppSpec], world: int, *, sink,
 
 def dmtcp_launch(cluster: Cluster, specs: Sequence[AppSpec],
                  plugin_factory: Callable[[], list] = lambda: [],
-                 costs: CostModel = DEFAULT_COSTS, gzip: bool = True,
+                 config: RunConfig = RunConfig(),
                  coord_node_index: int = 0,
                  tracker: Optional[JobTracker] = None,
-                 incremental: bool = False, sink=None) -> Generator:
+                 sink=None) -> Generator:
     """Process generator: start a coordinator and all processes under it.
 
     Every process's library table is populated (ibverbs when the node has
     an HCA) and then handed to freshly constructed plugins to interpose on.
-    Checkpoints land in ``sink`` (DESIGN.md §15; by default image files
-    in ``/tmp`` on each node's local disk).
+    The job runs under ``config`` from here on, restarts included.
+    Checkpoints land in ``sink`` (DESIGN.md §15; by default
+    ``config.sink_factory(cluster)``: image files in ``/tmp`` on each
+    node's local disk).
     """
     if sink is None:
-        sink = FileSink(cluster)
-    fresh = _fresh(len(specs), plugin_factory, sink=sink, costs=costs,
-                   gzip=gzip, incremental=incremental)
+        sink = config.sink_factory(cluster)
+    fresh = _fresh(len(specs), plugin_factory, sink=sink, config=config)
     return (yield from _build_job(
-        cluster, specs, fresh, "launch", sink=sink, costs=costs,
+        cluster, specs, fresh, "launch", sink=sink, config=config,
         coord_node_index=coord_node_index, tracker=tracker))
 
 
 def dmtcp_restart(cluster: Cluster, ckpt_set: CheckpointSet,
-                  costs: CostModel = DEFAULT_COSTS,
                   node_map: Optional[Dict[int, int]] = None,
                   coord_node_index: int = 0,
                   stage_images: bool = True,
                   tracker: Optional[JobTracker] = None,
-                  incremental: bool = False,
                   sink=None, preloaded: bool = False) -> Generator:
     """Process generator: restart a CheckpointSet on ``cluster`` (the same
     one or a different one — different LIDs, different qp_nums, possibly a
-    different kernel or no InfiniBand at all).
+    different kernel or no InfiniBand at all), under the config the job
+    was launched with (``ckpt_set.config``).
 
     ``stage_images`` first copies the images into ``sink`` on ``cluster``;
     each process then fetches its image from ``sink`` and checkpoints into
@@ -337,14 +325,14 @@ def dmtcp_restart(cluster: Cluster, ckpt_set: CheckpointSet,
             image = yield from sink.fetch_image(
                 record.name, epoch=record.epoch or None,
                 via_node_index=dst_index)
-        proc = DmtcpProcess.restart(host, record, image, costs, dst_index,
-                                    sink=sink, incremental=incremental)
+        proc = DmtcpProcess.restart(host, record, image, dst_index,
+                                    sink=sink, config=ckpt_set.config)
         return proc, proc.restart_flow
 
     return (yield from _build_job(
         cluster, ckpt_set.records, revive, "restart", sink=sink,
-        costs=costs, node_map=node_map, coord_node_index=coord_node_index,
-        tracker=tracker))
+        config=ckpt_set.config, node_map=node_map,
+        coord_node_index=coord_node_index, tracker=tracker))
 
 
 @dataclass

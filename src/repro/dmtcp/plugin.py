@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Mapping
 
+from .costs import DEFAULT_COSTS
 from .events import DmtcpEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,6 +37,9 @@ class Plugin:
 
     def __init__(self) -> None:
         self.appctx: "AppContext" = None
+        #: the installing process's cost model, bound by
+        #: :meth:`DmtcpProcess.launch` just before :meth:`install`
+        self.costs = DEFAULT_COSTS
 
     # -- feature 1: wrappers -------------------------------------------------
 

@@ -11,7 +11,7 @@ transparency claim (see DESIGN.md §2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from .. import hooks
@@ -20,7 +20,7 @@ from ..hardware.storage import QuotaExceededError
 from ..memory import AddressSpace
 from ..sim import Environment, Event, Process
 from .coordinator import CoordinatorClient
-from .costs import CostModel, DEFAULT_COSTS
+from .config import RunConfig
 from .events import DmtcpEvent
 from .image import CheckpointImage
 from .plugin import Plugin
@@ -137,25 +137,37 @@ class CheckpointRecord:
             return self.image
         return CheckpointImage.from_bytes(self.blob)
 
+    def reseed(self, image: CheckpointImage,
+               memory: AddressSpace) -> "CheckpointRecord":
+        """The seed of the incremental chain a restart from this record
+        continues: ``image`` (this record's, just restored into
+        ``memory``, which bumped every stamp) resynced to ``memory``'s
+        stamps, so the next capture skips what the job leaves clean.
+        Like a file-mode record it keeps only metadata and layout."""
+        for region in memory:
+            pm = image.region_meta.get(region.name)
+            if pm is not None:
+                pm["generation"] = region.generation
+                pm["chunk_gens"] = region.chunk_gens.tobytes()
+        image.drop_bytes()
+        return replace(self, image=image)
+
 
 class DmtcpProcess:
     """One application process running under dmtcp_launch."""
 
     def __init__(self, host: ProcessHost, name: str, rank: int, world: int,
-                 plugins: List[Plugin], *, sink,
-                 costs: CostModel = DEFAULT_COSTS, gzip: bool = True,
-                 node_index: int = 0, incremental: bool = False):
+                 plugins: List[Plugin], *, sink, config: RunConfig,
+                 node_index: int = 0):
         self.host = host
         self.env = host.env
         self.name = name
         self.rank = rank
         self.world = world
         self.plugins = plugins
-        self.costs = costs
-        self.gzip = gzip
+        #: the job's launch config (DESIGN.md §7, "One run config")
+        self.config = config
         self.node_index = node_index
-        #: reuse the previous image's clean regions instead of recapturing
-        self.incremental = incremental
         #: the checkpoint sink every image lands in (DESIGN.md §15): image
         #: files, or content-addressed chunks whose async replication is
         #: the coordinator's job
@@ -169,7 +181,7 @@ class DmtcpProcess:
         #: (e.g. QuotaExceededError from a saturated shared tier); the
         #: session re-raises it so supervisors see tier/tenant detail
         self.ckpt_error: Optional[BaseException] = None
-        host.compute_tax = costs.compute_tax
+        host.compute_tax = config.costs.compute_tax
 
     # -- launch ------------------------------------------------------------------
 
@@ -181,8 +193,10 @@ class DmtcpProcess:
             self.host.node, coord_host, coord_port, self.name)
         # interposition warm-up: wrapper installation, /proc scan, handshake
         yield self.host.compute(
-            seconds=self.costs.startup_overhead(self.world))
+            seconds=self.config.costs.startup_overhead(self.world))
         for plugin in self.plugins:
+            # bound once: a wrapped call reads the plugin's own costs
+            plugin.costs = self.config.costs
             plugin.install(self.appctx)
             plugin.event(DmtcpEvent.INIT)
         main = self.host.spawn_thread(
@@ -250,7 +264,7 @@ class DmtcpProcess:
             # its own span
             settle_span = None if tracer is None else tracer.begin(
                 "drain.settle", self.name, self.env.now, epoch=epoch)
-            yield self.env.timeout(self.costs.drain_settle)
+            yield self.env.timeout(self.config.costs.drain_settle)
             if tracer is not None:
                 tracer.end(settle_span, self.env.now)
             for plugin in self.plugins:
@@ -274,15 +288,16 @@ class DmtcpProcess:
         for plugin in self.plugins:
             hca_vendor = plugin.image_metadata().get("hca_vendor",
                                                      hca_vendor)
+        config = self.config
         prev = self.last_record.image \
-            if (self.incremental and self.last_record is not None) else None
+            if (config.incremental and self.last_record is not None) else None
         capture_span = None if tracer is None else tracer.begin(
             "ckpt.capture", self.name, self.env.now, epoch=epoch, gen=gen)
         image = CheckpointImage.capture(
             proc_name=self.name, pid=self.host.pid,
             kernel_version=self.host.node.kernel_version,
             hca_vendor=hca_vendor, memory=self.host.memory,
-            gzip=self.gzip, header_bytes=self.costs.image_header_bytes,
+            gzip=config.gzip, header_bytes=config.costs.image_header_bytes,
             prev=prev, t_sim=self.env.now)
         if tracer is not None:
             cstats = image.capture_stats
@@ -301,7 +316,7 @@ class DmtcpProcess:
                        regions_dirty=cstats.get("regions_dirty", 0),
                        regions_clean=cstats.get("regions_clean_gen", 0),
                        **chunk_attrs)
-        stall = self.costs.gzip_stall_factor() if self.gzip else 1.0
+        stall = config.costs.gzip_stall_factor() if config.gzip else 1.0
         # a live migration's stop-and-copy capture writes nothing: the
         # image stays in memory and the migration manager ships the final
         # dirty delta over the wire itself
@@ -402,16 +417,15 @@ class DmtcpProcess:
 
     @classmethod
     def restart(cls, host: ProcessHost, record: CheckpointRecord,
-                image: CheckpointImage, costs: CostModel, node_index: int,
-                *, sink, incremental: bool = False) -> "DmtcpProcess":
+                image: CheckpointImage, node_index: int, *, sink,
+                config: RunConfig) -> "DmtcpProcess":
         """Build the restarted process object on node ``node_index`` of
         the new cluster (dmtcp_restart runs :meth:`restart_flow` on it
         afterwards)."""
         cont = record.continuation
         proc = cls(host, name=cont.name, rank=cont.rank,
                    world=cont.appctx.world, plugins=cont.plugins,
-                   sink=sink, costs=costs, gzip=image.gzip,
-                   node_index=node_index, incremental=incremental)
+                   sink=sink, config=config, node_index=node_index)
         # the restored process lives at the original virtual addresses:
         # adopt the old address space and overwrite it with image bytes
         image.restore_memory(cont.memory)
@@ -420,7 +434,8 @@ class DmtcpProcess:
         proc.appctx.proc = host
         proc.appctx.restarts += 1
         proc.user_threads = cont.user_threads
-        proc.last_record = record
+        proc.last_record = record.reseed(image, cont.memory) \
+            if config.incremental else record
         return proc
 
     def restart_flow(self, coord_host: str, coord_port: int) -> Generator:
@@ -431,7 +446,7 @@ class DmtcpProcess:
         self.client = yield from CoordinatorClient.connect(
             self.host.node, coord_host, coord_port, self.name)
         # mtcp_restart process bring-up (constant, image-size-independent)
-        yield self.host.compute(seconds=self.costs.restart_base)
+        yield self.host.compute(seconds=self.config.costs.restart_base)
         # phase 1: recreate local resources (new real ids)
         for plugin in self.plugins:
             plugin.event(DmtcpEvent.RESTART)

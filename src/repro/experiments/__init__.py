@@ -62,11 +62,13 @@ def _run_table(number: int, full: bool = False, max_procs: int = 256,
         **{name: settings[name] for name in _SETTINGS.get(number, ())})
 
 
-def run_all(full: bool = False, max_procs: int = 256):
+def run_all(full: bool = False, max_procs: int = 256, store: bool = False):
     """Regenerate every table; returns them in paper order.
 
     ``full`` enables the 1,024/2,048-process configurations (several
-    wall-clock minutes each)."""
+    wall-clock minutes each); ``store`` routes Table 4 through the chunk
+    store."""
     t1 = _run_table(1, full, max_procs)
     return [t1, table2.run(table1=t1)] + [
-        _run_table(number, full, max_procs) for number in range(3, 10)]
+        _run_table(number, full, max_procs, store)
+        for number in range(3, 10)]

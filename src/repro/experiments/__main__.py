@@ -32,7 +32,7 @@ def main(argv=None) -> int:
     parser.add_argument("--table", type=int, choices=sorted(TABLES),
                         help="regenerate a single table")
     parser.add_argument("--store", action="store_true",
-                        help="Table 4 only: route the Lustre checkpoint "
+                        help="Table 4: route the Lustre checkpoint "
                              "through the content-addressed multi-tier "
                              "store (repro.store)")
     args = parser.parse_args(argv)
@@ -42,7 +42,8 @@ def main(argv=None) -> int:
         print(_run_table(args.table, args.full, args.max_procs,
                          args.store).format())
     else:
-        for table in run_all(full=args.full, max_procs=args.max_procs):
+        for table in run_all(full=args.full, max_procs=args.max_procs,
+                             store=args.store):
             print(table.format())
             print()
     print(f"[done in {time.time() - t0:.1f}s wall]", file=sys.stderr)

@@ -22,15 +22,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import List, Optional
 
 from ..analysis.chunksan import sanitized
-from ..dmtcp import FileSink
+from ..dmtcp import FileSink, RunConfig
 from ..faults.harness import (run_chaos_nas, verify_restart_path,
                               young_daly_interval)
 from ..faults.schedule import FixedSchedule
-from ..hardware import Cluster
 from ..store import CheckpointStore
 
 __all__ = ["SweepCell", "SweepResult", "measure_ckpt_cost", "run_sweep",
@@ -110,18 +109,20 @@ class SweepResult:
 def measure_ckpt_cost(app: str = "lu", klass: str = "A", nprocs: int = 4,
                       ppn: int = 1, iters_sim: int = 0,
                       seed: int = 2014,
-                      sink_factory: Callable[[Cluster], Any] = FileSink
-                      ) -> tuple:
+                      config: RunConfig = RunConfig()) -> tuple:
     """(C, baseline): one checkpoint's wall cost and the failure-free
     completion time, from a calibration run with no fault injection."""
+    # C is calibrated on full captures: an incremental capture's cost
+    # grows with the interval, so one measured at τ = 0.3 s understates it
+    config = replace(config, incremental=False)
     out = run_chaos_nas(app=app, klass=klass, nprocs=nprocs, ppn=ppn,
                         iters_sim=iters_sim, ckpt_interval=0.3,
                         seed=seed, schedule=FixedSchedule([]),
-                        sink_factory=sink_factory)
+                        config=config)
     baseline = run_chaos_nas(app=app, klass=klass, nprocs=nprocs, ppn=ppn,
                              iters_sim=iters_sim, ckpt_interval=1e9,
                              seed=seed, schedule=FixedSchedule([]),
-                             sink_factory=sink_factory)
+                             config=config)
     return out.recovery.mean_ckpt_seconds, baseline.completion_seconds
 
 
@@ -129,13 +130,12 @@ def run_sweep(mtbf_values: List[float], trials: int = 3,
               app: str = "lu", klass: str = "A", nprocs: int = 4,
               ppn: int = 1, iters_sim: int = 0, base_seed: int = 2014,
               intervals: Optional[List[float]] = None,
-              incremental: bool = False,
-              sink_factory: Callable[[Cluster], Any] = FileSink,
+              config: RunConfig = RunConfig(),
               quiet: bool = False) -> SweepResult:
     n_nodes = max(1, -(-nprocs // ppn))
     ckpt_cost, baseline = measure_ckpt_cost(app, klass, nprocs, ppn,
                                             iters_sim, seed=base_seed,
-                                            sink_factory=sink_factory)
+                                            config=config)
     result = SweepResult(app=app, klass=klass, nprocs=nprocs,
                          n_nodes=n_nodes, ckpt_cost=ckpt_cost,
                          baseline_seconds=baseline)
@@ -159,8 +159,7 @@ def run_sweep(mtbf_values: List[float], trials: int = 3,
                         ckpt_interval=interval,
                         seed=base_seed + 7919 * trial,
                         backoff_base=0.2, backoff_max=2.0,
-                        max_attempts=50, incremental=incremental,
-                        sink_factory=sink_factory)
+                        max_attempts=50, config=config)
                     for trial in range(trials)]
             mean = lambda xs: sum(xs) / len(xs)  # noqa: E731
             cell = SweepCell(
@@ -230,10 +229,10 @@ def main(argv=None) -> int:
 
     with sanitized() if args.chunksan else contextlib.nullcontext():
         result = run_sweep(mtbfs, trials=trials, iters_sim=iters,
-                           base_seed=args.seed,
-                           incremental=args.incremental,
-                           sink_factory=CheckpointStore if args.store
-                           else FileSink)
+                           base_seed=args.seed, config=RunConfig(
+                               incremental=args.incremental,
+                               sink_factory=CheckpointStore if args.store
+                               else FileSink))
     if args.chunksan:
         print("# chunksan: every capture audited against the shadow "
               "full-hash oracle — no stale chunk stamps")

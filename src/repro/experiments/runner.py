@@ -10,13 +10,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 
 from ..blcr import ompi_crs_launch
 from ..core import Ib2TcpPlugin, InfinibandPlugin
-from ..dmtcp import (
-    CostModel,
-    DEFAULT_COSTS,
-    FileSink,
-    dmtcp_restart,
-    native_launch,
-)
+from ..dmtcp import RunConfig, dmtcp_restart, native_launch
 from ..hardware import Cluster, HardwareSpec
 from ..mpi import make_mpi_specs
 from ..scenario import Scenario
@@ -57,10 +51,8 @@ def run_nas(app: Callable, spec: HardwareSpec, nprocs: int,
             ppn: Optional[int] = None, under: str = "native",
             app_kwargs: Optional[dict] = None,
             checkpoint_after: Optional[float] = None,
-            restart: bool = False,
-            gzip: bool = True, costs: CostModel = DEFAULT_COSTS,
+            restart: bool = False, config: RunConfig = RunConfig(),
             ib2tcp: bool = False, transport: str = "ib",
-            sink_factory: Callable[[Cluster], Any] = FileSink,
             seed_name: str = "") -> Outcome:
     """Run one NAS/MPI configuration end to end; returns an Outcome.
 
@@ -70,33 +62,33 @@ def run_nas(app: Callable, spec: HardwareSpec, nprocs: int,
     (launch + a margin) at which to take one checkpoint.
     ``restart``: checkpoint with intent=restart, tear the cluster down,
     restart on a fresh identical cluster, and keep timing there.
-    ``sink_factory`` (dmtcp only) builds the checkpoint sink from each
-    cluster: image files on local disk by default; pass
-    ``lambda c: FileSink(c, "lustre")`` for Lustre, or
-    :class:`~repro.store.CheckpointStore` for content-addressed chunks
-    whose restart fetches digest-verified chunks from the cheapest live
-    tier.  A store's counters land in ``outcome.extra["store"]`` (and
-    ``["store_restart"]``).
+    ``config`` is the run's config; its ``sink_factory`` (dmtcp only)
+    builds the checkpoint sink from each cluster: image files on local
+    disk by default; pass ``lambda c: FileSink(c, "lustre")`` for
+    Lustre, or :class:`~repro.store.CheckpointStore` for
+    content-addressed chunks whose restart fetches digest-verified
+    chunks from the cheapest live tier.  A store's counters land in
+    ``outcome.extra["store"]`` (and ``["store_restart"]``).
     """
     scn = Scenario(spec, nprocs,
                    seed_name or f"{spec.name}-{nprocs}-{under}", ppn=ppn,
-                   costs=costs)
+                   config=config)
     cluster = scn.cluster()
     specs = make_mpi_specs(cluster, nprocs,
                            partial(app, **(app_kwargs or {})), ppn=scn.ppn,
                            transport=transport)
     if under != "blcr":
         plugin_factory = ((lambda: [InfinibandPlugin(
-            costs=costs, fallback=Ib2TcpPlugin())]) if ib2tcp else None)
+            fallback=Ib2TcpPlugin())]) if ib2tcp else None)
         return _run(scn, cluster, specs, under, checkpoint_after, restart,
-                    gzip=gzip, plugin_factory=plugin_factory,
-                    sink_factory=sink_factory)
+                    plugin_factory)
     outcome = Outcome()
-    crs = ompi_crs_launch(cluster, specs, costs=costs)
+    crs = ompi_crs_launch(cluster, specs, costs=config.costs)
 
     def blcr_scenario():
         if checkpoint_after is not None:
-            yield scn.env.timeout(costs.crs_startup + checkpoint_after)
+            yield scn.env.timeout(config.costs.crs_startup
+                                  + checkpoint_after)
             stats = yield from crs.checkpoint()
             outcome.ckpt_seconds = stats.wall_seconds
             outcome.ckpt_image_mb = (stats.total_logical_bytes
@@ -112,7 +104,6 @@ def run_upc_nas(app: Callable, spec: HardwareSpec, threads: int,
                 app_kwargs: Optional[dict] = None,
                 checkpoint_after: Optional[float] = None,
                 restart: bool = False,
-                costs: CostModel = DEFAULT_COSTS,
                 segment_bytes: int = 1 << 20,
                 segment_logical: Optional[float] = None) -> Outcome:
     """UPC variant of :func:`run_nas` (native or under DMTCP).
@@ -121,7 +112,7 @@ def run_upc_nas(app: Callable, spec: HardwareSpec, threads: int,
     for (Berkeley UPC pre-allocates the whole shared heap, so checkpoint
     images are segment-sized)."""
     scn = Scenario(spec, threads, f"{spec.name}-upc{threads}-{under}",
-                   ppn=ppn, costs=costs)
+                   ppn=ppn)
     cluster = scn.cluster()
     segment_scale = (max(1.0, segment_logical / segment_bytes)
                      if segment_logical else 1.0)
@@ -133,27 +124,25 @@ def run_upc_nas(app: Callable, spec: HardwareSpec, threads: int,
 
 
 def _run(scn: Scenario, cluster: Cluster, specs, under: str,
-         checkpoint_after: Optional[float], restart: bool, *,
-         gzip: bool = True,
-         plugin_factory: Optional[Callable[[], list]] = None,
-         sink_factory: Callable[[Cluster], Any] = FileSink) -> Outcome:
+         checkpoint_after: Optional[float], restart: bool,
+         plugin_factory: Optional[Callable[[], list]] = None) -> Outcome:
     """The native / DMTCP body :func:`run_nas` and :func:`run_upc_nas`
     share: launch ``specs`` on ``cluster``, take the one checkpoint, and
     restart on a fresh cluster when ``restart`` asks for it."""
-    env, costs = scn.env, scn.costs
+    env, config = scn.env, scn.config
     outcome = Outcome()
     if under == "native":
         return _finish(scn, outcome,
                        scn.run(native_launch(cluster, specs).wait()))
     if under != "dmtcp":
         raise ValueError(f"unknown under={under!r}")
-    sink = sink_factory(cluster)
+    sink = config.sink_factory(cluster)
     session = env.run(until=env.process(scn.launch(
-        cluster, specs, plugin_factory, gzip=gzip, sink=sink)))
+        cluster, specs, plugin_factory, sink=sink)))
 
     def dmtcp_scenario():
         if checkpoint_after is not None:
-            margin = costs.startup_overhead(scn.nprocs) + 0.5
+            margin = config.costs.startup_overhead(scn.nprocs) + 0.5
             yield env.timeout(margin + checkpoint_after)
             ckpt = yield from session.checkpoint(
                 intent="restart" if restart else "resume")
@@ -165,10 +154,10 @@ def _run(scn: Scenario, cluster: Cluster, specs, under: str,
                 sink.stop()
                 cluster.teardown()
                 cluster2 = scn.cluster("restarted")
-                sink2 = sink_factory(cluster2)
+                sink2 = config.sink_factory(cluster2)
                 t0 = env.now
-                session2 = yield from dmtcp_restart(
-                    cluster2, ckpt, costs=costs, sink=sink2)
+                session2 = yield from dmtcp_restart(cluster2, ckpt,
+                                                    sink=sink2)
                 outcome.restart_seconds = env.now - t0
                 yield from _store_stats(sink2, outcome.extra,
                                         "store_restart")

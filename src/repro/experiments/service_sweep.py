@@ -10,7 +10,7 @@ from the *contended* C (measured by a failure-free calibration run of the
 same K-job mix), not the solo cost.
 
 Each job runs under its own :class:`~repro.faults.RecoveryManager` with a
-per-job Poisson failure schedule; ``RecoveryConfig.sink_factory`` hands
+per-job Poisson failure schedule; its run config's ``sink_factory`` hands
 every job generation a fresh :class:`~repro.service.TenantStoreClient`,
 so restarts re-ingest and fetch through the shared service (cross-job
 dedup included).  The sweep then walks a geometric interval grid around
@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
 from ..core import InfinibandPlugin
+from ..dmtcp import RunConfig
 from ..faults.harness import young_daly_interval
 from ..faults.injector import Injector
 from ..faults.recovery import RecoveryConfig, RecoveryManager
@@ -131,9 +132,10 @@ def run_contended(interval: float, n_jobs: int = 4,
         injector = Injector(env, schedule)
         injectors.append(injector)
         cfg = RecoveryConfig(
-            ckpt_interval=interval, incremental=True,
-            sink_factory=lambda cluster, t=tenant, j=jobname:
-                service.client(t, j),
+            ckpt_interval=interval, run=RunConfig(
+                incremental=True,
+                sink_factory=lambda cluster, t=tenant, j=jobname:
+                    service.client(t, j)),
             max_attempts=50, backoff_base=0.2, backoff_max=2.0)
         manager = RecoveryManager(
             env, cluster_factory, specs_for, cfg,

@@ -5,7 +5,7 @@ checkpoints ~6.5x faster; restart times are essentially unchanged
 from __future__ import annotations
 
 from ..apps.nas import lu_app
-from ..dmtcp import FileSink
+from ..dmtcp import FileSink, RunConfig
 from ..hardware import MGHPCC
 from ..store import CheckpointStore
 from .runner import run_nas
@@ -26,13 +26,13 @@ def run(store: bool = False) -> Table:
         "Table 4", "LU.E (512 procs) checkpoints: local disk vs Lustre",
         ["disk", "img(MB)", "ckpt(s)", "restart(s)",
          "paper-img", "paper-ckpt", "paper-restart"])
-    rows = (("local disk", FileSink),
-            ("Lustre", CheckpointStore if store
-             else lambda cluster: FileSink(cluster, "lustre")))
-    for label, sink_factory in rows:
+    rows = (("local disk", RunConfig()),
+            ("Lustre", RunConfig(sink_factory=CheckpointStore if store
+                                 else lambda c: FileSink(c, "lustre"))))
+    for label, config in rows:
         out = run_nas(lu_app, MGHPCC, 512, ppn=16, under="dmtcp",
                       app_kwargs={"klass": "E"}, checkpoint_after=2.0,
-                      restart=True, sink_factory=sink_factory)
+                      restart=True, config=config)
         p_mb, p_ckpt, p_restart = PAPER[label]
         table.add(label, out.ckpt_image_mb, out.ckpt_seconds,
                   out.restart_seconds, p_mb, p_ckpt, p_restart)

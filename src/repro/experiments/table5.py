@@ -4,6 +4,7 @@ numerical data barely compresses, so sizes match and gzip costs ~5%."""
 from __future__ import annotations
 
 from ..apps.nas import lu_app
+from ..dmtcp import RunConfig
 from ..hardware import MGHPCC
 from .runner import run_nas
 from .tables import Table
@@ -25,7 +26,7 @@ def run(full: bool = False) -> Table:
     for gz in (True, False):
         out = run_nas(lu_app, MGHPCC, nodes * ppn, ppn=ppn, under="dmtcp",
                       app_kwargs={"klass": "E"}, checkpoint_after=2.0,
-                      restart=True, gzip=gz)
+                      restart=True, config=RunConfig(gzip=gz))
         p_mb, p_ckpt, p_rst = PAPER[gz]
         table.add("with gzip" if gz else "w/o gzip", out.ckpt_image_mb,
                   out.ckpt_seconds, out.restart_seconds, p_mb, p_ckpt,

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..apps.ml import ml_app
 from ..apps.nas import ft_app, lu_app
 from ..core import InfinibandPlugin
-from ..dmtcp import DEFAULT_COSTS, CostModel, FileSink, dmtcp_restart
+from ..dmtcp import RunConfig, dmtcp_restart
 from ..hardware import BUFFALO_CCR, Cluster, HardwareSpec
 from ..scenario import Scenario
 from .injector import FailureRecord, Injector
@@ -90,23 +90,22 @@ def run_chaos_nas(app: str = "lu", klass: str = "A", nprocs: int = 4,
                   max_attempts: int = 8, backoff_base: float = 0.5,
                   backoff_factor: float = 2.0, backoff_max: float = 8.0,
                   backoff_jitter: float = 0.0,
-                  gzip: bool = True, incremental: bool = False,
-                  sink_factory: Callable[[Cluster], Any] = FileSink,
-                  costs: CostModel = DEFAULT_COSTS) -> ChaosOutcome:
+                  config: RunConfig = RunConfig()) -> ChaosOutcome:
     """Run one NAS kernel to completion under chaos; see module docstring.
 
     ``schedule`` overrides the default per-node Poisson(``mtbf_node``)
     schedule of ``kind`` failures (pass ``FixedSchedule([])`` for a
     failure-free run, e.g. to measure the checkpoint cost C).
-    ``sink_factory`` builds each generation's checkpoint sink (image
-    files by default; pass :class:`~repro.store.CheckpointStore` for
-    dedup + partner replication + digest-verified restart).  To
+    ``config`` is the job's run config; its ``sink_factory`` builds each
+    generation's checkpoint sink (image files by default; pass
+    :class:`~repro.store.CheckpointStore` for dedup + partner
+    replication + digest-verified restart).  To
     observe the run, call it inside ``repro.obs.traced()`` and/or
     ``repro.analysis.sanitized()``.
     """
     app_fn = _APPS[app]
     scn = Scenario(spec, nprocs, f"chaos-{app}{klass}-{seed}", ppn=ppn,
-                   seed=seed, costs=costs)
+                   seed=seed, config=config)
 
     def specs_for(cluster: Cluster):
         return scn.mpi_specs(cluster, app_fn, klass=klass,
@@ -116,14 +115,12 @@ def run_chaos_nas(app: str = "lu", klass: str = "A", nprocs: int = 4,
         schedule = PoissonSchedule(scn.rng, n_nodes=scn.n_nodes,
                                    mtbf_node=mtbf_node, kind=kind)
     injector = Injector(scn.env, schedule)
-    config = RecoveryConfig(
-        ckpt_interval=ckpt_interval, sink_factory=sink_factory, gzip=gzip,
-        incremental=incremental,
-        max_attempts=max_attempts,
+    recovery_config = RecoveryConfig(
+        ckpt_interval=ckpt_interval, run=config, max_attempts=max_attempts,
         backoff_base=backoff_base, backoff_factor=backoff_factor,
         backoff_max=backoff_max, backoff_jitter=backoff_jitter)
     manager = RecoveryManager(
-        scn.env, scn.cluster, specs_for, config, costs=costs,
+        scn.env, scn.cluster, specs_for, recovery_config,
         plugin_factory=scn.plugins, injector=injector, rng=scn.rng)
     recovery = scn.run(manager.run())
     injector.stop()
@@ -138,8 +135,7 @@ def verify_restart_path(seed: int = 2014, klass: str = "A",
                         nprocs: int = 4, ppn: int = 1,
                         spec: HardwareSpec = BUFFALO_CCR,
                         crash_node_index: int = 1,
-                        freeze_after: float = 0.25,
-                        costs: CostModel = DEFAULT_COSTS) -> Dict[str, Any]:
+                        freeze_after: float = 0.25) -> Dict[str, Any]:
     """Freeze a live LU job, crash a node *via the injector* instead of a
     graceful teardown, restart on a spare cluster, and report the restart
     path's evidence (satellite check of §3's principles under failure).
@@ -148,8 +144,7 @@ def verify_restart_path(seed: int = 2014, klass: str = "A",
     ``reposted_recvs``, ``replayed_modifies``, ``drained_completions``),
     the id re-virtualization booleans, and the completed job's results.
     """
-    scn = Scenario(spec, nprocs, f"vrp-{seed}", ppn=ppn, seed=seed,
-                   costs=costs)
+    scn = Scenario(spec, nprocs, f"vrp-{seed}", ppn=ppn, seed=seed)
     env = scn.env
     cluster = scn.cluster("prod")
     plugins: List[InfinibandPlugin] = []
@@ -173,8 +168,7 @@ def verify_restart_path(seed: int = 2014, klass: str = "A",
         injector.set_target(cluster)
         record = yield injector.arm()
         cluster.teardown()  # power off the rest of the dead partition
-        session2 = yield from dmtcp_restart(scn.cluster("spare"), ckpt,
-                                            costs=costs)
+        session2 = yield from dmtcp_restart(scn.cluster("spare"), ckpt)
         return record, (yield from session2.wait())
 
     record, results = scn.run(scenario())

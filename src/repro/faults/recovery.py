@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, List, Optional
 
 from .. import hooks
-from ..dmtcp.costs import CostModel, DEFAULT_COSTS
+from ..dmtcp.config import RunConfig
 from ..dmtcp.launcher import (
     AppSpec,
     CheckpointSet,
@@ -142,11 +142,9 @@ def _safe(gen: Generator) -> Generator:
 def chaos_restart(cluster: Cluster, ckpt_set: CheckpointSet,
                   specs: List[AppSpec],
                   plugin_factory: Callable[[], list] = lambda: [],
-                  costs: CostModel = DEFAULT_COSTS, gzip: bool = True,
                   coord_node_index: int = 0,
                   tracker: Optional[JobTracker] = None,
-                  generation: int = 1, incremental: bool = False,
-                  sink=None) -> Generator:
+                  generation: int = 1, sink=None) -> Generator:
     """Process generator: restart after a *crash* from a resume-intent
     checkpoint.
 
@@ -156,18 +154,20 @@ def chaos_restart(cluster: Cluster, ckpt_set: CheckpointSet,
     restores each image's memory into a fresh process, and re-runs the
     application factory — which must speak the :mod:`.progress` protocol to
     skip completed work.  Fresh plugins, fresh verbs resources, new real
-    ids throughout.  The images are staged into and fetched from
-    ``sink`` (by default, image files where the records were written).
+    ids throughout, under the job's launch config.  The images are staged
+    into and fetched from ``sink`` (by default, image files where the
+    records were written).
     """
     if sink is None:
         sink = FileSink.where_written(cluster, ckpt_set)
     sink.stage_from(ckpt_set)
     rerun = _rerun(specs, len(ckpt_set.records), sink=sink,
-                   plugin_factory=plugin_factory, costs=costs, gzip=gzip,
-                   incremental=incremental, generation=generation)
+                   plugin_factory=plugin_factory, config=ckpt_set.config,
+                   generation=generation)
     return (yield from _build_job(
         cluster, ckpt_set.records, rerun, "chaos-restart", sink=sink,
-        costs=costs, coord_node_index=coord_node_index, tracker=tracker))
+        config=ckpt_set.config, coord_node_index=coord_node_index,
+        tracker=tracker))
 
 
 @dataclass
@@ -175,16 +175,13 @@ class RecoveryConfig:
     """Knobs of the supervisor loop."""
 
     ckpt_interval: float             # seconds between coordinated ckpts
-    #: builds each generation's checkpoint sink from its cluster
-    #: (DESIGN.md §15): image files by default; ``CheckpointStore`` for a
-    #: fresh content-addressed store per generation, re-staged from the
-    #: last CheckpointSet; or ``lambda c: service.client(tenant, job)``
-    #: to checkpoint into a shared long-lived service
-    sink_factory: Callable[[Cluster], Any] = FileSink
-    gzip: bool = True
-    #: incremental capture: reuse the previous image's bytes/ratios for
-    #: regions proven clean (DESIGN.md §8)
-    incremental: bool = False
+    #: the job's run config; its ``sink_factory`` builds each
+    #: generation's checkpoint sink from its cluster (DESIGN.md §15):
+    #: image files by default; ``CheckpointStore`` for a fresh
+    #: content-addressed store per generation, re-staged from the last
+    #: CheckpointSet; or ``lambda c: service.client(tenant, job)`` to
+    #: checkpoint into a shared long-lived service
+    run: RunConfig = RunConfig()
     #: consecutive failures *without a new checkpoint* before giving up
     max_attempts: int = 5
     backoff_base: float = 2.0        # first retry delay (seconds)
@@ -240,7 +237,6 @@ class RecoveryManager:
                  cluster_factory: Callable[[str], Cluster],
                  specs_for: Callable[[Cluster], List[AppSpec]],
                  config: RecoveryConfig,
-                 costs: CostModel = DEFAULT_COSTS,
                  plugin_factory: Callable[[], list] = lambda: [],
                  injector: Optional[Injector] = None,
                  name: str = "chaos", rng=None):
@@ -248,7 +244,6 @@ class RecoveryManager:
         self.cluster_factory = cluster_factory
         self.specs_for = specs_for
         self.config = config
-        self.costs = costs
         self.plugin_factory = plugin_factory
         self.injector = injector
         self.name = name
@@ -336,7 +331,7 @@ class RecoveryManager:
             # with it, and stage_from rebuilds them from the surviving
             # CheckpointSet (a service client is a fresh epoch base over
             # storage that outlives generations)
-            sink = cfg.sink_factory(cluster)
+            sink = cfg.run.sink_factory(cluster)
             tracker = JobTracker()
             fail_evt = self.injector.arm() if self.injector is not None \
                 else env.event()
@@ -348,17 +343,14 @@ class RecoveryManager:
                 self._mark(outcome, "launch", f"generation {generation}")
                 launch_gen = dmtcp_launch(
                     cluster, specs, plugin_factory=self._plugins,
-                    costs=self.costs, gzip=cfg.gzip, tracker=tracker,
-                    incremental=cfg.incremental, sink=sink)
+                    config=cfg.run, tracker=tracker, sink=sink)
             else:
                 self._mark(outcome, "restart",
                            f"generation {generation} from checkpoint at "
                            f"t={t_last_capture:.3f}")
                 launch_gen = chaos_restart(
                     cluster, ckpt_set, specs, plugin_factory=self._plugins,
-                    costs=self.costs, gzip=cfg.gzip, tracker=tracker,
-                    generation=generation, incremental=cfg.incremental,
-                    sink=sink)
+                    tracker=tracker, generation=generation, sink=sink)
             launch_proc = env.process(
                 _safe(launch_gen), name=f"{self.name}.up.g{generation}")
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from ..apps.nas import lu_app
-from ..dmtcp import DEFAULT_COSTS, CostModel
 from ..faults.injector import Injector
 from ..faults.recovery import (ChaosGate, ChaosPlugin, RecoveryConfig,
                                RecoveryManager, RecoveryOutcome)
@@ -47,11 +46,9 @@ __all__ = ["run_baseline_lu", "run_cycle_lu", "run_elastic_lu",
 
 def run_baseline_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
                     ppn: int = 1, iters_sim: int = 6,
-                    spec: HardwareSpec = BUFFALO_CCR,
-                    costs: CostModel = DEFAULT_COSTS) -> Dict[str, Any]:
+                    spec: HardwareSpec = BUFFALO_CCR) -> Dict[str, Any]:
     """The non-migrating control run (see module docstring)."""
-    scn = Scenario(spec, nprocs, f"base-{seed}", ppn=ppn, seed=seed,
-                   costs=costs)
+    scn = Scenario(spec, nprocs, f"base-{seed}", ppn=ppn, seed=seed)
     cluster = scn.cluster()
     specs = scn.mpi_specs(cluster, lu_app, klass=klass, iters_sim=iters_sim)
 
@@ -67,14 +64,12 @@ def run_baseline_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
 def run_cycle_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
                  ppn: int = 1, iters_sim: int = 6,
                  spec: HardwareSpec = BUFFALO_CCR,
-                 warmup: float = 0.25,
-                 costs: CostModel = DEFAULT_COSTS) -> Dict[str, Any]:
+                 warmup: float = 0.25) -> Dict[str, Any]:
     """The full checkpoint+restart *cycle* a live migration competes
     with: freeze-to-disk, teardown, stage, restart-from-disk.  Returns
     the cycle's wall time (``cycle_seconds``) plus the completed job's
     checksum."""
-    scn = Scenario(spec, nprocs, f"cyc-{seed}", ppn=ppn, seed=seed,
-                   costs=costs)
+    scn = Scenario(spec, nprocs, f"cyc-{seed}", ppn=ppn, seed=seed)
     source = scn.cluster("src")
     specs = scn.mpi_specs(source, lu_app, klass=klass, iters_sim=iters_sim)
 
@@ -97,8 +92,7 @@ def run_precopy_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
                    warmup: float = 0.25, rounds: Optional[int] = None,
                    config: Optional[MigrationConfig] = None,
                    disrupt: bool = False, crash_delay: float = 0.02,
-                   backoff_jitter: float = 0.0,
-                   costs: CostModel = DEFAULT_COSTS) -> Dict[str, Any]:
+                   backoff_jitter: float = 0.0) -> Dict[str, Any]:
     """Live pre-copy migration of a running LU job, mid-iteration.
 
     ``rounds`` forces an exact transferred-round count (the sweep's
@@ -106,8 +100,7 @@ def run_precopy_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
     pre-copy starts and recovers by retrying onto a fresh target through
     :meth:`RecoveryManager.supervise_migration`.
     """
-    scn = Scenario(spec, nprocs, f"mig-{seed}", ppn=ppn, seed=seed,
-                   costs=costs)
+    scn = Scenario(spec, nprocs, f"mig-{seed}", ppn=ppn, seed=seed)
     source = scn.cluster("src")
     specs = scn.mpi_specs(source, lu_app, klass=klass, iters_sim=iters_sim)
     if config is None:
@@ -129,7 +122,7 @@ def run_precopy_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
         RecoveryConfig(ckpt_interval=1e9, max_attempts=4,
                        backoff_base=0.1, backoff_max=1.0,
                        backoff_jitter=backoff_jitter),
-        costs=costs, injector=None, rng=scn.rng, name="migrate-disrupt")
+        injector=None, rng=scn.rng, name="migrate-disrupt")
     outcome = RecoveryOutcome()
 
     def scenario():
@@ -171,8 +164,7 @@ def run_postcopy_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
                     warmup: float = 0.1, prefetch: bool = True,
                     brownout: bool = False, brownout_delay: float = 0.02,
                     brownout_duration: float = 0.5,
-                    retry_jitter: float = 0.0,
-                    costs: CostModel = DEFAULT_COSTS) -> Dict[str, Any]:
+                    retry_jitter: float = 0.0) -> Dict[str, Any]:
     """Post-copy restart of a gate-parked resume checkpoint on a fresh
     cluster.  With ``brownout``, the image's chunks are staged to the
     Lustre tier *only* and the tier browns out ``brownout_delay`` seconds
@@ -184,8 +176,7 @@ def run_postcopy_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
 
     if brownout and not spec.has_lustre:
         spec = MGHPCC
-    scn = Scenario(spec, nprocs, f"pcr-{seed}", ppn=ppn, seed=seed,
-                   costs=costs)
+    scn = Scenario(spec, nprocs, f"pcr-{seed}", ppn=ppn, seed=seed)
     env = scn.env
     source = scn.cluster("src")
     specs = scn.mpi_specs(source, lu_app, klass=klass, iters_sim=iters_sim)
@@ -218,14 +209,14 @@ def run_postcopy_lu(seed: int = 2014, klass: str = "A", nprocs: int = 4,
         store.stage_from(ckpt, tiers=("lustre",) if brownout else None)
         if brownout:
             injector = Injector(env, FixedSchedule([
-                FailureEvent(t=env.now + costs.restart_base
+                FailureEvent(t=env.now + ckpt.config.costs.restart_base
                              + brownout_delay,
                              kind="lustre-brownout", node_index=0,
                              params={"duration": brownout_duration})]))
             injector.set_target(target)
         session2, pagers = yield from postcopy_restart(
             target, ckpt, specs2, store,
-            plugin_factory=scn.plugins, costs=costs, generation=2,
+            plugin_factory=scn.plugins, generation=2,
             prefetch=prefetch, retry_jitter=retry_jitter, rng=scn.rng)
         results = yield from session2.wait()
         for pager in pagers:
@@ -252,12 +243,10 @@ def run_elastic_lu(seed: int = 2014, klass: str = "A", nprocs: int = 8,
                    ppn: int = 1, iters_sim: int = 6,
                    target_nodes: int = 4,
                    spec: HardwareSpec = BUFFALO_CCR,
-                   warmup: float = 0.25,
-                   costs: CostModel = DEFAULT_COSTS) -> Dict[str, Any]:
+                   warmup: float = 0.25) -> Dict[str, Any]:
     """Freeze ``nprocs`` ranks mid-run and revive them on
     ``target_nodes`` nodes (shrink when < N, expand when > N)."""
-    scn = Scenario(spec, nprocs, f"ela-{seed}", ppn=ppn, seed=seed,
-                   costs=costs)
+    scn = Scenario(spec, nprocs, f"ela-{seed}", ppn=ppn, seed=seed)
     source = scn.cluster("src")
     specs = scn.mpi_specs(source, lu_app, klass=klass, iters_sim=iters_sim)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, Generator, Optional
 
 from .. import hooks
-from ..dmtcp.costs import CostModel, DEFAULT_COSTS
 from ..dmtcp.launcher import CheckpointSet, dmtcp_restart
 from ..hardware.cluster import Cluster
 
@@ -38,8 +37,7 @@ def elastic_node_map(ckpt_set: CheckpointSet,
     return node_map
 
 
-def elastic_restart(target: Cluster, ckpt_set: CheckpointSet,
-                    costs: CostModel = DEFAULT_COSTS, sink=None,
+def elastic_restart(target: Cluster, ckpt_set: CheckpointSet, sink=None,
                     coord_node_index: int = 0,
                     node_map: Optional[Dict[int, int]] = None) -> Generator:
     """Process generator: revive an intent="restart" freeze of N ranks on
@@ -55,6 +53,6 @@ def elastic_restart(target: Cluster, ckpt_set: CheckpointSet,
                                       for r in ckpt_set.records)),
                     dst_nodes=len(target.nodes))
     session = yield from dmtcp_restart(
-        target, ckpt_set, costs=costs, node_map=node_map,
+        target, ckpt_set, node_map=node_map,
         coord_node_index=coord_node_index, sink=sink)
     return session, node_map

@@ -107,7 +107,6 @@ class MigrationManager:
         self.target = target
         self.config = config if config is not None else MigrationConfig()
         self.node_map = node_map
-        self.costs = session.costs
         self.name = name
 
     # -- helpers ---------------------------------------------------------------
@@ -240,8 +239,8 @@ class MigrationManager:
         yield env.timeout(self._wire_seconds(delta_bytes))
         self.source.teardown()
         session2 = yield from dmtcp_restart(
-            self.target, ckpt_set, costs=self.costs,
-            node_map=self.node_map, stage_images=False, preloaded=True)
+            self.target, ckpt_set, node_map=self.node_map,
+            stage_images=False, preloaded=True)
         downtime = env.now - t_stop
         if tracer is not None:
             tracer.end(sspan, env.now, delta_bytes=delta_bytes,

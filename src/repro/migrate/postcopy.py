@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Generator, List, Optional
 
 from .. import hooks
-from ..dmtcp.costs import CostModel, DEFAULT_COSTS
 from ..dmtcp.launcher import AppSpec, CheckpointSet, JobTracker, _build_job, \
     _rerun
 from ..hardware.cluster import Cluster
@@ -235,7 +234,6 @@ class PostCopyPager:
 def postcopy_restart(cluster: Cluster, ckpt_set: CheckpointSet,
                      specs: List[AppSpec], store: CheckpointStore,
                      plugin_factory: Callable[[], list] = lambda: [],
-                     costs: CostModel = DEFAULT_COSTS, gzip: bool = True,
                      node_map: Optional[Dict[int, int]] = None,
                      coord_node_index: int = 0,
                      tracker: Optional[JobTracker] = None,
@@ -249,7 +247,8 @@ def postcopy_restart(cluster: Cluster, ckpt_set: CheckpointSet,
     protocol), except only the *manifests* are restored eagerly: every
     region's bytes come back in zero simulated time via
     ``materialize_image`` and each region's read time is charged by its
-    process's :class:`PostCopyPager` on first touch.  Returns
+    process's :class:`PostCopyPager` on first touch.  The job runs
+    under its launch config (``ckpt_set.config``).  Returns
     ``(session, pagers)``.
     """
     env = cluster.env
@@ -262,9 +261,8 @@ def postcopy_restart(cluster: Cluster, ckpt_set: CheckpointSet,
                                        via_node_index=dst_index)
 
     rerun = _rerun(specs, len(ckpt_set.records), sink=store,
-                   plugin_factory=plugin_factory, costs=costs, gzip=gzip,
-                   incremental=False, generation=generation,
-                   load=materialize)
+                   plugin_factory=plugin_factory, config=ckpt_set.config,
+                   generation=generation, load=materialize)
 
     def bring_up(record, host, dst_index):
         proc, start = yield from rerun(record, host, dst_index)
@@ -282,6 +280,6 @@ def postcopy_restart(cluster: Cluster, ckpt_set: CheckpointSet,
 
     session = yield from _build_job(
         cluster, ckpt_set.records, bring_up, "postcopy-restart", sink=store,
-        costs=costs, node_map=node_map, coord_node_index=coord_node_index,
-        tracker=tracker)
+        config=ckpt_set.config, node_map=node_map,
+        coord_node_index=coord_node_index, tracker=tracker)
     return session, [pagers[r.name] for r in ckpt_set.records]

@@ -86,12 +86,15 @@ def main(argv=None) -> int:
               f"order {', '.join(o.name for o in outcomes)}; "
               f"{len(events)} trace record(s)")
     else:
+        from ..dmtcp import FileSink, RunConfig
         from ..store import CheckpointStore
         tracer, outcome = trace_scenario(
             app=args.run, seed=args.seed, iters_sim=args.iters,
             ckpt_interval=args.ckpt_interval, crash_at=args.crash_at,
-            sink_factory=CheckpointStore if args.store else None,
-            incremental=args.incremental, sink=args.sink)
+            config=RunConfig(incremental=args.incremental,
+                             sink_factory=CheckpointStore if args.store
+                             else FileSink),
+            sink=args.sink)
         events = tracer.events
         dropped = tracer.dropped
         counters = {n: v for n, v in

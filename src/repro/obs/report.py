@@ -451,19 +451,16 @@ def render_sim(stats: Dict[str, Any]) -> str:
 def trace_scenario(app: str = "lu", seed: int = 2014,
                    iters_sim: int = 24, nprocs: int = 4,
                    ckpt_interval: float = 1.0, crash_at: Optional[float]
-                   = None, sink_factory=None,
-                   incremental: bool = False,
-                   sink: Optional[str] = None):
+                   = None, config=None, sink: Optional[str] = None):
     """Run a NAS chaos scenario under a fresh tracer; returns
     ``(tracer, outcome)``.  ``crash_at`` injects one fatal node crash so
-    the trace exercises the restart path (refill + replay);
-    ``sink_factory`` builds each generation's checkpoint sink (image
-    files by default; :class:`~repro.store.CheckpointStore` makes the
-    trace carry ``store.*`` records); ``sink`` is the JSONL path the
-    trace streams to; ``incremental`` checkpoints
-    against the previous image so ``ckpt.capture`` spans carry chunk
-    dirty-tracking attrs and the ``ckpt.chunks_*`` counters move."""
-    from ..dmtcp import FileSink
+    the trace exercises the restart path (refill + replay); ``config``
+    is the job's :class:`~repro.dmtcp.RunConfig` (its ``sink_factory``
+    :class:`~repro.store.CheckpointStore` makes the trace carry
+    ``store.*`` records; ``incremental`` makes ``ckpt.capture`` spans
+    carry chunk dirty-tracking attrs and moves the ``ckpt.chunks_*``
+    counters); ``sink`` is the JSONL path the trace streams to."""
+    from ..dmtcp import RunConfig
     from ..faults.harness import run_chaos_nas
     from ..faults.schedule import FailureEvent, FixedSchedule
     from .trace import traced
@@ -476,7 +473,7 @@ def trace_scenario(app: str = "lu", seed: int = 2014,
             app=app, klass=klass, nprocs=nprocs, iters_sim=iters_sim,
             seed=seed, ckpt_interval=ckpt_interval,
             schedule=FixedSchedule(failures),
-            sink_factory=sink_factory or FileSink, incremental=incremental, backoff_base=0.25)
+            config=config or RunConfig(), backoff_base=0.25)
     stats = outcome.sim_stats
     tracer.metrics.counter("sim.events").inc(stats["events"])
     tracer.metrics.counter("sim.heap_peak").inc(stats["heap_peak"])

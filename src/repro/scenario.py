@@ -21,7 +21,7 @@ from functools import partial
 from typing import Callable, Generator, Optional
 
 from .core import InfinibandPlugin
-from .dmtcp import DEFAULT_COSTS, CostModel, dmtcp_launch, dmtcp_restart
+from .dmtcp import RunConfig, dmtcp_launch, dmtcp_restart
 from .dmtcp.launcher import JobTracker
 from .hardware import Cluster, HardwareSpec
 from .mpi import make_mpi_specs
@@ -31,13 +31,13 @@ __all__ = ["Scenario"]
 
 
 class Scenario:
-    """The environment, RNG, node count, tracker and cost model of one
+    """The environment, RNG, node count, tracker and run config of one
     run of ``nprocs`` ranks on ``spec`` hardware.  ``seed=None`` leaves
     each cluster its spec's default RNG."""
 
     def __init__(self, spec: HardwareSpec, nprocs: int, name: str, *,
                  ppn: Optional[int] = None, seed: Optional[int] = None,
-                 costs: CostModel = DEFAULT_COSTS):
+                 config: RunConfig = RunConfig()):
         self.env = Environment()
         self.rng = RngFactory(seed) if seed is not None else None
         self.spec = spec
@@ -46,7 +46,7 @@ class Scenario:
         self.ppn = ppn or spec.cores_per_node
         self.n_nodes = max(1, -(-nprocs // self.ppn))
         self.tracker = JobTracker()
-        self.costs = costs
+        self.config = config
 
     def cluster(self, tag: Optional[str] = None, *,
                 spec: Optional[HardwareSpec] = None,
@@ -65,16 +65,16 @@ class Scenario:
 
     def plugins(self) -> list:
         """A fresh plugin stack for one rank: the InfiniBand plugin."""
-        return [InfinibandPlugin(costs=self.costs)]
+        return [InfinibandPlugin()]
 
     def launch(self, cluster: Cluster, specs,
                plugin_factory: Optional[Callable[[], list]] = None,
                **kw) -> Generator:
         """Process generator: :func:`~repro.dmtcp.dmtcp_launch` under this
-        scenario's costs and tracker (plugins: :meth:`plugins`)."""
+        scenario's run config and tracker (plugins: :meth:`plugins`)."""
         return dmtcp_launch(cluster, specs,
                             plugin_factory=plugin_factory or self.plugins,
-                            costs=self.costs, tracker=self.tracker, **kw)
+                            config=self.config, tracker=self.tracker, **kw)
 
     def move(self, session, source: Cluster, target: Callable[[], Cluster],
              restart=dmtcp_restart, **kw) -> Generator:
@@ -88,8 +88,7 @@ class Scenario:
         source.teardown()
         cluster = target()
         t0 = self.env.now
-        restarted = yield from restart(cluster, ckpt, costs=self.costs,
-                                       **kw)
+        restarted = yield from restart(cluster, ckpt, **kw)
         return ckpt, restarted, t_stop, t0
 
     def run(self, gen: Generator):

@@ -36,7 +36,7 @@ from .. import hooks
 from ..apps.ml import ml_app
 from ..apps.nas import ft_app, lu_app
 from ..core import InfinibandPlugin
-from ..dmtcp.costs import CostModel, DEFAULT_COSTS
+from ..dmtcp.config import RunConfig
 from ..dmtcp.launcher import JobTracker, dmtcp_launch, dmtcp_restart
 from ..faults.progress import ChaosProgress, chaos_sync
 from ..faults.recovery import ChaosGate, ChaosPlugin, _safe
@@ -52,6 +52,10 @@ __all__ = ["GangScheduler", "JobOutcome", "ServiceJob", "WORKLOADS",
            "service_scenario"]
 
 TAG_PP = 95
+
+#: every service job's run config: incremental, so each checkpoint
+#: after a job's first recaptures only the chunks it dirtied
+_RUN = RunConfig(incremental=True)
 
 
 def pingpong_mpi_app(ctx, comm, klass: str = "S",
@@ -113,8 +117,6 @@ class ServiceJob:
     iters_sim: int = 2
     arrival: float = 0.0        # sim seconds
     ckpt_interval: float = 0.0  # 0 = no interval checkpoints
-    gzip: bool = True
-    incremental: bool = True
     #: quota-capped tenants' jobs must not be preempted — a rejected
     #: preemption checkpoint would leave nothing to restart from
     preemptible: bool = True
@@ -205,8 +207,7 @@ class GangScheduler:
                  rng: RngFactory,
                  spec: HardwareSpec = BUFFALO_CCR,
                  total_nodes: int = 8,
-                 quantum: Optional[float] = None,
-                 costs: CostModel = DEFAULT_COSTS):
+                 quantum: Optional[float] = None):
         self.env = env
         self.service = service
         self.rng = rng
@@ -215,7 +216,6 @@ class GangScheduler:
         #: minimum granted runtime before a job becomes a preemption
         #: victim; None disables preemption entirely
         self.quantum = quantum
-        self.costs = costs
         self._free = self.total_nodes
         self._queue: Deque[_JobRun] = deque()
         self._running: Dict[str, _JobRun] = {}
@@ -350,16 +350,13 @@ class GangScheduler:
                 gate.reset()
                 launch_gen = dmtcp_launch(
                     cluster, specs,
-                    plugin_factory=lambda: [
-                        InfinibandPlugin(costs=self.costs),
-                        ChaosPlugin(gate)],
-                    costs=self.costs, gzip=job.gzip, tracker=tracker,
-                    incremental=job.incremental, sink=client)
+                    plugin_factory=lambda: [InfinibandPlugin(),
+                                            ChaosPlugin(gate)],
+                    config=_RUN, tracker=tracker, sink=client)
             else:
                 launch_gen = dmtcp_restart(
-                    cluster, run.ckpt_set, costs=self.costs,
-                    tracker=tracker, incremental=job.incremental,
-                    sink=client, stage_images=False)
+                    cluster, run.ckpt_set, tracker=tracker, sink=client,
+                    stage_images=False)
             launch = env.process(_safe(launch_gen),
                                  name=f"service.up.{job.name}.g{generation}")
             yield launch

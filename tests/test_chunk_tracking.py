@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dmtcp import RunConfig
 from repro.dmtcp.image import CheckpointImage
 from repro.faults.harness import run_chaos_nas
 from repro.faults.schedule import FailureEvent, FixedSchedule
@@ -220,8 +221,8 @@ def test_incremental_store_chaos_checksum_parity():
     plain = run_chaos_nas(schedule=FixedSchedule([]), **kw)
     crash = FixedSchedule([FailureEvent(t=1.0, kind="node-crash",
                                         node_index=1)])
-    chaos = run_chaos_nas(schedule=crash, sink_factory=CheckpointStore,
-                          incremental=True, **kw)
+    chaos = run_chaos_nas(schedule=crash, config=RunConfig(
+        incremental=True, sink_factory=CheckpointStore), **kw)
     assert chaos.checksum == plain.checksum
     assert any(r.kind == "node-crash" and r.applied
                for r in chaos.failures)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro import hooks
 from repro.analysis.chunksan import ChunkSan, ChunkSanError, sanitized
+from repro.dmtcp import RunConfig
 from repro.dmtcp.image import CheckpointImage
 from repro.memory import CHUNK_BYTES, AddressSpace
 from repro.obs import traced
@@ -250,10 +251,12 @@ def test_chaos_run_under_chunksan_is_timing_invariant():
     from repro.faults.harness import run_chaos_nas
 
     base = run_chaos_nas(app="lu", iters_sim=12, seed=2014,
-                         ckpt_interval=0.5, incremental=True)
+                         ckpt_interval=0.5,
+                         config=RunConfig(incremental=True))
     with sanitized() as oracle:
         san = run_chaos_nas(app="lu", iters_sim=12, seed=2014,
-                            ckpt_interval=0.5, incremental=True)
+                            ckpt_interval=0.5,
+                            config=RunConfig(incremental=True))
     assert san.fingerprint() == base.fingerprint()
     assert oracle.summary()["checks"] > 0
     assert oracle.summary()["stale_caught"] == 0
@@ -264,7 +267,8 @@ def test_chunksan_emits_audit_records_to_the_tracer():
 
     with traced() as tracer, sanitized() as san:
         run_chaos_nas(app="lu", iters_sim=12, seed=2014,
-                      ckpt_interval=0.5, incremental=True)
+                      ckpt_interval=0.5,
+                      config=RunConfig(incremental=True))
     checks = [e for e in tracer.events
               if e["kind"] == "chunksan.check"]
     assert checks and all(e["stale"] == 0 for e in checks)

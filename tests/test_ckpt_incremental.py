@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core.ib_plugin import WqeLogError
 from repro.analysis.chunksan import sanitized
 from repro.core.ib_plugin.shadow import WqeLog
+from repro.dmtcp import RunConfig
 from repro.dmtcp import image as image_mod
 from repro.dmtcp.image import CAPTURE_CHUNK_BYTES, CheckpointImage
 from repro.faults.harness import run_chaos_nas
@@ -450,7 +451,8 @@ def test_incremental_survives_injected_crash_restart():
                           schedule=FixedSchedule([
                               FailureEvent(t=6.0, kind="node-crash",
                                            node_index=1)]),
-                          backoff_base=0.25, incremental=True)
+                          backoff_base=0.25,
+                          config=RunConfig(incremental=True))
     assert chaos.checksum == reference.checksum
     assert chaos.recovery.n_restarts == 1
     assert chaos.recovery.n_checkpoints >= 2  # chain spans the crash
@@ -463,7 +465,7 @@ def test_incremental_chaos_matches_full_chaos_fingerprint_checksum():
               mtbf_node=10.0, ckpt_interval=1.0, backoff_base=0.2,
               backoff_max=2.0, max_attempts=50)
     full = run_chaos_nas(**kw)
-    incr = run_chaos_nas(**kw, incremental=True)
+    incr = run_chaos_nas(**kw, config=RunConfig(incremental=True))
     assert incr.checksum == full.checksum
 
 

@@ -10,6 +10,7 @@ from repro.dmtcp import (
     CheckpointImage,
     DmtcpEvent,
     Plugin,
+    RunConfig,
     dmtcp_launch,
     dmtcp_restart,
     native_launch,
@@ -340,7 +341,8 @@ def test_staged_blob_equals_a_fresh_serialisation(use_store):
     env = Environment()
     cluster = Cluster(env, BUFFALO_CCR, n_nodes=2, name=f"blob{use_store}")
     sink = CheckpointStore(cluster) if use_store else FileSink(cluster)
-    session = _launch(env, cluster, n=2, sink=sink, incremental=True)
+    session = _launch(env, cluster, n=2, sink=sink,
+                      config=RunConfig(incremental=True))
 
     def scenario():
         yield env.timeout(1.2)
@@ -386,7 +388,7 @@ def test_incremental_file_write_charges_the_stalled_delta(env_cluster,
 
     session = env.run(until=env.process(dmtcp_launch(
         cluster, [AppSpec(i, f"r{i}", app, rank=i) for i in range(2)],
-        incremental=True)))
+        config=RunConfig(incremental=True))))
 
     def scenario():
         yield env.timeout(1.2)
@@ -402,7 +404,7 @@ def test_incremental_file_write_charges_the_stalled_delta(env_cluster,
         assert image.capture_stats["mode"] == "incremental"
         assert image.delta_logical_size < image.logical_size
         assert last_write[proc.name]["logical"] == \
-            image.delta_logical_size * proc.costs.gzip_stall_factor()
+            image.delta_logical_size * proc.config.costs.gzip_stall_factor()
         live = sorted(t.name for t in proc.host.threads if t.is_alive)
         assert live == [f"{proc.name}.ckptmgr", f"{proc.name}.main"]
 

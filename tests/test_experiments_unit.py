@@ -63,3 +63,26 @@ def test_dmtcp_vs_native_checksum_equal():
     b = run_nas(ep_app, BUFFALO_CCR, 2, ppn=1, under="dmtcp",
                 app_kwargs={"klass": "D", "iters_sim": 2})
     assert a.checksum == b.checksum
+
+
+@pytest.mark.parametrize("argv, store", [([], False), (["--store"], True)])
+def test_store_flag_reaches_table4_in_a_full_run(monkeypatch, argv, store):
+    """``--store`` without ``--table 4`` routes Table 4 through the chunk
+    store as well.  Every table's ``run`` is a recorder: nothing is
+    simulated."""
+    from repro import experiments
+    from repro.experiments.__main__ import main
+
+    calls = {}
+
+    def recorder(number):
+        def run(**kwargs):
+            calls[number] = kwargs
+            return Table(f"Table {number}", "recorded", ["row"])
+        return run
+
+    for number, module in experiments.TABLES.items():
+        monkeypatch.setattr(module, "run", recorder(number))
+    assert main(argv) == 0
+    assert sorted(calls) == list(range(1, 10))
+    assert calls[4] == {"store": store}

@@ -10,7 +10,7 @@ from repro.faults import (ChaosGate, FailureEvent, FixedSchedule, Injector,
                           apply_failure)
 from repro.faults.harness import (run_chaos_nas, verify_restart_path,
                                   young_daly_interval)
-from repro.dmtcp import FileSink
+from repro.dmtcp import FileSink, RunConfig
 from repro.hardware import BUFFALO_CCR, Cluster
 from repro.sim import Environment, RngFactory
 from repro.store import CheckpointStore, StoreError
@@ -281,7 +281,7 @@ def test_restart_stops_at_its_first_failing_rank():
                           FailureEvent(t=6.0, kind="node-crash",
                                        node_index=1)]),
                       max_attempts=2, backoff_base=0.25,
-                      sink_factory=_DarkFetchSink)
+                      config=RunConfig(sink_factory=_DarkFetchSink))
     outcome = info.value.outcome
     assert outcome.n_checkpoints >= 1
     errors = [e.detail for e in outcome.timeline
@@ -299,7 +299,8 @@ def test_incremental_store_restart_resyncs_chunk_stamps():
     reference = run_chaos_nas(iters_sim=24, ckpt_interval=1e9,
                               schedule=FixedSchedule([]))
     chaos = run_chaos_nas(iters_sim=24, mtbf_node=12.0, ckpt_interval=0.4,
-                          incremental=True, sink_factory=CheckpointStore)
+                          config=RunConfig(incremental=True,
+                                           sink_factory=CheckpointStore))
     assert chaos.checksum == reference.checksum
     assert chaos.recovery.n_restarts >= 2
     assert not any(e.detail.startswith("bring-up error")

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from repro.apps.pingpong import pingpong_app
 from repro.core.ib_plugin import InfinibandPlugin, VirtualIdConflictError
-from repro.dmtcp import AppSpec, CostModel, dmtcp_launch, dmtcp_restart
+from repro.dmtcp import (AppSpec, CostModel, RunConfig, dmtcp_launch,
+                         dmtcp_restart)
 from repro.hardware import BUFFALO_CCR, Cluster, HardwareSpec
 from repro.sim import Environment
 
@@ -113,8 +114,8 @@ def test_drain_settle_too_short_for_slow_fabric_loses_imm_writes():
                           name=f"slow-{settle}")
         session = env.run(until=env.process(dmtcp_launch(
             cluster, _pp_specs(cluster, iters=50),
-            plugin_factory=lambda: [InfinibandPlugin(costs=costs)],
-            costs=costs)))
+            plugin_factory=lambda: [InfinibandPlugin()],
+            config=RunConfig(costs=costs))))
 
         def scenario():
             yield env.timeout(0.03)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import InfinibandPlugin
+from repro.dmtcp import RunConfig
 from repro.dmtcp.image import CheckpointImage
 from repro.faults.injector import Injector
 from repro.faults.recovery import (RecoveryConfig, RecoveryError,
@@ -371,8 +372,9 @@ def test_quota_exceeded_surfaces_through_recovery_manager():
         return make_mpi_specs(cluster, 2, app, ppn=1, name_prefix="qjob")
 
     cfg = RecoveryConfig(
-        ckpt_interval=0.3, incremental=True,
-        sink_factory=lambda cluster: service.client("acme", "qjob"),
+        ckpt_interval=0.3, run=RunConfig(
+            incremental=True,
+            sink_factory=lambda cluster: service.client("acme", "qjob")),
         max_attempts=1, backoff_base=0.1, backoff_max=0.2)
     manager = RecoveryManager(
         env, cluster_factory, specs_for, cfg,

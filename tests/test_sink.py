@@ -14,7 +14,8 @@ import pytest
 from repro.apps.nas import lu_app
 from repro.apps.pingpong import pingpong_app
 from repro.core import InfinibandPlugin
-from repro.dmtcp import AppSpec, FileSink, dmtcp_launch, dmtcp_restart
+from repro.dmtcp import (AppSpec, FileSink, RunConfig, dmtcp_launch,
+                         dmtcp_restart)
 from repro.faults.injector import Injector
 from repro.faults.recovery import (RecoveryConfig, RecoveryError,
                                    RecoveryManager)
@@ -100,7 +101,8 @@ def _chaos(make, failures):
         lambda tag: Cluster(env, spec, n_nodes=2, rng=rng,
                             name=f"sink-chaos-{tag}"),
         lambda cluster: make_mpi_specs(cluster, 2, app, ppn=1),
-        RecoveryConfig(ckpt_interval=0.5, sink_factory=sink_factory),
+        RecoveryConfig(ckpt_interval=0.5,
+                       run=RunConfig(sink_factory=sink_factory)),
         plugin_factory=lambda: [InfinibandPlugin()],
         injector=injector, rng=rng)
     outcome = env.run(until=env.process(manager.run()))
@@ -184,7 +186,7 @@ def test_full_disk_surfaces_through_recovery_manager():
     manager = RecoveryManager(
         env, cluster_factory,
         lambda cluster: make_mpi_specs(cluster, 2, app, ppn=1),
-        RecoveryConfig(ckpt_interval=0.3, incremental=True,
+        RecoveryConfig(ckpt_interval=0.3, run=RunConfig(incremental=True),
                        max_attempts=1, backoff_base=0.1, backoff_max=0.2),
         plugin_factory=lambda: [InfinibandPlugin()],
         injector=Injector(env, FixedSchedule([])), name="fullq", rng=rng)

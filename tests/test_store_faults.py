@@ -8,12 +8,15 @@ detected by the digest check at fetch time and healed from a replica.
 
 import pytest
 
+from repro.dmtcp import RunConfig
 from repro.faults.harness import run_chaos_nas
 from repro.faults.models import SILENT_KINDS, apply_failure
 from repro.faults.schedule import FailureEvent, FixedSchedule
 from repro.hardware import BUFFALO_CCR, Cluster, MGHPCC
 from repro.sim import Environment
 from repro.store import CheckpointStore, chunk_path, digest_bytes
+
+_STORE = RunConfig(sink_factory=CheckpointStore)
 
 
 def _crash(t, node_index=1):
@@ -28,8 +31,7 @@ def test_lu_store_restart_after_node_crash_matches_baseline():
     kw = dict(app="lu", klass="A", nprocs=4, iters_sim=60,
               ckpt_interval=1.0, seed=11, backoff_base=0.25)
     base = run_chaos_nas(schedule=_crash(7.0), **kw)
-    store = run_chaos_nas(schedule=_crash(7.0), sink_factory=CheckpointStore,
-                          **kw)
+    store = run_chaos_nas(schedule=_crash(7.0), config=_STORE, **kw)
     assert store.checksum == base.checksum
     assert store.recovery.n_restarts >= 1
     assert base.recovery.n_restarts == store.recovery.n_restarts
@@ -39,8 +41,7 @@ def test_ft_store_restart_after_node_crash_matches_baseline():
     kw = dict(app="ft", klass="B", nprocs=4, iters_sim=6,
               ckpt_interval=1.0, seed=11, backoff_base=0.25)
     base = run_chaos_nas(schedule=_crash(45.0), **kw)
-    store = run_chaos_nas(schedule=_crash(45.0), sink_factory=CheckpointStore,
-                          **kw)
+    store = run_chaos_nas(schedule=_crash(45.0), config=_STORE, **kw)
     assert store.checksum == base.checksum
     assert store.recovery.n_restarts >= 1
 
@@ -52,7 +53,7 @@ def test_store_poisson_chaos_matches_baseline_checksum():
               mtbf_node=10.0, ckpt_interval=1.0, backoff_base=0.2,
               backoff_max=2.0, max_attempts=50)
     base = run_chaos_nas(**kw)
-    store = run_chaos_nas(sink_factory=CheckpointStore, **kw)
+    store = run_chaos_nas(config=_STORE, **kw)
     assert store.checksum == base.checksum
 
 
@@ -157,9 +158,9 @@ def test_run_nas_store_restart_matches_monolithic():
     kw = dict(spec=MGHPCC, nprocs=4, ppn=1, under="dmtcp",
               app_kwargs={"klass": "A", "iters_sim": 12},
               checkpoint_after=1.0, restart=True)
-    mono = run_nas(lu_app, sink_factory=lambda c: FileSink(c, "lustre"),
-                   **kw)
-    chunked = run_nas(lu_app, sink_factory=CheckpointStore, **kw)
+    mono = run_nas(lu_app, config=RunConfig(
+        sink_factory=lambda c: FileSink(c, "lustre")), **kw)
+    chunked = run_nas(lu_app, config=_STORE, **kw)
     assert chunked.checksum == mono.checksum
     assert chunked.ok and chunked.restart_seconds > 0
     assert chunked.extra["store"]["puts"] == 4

@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.chunksan import sanitized
 from repro.apps.nas.upc_ft import upc_ft_app
 from repro.core import InfinibandPlugin
-from repro.dmtcp import dmtcp_launch, dmtcp_restart, native_launch
+from repro.dmtcp import RunConfig, dmtcp_launch, dmtcp_restart, native_launch
 from repro.hardware import BUFFALO_CCR, Cluster
 from repro.memory import CHUNK_BYTES
 from repro.upc import make_upc_specs
@@ -231,7 +231,7 @@ def test_upc_ft_incremental_capture_proves_segment_by_stamps():
         san.check_region = judging
         session = env.run(until=env.process(dmtcp_launch(
             cluster, specs, plugin_factory=lambda: [InfinibandPlugin()],
-            incremental=True)))
+            config=RunConfig(incremental=True))))
 
         def scenario():
             # FT's loop runs from ~1 s to ~25 s: all three land inside it
@@ -244,8 +244,7 @@ def test_upc_ft_incremental_capture_proves_segment_by_stamps():
             cluster.teardown()
             cluster2 = Cluster(env, BUFFALO_CCR, n_nodes=threads,
                                name="upc-incr-spare")
-            session2 = yield from dmtcp_restart(cluster2, ckpt,
-                                                incremental=True)
+            session2 = yield from dmtcp_restart(cluster2, ckpt)
             return sets, (yield from session2.wait())
 
         sets, results = env.run(until=env.process(scenario()))
