@@ -43,6 +43,12 @@ the ledger's 64- and 256-rank runs cannot show.  It is reported, not
 gated.
 
 ``--smoke`` runs the 512-rank column only (the CI ``sim-scale`` job).
+
+``--memory N`` splits host memory instead: the live bytes per rank at
+the end of ``run_lu(N)`` (traced by ``tracemalloc``, charged to the
+innermost ``src/repro/<package>/`` frame that allocated them) by
+package, beside the ``ru_maxrss`` of an untraced run of the same
+scenario.  Each runs in a fresh interpreter.  It is reported, not gated.
 """
 
 from __future__ import annotations
@@ -71,6 +77,14 @@ MIN_KERNEL_SPEEDUP = 1.4
 
 #: per-rank timeout rounds of the kernel storm
 STORM_ROUNDS = 120
+
+#: the packages ``--memory`` splits live bytes by; the rest is "other"
+MEMORY_PACKAGES = ("sim", "hardware", "ibverbs", "core", "mpi", "memory",
+                   "dmtcp")
+
+#: tracemalloc frames kept per allocation, to find its innermost
+#: ``repro`` frame
+MEMORY_FRAMES = 12
 
 
 def _storm_program(environment_cls, ranks: int, rounds: int):
@@ -127,10 +141,53 @@ def bench_storm(ranks: int, rounds: int = STORM_ROUNDS) -> dict:
     }
 
 
+def _package(traceback) -> str:
+    """The ``MEMORY_PACKAGES`` entry of the innermost ``repro`` frame."""
+    for frame in reversed(traceback):
+        parts = frame.filename.replace(os.sep, "/").split("/repro/", 1)
+        if len(parts) == 2:
+            pkg = parts[1].split("/", 1)[0]
+            return pkg if pkg in MEMORY_PACKAGES else "other"
+    return "other"
+
+
+def bench_memory(ranks: int) -> dict:
+    """Live bytes per rank, by package, at the end of ``run_lu(ranks)``:
+    the snapshot is taken as the last ``Environment.run`` of the
+    scenario returns, before the scenario drops its clusters."""
+    import tracemalloc
+
+    from repro.experiments.sim_scale import run_lu
+    from repro.sim import Environment
+
+    last = {}
+    run = Environment.run
+
+    def run_then_snapshot(self, until=None):
+        value = run(self, until)
+        last["snapshot"] = tracemalloc.take_snapshot()
+        return value
+
+    Environment.run = run_then_snapshot
+    tracemalloc.start(MEMORY_FRAMES)
+    try:
+        row = run_lu(ranks)
+    finally:
+        Environment.run = run
+        tracemalloc.stop()
+    split = dict.fromkeys(MEMORY_PACKAGES + ("other",), 0)
+    for stat in last["snapshot"].statistics("traceback"):
+        split[_package(stat.traceback)] += stat.size
+    return {"events": row["events"], "checksum": row["checksum"],
+            "live_bytes_per_rank": {k: v / ranks for k, v in split.items()}}
+
+
 def _run_one(scenario: str, ranks: int) -> dict:
     """The ``--one`` worker: run a single entry in this interpreter."""
     if scenario == "storm":
         return bench_storm(ranks)
+    if scenario == "lu_memory":
+        return bench_memory(ranks)
     from repro.experiments.sim_scale import run_lu, run_pingpong
     row = {"pingpong": run_pingpong, "lu": run_lu}[scenario](ranks)
     row["peak_rss_mb"] = \
@@ -164,12 +221,45 @@ def _check_determinism(entry: dict, base: dict, sim_key: str,
     return ok
 
 
+def memory_report(ranks: int, out) -> int:
+    """``--memory``: print (and with ``out``, write) the package split
+    and the untraced run's peak RSS."""
+    split = _run_fresh("lu_memory", ranks)
+    plain = _run_fresh("lu", ranks)
+    if (split["events"], split["checksum"]) != \
+            (plain["events"], plain["checksum"]):
+        raise RuntimeError("the traced run diverged from the plain one")
+    per_rank = split["live_bytes_per_rank"]
+    report = {"bench": "sim_scale_memory", "ranks": ranks,
+              "live_bytes_per_rank": per_rank,
+              "live_bytes_per_rank_total": sum(per_rank.values()),
+              "peak_rss_mb": plain["peak_rss_mb"],
+              "events": plain["events"], "checksum": plain["checksum"]}
+    print(f"lu {ranks} ranks: live bytes per rank at the end of run_lu")
+    for pkg, size in per_rank.items():
+        print(f"  {pkg:<9} {size / 1024:9.1f} KiB")
+    print(f"  {'total':<9} "
+          f"{report['live_bytes_per_rank_total'] / 1024:9.1f} KiB")
+    print(f"peak RSS (ru_maxrss, untraced run): "
+          f"{plain['peak_rss_mb']:.1f} MiB")
+    if out:
+        with open(out, "w") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+        print(f"# wrote {out}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="512-rank column only (the CI gate)")
-    parser.add_argument("--out", default=DEFAULT_OUT,
-                        help="where to write BENCH_sim.json")
+    parser.add_argument("--memory", type=int, metavar="RANKS",
+                        help="split run_lu(RANKS)'s live host memory by "
+                             "package instead of running the ladder")
+    parser.add_argument("--out", default=None,
+                        help="where to write the report (default "
+                             "BENCH_sim.json; --memory prints only)")
     parser.add_argument("--one", nargs=2, metavar=("SCENARIO", "RANKS"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -177,6 +267,9 @@ def main(argv=None) -> int:
     if args.one:
         print(json.dumps(_run_one(args.one[0], int(args.one[1]))))
         return 0
+    if args.memory:
+        return memory_report(args.memory, args.out)
+    out = args.out or DEFAULT_OUT
 
     from repro.experiments.sim_scale import RANK_LADDER
 
@@ -243,10 +336,10 @@ def main(argv=None) -> int:
                            "failures": speedup_failures},
     }
     report["pass"] = not (failures or floor_failures or speedup_failures)
-    with open(args.out, "w") as fh:
+    with open(out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    print(f"# wrote {args.out}; pass={report['pass']}")
+    print(f"# wrote {out}; pass={report['pass']}")
     if failures:
         print("# DETERMINISM FAILURES:", *failures, sep="\n#   ")
     if floor_failures:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Deque, Dict, Iterable, Iterator, List,
-                    Optional, Tuple, Union)
+                    Optional, Tuple)
 
 from ...ibverbs.enums import AccessFlags, QpState, QpType
 from .errors import WqeLogError
@@ -116,40 +116,44 @@ class WqeLog:
 
     An entry is anything with a ``wr_id``: a receive log holds the posted
     :class:`ibv_recv_wr` values themselves (with VIRTUAL lkeys), a send
-    log holds :class:`SendLogEntry` records.  Entries live in an
-    insertion-ordered dict keyed by a monotonic sequence number, with a
-    per-``wr_id`` FIFO of sequence numbers on the side (wr_ids are
-    application-chosen and may repeat, so they cannot key the log
-    directly).  A wr_id with one outstanding WQE — nearly all
-    of them — maps to the bare sequence number; it holds a deque only
-    while it has two or more.  Iteration yields entries in post order —
-    Principle 3/6 replay re-posts in exactly the order the application
-    posted.  :meth:`complete_recv` removes the oldest entry with a given
-    wr_id in O(1); :meth:`complete_send_upto` removes the whole prefix
-    through the oldest match (ordered-completion semantics: a signaled
-    completion implies every earlier WQE on the QP completed), costing
-    O(removed) — amortized O(1) per posted WQE.
+    log holds :class:`SendLogEntry` records.  Entries live in one
+    insertion-ordered dict.  wr_ids are application-chosen and may
+    repeat, so the key is the bare ``wr_id`` for the oldest outstanding
+    WQE with that id — nearly all of them, as one id is rarely posted
+    twice before it completes — and ``(wr_id, n)``, ``n`` unique within
+    the log, for a duplicate, with a FIFO of those keys per ``wr_id`` on
+    the side.  A bare key is only given to a wr_id with nothing
+    outstanding, so while it is present it is the oldest of its id.
+    Iteration yields entries in post order — Principle 3/6 replay
+    re-posts in exactly the order the application posted.
+    :meth:`complete_recv` removes the oldest entry with a given wr_id in
+    O(1); :meth:`complete_send_upto` removes the whole prefix through the
+    oldest match (ordered-completion semantics: a signaled completion
+    implies every earlier WQE on the QP completed), costing O(removed) —
+    amortized O(1) per posted WQE.
     """
 
-    __slots__ = ("_entries", "_by_wr_id", "_seq")
+    __slots__ = ("_entries", "_dups", "_n")
 
     def __init__(self) -> None:
-        self._entries: Dict[int, Any] = {}
-        self._by_wr_id: Dict[int, Union[int, Deque[int]]] = {}
-        self._seq = 0
+        self._entries: Dict[Any, Any] = {}
+        #: wr_id -> its duplicates' keys, oldest first (never empty)
+        self._dups: Dict[int, Deque[Tuple[int, int]]] = {}
+        self._n = 0
 
     def append(self, entry: Any) -> None:
-        seq = self._seq
-        self._seq += 1
-        self._entries[seq] = entry
         wr_id = entry.wr_id
-        seqs = self._by_wr_id.get(wr_id)
-        if seqs is None:
-            self._by_wr_id[wr_id] = seq
-        elif seqs.__class__ is int:
-            self._by_wr_id[wr_id] = deque((seqs, seq))
+        if wr_id not in self._entries and wr_id not in self._dups:
+            self._entries[wr_id] = entry
+            return
+        key = (wr_id, self._n)
+        self._n += 1
+        self._entries[key] = entry
+        dups = self._dups.get(wr_id)
+        if dups is None:
+            self._dups[wr_id] = deque((key,))
         else:
-            seqs.append(seq)
+            dups.append(key)
 
     def extend(self, entries: Iterable[Any]) -> None:
         for entry in entries:
@@ -164,15 +168,21 @@ class WqeLog:
     def __bool__(self) -> bool:
         return bool(self._entries)
 
-    def _drop_seq(self, seq: int) -> None:
-        wr_id = self._entries.pop(seq).wr_id
-        seqs = self._by_wr_id[wr_id]
-        if seqs.__class__ is int:
-            del self._by_wr_id[wr_id]
-        else:
-            seqs.remove(seq)
-            if len(seqs) == 1:
-                self._by_wr_id[wr_id] = seqs[0]
+    def _oldest(self, wr_id: int) -> Any:
+        """The key of the oldest outstanding WQE with ``wr_id``, or None."""
+        if wr_id in self._entries:
+            return wr_id
+        dups = self._dups.get(wr_id)
+        return None if dups is None else dups[0]
+
+    def _drop(self, key: Any) -> None:
+        del self._entries[key]
+        if key.__class__ is tuple:
+            wr_id = key[0]
+            dups = self._dups[wr_id]
+            dups.remove(key)  # the first, unless retain() drops it
+            if not dups:
+                del self._dups[wr_id]
 
     def complete_recv(self, wr_id: int) -> bool:
         """Destroy the oldest logged WQE with ``wr_id``.
@@ -180,20 +190,13 @@ class WqeLog:
         Raises :class:`WqeLogError` if no such WQE was ever posted — a
         completion without a matching log entry violates Principle 3.
         """
-        seqs = self._by_wr_id.get(wr_id)
-        if seqs is None:
+        key = self._oldest(wr_id)
+        if key is None:
             raise WqeLogError(
                 f"orphan completion: wr_id {wr_id:#x} matches no logged "
                 "recv WQE (Principle 3: every post stays logged until "
                 "its completion is polled)")
-        if seqs.__class__ is int:
-            seq = seqs
-            del self._by_wr_id[wr_id]
-        else:
-            seq = seqs.popleft()
-            if len(seqs) == 1:
-                self._by_wr_id[wr_id] = seqs[0]
-        del self._entries[seq]
+        self._drop(key)
         return True
 
     def complete_send_upto(self, wr_id: int) -> bool:
@@ -204,28 +207,27 @@ class WqeLog:
         already retired): prefix retirement against an unknown wr_id
         would silently desynchronize the log from the hardware.
         """
-        seqs = self._by_wr_id.get(wr_id)
-        if seqs is None:
+        target = self._oldest(wr_id)
+        if target is None:
             raise WqeLogError(
                 f"orphan completion: wr_id {wr_id:#x} matches no logged "
                 "send WQE (already retired, or never posted)")
-        target = seqs if seqs.__class__ is int else seqs[0]
-        # the prefix is exactly the dict's leading keys (seqs are
-        # monotonic): stop at the first key past the target, so the walk
-        # touches only what it removes — amortized O(1) per post
+        # the prefix is exactly the dict's leading keys: stop at the
+        # target, so the walk touches only what it removes — amortized
+        # O(1) per post
         prefix = []
-        for seq in self._entries:
-            if seq > target:
+        for key in self._entries:
+            prefix.append(key)
+            if key == target:
                 break
-            prefix.append(seq)
-        for seq in prefix:
-            self._drop_seq(seq)
+        for key in prefix:
+            self._drop(key)
         return True
 
     def retain(self, pred: Callable[[Any], bool]) -> None:
         """Keep only entries where ``pred(entry)`` holds, in order."""
-        for seq in [s for s, e in self._entries.items() if not pred(e)]:
-            self._drop_seq(seq)
+        for key in [k for k, e in self._entries.items() if not pred(e)]:
+            self._drop(key)
 
 
 @dataclass

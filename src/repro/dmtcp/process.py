@@ -153,6 +153,16 @@ class CheckpointRecord:
         return replace(self, image=image)
 
 
+def _app_main(appctx: AppContext, app_factory) -> Generator:
+    """The main thread's body.  It holds the context, not the
+    :class:`DmtcpProcess`: a restarted rank's main thread is this same
+    generator, and must not keep the process object of the generation
+    it was checkpointed in (or, through it, the torn-down host) alive."""
+    value = yield from app_factory(appctx)
+    appctx.exit(value)
+    return value
+
+
 class DmtcpProcess:
     """One application process running under dmtcp_launch."""
 
@@ -200,15 +210,10 @@ class DmtcpProcess:
             plugin.install(self.appctx)
             plugin.event(DmtcpEvent.INIT)
         main = self.host.spawn_thread(
-            self._app_main(app_factory), name=f"{self.name}.main")
+            _app_main(self.appctx, app_factory), name=f"{self.name}.main")
         self.user_threads.append(main)
         self.manager = self.host.spawn_thread(
             self._manager(), name=f"{self.name}.ckptmgr")
-
-    def _app_main(self, app_factory) -> Generator:
-        value = yield from app_factory(self.appctx)
-        self.appctx.exit(value)
-        return value
 
     # -- checkpoint manager thread ---------------------------------------------------
 
@@ -412,7 +417,7 @@ class DmtcpProcess:
         cont = self.last_record.continuation
         for thread in cont.user_threads:
             if thread in self.host.threads:
-                self.host.threads.remove(thread)
+                self.host.release_thread(thread)
         return cont
 
     @classmethod
@@ -476,7 +481,7 @@ class DmtcpProcess:
         # adopt and thaw the continuation's threads
         for thread in self.user_threads:
             if thread.is_alive:
-                self.host.threads.append(thread)
+                self.host.adopt_thread(thread)
                 thread.unsuspend()
         self.manager = self.host.spawn_thread(
             self._manager(), name=f"{self.name}.ckptmgr")

@@ -14,9 +14,6 @@ from .storage import Disk
 __all__ = ["Node", "ProcessHost", "ProcessError"]
 
 _pid_counter = itertools.count(1000)
-#: a process's thread list is first compacted at this length, and after
-#: that whenever it doubles its live count
-_COMPACT_MIN = 64
 
 
 class ProcessError(RuntimeError):
@@ -123,8 +120,8 @@ class ProcessHost:
         self.name = name
         self.memory = AddressSpace(f"{name}(pid={self.pid})")
         self.libs: Dict[str, Any] = {}
+        #: the live threads: one leaves when it finishes
         self.threads: List[Process] = []
-        self._compact_at = _COMPACT_MIN
         self.alive = True
         # multiplier on compute time; dmtcp_launch bumps it slightly to model
         # the constant interposition tax on a traced process
@@ -149,13 +146,26 @@ class ProcessHost:
             raise ProcessError(f"{self.name}: spawn in dead process")
         thread = self.env.process(generator,
                                   name=name or f"{self.name}.thread")
-        self.threads.append(thread)
-        if len(self.threads) >= self._compact_at:
-            # finished helpers (isend, put, cts...) pile up one per
-            # message; every reader skips dead threads, so drop them
-            self.threads[:] = [t for t in self.threads if t.is_alive]
-            self._compact_at = max(_COMPACT_MIN, 2 * len(self.threads))
+        self.adopt_thread(thread)
         return thread
+
+    def adopt_thread(self, thread: Process) -> None:
+        """Add a live thread; the process reaps it when it finishes, so
+        finished helpers (isend, put, cts...) do not pile up one per
+        message.  The reap runs before any waiter wakes, so no code that
+        runs later sees a finished thread listed."""
+        self.threads.append(thread)
+        thread.callbacks.insert(0, self._reap)
+
+    def release_thread(self, thread: Process) -> None:
+        """Take a live thread out of the process (a frozen continuation
+        leaving the host it was checkpointed on): nothing of the thread
+        refers back here afterwards."""
+        self.threads.remove(thread)
+        thread.callbacks.remove(self._reap)
+
+    def _reap(self, thread: Process) -> None:
+        self.threads.remove(thread)
 
     def compute(self, flops: float = 0.0, seconds: float = 0.0):
         """Event charging CPU time for ``flops`` of work plus raw seconds
@@ -182,9 +192,10 @@ class ProcessHost:
         for hook in self._kill_hooks:
             hook()
         self._kill_hooks.clear()
+        reap = self._reap
         for thread in self.threads:
-            if thread.is_alive:
-                thread.kill()
+            thread.callbacks.remove(reap)
+            thread.kill()
         self.threads.clear()
         self.libs.clear()
         if not self.exit_event.triggered:

@@ -50,11 +50,6 @@ from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
-try:  # numpy >= 2.0 moved byte_bounds out of the top-level namespace
-    from numpy.lib.array_utils import byte_bounds as _byte_bounds
-except ImportError:  # pragma: no cover - numpy < 2.0
-    _byte_bounds = np.byte_bounds
-
 __all__ = ["AddressSpace", "Region", "TrackedView", "MemoryError_",
            "PAGE_SIZE", "CHUNK_BYTES", "ZERO_PIECE", "dirty_chunk_bytes"]
 
@@ -240,6 +235,24 @@ class Region:
         return self.addr <= addr and addr + length <= self.end
 
 
+def _byte_bounds(a: np.ndarray) -> tuple:
+    """``(lowest byte address, one past the highest)`` of ``a``: numpy's
+    ``byte_bounds``, read through ``a.ctypes.data``.  ``byte_bounds``
+    goes through ``__array_interface__``, whose first few thousand calls
+    leave ~0.9 MiB allocated for the rest of the process (tracemalloc,
+    numpy 2.4)."""
+    lo = a.ctypes.data
+    if a.flags.c_contiguous:
+        return lo, lo + a.nbytes
+    hi = lo
+    for n, stride in zip(a.shape, a.strides):
+        if stride < 0:
+            lo += (n - 1) * stride
+        else:
+            hi += (n - 1) * stride
+    return lo, hi + a.itemsize
+
+
 class TrackedView:
     """An ndarray facade over a :class:`Region` that keeps dirty tracking
     precise: reads hand out read-only views, writes go through
@@ -260,8 +273,7 @@ class TrackedView:
     def __init__(self, region: Region, arr: np.ndarray):
         self._region = region
         self._arr = arr
-        self._base = _byte_bounds(
-            np.frombuffer(region._buf, dtype=np.uint8))[0]
+        self._base = np.frombuffer(region._buf, dtype=np.uint8).ctypes.data
 
     # -- span marking -------------------------------------------------------
 

@@ -330,7 +330,6 @@ class Process(Event):
         env = self.env
         value = event._value
         while True:
-            env._active_process = self
             try:
                 if ok:
                     target = self._generator.send(value)
@@ -347,8 +346,6 @@ class Process(Event):
                 self._defused = False
                 env._schedule(self)
                 return
-            finally:
-                env._active_process = None
             if target.__class__ is Timeout or isinstance(target, Event):
                 break
             # give the generator a chance to handle it; what it yields
@@ -507,17 +504,12 @@ class Environment:
         self._when: Optional[float] = None
         self._pos = 0
         self._queued = 0  # events scheduled and not yet popped
-        self._active_process: Optional[Process] = None
         self._pool: list[_Control] = []
         self.stats = SimStats()
 
     @property
     def now(self) -> float:
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     # -- event factories ---------------------------------------------------
 

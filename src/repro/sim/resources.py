@@ -15,28 +15,80 @@ from .core import Environment, Event, SimulationError
 __all__ = ["Store", "Resource"]
 
 
+#: an empty slot (None is a valid item)
+_EMPTY = object()
+
+
+class _Fifo(deque):
+    """What a one-value slot grows into once a second value has to wait
+    behind the first: a private type, so a deque put into a store as an
+    item is never mistaken for one."""
+
+    __slots__ = ()
+
+
+def _push(slot: Any, value: Any) -> Any:
+    """``slot`` (``_EMPTY``, one bare value or a ``_Fifo``) with
+    ``value`` queued behind what it holds."""
+    if slot is _EMPTY:
+        return value
+    if slot.__class__ is _Fifo:
+        slot.append(value)
+        return slot
+    return _Fifo((slot, value))
+
+
+def _pop(slot: Any) -> tuple:
+    """``(oldest value, what the slot holds without it)`` of a slot that
+    holds something; a drained ``_Fifo`` is dropped."""
+    if slot.__class__ is not _Fifo:
+        return slot, _EMPTY
+    value = slot.popleft()
+    return value, slot if slot else _EMPTY
+
+
 class Store:
-    """An unbounded (or capacity-bounded) FIFO channel of Python objects."""
+    """An unbounded (or capacity-bounded) FIFO channel of Python objects.
+
+    Most stores are a mailbox one process waits on, holding at most one
+    item or one waiting getter at a time.  Each is kept bare in its slot;
+    a queue is built only while two or more wait, and a put that finds a
+    waiting getter hands the item straight over.
+    """
+
+    __slots__ = ("env", "capacity", "_items", "_getters", "_putters")
 
     def __init__(self, env: Environment, capacity: float = float("inf")):
         if capacity <= 0:
             raise SimulationError("capacity must be positive")
         self.env = env
         self.capacity = capacity
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        #: _EMPTY, the one held item, or a _Fifo of them
+        self._items: Any = _EMPTY
+        #: _EMPTY, the one waiting getter, or a _Fifo of them
+        self._getters: Any = _EMPTY
         # created when a bounded store first blocks a put: most stores are
         # unbounded and never need one
         self._putters: Optional[Deque[tuple[Event, Any]]] = None
 
     def __len__(self) -> int:
-        return len(self.items)
+        items = self._items
+        if items.__class__ is _Fifo:
+            return len(items)
+        return 0 if items is _EMPTY else 1
 
     def put(self, item: Any) -> Event:
         """Return an event that triggers once ``item`` is in the store."""
         event = Event(self.env)
-        if len(self.items) < self.capacity:
-            self.items.append(item)
+        if self._items is _EMPTY and self._getters is not _EMPTY:
+            getter = self._next_getter()
+            if getter is not None:
+                # nothing held, so nothing to overtake: hand it over
+                event.succeed()
+                getter.succeed(item)
+                return event
+        if len(self) < self.capacity:
+            self._items = _push(self._items, item)
             event.succeed()
             self._service_getters()
         else:
@@ -48,33 +100,47 @@ class Store:
     def get(self) -> Event:
         """Return an event that triggers with the next item."""
         event = Event(self.env)
-        self._getters.append(event)
-        self._service_getters()
+        if self._items is not _EMPTY:
+            item, self._items = _pop(self._items)
+            event.succeed(item)
+            self._service_putters()
+            return event
+        self._getters = _push(self._getters, event)
         return event
 
     def try_get(self) -> Optional[Any]:
         """Non-blocking get; returns None when empty.  Taking an item frees
         capacity, so a putter blocked on a bounded store is let in."""
-        if self.items:
-            item = self.items.popleft()
-            self._service_putters()
-            return item
+        if self._items is _EMPTY:
+            return None
+        item, self._items = _pop(self._items)
+        self._service_putters()
+        return item
+
+    def _next_getter(self) -> Optional[Event]:
+        """Dequeue the oldest getter still waiting (one that was
+        triggered meanwhile was cancelled by an interrupt)."""
+        while self._getters is not _EMPTY:
+            getter, self._getters = _pop(self._getters)
+            if not getter.triggered:
+                return getter
         return None
 
     def _service_getters(self) -> None:
-        while self._getters and self.items:
-            getter = self._getters.popleft()
-            if getter.triggered:  # cancelled by interrupt
-                continue
-            getter.succeed(self.items.popleft())
+        while self._items is not _EMPTY and self._getters is not _EMPTY:
+            getter = self._next_getter()
+            if getter is None:
+                return
+            item, self._items = _pop(self._items)
+            getter.succeed(item)
             self._service_putters()
 
     def _service_putters(self) -> None:
-        while self._putters and len(self.items) < self.capacity:
+        while self._putters and len(self) < self.capacity:
             event, item = self._putters.popleft()
             if event.triggered:
                 continue
-            self.items.append(item)
+            self._items = _push(self._items, item)
             event.succeed()
             self._service_getters()
 

@@ -522,18 +522,26 @@ def test_wqelog_retain_filters_in_order():
 
 
 def _assert_index_shape(log):
-    """A wr_id maps to a bare seq while exactly one of its WQEs is
-    outstanding and to a deque only while two or more are."""
+    """Each entry is keyed by its bare wr_id or by ``(wr_id, n)``; a bare
+    key is the oldest outstanding WQE of its id, and a wr_id's tuple
+    keys are exactly its FIFO of duplicates, oldest first, which exists
+    only while it is non-empty."""
     want = {}
-    for seq, e in log._entries.items():
-        want.setdefault(e.wr.wr_id, []).append(seq)
-    assert set(log._by_wr_id) == set(want)
-    for wr_id, seqs in want.items():
-        got = log._by_wr_id[wr_id]
-        if len(seqs) == 1:
-            assert type(got) is int and got == seqs[0]
-        else:
-            assert type(got) is deque and list(got) == seqs
+    for key, e in log._entries.items():
+        want.setdefault(e.wr.wr_id, []).append(key)
+    assert set(log._dups) == {
+        wr_id for wr_id, keys in want.items()
+        if any(type(k) is tuple for k in keys)}
+    for wr_id, keys in want.items():
+        dups = [k for k in keys if type(k) is tuple]
+        bare = [k for k in keys if type(k) is not tuple]
+        assert bare in ([], [wr_id]) and type(wr_id) is int
+        assert keys == bare + dups          # a bare key is the oldest
+        assert all(len(k) == 2 and k[0] == wr_id and type(k[1]) is int
+                   for k in dups)
+        if dups:
+            got = log._dups[wr_id]
+            assert type(got) is deque and list(got) == dups
 
 
 @settings(max_examples=120, deadline=None)
@@ -548,7 +556,7 @@ def test_wqelog_matches_linear_scan_reference(ops):
     """The indexed log agrees with the seed's linear-scan semantics for
     arbitrary post/complete/retain interleavings; posts outnumber each
     kind of completion and draw from four wr_ids, so ids repeat while
-    outstanding and the index crosses int -> deque -> int, with orphan
+    outstanding and the index crosses bare -> FIFO -> bare, with orphan
     completions arriving in every state."""
     log, ref = WqeLog(), []
     for kind, wr_id in ops:
@@ -586,10 +594,11 @@ def test_wqelog_matches_linear_scan_reference(ops):
 
 
 def test_wqelog_index_crosses_int_deque_int_with_orphans_at_each_state():
-    """wr_id 7 goes absent -> int -> deque -> int -> absent; at every
-    state a completion for a wr_id that is *not* outstanding is an
-    orphan and leaves log and index untouched.  wr_id 0 rides along so
-    seq 0 (falsy) is the bare int under test."""
+    """wr_id 7 goes absent -> bare key -> bare key plus a FIFO of
+    duplicates -> FIFO only -> absent -> bare key; at every state a
+    completion for a wr_id that is *not* outstanding is an orphan and
+    leaves log and index untouched.  wr_id 0 rides along so a falsy
+    bare key is under test."""
     log = WqeLog()
 
     def orphans():
@@ -601,25 +610,40 @@ def test_wqelog_index_crosses_int_deque_int_with_orphans_at_each_state():
         _assert_index_shape(log)
 
     orphans()                                   # absent
-    zero, a, b, c = _entry(0), _entry(7), _entry(7), _entry(7)
+    zero, a, b, c, d = (_entry(0), _entry(7), _entry(7), _entry(7),
+                        _entry(7))
     log.append(zero)
     log.append(a)
-    assert type(log._by_wr_id[0]) is int and log._by_wr_id[0] == 0
-    orphans()                                   # int
+    assert list(log._entries) == [0, 7] and not log._dups
+    orphans()                                   # bare
     log.append(b)
     log.append(c)
-    assert type(log._by_wr_id[7]) is deque
-    orphans()                                   # deque of 3
+    assert type(log._dups[7]) is deque and len(log._dups[7]) == 2
+    orphans()                                   # bare + FIFO of 2
     log.retain(lambda e: e is not b)            # drop from the middle
-    assert list(log) == [zero, a, c]
-    orphans()                                   # deque of 2
-    assert log.complete_recv(7)                 # oldest first
-    assert list(log) == [zero, c] and type(log._by_wr_id[7]) is int
-    orphans()                                   # back to int
-    assert log.complete_send_upto(7)            # retires seq 0 on the way
-    assert not log and not log._by_wr_id
+    assert list(log) == [zero, a, c] and len(log._dups[7]) == 1
+    orphans()                                   # bare + FIFO of 1
+    assert log.complete_recv(7)                 # oldest first: the bare one
+    assert list(log) == [zero, c] and 7 not in log._entries
+    orphans()                                   # FIFO only
+    log.append(d)                               # behind c: not bare
+    assert list(log) == [zero, c, d] and 7 not in log._entries
+    assert len(log._dups[7]) == 2
+    orphans()
+    assert log.complete_send_upto(7)            # retires wr_id 0 on the way
+    assert list(log) == [d]
+    orphans()
+    assert log.complete_recv(7)
+    assert not log and not log._dups
+    orphans()                                   # absent again
+    log.append(a)
+    assert list(log._entries) == [7] and not log._dups
+    orphans()                                   # bare again
+    assert log.complete_send_upto(7)
+    assert not log and not log._dups
     for complete in (log.complete_recv, log.complete_send_upto):
         with pytest.raises(WqeLogError, match="orphan"):
             complete(7)                         # retired is an orphan too
         with pytest.raises(WqeLogError, match="orphan"):
             complete(0)
+
