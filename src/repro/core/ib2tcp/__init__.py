@@ -1,5 +1,5 @@
 """IB2TCP: checkpoint on InfiniBand, restart on Ethernet (paper §6.4)."""
 
-from .plugin import Ib2TcpError, Ib2TcpPlugin
+from .plugin import Ib2TcpPlugin
 
-__all__ = ["Ib2TcpError", "Ib2TcpPlugin"]
+__all__ = ["Ib2TcpPlugin"]

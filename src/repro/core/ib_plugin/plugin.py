@@ -69,8 +69,9 @@ class InfinibandPlugin(Plugin):
         super().__init__()
         self.allow_driver_reload = allow_driver_reload
         self.globally_unique_vids = globally_unique_vids
-        self.fallback = fallback          # e.g. the IB2TCP plugin
-        self.delegated = False            # True once fallback took over
+        #: the verbs provider a restart onto a node with no HCA gets its
+        #: library from (the IB2TCP plugin)
+        self.fallback = fallback
         self.real_lib = None
         self.wrapped = WrappedVerbs(self)
         # registry of live virtual resources (Figure 2's "plugin internal
@@ -341,8 +342,6 @@ class InfinibandPlugin(Plugin):
     # -- Principles 4/5: drain and refill ----------------------------------------------
 
     def drain_round(self) -> int:
-        if self.delegated:
-            return self.fallback.drain_round()
         drained = 0
         for vcq in self.cqs:
             while wcs := vcq.vcontext.real_ops.poll_cq(vcq.real, 64):
@@ -364,8 +363,7 @@ class InfinibandPlugin(Plugin):
             evt.succeed()
             return evt
         vcq.pending_notify = evt
-        if not self.delegated:
-            self._chain_notify(vcq)
+        self._chain_notify(vcq)
         return evt
 
     def _chain_notify(self, vcq: VirtualCq) -> None:
@@ -405,11 +403,8 @@ class InfinibandPlugin(Plugin):
 
     def close(self) -> None:
         """Unload the wrapper library: it and every ops table handed to
-        the application point back here.  The fallback points back here
-        too, so it closes with us."""
+        the application point back here."""
         self.wrapped.plugin = None
-        if self.fallback is not None:
-            self.fallback.close()
 
     def image_metadata(self) -> Dict[str, Any]:
         if self.contexts:
@@ -435,22 +430,25 @@ class InfinibandPlugin(Plugin):
 
     def _restart_recreate(self) -> None:
         self.restarted = True
-        new_lib = self.appctx.proc.libs["ibverbs"]
+        proc = self.appctx.proc
+        new_lib = proc.libs["ibverbs"]
         devices = new_lib.get_device_list()
-        if not devices:
-            if self.fallback is not None:
-                self.delegated = True
-                self.real_lib = new_lib
-                self.appctx.proc.libs["ibverbs"] = self.wrapped
-                self.fallback.adopt(self)
-                return
-            raise NoInfinibandError(
-                "restart node has no HCA and no IB2TCP fallback")
+        # with no HCA the fallback provider's software device stands in;
+        # the image's user-space driver never runs on it, so the §4
+        # vendor check does not apply and each context keeps its vendor
+        software = not devices
+        if software:
+            if self.fallback is None:
+                raise NoInfinibandError(
+                    "restart node has no HCA and no IB2TCP fallback")
+            new_lib = self.fallback.verbs_lib(
+                proc, self.costs.ib2tcp_tcp_per_byte)
+            devices = new_lib.get_device_list()
         device = devices[0]
         self.real_lib = new_lib
-        self.appctx.proc.libs["ibverbs"] = self.wrapped
+        proc.libs["ibverbs"] = self.wrapped
         for vctx in self.contexts:
-            if device.vendor != vctx.vendor:
+            if device.vendor != vctx.vendor and not software:
                 if not self.allow_driver_reload:
                     raise HeterogeneousDriverError(
                         f"image embeds the {vctx.vendor!r} user-space "
@@ -488,8 +486,6 @@ class InfinibandPlugin(Plugin):
     # -- publish/subscribe (§3.2.1) ---------------------------------------------------------
 
     def ns_publish(self) -> Dict[str, Any]:
-        if self.delegated:
-            return self.fallback.ns_publish()
         entries: Dict[str, Any] = {}
         for vctx in self.contexts:
             entries[f"lid:{vctx.vlid}"] = vctx.real_lid
@@ -506,9 +502,6 @@ class InfinibandPlugin(Plugin):
         return entries
 
     def ns_receive(self, db: Mapping[str, Any]) -> None:
-        if self.delegated:
-            self.fallback.ns_receive(db)
-            return
         self.db = db
         if hooks.tracer is not None:
             hooks.tracer.emit("ns.receive", self.appctx.name,
@@ -522,9 +515,6 @@ class InfinibandPlugin(Plugin):
             + sum(len(vqp.recv_log) + len(vqp.send_log) for vqp in self.qps)
 
     def _restart_replay(self) -> None:
-        if self.delegated:
-            self.fallback.restart_replay()
-            return
         tracer = hooks.tracer
         replay_span = None
         reposted_before = (self.stats["reposted_recvs"]

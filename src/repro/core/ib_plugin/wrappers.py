@@ -231,9 +231,6 @@ class WrappedVerbs:
             raise UnsupportedQpTypeError(
                 "UD queue pairs are not supported (§4)")
         snap = wr.copy()
-        if plugin.delegated:
-            plugin.fallback.post_send(vqp, snap)
-            return
         vqp.vpd.vcontext.real_ops.post_send(
             vqp.real, plugin.translate_send_wr(vqp, snap))
         flags = snap.send_flags._value_
@@ -251,13 +248,8 @@ class WrappedVerbs:
             plugin.stats["wrapper_calls"] += 1
             proc.overhead_debt += costs.wrapper_cost()
             plugin.charge_ib2tcp_copy(0.0)
-        if plugin.delegated:
-            _post_logged(plugin.fallback.post_recv, vqp, chain, chain,
-                         vqp.recv_log)
-        else:
-            _post_logged(vqp.vpd.vcontext.real_ops.post_recv, vqp.real,
-                         plugin.translate_recv_chain(chain), chain,
-                         vqp.recv_log)
+        _post_logged(vqp.vpd.vcontext.real_ops.post_recv, vqp.real,
+                     plugin.translate_recv_chain(chain), chain, vqp.recv_log)
 
     def ops_post_srq_recv(self, vsrq: VirtualSrq, wrs: RecvWrs) -> None:
         plugin = self.plugin
@@ -266,13 +258,9 @@ class WrappedVerbs:
         for _wr in chain:
             plugin.stats["wrapper_calls"] += 1
             proc.overhead_debt += costs.wrapper_cost()
-        if plugin.delegated:
-            _post_logged(plugin.fallback.post_srq_recv, vsrq, chain, chain,
-                         vsrq.recv_log)
-        else:
-            _post_logged(vsrq.vpd.vcontext.real_ops.post_srq_recv,
-                         vsrq.real, plugin.translate_recv_chain(chain),
-                         chain, vsrq.recv_log)
+        _post_logged(vsrq.vpd.vcontext.real_ops.post_srq_recv, vsrq.real,
+                     plugin.translate_recv_chain(chain), chain,
+                     vsrq.recv_log)
 
     def ops_poll_cq(self, vcq: VirtualCq, num_entries: int) -> List[ibv_wc]:
         """Principle 5: refill from the plugin's private queue first; the
@@ -285,7 +273,7 @@ class WrappedVerbs:
         while private and len(out) < num_entries:
             out.append(private.popleft())
         served_private = len(out)
-        if served_private < num_entries and not plugin.delegated:
+        if served_private < num_entries:
             out.extend(map(plugin.take_completion,
                            vcq.vcontext.real_ops.poll_cq(
                                vcq.real, num_entries - served_private)))

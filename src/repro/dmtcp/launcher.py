@@ -89,14 +89,6 @@ class CheckpointSet:
     def total_logical_bytes(self) -> float:
         return sum(r.image.logical_size for r in self.records)
 
-    @property
-    def regions_dirty(self) -> int:
-        return sum(s.get("regions_dirty", 0) for s in self.stats)
-
-    @property
-    def regions_clean(self) -> int:
-        return sum(s.get("regions_clean", 0) for s in self.stats)
-
 
 class DmtcpSession:
     """A running dmtcp_launch'd job, under its launch config."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..sim import Environment, RngFactory
-from .hca import HCA
+from .hca import HCA, SoftHca
 from .network import Network
 from .node import Node
 from .storage import Disk, FileSystem
@@ -110,6 +110,11 @@ class Cluster:
                         kernel_version=spec.kernel_version,
                         hca=hca, local_disk=local_disk, lustre=lustre)
             node.ethernet = self.ethernet  # for the TCP stack to attach to
+            if not spec.has_infiniband:
+                # a software HCA on the NIC, for the IB2TCP provider
+                node.soft_hca = SoftHca(env, f"{node_name}.rxe",
+                                        rng=self.rng.stream(f"rxe{i}"))
+                node.soft_hca.attach(self.ethernet, lid_base + i)
             self.nodes.append(node)
 
     def __len__(self) -> int:

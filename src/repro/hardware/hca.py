@@ -16,7 +16,10 @@ import numpy as np
 from ..sim import Environment
 from .network import Network, NetworkPort
 
-__all__ = ["HCA", "HCAError"]
+__all__ = ["HCA", "HCAError", "SoftHca"]
+
+#: logical bytes of TCP/IP framing a soft HCA adds to every frame
+TCP_FRAME_BYTES = 96.0
 
 
 class HCAError(RuntimeError):
@@ -116,3 +119,26 @@ class HCA:
             # model as the plugin's re-post on restart).
             return
         handler(packet)
+
+
+class SoftHca(HCA):
+    """A software HCA on a node's Ethernet NIC (what soft-RoCE,
+    ``rdma_rxe``, gives libibverbs): the IB2TCP provider's one device.
+
+    Queue pairs on it run through the ordinary verbs transport engines;
+    only the wire differs.  Every frame first pays ``tcp_per_byte`` per
+    byte — the in-memory copy and kernel TCP the paper blames for
+    Table 8's ~0.1 Gbit/s — which the provider sets from its job's cost
+    model, then crosses the Ethernet segment with its TCP/IP framing."""
+
+    def __init__(self, env: Environment, name: str,
+                 rng: np.random.Generator):
+        super().__init__(env, name, vendor="rxe", rng=rng)
+        self.tcp_per_byte = 0.0
+
+    def hw_send(self, dst_lid: int, packet: dict,
+                size: float) -> Generator:
+        yield self.env.timeout(size * self.tcp_per_byte)
+        if self.port is None:
+            return  # the segment went down during the copy: frame lost
+        yield from super().hw_send(dst_lid, packet, size + TCP_FRAME_BYTES)

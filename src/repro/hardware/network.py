@@ -122,13 +122,6 @@ class Network:
         self._ports[endpoint_id] = port
         return port
 
-    def port(self, endpoint_id: Hashable) -> NetworkPort:
-        try:
-            return self._ports[endpoint_id]
-        except KeyError:
-            raise NetworkError(
-                f"{self.name}: unknown endpoint {endpoint_id!r}") from None
-
     def _deliver_later(self, epoch: int, dst_id: Hashable,
                        payload: Any) -> None:
         self.messages_sent += 1

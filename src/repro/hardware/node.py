@@ -8,7 +8,6 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 from ..memory import AddressSpace
 from ..sim import Environment, Event, Process
 from .hca import HCA
-from .network import NetworkPort
 from .storage import Disk
 
 __all__ = ["Node", "ProcessHost", "ProcessError"]
@@ -35,7 +34,9 @@ class Node:
         self.hca = hca
         self.local_disk = local_disk
         self.lustre = lustre
-        self.eth_port: Optional[NetworkPort] = None  # set by the cluster
+        #: the software HCA on the NIC of a node with no InfiniBand (set
+        #: by the cluster): only the IB2TCP provider hands it out
+        self.soft_hca: Optional[HCA] = None
         self.processes: List["ProcessHost"] = []
         self.failed = False
         self._base_gflops = gflops_per_core
@@ -60,13 +61,12 @@ class Node:
         self.failed = True
         for proc in list(self.processes):
             proc.kill()
-        if self.hca is not None:
-            self.hca.fail()
+        for hca in (self.hca, self.soft_hca):
+            if hca is not None:
+                hca.fail()
         stack = getattr(self, "_tcp_stack", None)
         if stack is not None:
             stack._port.detach()
-        if self.eth_port is not None:
-            self.eth_port.detach()
 
     def power_off(self) -> None:
         """Cluster teardown: every process is killed, the HCA leaves the
@@ -74,8 +74,9 @@ class Node:
         (each of which points back at the stack)."""
         for proc in list(self.processes):
             proc.kill()
-        if self.hca is not None:
-            self.hca.detach()
+        for hca in (self.hca, self.soft_hca):
+            if hca is not None:
+                hca.detach()
         stack = getattr(self, "_tcp_stack", None)
         if stack is not None:
             self._tcp_stack = None

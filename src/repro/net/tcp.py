@@ -3,8 +3,11 @@
 Reliable, connection-oriented, in-order delivery with TCP-ish costs (the
 Ethernet :class:`~repro.hardware.network.Network` charges per-message kernel
 overhead plus serialization at GigE bandwidth).  Used by the DMTCP
-coordinator channel, MPI's out-of-band wire-up — the "out-of-band mechanism"
-of paper §3.2.1 — and the IB2TCP plugin's post-restart data path.
+coordinator channel and MPI's out-of-band wire-up — the "out-of-band
+mechanism" of paper §3.2.1.  The IB2TCP plugin's post-restart data path
+does not come through here: its soft HCA
+(:class:`~repro.hardware.hca.SoftHca`) frames verbs traffic onto the same
+Ethernet segment itself.
 
 Framing is message-oriented (one ``send`` is one ``recv``), which is how
 every user in this codebase layers on TCP anyway.

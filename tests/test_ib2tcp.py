@@ -1,6 +1,8 @@
 """Tests for the IB2TCP plugin: checkpoint on InfiniBand, restart on an
 Ethernet-only debug cluster with a different kernel (paper §6.4)."""
 
+import functools
+
 import pytest
 
 from repro.apps.nas import lu_app
@@ -14,8 +16,11 @@ from repro.hardware import (
     DEV_CLUSTER,
     ETHERNET_DEBUG_CLUSTER,
 )
+from repro.hardware.hca import SoftHca
 from repro.ibverbs import (
     AccessFlags,
+    QpHardware,
+    VerbsLib,
     WrOpcode,
     ibv_qp_init_attr,
     ibv_recv_wr,
@@ -108,9 +113,12 @@ def test_migration_rdma_mode():
     assert all(r["iters"] == 80 for r in results)
 
 
-def _lu_checksum(plugin_factory, restart_onto=None):
+def _lu_checksum(plugin_factory, restart_onto=None, then=None):
     """A 2-rank MPI LU on the IB cluster; with ``restart_onto``, frozen
-    at t=0.01 s and restarted on that Ethernet-only spec."""
+    at t=0.01 s and restarted on that Ethernet-only spec.  With ``then``,
+    an ``(onto, offset)`` pair, the restarted job checkpoints again
+    ``offset`` seconds later: it resumes when ``onto`` is None, else it
+    restarts once more on a fresh cluster of spec ``onto``."""
     env = Environment()
     cluster = Cluster(env, DEV_CLUSTER, n_nodes=2, name="prod-lu")
     specs = make_mpi_specs(cluster, 2, lambda ctx, comm: lu_app(
@@ -125,27 +133,66 @@ def _lu_checksum(plugin_factory, restart_onto=None):
             cluster.teardown()
             debug = Cluster(env, restart_onto, n_nodes=2, name="debug-lu")
             session = yield from dmtcp_restart(debug, ckpt)
+            if then is not None:
+                onto, offset = then
+                yield env.timeout(offset)
+                if onto is None:
+                    yield from session.checkpoint(intent="resume")
+                else:
+                    ckpt = yield from session.checkpoint(intent="restart")
+                    debug.teardown()
+                    third = Cluster(env, onto, n_nodes=2, name="third-lu")
+                    session = yield from dmtcp_restart(third, ckpt)
         results = yield from session.wait()
         return results[0].checksum
 
     return env.run(until=env.process(scenario()))
 
 
+@functools.lru_cache(maxsize=None)
+def _ib_reference():
+    """The uninterrupted InfiniBand run's checksum."""
+    return _lu_checksum(lambda: [InfinibandPlugin()])
+
+
 def test_ib2tcp_restart_carries_srq_and_rdma_write(monkeypatch):
     """Principle 6 over TCP: MPI LU posts its receives to an SRQ and
     moves halos by RDMA write; checkpointed on InfiniBand and restarted
-    on Ethernet, both run through the IB2TCP emulation and the job ends
-    with the uninterrupted IB run's checksum."""
-    reference = _lu_checksum(lambda: [InfinibandPlugin()])
-    calls = {"post_srq_recv": 0, "_apply_rdma_write": 0}
-    for name in calls:
-        def counted(self, *args, _orig=getattr(Ib2TcpPlugin, name),
-                    _name=name):
-            calls[_name] += 1
-            return _orig(self, *args)
-        monkeypatch.setattr(Ib2TcpPlugin, name, counted)
+    on Ethernet, both run on the IB2TCP provider's soft HCA and the job
+    ends with the uninterrupted IB run's checksum."""
+    reference = _ib_reference()
+    calls = {"srq_posts": 0, "rdma_writes": 0}
+
+    def on_soft_hca(holder):   # a driver blob or a QP engine
+        return isinstance(holder.session.hca, SoftHca)
+
+    def post_srq_recv(self, srq, wrs, _orig=VerbsLib._drv_post_srq_recv):
+        calls["srq_posts"] += on_soft_hca(srq._driver_blob)
+        return _orig(self, srq, wrs)
+
+    def rx_rdma_write(self, pkt, _orig=QpHardware._rx_rdma_write):
+        calls["rdma_writes"] += on_soft_hca(self)
+        return _orig(self, pkt)
+
+    monkeypatch.setattr(VerbsLib, "_drv_post_srq_recv", post_srq_recv)
+    monkeypatch.setattr(QpHardware, "_rx_rdma_write", rx_rdma_write)
     assert _lu_checksum(_with_ib2tcp, ETHERNET_DEBUG_CLUSTER) == reference
-    assert calls["post_srq_recv"] > 0 and calls["_apply_rdma_write"] > 0
+    assert calls["srq_posts"] > 0 and calls["rdma_writes"] > 0
+
+
+@pytest.mark.parametrize("offset", [1e-4, 1e-3, 1e-2, 0.1, 1.0])
+@pytest.mark.parametrize("onto", [None, ETHERNET_DEBUG_CLUSTER, DEV_CLUSTER],
+                         ids=["resume", "restart-ethernet",
+                              "restart-infiniband"])
+def test_ib2tcp_job_checkpoints_again(onto, offset):
+    """A job restarted over TCP is checkpointed again: it resumes, moves
+    to a second Ethernet cluster, or comes back to InfiniBand — each at
+    any instant of its TCP run — and ends with the uninterrupted IB
+    run's checksum.  The provider's engines belong to the soft HCA, not
+    to the application, so the second checkpoint drains and replays
+    queue pairs on TCP exactly as on InfiniBand."""
+    assert _lu_checksum(_with_ib2tcp, ETHERNET_DEBUG_CLUSTER,
+                        then=(onto, offset)) == _ib_reference()
 
 
 def test_restart_on_single_ethernet_node():
@@ -284,8 +331,9 @@ def _srq_pair_app(ctx, peer_host, is_receiver):
 
 
 def test_ib2tcp_srq_post_delivers_a_send_that_found_the_srq_empty():
-    """A send that reaches an SRQ with no WQE is parked; the next post to
-    that SRQ must deliver it, or its receiver waits forever."""
+    """A send that reaches an SRQ with no WQE is RNR-NAKed and retried,
+    as on any RC queue pair; once the next post to that SRQ lands, the
+    retry delivers it, or its receiver waits forever."""
     env = Environment()
     cluster = Cluster(env, DEV_CLUSTER, n_nodes=2, name="prod-srq")
     receiver = cluster.nodes[0].name
@@ -311,6 +359,30 @@ def test_ib2tcp_srq_post_delivers_a_send_that_found_the_srq_empty():
     assert done.get("results") == [[b"first", b"again"], []]
 
 
+@pytest.mark.parametrize("teardown_at", [None, 0.5e-3])
+def test_soft_hca_copies_then_frames_each_send(teardown_at):
+    """A soft HCA pays ``tcp_per_byte`` on every byte, then puts the frame
+    on the Ethernet segment with 96 bytes of TCP/IP framing.  A segment
+    that goes down during the copy loses the frame, as it loses every
+    frame in flight: nothing raises."""
+    env = Environment()
+    cluster = Cluster(env, ETHERNET_DEBUG_CLUSTER, n_nodes=2,
+                      name="soft-hca")
+    src, dst = (node.soft_hca for node in cluster.nodes)
+    src.tcp_per_byte = 1e-6
+    arrivals = []
+    dst.register_qp(7, lambda pkt: arrivals.append(env.now))
+    env.process(src.hw_send(dst.lid, {"dst_qpn": 7}, 1000.0))
+    if teardown_at is not None:
+        env.run(until=teardown_at)
+        cluster.teardown()
+    env.run()
+    spec = ETHERNET_DEBUG_CLUSTER
+    expected = [1000 * 1e-6 + 1096 / spec.eth_bandwidth
+                + spec.eth_latency + spec.eth_msg_overhead]
+    assert arrivals == ([] if teardown_at else pytest.approx(expected))
+
+
 #: Table 9's simulated cells, exact: environment -> LU.A.2 runtime (s).
 #: The simulator is deterministic, so any drift is a behaviour change
 #: that must re-pin these in the same change.
@@ -318,8 +390,8 @@ TABLE9 = {
     "IB (w/o DMTCP)": 27.22018789326847,
     "DMTCP/IB (w/o IB2TCP)": 27.99585112200686,
     "DMTCP/IB2TCP/IB": 27.99732307071001,
-    "DMTCP/IB2TCP/Ethernet (2 nodes)": 43.97447607603429,
-    "DMTCP/IB2TCP/Ethernet (1 node)": 61.30779207603416,
+    "DMTCP/IB2TCP/Ethernet (2 nodes)": 43.9816451617485,
+    "DMTCP/IB2TCP/Ethernet (1 node)": 61.314961161748286,
 }
 
 
