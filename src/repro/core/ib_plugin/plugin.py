@@ -157,7 +157,8 @@ class InfinibandPlugin(Plugin):
         real = self.real_lib.alloc_pd(vctx.real)
         guid = (self.appctx.name, self._pd_counter)
         self._pd_counter += 1
-        vpd = VirtualPd(real=real, vcontext=vctx, guid=guid)
+        vpd = VirtualPd(real=real, vcontext=vctx, guid=guid,
+                        handle=real.handle)
         self.registry_add(vpd)
         return vpd
 
@@ -205,9 +206,9 @@ class InfinibandPlugin(Plugin):
                         qp_type=init_attr.qp_type, vsend_cq=vsend,
                         vrecv_cq=vrecv, vsrq=vsrq,
                         sq_sig_all=init_attr.sq_sig_all,
-                        max_send_wr=init_attr.max_send_wr,
-                        max_recv_wr=init_attr.max_recv_wr,
-                        max_inline_data=init_attr.max_inline_data)
+                        cap_max_send_wr=init_attr.max_send_wr,
+                        cap_max_recv_wr=init_attr.max_recv_wr,
+                        cap_max_inline_data=init_attr.max_inline_data)
         self.vqp_by_vqpn[vqpn] = vqp
         self.vqp_by_real_qpn[real.qp_num] = vqp
         self.registry_add(vqp)
@@ -478,8 +479,9 @@ class InfinibandPlugin(Plugin):
                 send_cq=vqp.vsend_cq.real, recv_cq=vqp.vrecv_cq.real,
                 srq=vqp.vsrq.real if vqp.vsrq is not None else None,
                 qp_type=vqp.qp_type, sq_sig_all=vqp.sq_sig_all,
-                max_send_wr=vqp.max_send_wr, max_recv_wr=vqp.max_recv_wr,
-                max_inline_data=vqp.max_inline_data)
+                max_send_wr=vqp.cap_max_send_wr,
+                max_recv_wr=vqp.cap_max_recv_wr,
+                max_inline_data=vqp.cap_max_inline_data)
             vqp.real = new_lib.create_qp(vqp.vpd.real, real_attr)
             self.vqp_by_real_qpn[vqp.real.qp_num] = vqp
 

@@ -55,6 +55,7 @@ class VirtualPd:
     real: Any
     vcontext: VirtualContext
     guid: Tuple[str, int]  # globally unique pd id: (process name, index)
+    handle: int = 0        # virtual handle (== real until first restart)
 
     @property
     def context(self) -> VirtualContext:
@@ -260,9 +261,9 @@ class VirtualQp:
     vrecv_cq: VirtualCq
     vsrq: Optional[VirtualSrq]
     sq_sig_all: bool
-    max_send_wr: int = 256
-    max_recv_wr: int = 256
-    max_inline_data: int = 256
+    cap_max_send_wr: int = 256
+    cap_max_recv_wr: int = 256
+    cap_max_inline_data: int = 256
     # Principle 3 logs
     modify_log: List[Tuple[ibv_qp_attr, Any]] = field(default_factory=list)
     send_log: WqeLog = field(default_factory=WqeLog)   # SendLogEntry records

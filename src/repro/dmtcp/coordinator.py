@@ -217,8 +217,9 @@ class Coordinator:
     # -- checkpoint initiation --------------------------------------------------------
 
     def checkpoint_all(self, intent: str = "resume") -> Generator:
-        """Broadcast a checkpoint request; returns per-process stats once
-        every checkpoint manager reports done.
+        """Broadcast a checkpoint request; returns the per-process
+        ``ckpt-done`` reports (``name``, ``epoch``, and ``error`` when the
+        put failed) once every checkpoint manager reports done.
 
         "Done" means each process's put into the sink returned.
 

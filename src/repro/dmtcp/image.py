@@ -187,7 +187,7 @@ class CheckpointImage:
         stats = {"mode": "incremental" if prev is not None else "full",
                  "regions_total": 0,
                  "regions_clean_gen": 0, "regions_clean_hash": 0,
-                 "regions_dirty": 0, "bytes_clean": 0, "bytes_dirty": 0,
+                 "regions_dirty": 0,
                  "compress_skipped": 0, "compress_reused": 0,
                  "chunks_total": 0,
                  "chunks_clean": 0, "chunks_dirty": 0}
@@ -241,13 +241,11 @@ class CheckpointImage:
                 if data is None:
                     data = region.pieces()
                 ratio = pm["ratio"]
-                stats["bytes_clean"] += region.size
                 stats["chunks_clean"] += n_chunks
                 dirty_frac = 0.0
             else:
                 data = region.pieces()
                 stats["regions_dirty"] += 1
-                stats["bytes_dirty"] += region.size
                 if dirty_mask is None:
                     dirty_mask = np.ones(n_chunks, dtype=bool)
                 ndirty = int(np.count_nonzero(dirty_mask))

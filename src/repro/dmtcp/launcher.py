@@ -82,7 +82,6 @@ class CheckpointSet:
 
     records: List[CheckpointRecord]
     wall_seconds: float
-    stats: List[dict]
     config: RunConfig
 
     @property
@@ -139,7 +138,7 @@ class DmtcpSession:
         images stay in memory for the migration manager's stop-and-copy.
         """
         t0 = self.env.now
-        stats = yield from self.coordinator.checkpoint_all(intent)
+        yield from self.coordinator.checkpoint_all(intent)
         wall = self.env.now - t0
         # a structured storage failure (saturated tier) aborts the round:
         # every rank finished its barrier protocol (resumed under
@@ -152,7 +151,7 @@ class DmtcpSession:
         if intent in ("restart", "migrate"):
             for proc in self.procs:
                 proc.detach_continuation()
-        return CheckpointSet(records=records, wall_seconds=wall, stats=stats,
+        return CheckpointSet(records=records, wall_seconds=wall,
                              config=self.config)
 
 

@@ -64,10 +64,6 @@ class AppContext:
         return self.proc.memory
 
     @property
-    def libs(self) -> Dict[str, Any]:
-        return self.proc.libs
-
-    @property
     def ibv(self):
         return self.proc.libs["ibverbs"]
 
@@ -306,13 +302,8 @@ class DmtcpProcess:
             prev=prev, t_sim=self.env.now)
         if tracer is not None:
             cstats = image.capture_stats
-            # chunk-level dirty accounting (metrics always; span attrs
-            # only in incremental mode so full-mode golden traces keep
-            # their schema)
-            for key in ("chunks_clean", "chunks_dirty"):
-                amount = cstats.get(key, 0)
-                if amount:
-                    tracer.metrics.counter("ckpt." + key).inc(amount)
+            # chunk-level dirty accounting only in incremental mode, so
+            # full-mode golden traces keep their schema
             chunk_attrs = {} if prev is None else {
                 "chunks": cstats.get("chunks_total", 0),
                 "chunks_dirty": cstats.get("chunks_dirty", 0)}
@@ -326,7 +317,6 @@ class DmtcpProcess:
         # image stays in memory and the migration manager ships the final
         # dirty delta over the wire itself
         put = PutResult(epoch=0, manifest_path="")
-        chunks = {}
         if intent != "migrate":
             tag = {"store": True} if self.sink.chunked else {}
             write_span = None if tracer is None else tracer.begin(
@@ -346,10 +336,10 @@ class DmtcpProcess:
                     tracer.end(write_span, self.env.now, stall=stall,
                                **tag, error="quota")
             else:
-                if self.sink.chunked:
-                    chunks = {"chunks_new": put.chunks_new,
-                              "chunks_deduped": put.chunks_deduped}
                 if tracer is not None:
+                    chunks = {"chunks_new": put.chunks_new,
+                              "chunks_deduped": put.chunks_deduped} \
+                        if self.sink.chunked else {}
                     tracer.end(write_span, self.env.now, stall=stall,
                                logical=put.bytes_written, **tag, **chunks)
         yield from self.client.barrier("written")
@@ -369,23 +359,7 @@ class DmtcpProcess:
                     plugins=self.plugins,
                     memory=self.host.memory),
                 ckpt_seconds=ckpt_seconds, epoch=put.epoch, blob=put.blob)
-        cstats = image.capture_stats
-        stats = {"name": self.name, "node": self.host.node.name,
-                 "epoch": epoch,
-                 "ckpt_seconds": ckpt_seconds,
-                 "image_logical_bytes": image.logical_size,
-                 "image_real_bytes": put.bytes_real,
-                 "mode": cstats.get("mode", "full"),
-                 "regions_dirty": cstats.get("regions_dirty", 0),
-                 "regions_clean": cstats.get("regions_clean_gen", 0),
-                 "delta_logical_bytes": image.delta_logical_size,
-                 "chunks_total": cstats.get("chunks_total", 0),
-                 "chunks_clean": cstats.get("chunks_clean", 0),
-                 "chunks_dirty": cstats.get("chunks_dirty", 0)}
-        if chunks:
-            stats["store_chunks_new"] = put.chunks_new
-            stats["store_chunks_deduped"] = put.chunks_deduped
-            stats["store_bytes_written"] = put.bytes_written
+        stats = {"name": self.name, "epoch": epoch}
         if self.ckpt_error is not None:
             stats["error"] = repr(self.ckpt_error)
         yield from self.client.ckpt_done(stats)

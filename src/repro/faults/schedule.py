@@ -36,10 +36,8 @@ class FailureEvent:
 
 
 class FailureSchedule:
-    """Base: subclasses yield FailureEvents in time order."""
-
-    def events(self) -> Iterator[FailureEvent]:
-        raise NotImplementedError
+    """Base: a subclass's ``events()`` yields FailureEvents in time
+    order."""
 
 
 class FixedSchedule(FailureSchedule):

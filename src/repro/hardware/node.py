@@ -131,7 +131,6 @@ class ProcessHost:
         # to this; it is paid at the next compute() call)
         self.overhead_debt = 0.0
         self.exit_event: Event = self.env.event()
-        self.exit_value: Any = None
         self._kill_hooks: List[Callable[[], None]] = []
 
     def at_kill(self, hook: Callable[[], None]) -> None:
@@ -175,13 +174,6 @@ class ProcessHost:
         time = time * (1.0 + self.compute_tax) + self.overhead_debt
         self.overhead_debt = 0.0
         return self.env.timeout(time)
-
-    def exit(self, value: Any = None) -> None:
-        """Mark the process exited (its main thread returns afterwards)."""
-        if self.alive:
-            self.alive = False
-            self.exit_value = value
-            self.exit_event.succeed(value)
 
     def kill(self) -> None:
         """Hard-kill: all threads stop, nothing runs again (SIGKILL).

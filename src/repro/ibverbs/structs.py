@@ -95,10 +95,6 @@ class ibv_context:
     ops: ibv_context_ops
     _driver_blob: Any = None  # hidden: driver session cookie
 
-    @property
-    def num_comp_vectors(self) -> int:
-        return 1
-
 
 @dataclass
 class ibv_pd:

@@ -59,9 +59,6 @@ class Connection:
         """Event yielding the next frame's payload."""
         return self.rx.get()
 
-    def try_recv(self) -> Optional[Any]:
-        return self.rx.try_get()
-
     def close(self) -> None:
         self.closed = True
         self.stack._conns.pop(self.local_cid, None)

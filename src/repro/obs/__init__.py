@@ -1,8 +1,9 @@
 """repro.obs — observability for the checkpoint-restart lifecycle.
 
-Structured tracing (:mod:`.trace`), metrics (:mod:`.metrics`), trace
-invariants (:mod:`.invariants`), and the Table 2-style per-phase report
-(:mod:`.report` / ``python -m repro.obs report``).
+Structured tracing (:mod:`.trace`), trace invariants
+(:mod:`.invariants`), and the Table 2-style per-phase report
+(:mod:`.report` / ``python -m repro.obs report``).  The trace is the one
+record a run keeps: every count the report prints is a fold over it.
 
 Hooked into the simulation the same way :mod:`repro.analysis` is:
 :func:`traced` enters a tracer in the observer slot :mod:`repro.hooks`
@@ -15,13 +16,7 @@ from .invariants import (
     check_trace_invariants,
     split_segments,
 )
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from .report import (decompose, migration_summary, render,
+from .report import (chunk_counters, decompose, migration_summary, render,
                      render_migration, render_store, store_summary,
                      trace_scenario)
 from .trace import (
@@ -32,15 +27,12 @@ from .trace import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "Tracer",
     "TraceInvariantViolation",
     "assert_trace_invariants",
     "canonicalize",
     "check_trace_invariants",
+    "chunk_counters",
     "decompose",
     "load_trace",
     "migration_summary",

@@ -16,9 +16,9 @@ import argparse
 import json
 
 from .invariants import check_trace_invariants
-from .report import (decompose, render, render_service, render_sim,
-                     render_store, service_summary, store_summary,
-                     trace_scenario)
+from .report import (chunk_counters, decompose, render, render_service,
+                     render_sim, render_store, service_summary,
+                     store_summary, trace_scenario)
 from .trace import load_trace
 
 
@@ -97,9 +97,7 @@ def main(argv=None) -> int:
             sink=args.sink)
         events = tracer.events
         dropped = tracer.dropped
-        counters = {n: v for n, v in
-                    tracer.metrics.snapshot()["counters"].items()
-                    if n.startswith("ckpt.chunks_")}
+        counters = chunk_counters(events)
         if args.sim:
             sim_stats = outcome.sim_stats
         print(f"# {args.run.upper()} completed in "

@@ -26,9 +26,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-__all__ = ["decompose", "migration_summary", "render", "render_migration",
-           "render_service", "render_sim", "render_store",
-           "service_summary", "store_summary", "trace_scenario"]
+from ..memory import CHUNK_BYTES
+
+__all__ = ["chunk_counters", "decompose", "migration_summary", "render",
+           "render_migration", "render_service", "render_sim",
+           "render_store", "service_summary", "store_summary",
+           "trace_scenario"]
 
 _PHASES = ("quiesce", "drain", "capture", "compress", "write",
            "refill", "replay")
@@ -155,6 +158,32 @@ def decompose(events: List[Dict[str, Any]]) -> Dict[str, Any]:
             "chunks_checked": san_chunks,
         },
     }
+
+
+def chunk_counters(events: List[Dict[str, Any]]) -> Dict[str, float]:
+    """``ckpt.chunks_clean`` / ``ckpt.chunks_dirty`` summed over every
+    checkpoint capture of a trace, leaving out a zero total.  An
+    incremental ``ckpt.capture`` end carries its chunk counts; any other
+    capture dirtied every chunk of the ``capture.region`` records its
+    process emitted between its begin and end."""
+    clean = dirty = 0.0
+    open_chunks: Dict[str, int] = {}   # proc → chunks of its open capture
+    for event in events:
+        kind, proc = event["kind"], event["proc"]
+        if kind == "ckpt.capture" and event["ev"] == "B":
+            open_chunks[proc] = 0
+        elif kind == "ckpt.capture":
+            chunks = open_chunks.pop(proc, 0)
+            if "chunks" in event:
+                clean += event["chunks"] - event["chunks_dirty"]
+                dirty += event["chunks_dirty"]
+            else:
+                dirty += chunks
+        elif kind == "capture.region" and proc in open_chunks:
+            open_chunks[proc] += -(-event["bytes"] // CHUNK_BYTES)
+    return {name: value for name, value in (("ckpt.chunks_clean", clean),
+                                            ("ckpt.chunks_dirty", dirty))
+            if value}
 
 
 def render(decomp: Dict[str, Any]) -> str:
@@ -441,8 +470,8 @@ def render_migration(summary: Dict[str, Any]) -> str:
 
 
 def render_sim(stats: Dict[str, Any]) -> str:
-    """One-line event-kernel summary from ``Environment.stats`` counters
-    (``sim.events`` / ``sim.heap_peak`` / ``sim.batch_size``)."""
+    """One-line event-kernel summary from an ``Environment.stats``
+    snapshot (events, heap peak, timestamp batches)."""
     return ("# sim kernel: {events:.0f} events, heap peak {heap_peak:.0f}, "
             "{batches:.0f} timestamp batches "
             "(max {max_batch:.0f}, mean {batch_mean:.2f})").format(**stats)
@@ -458,8 +487,8 @@ def trace_scenario(app: str = "lu", seed: int = 2014,
     is the job's :class:`~repro.dmtcp.RunConfig` (its ``sink_factory``
     :class:`~repro.store.CheckpointStore` makes the trace carry
     ``store.*`` records; ``incremental`` makes ``ckpt.capture`` spans
-    carry chunk dirty-tracking attrs and moves the ``ckpt.chunks_*``
-    counters); ``sink`` is the JSONL path the trace streams to."""
+    carry chunk dirty-tracking attrs, so :func:`chunk_counters` sees clean
+    chunks); ``sink`` is the JSONL path the trace streams to."""
     from ..dmtcp import RunConfig
     from ..faults.harness import run_chaos_nas
     from ..faults.schedule import FailureEvent, FixedSchedule
@@ -474,8 +503,4 @@ def trace_scenario(app: str = "lu", seed: int = 2014,
             seed=seed, ckpt_interval=ckpt_interval,
             schedule=FixedSchedule(failures),
             config=config or RunConfig(), backoff_base=0.25)
-    stats = outcome.sim_stats
-    tracer.metrics.counter("sim.events").inc(stats["events"])
-    tracer.metrics.counter("sim.heap_peak").inc(stats["heap_peak"])
-    tracer.metrics.counter("sim.batch_size").inc(stats["max_batch"])
     return tracer, outcome

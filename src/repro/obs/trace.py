@@ -29,9 +29,9 @@ dur    simulated duration, on ``E`` records
 ====== =======================================================
 
 Events land in a bounded ring (old records drop, ``dropped`` counts
-them) and, when a sink path is given, in a JSONL file.  Span ends also
-feed the attached :class:`~.metrics.MetricsRegistry`:
-``span.<kind>.sim_seconds`` histograms and ``events.<kind>`` counters.
+them) and, when a sink path is given, in a JSONL file.  The records are
+the whole of what a tracer keeps: every count a report prints is a fold
+over them.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .. import hooks
-from .metrics import MetricsRegistry
 
 __all__ = [
     "Tracer",
@@ -64,8 +63,7 @@ class Tracer:
     """Collects span/point records from the instrumented classes."""
 
     def __init__(self, capacity: int = DEFAULT_RING_CAPACITY,
-                 sink: Optional[str] = None,
-                 metrics: Optional[MetricsRegistry] = None):
+                 sink: Optional[str] = None):
         if capacity < 1:
             raise ValueError("ring capacity must be positive")
         self.capacity = capacity
@@ -73,7 +71,6 @@ class Tracer:
         #: records evicted from the ring (history-dependent invariant
         #: checks are skipped when this is non-zero)
         self.dropped = 0
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._seq = 0
         self._span_seq = 0
         #: open spans: id → (kind, proc, t_begin)
@@ -94,7 +91,6 @@ class Tracer:
             if self._sink_file is None:
                 self._sink_file = open(self._sink_path, "w")
             self._sink_file.write(json.dumps(event, sort_keys=True) + "\n")
-        self.metrics.counter(f"events.{event['kind']}").inc()
         return event
 
     def emit(self, kind: str, proc: str, t_sim: float,
@@ -124,12 +120,10 @@ class Tracer:
         if opened is None:
             return None
         kind, proc, t_begin = opened
-        dur = t_sim - t_begin
         event = {"kind": kind, "ev": "E", "proc": proc, "t": t_sim,
-                 "span": span_id, "dur": dur}
+                 "span": span_id, "dur": t_sim - t_begin}
         event.update(fields)
         self._record(event)
-        self.metrics.histogram(f"span.{kind}.sim_seconds").observe(dur)
         return event
 
     # -- access ---------------------------------------------------------------
@@ -180,10 +174,9 @@ def load_trace(path: str) -> List[Dict[str, Any]]:
 
 @contextmanager
 def traced(sink: Optional[str] = None,
-           capacity: int = DEFAULT_RING_CAPACITY,
-           metrics: Optional[MetricsRegistry] = None) -> Iterator[Tracer]:
+           capacity: int = DEFAULT_RING_CAPACITY) -> Iterator[Tracer]:
     """Run a block under a fresh :class:`Tracer` in the observer slot."""
-    tracer = Tracer(capacity=capacity, sink=sink, metrics=metrics)
+    tracer = Tracer(capacity=capacity, sink=sink)
     try:
         with hooks.observing(tracer=tracer):
             yield tracer

@@ -117,7 +117,6 @@ class AdmissionController:
                             tenant=tenant, job=job, bytes=nbytes,
                             used=state.used_bytes,
                             quota=state.quota_bytes)
-                tracer.metrics.counter("service.rejections").inc()
             raise AdmissionRejected(tenant, nbytes, state.used_bytes,
                                     state.quota_bytes)
         t0 = self.env.now
@@ -153,7 +152,6 @@ class AdmissionController:
             tracer.emit("service.admit", proc or tenant, self.env.now,
                         tenant=tenant, job=job, bytes=nbytes,
                         queued=queued)
-            tracer.metrics.counter("service.admitted").inc()
         return queued
 
     def release(self, nbytes: float) -> None:

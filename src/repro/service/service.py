@@ -167,10 +167,6 @@ class CheckpointService:
             self.stats["chunks_deduped"] += result.chunks_deduped
             self.stats["bytes_written"] += result.bytes_written
             if tracer is not None:
-                tracer.metrics.counter("service.chunks_new").inc(
-                    result.chunks_new)
-                tracer.metrics.counter("service.chunks_deduped").inc(
-                    result.chunks_deduped)
                 tracer.end(span, self.env.now, tenant=tenant,
                            chunks_new=result.chunks_new,
                            chunks_deduped=result.chunks_deduped,

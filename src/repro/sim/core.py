@@ -374,7 +374,8 @@ class Process(Event):
 
 
 class _Condition(Event):
-    """Base for AnyOf/AllOf composite events."""
+    """Base for AnyOf/AllOf composite events: a subclass's ``_check``
+    runs as each child event fires."""
 
     __slots__ = ("events", "_count")
 
@@ -409,9 +410,6 @@ class _Condition(Event):
                     callbacks.remove(check)
                 except ValueError:
                     pass
-
-    def _check(self, event: Event) -> None:
-        raise NotImplementedError
 
 
 class AnyOf(_Condition):
@@ -449,8 +447,8 @@ class AllOf(_Condition):
 
 
 class SimStats:
-    """Kernel counters, fed to ``repro.obs`` (``sim.events`` /
-    ``sim.heap_peak`` / ``sim.batch_size``) and the benches.
+    """Kernel counters, read by ``python -m repro.obs report --sim`` and
+    the benches.
 
     ``events`` counts every pop; ``heap_peak`` is the largest queued
     population observed at a pop; a *batch* is a maximal run of events

@@ -348,10 +348,6 @@ class CheckpointStore:
         self.stats["chunks_deduped"] += result.chunks_deduped
         self.stats["bytes_written"] += result.bytes_written
         if tracer is not None:
-            tracer.metrics.counter("store.chunks_new").inc(
-                result.chunks_new)
-            tracer.metrics.counter("store.chunks_deduped").inc(
-                result.chunks_deduped)
             tracer.end(span, self.env.now, chunks_new=result.chunks_new,
                        chunks_deduped=result.chunks_deduped,
                        bytes_written=result.bytes_written)
@@ -544,8 +540,6 @@ class CheckpointStore:
                                 fs=site.name, region=ref.region_name,
                                 epoch=epoch)
             self.stats[f"hits_{kind}"] += 1
-            if tracer is not None:
-                tracer.metrics.counter(f"store.fetch.{kind}").inc()
             return blob, kind
         raise self._no_replica(manifest, ref)
 

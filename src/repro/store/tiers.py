@@ -77,9 +77,6 @@ class LustreTier:
             raise ValueError(f"{cluster.name}: no Lustre back-end")
         self.cluster = cluster
 
-    def placement(self, node_index: int) -> Optional[int]:
-        return None  # not on any compute node
-
     def replica_fs(self, node_index: int) -> FileSystem:
         return self.cluster.lustre_fs
 

@@ -104,6 +104,8 @@ def test_ompi_crs_checkpoint_continue():
     assert results == [40.0] * 4
     assert len(stats.images) == 4
     assert all(img.checkpointer == "blcr" for img in stats.images)
+    assert stats.total_logical_bytes == sum(
+        img.logical_size for img in stats.images) > 0
     assert stats.filem_seconds > 0  # the serialized central copy happened
     # images really landed on the central node
     central = cluster.nodes[0].local_disk.fs

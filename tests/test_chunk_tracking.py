@@ -120,6 +120,31 @@ def test_tracked_view_inplace_operator_writes_through_or_raises(
     assert list(moved) == [i in (2, 3) for i in range(8)]
 
 
+_BINARY_OPS = {
+    "view + x": lambda v: v + 3.0, "x + view": lambda v: 3.0 + v,
+    "view - x": lambda v: v - 3.0, "x - view": lambda v: 3.0 - v,
+    "view * x": lambda v: v * 3.0, "x * view": lambda v: 3.0 * v,
+    "view / x": lambda v: v / 3.0, "x / view": lambda v: 3.0 / v,
+    "view % x": lambda v: v % 3.0,
+}
+
+
+@pytest.mark.parametrize("op", sorted(_BINARY_OPS))
+def test_tracked_view_binary_operator_reads_without_stamping(op):
+    """A binary operator with a TrackedView on either side computes what
+    it computes on the same bytes as an ndarray, and neither writes the
+    region nor stamps a chunk."""
+    mem = AddressSpace("m")
+    region = mem.mmap("r", 2 * CHUNK_BYTES)
+    view = region.view(dtype=np.float64)
+    view[:] = np.arange(1, len(view) + 1)
+    before, gens = bytes(region.buffer), region.chunk_gens.copy()
+    fn = _BINARY_OPS[op]
+    np.testing.assert_array_equal(fn(view), fn(np.array(view)))
+    assert bytes(region.buffer) == before
+    assert (region.chunk_gens == gens).all()
+
+
 # -- incremental capture at chunk granularity ---------------------------------
 
 def test_incremental_capture_counts_dirty_chunks_and_skips_hashing():

@@ -2,6 +2,8 @@
 refill, checkpoint-resume and checkpoint-restart of live verbs traffic,
 id re-mapping across clusters, and the paper's §4/§7 limitation modes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.dmtcp import AppSpec, dmtcp_launch, dmtcp_restart
 from repro.hardware import BUFFALO_CCR, Cluster, HardwareSpec
 from repro.ibverbs import (
     AccessFlags,
+    QpState,
     QpType,
     WrOpcode,
     ibv_qp_init_attr,
@@ -87,6 +90,54 @@ def test_app_sees_only_virtual_structs():
     # virtual ids equal real ids before the first restart (§3.2)
     assert observed["qp"].qp_num == observed["qp"].real.qp_num
     assert observed["mr"].rkey == observed["mr"].real.rkey
+
+
+def test_shadow_objects_expose_their_real_structs_fields():
+    """Principle 1: the application holds shadow structs only, so every
+    public field of a real ``ibv_*`` struct reads on its shadow, and a
+    field naming another resource names that resource's shadow.  (The
+    shadow context differs from its real struct on purpose: Principle 2
+    swaps its ops table.)"""
+    env = Environment()
+    cluster = Cluster(env, BUFFALO_CCR, n_nodes=1, name="fields")
+    made = {}
+
+    def app(ctx):
+        ibv = ctx.ibv
+        ibctx = ibv.open_device(ibv.get_device_list()[0])
+        pd = ibv.alloc_pd(ibctx)
+        cq = ibv.create_cq(ibctx)
+        buf = ctx.memory.mmap("b", 4096)
+        mr = ibv.reg_mr(pd, buf.addr, 4096, FULL)
+        srq = ibv.create_srq(pd, max_wr=8)
+        qp = ibv.create_qp(pd, ibv_qp_init_attr(
+            send_cq=cq, recv_cq=cq, srq=srq, max_send_wr=64))
+        qp_to_init(ibv, qp)
+        made.update(context=ibctx, pd=pd, cq=cq, mr=mr, srq=srq, qp=qp)
+        yield ctx.compute(seconds=0.01)
+
+    def scenario():
+        session = yield from dmtcp_launch(
+            cluster, [AppSpec(0, "p", app)],
+            plugin_factory=lambda: [InfinibandPlugin()])
+        yield from session.wait()
+
+    env.run(until=env.process(scenario()))
+    shadow_of = {id(v.real): v for v in made.values()}
+    for name in ("pd", "cq", "mr", "srq", "qp"):
+        shadow = made[name]
+        for field in dataclasses.fields(shadow.real):
+            if field.name.startswith("_"):
+                continue
+            real_value = getattr(shadow.real, field.name)
+            value = getattr(shadow, field.name)
+            if id(real_value) in shadow_of:
+                assert value is shadow_of[id(real_value)], (name, field)
+            else:
+                assert value == real_value, (name, field)
+    qp = made["qp"]
+    assert qp.send_cq is qp.vsend_cq and qp.srq is qp.vsrq
+    assert qp.state is QpState.INIT and qp.cap_max_send_wr == 64
 
 
 def test_ops_table_interposition():

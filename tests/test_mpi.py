@@ -27,8 +27,9 @@ def _run_native(app, nprocs=4, n_nodes=4, spec=BUFFALO_CCR, transport="ib",
 
 
 def ring_app(ctx, comm):
-    """Pass a buffer around the ring, adding rank at each hop."""
-    n = comm.size
+    """Pass a buffer around the ring, adding rank at each hop (sizing
+    the ring with the mpi4py spellings)."""
+    n = comm.Get_size()
     region = ctx.memory.mmap(f"{ctx.name}.ring", 8 * 16)
     data = region.view(dtype=np.float64)
     if comm.rank == 0:
@@ -36,7 +37,8 @@ def ring_app(ctx, comm):
         yield from comm.Send(region, 0, 8, dest=1, tag=5)
         yield from comm.Recv(region, 0, 8, source=n - 1, tag=5)
     else:
-        yield from comm.Recv(region, 0, 8, source=comm.rank - 1, tag=5)
+        yield from comm.Recv(region, 0, 8, source=comm.Get_rank() - 1,
+                             tag=5)
         data[0] += comm.rank
         yield from comm.Send(region, 0, 8, dest=(comm.rank + 1) % n, tag=5)
     return float(data[0])
@@ -69,7 +71,8 @@ def test_obj_messages():
     assert results[0] == 14
 
 
-def test_large_buffer_rendezvous():
+@pytest.mark.parametrize("transport", ["ib", "tcp"])
+def test_large_buffer_rendezvous(transport):
     def app(ctx, comm):
         nbytes = 256 * 1024  # well above the eager limit
         region = ctx.memory.mmap(f"{ctx.name}.big", nbytes)
@@ -81,7 +84,9 @@ def test_large_buffer_rendezvous():
         yield from comm.Recv(region, 0, nbytes, source=0)
         return bool((arr == np.arange(len(arr))).all())
 
-    env, results = _run_native(app, nprocs=2, n_nodes=2)
+    spec = ETHERNET_DEBUG_CLUSTER if transport == "tcp" else BUFFALO_CCR
+    env, results = _run_native(app, nprocs=2, n_nodes=2, spec=spec,
+                               transport=transport)
     assert results == [True, True]
 
 

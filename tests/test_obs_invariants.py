@@ -255,6 +255,44 @@ def test_report_cli_json(capsys):
         "refill", "replay", "other"}
 
 
+def test_report_cli_store_sim_and_service_sections(capsys):
+    """``--store``, ``--sim`` and ``--service`` each add their section,
+    and an incremental run's chunk counters see clean chunks."""
+    from repro.obs.__main__ import main
+
+    assert main(["report", "--ckpt-interval", "0.8", "--incremental",
+                 "--store", "--sim"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"# counters: ckpt\.chunks_clean=[1-9]\d*, "
+                     r"ckpt\.chunks_dirty=[1-9]\d*\n", out)
+    assert "# sim kernel:" in out and "checkpoint store:" in out
+    assert main(["report", "--service", "--jobs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "checkpoint service: 2 job(s) done of 2 arrived" in out
+
+
+def test_chunk_counters_fold_full_and_incremental_captures():
+    """A full capture dirties every chunk of the regions it records; an
+    incremental one reports its own counts; a region recorded outside a
+    checkpoint capture (BLCR's) counts for nothing."""
+    from repro.memory import CHUNK_BYTES
+    from repro.obs import Tracer, chunk_counters
+
+    tracer = Tracer()
+    full = tracer.begin("ckpt.capture", "p0", 0.0)
+    tracer.emit("capture.region", "p0", 0.0, bytes=2 * CHUNK_BYTES + 1)
+    tracer.emit("capture.region", "p0", 0.0, bytes=0)
+    tracer.emit("capture.region", "p1", 0.0, bytes=CHUNK_BYTES)
+    tracer.end(full, 1.0, mode="full")
+    incr = tracer.begin("ckpt.capture", "p0", 2.0)
+    tracer.emit("capture.region", "p0", 2.0, bytes=CHUNK_BYTES, chunks=1,
+                chunks_dirty=0)
+    tracer.end(incr, 3.0, mode="incremental", chunks=10, chunks_dirty=4)
+    assert chunk_counters(tracer.events) == {
+        "ckpt.chunks_clean": 6.0, "ckpt.chunks_dirty": 7.0}
+    assert chunk_counters([]) == {}
+
+
 def test_segments_reset_history():
     """A sim-clock rewind (fresh Environment) starts a new segment:
     drain state from the previous scenario never leaks forward."""

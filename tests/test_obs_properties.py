@@ -1,18 +1,11 @@
 """Hypothesis properties of the obs primitives: ring-buffer bounds,
-per-segment sim-clock monotonicity, and histogram conservation under
-concurrent observers."""
-
-from concurrent.futures import ThreadPoolExecutor
+per-segment sim-clock monotonicity, and the tracer's span and sink
+contracts."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import Tracer, split_segments
-from repro.obs.metrics import (
-    DEFAULT_SECONDS_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-)
 
 # -- ring buffer --------------------------------------------------------------
 
@@ -87,57 +80,6 @@ def test_monotone_timeline_is_one_segment(times):
     assert len(split_segments(tracer.events)) == 1
 
 
-# -- histogram conservation under concurrent workers --------------------------
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.floats(min_value=0.0, max_value=50.0), max_size=200),
-       st.integers(min_value=1, max_value=4))
-def test_histogram_conserves_observations_concurrently(values, workers):
-    """bucket-count sum == observation count, with observe() called
-    from a thread pool like the checkpoint-capture one."""
-    hist = Histogram("prop.hist", buckets=DEFAULT_SECONDS_BUCKETS)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(hist.observe, values))
-    assert hist.count == len(values)
-    assert sum(hist.counts()) == len(values)
-    assert abs(hist.total - sum(values)) \
-        <= 1e-9 * max(1.0, abs(sum(values)))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(min_value=1e-6, max_value=200.0),
-                min_size=1, max_size=100))
-def test_histogram_quantiles_are_bucket_bounds(values):
-    hist = Histogram("prop.q")
-    for value in values:
-        hist.observe(value)
-    for q in (0.0, 0.5, 0.9, 1.0):
-        assert hist.quantile(q) in hist.buckets
-    # the max observation lands at or below the p100 bound
-    assert max(values) <= hist.quantile(1.0)
-
-
-def test_metric_validation_errors():
-    import pytest
-
-    from repro.obs.metrics import Counter, Gauge
-
-    with pytest.raises(ValueError):
-        Counter("c").inc(-1)
-    with pytest.raises(ValueError):
-        Histogram("h", buckets=())
-    with pytest.raises(ValueError):
-        Histogram("h", buckets=(1.0, 1.0))
-    with pytest.raises(ValueError):
-        Histogram("h").quantile(1.5)
-    assert Histogram("empty").quantile(0.5) == 0.0
-    gauge = Gauge("g")
-    gauge.inc(2.0)
-    gauge.dec(0.5)
-    assert gauge.value == 1.5
-
-
 def test_tracer_end_tolerates_unknown_span():
     """A span id the tracer never opened (or already closed) is a
     no-op: background writers may outlive the tracer that began them."""
@@ -165,15 +107,3 @@ def test_sink_file_holds_the_records_the_ring_holds(tmp_path):
         tracer.end(span, 1.0, bytes=4)
     assert load_trace(path) == tracer.events
     assert tracer.events[-1]["dur"] == 1.0
-
-
-def test_registry_snapshot_roundtrip():
-    registry = MetricsRegistry()
-    registry.counter("events.total").inc(3)
-    registry.gauge("open_spans").set(2)
-    registry.histogram("span.ckpt").observe(0.25)
-    snap = registry.snapshot()
-    assert snap["counters"]["events.total"] == 3
-    assert snap["gauges"]["open_spans"] == 2
-    assert snap["histograms"]["span.ckpt"]["count"] == 1
-    assert sum(snap["histograms"]["span.ckpt"]["counts"]) == 1

@@ -829,4 +829,3 @@ def test_store_spans_and_summary_under_tracer():
     assert summary["puts"] == 1 and summary["chunks_new"] == 10
     assert summary["fetches"] == 1 and summary["hits_local"] == 10
     assert summary["chunks_copied"] == 20
-    assert tracer.metrics.counter("store.chunks_new").value == 10
